@@ -24,8 +24,9 @@
 // without recomputing the already-derived closure.
 //
 // With -stats, run statistics (input/inferred counts, iteration count,
-// rules fired/skipped by the dependency scheduler, stage timings) are
-// printed to stderr, one line per materialization.
+// rules fired/skipped by the dependency scheduler, and the phase times
+// parse, encode, normalize, closure, loop, whose total= spans bytes in
+// to closure) are printed to stderr, one line per materialization.
 //
 // -save-image persists the materialized closure as a compact binary
 // snapshot; -load-image restores one instead of re-running inference —
@@ -208,11 +209,12 @@ func run(ctx context.Context, args []string, stdin io.Reader, stdout, stderr io.
 			return
 		}
 		fmt.Fprintf(stderr,
-			"fragment=%s batch=%s incremental=%t input=%d inferred=%d total=%d materialized=%d virtual=%d encoded=%t iterations=%d fired=%d skipped=%d closure=%s loop=%s total=%s\n",
+			"fragment=%s batch=%s incremental=%t input=%d inferred=%d total=%d materialized=%d virtual=%d encoded=%t iterations=%d fired=%d skipped=%d parse=%s encode=%s normalize=%s closure=%s loop=%s total=%s\n",
 			fragment, batch, st.Incremental, st.InputTriples, st.InferredTriples,
 			st.TotalTriples, st.MaterializedTriples, st.VirtualTriples, st.HierarchyEncoded,
 			st.Iterations, st.RulesFired, st.RulesSkipped,
-			st.ClosureTime, st.LoopTime, st.TotalTime)
+			st.ParseTime, st.EncodeTime, st.NormalizeTime, st.ClosureTime, st.LoopTime,
+			st.ParseTime+st.EncodeTime+st.TotalTime) // bytes in → closure
 	}
 
 	if *loadImage == "" || inExplicit {

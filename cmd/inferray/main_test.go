@@ -352,6 +352,12 @@ func TestCLIServe(t *testing.T) {
 			t.Errorf("metrics exposition missing family %q", family)
 		}
 	}
+	// Where the time went, bytes-in to closure, one sample per phase.
+	for _, phase := range []string{"parse", "encode", "normalize", "closure", "loop"} {
+		if sample := `inferray_reasoner_phase_seconds_total{phase="` + phase + `"} `; !strings.Contains(body, sample) {
+			t.Errorf("metrics exposition missing %s", sample)
+		}
+	}
 	if t.Failed() {
 		t.Fatalf("exposition:\n%s", body)
 	}

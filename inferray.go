@@ -191,8 +191,9 @@ type Reasoner struct {
 	mu     sync.RWMutex // engine state: closure store + dictionary
 	engine *reasoner.Engine
 
-	pendingMu sync.Mutex // staging buffer for the next Materialize
-	pending   []rdf.Triple
+	pendingMu    sync.Mutex   // staging buffer for the next Materialize
+	pending      []pendingRun // in arrival order
+	pendingParse time.Duration
 
 	// dur is the durability manager (nil for in-memory reasoners). WAL
 	// appends happen under mu's write lock and checkpoints under its
@@ -215,6 +216,15 @@ type Reasoner struct {
 	// it reports (the query cache's invalidation signal).
 	gen    atomic.Uint64
 	genSum uint64 // last sampled Main.VersionSum, guarded by mu (write)
+}
+
+// pendingRun is one contiguous run of staged input: loose triples from
+// Add / AddTriples, which the next Materialize interns, or a range a
+// bulk load interned while it parsed (triples is nil then; the range
+// can reproduce them).
+type pendingRun struct {
+	triples []rdf.Triple
+	rng     *reasoner.Range
 }
 
 // Generation returns the store generation: a monotone counter that
@@ -377,52 +387,80 @@ func (r *Reasoner) Add(s, p, o string) error {
 	if rdf.IsLiteral(s) {
 		return fmt.Errorf("inferray: subject %q may not be a literal", s)
 	}
-	r.pendingMu.Lock()
-	r.pending = append(r.pending, rdf.Triple{S: s, P: p, O: o})
-	r.pendingMu.Unlock()
+	r.AddTriples([]Triple{{S: s, P: p, O: o}})
 	return nil
 }
 
-// AddTriples buffers a batch of triples.
+// AddTriples buffers a batch of triples. The slice is copied; the
+// caller keeps it.
 func (r *Reasoner) AddTriples(triples []Triple) {
 	r.pendingMu.Lock()
-	r.pending = append(r.pending, triples...)
-	r.pendingMu.Unlock()
+	defer r.pendingMu.Unlock()
+	if n := len(r.pending); n > 0 && r.pending[n-1].rng == nil {
+		r.pending[n-1].triples = append(r.pending[n-1].triples, triples...)
+		return
+	}
+	r.pending = append(r.pending, pendingRun{triples: append([]Triple(nil), triples...)})
 }
 
 // LoadNTriples buffers every triple of an N-Triples document. The
-// document is parsed outside the staging lock; triples land in the
-// buffer in one batch only if the whole document parses.
+// document is parsed — in blocks, on several cores when it is long and
+// the reasoner runs parallel — and interned outside every lock; nothing
+// is staged unless the whole document parses.
 func (r *Reasoner) LoadNTriples(src io.Reader) error {
-	var batch []rdf.Triple
-	err := rdf.ReadNTriples(src, func(t rdf.Triple) error {
-		batch = append(batch, t)
-		return nil
+	return r.load(func(emit func([]Triple) error) error {
+		return rdf.ReadNTriplesSlabs(src, emit)
 	})
-	if err != nil {
-		return err
-	}
-	r.pendingMu.Lock()
-	r.pending = append(r.pending, batch...)
-	r.pendingMu.Unlock()
-	return nil
 }
+
+// turtleSlab is how many triples LoadTurtle hands over at a time.
+const turtleSlab = 8192
 
 // LoadTurtle buffers every triple of a Turtle document (the practical
 // subset documented at rdf.ReadTurtle: prefixes, base, 'a', predicate
 // and object lists; no collections or anonymous blank nodes). Like
 // LoadNTriples, nothing is staged unless the whole document parses.
 func (r *Reasoner) LoadTurtle(src io.Reader) error {
-	var batch []rdf.Triple
-	err := rdf.ReadTurtle(src, func(t rdf.Triple) error {
-		batch = append(batch, t)
+	return r.load(func(emit func([]Triple) error) error {
+		var slab []Triple
+		err := rdf.ReadTurtle(src, func(t Triple) error {
+			if slab == nil {
+				slab = make([]Triple, 0, turtleSlab)
+			}
+			if slab = append(slab, t); len(slab) < cap(slab) {
+				return nil
+			}
+			full := slab
+			slab = nil
+			return emit(full)
+		})
+		if err != nil || len(slab) == 0 {
+			return err
+		}
+		return emit(slab)
+	})
+}
+
+// load is the bulk hand-over shared by the document loaders: read
+// delivers the document as slabs in order, each slab is interned (on
+// other cores while read parses on, when the reasoner runs parallel)
+// into a range, and the ranges are staged together once read succeeds.
+func (r *Reasoner) load(read func(emit func([]Triple) error) error) error {
+	start := time.Now()
+	in := r.engine.NewInterner()
+	err := read(func(slab []Triple) error {
+		in.Add(slab)
 		return nil
 	})
+	ranges := in.Ranges()
 	if err != nil {
 		return err
 	}
 	r.pendingMu.Lock()
-	r.pending = append(r.pending, batch...)
+	for _, rg := range ranges {
+		r.pending = append(r.pending, pendingRun{rng: rg})
+	}
+	r.pendingParse += time.Since(start)
 	r.pendingMu.Unlock()
 	return nil
 }
@@ -451,24 +489,60 @@ func (r *Reasoner) Materialize() (Stats, error) {
 // write two back-to-back.
 func (r *Reasoner) materialize(autoCheckpoint bool) (Stats, error) {
 	r.pendingMu.Lock()
-	batch := r.pending
-	r.pending = nil
+	runs, parseTime := r.pending, r.pendingParse
+	r.pending, r.pendingParse = nil, 0
 	r.pendingMu.Unlock()
 
+	// Everything that needs no engine state happens before the write
+	// lock: interning the loose runs and collecting the WAL record.
+	start := time.Now()
+	var ranges []*reasoner.Range
+	for _, run := range runs {
+		if run.rng == nil {
+			ranges = append(ranges, r.engine.Intern(run.triples)...)
+		} else {
+			ranges = append(ranges, run.rng)
+		}
+	}
+	var logged []rdf.Triple
+	if r.dur != nil {
+		n := 0
+		for _, rg := range ranges {
+			n += rg.Len()
+		}
+		logged = make([]rdf.Triple, 0, n)
+		for _, rg := range ranges {
+			logged = rg.AppendTriples(logged)
+		}
+	}
+	var internTime time.Duration
+	if len(runs) > 0 {
+		internTime = time.Since(start)
+	}
+
 	r.mu.Lock()
-	if r.dur != nil && len(batch) > 0 {
-		if err := r.dur.Append(batch); err != nil {
+	if len(logged) > 0 { // only ever on a durable reasoner
+		if err := r.dur.Append(logged); err != nil {
 			r.mu.Unlock()
+			restage := make([]pendingRun, len(ranges))
+			for i, rg := range ranges {
+				restage[i].rng = rg
+			}
 			r.pendingMu.Lock()
-			r.pending = append(batch, r.pending...)
+			r.pending = append(restage, r.pending...)
+			r.pendingParse += parseTime
 			r.pendingMu.Unlock()
 			return Stats{}, fmt.Errorf("inferray: write-ahead log: %w", err)
 		}
 	}
-	r.engine.LoadTriples(batch)
+	r.engine.LoadRanges(ranges)
 	st := r.engine.Materialize()
 	r.bumpGenerationLocked()
 	r.mu.Unlock()
+	st.ParseTime = parseTime
+	st.EncodeTime += internTime
+	r.obs.rm.ObservePhase("parse", parseTime)
+	r.obs.rm.ObservePhase("encode", internTime)
 
 	if autoCheckpoint && r.dur != nil && r.dur.ShouldRotate() {
 		if _, err := r.doCheckpoint(); err != nil {
@@ -577,7 +651,14 @@ func (r *Reasoner) DurabilityStats() (DurabilityStats, bool) {
 func (r *Reasoner) Pending() int {
 	r.pendingMu.Lock()
 	defer r.pendingMu.Unlock()
-	return len(r.pending)
+	n := 0
+	for _, run := range r.pending {
+		if run.rng != nil {
+			n += run.rng.Len()
+		}
+		n += len(run.triples)
+	}
+	return n
 }
 
 // Fragment returns the rule fragment the reasoner materializes under.

@@ -11,7 +11,10 @@
 // sorts in internal/sorting exploit.
 package dictionary
 
-import "fmt"
+import (
+	"fmt"
+	"strings"
+)
 
 // PropBase is the split point of the numbering space. The first property
 // registered receives this ID, and IDs descend from there; the first
@@ -20,10 +23,56 @@ const PropBase uint64 = 1 << 32
 
 // Dictionary maps term surface forms to dense 64-bit IDs and back.
 // The zero value is not ready to use; call New.
+//
+// The dictionary owns the bytes of every term it holds: the first
+// registration copies the term into an append-only arena, so an entry
+// never keeps the caller's string — typically a substring of a parser
+// block or a request body — reachable.
 type Dictionary struct {
 	ids   map[string]uint64
 	props []string // props[i] decodes ID PropBase-i
 	res   []string // res[i] decodes ID PropBase+1+i
+
+	// arena is the chunk new terms are copied into. Terms are substrings
+	// of chunks; a full chunk is simply left to its terms.
+	arena strings.Builder
+}
+
+// Arena chunks double from minChunk to maxChunk, so a dictionary of a
+// few dozen terms costs a few KB and a large one allocates rarely.
+const (
+	minChunk = 4 << 10
+	maxChunk = 256 << 10
+)
+
+// own returns a copy of term that lives in the arena.
+func (d *Dictionary) own(term string) string {
+	if d.arena.Cap()-d.arena.Len() < len(term) {
+		size := min(max(2*d.arena.Cap(), minChunk), maxChunk)
+		d.arena = strings.Builder{}
+		d.arena.Grow(max(size, len(term)))
+	}
+	// Writes within capacity never move the buffer, so substrings of
+	// String() taken earlier stay valid.
+	start := d.arena.Len()
+	d.arena.WriteString(term)
+	return d.arena.String()[start:]
+}
+
+// Reserve announces that up to n further terms are about to be
+// registered. A bulk load calls it once so the term index is sized up
+// front instead of rehashing its way up; a request that would not at
+// least double the index is left to ordinary growth, which keeps
+// single-triple updates on a large dictionary O(1).
+func (d *Dictionary) Reserve(n int) {
+	if n <= len(d.ids) {
+		return
+	}
+	ids := make(map[string]uint64, len(d.ids)+n)
+	for term, id := range d.ids {
+		ids[term] = id
+	}
+	d.ids = ids
 }
 
 // New returns an empty dictionary.
@@ -65,6 +114,7 @@ func (d *Dictionary) EncodeProperty(term string) uint64 {
 	if id, ok := d.ids[term]; ok {
 		return id
 	}
+	term = d.own(term)
 	id := PropBase - uint64(len(d.props))
 	d.props = append(d.props, term)
 	d.ids[term] = id
@@ -80,6 +130,7 @@ func (d *Dictionary) EncodeResource(term string) uint64 {
 	if id, ok := d.ids[term]; ok {
 		return id
 	}
+	term = d.own(term)
 	id := PropBase + 1 + uint64(len(d.res))
 	d.res = append(d.res, term)
 	d.ids[term] = id
@@ -104,7 +155,8 @@ func (d *Dictionary) PromoteToProperty(term string) (id, oldID uint64, moved boo
 	if IsProperty(cur) {
 		return cur, 0, false
 	}
-	d.res[cur-PropBase-1] = "" // tombstone; terms are never empty strings
+	term = d.res[cur-PropBase-1] // the copy the dictionary already owns
+	d.res[cur-PropBase-1] = ""   // tombstone; terms are never empty strings
 	id = PropBase - uint64(len(d.props))
 	d.props = append(d.props, term)
 	d.ids[term] = id

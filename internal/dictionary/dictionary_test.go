@@ -2,8 +2,10 @@ package dictionary
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestSplitNumbering(t *testing.T) {
@@ -196,5 +198,80 @@ func TestPromoteToProperty(t *testing.T) {
 	// EncodeResource after promotion keeps the property id.
 	if got := d.EncodeResource("<late>"); got != pid {
 		t.Fatal("EncodeResource must not re-register a promoted term")
+	}
+}
+
+// aliases reports whether s points into the bytes of within.
+func aliases(s, within string) bool {
+	p := uintptr(unsafe.Pointer(unsafe.StringData(s)))
+	lo := uintptr(unsafe.Pointer(unsafe.StringData(within)))
+	return p >= lo && p < lo+uintptr(len(within))
+}
+
+// TestDictionaryOwnsTermBytes: whatever string a term arrives in — a
+// parser block, a request body — the dictionary keeps its own copy, so
+// no entry (decoded term or index key) pins the caller's buffer; a
+// promoted term moves without being copied again.
+func TestDictionaryOwnsTermBytes(t *testing.T) {
+	block := strings.Repeat("<http://example.org/some/term> ", 4)
+	d := New()
+	p := d.EncodeProperty(block[0:30])
+	r := d.EncodeResource(block[31:61] + "x")
+	moved := d.EncodeResource("<moved>" + block[:0])
+	for _, id := range []uint64{p, r, moved} {
+		if aliases(d.MustDecode(id), block) {
+			t.Errorf("term %q still aliases the caller's block", d.MustDecode(id))
+		}
+	}
+	before := d.MustDecode(moved)
+	id, old, ok := d.PromoteToProperty("<moved>")
+	if !ok || old != moved {
+		t.Fatalf("promotion: id %d old %d moved %t", id, old, ok)
+	}
+	if after := d.MustDecode(id); unsafe.StringData(after) != unsafe.StringData(before) {
+		t.Error("promotion re-copied a term the dictionary already owned")
+	}
+}
+
+// TestArenaChunksKeepEarlierTerms registers several arena chunks' worth
+// of terms — including one larger than any chunk — and checks every
+// term still decodes and looks up: starting a new chunk must leave the
+// substrings of the old ones intact.
+func TestArenaChunksKeepEarlierTerms(t *testing.T) {
+	d := New()
+	d.Reserve(50_000)
+	huge := "<" + strings.Repeat("h", 2*maxChunk) + ">"
+	var ids []uint64
+	var terms []string
+	for i := 0; i < 50_000; i++ {
+		term := fmt.Sprintf("<http://example.org/resource/number/%d>", i)
+		if i == 20_000 {
+			term = huge
+		}
+		terms = append(terms, term)
+		ids = append(ids, d.EncodeResource(term))
+	}
+	for i, id := range ids {
+		if got := d.MustDecode(id); got != terms[i] {
+			t.Fatalf("id %d decodes to %q, want %q", id, got, terms[i])
+		}
+		if back, ok := d.Lookup(terms[i]); !ok || back != id {
+			t.Fatalf("%q looks up to %d (%t), want %d", terms[i], back, ok, id)
+		}
+	}
+}
+
+// TestReserveKeepsEntries: Reserve only resizes the index.
+func TestReserveKeepsEntries(t *testing.T) {
+	d := NewWithVocabulary([]string{"<p>", "<q>"}, []string{"<a>", "<b>"})
+	d.Reserve(1)      // below the doubling threshold: left alone
+	d.Reserve(10_000) // rebuilt
+	for term, want := range map[string]uint64{"<p>": PropBase, "<q>": PropBase - 1, "<a>": PropBase + 1, "<b>": PropBase + 2} {
+		if got, ok := d.Lookup(term); !ok || got != want {
+			t.Errorf("%s = %d (%t) after Reserve, want %d", term, got, ok, want)
+		}
+	}
+	if d.EncodeResource("<c>") != PropBase+3 || d.NumResources() != 3 {
+		t.Error("numbering did not continue after Reserve")
 	}
 }

@@ -239,6 +239,10 @@ type family struct {
 	histVec    *HistogramVec
 
 	constLabels []string // alternating name, value — rendered on every sample
+
+	// scale converts a counter vector's integer counts into the exposed
+	// unit (see SecondsCounterVec).
+	scale float64
 }
 
 // Registry holds metric families and renders them in the Prometheus
@@ -322,9 +326,22 @@ func (r *Registry) Histogram(name, help string, bounds []float64) *Histogram {
 // CounterVec registers and returns a counter family partitioned by the
 // given label names.
 func (r *Registry) CounterVec(name, help string, labels ...string) *CounterVec {
+	return r.counterVec(name, help, 1, labels)
+}
+
+// counterVec registers a counter family whose integer counts are
+// multiplied by scale on exposition.
+func (r *Registry) counterVec(name, help string, scale float64, labels []string) *CounterVec {
 	v := &CounterVec{labels: labels, children: make(map[string]*vecChild[*Counter])}
-	r.add(&family{name: name, help: help, typ: "counter", counterVec: v})
+	r.add(&family{name: name, help: help, typ: "counter", counterVec: v, scale: scale})
 	return v
+}
+
+// SecondsCounterVec registers a counter family that accumulates
+// durations: children count nanoseconds (Add(uint64(d)) for a
+// time.Duration d) and are exposed in seconds, the Prometheus base unit.
+func (r *Registry) SecondsCounterVec(name, help string, labels ...string) *CounterVec {
+	return r.counterVec(name, help, 1e-9, labels)
 }
 
 // GaugeVec registers and returns a gauge family partitioned by the
@@ -379,7 +396,7 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 			writeHistogram(&b, f.name, nil, nil, f.hist)
 		case f.counterVec != nil:
 			for _, c := range sortedChildren(&f.counterVec.mu, f.counterVec.children) {
-				writeSample(&b, f.name, f.counterVec.labels, c.values, float64(c.m.Value()))
+				writeSample(&b, f.name, f.counterVec.labels, c.values, f.scale*float64(c.m.Value()))
 			}
 		case f.gaugeVec != nil:
 			for _, c := range sortedChildren(&f.gaugeVec.mu, f.gaugeVec.children) {

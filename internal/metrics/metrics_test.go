@@ -4,6 +4,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 )
 
 func TestCounterGauge(t *testing.T) {
@@ -198,5 +199,27 @@ func TestConcurrentUpdatesAndScrapes(t *testing.T) {
 	}
 	if v.With("a").Value() != workers*iters {
 		t.Fatalf("vec child = %d, want %d", v.With("a").Value(), workers*iters)
+	}
+}
+
+// A seconds counter accumulates nanoseconds and is exposed in seconds.
+func TestSecondsCounterVec(t *testing.T) {
+	r := NewRegistry()
+	v := r.SecondsCounterVec("phase_seconds_total", "time by phase", "phase")
+	v.With("parse").Add(uint64(1500 * time.Millisecond))
+	v.With("parse").Add(uint64(250 * time.Millisecond))
+	v.With("loop").Add(0)
+	var b strings.Builder
+	if err := r.WritePrometheus(&b); err != nil {
+		t.Fatal(err)
+	}
+	for _, line := range []string{
+		"# TYPE phase_seconds_total counter",
+		`phase_seconds_total{phase="loop"} 0`,
+		`phase_seconds_total{phase="parse"} 1.75`,
+	} {
+		if !strings.Contains(b.String(), line+"\n") {
+			t.Errorf("exposition missing %q:\n%s", line, b.String())
+		}
 	}
 }

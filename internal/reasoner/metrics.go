@@ -1,6 +1,8 @@
 package reasoner
 
 import (
+	"time"
+
 	"inferray/internal/metrics"
 )
 
@@ -24,6 +26,11 @@ type Metrics struct {
 	// skipped = the dependency scheduler proved it could derive nothing.
 	RuleFired   *metrics.CounterVec
 	RuleSkipped *metrics.CounterVec
+	// PhaseSeconds accumulates wall time by pipeline phase — parse,
+	// encode, normalize, closure, loop — so "where did the time go"
+	// reads off /metrics. The engine feeds the phases it runs; the layer
+	// that parses feeds "parse" through ObservePhase.
+	PhaseSeconds *metrics.CounterVec
 	// Retractions counts Retract calls; OverdeletedTriples and
 	// RederivedTriples size the two DRed phases, and RetractSeconds
 	// observes total retraction wall time.
@@ -52,6 +59,9 @@ func NewMetrics(reg *metrics.Registry) *Metrics {
 		RuleSkipped: reg.CounterVec("inferray_reasoner_rule_skipped_total",
 			"Rules the dependency scheduler skipped, by rule name.",
 			"rule"),
+		PhaseSeconds: reg.SecondsCounterVec("inferray_reasoner_phase_seconds_total",
+			"Wall time from bytes-in to closure by phase: parse, encode (intern, dictionary merge, table fill), normalize, closure (pre-loop transitive closures), loop (fixpoint).",
+			"phase"),
 		Retractions: reg.Counter("inferray_reasoner_retractions_total",
 			"Retract calls (DRed overdelete + rederive runs)."),
 		RetractSeconds: reg.Histogram("inferray_reasoner_retract_seconds",
@@ -79,6 +89,14 @@ func (e *Engine) resolveRuleCounters() {
 	}
 }
 
+// ObservePhase adds d to one phase of PhaseSeconds. Safe on a nil
+// Metrics.
+func (m *Metrics) ObservePhase(phase string, d time.Duration) {
+	if m != nil {
+		m.PhaseSeconds.With(phase).Add(uint64(d))
+	}
+}
+
 // recordMaterialize feeds one finished materialization into the
 // instrument set.
 func (e *Engine) recordMaterialize(st *Stats) {
@@ -86,6 +104,10 @@ func (e *Engine) recordMaterialize(st *Stats) {
 	if m == nil {
 		return
 	}
+	m.ObservePhase("encode", st.EncodeTime)
+	m.ObservePhase("normalize", st.NormalizeTime)
+	m.ObservePhase("closure", st.ClosureTime)
+	m.ObservePhase("loop", st.LoopTime)
 	m.Materializations.Inc()
 	m.MaterializeSeconds.ObserveDuration(st.TotalTime)
 	m.Rounds.Add(uint64(st.Iterations))

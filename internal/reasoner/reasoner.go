@@ -85,7 +85,20 @@ type Stats struct {
 	Incremental     bool
 	ClosureTime     time.Duration
 	LoopTime        time.Duration
-	TotalTime       time.Duration
+	TotalTime       time.Duration // the Materialize call: normalize + closure + loop
+
+	// The ingest phases of the batches this materialization absorbed,
+	// all wall time. ParseTime is set by the caller that parsed (the
+	// engine never sees bytes): reading and block-parsing the documents,
+	// with the range-local interning that overlaps it on other cores.
+	// EncodeTime is the rest of dictionary encoding — interning not yet
+	// done, the ordered merge into the dictionary, and the table fill.
+	// NormalizeTime is the sort + dedup of the loaded tables, the first
+	// part of TotalTime. ParseTime + EncodeTime + TotalTime spans bytes-in
+	// to closure.
+	ParseTime     time.Duration
+	EncodeTime    time.Duration
+	NormalizeTime time.Duration
 
 	// MaterializedTriples is the number of triples physically stored;
 	// VirtualTriples the further visible triples the hierarchy interval
@@ -119,7 +132,8 @@ type Engine struct {
 	input int
 
 	materialized bool
-	staged       *store.Store // triples loaded since the last Materialize
+	staged       *store.Store  // triples loaded since the last Materialize
+	encodeTime   time.Duration // spent loading since the last Materialize
 
 	// asserted records the explicitly loaded (asserted) triples,
 	// independent of the closure: Retract may only remove asserted
@@ -187,111 +201,6 @@ func (e *Engine) DependencyEdges() map[string][]string {
 	return out
 }
 
-// LoadTriples encodes and stores a batch of triples. Encoding is
-// two-pass so that every term ever used as a property — including terms
-// first seen as subjects/objects of schema triples such as
-// rdfs:subPropertyOf — receives a dense property-side ID (§5.1). Terms
-// that earlier batches encoded as resources are promoted (the stored
-// triples are rewritten to the new ID), so incremental loads reach the
-// same encoding a one-shot load would.
-//
-// Before the first Materialize, triples accumulate in the main store;
-// afterwards they are staged as a delta for the next (incremental)
-// materialization.
-func (e *Engine) LoadTriples(triples []rdf.Triple) {
-	if len(triples) == 0 {
-		return
-	}
-	d := e.Dict
-	// asProperty gives term a property-side ID. A term previously encoded
-	// as a resource (first seen as plain subject/object, only now revealed
-	// to be a property — by a schema triple or an owl:sameAs link in a
-	// later batch) is promoted; the stored occurrences of its old ID are
-	// collected and rewritten in one batched pass after the first pass.
-	renames := make(map[uint64]uint64)
-	asProperty := func(term string) {
-		if id, ok := d.Lookup(term); ok && dictionary.IsProperty(id) {
-			return
-		}
-		newID, oldID, moved := d.PromoteToProperty(term)
-		if moved {
-			renames[oldID] = newID
-		}
-	}
-	var sameAs [][2]string
-	for _, t := range triples {
-		asProperty(t.P)
-		switch t.P {
-		case rdf.RDFSSubPropertyOf, rdf.OWLEquivalentProperty, rdf.OWLInverseOf:
-			asProperty(t.S)
-			asProperty(t.O)
-		case rdf.RDFSDomain, rdf.RDFSRange:
-			asProperty(t.S)
-		case rdf.OWLSameAs:
-			sameAs = append(sameAs, [2]string{t.S, t.O})
-		case rdf.RDFType:
-			switch t.O {
-			case rdf.RDFProperty, rdf.RDFSContainerMembershipProperty,
-				rdf.OWLFunctionalProperty, rdf.OWLInverseFunctionalProperty,
-				rdf.OWLSymmetricProperty, rdf.OWLTransitiveProperty,
-				rdf.OWLDatatypeProperty, rdf.OWLObjectProperty:
-				asProperty(t.S)
-			}
-		}
-	}
-	// owl:sameAs links between a property and a non-property term must
-	// put both terms on the property side, or EQ-REP-P could not
-	// replicate the table (a term without a property ID has no table).
-	// Sameness is transitive, so iterate to a fixpoint; each pass either
-	// moves at least one term to the property side or stops.
-	for changed := true; changed && len(sameAs) > 0; {
-		changed = false
-		for _, pair := range sameAs {
-			a, aOK := d.Lookup(pair[0])
-			b, bOK := d.Lookup(pair[1])
-			aProp := aOK && dictionary.IsProperty(a)
-			bProp := bOK && dictionary.IsProperty(b)
-			switch {
-			case aProp && !bProp:
-				asProperty(pair[1])
-				changed = true
-			case bProp && !aProp:
-				asProperty(pair[0])
-				changed = true
-			}
-		}
-	}
-	if len(renames) > 0 {
-		e.Main.RewriteTerms(renames)
-		e.asserted.RewriteTerms(renames)
-		if e.staged != nil {
-			e.staged.RewriteTerms(renames)
-		}
-		// A promotion may have moved a vocabulary resource (markers like
-		// owl:TransitiveProperty are resources); refresh the cached IDs.
-		e.V = rules.ResolveVocab(d)
-	}
-	target := e.Main
-	if e.materialized {
-		if e.staged == nil {
-			e.staged = store.New(d.NumProperties())
-		}
-		target = e.staged
-	}
-	target.Grow(d.NumProperties())
-	e.asserted.Grow(d.NumProperties())
-	for _, t := range triples {
-		p, _ := d.Lookup(t.P)
-		s := d.EncodeResource(t.S)
-		o := d.EncodeResource(t.O)
-		pidx := dictionary.PropIndex(p)
-		target.Add(pidx, s, o)
-		e.asserted.Add(pidx, s, o)
-	}
-	e.Main.Grow(d.NumProperties())
-	e.input += len(triples)
-}
-
 // Materialize computes the closure of the loaded triples under the
 // engine's fragment and returns run statistics. The first call
 // implements Algorithm 1 in full; subsequent calls extend the existing
@@ -302,15 +211,11 @@ func (e *Engine) Materialize() Stats {
 		return e.materializeIncremental()
 	}
 	start := time.Now()
-	if e.opts.Parallel {
-		e.Main.NormalizeParallel()
-	} else {
-		e.Main.Normalize()
-	}
 	// Normalizing the asserted record here (under the caller's write
 	// exclusivity) keeps it clean for snapshot writers, which run under a
 	// shared read lock and must not mutate.
-	e.asserted.Normalize()
+	e.normalize(e.Main, e.asserted)
+	normalizeTime := time.Since(start)
 	inputSize := e.Main.Size() // after load-time dedup
 
 	// Line 2: transitivity closures on a dedicated layout (§4.1).
@@ -328,7 +233,7 @@ func (e *Engine) Materialize() Stats {
 	// Lines 3–8: fixed point. On the first pass delta aliases main and
 	// every rule fires (the changed set is unknown).
 	loopStart := time.Now()
-	st := Stats{}
+	st := Stats{NormalizeTime: normalizeTime}
 	e.fixpoint(e.Main, nil, true, &st)
 	st.LoopTime = time.Since(loopStart)
 
@@ -344,9 +249,23 @@ func (e *Engine) Materialize() Stats {
 	return st
 }
 
+// normalize sorts and dedups the dirty tables of the given stores, on
+// one worker pool when the engine runs parallel.
+func (e *Engine) normalize(stores ...*store.Store) {
+	if e.opts.Parallel {
+		store.NormalizeParallel(stores...)
+		return
+	}
+	for _, st := range stores {
+		st.Normalize()
+	}
+}
+
 // finishStats fills the materialized/virtual split and the hierarchy
-// index figures of a Stats record from the engine's current state.
+// index figures of a Stats record from the engine's current state, and
+// hands it the load time accumulated since the previous materialization.
 func (e *Engine) finishStats(st *Stats) {
+	st.EncodeTime, e.encodeTime = e.encodeTime, 0
 	st.MaterializedTriples = e.Main.Size()
 	st.VirtualTriples = st.TotalTriples - st.MaterializedTriples
 	if e.hier != nil {
@@ -365,7 +284,8 @@ func (e *Engine) materializeIncremental() Stats {
 	start := time.Now()
 	prevTotal := e.Size()
 	st := Stats{Incremental: true, TotalTriples: prevTotal}
-	e.asserted.Normalize()
+	e.normalize(e.asserted)
+	st.NormalizeTime = time.Since(start)
 	staged := e.staged
 	e.staged = nil
 	if staged == nil || staged.Size() == 0 {

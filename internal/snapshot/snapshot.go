@@ -599,9 +599,17 @@ func readString(r *bufio.Reader) (string, error) {
 		}
 		return b.String(), nil
 	}
-	buf := make([]byte, n)
-	if _, err := io.ReadFull(r, buf); err != nil {
+	// The common case fits the reader's buffer (1<<16): convert straight
+	// out of it, one allocation per term — the dictionary makes its own
+	// copy of whatever it registers.
+	buf, err := r.Peek(int(n))
+	if err != nil {
+		if err == io.EOF {
+			err = io.ErrUnexpectedEOF
+		}
 		return "", err
 	}
-	return string(buf), nil
+	s := string(buf)
+	_, err = r.Discard(int(n))
+	return s, err
 }

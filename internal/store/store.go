@@ -8,6 +8,7 @@ package store
 
 import (
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -50,6 +51,14 @@ func (t *Table) Append(s, o uint64) {
 	t.dirty = true
 	t.osOK = false
 	t.version++
+}
+
+// Reserve makes room for n further pairs, so a loader that has counted
+// its pairs appends them without growing the list again. An empty table
+// gets exactly that room; a populated one grows by at least append's
+// own step, which keeps repeated small reserves amortized.
+func (t *Table) Reserve(n int) {
+	t.pairs = slices.Grow(t.pairs, 2*n)
 }
 
 // AppendPairs bulk-adds a flat pair list.
@@ -338,21 +347,21 @@ func (st *Store) Normalize() {
 // NormalizeParallel normalizes every dirty table, running the per-table
 // sorts concurrently on a GOMAXPROCS-bounded worker pool (§4.3: property
 // tables are independent, so index maintenance parallelizes trivially).
-// With at most one dirty table it degenerates to the serial path —
-// goroutine setup would cost more than the single sort. Like Normalize,
-// it requires exclusive access to the store.
-func (st *Store) NormalizeParallel() {
+// Like Normalize, it requires exclusive access to the store.
+func (st *Store) NormalizeParallel() { NormalizeParallel(st) }
+
+// NormalizeParallel normalizes the dirty tables of several stores on
+// one worker pool, so a small store does not wait its turn behind a
+// large one. runPool degenerates to the serial path for a single dirty
+// table. It requires exclusive access to every store.
+func NormalizeParallel(stores ...*Store) {
 	dirty := make([]*Table, 0, 16)
-	for _, t := range st.tables {
-		if t != nil && t.dirty {
-			dirty = append(dirty, t)
+	for _, st := range stores {
+		for _, t := range st.tables {
+			if t != nil && t.dirty {
+				dirty = append(dirty, t)
+			}
 		}
-	}
-	if len(dirty) <= 1 {
-		for _, t := range dirty {
-			t.Normalize()
-		}
-		return
 	}
 	runPool(len(dirty), func(i int) { dirty[i].Normalize() })
 }

@@ -564,3 +564,59 @@ func TestRewriteTermsManyTables(t *testing.T) {
 		}
 	}
 }
+
+// TestReserveThenAppendDoesNotGrow: a loader that counted its pairs
+// reserves once and appends in place; the reserve itself changes
+// nothing a reader can see.
+func TestReserveThenAppendDoesNotGrow(t *testing.T) {
+	var tab Table
+	tab.Reserve(1000)
+	if tab.Size() != 0 || tab.Version() != 0 {
+		t.Fatalf("Reserve changed contents: size %d version %d", tab.Size(), tab.Version())
+	}
+	before := cap(tab.RawPairs())
+	if before < 2000 {
+		t.Fatalf("cap %d after Reserve(1000), want at least 2000", before)
+	}
+	for i := uint64(0); i < 1000; i++ {
+		tab.Append(i, i+1)
+	}
+	if got := cap(tab.RawPairs()); got != before {
+		t.Fatalf("pair list grew from cap %d to %d after a counted reserve", before, got)
+	}
+	// Repeated small reserves on a populated table stay amortized: the
+	// list must not be re-allocated on every call.
+	grows := 0
+	for i := uint64(0); i < 1000; i++ {
+		c := cap(tab.RawPairs())
+		tab.Reserve(1)
+		tab.Append(i, i)
+		if cap(tab.RawPairs()) != c {
+			grows++
+		}
+	}
+	if grows > 10 {
+		t.Fatalf("1000 single-pair reserves re-allocated %d times", grows)
+	}
+}
+
+func TestNormalizeParallelAcrossStores(t *testing.T) {
+	a, b := New(4), New(2)
+	for i := uint64(50); i > 0; i-- {
+		a.Add(int(i%4), i, i)
+		a.Add(int(i%4), i, i) // duplicate
+		b.Add(int(i%2), i, 1)
+	}
+	NormalizeParallel(a, b)
+	for _, st := range []*Store{a, b} {
+		st.ForEachTable(func(pidx int, tab *Table) bool {
+			if !sorting.IsSortedPairs(tab.Pairs()) { // Pairs panics on a dirty table
+				t.Errorf("table %d not sorted", pidx)
+			}
+			return true
+		})
+	}
+	if a.Size() != 50 || b.Size() != 50 {
+		t.Fatalf("sizes %d, %d after dedup, want 50, 50", a.Size(), b.Size())
+	}
+}

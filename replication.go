@@ -131,7 +131,7 @@ func (r *Reasoner) RestoreImage(path string) (WALPosition, error) {
 			path, meta.Fragment, r.engine.Fragment())
 	}
 	r.pendingMu.Lock()
-	r.pending = nil
+	r.pending, r.pendingParse = nil, 0
 	r.pendingMu.Unlock()
 	r.mu.Lock()
 	defer r.mu.Unlock()
