@@ -19,7 +19,6 @@ import (
 	"inferray/internal/datagen"
 	"inferray/internal/dictionary"
 	"inferray/internal/mapreduce"
-	"inferray/internal/query"
 	"inferray/internal/rdf"
 	"inferray/internal/reasoner"
 	"inferray/internal/rules"
@@ -372,8 +371,8 @@ func BenchmarkTable2WebPIE(b *testing.B) {
 
 // ------------------------------------------------------------ Query engine
 
-// selectBenchStore builds the three-table join workload behind
-// BenchmarkSelect: property p with np pairs whose objects fan into
+// selectBenchStore builds a three-table join workload (the shape
+// internal/query's BenchmarkPlannedVsGreedy runs): property p with np pairs whose objects fan into
 // [1, m], property q mapping [1, m] onto [1, m], and property r holding
 // only nr subjects out of that range — nr controls the join's
 // selectivity skew.
@@ -395,77 +394,13 @@ func selectBenchStore(np, m, nr int) *store.Store {
 	return st
 }
 
-// BenchmarkSelect compares the planned sort-merge engine (Solve)
-// against the greedy access-class engine (SolveGreedy) on multi-pattern
-// joins, plus the full parse→plan→pipeline path through
-// Reasoner.Select. The skewed case lists the 200k-pair table first in
-// the query text with the 20-pair table last — exactly the ordering the
-// greedy ranking cannot fix, because all three patterns share one
-// access class. Results are recorded in EXPERIMENTS.md.
+// BenchmarkSelect times the full parse→plan→pipeline path through
+// Reasoner.Select on a skewed three-pattern join: the query text lists
+// the big table first and the 20-pair table last. The engine-level
+// planned-vs-greedy arms on the same shapes live next to the greedy
+// reference they compare (internal/query/greedy_test.go,
+// BenchmarkPlannedVsGreedy). Results are recorded in EXPERIMENTS.md.
 func BenchmarkSelect(b *testing.B) {
-	cases := []struct {
-		name      string
-		np, m, nr int
-		star      bool
-	}{
-		{name: "chain3-uniform", np: 10_000, m: 10_000, nr: 10_000},
-		{name: "chain3-skewed", np: 200_000, m: 20_000, nr: 20},
-		{name: "star3-skewed", np: 50_000, m: 5_000, nr: 50, star: true},
-	}
-	for _, c := range cases {
-		st := selectBenchStore(c.np, c.m, c.nr)
-		e := &query.Engine{St: st}
-		pid := func(i int) uint64 { return dictionary.PropID(i) }
-		// chain: ?x p ?y . ?y q ?z . ?z r ?w — biggest table first.
-		patterns := []query.Pattern{
-			{S: query.Var(0), P: query.Const(pid(0)), O: query.Var(1)},
-			{S: query.Var(1), P: query.Const(pid(1)), O: query.Var(2)},
-			{S: query.Var(2), P: query.Const(pid(2)), O: query.Var(3)},
-		}
-		if c.star {
-			// star: ?x p ?a . ?x q ?b . ?x r ?c over the shared subject
-			// range [1, m].
-			patterns = []query.Pattern{
-				{S: query.Var(0), P: query.Const(pid(1)), O: query.Var(1)},
-				{S: query.Var(0), P: query.Const(pid(1)), O: query.Var(2)},
-				{S: query.Var(0), P: query.Const(pid(2)), O: query.Var(3)},
-			}
-		}
-
-		// Sanity: both engines agree before anything is timed.
-		count := func(solve func([]query.Pattern, int, func([]uint64) bool) error) int {
-			n := 0
-			if err := solve(patterns, 4, func([]uint64) bool { n++; return true }); err != nil {
-				b.Fatal(err)
-			}
-			return n
-		}
-		planned, greedy := count(e.Solve), count(e.SolveGreedy)
-		if planned != greedy {
-			b.Fatalf("%s: planned %d rows, greedy %d", c.name, planned, greedy)
-		}
-
-		for _, eng := range []struct {
-			name  string
-			solve func([]query.Pattern, int, func([]uint64) bool) error
-		}{{"planned", e.Solve}, {"greedy", e.SolveGreedy}} {
-			b.Run(c.name+"/"+eng.name, func(b *testing.B) {
-				b.ReportAllocs()
-				rows := 0
-				for i := 0; i < b.N; i++ {
-					rows = 0
-					if err := eng.solve(patterns, 4, func([]uint64) bool {
-						rows++
-						return true
-					}); err != nil {
-						b.Fatal(err)
-					}
-				}
-				b.ReportMetric(float64(rows), "rows")
-			})
-		}
-	}
-
 	// End-to-end: text in, modifier pipeline out, on the skewed shape.
 	b.Run("endtoend-sparql", func(b *testing.B) {
 		r := inferray.New(inferray.WithFragment(inferray.RhoDF))

@@ -216,6 +216,11 @@ type Reasoner struct {
 	// it reports (the query cache's invalidation signal).
 	gen    atomic.Uint64
 	genSum uint64 // last sampled Main.VersionSum, guarded by mu (write)
+
+	// materialized records that the engine has run its first Materialize
+	// or had an image installed — what a retraction needs before it can
+	// run. Guarded by mu (write).
+	materialized bool
 }
 
 // pendingRun is one contiguous run of staged input: loose triples from
@@ -303,65 +308,52 @@ func Open(opts ...Option) (*Reasoner, error) {
 		Fragment:      c.engine.Fragment.String(),
 		Metrics:       r.obs.wm,
 	}
-	// Recovery runs single-threaded before the reasoner is shared, so
-	// the hooks drive the engine directly: restore the image, mark it
-	// materialized (images are always written from a closure), then
-	// absorb each surviving WAL batch exactly the way the live server
-	// absorbed it — LoadTriples + incremental Materialize.
+	// Recovery uses the doors every later write uses — install for the
+	// image, apply for each surviving record — so every process
+	// replaying the same (image, log) prefix lands on the same closure
+	// and generation. r.dur is still nil while the hooks run: replayed
+	// records are not logged a second time.
 	hooks := wal.Hooks{
 		Restore: func(d *dictionary.Dictionary, st *store.Store, asserted *store.Store, meta snapshot.Meta) error {
-			// A closure is only a closure under its own ruleset:
-			// extending an image built with different rules would
-			// produce a store that is the closure of neither.
-			if meta.Fragment != "" && meta.Fragment != r.engine.Fragment().String() {
-				return fmt.Errorf("data dir was materialized under fragment %s, but the reasoner is configured for %s",
-					meta.Fragment, r.engine.Fragment())
-			}
-			if err := r.engine.RestoreState(d, st, meta.HierarchyEncoded, asserted); err != nil {
-				return err
-			}
-			r.engine.MarkMaterialized()
-			// Resume the image's store generation so X-Inferray-Generation
-			// stays one monotone sequence across restarts (and across the
-			// leader/follower boundary: a follower bootstrapping from this
-			// image continues the same counter). The hooks run before the
-			// reasoner is shared, so the unlocked writes are safe.
-			r.gen.Store(meta.StoreGeneration)
-			r.genSum = r.engine.Main.VersionSum()
-			return nil
+			return r.install("data dir", d, st, asserted, meta)
 		},
-		// Replaying a record advances the generation exactly the way the
-		// live path that logged it did — one bump per record that changed
-		// the closure — so every process replaying the same (image, log)
-		// prefix lands on the same generation number.
-		Replay: func(batch []rdf.Triple) error {
-			r.engine.LoadTriples(batch)
-			r.engine.Materialize()
-			r.bumpGenerationLocked()
-			return nil
-		},
-		ReplayDelete: func(batch []rdf.Triple) error {
-			_, err := r.engine.Retract(batch)
-			r.bumpGenerationLocked()
-			return err
-		},
+		Apply: r.applyRecord,
 	}
 	m, err := wal.OpenManager(c.durDir, walOpts, hooks)
 	if err != nil {
 		return nil, err
 	}
 	r.dur = m
-	// A data directory written by an older build leaves a version-1 log
-	// open — a format that cannot record deletions. Checkpoint away from
-	// it now (fresh image + current-version log) so the first Update is
-	// not the one to discover the stale format.
-	if m.LogVersion() < 2 {
-		if _, err := r.doCheckpoint(); err != nil {
-			m.Close()
-			return nil, fmt.Errorf("inferray: migrating version-1 write-ahead log: %w", err)
-		}
-	}
 	return r, nil
+}
+
+// install replaces the reasoner's entire state with a restored image —
+// the one way a snapshot gets in (Open, RestoreImage, LoadImage,
+// LoadSnapshot). A closure is only a closure under its own ruleset, so
+// a fragment mismatch is refused; source names the image in that error.
+// Images are written from closures, so the store is marked
+// materialized, and the store generation resumes from the image's
+// header: X-Inferray-Generation stays one monotone sequence across
+// restarts and across the leader/follower boundary. Staged triples are
+// discarded with the old state.
+func (r *Reasoner) install(source string, d *dictionary.Dictionary, st, asserted *store.Store, meta snapshot.Meta) error {
+	if meta.Fragment != "" && meta.Fragment != r.engine.Fragment().String() {
+		return fmt.Errorf("inferray: %s was materialized under fragment %s, but the reasoner is configured for %s",
+			source, meta.Fragment, r.engine.Fragment())
+	}
+	r.pendingMu.Lock()
+	r.pending, r.pendingParse = nil, 0
+	r.pendingMu.Unlock()
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if err := r.engine.RestoreState(d, st, meta.HierarchyEncoded, asserted); err != nil {
+		return err
+	}
+	r.engine.MarkMaterialized()
+	r.materialized = true
+	r.gen.Store(meta.StoreGeneration)
+	r.genSum = r.engine.Main.VersionSum()
+	return nil
 }
 
 // Close flushes and closes the durability layer. It is a no-op for
@@ -480,21 +472,20 @@ func (r *Reasoner) load(read func(emit func([]Triple) error) error) error {
 // materialization (the WAL still holds everything) and is surfaced via
 // DurabilityStats.
 func (r *Reasoner) Materialize() (Stats, error) {
-	return r.materialize(true)
+	return r.drain(false)
 }
 
-// materialize is Materialize with the automatic threshold checkpoint
+// drain is Materialize with the automatic threshold checkpoint
 // optional: Checkpoint() drains pending through here with it off, since
 // it is about to write an image anyway and auto-rotating first would
 // write two back-to-back.
-func (r *Reasoner) materialize(autoCheckpoint bool) (Stats, error) {
+func (r *Reasoner) drain(noCheckpoint bool) (Stats, error) {
 	r.pendingMu.Lock()
 	runs, parseTime := r.pending, r.pendingParse
 	r.pending, r.pendingParse = nil, 0
 	r.pendingMu.Unlock()
 
-	// Everything that needs no engine state happens before the write
-	// lock: interning the loose runs and collecting the WAL record.
+	// Interning the loose runs needs no engine state: no lock held.
 	start := time.Now()
 	var ranges []*reasoner.Range
 	for _, run := range runs {
@@ -504,52 +495,141 @@ func (r *Reasoner) materialize(autoCheckpoint bool) (Stats, error) {
 			ranges = append(ranges, run.rng)
 		}
 	}
-	var logged []rdf.Triple
-	if r.dur != nil {
-		n := 0
-		for _, rg := range ranges {
-			n += rg.Len()
-		}
-		logged = make([]rdf.Triple, 0, n)
-		for _, rg := range ranges {
-			logged = rg.AppendTriples(logged)
-		}
-	}
 	var internTime time.Duration
 	if len(runs) > 0 {
 		internTime = time.Since(start)
 	}
+	st, _, err := r.apply(mutation{
+		kind: wal.OpAdd, ranges: ranges,
+		parseTime: parseTime, internTime: internTime,
+		noCheckpoint: noCheckpoint,
+	})
+	if err != nil {
+		// The log refused the batch: re-stage it at the head of the queue.
+		restage := make([]pendingRun, len(ranges))
+		for i, rg := range ranges {
+			restage[i].rng = rg
+		}
+		r.pendingMu.Lock()
+		r.pending = append(restage, r.pending...)
+		r.pendingParse += parseTime
+		r.pendingMu.Unlock()
+		return Stats{}, err
+	}
+	return st, nil
+}
+
+// settle drains the staged triples, when there are any, ahead of a
+// retraction or a checkpoint. With nothing staged it takes no lock and
+// counts no materialization.
+func (r *Reasoner) settle(noCheckpoint bool) error {
+	if r.Pending() == 0 {
+		return nil
+	}
+	_, err := r.drain(noCheckpoint)
+	return err
+}
+
+// mutation is one write to the closure, as apply takes it.
+type mutation struct {
+	kind   wal.OpKind
+	ranges []*reasoner.Range // OpAdd: the batch, interned before the lock
+	batch  []rdf.Triple      // OpDelete: the ground triples
+	// where, when non-nil, is a DELETE WHERE pattern block: apply
+	// resolves it to the batch under the write lock, so no insert can
+	// slip between matching and retraction.
+	where [][3]string
+	// What the caller spent on an OpAdd batch before the lock.
+	parseTime, internTime time.Duration
+	noCheckpoint          bool // skip the threshold checkpoint
+}
+
+// apply is the one door into the closure: Materialize, the SPARQL
+// UPDATE forms, replicated records and Open-time replay all pass
+// through here, and nothing else mutates the engine, appends to the
+// log, or moves the generation. Under the write lock it logs the record
+// (write-ahead: a failed append leaves the closure untouched), hands
+// the batch to the engine, and bumps the generation; after unlocking it
+// runs the threshold checkpoint (see Materialize for its failure rule).
+//
+// Only a durable reasoner logs, and replayed or replicated records
+// never reach one: Open replays before it attaches the manager, and
+// ApplyReplicated refuses durable reasoners. A retraction needs a
+// materialized engine, so a never-materialized reasoner materializes
+// (its empty store) first, whatever the mutation's kind.
+func (r *Reasoner) apply(m mutation) (Stats, reasoner.RetractStats, error) {
+	// An add's WAL record is collected from its ranges before the lock.
+	record := m.batch
+	if m.kind == wal.OpAdd && r.dur != nil {
+		start := time.Now()
+		n := 0
+		for _, rg := range m.ranges {
+			n += rg.Len()
+		}
+		record = make([]rdf.Triple, 0, n)
+		for _, rg := range m.ranges {
+			record = rg.AppendTriples(record)
+		}
+		m.internTime += time.Since(start)
+	}
 
 	r.mu.Lock()
-	if len(logged) > 0 { // only ever on a durable reasoner
-		if err := r.dur.Append(logged); err != nil {
+	if m.where != nil {
+		var err error
+		if record, err = r.matchPatternsLocked(m.where); err != nil || len(record) == 0 {
 			r.mu.Unlock()
-			restage := make([]pendingRun, len(ranges))
-			for i, rg := range ranges {
-				restage[i].rng = rg
-			}
-			r.pendingMu.Lock()
-			r.pending = append(restage, r.pending...)
-			r.pendingParse += parseTime
-			r.pendingMu.Unlock()
-			return Stats{}, fmt.Errorf("inferray: write-ahead log: %w", err)
+			return Stats{}, reasoner.RetractStats{}, err
 		}
 	}
-	r.engine.LoadRanges(ranges)
-	st := r.engine.Materialize()
+	if r.dur != nil {
+		if err := r.dur.Append(m.kind, record); err != nil {
+			r.mu.Unlock()
+			return Stats{}, reasoner.RetractStats{}, fmt.Errorf("inferray: write-ahead log: %w", err)
+		}
+	}
+	var st Stats
+	var rs reasoner.RetractStats
+	var err error
+	if m.kind == wal.OpAdd || !r.materialized {
+		r.engine.LoadRanges(m.ranges)
+		st = r.engine.Materialize()
+		r.materialized = true
+	}
+	if m.kind == wal.OpDelete {
+		rs, err = r.engine.Retract(record)
+	}
 	r.bumpGenerationLocked()
 	r.mu.Unlock()
-	st.ParseTime = parseTime
-	st.EncodeTime += internTime
-	r.obs.rm.ObservePhase("parse", parseTime)
-	r.obs.rm.ObservePhase("encode", internTime)
 
-	if autoCheckpoint && r.dur != nil && r.dur.ShouldRotate() {
+	st.ParseTime = m.parseTime
+	st.EncodeTime += m.internTime
+	r.obs.rm.ObservePhase("parse", m.parseTime)
+	r.obs.rm.ObservePhase("encode", m.internTime)
+
+	if !m.noCheckpoint && r.dur != nil && r.dur.ShouldRotate() {
 		if _, err := r.doCheckpoint(); err != nil {
 			r.dur.SetCheckpointErr(err)
 		}
 	}
-	return st, nil
+	return st, rs, err
+}
+
+// applyRecord hands one write-ahead-log record — replayed at Open, or
+// shipped to a follower — to apply.
+func (r *Reasoner) applyRecord(kind wal.OpKind, batch []rdf.Triple) error {
+	m := mutation{kind: kind}
+	switch kind {
+	case wal.OpAdd:
+		start := time.Now()
+		m.ranges = r.engine.Intern(batch)
+		m.internTime = time.Since(start)
+	case wal.OpDelete:
+		m.batch = batch
+	default:
+		return fmt.Errorf("inferray: unknown write-ahead-log op kind %d", kind)
+	}
+	_, _, err := r.apply(m)
+	return err
 }
 
 // CheckpointInfo reports one completed checkpoint.
@@ -572,14 +652,14 @@ func (r *Reasoner) Checkpoint() (CheckpointInfo, error) {
 	if r.dur == nil {
 		return CheckpointInfo{}, ErrNotDurable
 	}
-	if _, err := r.materialize(false); err != nil {
+	if err := r.settle(true); err != nil {
 		return CheckpointInfo{}, err
 	}
 	return r.doCheckpoint()
 }
 
-// doCheckpoint writes the image under the read lock: Materialize (the
-// only store mutator) is excluded, readers are not. Every WAL append
+// doCheckpoint writes the image under the read lock: apply (the only
+// store mutator) is excluded, readers are not. Every WAL append
 // happens under the write lock, so at this point every logged batch is
 // inside the store — deleting the old log after the rename loses
 // nothing.
@@ -587,15 +667,7 @@ func (r *Reasoner) doCheckpoint() (CheckpointInfo, error) {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	cs, err := r.dur.Checkpoint(r.engine.Dict, r.engine.Main, r.engine.AssertedStore(), r.engine.StoredSize(), r.engine.HierView() != nil, r.gen.Load())
-	if err != nil {
-		return CheckpointInfo{}, err
-	}
-	return CheckpointInfo{
-		Generation:    cs.Generation,
-		Triples:       cs.Triples,
-		SnapshotBytes: cs.SnapshotBytes,
-		Duration:      cs.Duration,
-	}, nil
+	return CheckpointInfo(cs), err
 }
 
 // DurabilityStats describes the persistence layer's state; ok is false

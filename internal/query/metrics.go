@@ -11,9 +11,6 @@ type Metrics struct {
 	// PlannedSolves counts Solve/SolveLeftJoin invocations (the
 	// statistics-planned sort-merge engine).
 	PlannedSolves *metrics.Counter
-	// GreedySolves counts SolveGreedy invocations (the baseline
-	// access-class-greedy engine).
-	GreedySolves *metrics.Counter
 	// Rows counts solution rows streamed out of the engine, before any
 	// enclosing projection or LIMIT.
 	Rows *metrics.Counter
@@ -23,11 +20,10 @@ type Metrics struct {
 // the instrument set to hang on Engine.Metrics.
 func NewMetrics(reg *metrics.Registry) *Metrics {
 	solves := reg.CounterVec("inferray_query_solves_total",
-		"Basic graph pattern solves by engine (planned = statistics-ordered sort-merge, greedy = baseline nested-loop).",
+		"Basic graph pattern solves by engine (planned = statistics-ordered sort-merge).",
 		"engine")
 	return &Metrics{
 		PlannedSolves: solves.With("planned"),
-		GreedySolves:  solves.With("greedy"),
 		Rows: reg.Counter("inferray_query_engine_rows_total",
 			"Solution rows streamed out of the pattern engine, before projection and LIMIT."),
 	}

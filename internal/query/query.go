@@ -6,16 +6,13 @@
 // cached ⟨o,s⟩ order, full table scans otherwise. Solve orders the
 // patterns up front with a selectivity-estimating planner fed by
 // per-table statistics and executes shared-variable joins as sort-merge
-// joins over the sorted layouts (plan.go); SolveGreedy retains the
-// original access-class-greedy nested-loop engine as a baseline.
-// DESIGN.md §9 documents the cost model and the per-access-class
-// complexity table.
+// joins over the sorted layouts (plan.go). DESIGN.md §9 documents the
+// cost model and the per-access-class complexity table.
 package query
 
 import (
 	"fmt"
 
-	"inferray/internal/dictionary"
 	"inferray/internal/store"
 )
 
@@ -82,9 +79,7 @@ func (e *Engine) virtualPidx(pidx int) bool {
 //
 // Solve plans the pattern order up front from per-table statistics
 // (Plan) and executes shared-variable joins as sort-merge joins over
-// the sorted table layouts (see plan.go); SolveGreedy is the earlier
-// access-class-greedy engine, kept as the planner's benchmark baseline
-// and equivalence reference.
+// the sorted table layouts (see plan.go).
 func (e *Engine) Solve(patterns []Pattern, nVars int, fn func(row []uint64) bool) error {
 	if err := e.validate(patterns, nVars); err != nil {
 		return err
@@ -182,31 +177,6 @@ func varMask(patterns []Pattern) uint64 {
 	return m
 }
 
-// SolveGreedy enumerates the same solutions as Solve with the original
-// nested-loop engine: at every recursion step the most selective
-// remaining pattern by coarse access class is chosen, and every probe
-// is an independent binary search. It exists for benchmarks and
-// equivalence tests; use Solve.
-func (e *Engine) SolveGreedy(patterns []Pattern, nVars int, fn func(row []uint64) bool) error {
-	if err := e.validate(patterns, nVars); err != nil {
-		return err
-	}
-	if m := e.Metrics; m != nil {
-		// The greedy engine is off the allocation-critical path, so the
-		// row tally can afford a wrapping closure.
-		m.GreedySolves.Inc()
-		var rows uint64
-		inner := fn
-		fn = func(row []uint64) bool { rows++; return inner(row) }
-		defer func() { m.Rows.Add(rows) }()
-	}
-	row := make([]uint64, nVars)
-	var bound uint64 // bitmask of bound slots
-	remaining := append([]Pattern(nil), patterns...)
-	e.solve(remaining, row, bound, fn)
-	return nil
-}
-
 // validate bounds-checks the variable slots against nVars.
 func (e *Engine) validate(patterns []Pattern, nVars int) error {
 	if nVars < 0 || nVars > 64 {
@@ -222,53 +192,8 @@ func (e *Engine) validate(patterns []Pattern, nVars int) error {
 	return nil
 }
 
-// solve picks the most selective remaining pattern, enumerates its
-// matches, and recurses. Returns false if fn aborted.
-func (e *Engine) solve(remaining []Pattern, row []uint64, bound uint64, fn func([]uint64) bool) bool {
-	if len(remaining) == 0 {
-		return fn(row)
-	}
-	// Greedy selection: lowest selectivity class first.
-	best, bestClass := 0, 1<<30
-	for i, p := range remaining {
-		c := e.accessClass(p, bound)
-		if c < bestClass {
-			best, bestClass = i, c
-		}
-	}
-	p := remaining[best]
-	rest := make([]Pattern, 0, len(remaining)-1)
-	rest = append(rest, remaining[:best]...)
-	rest = append(rest, remaining[best+1:]...)
-
-	cont := true
-	e.enumerate(p, row, bound, func(newBound uint64) bool {
-		cont = e.solve(rest, row, newBound, fn)
-		return cont
-	})
-	return cont
-}
-
-// accessClass estimates an access path's cost class under the current
-// bindings (lower = more selective).
-func (e *Engine) accessClass(p Pattern, bound uint64) int {
-	s := termBound(p.S, bound)
-	pr := termBound(p.P, bound)
-	o := termBound(p.O, bound)
-	switch {
-	case s && pr && o:
-		return 0 // existence check
-	case pr && (s || o):
-		return 1 // run scan
-	case pr:
-		return 2 // single-table scan
-	case s || o:
-		return 3 // all tables, run scans
-	default:
-		return 4 // full store scan
-	}
-}
-
+// termBound reports whether a term is a constant or an already-bound
+// variable.
 func termBound(t Term, bound uint64) bool {
 	return !t.IsVar || bound&(1<<uint(t.Var)) != 0
 }
@@ -279,129 +204,6 @@ func termValue(t Term, row []uint64) uint64 {
 		return row[t.Var]
 	}
 	return t.ID
-}
-
-// enumerate walks every match of one pattern under the current bindings,
-// binding its free variables into row and invoking fn with the updated
-// bound mask. fn returning false stops the walk.
-func (e *Engine) enumerate(p Pattern, row []uint64, bound uint64, fn func(uint64) bool) {
-	sB := termBound(p.S, bound)
-	pB := termBound(p.P, bound)
-	oB := termBound(p.O, bound)
-
-	tryTriple := func(pidx int, s, o uint64) bool {
-		newBound := bound
-		bind := func(t Term, v uint64) bool {
-			if !t.IsVar {
-				return t.ID == v
-			}
-			if newBound&(1<<uint(t.Var)) != 0 {
-				return row[t.Var] == v
-			}
-			row[t.Var] = v
-			newBound |= 1 << uint(t.Var)
-			return true
-		}
-		if !bind(p.S, s) || !bind(p.P, dictionary.PropID(pidx)) || !bind(p.O, o) {
-			return true // mismatch: keep walking
-		}
-		return fn(newBound)
-	}
-
-	scanTable := func(pidx int, t *store.Table) bool {
-		sv, ov := uint64(0), uint64(0)
-		if sB {
-			sv = termValue(p.S, row)
-		}
-		if oB {
-			ov = termValue(p.O, row)
-		}
-		switch {
-		case sB && oB:
-			if t.Contains(sv, ov) {
-				return tryTriple(pidx, sv, ov)
-			}
-			return true
-		case sB:
-			pairs := t.Pairs()
-			lo, hi := t.SubjectRun(sv)
-			for i := lo; i < hi; i++ {
-				if !tryTriple(pidx, sv, pairs[2*i+1]) {
-					return false
-				}
-			}
-			return true
-		case oB:
-			os := t.OS()
-			lo, hi := t.ObjectRun(ov)
-			for i := lo; i < hi; i++ {
-				if !tryTriple(pidx, os[2*i+1], ov) {
-					return false
-				}
-			}
-			return true
-		default:
-			pairs := t.Pairs()
-			for i := 0; i < len(pairs); i += 2 {
-				if !tryTriple(pidx, pairs[i], pairs[i+1]) {
-					return false
-				}
-			}
-			return true
-		}
-	}
-
-	// scanVirtual mirrors scanTable for the encoded properties answered
-	// through the Virtual interface.
-	scanVirtual := func(pidx int) bool {
-		v := e.Virtual
-		switch {
-		case sB && oB:
-			sv, ov := termValue(p.S, row), termValue(p.O, row)
-			if v.Contains(pidx, sv, ov) {
-				return tryTriple(pidx, sv, ov)
-			}
-			return true
-		case sB:
-			sv := termValue(p.S, row)
-			return v.ScanSubject(pidx, sv, func(o uint64) bool {
-				return tryTriple(pidx, sv, o)
-			})
-		case oB:
-			ov := termValue(p.O, row)
-			return v.ScanObject(pidx, ov, func(s uint64) bool {
-				return tryTriple(pidx, s, ov)
-			})
-		default:
-			return v.ScanAll(pidx, false, func(s, o uint64) bool {
-				return tryTriple(pidx, s, o)
-			})
-		}
-	}
-
-	if pB {
-		pid := termValue(p.P, row)
-		if !dictionary.IsProperty(pid) {
-			return
-		}
-		pidx := dictionary.PropIndex(pid)
-		if e.virtualPidx(pidx) {
-			scanVirtual(pidx)
-			return
-		}
-		t := e.St.Table(pidx)
-		if t == nil || t.Empty() {
-			return
-		}
-		scanTable(pidx, t)
-		return
-	}
-	e.St.ForEachTable(func(pidx int, t *store.Table) bool {
-		if e.virtualPidx(pidx) {
-			return scanVirtual(pidx)
-		}
-		return scanTable(pidx, t)
-	})
 }
 
 // Count returns the number of solutions of the pattern list.

@@ -781,10 +781,12 @@ func (e *Engine) runRules(runnable []int, delta *store.Store) *store.Store {
 // case the interval index is rebuilt — deterministically, from the
 // stored edges — or, when this engine runs without the encoding, the
 // reduced closure is expanded back into the store. Either way the
-// visible closure is exactly the snapshotted one.
+// visible closure is exactly the snapshotted one. A snapshot that is
+// not encoded restores onto full materialization whatever the option
+// says: the restored engine is in the state its writer was in.
 //
 // asserted is the snapshotted record of explicitly loaded triples; nil
-// when the snapshot predates it (stream versions ≤ 3), in which case the
+// when the snapshot carries none, in which case the
 // whole restored closure is treated as asserted — a degraded but
 // well-defined state: every visible triple is retractable, and none is
 // rederivable from a smaller asserted core.
@@ -819,16 +821,15 @@ func (e *Engine) RestoreState(d *dictionary.Dictionary, st *store.Store, encoded
 			e.hier = nil
 			e.hierBypassed = true
 		}
-	} else if e.opts.HierarchyEncoding {
-		// A fully materialized snapshot under an encoding-enabled engine:
-		// build the index over the closed tables. Visible equals stored
-		// (the closure is its own closure), so virtual counts are zero,
-		// and future increments still profit from the interval joins.
-		e.buildHier()
-		if !e.hierGuardsOK() {
-			e.hier = nil
-			e.hierBypassed = true
-		}
+	} else {
+		// A fully materialized snapshot: its writer ran without the
+		// encoding, or had dropped it (a meta-vocabulary guard, a schema
+		// retraction). The restored engine stays on full materialization
+		// too — the same sticky bypass — so it keeps the writer's stored
+		// tables: indexing a closed store would leave subsumption-derived
+		// type triples stored where retraction expects them virtual, and
+		// would let the store generation drift from the writer's.
+		e.hierBypassed = true
 	}
 	if asserted != nil {
 		asserted.Grow(d.NumProperties())

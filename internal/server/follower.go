@@ -11,7 +11,6 @@ package server
 // an unsynced tail in a crash).
 
 import (
-	"bytes"
 	"context"
 	"fmt"
 	"io"
@@ -23,7 +22,6 @@ import (
 
 	"inferray"
 	"inferray/internal/metrics"
-	"inferray/internal/rdf"
 	"inferray/internal/wal"
 )
 
@@ -358,7 +356,7 @@ func (f *Follower) tailOnce(ctx context.Context) error {
 			f.setPos(pos)
 			return fmt.Errorf("follower: wal stream: %w", err)
 		}
-		batch, err := parseBatch(payload)
+		batch, err := wal.DecodeBatch(payload)
 		if err != nil {
 			f.setPos(pos)
 			return fmt.Errorf("follower: record %s: %w", pos, err)
@@ -417,16 +415,6 @@ func (f *Follower) updateLag(pos inferray.WALPosition) {
 	} else {
 		f.lagRecords.Set(0)
 	}
-}
-
-// parseBatch decodes one record payload (an N-Triples document).
-func parseBatch(payload []byte) ([]inferray.Triple, error) {
-	var batch []inferray.Triple
-	err := rdf.ReadNTriples(bytes.NewReader(payload), func(t rdf.Triple) error {
-		batch = append(batch, t)
-		return nil
-	})
-	return batch, err
 }
 
 // opName labels a record kind for the applied-records metric.

@@ -9,7 +9,7 @@ package server
 //
 //	GET /wal?from=<gen>&records=<n>[&wait=<sec>]
 //	    Stream committed WAL records at and after position (gen, n),
-//	    framed exactly like on-disk version-2 records (wal.EncodeFrame);
+//	    framed exactly like on-disk records (wal.EncodeFrame);
 //	    long-polls up to wait seconds (default 20) for new records
 //	    before closing on a frame boundary. Response headers announce
 //	    the resolved start position (X-Inferray-WAL-Generation /
@@ -49,7 +49,7 @@ const (
 	hdrWALTailRecords = "X-Inferray-WAL-Tail-Records"
 
 	// walContentType is the GET /wal response body: a concatenation of
-	// version-2 WAL record frames.
+	// WAL record frames.
 	walContentType = "application/x-inferray-wal"
 )
 

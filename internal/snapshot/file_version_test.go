@@ -1,23 +1,26 @@
 package snapshot
 
 import (
+	"bytes"
 	"encoding/binary"
+	"fmt"
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
-// A version-2 image file round-trips StoreGeneration, and a version-1
-// file — the pre-replication layout without the field — still reads,
-// reporting StoreGeneration 0. The v1 fixture is synthesized from the
-// v2 bytes (version patched, the 8 extra header bytes dropped, footer
-// CRC recomputed) so the test tracks the writer instead of a stale
-// binary blob.
+// An image file round-trips its meta header, and a file of any other
+// version — the retired version-1 layout (no StoreGeneration field) or a
+// future one — is refused with an error naming the file, the version
+// found and the version supported, and is left untouched. The fixtures
+// are synthesized from the current bytes (version patched, footer CRC
+// recomputed) so the test tracks the writer instead of a stale blob.
 func TestFileMetaVersions(t *testing.T) {
 	dir := t.TempDir()
 	d, st := buildFixture()
-	path := filepath.Join(dir, "v2.img")
+	path := filepath.Join(dir, "current.img")
 	meta := Meta{
 		Generation:      3,
 		CreatedUnix:     1700000000,
@@ -33,44 +36,42 @@ func TestFileMetaVersions(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got.StoreGeneration != 42 || got.Generation != 3 || got.Fragment != "rdfs-default" {
-		t.Fatalf("v2 meta = %+v", got)
+		t.Fatalf("meta = %+v", got)
 	}
 
-	// Rewrite as version 1: same content, no StoreGeneration field.
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	v1 := make([]byte, 0, len(raw)-8)
-	v1 = append(v1, raw[:metaSize]...)
-	binary.LittleEndian.PutUint32(v1[4:], 1)
+	// Version 1 as it was really laid out: the 8 StoreGeneration bytes
+	// absent. A whole, CRC-valid file — refused by its version alone.
+	v1 := append([]byte(nil), raw[:metaSize]...)
 	v1 = append(v1, raw[metaSize+8:len(raw)-4]...)
-	var foot [4]byte
-	binary.LittleEndian.PutUint32(foot[:], crc32.Checksum(v1, castagnoli))
-	v1 = append(v1, foot[:]...)
-	v1Path := filepath.Join(dir, "v1.img")
-	if err := os.WriteFile(v1Path, v1, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	_, _, _, got1, err := ReadFile(v1Path)
-	if err != nil {
-		t.Fatalf("reading synthesized v1 file: %v", err)
-	}
-	if got1.StoreGeneration != 0 {
-		t.Fatalf("v1 StoreGeneration = %d, want 0", got1.StoreGeneration)
-	}
-	if got1.Generation != 3 || got1.Triples != 4 || got1.Fragment != "rdfs-default" {
-		t.Fatalf("v1 meta = %+v", got1)
-	}
-
-	// A file claiming a future version is refused, not misparsed.
-	future := append([]byte(nil), raw...)
-	binary.LittleEndian.PutUint32(future[4:], fileVersion+1)
-	fPath := filepath.Join(dir, "future.img")
-	if err := os.WriteFile(fPath, future, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, _, _, err := ReadFile(fPath); err == nil {
-		t.Fatal("future file version accepted")
+	for name, img := range map[string][]byte{
+		"v1":     v1,
+		"future": append([]byte(nil), raw[:len(raw)-4]...),
+	} {
+		v := uint32(1)
+		if name == "future" {
+			v = fileVersion + 1
+		}
+		binary.LittleEndian.PutUint32(img[4:], v)
+		img = binary.LittleEndian.AppendUint32(img, crc32.Checksum(img, castagnoli))
+		p := filepath.Join(dir, name+".img")
+		if err := os.WriteFile(p, img, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, _, _, _, err := ReadFile(p)
+		if err == nil {
+			t.Fatalf("%s: file version %d accepted", name, v)
+		}
+		for _, want := range []string{p, fmt.Sprintf("version %d", v), fmt.Sprintf("version %d", fileVersion)} {
+			if !strings.Contains(err.Error(), want) {
+				t.Errorf("%s: refusal %q does not mention %q", name, err, want)
+			}
+		}
+		if after, _ := os.ReadFile(p); !bytes.Equal(after, img) {
+			t.Errorf("%s: refused image was modified", name)
+		}
 	}
 }

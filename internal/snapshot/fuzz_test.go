@@ -24,8 +24,11 @@ func FuzzRead(f *testing.F) {
 	f.Add([]byte("IFRY"))
 	f.Add(img[:len(img)/2])
 	huge := append([]byte(nil), img...)
-	huge[8] = 0xFF // absurd numProps
+	huge[12] = 0xFF // absurd numProps
 	f.Add(huge)
+	old := append([]byte(nil), img...)
+	old[4] = 2 // a retired stream version: refused, never parsed
+	f.Add(old)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > 1<<20 {

@@ -5,41 +5,43 @@
 // consumer-independent data access" (§1) — materialize once, persist,
 // then serve the closure without the inference engine.
 //
-// Format (little-endian):
+// Format (little-endian), stream version 4:
 //
-//	magic "IFRY" | version u32 | flags u32 (version ≥ 3)
+//	magic "IFRY" | version u32 | flags u32
 //	numProps u32 | numResources u32
 //	property terms: numProps × (len u32, bytes)
 //	resource terms: numResources × (len u32, bytes)
 //	numTables u32
 //	tables: numTables × (propIndex u32, version u64, numPairs u32,
 //	        pairs as delta-encoded uvarint stream)
+//	asserted section (flagAsserted): numTables u32,
+//	        tables × (propIndex u32, numPairs u32, pairs)
 //
 // Pair streams are delta-encoded: subjects ascend in a sorted table, so
 // consecutive differences are tiny and uvarint encoding shrinks the
-// image well below the raw 16 bytes/triple. Version 2 added the
-// per-table version counter (the store's mutation counters survive a
-// round trip, so WAL/image pairing can rely on them). Version 3 added
-// the flags word; flagEncoded marks a *reduced* closure:
-// the store was materialized under the hierarchy interval encoding, so
-// the transitive subsumption closure and the subsumption-derived rdf:type
-// triples are absent and must be served virtually (or expanded) by the
-// restoring engine. The hierarchy index itself is never serialized — its
-// construction is deterministic in the stored edges, so restore rebuilds
-// it. Version 4 added flagAsserted and the section it announces: after
-// the closure tables, a second table list (propIndex u32, numPairs u32,
-// delta-encoded pairs — no version counter) holding the *asserted*
-// triples, the explicitly loaded subset of the closure that SPARQL
-// UPDATE may retract. Images without the section (versions ≤ 3, or a
-// writer with no asserted record) restore with a nil asserted store and
-// the engine falls back to treating the whole closure as asserted.
-// Version-1/-2/-3 images are still read.
+// image well below the raw 16 bytes/triple. The per-table version
+// counter carries the store's mutation counters through a round trip,
+// so WAL/image pairing can rely on them. flagEncoded marks a *reduced*
+// closure: the store was materialized under the hierarchy interval
+// encoding, so the transitive subsumption closure and the
+// subsumption-derived rdf:type triples are absent and must be served
+// virtually (or expanded) by the restoring engine. The hierarchy index
+// itself is never serialized — its construction is deterministic in the
+// stored edges, so restore rebuilds it. flagAsserted announces the
+// asserted section: the explicitly loaded subset of the closure that
+// SPARQL UPDATE may retract. A writer with no asserted record leaves
+// the flag clear; the image restores with a nil asserted store and the
+// engine falls back to treating the whole closure as asserted.
 //
 // WriteFile/ReadFile wrap the stream in a durable on-disk image: a meta
 // header (generation, creation time, triple count) for pairing the
 // image with a write-ahead log, a CRC-32C of the whole file so a torn
 // or bit-rotted image is detected instead of loaded, and
 // write-to-temp + fsync + rename so the image appears atomically.
+//
+// There is one format: stream version 4 inside image-file version 2.
+// Read and ReadFile refuse anything else with an error naming the
+// source, the version found and the version supported.
 package snapshot
 
 import (
@@ -69,7 +71,7 @@ const (
 	// under the hierarchy interval encoding.
 	flagEncoded = 1 << 0
 	// flagAsserted (stream flags bit 1) announces the asserted-triples
-	// section after the closure tables (version ≥ 4).
+	// section after the closure tables.
 	flagAsserted = 1 << 1
 )
 
@@ -154,10 +156,9 @@ func Write(w io.Writer, d *dictionary.Dictionary, st *store.Store, encoded bool,
 
 // Read restores a snapshot. The returned stores are normalized. encoded
 // reports the stream's flagEncoded bit: the store is a reduced closure
-// whose virtual triples the hierarchy index must supply (always false
-// for version-1/-2 images, which predate the encoding). asserted is the
+// whose virtual triples the hierarchy index must supply. asserted is the
 // persisted asserted-triples record, nil when the stream has none
-// (versions ≤ 3, or flagAsserted clear).
+// (flagAsserted clear).
 func Read(r io.Reader) (*dictionary.Dictionary, *store.Store, bool, *store.Store, error) {
 	br := bufio.NewReaderSize(r, 1<<16)
 	head := make([]byte, 4)
@@ -171,26 +172,18 @@ func Read(r io.Reader) (*dictionary.Dictionary, *store.Store, bool, *store.Store
 	if err != nil {
 		return nil, nil, false, nil, err
 	}
-	if v < 1 || v > version {
-		return nil, nil, false, nil, fmt.Errorf("snapshot: unsupported version %d", v)
+	if v != version {
+		return nil, nil, false, nil, fmt.Errorf("snapshot: stream is version %d; this build supports only version %d", v, version)
 	}
-	encoded := false
-	hasAsserted := false
-	if v >= 3 {
-		flags, err := readU32(br)
-		if err != nil {
-			return nil, nil, false, nil, err
-		}
-		known := uint32(flagEncoded)
-		if v >= 4 {
-			known |= flagAsserted
-		}
-		if flags&^known != 0 {
-			return nil, nil, false, nil, fmt.Errorf("snapshot: unknown flags %#x", flags)
-		}
-		encoded = flags&flagEncoded != 0
-		hasAsserted = flags&flagAsserted != 0
+	flags, err := readU32(br)
+	if err != nil {
+		return nil, nil, false, nil, err
 	}
+	if flags&^(flagEncoded|flagAsserted) != 0 {
+		return nil, nil, false, nil, fmt.Errorf("snapshot: unknown flags %#x", flags)
+	}
+	encoded := flags&flagEncoded != 0
+	hasAsserted := flags&flagAsserted != 0
 	nProps, err := readU32(br)
 	if err != nil {
 		return nil, nil, false, nil, err
@@ -241,7 +234,7 @@ func Read(r io.Reader) (*dictionary.Dictionary, *store.Store, bool, *store.Store
 				return nil, fmt.Errorf("snapshot: table index %d out of range", pidx)
 			}
 			var tver uint64
-			if withVersions && v >= 2 {
+			if withVersions {
 				if tver, err = readU64(br); err != nil {
 					return nil, err
 				}
@@ -304,7 +297,7 @@ type Meta struct {
 	// yield a store that is the closure of neither.
 	Fragment string
 	// HierarchyEncoded reports that the image body is a reduced closure
-	// (see the package comment on version 3). It lives in the inner
+	// (see the package comment on flagEncoded). It lives in the inner
 	// stream's flags word, not the file header — the field is filled by
 	// ReadFile and consumed by WriteFile, and the IFRI byte layout is
 	// unchanged.
@@ -314,14 +307,14 @@ type Meta struct {
 	// X-Inferray-Generation header. Persisting it lets recovery and
 	// follower bootstrap resume the same generation sequence, so the
 	// header stays a cluster-wide read-your-writes coordinate instead of
-	// a per-process one. File version 2; version-1 images read as 0.
+	// a per-process one.
 	StoreGeneration uint64
 }
 
-// metaSize is the fixed byte length of the file header — magic, file
-// version, and the fixed Meta fields — before the variable-length
-// fragment name. Version 2 appends StoreGeneration (8 bytes); version-1
-// images are still read, their StoreGeneration reported as 0.
+// metaSize is the byte length of the file header up to the triple
+// count — magic, file version, generation, creation time, triples. The
+// 8-byte StoreGeneration follows it, then the variable-length fragment
+// name.
 const metaSize = 4 + 4 + 8 + 8 + 8
 
 // maxFragmentLen bounds the fragment-name field on read.
@@ -393,7 +386,7 @@ func WriteFile(path string, d *dictionary.Dictionary, st *store.Store, asserted 
 // whole-file CRC before trusting any of it. Any torn, truncated, or
 // corrupted image returns an error; the caller falls back to an older
 // generation. asserted is nil when the image carries no asserted
-// section (older stream versions).
+// section.
 func ReadFile(path string) (*dictionary.Dictionary, *store.Store, *store.Store, Meta, error) {
 	var meta Meta
 	f, err := os.Open(path)
@@ -405,33 +398,26 @@ func ReadFile(path string) (*dictionary.Dictionary, *store.Store, *store.Store, 
 	if err != nil {
 		return nil, nil, nil, meta, err
 	}
-	if fi.Size() < metaSize+4 {
+	if fi.Size() < metaSize+8+4 {
 		return nil, nil, nil, meta, fmt.Errorf("snapshot: image %s truncated (%d bytes)", path, fi.Size())
 	}
 	h := crc32.New(castagnoli)
 	body := io.TeeReader(io.LimitReader(f, fi.Size()-4), h)
 
-	var head [metaSize]byte
+	var head [metaSize + 8]byte
 	if _, err := io.ReadFull(body, head[:]); err != nil {
 		return nil, nil, nil, meta, err
 	}
 	if string(head[:4]) != fileMagic {
 		return nil, nil, nil, meta, fmt.Errorf("snapshot: bad image magic %q", head[:4])
 	}
-	v := binary.LittleEndian.Uint32(head[4:])
-	if v < 1 || v > fileVersion {
-		return nil, nil, nil, meta, fmt.Errorf("snapshot: unsupported image version %d", v)
+	if v := binary.LittleEndian.Uint32(head[4:]); v != fileVersion {
+		return nil, nil, nil, meta, fmt.Errorf("snapshot: image %s is file version %d; this build supports only version %d", path, v, fileVersion)
 	}
 	meta.Generation = binary.LittleEndian.Uint64(head[8:])
 	meta.CreatedUnix = int64(binary.LittleEndian.Uint64(head[16:]))
 	meta.Triples = binary.LittleEndian.Uint64(head[24:])
-	if v >= 2 {
-		var sg [8]byte
-		if _, err := io.ReadFull(body, sg[:]); err != nil {
-			return nil, nil, nil, meta, err
-		}
-		meta.StoreGeneration = binary.LittleEndian.Uint64(sg[:])
-	}
+	meta.StoreGeneration = binary.LittleEndian.Uint64(head[32:])
 	var fragLen [4]byte
 	if _, err := io.ReadFull(body, fragLen[:]); err != nil {
 		return nil, nil, nil, meta, err
@@ -448,7 +434,7 @@ func ReadFile(path string) (*dictionary.Dictionary, *store.Store, *store.Store, 
 
 	d, st, encoded, asserted, err := Read(body)
 	if err != nil {
-		return nil, nil, nil, meta, err
+		return nil, nil, nil, meta, fmt.Errorf("image %s: %w", path, err)
 	}
 	meta.HierarchyEncoded = encoded
 	// Drain whatever the stream parser's buffering left unread so the

@@ -2,8 +2,10 @@ package snapshot
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -229,38 +231,29 @@ func TestRoundTripWithTombstone(t *testing.T) {
 	}
 }
 
-// TestReadVersion2BackCompat: a version-2 stream — identical layout
-// minus the flags word — still reads, and always as a full closure
-// (encoded=false). The fixture is built by surgically downgrading a
-// v3 stream: patch the version field and cut the 4 flag bytes.
-func TestReadVersion2BackCompat(t *testing.T) {
+// TestReadRefusesOtherStreamVersions: version 4 is the only stream this
+// build reads. The retired layouts (1–3) and a future one are refused
+// by the version check, with an error naming the version found and the
+// version supported — never parsed under the current layout.
+func TestReadRefusesOtherStreamVersions(t *testing.T) {
 	d, st := buildFixture()
 	var buf bytes.Buffer
 	if err := Write(&buf, d, st, false, nil); err != nil {
 		t.Fatal(err)
 	}
-	img := buf.Bytes()
-	v2 := make([]byte, 0, len(img)-4)
-	v2 = append(v2, img[:4]...)  // magic
-	v2 = append(v2, 2, 0, 0, 0)  // version = 2
-	v2 = append(v2, img[12:]...) // body, skipping the v3 flags word
-	d2, st2, encoded, _, err := Read(bytes.NewReader(v2))
-	if err != nil {
-		t.Fatalf("v2 stream rejected: %v", err)
-	}
-	if encoded {
-		t.Error("v2 stream predates the encoding; encoded must be false")
-	}
-	if st2.Size() != st.Size() || d2.NumResources() != d.NumResources() {
-		t.Fatalf("v2 restore lost data: %d/%d triples, %d/%d resources",
-			st2.Size(), st.Size(), d2.NumResources(), d.NumResources())
-	}
-	st.ForEachTable(func(pidx int, tab *store.Table) bool {
-		if !reflect.DeepEqual(st2.Table(pidx).Pairs(), tab.Pairs()) {
-			t.Fatalf("table %d differs after v2 restore", pidx)
+	for _, v := range []byte{1, 2, 3, version + 1} {
+		img := append([]byte(nil), buf.Bytes()...)
+		img[4] = v
+		_, _, _, _, err := Read(bytes.NewReader(img))
+		if err == nil {
+			t.Fatalf("version-%d stream accepted", v)
 		}
-		return true
-	})
+		for _, want := range []string{fmt.Sprintf("version %d", v), fmt.Sprintf("version %d", version)} {
+			if !strings.Contains(err.Error(), want) {
+				t.Errorf("version-%d refusal %q does not mention %q", v, err, want)
+			}
+		}
+	}
 }
 
 // TestEncodedFlagRoundTrip: the flags word round-trips, and unknown

@@ -78,15 +78,14 @@ type Recovery struct {
 }
 
 // Hooks receive the recovered state during OpenManager. Restore is
-// called at most once, before any Replay call; Replay and ReplayDelete
-// are called once per surviving log record, in append order. asserted
-// is the image's asserted-triples section, nil for images that predate
-// it. A nil ReplayDelete with a delete record in the log is an error —
-// silently skipping the record would resurrect retracted triples.
+// called at most once, before any Apply call; Apply is called once per
+// surviving log record, in append order, with the record's op kind and
+// decoded batch. asserted is the image's asserted-triples section, nil
+// when the image was written without one. A nil hook skips its step
+// (tests that only inspect the directory).
 type Hooks struct {
-	Restore      func(d *dictionary.Dictionary, st *store.Store, asserted *store.Store, meta snapshot.Meta) error
-	Replay       func(batch []rdf.Triple) error
-	ReplayDelete func(batch []rdf.Triple) error
+	Restore func(d *dictionary.Dictionary, st *store.Store, asserted *store.Store, meta snapshot.Meta) error
+	Apply   func(kind OpKind, batch []rdf.Triple) error
 }
 
 // CheckpointStats reports one checkpoint.
@@ -124,7 +123,7 @@ type Manager struct {
 // OpenManager opens (creating if needed) a data directory, recovers its
 // state through the hooks, and leaves the newest log open for
 // appending: the newest valid snapshot image is handed to
-// hooks.Restore, the pairing log's surviving records to hooks.Replay,
+// hooks.Restore, the pairing log's surviving records to hooks.Apply,
 // stale generations are pruned, and a missing pairing log is created
 // empty.
 func OpenManager(dir string, opts Options, hooks Hooks) (*Manager, error) {
@@ -196,28 +195,17 @@ func OpenManager(dir string, opts Options, hooks Hooks) (*Manager, error) {
 	sort.Slice(replayGens, func(i, j int) bool { return replayGens[i] < replayGens[j] })
 
 	replayRecord := func(kind OpKind, payload []byte) error {
-		var batch []rdf.Triple
-		if err := rdf.ReadNTriples(bytes.NewReader(payload), func(t rdf.Triple) error {
-			batch = append(batch, t)
-			return nil
-		}); err != nil {
+		batch, err := DecodeBatch(payload)
+		if err != nil {
 			// CRC-valid but unparseable means the writer logged garbage —
 			// a logic bug, not disk corruption. Refuse to guess.
 			return fmt.Errorf("wal: replaying record: %w", err)
 		}
 		m.recovery.ReplayedTriples += len(batch)
-		switch kind {
-		case OpDelete:
-			if hooks.ReplayDelete == nil {
-				return fmt.Errorf("wal: log holds a delete record but no ReplayDelete hook is set")
-			}
-			return hooks.ReplayDelete(batch)
-		default:
-			if hooks.Replay != nil {
-				return hooks.Replay(batch)
-			}
+		if hooks.Apply == nil {
+			return nil
 		}
-		return nil
+		return hooks.Apply(kind, batch)
 	}
 
 	for i, g := range replayGens {
@@ -256,21 +244,10 @@ func (m *Manager) Recovery() Recovery {
 	return m.recovery
 }
 
-// Append logs one ingested batch, serialized as N-Triples, honoring the
-// sync policy. Callers append before applying the batch to the store.
-func (m *Manager) Append(batch []rdf.Triple) error {
-	return m.append(OpAdd, batch)
-}
-
-// AppendDelete logs one retracted batch. Callers append before removing
-// the batch from the store, mirroring Append's write-ahead ordering.
-// Fails on a recovered version-1 log; LogVersion lets callers detect
-// that state and checkpoint away from it up front.
-func (m *Manager) AppendDelete(batch []rdf.Triple) error {
-	return m.append(OpDelete, batch)
-}
-
-func (m *Manager) append(kind OpKind, batch []rdf.Triple) error {
+// Append logs one batch — ingested (OpAdd) or retracted (OpDelete) —
+// serialized as N-Triples, honoring the sync policy. Callers append
+// before applying the batch to the store. An empty batch logs nothing.
+func (m *Manager) Append(kind OpKind, batch []rdf.Triple) error {
 	if len(batch) == 0 {
 		return nil
 	}
@@ -282,16 +259,6 @@ func (m *Manager) append(kind OpKind, batch []rdf.Triple) error {
 	cur := m.cur
 	m.mu.Unlock()
 	return cur.Append(kind, buf.Bytes())
-}
-
-// LogVersion returns the active log's on-disk format version. It is
-// below the current version only right after recovering a directory
-// written by an older build; a checkpoint rotates to a current-version
-// log.
-func (m *Manager) LogVersion() uint32 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.cur.Version()
 }
 
 // ShouldRotate reports whether the log has crossed a checkpoint
@@ -353,12 +320,8 @@ func (m *Manager) Checkpoint(d *dictionary.Dictionary, st *store.Store, asserted
 	m.prevTail = Position{Generation: oldGen, Records: old.Records()}
 	m.cur = newLog
 	m.gen = newGen
-	if err := old.Close(); err != nil {
-		// The old log is about to be deleted; its data is in the image.
-		_ = err
-	}
-	// Prune everything the new image supersedes.
-	os.Remove(m.logPath(oldGen))
+	old.Close() // its data is in the image
+	// Prune everything the new image supersedes, the old log included.
 	snaps, wals, err := scanDir(m.dir)
 	if err == nil {
 		for g, p := range snaps {
@@ -435,15 +398,6 @@ func (m *Manager) SetCheckpointErr(err error) {
 	m.mu.Lock()
 	m.checkpointErr = err
 	m.mu.Unlock()
-}
-
-// Sync flushes the current log (used on demand, e.g. before a planned
-// shutdown).
-func (m *Manager) Sync() error {
-	m.mu.Lock()
-	cur := m.cur
-	m.mu.Unlock()
-	return cur.Sync()
 }
 
 // Close flushes and closes the current log. The directory stays fully

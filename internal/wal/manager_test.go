@@ -1,6 +1,7 @@
 package wal
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
 	"strings"
@@ -24,7 +25,7 @@ func newTestState() *testState {
 	return &testState{d: d, st: store.New(d.NumProperties())}
 }
 
-func (ts *testState) apply(batch []rdf.Triple) error {
+func (ts *testState) apply(_ OpKind, batch []rdf.Triple) error {
 	for _, t := range batch {
 		p := ts.d.EncodeProperty(t.P)
 		s := ts.d.EncodeResource(t.S)
@@ -42,7 +43,7 @@ func (ts *testState) hooks() Hooks {
 			ts.d, ts.st = d, st
 			return nil
 		},
-		Replay: ts.apply,
+		Apply: ts.apply,
 	}
 }
 
@@ -86,10 +87,10 @@ func TestManagerLifecycle(t *testing.T) {
 	b1 := []rdf.Triple{triple("<a>", "<b>"), triple("<b>", "<c>")}
 	b2 := []rdf.Triple{triple("<c>", "<d>")}
 	for _, b := range [][]rdf.Triple{b1, b2} {
-		if err := m.Append(b); err != nil {
+		if err := m.Append(OpAdd, b); err != nil {
 			t.Fatal(err)
 		}
-		if err := ts.apply(b); err != nil {
+		if err := ts.apply(OpAdd, b); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -119,10 +120,10 @@ func TestManagerLifecycle(t *testing.T) {
 	}
 
 	b3 := []rdf.Triple{triple("<d>", "<e>")}
-	if err := m2.Append(b3); err != nil {
+	if err := m2.Append(OpAdd, b3); err != nil {
 		t.Fatal(err)
 	}
-	ts2.apply(b3)
+	ts2.apply(OpAdd, b3)
 
 	// Crash again: recovery must load the gen-1 image and replay only b3.
 	ts3 := newTestState()
@@ -150,8 +151,8 @@ func TestManagerCorruptTail(t *testing.T) {
 	dir := t.TempDir()
 	ts := newTestState()
 	m := openManager(t, dir, ts)
-	m.Append([]rdf.Triple{triple("<a>", "<b>")})
-	m.Append([]rdf.Triple{triple("<c>", "<d>")})
+	m.Append(OpAdd, []rdf.Triple{triple("<a>", "<b>")})
+	m.Append(OpAdd, []rdf.Triple{triple("<c>", "<d>")})
 	m.Close()
 
 	logPath := filepath.Join(dir, "wal-0000000000000000.log")
@@ -187,14 +188,14 @@ func TestManagerCorruptSnapshotRefusesStart(t *testing.T) {
 	ts := newTestState()
 	m := openManager(t, dir, ts)
 	b1 := []rdf.Triple{triple("<a>", "<b>")}
-	m.Append(b1)
-	ts.apply(b1)
+	m.Append(OpAdd, b1)
+	ts.apply(OpAdd, b1)
 	if _, err := m.Checkpoint(ts.d, ts.st, nil, ts.st.Size(), false, 0); err != nil {
 		t.Fatal(err)
 	}
 	b2 := []rdf.Triple{triple("<c>", "<d>")}
-	m.Append(b2)
-	ts.apply(b2)
+	m.Append(OpAdd, b2)
+	ts.apply(OpAdd, b2)
 	if _, err := m.Checkpoint(ts.d, ts.st, nil, ts.st.Size(), false, 0); err != nil {
 		t.Fatal(err)
 	}
@@ -243,11 +244,11 @@ func TestManagerShouldRotate(t *testing.T) {
 	if m.ShouldRotate() {
 		t.Fatal("fresh manager wants rotation")
 	}
-	m.Append([]rdf.Triple{triple("<a>", "<b>")})
+	m.Append(OpAdd, []rdf.Triple{triple("<a>", "<b>")})
 	if m.ShouldRotate() {
 		t.Fatal("one record crossed a 2-record threshold")
 	}
-	m.Append([]rdf.Triple{triple("<c>", "<d>")})
+	m.Append(OpAdd, []rdf.Triple{triple("<c>", "<d>")})
 	if !m.ShouldRotate() {
 		t.Fatal("threshold crossed but ShouldRotate false")
 	}
@@ -263,7 +264,7 @@ func TestManagerShouldRotate(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer mb.Close()
-	mb.Append([]rdf.Triple{triple("<aaaaaaaa>", "<bbbbbbbb>")})
+	mb.Append(OpAdd, []rdf.Triple{triple("<aaaaaaaa>", "<bbbbbbbb>")})
 	if !mb.ShouldRotate() {
 		t.Fatal("byte threshold crossed but ShouldRotate false")
 	}
@@ -285,5 +286,35 @@ func TestManagerIgnoresTempFiles(t *testing.T) {
 	}
 	if _, err := os.Stat(tmp); !os.IsNotExist(err) {
 		t.Fatal("temp file not cleaned up")
+	}
+}
+
+// A data directory whose log was written in another format version
+// stops OpenManager — the file is not a torn create to be rewritten
+// empty, and nothing in it is applied.
+func TestOpenManagerRefusesOtherVersionLog(t *testing.T) {
+	for _, v := range []uint32{1, logVersion + 1} {
+		dir := t.TempDir()
+		path := filepath.Join(dir, "wal-0000000000000000.log")
+		writeRawLog(t, path, v, []byte("<a> <p> <b> .\n"))
+		before, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ts := newTestState()
+		m, err := OpenManager(dir, Options{Sync: SyncAlways}, ts.hooks())
+		if err == nil {
+			m.Close()
+			t.Fatalf("version-%d log: OpenManager succeeded", v)
+		}
+		if !strings.Contains(err.Error(), path) {
+			t.Errorf("version-%d refusal %q does not name the file", v, err)
+		}
+		if ts.st.Size() != 0 {
+			t.Errorf("version-%d log: %d triples applied", v, ts.st.Size())
+		}
+		if after, _ := os.ReadFile(path); !bytes.Equal(after, before) {
+			t.Errorf("version-%d log was modified by the refused open", v)
+		}
 	}
 }

@@ -8,10 +8,9 @@
 // go.
 //
 // A Position (generation, record index) addresses a record boundary.
-// Record indexes rather than byte offsets make the coordinate stable
-// across log format versions (a version-1 log re-ships as version-2
-// frames) and across leader restarts (recovery truncates torn tails but
-// never reorders records). A position that no longer exists on disk —
+// Record indexes rather than byte offsets keep the coordinate stable
+// across leader restarts (recovery truncates torn tails but never
+// reorders records). A position that no longer exists on disk —
 // its log was pruned by a checkpoint, or the leader lost unsynced
 // records in a crash — resolves to ErrTruncated, and the consumer
 // re-bootstraps from the newest snapshot image.
@@ -19,12 +18,15 @@ package wal
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
 	"os"
+
+	"inferray/internal/rdf"
 )
 
 // Position addresses a record boundary in a manager's record stream:
@@ -57,7 +59,6 @@ var ErrCorruptFrame = errors.New("wal: torn or corrupt frame")
 // and the wire-format FrameReader.
 type frameScanner struct {
 	r       io.Reader
-	ver     uint32 // frame format: 1 = bare payload, 2 = op-kind byte first
 	payload []byte // reused across calls
 }
 
@@ -88,36 +89,42 @@ func (s *frameScanner) next() (kind OpKind, body []byte, frameLen int64, err err
 	if crc32.Checksum(s.payload, castagnoli) != crc {
 		return 0, nil, 0, fmt.Errorf("frame crc: %w", ErrCorruptFrame)
 	}
-	kind, body = OpAdd, s.payload
-	if s.ver >= 2 {
-		// The kind byte is inside the CRC, so reaching here means it was
-		// written as-is — an unknown value is a writer from the future
-		// (or a logic bug), and guessing at its semantics could silently
-		// corrupt the store. Corruption rules apply: stop, don't guess.
-		kind = OpKind(s.payload[0])
-		if kind != OpAdd && kind != OpDelete {
-			return 0, nil, 0, fmt.Errorf("frame op kind %d: %w", byte(kind), ErrCorruptFrame)
-		}
-		body = s.payload[1:]
+	// The kind byte is inside the CRC, so reaching here means it was
+	// written as-is — an unknown value is a writer from the future (or a
+	// logic bug), and guessing at its semantics could silently corrupt
+	// the store. Corruption rules apply: stop, don't guess.
+	kind = OpKind(s.payload[0])
+	if kind != OpAdd && kind != OpDelete {
+		return 0, nil, 0, fmt.Errorf("frame op kind %d: %w", byte(kind), ErrCorruptFrame)
 	}
-	return kind, body, recHeader + int64(n), nil
+	return kind, s.payload[1:], recHeader + int64(n), nil
 }
 
-// EncodeFrame serializes one record in the version-2 frame format —
-// byte-identical to what Append writes to a current log — for shipping
-// over an arbitrary byte stream (the GET /wal response body).
+// EncodeFrame serializes one record as a frame — the bytes Append writes
+// to the log, and the bytes shipped over an arbitrary byte stream (the
+// GET /wal response body).
 func EncodeFrame(kind OpKind, payload []byte) []byte {
-	body := make([]byte, 1+len(payload))
+	rec := make([]byte, recHeader+1+len(payload))
+	body := rec[recHeader:]
 	body[0] = byte(kind)
 	copy(body[1:], payload)
-	rec := make([]byte, recHeader+len(body))
 	binary.LittleEndian.PutUint32(rec[:4], uint32(len(body)))
 	binary.LittleEndian.PutUint32(rec[4:], crc32.Checksum(body, castagnoli))
-	copy(rec[recHeader:], body)
 	return rec
 }
 
-// FrameReader decodes version-2 record frames from a byte stream — the
+// DecodeBatch parses one record payload — an N-Triples document — back
+// into the batch Manager.Append serialized.
+func DecodeBatch(payload []byte) ([]rdf.Triple, error) {
+	var batch []rdf.Triple
+	err := rdf.ReadNTriples(bytes.NewReader(payload), func(t rdf.Triple) error {
+		batch = append(batch, t)
+		return nil
+	})
+	return batch, err
+}
+
+// FrameReader decodes record frames from a byte stream — the
 // consumer-side counterpart of EncodeFrame, used by a follower tailing
 // GET /wal. Every frame is CRC-checked before it is returned.
 type FrameReader struct {
@@ -126,7 +133,7 @@ type FrameReader struct {
 
 // NewFrameReader wraps r in a frame decoder.
 func NewFrameReader(r io.Reader) *FrameReader {
-	return &FrameReader{sc: frameScanner{r: r, ver: 2}}
+	return &FrameReader{sc: frameScanner{r: r}}
 }
 
 // Next returns the next frame's op kind and payload. io.EOF signals a
@@ -239,14 +246,9 @@ func (m *Manager) StreamFrom(pos Position) (*Stream, error) {
 		f.Close()
 		return nil, fmt.Errorf("wal: stream from %s: unreadable log header: %w", pos, ErrCorruptFrame)
 	}
-	ver := binary.LittleEndian.Uint32(head[4:])
-	if ver < 1 || ver > logVersion {
-		f.Close()
-		return nil, fmt.Errorf("wal: stream from %s: log version %d: %w", pos, ver, ErrCorruptFrame)
-	}
 	s := &Stream{
 		f:   f,
-		sc:  frameScanner{r: bufio.NewReaderSize(io.LimitReader(f, end-headerSize), 1<<16), ver: ver},
+		sc:  frameScanner{r: bufio.NewReaderSize(io.LimitReader(f, end-headerSize), 1<<16)},
 		pos: Position{Generation: gen},
 	}
 	for s.pos.Records < pos.Records {

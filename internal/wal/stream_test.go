@@ -2,12 +2,8 @@ package wal
 
 import (
 	"bytes"
-	"encoding/binary"
 	"errors"
-	"hash/crc32"
 	"io"
-	"os"
-	"path/filepath"
 	"testing"
 
 	"inferray/internal/rdf"
@@ -38,10 +34,10 @@ func TestStreamFromResume(t *testing.T) {
 	m := openManager(t, dir, ts)
 	defer m.Close()
 
-	if err := m.Append([]rdf.Triple{triple("<a>", "<b>")}); err != nil {
+	if err := m.Append(OpAdd, []rdf.Triple{triple("<a>", "<b>")}); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.AppendDelete([]rdf.Triple{triple("<a>", "<b>")}); err != nil {
+	if err := m.Append(OpDelete, []rdf.Triple{triple("<a>", "<b>")}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -73,7 +69,7 @@ func TestStreamFromResume(t *testing.T) {
 	s2.Close()
 
 	// New appends become visible by re-opening from the same position.
-	if err := m.Append([]rdf.Triple{triple("<c>", "<d>")}); err != nil {
+	if err := m.Append(OpAdd, []rdf.Triple{triple("<c>", "<d>")}); err != nil {
 		t.Fatal(err)
 	}
 	s3, err := m.StreamFrom(pos)
@@ -96,8 +92,8 @@ func TestStreamFromAcrossCheckpoint(t *testing.T) {
 	m := openManager(t, dir, ts)
 	defer m.Close()
 
-	m.Append([]rdf.Triple{triple("<a>", "<b>")})
-	m.Append([]rdf.Triple{triple("<c>", "<d>")})
+	m.Append(OpAdd, []rdf.Triple{triple("<a>", "<b>")})
+	m.Append(OpAdd, []rdf.Triple{triple("<c>", "<d>")})
 	oldTail := m.TailPosition()
 	if _, err := m.Checkpoint(ts.d, ts.st, nil, 2, false, 7); err != nil {
 		t.Fatal(err)
@@ -125,7 +121,7 @@ func TestStreamFromAcrossCheckpoint(t *testing.T) {
 
 	// Records appended after the rotation ship from the new log, and a
 	// post-checkpoint snapshot file exists for bootstrap.
-	m.Append([]rdf.Triple{triple("<e>", "<f>")})
+	m.Append(OpAdd, []rdf.Triple{triple("<e>", "<f>")})
 	s2, err := m.StreamFrom(Position{Generation: oldTail.Generation + 1})
 	if err != nil {
 		t.Fatal(err)
@@ -147,7 +143,7 @@ func TestStreamFromImpossiblePositions(t *testing.T) {
 	ts := newTestState()
 	m := openManager(t, dir, ts)
 	defer m.Close()
-	m.Append([]rdf.Triple{triple("<a>", "<b>")})
+	m.Append(OpAdd, []rdf.Triple{triple("<a>", "<b>")})
 
 	tail := m.TailPosition()
 	for _, pos := range []Position{
@@ -203,42 +199,5 @@ func TestFrameRoundtrip(t *testing.T) {
 	fr = NewFrameReader(bytes.NewReader(bogus))
 	if _, _, err := fr.Next(); !errors.Is(err, ErrCorruptFrame) {
 		t.Fatalf("unknown kind = %v, want ErrCorruptFrame", err)
-	}
-}
-
-// A version-1 log (no op-kind byte) still streams: every record ships
-// as OpAdd with the bare payload, so a follower can tail a leader that
-// predates delete records.
-func TestStreamFromVersionOneLog(t *testing.T) {
-	dir := t.TempDir()
-
-	// Hand-write a v1 log: header, then one bare-payload frame.
-	payload := []byte("<a> <p> <b> .\n")
-	var buf bytes.Buffer
-	var head [headerSize]byte
-	copy(head[:4], logMagic)
-	binary.LittleEndian.PutUint32(head[4:], 1)
-	binary.LittleEndian.PutUint64(head[8:], 0)
-	buf.Write(head[:])
-	var rh [recHeader]byte
-	binary.LittleEndian.PutUint32(rh[:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(rh[4:], crc32.Checksum(payload, castagnoli))
-	buf.Write(rh[:])
-	buf.Write(payload)
-	if err := os.WriteFile(filepath.Join(dir, "wal-0000000000000000.log"), buf.Bytes(), 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	ts := newTestState()
-	m := openManager(t, dir, ts)
-	defer m.Close()
-	s, err := m.StreamFrom(Position{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	kinds, payloads := drain(t, s)
-	if len(kinds) != 1 || kinds[0] != OpAdd || payloads[0] != string(payload) {
-		t.Fatalf("v1 stream = %v %q", kinds, payloads)
 	}
 }

@@ -12,16 +12,16 @@
 //	header: magic "IFWL" | version u32 | generation u64
 //	records: × (payloadLen u32 | crc32c(payload) u32 | payload)
 //
-// In a version-2 log the record payload opens with one op-kind byte
-// (OpAdd = 1, OpDelete = 2) followed by the batch serialized as
-// N-Triples — the same bytes a client posted, so replay runs the exact
-// incremental path the live server ran. Version-1 logs (no kind byte)
-// still replay, every record as an add batch; a record whose kind byte
-// is unknown is treated exactly like a bad CRC — the tail is truncated,
-// never guessed at. New logs are always created at version 2, and a
-// recovered version-1 log refuses delete appends (its replayer could
-// not distinguish them), so the owning manager checkpoints away from it
-// before accepting deletes.
+// The record payload opens with one op-kind byte (OpAdd = 1, OpDelete =
+// 2) followed by the batch serialized as N-Triples — the same bytes a
+// client posted, so replay runs the exact incremental path the live
+// server ran. A record whose kind byte is unknown is treated exactly
+// like a bad CRC — the tail is truncated, never guessed at.
+//
+// There is one format, version 2. A file that opens with the log magic
+// but any other version is refused — Open fails with an error naming
+// the file, the version found and the version supported, and the file
+// is left untouched: it is some other build's log, not a torn one.
 package wal
 
 import (
@@ -50,10 +50,9 @@ const (
 type OpKind byte
 
 const (
-	// OpAdd is an ingested triple batch (the only kind version-1 logs
-	// can express).
+	// OpAdd is an ingested triple batch.
 	OpAdd OpKind = 1
-	// OpDelete is a retracted triple batch (version-2 logs only).
+	// OpDelete is a retracted triple batch.
 	OpDelete OpKind = 2
 )
 
@@ -110,8 +109,7 @@ type Log struct {
 	f       *os.File
 	path    string
 	gen     uint64
-	ver     uint32 // on-disk format version (1 or 2)
-	size    int64  // bytes, header included
+	size    int64 // bytes, header included
 	records int
 	dirty   bool // appended since the last fsync
 	syncErr error
@@ -133,10 +131,7 @@ func Create(path string, gen uint64, policy SyncPolicy, interval time.Duration) 
 	if err != nil {
 		return nil, err
 	}
-	var head [headerSize]byte
-	copy(head[:4], logMagic)
-	binary.LittleEndian.PutUint32(head[4:], logVersion)
-	binary.LittleEndian.PutUint64(head[8:], gen)
+	head := header(gen)
 	if _, err := f.Write(head[:]); err != nil {
 		f.Close()
 		return nil, err
@@ -145,33 +140,33 @@ func Create(path string, gen uint64, policy SyncPolicy, interval time.Duration) 
 		f.Close()
 		return nil, err
 	}
-	l := &Log{f: f, path: path, gen: gen, ver: logVersion, size: headerSize, policy: policy}
+	l := &Log{f: f, path: path, gen: gen, size: headerSize, policy: policy}
 	l.startFlusher(interval)
 	return l, nil
 }
 
 // ReplayStats reports what a log replay found.
 type ReplayStats struct {
-	Records     int   // valid records delivered
-	Bytes       int64 // log size after any truncation
-	Truncated   bool  // a torn or corrupt tail was cut off
-	TruncatedAt int64 // offset the file was truncated to (when Truncated)
+	Records   int   // valid records delivered
+	Bytes     int64 // log size after any truncation
+	Truncated bool  // a torn or corrupt tail was cut off
 }
 
 // Open replays an existing log and opens it for appending. Every record
-// whose CRC verifies is delivered to fn in order with its op kind (every
-// version-1 record is an OpAdd); the first record that is torn (short)
-// or corrupt (bad CRC, implausible length, unknown op kind) ends the
-// replay and the file is truncated at the last valid offset, so the
-// next writer appends over the garbage instead of after it. A missing
-// file is an error; a file with a damaged header is rewritten empty
-// (nothing before the first record can be trusted).
+// whose CRC verifies is delivered to fn in order with its op kind; the
+// first record that is torn (short) or corrupt (bad CRC, implausible
+// length, unknown op kind) ends the replay and the file is truncated at
+// the last valid offset, so the next writer appends over the garbage
+// instead of after it. A missing file is an error; a file with a
+// damaged header (short, or wrong magic) is rewritten empty — nothing
+// before the first record can be trusted; a file with an intact header
+// of another format version is an error and is not modified.
 func Open(path string, policy SyncPolicy, interval time.Duration, fn func(kind OpKind, payload []byte) error) (*Log, ReplayStats, error) {
 	f, err := os.OpenFile(path, os.O_RDWR, 0o644)
 	if err != nil {
 		return nil, ReplayStats{}, err
 	}
-	st, gen, ver, err := replay(f, fn)
+	st, gen, err := replay(f, fn)
 	if err != nil {
 		f.Close()
 		return nil, st, err
@@ -190,34 +185,33 @@ func Open(path string, policy SyncPolicy, interval time.Duration, fn func(kind O
 		f.Close()
 		return nil, st, err
 	}
-	l := &Log{f: f, path: path, gen: gen, ver: ver, size: st.Bytes, records: st.Records, policy: policy}
+	l := &Log{f: f, path: path, gen: gen, size: st.Bytes, records: st.Records, policy: policy}
 	l.startFlusher(interval)
 	return l, st, nil
 }
 
 // replay scans records from the start of f, calling fn for each valid
-// one. It returns the stats and the generation and format version from
-// the header. Only an error from fn is fatal; corruption ends the scan
-// with Truncated set.
-func replay(f *os.File, fn func(kind OpKind, payload []byte) error) (ReplayStats, uint64, uint32, error) {
+// one. It returns the stats and the generation from the header. An
+// error from fn and an intact header of another version are fatal;
+// corruption ends the scan with Truncated set.
+func replay(f *os.File, fn func(kind OpKind, payload []byte) error) (ReplayStats, uint64, error) {
 	st := ReplayStats{}
 	var head [headerSize]byte
-	var ver uint32
-	if _, err := io.ReadFull(f, head[:]); err == nil && string(head[:4]) == logMagic {
-		ver = binary.LittleEndian.Uint32(head[4:])
-	}
-	if ver < 1 || ver > logVersion {
-		// Unreadable header: treat the whole file as a torn create and
-		// rewrite it empty under generation 0. The caller pairs logs
+	if _, err := io.ReadFull(f, head[:]); err != nil || string(head[:4]) != logMagic {
+		// Short file or wrong magic: treat the whole file as a torn create
+		// and rewrite it empty under generation 0. The caller pairs logs
 		// with snapshots by filename, so the embedded generation is
 		// advisory.
 		if err := rewriteHeader(f, 0); err != nil {
-			return st, 0, logVersion, err
+			return st, 0, err
 		}
 		st.Truncated = true
 		st.Bytes = headerSize
-		st.TruncatedAt = headerSize
-		return st, 0, logVersion, nil
+		return st, 0, nil
+	}
+	if v := binary.LittleEndian.Uint32(head[4:]); v != logVersion {
+		// Whole, but another build's: refused, never rewritten as torn.
+		return st, 0, fmt.Errorf("wal: %s is a version-%d log; this build supports only version %d", f.Name(), v, logVersion)
 	}
 	gen := binary.LittleEndian.Uint64(head[8:])
 	offset := int64(headerSize)
@@ -225,7 +219,7 @@ func replay(f *os.File, fn func(kind OpKind, payload []byte) error) (ReplayStats
 	// does (see stream.go): replay is "replicate from local disk", and
 	// the only difference from a network tail is that a bad frame here
 	// marks the truncation point instead of a reconnect.
-	sc := frameScanner{r: f, ver: ver}
+	sc := frameScanner{r: f}
 	for {
 		kind, body, frameLen, err := sc.next()
 		if err == io.EOF {
@@ -237,24 +231,26 @@ func replay(f *os.File, fn func(kind OpKind, payload []byte) error) (ReplayStats
 		}
 		if fn != nil {
 			if err := fn(kind, body); err != nil {
-				return st, gen, ver, err
+				return st, gen, err
 			}
 		}
 		offset += frameLen
 		st.Records++
 	}
 	st.Bytes = offset
-	if st.Truncated {
-		st.TruncatedAt = offset
-	}
-	return st, gen, ver, nil
+	return st, gen, nil
 }
 
-func rewriteHeader(f *os.File, gen uint64) error {
-	var head [headerSize]byte
+// header lays out a current-version log header.
+func header(gen uint64) (head [headerSize]byte) {
 	copy(head[:4], logMagic)
 	binary.LittleEndian.PutUint32(head[4:], logVersion)
 	binary.LittleEndian.PutUint64(head[8:], gen)
+	return head
+}
+
+func rewriteHeader(f *os.File, gen uint64) error {
+	head := header(gen)
 	if _, err := f.WriteAt(head[:], 0); err != nil {
 		return err
 	}
@@ -294,9 +290,6 @@ func (l *Log) startFlusher(interval time.Duration) {
 // applying the batch, so a crash between the two replays the batch on
 // recovery (re-applying a batch is idempotent: adds under set
 // semantics, deletes because retracting an absent triple is a no-op).
-// Appending a delete to a recovered version-1 log is refused — the v1
-// format has no way to say "delete", so the record would replay as an
-// insertion.
 func (l *Log) Append(kind OpKind, payload []byte) error {
 	if kind != OpAdd && kind != OpDelete {
 		return fmt.Errorf("wal: unknown op kind %d", kind)
@@ -312,25 +305,13 @@ func (l *Log) Append(kind OpKind, payload []byte) error {
 	if l.syncErr != nil {
 		return l.syncErr
 	}
-	if l.ver < 2 && kind != OpAdd {
-		return fmt.Errorf("wal: version-%d log cannot record op kind %d; checkpoint to rotate to a current log first", l.ver, kind)
-	}
 	// One buffer, one write: a partial record must never linger in the
 	// file, or later successful appends would land after the torn bytes
 	// and recovery's CRC scan would truncate them — acknowledged writes
 	// silently lost. On any write failure, roll the file back to the
 	// last good offset; if even that fails, poison the log (sticky
 	// error) rather than keep appending past garbage.
-	body := payload
-	if l.ver >= 2 {
-		body = make([]byte, 1+len(payload))
-		body[0] = byte(kind)
-		copy(body[1:], payload)
-	}
-	rec := make([]byte, recHeader+len(body))
-	binary.LittleEndian.PutUint32(rec[:4], uint32(len(body)))
-	binary.LittleEndian.PutUint32(rec[4:], crc32.Checksum(body, castagnoli))
-	copy(rec[recHeader:], body)
+	rec := EncodeFrame(kind, payload)
 	if _, err := l.f.Write(rec); err != nil {
 		if terr := l.f.Truncate(l.size); terr == nil {
 			if _, serr := l.f.Seek(l.size, io.SeekStart); serr != nil {
@@ -411,10 +392,6 @@ func (l *Log) Close() error {
 
 // Generation returns the generation the log was created under.
 func (l *Log) Generation() uint64 { return l.gen }
-
-// Version returns the log's on-disk format version (1 or 2). Recovered
-// version-1 logs stay at version 1 until a checkpoint rotates them away.
-func (l *Log) Version() uint32 { return l.ver }
 
 // Size returns the current file size in bytes (header included).
 func (l *Log) Size() int64 {

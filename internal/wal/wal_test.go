@@ -7,6 +7,7 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 )
@@ -317,41 +318,34 @@ func TestUnknownOpKindTruncatesNotReplays(t *testing.T) {
 	}
 }
 
-// A version-1 log (no kind byte) still replays — every record as an
-// add — and refuses delete appends, which the v1 replayer would
-// misread as insertions.
-func TestVersion1LogBackCompat(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "wal.log")
-	recs := [][]byte{[]byte("<a> <p> <b> .\n"), []byte("<c> <p> <d> .\n")}
-	writeRawLog(t, path, 1, recs...)
-
-	var kinds []OpKind
-	var got [][]byte
-	l, st, err := Open(path, SyncAlways, 0, func(k OpKind, p []byte) error {
-		kinds = append(kinds, k)
-		got = append(got, append([]byte(nil), p...))
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l.Close()
-	if st.Truncated || st.Records != len(recs) {
-		t.Fatalf("v1 replay: truncated=%v records=%d", st.Truncated, st.Records)
-	}
-	for i := range recs {
-		if kinds[i] != OpAdd || !bytes.Equal(got[i], recs[i]) {
-			t.Fatalf("v1 record %d: kind=%v payload=%q", i, kinds[i], got[i])
+// A log whose header carries the magic but another format version — the
+// retired version 1 (no kind byte) or a newer build's — is some build's
+// whole log, not a torn create: Open refuses it with an error naming
+// the file and both versions, delivers no record, and leaves every byte
+// of the file as it was.
+func TestOtherVersionLogRefusedUntouched(t *testing.T) {
+	for _, v := range []uint32{1, logVersion + 1} {
+		path := filepath.Join(t.TempDir(), "wal.log")
+		writeRawLog(t, path, v, []byte("<a> <p> <b> .\n"), []byte("<c> <p> <d> .\n"))
+		before, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	if l.Version() != 1 {
-		t.Fatalf("recovered version = %d, want 1", l.Version())
-	}
-	// Adds keep working on the recovered v1 log; deletes are refused.
-	if err := l.Append(OpAdd, []byte("<e> <p> <f> .\n")); err != nil {
-		t.Fatal(err)
-	}
-	if err := l.Append(OpDelete, []byte("<a> <p> <b> .\n")); err == nil {
-		t.Fatal("v1 log accepted a delete record")
+		l, _, err := Open(path, SyncAlways, 0, func(OpKind, []byte) error {
+			t.Errorf("version-%d log delivered a record", v)
+			return nil
+		})
+		if err == nil {
+			l.Close()
+			t.Fatalf("version-%d log opened", v)
+		}
+		for _, want := range []string{path, fmt.Sprintf("version-%d", v), fmt.Sprintf("version %d", logVersion)} {
+			if !strings.Contains(err.Error(), want) {
+				t.Errorf("version-%d refusal %q does not mention %q", v, err, want)
+			}
+		}
+		if after, _ := os.ReadFile(path); !bytes.Equal(after, before) {
+			t.Errorf("version-%d log was modified by the refused Open", v)
+		}
 	}
 }

@@ -119,10 +119,9 @@ type MetricsSnapshot struct {
 	WALFsyncs      uint64
 	Checkpoints    uint64
 	SnapshotBytes  int64
-	// Pattern-engine totals: planned (sort-merge) vs greedy solves and
-	// rows streamed out of the engine before solution modifiers.
+	// Pattern-engine totals: solves and rows streamed out of the engine
+	// before solution modifiers.
 	PlannedSolves uint64
-	GreedySolves  uint64
 	EngineRows    uint64
 	// Evaluation totals: completed SPARQL evaluations, rows delivered
 	// after modifiers, summed evaluation seconds, and evaluations at or
@@ -150,7 +149,6 @@ func (r *Reasoner) Metrics() MetricsSnapshot {
 		Checkpoints:        o.wm.Checkpoints.Value(),
 		SnapshotBytes:      o.wm.SnapshotBytes.Value(),
 		PlannedSolves:      o.qm.PlannedSolves.Value(),
-		GreedySolves:       o.qm.GreedySolves.Value(),
 		EngineRows:         o.qm.Rows.Value(),
 		Queries:            o.queries.Value(),
 		QueryRows:          o.queryRows.Value(),

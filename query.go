@@ -51,39 +51,26 @@ func (r *Reasoner) QueryFunc(fn func(row map[string]string) bool, patterns ...[3
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 
+	// A bare "?" gets a private name per occurrence; from there the
+	// patterns compile like any other read's.
+	pats := make([][3]string, len(patterns))
+	anon := 0
+	for i, pat := range patterns {
+		for pos, raw := range pat {
+			if raw == "?" {
+				raw = fmt.Sprintf("?%s%d", anonPrefix, anon)
+				anon++
+			}
+			pats[i][pos] = raw
+		}
+	}
 	varSlots := map[string]int{}
-	var varNames []string
-	unknownConst := false
-
-	term := func(raw string) query.Term {
-		if strings.HasPrefix(raw, "?") {
-			name := raw[1:]
-			if name == "" {
-				name = fmt.Sprintf("%s%d", anonPrefix, len(varNames))
-			}
-			slot, ok := varSlots[name]
-			if !ok {
-				slot = len(varNames)
-				varSlots[name] = slot
-				varNames = append(varNames, name)
-			}
-			return query.Var(slot)
-		}
-		id, ok := r.engine.Dict.Lookup(raw)
-		if !ok {
-			unknownConst = true
-		}
-		return query.Const(id)
-	}
-
-	qp := make([]query.Pattern, len(patterns))
-	for i, p := range patterns {
-		qp[i] = query.Pattern{S: term(p[0]), P: term(p[1]), O: term(p[2])}
-	}
+	varNames := registerVars(pats, varSlots, nil)
 	if len(varNames) > 64 {
 		return fmt.Errorf("inferray: more than 64 distinct variables")
 	}
-	if unknownConst {
+	qp, ok := r.encodePatterns(pats, varSlots)
+	if !ok {
 		return nil // a constant not in the dictionary can match nothing
 	}
 
@@ -94,8 +81,7 @@ func (r *Reasoner) QueryFunc(fn func(row map[string]string) bool, patterns ...[3
 		}
 	}
 
-	eng := r.queryEngine()
-	return eng.Solve(qp, len(varNames), func(row []uint64) bool {
+	return r.queryEngine().Solve(qp, len(varNames), func(row []uint64) bool {
 		out := make(map[string]string, named)
 		for i, name := range varNames {
 			if strings.HasPrefix(name, anonPrefix) {
@@ -145,10 +131,10 @@ func LoadSnapshot(src io.Reader, opts ...Option) (*Reasoner, error) {
 		return nil, err
 	}
 	r := New(opts...)
-	if err := r.engine.RestoreState(d, st, encoded, asserted); err != nil {
+	// The bare stream carries no fragment and no store generation.
+	if err := r.install("snapshot", d, st, asserted, snapshot.Meta{HierarchyEncoded: encoded}); err != nil {
 		return nil, err
 	}
-	r.engine.MarkMaterialized()
 	return r, nil
 }
 
@@ -183,16 +169,9 @@ func LoadImage(path string, opts ...Option) (*Reasoner, error) {
 		return nil, err
 	}
 	r := New(opts...)
-	if meta.Fragment != "" && meta.Fragment != r.engine.Fragment().String() {
-		return nil, fmt.Errorf("inferray: image %s was materialized under fragment %s, but the reasoner is configured for %s (pass the matching fragment)",
-			path, meta.Fragment, r.engine.Fragment())
-	}
-	if err := r.engine.RestoreState(d, st, meta.HierarchyEncoded, asserted); err != nil {
+	if err := r.install("image "+path, d, st, asserted, meta); err != nil {
 		return nil, err
 	}
-	r.engine.MarkMaterialized()
-	r.gen.Store(meta.StoreGeneration)
-	r.genSum = r.engine.Main.VersionSum()
 	return r, nil
 }
 
@@ -321,19 +300,10 @@ func (r *Reasoner) ExecFuncCtx(ctx context.Context, queryText string, maxRows in
 			varNames = append(varNames, name)
 		}
 	}
-	registerPatterns := func(pats [][3]string) {
-		for _, pat := range pats {
-			for _, t := range pat {
-				if strings.HasPrefix(t, "?") {
-					slotOf(t[1:])
-				}
-			}
-		}
-	}
 	for _, g := range q.Groups {
-		registerPatterns(g.Patterns)
+		varNames = registerVars(g.Patterns, varSlots, varNames)
 		for _, o := range g.Optionals {
-			registerPatterns(o.Patterns)
+			varNames = registerVars(o.Patterns, varSlots, varNames)
 		}
 		for _, b := range g.Binds {
 			slotOf(b.Var)
@@ -575,9 +545,29 @@ type encodedOptional struct {
 	patterns []query.Pattern
 }
 
-// encodePatterns translates surface patterns to engine terms; ok is
-// false when a constant is not in the dictionary (it can match
-// nothing).
+// registerVars gives every variable of the patterns that varSlots does
+// not know yet the next slot, in order of first appearance, and returns
+// varNames extended by them.
+func registerVars(pats [][3]string, varSlots map[string]int, varNames []string) []string {
+	for _, pat := range pats {
+		for _, t := range pat {
+			if !strings.HasPrefix(t, "?") {
+				continue
+			}
+			if _, ok := varSlots[t[1:]]; !ok {
+				varSlots[t[1:]] = len(varNames)
+				varNames = append(varNames, t[1:])
+			}
+		}
+	}
+	return varNames
+}
+
+// encodePatterns is the one surface-pattern compiler — Select/Ask
+// groups, Query/QueryFunc and DELETE WHERE all go through it. It
+// translates patterns to engine terms over the slots varSlots assigns;
+// ok is false when a constant is not in the dictionary (it can match
+// nothing). The caller holds r.mu.
 func (r *Reasoner) encodePatterns(pats [][3]string, varSlots map[string]int) ([]query.Pattern, bool) {
 	out := make([]query.Pattern, len(pats))
 	for i, pat := range pats {

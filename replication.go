@@ -78,34 +78,19 @@ func (r *Reasoner) SnapshotFile() (path string, gen uint64, ok bool, err error) 
 }
 
 // ApplyReplicated applies one shipped WAL record to an in-memory
-// follower, running the identical code path the leader ran when it
-// logged the record — LoadTriples + incremental Materialize for an add,
-// Retract for a delete, one generation bump per record that changed the
-// closure — so a follower that has applied the same record sequence
-// reports the same Generation() and holds the byte-identical closure.
-// Refused on a durable reasoner: records applied here bypass the local
-// WAL, which would silently fork the local data directory from the
-// replicated history.
+// follower through the same apply the leader ran when it logged the
+// record — intern + incremental Materialize for an add, Retract for a
+// delete, one generation bump per record that changed the closure — so
+// a follower that has applied the same record sequence reports the same
+// Generation() and holds the byte-identical closure. Refused on a
+// durable reasoner: records applied here bypass the local WAL, which
+// would silently fork the local data directory from the replicated
+// history.
 func (r *Reasoner) ApplyReplicated(op WALOp, batch []Triple) error {
 	if r.dur != nil {
 		return fmt.Errorf("inferray: ApplyReplicated on a durable reasoner would fork its data directory from the replicated history")
 	}
-	switch op {
-	case WALAdd:
-		r.mu.Lock()
-		r.engine.LoadTriples(batch)
-		r.engine.Materialize()
-		r.bumpGenerationLocked()
-		r.mu.Unlock()
-		return nil
-	case WALDelete:
-		r.mu.Lock()
-		_, err := r.engine.Retract(batch)
-		r.bumpGenerationLocked()
-		r.mu.Unlock()
-		return err
-	}
-	return fmt.Errorf("inferray: unknown replication op kind %d", op)
+	return r.applyRecord(op, batch)
 }
 
 // RestoreImage replaces the reasoner's entire state with a snapshot
@@ -126,20 +111,8 @@ func (r *Reasoner) RestoreImage(path string) (WALPosition, error) {
 	if err != nil {
 		return WALPosition{}, err
 	}
-	if meta.Fragment != "" && meta.Fragment != r.engine.Fragment().String() {
-		return WALPosition{}, fmt.Errorf("inferray: image %s was materialized under fragment %s, but the reasoner is configured for %s",
-			path, meta.Fragment, r.engine.Fragment())
-	}
-	r.pendingMu.Lock()
-	r.pending, r.pendingParse = nil, 0
-	r.pendingMu.Unlock()
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if err := r.engine.RestoreState(d, st, meta.HierarchyEncoded, asserted); err != nil {
+	if err := r.install("image "+path, d, st, asserted, meta); err != nil {
 		return WALPosition{}, err
 	}
-	r.engine.MarkMaterialized()
-	r.gen.Store(meta.StoreGeneration)
-	r.genSum = r.engine.Main.VersionSum()
 	return WALPosition{Generation: meta.Generation}, nil
 }

@@ -4,10 +4,9 @@ import (
 	"fmt"
 	"strings"
 
-	"inferray/internal/query"
 	"inferray/internal/rdf"
-	"inferray/internal/reasoner"
 	"inferray/internal/sparql"
+	"inferray/internal/wal"
 )
 
 // UpdateStats reports what an Update request did.
@@ -58,23 +57,23 @@ func (r *Reasoner) Update(text string) (UpdateStats, error) {
 				return st, err
 			}
 			r.AddTriples(batch)
-			if _, err := r.materialize(true); err != nil {
+			if _, err := r.drain(false); err != nil {
 				return st, err
 			}
 			st.Inserted += len(batch)
-		case sparql.UpdateDeleteData:
-			batch, err := groundTriples(op.Triples)
-			if err != nil {
+		case sparql.UpdateDeleteData, sparql.UpdateDeleteWhere:
+			m := mutation{kind: wal.OpDelete, where: op.Patterns}
+			if op.Kind == sparql.UpdateDeleteData {
+				if m.batch, err = groundTriples(op.Triples); err != nil {
+					return st, err
+				}
+			}
+			// Retraction needs a settled closure: staged inserts, when
+			// there are any, are materialized first, in program order.
+			if err := r.settle(false); err != nil {
 				return st, err
 			}
-			rs, err := r.deleteBatch(batch)
-			if err != nil {
-				return st, err
-			}
-			st.Deleted += rs.Retracted
-			st.EncodingDropped = st.EncodingDropped || rs.EncodingDropped
-		case sparql.UpdateDeleteWhere:
-			rs, err := r.deleteWhere(op.Patterns)
+			_, rs, err := r.apply(m)
 			if err != nil {
 				return st, err
 			}
@@ -102,107 +101,34 @@ func groundTriples(triples [][3]string) ([]rdf.Triple, error) {
 	return out, nil
 }
 
-// deleteBatch retracts a batch of ground triples: staged inserts are
-// materialized first (retraction needs a settled closure), then the
-// batch is logged and retracted under the write lock.
-func (r *Reasoner) deleteBatch(batch []rdf.Triple) (reasoner.RetractStats, error) {
-	if _, err := r.materialize(true); err != nil {
-		return reasoner.RetractStats{}, err
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.retractLocked(batch)
-}
-
-// deleteWhere matches the pattern block against the visible closure
-// and retracts the asserted triples among the matches. Matching and
-// retraction happen under one write lock, so no concurrent insert can
-// slip between them.
-func (r *Reasoner) deleteWhere(patterns [][3]string) (reasoner.RetractStats, error) {
-	if _, err := r.materialize(true); err != nil {
-		return reasoner.RetractStats{}, err
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	batch, err := r.matchPatternsLocked(patterns)
-	if err != nil || len(batch) == 0 {
-		return reasoner.RetractStats{}, err
-	}
-	return r.retractLocked(batch)
-}
-
-// retractLocked appends the delete record and retracts (r.mu held for
-// writing). A WAL write failure leaves the closure untouched.
-func (r *Reasoner) retractLocked(batch []rdf.Triple) (reasoner.RetractStats, error) {
-	if r.dur != nil && len(batch) > 0 {
-		if err := r.dur.AppendDelete(batch); err != nil {
-			return reasoner.RetractStats{}, fmt.Errorf("inferray: write-ahead log: %w", err)
-		}
-	}
-	st, err := r.engine.Retract(batch)
-	r.bumpGenerationLocked()
-	return st, err
-}
-
 // matchPatternsLocked evaluates a DELETE WHERE basic graph pattern
 // against the visible closure (virtual triples included) and returns
 // every instantiated ground triple. r.mu must be held. It cannot go
-// through the public query path, which takes the read lock.
+// through the public query path, which takes the read lock; it compiles
+// its patterns with the read path's compiler.
 func (r *Reasoner) matchPatternsLocked(patterns [][3]string) ([]rdf.Triple, error) {
 	varSlots := map[string]int{}
-	var varNames []string
-	encode := func(raw string) (query.Term, bool) {
-		if strings.HasPrefix(raw, "?") {
-			name := raw[1:]
-			slot, ok := varSlots[name]
-			if !ok {
-				slot = len(varNames)
-				varSlots[name] = slot
-				varNames = append(varNames, name)
-			}
-			return query.Var(slot), true
-		}
-		id, ok := r.engine.Dict.Lookup(raw)
-		return query.Const(id), ok
-	}
-	qp := make([]query.Pattern, len(patterns))
-	for i, pat := range patterns {
-		s, okS := encode(pat[0])
-		p, okP := encode(pat[1])
-		o, okO := encode(pat[2])
-		if !okS || !okP || !okO {
-			return nil, nil // a constant not in the dictionary matches nothing
-		}
-		qp[i] = query.Pattern{S: s, P: p, O: o}
-	}
+	varNames := registerVars(patterns, varSlots, nil)
 	if len(varNames) > 64 {
 		return nil, fmt.Errorf("inferray: more than 64 distinct variables")
 	}
-	eng := r.queryEngine()
+	qp, ok := r.encodePatterns(patterns, varSlots)
+	if !ok {
+		return nil, nil // a constant not in the dictionary matches nothing
+	}
 	var out []rdf.Triple
-	err := eng.Solve(qp, len(varNames), func(row []uint64) bool {
+	err := r.queryEngine().Solve(qp, len(varNames), func(row []uint64) bool {
 		for _, pat := range patterns {
-			var tr rdf.Triple
+			var tr [3]string
 			for pos, raw := range pat {
-				term := raw
 				if strings.HasPrefix(raw, "?") {
-					term = r.engine.Dict.MustDecode(row[varSlots[raw[1:]]])
+					raw = r.engine.Dict.MustDecode(row[varSlots[raw[1:]]])
 				}
-				switch pos {
-				case 0:
-					tr.S = term
-				case 1:
-					tr.P = term
-				case 2:
-					tr.O = term
-				}
+				tr[pos] = raw
 			}
-			out = append(out, tr)
+			out = append(out, rdf.Triple{S: tr[0], P: tr[1], O: tr[2]})
 		}
 		return true
 	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
+	return out, err
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"hash/crc32"
 	"os"
 	"path/filepath"
@@ -215,47 +216,138 @@ func TestUpdateDurableCheckpointed(t *testing.T) {
 	}
 }
 
-// TestUpdateMigratesV1Log: a data directory written by an older build
-// holds a version-1 log, which cannot record deletions. Open must
-// replay it, checkpoint away from it immediately, and then accept
-// deletes.
-func TestUpdateMigratesV1Log(t *testing.T) {
-	dir := t.TempDir()
-	// Hand-write a v1 log (no op-kind byte in records) holding one add.
-	payload := []byte("<x> <http://www.w3.org/1999/02/22-rdf-syntax-ns#type> <c> .\n")
-	var buf bytes.Buffer
-	head := make([]byte, 16)
-	copy(head[:4], "IFWL")
-	binary.LittleEndian.PutUint32(head[4:], 1) // version 1
-	binary.LittleEndian.PutUint64(head[8:], 0) // generation 0
-	buf.Write(head)
-	rec := make([]byte, 8)
-	binary.LittleEndian.PutUint32(rec[:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(rec[4:], crc32.Checksum(payload, crc32.MakeTable(crc32.Castagnoli)))
-	buf.Write(rec)
-	buf.Write(payload)
-	logPath := filepath.Join(dir, "wal-0000000000000000.log")
-	if err := os.WriteFile(logPath, buf.Bytes(), 0o644); err != nil {
+// TestOpenRefusesOtherVersionLog: a data directory whose log carries
+// another format version — the retired version 1, or a newer build's —
+// stops Open with an error naming the file and both versions, and the
+// log's bytes are left exactly as they were: it is some build's whole
+// log, never a torn create to be rewritten empty.
+func TestOpenRefusesOtherVersionLog(t *testing.T) {
+	for _, v := range []uint32{1, 3} {
+		dir := t.TempDir()
+		payload := []byte("<x> <http://www.w3.org/1999/02/22-rdf-syntax-ns#type> <c> .\n")
+		head := make([]byte, 16)
+		copy(head[:4], "IFWL")
+		binary.LittleEndian.PutUint32(head[4:], v)
+		raw := binary.LittleEndian.AppendUint32(head, uint32(len(payload)))
+		raw = binary.LittleEndian.AppendUint32(raw, crc32.Checksum(payload, crc32.MakeTable(crc32.Castagnoli)))
+		raw = append(raw, payload...)
+		logPath := filepath.Join(dir, "wal-0000000000000000.log")
+		if err := os.WriteFile(logPath, raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
+
+		r, err := inferray.Open(inferray.WithDurability(dir, durOpts))
+		if err == nil {
+			r.Close()
+			t.Fatalf("version-%d log: Open succeeded", v)
+		}
+		for _, want := range []string{logPath, fmt.Sprintf("version-%d", v), "version 2"} {
+			if !strings.Contains(err.Error(), want) {
+				t.Errorf("version-%d refusal %q does not mention %q", v, err, want)
+			}
+		}
+		if after, _ := os.ReadFile(logPath); !bytes.Equal(after, raw) {
+			t.Errorf("version-%d log was modified by the refused Open", v)
+		}
+	}
+}
+
+// TestDeleteOnSettledReasonerCountsNoMaterialization: a DELETE with
+// nothing staged goes through the write lock once, as a retraction — it
+// does not first run (and count) an empty materialization. Staged
+// triples are still drained first, in program order, when there are
+// any.
+func TestDeleteOnSettledReasonerCountsNoMaterialization(t *testing.T) {
+	r := inferray.New()
+	if _, err := r.Update(`INSERT DATA { <x> a <c> . <y> a <c> }`); err != nil {
 		t.Fatal(err)
+	}
+	before := r.Metrics()
+	for _, upd := range []string{
+		`DELETE DATA { <x> a <c> }`,
+		`DELETE WHERE { ?s a <c> }`,
+		`DELETE WHERE { ?s a <nothing> }`,
+	} {
+		if _, err := r.Update(upd); err != nil {
+			t.Fatal(err)
+		}
+	}
+	after := r.Metrics()
+	if after.Materializations != before.Materializations {
+		t.Fatalf("materializations moved %d → %d across deletes on a settled reasoner",
+			before.Materializations, after.Materializations)
+	}
+	if got := after.Retractions - before.Retractions; got != 2 {
+		t.Fatalf("retractions = %d, want 2 (the empty match retracts nothing)", got)
+	}
+	if r.Holds("<x>", inferray.Type, "<c>") || r.Holds("<y>", inferray.Type, "<c>") {
+		t.Fatal("deletes did not apply")
 	}
 
-	r := openDurable(t, dir)
-	defer r.Close()
-	if !r.Holds("<x>", inferray.Type, "<c>") {
-		t.Fatal("v1 log record did not replay")
-	}
-	// Migration rotated to a fresh generation: the v1 file is gone.
-	if _, err := os.Stat(logPath); !os.IsNotExist(err) {
-		t.Fatalf("v1 log still present after migration (stat err = %v)", err)
-	}
-	// And deletes — which a v1 log could not record — now work end to
-	// end, crash replay included.
-	if _, err := r.Update(`DELETE DATA { <x> a <c> }`); err != nil {
+	// A staged triple is visible to the delete that follows it.
+	r.Add("<z>", inferray.Type, "<c>")
+	st, err := r.Update(`DELETE DATA { <z> a <c> }`)
+	if err != nil {
 		t.Fatal(err)
 	}
-	r2 := openDurable(t, dir)
-	defer r2.Close()
-	if r2.Holds("<x>", inferray.Type, "<c>") {
-		t.Fatal("delete lost across recovery")
+	if st.Deleted != 1 || r.Holds("<z>", inferray.Type, "<c>") {
+		t.Fatalf("staged triple not drained before the delete: %+v", st)
 	}
+	if got := r.Metrics().Materializations - after.Materializations; got != 1 {
+		t.Fatalf("draining one staged batch counted %d materializations, want 1", got)
+	}
+
+	// The first write of a fresh reasoner may be a delete; it must
+	// succeed as a no-op, durably too (the record replays on reopen).
+	dir := t.TempDir()
+	d := openDurable(t, dir)
+	if _, err := d.Update(`DELETE DATA { <x> a <c> }`); err != nil {
+		t.Fatalf("delete as first write: %v", err)
+	}
+	if _, err := d.Update(`INSERT DATA { <x> a <c> }`); err != nil {
+		t.Fatal(err)
+	}
+	d2 := openDurable(t, dir) // crash-style: d is not closed first
+	defer d2.Close()
+	defer d.Close()
+	if !d2.Holds("<x>", inferray.Type, "<c>") {
+		t.Fatal("log opening with a delete record did not replay")
+	}
+}
+
+// TestDroppedEncodingSurvivesImage: an image written after a schema
+// retraction dropped the hierarchy encoding is fully materialized, and
+// restoring it must not switch the encoding back on — retraction over a
+// re-indexed closed store kept subsumption-derived type triples alive
+// (found by TestWritePathConformance).
+func TestDroppedEncodingSurvivesImage(t *testing.T) {
+	const sub = "<http://www.w3.org/2000/01/rdf-schema#subClassOf>"
+	r := inferray.New()
+	if _, err := r.Update(`INSERT DATA { <a> ` + sub + ` <b> . <b> ` + sub + ` <c> . <c> ` + sub + ` <d> . <x> a <a> }`); err != nil {
+		t.Fatal(err)
+	}
+	st, err := r.Update(`DELETE DATA { <c> ` + sub + ` <d> }`)
+	if err != nil || !st.EncodingDropped {
+		t.Fatalf("schema retraction: stats %+v, err %v; want the encoding dropped", st, err)
+	}
+	img := filepath.Join(t.TempDir(), "dropped.img")
+	if err := r.SaveImage(img); err != nil {
+		t.Fatal(err)
+	}
+	restored, err := inferray.LoadImage(img)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if restored.HierarchyEncoded() {
+		t.Fatal("restoring a fully materialized image re-enabled the hierarchy encoding")
+	}
+	for _, rr := range []*inferray.Reasoner{r, restored} {
+		if _, err := rr.Update(`DELETE DATA { <x> a <a> }`); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if restored.Holds("<x>", inferray.Type, "<b>") || restored.Holds("<x>", inferray.Type, "<c>") {
+		t.Fatal("restored reasoner kept type triples whose asserted support was deleted")
+	}
+	sameClosure(t, restored, r)
 }
