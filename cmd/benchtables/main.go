@@ -14,29 +14,12 @@
 //	benchtables -figure 7           # memory counters, closure bench
 //	benchtables -figure 8           # memory counters, RDFS-Plus bench
 //	benchtables -all -scale medium  # everything at a larger scale
-//	benchtables -encoding -json BENCH_6.json -minshrink 0.30
-//	                                # hierarchy-encoding comparison; exit 1
-//	                                # if a hierarchy-heavy dataset's closure
-//	                                # shrink regresses below the threshold
-//	benchtables -churn -json BENCH_7.json
-//	                                # churn workload: incremental retraction
-//	                                # (delete-rederive) vs rematerializing
-//	                                # the closure from scratch
-//	benchtables -loadtest -loadclients 1000 -json BENCH_9.json
-//	                                # serving-tier load test: concurrent
-//	                                # 95/5 read/write clients against the
-//	                                # HTTP server, cache on vs off
-//	benchtables -loadtest -replicas 2 -json BENCH_10.json
-//	                                # replication read-scaling: the same
-//	                                # fleet against 1 leader plus 0..N
-//	                                # WAL-shipping read replicas
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
-	"time"
 )
 
 // scaleCfg sizes the workloads. The paper runs at memory scales (up to
@@ -100,19 +83,10 @@ var scales = map[string]scaleCfg{
 
 func main() {
 	var (
-		table    = flag.Int("table", 0, "table to regenerate (1-4)")
-		figure   = flag.Int("figure", 0, "figure to regenerate (7 or 8)")
-		all      = flag.Bool("all", false, "regenerate everything")
-		scale    = flag.String("scale", "small", "workload scale: small | medium | paper")
-		encoding = flag.Bool("encoding", false, "hierarchy-encoding comparison (reduced vs full closure)")
-		churn    = flag.Bool("churn", false, "churn workload: delete-rederive vs full rematerialization")
-		loadtest = flag.Bool("loadtest", false, "serving-tier load test: concurrent clients vs the HTTP server, cache on vs off")
-		loadCli  = flag.Int("loadclients", 1000, "loadtest: number of concurrent clients")
-		replicas = flag.Int("replicas", 0, "loadtest: compare 0..N WAL-shipping read replicas instead of cache on/off")
-		loadDur  = flag.Duration("loaddur", 10*time.Second, "loadtest: measured duration per run")
-		minSpeed = flag.Float64("minspeedup", 0, "loadtest: fail unless cache-on QPS is >= this multiple of cache-off at equal-or-better p99")
-		jsonPath = flag.String("json", "", "write the encoding comparison as JSON to this path")
-		minShr   = flag.Float64("minshrink", 0, "fail unless every hierarchy-heavy dataset's closure shrink is >= this fraction")
+		table  = flag.Int("table", 0, "table to regenerate (1-4)")
+		figure = flag.Int("figure", 0, "figure to regenerate (7 or 8)")
+		all    = flag.Bool("all", false, "regenerate everything")
+		scale  = flag.String("scale", "small", "workload scale: small | medium | paper")
 	)
 	flag.Parse()
 
@@ -145,55 +119,6 @@ func main() {
 	}
 	if *all || *figure == 8 {
 		figure8(cfg)
-		ran = true
-	}
-	if *all || *encoding {
-		report := tableEncoding(cfg)
-		if *jsonPath != "" {
-			if err := writeReport(report, *jsonPath); err != nil {
-				fmt.Fprintf(os.Stderr, "benchtables: %v\n", err)
-				os.Exit(1)
-			}
-		}
-		if *minShr > 0 && !checkShrink(report, *minShr, os.Stderr) {
-			os.Exit(1)
-		}
-		ran = true
-	}
-	if *all || *churn {
-		report := tableChurn(cfg)
-		if *jsonPath != "" {
-			if err := writeChurnReport(report, *jsonPath); err != nil {
-				fmt.Fprintf(os.Stderr, "benchtables: %v\n", err)
-				os.Exit(1)
-			}
-		}
-		ran = true
-	}
-	if *loadtest && *replicas > 0 {
-		report, err := tableReplicas(cfg, *loadCli, *replicas, *loadDur)
-		if err != nil {
-			failLoad(err)
-		}
-		if *jsonPath != "" {
-			if err := writeReplicaReport(report, *jsonPath); err != nil {
-				failLoad(err)
-			}
-		}
-		ran = true
-	} else if *loadtest {
-		report, err := tableLoad(cfg, *loadCli, *loadDur)
-		if err != nil {
-			failLoad(err)
-		}
-		if *jsonPath != "" {
-			if err := writeLoadReport(report, *jsonPath); err != nil {
-				failLoad(err)
-			}
-		}
-		if *minSpeed > 0 && !checkLoad(report, *minSpeed, os.Stderr) {
-			os.Exit(1)
-		}
 		ran = true
 	}
 	if !ran {

@@ -30,7 +30,7 @@ func encodeFacts(triples []rdf.Triple, fragment rules.Fragment) ([]baseline.Fact
 // matching the paper's methodology of reporting inference time). It
 // runs the production configuration — parallel rules and the hierarchy
 // interval encoding — so the headline tables reflect what the library
-// ships; `-encoding` isolates the encoding's own effect.
+// ships.
 func runInferray(triples []rdf.Triple, fragment rules.Fragment) (time.Duration, reasoner.Stats) {
 	e := reasoner.New(reasoner.Options{Fragment: fragment, Parallel: true, HierarchyEncoding: true})
 	e.LoadTriples(triples)

@@ -1,7 +1,6 @@
 package main
 
 import (
-	"bytes"
 	"testing"
 	"time"
 
@@ -102,60 +101,5 @@ func TestScalesAreWellFormed(t *testing.T) {
 		if cfg.graphCap <= 0 || cfg.hashCap <= 0 {
 			t.Errorf("scale %q has non-positive caps", name)
 		}
-	}
-}
-
-func TestEncodingComparisonSmoke(t *testing.T) {
-	triples := datagen.WikipediaLike(1).Generate()
-	eOn, _ := newEncodingEngine(triples, rules.RDFSDefault, true)
-	eOff, _ := newEncodingEngine(triples, rules.RDFSDefault, false)
-	if eOn.Size() != eOff.Size() {
-		t.Fatalf("visible closure differs: %d vs %d", eOn.Size(), eOff.Size())
-	}
-	if eOn.HierView() == nil {
-		t.Fatal("taxonomy dataset should encode")
-	}
-	if eOn.StoredSize() >= eOn.Size() {
-		t.Fatal("encoded engine stores the full closure")
-	}
-	class, ok := pickTypeClass(eOff)
-	if !ok {
-		t.Fatal("no type triples in taxonomy closure")
-	}
-	_, rowsOn := typeQueryTime(eOn, class)
-	_, rowsOff := typeQueryTime(eOff, class)
-	if rowsOn != rowsOff || rowsOn == 0 {
-		t.Fatalf("type query rows: %d encoded vs %d materialized", rowsOn, rowsOff)
-	}
-	wOn, rOn, bOn := checkpointAndRecover(eOn, rules.RDFSDefault, true)
-	_, _, bOff := checkpointAndRecover(eOff, rules.RDFSDefault, false)
-	if wOn <= 0 || rOn <= 0 {
-		t.Fatal("non-positive checkpoint/recover times")
-	}
-	if bOn >= bOff {
-		t.Fatalf("reduced image not smaller: %d vs %d bytes", bOn, bOff)
-	}
-}
-
-func TestCheckShrinkGate(t *testing.T) {
-	report := EncodingReport{Datasets: []EncodingDataset{
-		{Name: "LUBM 5K", Encoded: true, ClosureShrink: 0.45},
-		{Name: "BSBM 5K", Encoded: true, ClosureShrink: 0.02}, // exempt
-		{Name: "Yago*", Encoded: true, ClosureShrink: 0.50},
-	}}
-	var buf bytes.Buffer
-	if !checkShrink(report, 0.30, &buf) {
-		t.Fatalf("gate tripped on healthy report: %s", buf.String())
-	}
-	report.Datasets[0].ClosureShrink = 0.10
-	buf.Reset()
-	if checkShrink(report, 0.30, &buf) {
-		t.Fatal("gate missed a shrink regression")
-	}
-	report.Datasets[0].ClosureShrink = 0.45
-	report.Datasets[2].Encoded = false
-	buf.Reset()
-	if checkShrink(report, 0.30, &buf) {
-		t.Fatal("gate missed a disabled encoding")
 	}
 }

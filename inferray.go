@@ -102,11 +102,6 @@ func WithParallelism(on bool) Option {
 	return func(c *config) { c.engine.Parallel = on }
 }
 
-// WithMaxIterations bounds the fixpoint loop (0 = unbounded).
-func WithMaxIterations(n int) Option {
-	return func(c *config) { c.engine.MaxIterations = n }
-}
-
 // WithLowMemory drops the ⟨o,s⟩-sorted join caches after every
 // iteration, shrinking the peak footprint at some speed cost (§4.2 of
 // the paper: "this cache may be cleared at runtime if memory is

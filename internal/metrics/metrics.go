@@ -231,7 +231,7 @@ type family struct {
 
 	counter *Counter
 	gauge   *Gauge
-	gaugeFn func() float64
+	valueFn func() float64 // GaugeFunc / CounterFunc: read at scrape time
 	hist    *Histogram
 
 	counterVec *CounterVec
@@ -312,7 +312,14 @@ func (r *Registry) GaugeFunc(name, help string, fn func() float64, constLabels .
 	if len(constLabels)%2 != 0 {
 		panic("metrics: constLabels must be name/value pairs")
 	}
-	r.add(&family{name: name, help: help, typ: "gauge", gaugeFn: fn, constLabels: constLabels})
+	r.add(&family{name: name, help: help, typ: "gauge", valueFn: fn, constLabels: constLabels})
+}
+
+// CounterFunc is GaugeFunc for a monotonic count that is already kept
+// elsewhere: the family is typed counter and fn is read at scrape time,
+// so the event is counted in one place only.
+func (r *Registry) CounterFunc(name, help string, fn func() uint64) {
+	r.add(&family{name: name, help: help, typ: "counter", valueFn: func() float64 { return float64(fn()) }})
 }
 
 // Histogram registers and returns a new histogram over the given
@@ -385,13 +392,13 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 			writeSample(&b, f.name, nil, nil, float64(f.counter.Value()))
 		case f.gauge != nil:
 			writeSample(&b, f.name, nil, nil, float64(f.gauge.Value()))
-		case f.gaugeFn != nil:
+		case f.valueFn != nil:
 			var ln, lv []string
 			for i := 0; i+1 < len(f.constLabels); i += 2 {
 				ln = append(ln, f.constLabels[i])
 				lv = append(lv, f.constLabels[i+1])
 			}
-			writeSample(&b, f.name, ln, lv, f.gaugeFn())
+			writeSample(&b, f.name, ln, lv, f.valueFn())
 		case f.hist != nil:
 			writeHistogram(&b, f.name, nil, nil, f.hist)
 		case f.counterVec != nil:

@@ -37,8 +37,12 @@ type Options struct {
 	Fragment rules.Fragment
 	// Parallel enables one goroutine per rule and parallel merging.
 	Parallel bool
-	// MaxIterations aborts runaway fixpoints; 0 means unlimited (the
-	// fixpoint terminates on its own: the term universe is finite).
+	// MaxIterations stops the fixpoint after that many rounds; 0 means
+	// unlimited (the fixpoint terminates on its own: the term universe
+	// is finite). A test instrument only — load_test.go and
+	// TestMaxIterationsBounds use it to observe a half-run closure; the
+	// public API has no way to set it, because tripping it leaves an
+	// incomplete closure flagged materialized.
 	MaxIterations int
 	// LowMemory drops the ⟨o,s⟩-sorted caches after every iteration,
 	// trading join speed for footprint (the paper's clearable cache,

@@ -92,11 +92,6 @@ func setPosHeaders(w http.ResponseWriter, genHdr, recHdr string, pos inferray.WA
 }
 
 func (s *Server) handleWAL(w http.ResponseWriter, req *http.Request) {
-	if req.Method != http.MethodGet {
-		w.Header().Set("Allow", "GET")
-		httpError(w, http.StatusMethodNotAllowed, "use GET")
-		return
-	}
 	s.repl.walRequests.Inc()
 	q := req.URL.Query()
 	var pos inferray.WALPosition
@@ -234,11 +229,6 @@ func (s *Server) waitForTail(ctx interface{ Done() <-chan struct{} }, pos inferr
 }
 
 func (s *Server) handleSnapshotLatest(w http.ResponseWriter, req *http.Request) {
-	if req.Method != http.MethodGet {
-		w.Header().Set("Allow", "GET")
-		httpError(w, http.StatusMethodNotAllowed, "use GET")
-		return
-	}
 	// A checkpoint can prune the image between the path lookup and the
 	// open; re-resolve once before giving up.
 	for attempt := 0; ; attempt++ {

@@ -53,6 +53,17 @@
 // context so slow-query log records can be joined to access logs.
 // EnablePprof additionally mounts net/http/pprof under /debug/pprof/.
 //
+// One route table (routes) lists every endpoint with what it allows,
+// and one function (wrap) decides whether a request reaches its
+// handler, always in this order: request ID, in-flight gauge and
+// status/latency recording → method check (405 + Allow) → read-only
+// refusal of the write surface (403 + Location) → rate limit (429 +
+// Retry-After) → admission (503) → body limit (MaxBytesReader) →
+// handler. A refused request is still counted and timed under its
+// endpoint; a request with several faults gets the first refusal in
+// that order and consumes nothing behind it (a 405 takes no rate-limit
+// token).
+//
 // A configurable serving tier (Config / NewWithConfig) fronts the
 // endpoints: GET /query reads through a result cache keyed on
 // (normalized query, store generation) — provably never stale, because
@@ -79,6 +90,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/pprof"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -120,12 +132,9 @@ type Server struct {
 	updateLimit *ratelimit.Limiter
 	admit       chan struct{}
 
-	cacheHits     *metrics.Counter
-	cacheMisses   *metrics.Counter
-	cacheBypassed *metrics.Counter
-	rlLimited     *metrics.CounterVec // by budget (query | update)
-	admShed       *metrics.Counter
-	admDeadline   *metrics.Counter
+	rlLimited   *metrics.CounterVec // by budget (query | update)
+	admShed     *metrics.Counter
+	admDeadline *metrics.Counter
 
 	// repl instruments the leader-side replication endpoints; non-nil
 	// exactly when the reasoner is durable (only a durable reasoner has
@@ -201,12 +210,6 @@ func NewWithConfig(r *inferray.Reasoner, cfg Config) *Server {
 		queryLimit:  ratelimit.New(cfg.QueryRPS, cfg.QueryBurst),
 		updateLimit: ratelimit.New(cfg.UpdateRPS, cfg.UpdateBurst),
 
-		cacheHits: reg.Counter("inferray_cache_hits_total",
-			"Query responses served from the result cache."),
-		cacheMisses: reg.Counter("inferray_cache_misses_total",
-			"Cacheable query requests that missed the result cache."),
-		cacheBypassed: reg.Counter("inferray_cache_bypassed_total",
-			"Query requests that skipped the result cache (no-cache, POST, or oversized)."),
 		rlLimited: reg.CounterVec("inferray_ratelimit_limited_total",
 			"Requests refused with 429, by budget.", "budget"),
 		admShed: reg.Counter("inferray_admission_shed_total",
@@ -220,6 +223,17 @@ func NewWithConfig(r *inferray.Reasoner, cfg Config) *Server {
 	if r.Durable() {
 		s.repl = newReplMetrics(reg)
 	}
+	// The cache counts its own hits, misses and bypasses (Get, Bypass);
+	// /stats and /metrics both read those numbers, so they cannot drift.
+	reg.CounterFunc("inferray_cache_hits_total",
+		"Query responses served from the result cache.",
+		func() uint64 { return s.cache.Snapshot().Hits })
+	reg.CounterFunc("inferray_cache_misses_total",
+		"Cacheable query requests that missed the result cache.",
+		func() uint64 { return s.cache.Snapshot().Misses })
+	reg.CounterFunc("inferray_cache_bypassed_total",
+		"Query requests that skipped the result cache (no-cache, POST, or oversized).",
+		func() uint64 { return s.cache.Snapshot().Bypassed })
 	reg.GaugeFunc("inferray_cache_entries",
 		"Entries currently held by the query-result cache.",
 		func() float64 { return float64(s.cache.Snapshot().Entries) })
@@ -242,26 +256,46 @@ func (s *Server) SetReady(ready bool) { s.ready.Store(ready) }
 // symbol tables) is opt-in.
 func (s *Server) EnablePprof() { s.pprofOn.Store(true) }
 
-// Handler returns the routed HTTP handler. Every endpoint is wrapped
-// by the instrumentation middleware (request IDs, in-flight gauge,
-// per-endpoint counters and latency histograms).
+// route is one row of the route table: everything the server decides
+// about a request before its handler runs.
+type route struct {
+	pattern  string
+	endpoint string   // label on the inferray_http_* families
+	methods  []string // allowed methods; nil admits any (the probes)
+	write    bool     // refused with 403 on a read-only replica
+	budget   string   // rate-limit budget: "query", "update", or "" for none
+	admitted bool     // counts against the max-in-flight cap
+	bounded  bool     // body bounded at Config.MaxBodyBytes
+	durable  bool     // mounted only when the reasoner has a WAL to ship
+	handler  func(*Server, http.ResponseWriter, *http.Request)
+}
+
+// routes is every instrumented endpoint. It is a literal, not
+// configuration: wrap reads a row and applies the checks in the one
+// order the package comment documents.
+var routes = []route{
+	{pattern: "/query", endpoint: "query", methods: []string{"GET", "POST"}, budget: "query", admitted: true, handler: (*Server).handleQuery},
+	{pattern: "/triples", endpoint: "triples", methods: []string{"POST"}, write: true, budget: "update", bounded: true, handler: (*Server).handleTriples},
+	{pattern: "/update", endpoint: "update", methods: []string{"POST"}, write: true, budget: "update", bounded: true, handler: (*Server).handleUpdate},
+	{pattern: "/checkpoint", endpoint: "checkpoint", methods: []string{"POST"}, write: true, handler: (*Server).handleCheckpoint},
+	{pattern: "/wal", endpoint: "wal", methods: []string{"GET"}, durable: true, handler: (*Server).handleWAL},
+	{pattern: "/snapshot/latest", endpoint: "snapshot", methods: []string{"GET"}, durable: true, handler: (*Server).handleSnapshotLatest},
+	{pattern: "/stats", endpoint: "stats", methods: []string{"GET"}, handler: (*Server).handleStats},
+	{pattern: "/healthz", endpoint: "healthz", handler: (*Server).handleHealthz},
+	{pattern: "/readyz", endpoint: "readyz", handler: (*Server).handleReadyz},
+	{pattern: "/metrics", endpoint: "metrics", methods: []string{"GET"}, handler: (*Server).handleMetrics},
+}
+
+// Handler returns the routed HTTP handler: every endpoint of the route
+// table behind the request pipeline the package comment describes, plus
+// the pprof handlers once EnablePprof was called.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
-	route := func(pattern, endpoint string, h http.HandlerFunc) {
-		mux.Handle(pattern, s.instrument(endpoint, h))
+	for _, rt := range routes {
+		if !rt.durable || s.r.Durable() {
+			mux.Handle(rt.pattern, s.wrap(rt))
+		}
 	}
-	route("/query", "query", s.limited("query", s.queryLimit, s.admitted(s.handleQuery)))
-	route("/triples", "triples", s.limited("update", s.updateLimit, s.handleTriples))
-	route("/update", "update", s.limited("update", s.updateLimit, s.handleUpdate))
-	route("/checkpoint", "checkpoint", s.handleCheckpoint)
-	if s.r.Durable() {
-		route("/wal", "wal", s.handleWAL)
-		route("/snapshot/latest", "snapshot", s.handleSnapshotLatest)
-	}
-	route("/stats", "stats", s.handleStats)
-	route("/healthz", "healthz", s.handleHealthz)
-	route("/readyz", "readyz", s.handleReadyz)
-	route("/metrics", "metrics", s.handleMetrics)
 	if s.pprofOn.Load() {
 		// pprof's own handlers are not instrumented: a 30-second CPU
 		// profile would distort the latency histogram, and the debug
@@ -288,6 +322,11 @@ func (sr *statusRecorder) WriteHeader(code int) {
 	sr.ResponseWriter.WriteHeader(code)
 }
 
+// Unwrap exposes the wrapped writer to http.NewResponseController, so
+// an optional interface this type does not forward itself (deadlines,
+// hijacking) still reaches the server's writer.
+func (sr *statusRecorder) Unwrap() http.ResponseWriter { return sr.ResponseWriter }
+
 // Flush forwards to the wrapped writer so streaming handlers (the
 // long-polling GET /wal) can push frames out mid-response instead of
 // buffering until the poll window closes.
@@ -297,15 +336,28 @@ func (sr *statusRecorder) Flush() {
 	}
 }
 
-// instrument wraps one endpoint with the observability middleware:
-// request-ID stamping (honoring an incoming X-Request-ID, minting a
-// random one otherwise, echoing it back, and propagating it through
-// the request context into the reasoner's slow-query log), the
-// in-flight gauge, and the per-endpoint request counter and latency
-// histogram.
-func (s *Server) instrument(endpoint string, h http.HandlerFunc) http.Handler {
-	requests := s.httpRequests
-	duration := s.httpDuration.With(endpoint)
+// wrap is the one place a request is admitted: it puts a route behind
+// the checks its row asks for, in the order the package comment
+// documents. The chain is built inside out — body limit, admission and
+// rate limit around the handler — and the method and read-only checks
+// run first, inside the instrumentation, so refusals are counted too.
+func (s *Server) wrap(rt route) http.Handler {
+	h := func(w http.ResponseWriter, req *http.Request) {
+		if rt.bounded {
+			req.Body = s.limitBody(w, req)
+		}
+		rt.handler(s, w, req)
+	}
+	if rt.admitted {
+		h = s.admitted(h)
+	}
+	switch rt.budget {
+	case "query":
+		h = s.limited(rt.budget, s.queryLimit, h)
+	case "update":
+		h = s.limited(rt.budget, s.updateLimit, h)
+	}
+	duration := s.httpDuration.With(rt.endpoint)
 	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
 		id := req.Header.Get("X-Request-ID")
 		if id == "" {
@@ -317,10 +369,15 @@ func (s *Server) instrument(endpoint string, h http.HandlerFunc) http.Handler {
 		s.inFlight.Inc()
 		start := time.Now()
 		sr := &statusRecorder{ResponseWriter: w, code: http.StatusOK}
-		h(sr, req)
+		if rt.methods != nil && !slices.Contains(rt.methods, req.Method) {
+			sr.Header().Set("Allow", strings.Join(rt.methods, ", "))
+			httpError(sr, http.StatusMethodNotAllowed, "use %s", strings.Join(rt.methods, " or "))
+		} else if !rt.write || !s.readOnly(sr, req) {
+			h(sr, req)
+		}
 		duration.ObserveDuration(time.Since(start))
 		s.inFlight.Dec()
-		requests.With(endpoint, strconv.Itoa(sr.code)).Inc()
+		s.httpRequests.With(rt.endpoint, strconv.Itoa(sr.code)).Inc()
 	})
 }
 
@@ -364,15 +421,6 @@ func (s *Server) Serve(ctx context.Context, ln net.Listener) error {
 		return err
 	}
 	return nil
-}
-
-// ListenAndServe binds addr and calls Serve.
-func (s *Server) ListenAndServe(ctx context.Context, addr string) error {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return err
-	}
-	return s.Serve(ctx, ln)
 }
 
 // ---------------------------------------------------------------- /query
@@ -440,10 +488,6 @@ func (s *Server) handleQuery(w http.ResponseWriter, req *http.Request) {
 			text = req.FormValue("query")
 			limitParam = req.FormValue("limit")
 		}
-	default:
-		w.Header().Set("Allow", "GET, POST")
-		httpError(w, http.StatusMethodNotAllowed, "use GET or POST")
-		return
 	}
 	if strings.TrimSpace(text) == "" {
 		httpError(w, http.StatusBadRequest, "missing query parameter")
@@ -471,12 +515,10 @@ func (s *Server) handleQuery(w http.ResponseWriter, req *http.Request) {
 	if cacheable && wantsNoCache(req) {
 		cacheable = false
 		s.cache.Bypass()
-		s.cacheBypassed.Inc()
 	}
 	if cacheable {
 		key = qcache.Key{Query: qcache.Normalize(text), Generation: s.r.Generation(), MaxRows: maxRows}
 		if e, ok := s.cache.Get(key); ok {
-			s.cacheHits.Inc()
 			s.queries.Add(1)
 			w.Header().Set("X-Inferray-Cache", "hit")
 			genHeader(w, key.Generation)
@@ -484,7 +526,6 @@ func (s *Server) handleQuery(w http.ResponseWriter, req *http.Request) {
 			_, _ = w.Write(e.Body)
 			return
 		}
-		s.cacheMisses.Inc()
 		cacheState = "miss"
 	}
 
@@ -538,7 +579,6 @@ func (s *Server) handleQuery(w http.ResponseWriter, req *http.Request) {
 		if !s.cache.Put(key, qcache.Entry{Body: body, ContentType: resultsType}) {
 			// Oversized for the cache: served, just not stored.
 			s.cache.Bypass()
-			s.cacheBypassed.Inc()
 			cacheState = "bypass"
 		}
 	}
@@ -702,16 +742,8 @@ func (s *Server) tooLarge(w http.ResponseWriter, err error) bool {
 }
 
 func (s *Server) handleTriples(w http.ResponseWriter, req *http.Request) {
-	if req.Method != http.MethodPost {
-		w.Header().Set("Allow", "POST")
-		httpError(w, http.StatusMethodNotAllowed, "use POST")
-		return
-	}
-	if s.readOnly(w, req) {
-		return
-	}
 	var batch []inferray.Triple
-	body := &readErrTracker{r: s.limitBody(w, req)}
+	body := &readErrTracker{r: req.Body} // bounded by wrap (limitBody)
 	err := rdf.ReadNTriples(body, func(t rdf.Triple) error {
 		batch = append(batch, t)
 		return nil
@@ -765,15 +797,7 @@ type updateResponse struct {
 }
 
 func (s *Server) handleUpdate(w http.ResponseWriter, req *http.Request) {
-	if req.Method != http.MethodPost {
-		w.Header().Set("Allow", "POST")
-		httpError(w, http.StatusMethodNotAllowed, "use POST")
-		return
-	}
-	if s.readOnly(w, req) {
-		return
-	}
-	req.Body = s.limitBody(w, req)
+	// req.Body is bounded by wrap (limitBody); tooLarge maps the overflow.
 	var text string
 	ct := req.Header.Get("Content-Type")
 	if strings.HasPrefix(ct, "application/sparql-update") {
@@ -843,14 +867,6 @@ type checkpointResponse struct {
 }
 
 func (s *Server) handleCheckpoint(w http.ResponseWriter, req *http.Request) {
-	if req.Method != http.MethodPost {
-		w.Header().Set("Allow", "POST")
-		httpError(w, http.StatusMethodNotAllowed, "use POST")
-		return
-	}
-	if s.readOnly(w, req) {
-		return
-	}
 	// Serialize against /triples: Checkpoint drains pending triples
 	// through a materialization, and two drains racing would misreport
 	// each other's batches.
@@ -983,11 +999,6 @@ type lastMaterialize struct {
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, req *http.Request) {
-	if req.Method != http.MethodGet {
-		w.Header().Set("Allow", "GET")
-		httpError(w, http.StatusMethodNotAllowed, "use GET")
-		return
-	}
 	version, goVersion := inferray.Version()
 	resp := statsResponse{
 		Triples:       s.r.Size(),
@@ -1106,11 +1117,6 @@ func (s *Server) handleReadyz(w http.ResponseWriter, req *http.Request) {
 // exposition format: the server's HTTP families first, then everything
 // the reasoner registers (reasoner, WAL, query engine, build info).
 func (s *Server) handleMetrics(w http.ResponseWriter, req *http.Request) {
-	if req.Method != http.MethodGet {
-		w.Header().Set("Allow", "GET")
-		httpError(w, http.StatusMethodNotAllowed, "use GET")
-		return
-	}
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	if err := s.reg.WritePrometheus(w); err != nil {
 		return // client went away mid-scrape

@@ -594,6 +594,39 @@ func TestStatsAndMetricsServingTier(t *testing.T) {
 			t.Errorf("/metrics missing %s", family)
 		}
 	}
+
+	// Each cache event is counted once, inside the cache, and both
+	// surfaces read that count: after a miss, a hit, a no-cache bypass
+	// and a body too large to store (a miss, then a bypass) /stats and
+	// /metrics must report the same — and the exact — numbers.
+	_, r := newTestServer(t)
+	small := httptest.NewServer(NewWithConfig(r, Config{CacheEntries: 16, CacheEntryBytes: 400}).Handler())
+	defer small.Close()
+	for i, want := range []string{"miss", "hit"} {
+		if _, _, state, _ := tierGet(t, small, q, false); state != want {
+			t.Fatalf("request %d: X-Inferray-Cache %q, want %q", i, state, want)
+		}
+	}
+	if _, _, state, _ := tierGet(t, small, q, true); state != "bypass" {
+		t.Fatalf("no-cache request: X-Inferray-Cache %q, want bypass", state)
+	}
+	if _, big, state, _ := tierGet(t, small, `SELECT ?s ?p ?o WHERE { ?s ?p ?o }`, false); state != "bypass" {
+		t.Fatalf("oversized response (%d bytes): X-Inferray-Cache %q, want bypass", len(big), state)
+	}
+	cs := serverStats(t, small).Cache
+	if cs == nil || cs.Hits != 1 || cs.Misses != 2 || cs.Bypassed != 2 {
+		t.Fatalf("/stats cache block = %+v, want 1 hit, 2 misses, 2 bypassed", cs)
+	}
+	exposition := scrape(t, small)
+	for family, want := range map[string]uint64{
+		"inferray_cache_hits_total":     cs.Hits,
+		"inferray_cache_misses_total":   cs.Misses,
+		"inferray_cache_bypassed_total": cs.Bypassed,
+	} {
+		if !strings.Contains(exposition, fmt.Sprintf("# TYPE %s counter\n%s %d\n", family, family, want)) {
+			t.Errorf("/metrics %s disagrees with /stats (%d) or is not a counter", family, want)
+		}
+	}
 }
 
 // TestSlowReaderCannotHoldConnection is the regression test for the
