@@ -15,9 +15,9 @@ import (
 	"inferray"
 )
 
-func hammer(t *testing.T, opts ...inferray.Option) {
+func hammer(t *testing.T) {
 	t.Helper()
-	r := inferray.New(append([]inferray.Option{inferray.WithFragment(inferray.RDFSPlus)}, opts...)...)
+	r := inferray.New(inferray.WithFragment(inferray.RDFSPlus))
 	add := func(s, p, o string) {
 		t.Helper()
 		if err := r.Add(s, p, o); err != nil {
@@ -122,13 +122,6 @@ func hammer(t *testing.T, opts ...inferray.Option) {
 // never a mid-merge state).
 func TestConcurrentReadersDuringMaterialize(t *testing.T) {
 	hammer(t)
-}
-
-// TestConcurrentReadersLowMemory repeats the hammer with the clearable
-// ⟨o,s⟩ caches being dropped every iteration — the configuration that
-// raced DropOSCache against cache readers before the osMu fix.
-func TestConcurrentReadersLowMemory(t *testing.T) {
-	hammer(t, inferray.WithLowMemory(true))
 }
 
 // TestConcurrentStagingNeverBlocks checks the staging half of the

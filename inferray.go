@@ -102,14 +102,6 @@ func WithParallelism(on bool) Option {
 	return func(c *config) { c.engine.Parallel = on }
 }
 
-// WithLowMemory drops the ⟨o,s⟩-sorted join caches after every
-// iteration, shrinking the peak footprint at some speed cost (§4.2 of
-// the paper: "this cache may be cleared at runtime if memory is
-// exhausted"). Results are unchanged.
-func WithLowMemory(on bool) Option {
-	return func(c *config) { c.engine.LowMemory = on }
-}
-
 // WithHierarchyEncoding enables or disables the LiteMat-style hierarchy
 // interval encoding (default enabled): the transitive subClassOf/
 // subPropertyOf closure and the rdf:type triples it entails are kept

@@ -501,15 +501,6 @@ func Build(scPairs, spPairs []uint64, typePidx, scPidx, spPidx int) *Index {
 	}
 }
 
-// TypePidx returns the dense property index of rdf:type.
-func (x *Index) TypePidx() int { return x.typePidx }
-
-// SubClassPidx returns the dense property index of rdfs:subClassOf.
-func (x *Index) SubClassPidx() int { return x.scPidx }
-
-// SubPropPidx returns the dense property index of rdfs:subPropertyOf.
-func (x *Index) SubPropPidx() int { return x.spPidx }
-
 // Intervals returns the total interval-table size across both relations.
 func (x *Index) Intervals() int {
 	return x.Classes.Intervals() + x.Props.Intervals()

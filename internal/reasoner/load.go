@@ -380,6 +380,5 @@ func (e *Engine) LoadRanges(ranges []*Range) {
 			record[pidx].Append(s, o)
 		}
 	}
-	e.input += triples
 	e.encodeTime += time.Since(start)
 }

@@ -21,11 +21,16 @@ type Metrics struct {
 	Rounds *metrics.Counter
 	// InferredTriples counts closure growth beyond the input triples.
 	InferredTriples *metrics.Counter
-	// RuleFired / RuleSkipped partition scheduling decisions by rule
-	// name: fired = the rule's read footprint met the changed set,
-	// skipped = the dependency scheduler proved it could derive nothing.
+	// RuleFired / RuleSkipped partition the fixpoint's scheduling
+	// decisions by rule name: fired = the rule's read footprint met the
+	// round's delta, skipped = it could derive nothing.
 	RuleFired   *metrics.CounterVec
 	RuleSkipped *metrics.CounterVec
+	// RuleSeconds / RulePairs accumulate, by rule name, the time every
+	// application of the rule ran and the pairs it emitted before the
+	// merge dedups them — fixpoint, overdeletion and rederivation alike.
+	RuleSeconds *metrics.CounterVec
+	RulePairs   *metrics.CounterVec
 	// PhaseSeconds accumulates wall time by pipeline phase — parse,
 	// encode, normalize, closure, loop — so "where did the time go"
 	// reads off /metrics. The engine feeds the phases it runs; the layer
@@ -54,10 +59,16 @@ func NewMetrics(reg *metrics.Registry) *Metrics {
 		InferredTriples: reg.Counter("inferray_reasoner_inferred_triples_total",
 			"Triples added to the visible closure beyond the loaded input."),
 		RuleFired: reg.CounterVec("inferray_reasoner_rule_fired_total",
-			"Rule firings by rule name (read footprint met the changed set).",
+			"Fixpoint rule firings by rule name (read footprint met the round's delta).",
 			"rule"),
 		RuleSkipped: reg.CounterVec("inferray_reasoner_rule_skipped_total",
-			"Rules the dependency scheduler skipped, by rule name.",
+			"Rules the fixpoint scheduler skipped, by rule name.",
+			"rule"),
+		RuleSeconds: reg.SecondsCounterVec("inferray_reasoner_rule_seconds_total",
+			"Time spent applying each rule: fixpoint, overdeletion and rederivation passes.",
+			"rule"),
+		RulePairs: reg.CounterVec("inferray_reasoner_rule_pairs_total",
+			"Pairs each rule emitted, before the merge round dedups them.",
 			"rule"),
 		PhaseSeconds: reg.SecondsCounterVec("inferray_reasoner_phase_seconds_total",
 			"Wall time from bytes-in to closure by phase: parse, encode (intern, dictionary merge, table fill), normalize, closure (pre-loop transitive closures), loop (fixpoint).",
@@ -73,19 +84,19 @@ func NewMetrics(reg *metrics.Registry) *Metrics {
 	}
 }
 
-// resolveRuleCounters pre-resolves the per-rule fired/skipped counters
-// into slices aligned with e.rules, so the scheduler's bookkeeping is
-// an indexed atomic add.
+// resolveRuleCounters pre-resolves the per-rule counters into slices
+// aligned with e.rules, so the loop's bookkeeping is an indexed atomic
+// add.
 func (e *Engine) resolveRuleCounters() {
 	m := e.opts.Metrics
 	if m == nil {
 		return
 	}
-	e.mFired = make([]*metrics.Counter, len(e.rules))
-	e.mSkipped = make([]*metrics.Counter, len(e.rules))
-	for i, r := range e.rules {
-		e.mFired[i] = m.RuleFired.With(r.Name)
-		e.mSkipped[i] = m.RuleSkipped.With(r.Name)
+	for _, r := range e.rules {
+		e.mFired = append(e.mFired, m.RuleFired.With(r.Name))
+		e.mSkipped = append(e.mSkipped, m.RuleSkipped.With(r.Name))
+		e.mSeconds = append(e.mSeconds, m.RuleSeconds.With(r.Name))
+		e.mPairs = append(e.mPairs, m.RulePairs.With(r.Name))
 	}
 }
 

@@ -5,21 +5,19 @@
 // between iterations.
 //
 // Two refinements extend the paper's loop. First, rule firing is
-// dependency-scheduled: every rule carries a property footprint derived
-// from its declarative spec (rules.AnnotateFootprints), and an iteration
-// only fires the rules whose read footprint intersects the set of
-// property tables the previous merge round changed — the rest are
-// skipped, which Stats reports per iteration. Second, materialization is
-// incremental: triples loaded after a materialization are staged as a
-// delta, and the next Materialize seeds the fixpoint with only the new
-// triples instead of recomputing the closure from scratch; the result is
-// equivalent to a full rematerialization over the union.
+// scheduled from the delta: every rule carries a property footprint
+// derived from its declarative spec (rules.AnnotateFootprints), and an
+// iteration only fires the rules whose read footprint meets a non-empty
+// table of the previous round's delta — the rest are skipped, which
+// Stats reports per iteration. Second, materialization is incremental:
+// triples loaded after a materialization are staged as a delta, and the
+// next Materialize seeds the fixpoint with only the new triples instead
+// of recomputing the closure from scratch; the result is equivalent to
+// a full rematerialization over the union.
 package reasoner
 
 import (
 	"fmt"
-	"runtime"
-	"sync"
 	"time"
 
 	"inferray/internal/closure"
@@ -44,10 +42,6 @@ type Options struct {
 	// public API has no way to set it, because tripping it leaves an
 	// incomplete closure flagged materialized.
 	MaxIterations int
-	// LowMemory drops the ⟨o,s⟩-sorted caches after every iteration,
-	// trading join speed for footprint (the paper's clearable cache,
-	// §4.2). Results are identical; only performance changes.
-	LowMemory bool
 	// HierarchyEncoding keeps the transitive subClassOf/subPropertyOf
 	// closure — and the rdf:type triples it entails — virtual: a
 	// LiteMat-style interval index answers subsumption in O(1) and the
@@ -66,8 +60,8 @@ type Options struct {
 
 // RoundStats reports what one fixpoint iteration did.
 type RoundStats struct {
-	RulesFired   int // rules whose read footprint met the changed set
-	RulesSkipped int // rules the dependency scheduler skipped
+	RulesFired   int // rules whose read footprint met the round's delta
+	RulesSkipped int // rules the scheduler skipped
 	NewTriples   int // distinct new triples the merge round produced
 }
 
@@ -132,8 +126,6 @@ type Engine struct {
 
 	opts  Options
 	rules []rules.Rule
-	deps  [][]int // static rule→rule dependency graph (writer → readers)
-	input int
 
 	materialized bool
 	staged       *store.Store  // triples loaded since the last Materialize
@@ -151,23 +143,24 @@ type Engine struct {
 	// nil when the option is off, before the first Materialize, or after
 	// a guard-forced bypass. hierBypassed is sticky: once the loaded data
 	// trips a meta-vocabulary guard the engine stays on full
-	// materialization. The two changed flags carry "the previous merge
-	// round changed the raw hierarchy edges" into the next rule pass.
+	// materialization. The two changed flags carry "the previous round's
+	// delta holds raw hierarchy edges" into the next rule pass.
 	hier             *hierarchy.Index
 	hierBypassed     bool
 	hierClassChanged bool
 	hierPropChanged  bool
 
-	// mFired / mSkipped are the per-rule scheduling counters, aligned
-	// with rules by index; nil when Options.Metrics is nil.
-	mFired   []*metrics.Counter
-	mSkipped []*metrics.Counter
+	// The per-rule instruments, aligned with rules by index; nil when
+	// Options.Metrics is nil. mFired / mSkipped count scheduling
+	// decisions of the fixpoint; mSeconds / mPairs accumulate, at the one
+	// firing site (runRules), the time each rule ran and the pairs it
+	// emitted before the merge dedups them.
+	mFired, mSkipped, mSeconds, mPairs []*metrics.Counter
 }
 
 // New creates an engine for the given options, with the vocabulary
-// pre-registered at the head of the dense numbering, every rule
-// annotated with its property footprint, and the static rule-dependency
-// graph built.
+// pre-registered at the head of the dense numbering and every rule
+// annotated with its property footprint.
 func New(opts Options) *Engine {
 	d := dictionary.NewWithVocabulary(rdf.VocabularyProperties, rdf.VocabularyResources)
 	e := &Engine{
@@ -179,7 +172,6 @@ func New(opts Options) *Engine {
 	if err := rules.AnnotateFootprints(e.rules, opts.Fragment, e.V); err != nil {
 		panic(err) // drift between table5.go and spec.go; caught by tests
 	}
-	e.deps = rules.DependencyGraph(e.rules)
 	e.resolveRuleCounters()
 	e.Main = store.New(d.NumProperties())
 	e.asserted = store.New(d.NumProperties())
@@ -189,68 +181,65 @@ func New(opts Options) *Engine {
 // Fragment returns the ruleset the engine materializes under.
 func (e *Engine) Fragment() rules.Fragment { return e.opts.Fragment }
 
-// DependencyEdges returns the static rule→rule dependency graph by rule
-// name: for every rule, the (deduplicated) rules that may derive new
-// facts once it fires — i.e. whose read footprint intersects its write
-// footprint.
-func (e *Engine) DependencyEdges() map[string][]string {
-	out := make(map[string][]string, len(e.rules))
-	for i, succs := range e.deps {
-		names := make([]string, 0, len(succs))
-		for _, j := range succs {
-			names = append(names, e.rules[j].Name)
-		}
-		out[e.rules[i].Name] = names
-	}
-	return out
-}
-
 // Materialize computes the closure of the loaded triples under the
 // engine's fragment and returns run statistics. The first call
 // implements Algorithm 1 in full; subsequent calls extend the existing
 // closure incrementally from the staged delta, producing the same store
 // a full rematerialization over the union would.
 func (e *Engine) Materialize() Stats {
+	start := time.Now()
+	st := Stats{Incremental: e.materialized}
+	prevTotal := 0
 	if e.materialized {
-		return e.materializeIncremental()
+		prevTotal = e.Size()
+		e.materializeIncremental(&st)
+	} else {
+		e.materializeFull(&st)
+		e.materialized = true
 	}
+	st.TotalTriples = e.Size()
+	st.InferredTriples = st.TotalTriples - prevTotal - st.InputTriples
+	st.TotalTime = time.Since(start)
+
+	st.EncodeTime, e.encodeTime = e.encodeTime, 0
+	st.MaterializedTriples = e.Main.Size()
+	st.VirtualTriples = st.TotalTriples - st.MaterializedTriples
+	if e.hier != nil {
+		st.HierarchyEncoded = true
+		st.HierarchyClasses = e.hier.Classes.Nodes()
+		st.HierarchyProperties = e.hier.Props.Nodes()
+		st.HierarchyIntervals = e.hier.Intervals()
+	}
+	e.recordMaterialize(&st)
+	return st
+}
+
+// materializeFull is Algorithm 1 over the loaded store.
+func (e *Engine) materializeFull(st *Stats) {
 	start := time.Now()
 	// Normalizing the asserted record here (under the caller's write
 	// exclusivity) keeps it clean for snapshot writers, which run under a
 	// shared read lock and must not mutate.
 	e.normalize(e.Main, e.asserted)
-	normalizeTime := time.Since(start)
-	inputSize := e.Main.Size() // after load-time dedup
+	st.NormalizeTime = time.Since(start)
+	st.InputTriples = e.Main.Size() // after load-time dedup
 
 	// Line 2: transitivity closures on a dedicated layout (§4.1).
 	closureStart := time.Now()
 	e.transitivityClosures()
-	closureTime := time.Since(closureStart)
+	st.ClosureTime = time.Since(closureStart)
 
 	// Pre-warm the ⟨o,s⟩ caches across cores instead of letting the
 	// first iteration's joins build them one by one under table locks.
-	// Pointless under LowMemory, which drops them every iteration.
-	if e.opts.Parallel && !e.opts.LowMemory {
+	if e.opts.Parallel {
 		e.Main.WarmOSCaches()
 	}
 
 	// Lines 3–8: fixed point. On the first pass delta aliases main and
-	// every rule fires (the changed set is unknown).
+	// every rule fires.
 	loopStart := time.Now()
-	st := Stats{NormalizeTime: normalizeTime}
-	e.fixpoint(e.Main, nil, true, &st)
+	e.fixpoint(e.Main, st)
 	st.LoopTime = time.Since(loopStart)
-
-	total := e.Size()
-	st.InputTriples = inputSize
-	st.InferredTriples = total - inputSize
-	st.TotalTriples = total
-	st.ClosureTime = closureTime
-	st.TotalTime = time.Since(start)
-	e.finishStats(&st)
-	e.recordMaterialize(&st)
-	e.materialized = true
-	return st
 }
 
 // normalize sorts and dedups the dirty tables of the given stores, on
@@ -265,124 +254,84 @@ func (e *Engine) normalize(stores ...*store.Store) {
 	}
 }
 
-// finishStats fills the materialized/virtual split and the hierarchy
-// index figures of a Stats record from the engine's current state, and
-// hands it the load time accumulated since the previous materialization.
-func (e *Engine) finishStats(st *Stats) {
-	st.EncodeTime, e.encodeTime = e.encodeTime, 0
-	st.MaterializedTriples = e.Main.Size()
-	st.VirtualTriples = st.TotalTriples - st.MaterializedTriples
-	if e.hier != nil {
-		st.HierarchyEncoded = true
-		st.HierarchyClasses = e.hier.Classes.Nodes()
-		st.HierarchyProperties = e.hier.Props.Nodes()
-		st.HierarchyIntervals = e.hier.Intervals()
-	}
-}
-
 // materializeIncremental merges the staged delta into main and runs the
 // fixpoint seeded with only the genuinely new triples. The θ closures of
 // the pre-loop stage are unnecessary here: the in-loop θ rule re-closes
 // every transitive table the delta touches.
-func (e *Engine) materializeIncremental() Stats {
+func (e *Engine) materializeIncremental(st *Stats) {
 	start := time.Now()
-	prevTotal := e.Size()
-	st := Stats{Incremental: true, TotalTriples: prevTotal}
 	e.normalize(e.asserted)
 	st.NormalizeTime = time.Since(start)
 	staged := e.staged
 	e.staged = nil
 	if staged == nil || staged.Size() == 0 {
-		st.TotalTime = time.Since(start)
-		e.finishStats(&st)
-		e.recordMaterialize(&st)
-		return st
+		return
 	}
 	loopStart := time.Now()
-	delta, changed := store.MergeRound(e.Main, staged, e.opts.Parallel)
-	delta, changed = e.maintainHier(delta, changed)
-	newInput := delta.Size()
-	if newInput > 0 {
-		e.fixpoint(delta, changed, false, &st)
+	delta := e.mergeRound(staged)
+	st.InputTriples = delta.Size()
+	if st.InputTriples > 0 {
+		e.fixpoint(delta, st)
 	}
 	st.LoopTime = time.Since(loopStart)
-
-	total := e.Size()
-	st.InputTriples = newInput
-	st.InferredTriples = total - prevTotal - newInput
-	st.TotalTriples = total
-	st.TotalTime = time.Since(start)
-	e.finishStats(&st)
-	e.recordMaterialize(&st)
-	return st
 }
 
-// fixpoint runs the semi-naive loop (Algorithm 1 lines 3–8) until a
-// merge round produces nothing new. delta and changed seed the first
-// iteration; fireAll forces every rule on the first iteration (full
-// materializations, where delta aliases main and the changed set is
-// unknown).
-func (e *Engine) fixpoint(delta *store.Store, changed []int, fireAll bool, st *Stats) {
-	for {
+// fixpoint runs the semi-naive loop (Algorithm 1 lines 3–8), seeded with
+// delta, until a round's delta comes back empty. A delta that aliases
+// main is the first pass of a full materialization.
+func (e *Engine) fixpoint(delta *store.Store, st *Stats) {
+	for e.opts.MaxIterations == 0 || st.Iterations < e.opts.MaxIterations {
+		outs, fired := e.applyRules(delta)
+		delta = e.mergeRound(outs...)
+		skipped := len(e.rules) - fired
 		st.Iterations++
-		if e.opts.MaxIterations > 0 && st.Iterations > e.opts.MaxIterations {
-			break
-		}
-		inferred, fired, skipped := e.applyRules(delta, changed, fireAll)
-		fireAll = false
 		st.RulesFired += fired
 		st.RulesSkipped += skipped
-		delta, changed = store.MergeRound(e.Main, inferred, e.opts.Parallel)
-		delta, changed = e.maintainHier(delta, changed)
 		st.Rounds = append(st.Rounds, RoundStats{
 			RulesFired:   fired,
 			RulesSkipped: skipped,
 			NewTriples:   delta.Size(),
 		})
-		if e.opts.LowMemory {
-			e.Main.DropOSCaches()
-		}
 		if delta.Size() == 0 {
 			break
 		}
 	}
 }
 
-// transitivityClosures closes the θ tables in place before the fixpoint:
-// subClassOf and subPropertyOf for every fragment; owl:sameAs (after
-// symmetrization) and every owl:TransitiveProperty for RDFS-Plus. With
-// the hierarchy encoding requested, the subClassOf/subPropertyOf
-// closures are not materialized: the interval index is built from the
-// raw edges instead (unless a meta-vocabulary guard forces a bypass).
+// mergeRound is the one step that ends every round — staged input, rule
+// outputs, a reseed, an encoding expansion alike: merge the outputs into
+// main, then bring the hierarchy encoding up to date with what arrived.
+// The returned delta is the round: its non-empty tables are what
+// changed, and the next rule selection reads nothing else.
+func (e *Engine) mergeRound(outs ...*store.Store) *store.Store {
+	delta := store.MergeRound(e.Main, e.opts.Parallel, outs...)
+	e.maintainHier(delta)
+	return delta
+}
+
+// hasPairs reports whether st holds at least one pair of property pidx.
+func hasPairs(st *store.Store, pidx int) bool {
+	t := st.Table(pidx)
+	return t != nil && !t.Empty()
+}
+
+// transitivityClosures closes the θ tables in place before the fixpoint
+// (owl:sameAs after symmetrization). With the hierarchy encoding
+// requested, the subClassOf/subPropertyOf closures are not materialized:
+// the interval index is built from the raw edges instead (unless a
+// meta-vocabulary guard forces a bypass).
 func (e *Engine) transitivityClosures() {
-	closeTable := func(pidx int) {
-		t := e.Main.Table(pidx)
-		if t == nil || t.Empty() {
-			return
-		}
-		closed := closure.Close(t.Pairs())
-		t.AppendPairs(closed)
-		t.Normalize()
-	}
 	if e.opts.HierarchyEncoding && !e.hierBypassed {
 		e.buildHier()
 		if !e.hierGuardsOK() {
 			e.hier = nil
 			e.hierBypassed = true
 		} else {
-			e.compactTypeTable(nil, nil)
+			e.compactTypeTable(nil)
 		}
 	}
-	if e.hier == nil {
-		closeTable(e.V.SubClassOf)
-		closeTable(e.V.SubPropertyOf)
-	}
-
-	if !e.opts.Fragment.UsesSameAs() {
-		return
-	}
-	// owl:sameAs: add the symmetric pairs, then close (§4.1).
-	if t := e.Main.Table(e.V.SameAs); t != nil && !t.Empty() {
+	// owl:sameAs: add the symmetric pairs before closing (§4.1).
+	if t := e.Main.Table(e.V.SameAs); e.opts.Fragment.UsesSameAs() && t != nil && !t.Empty() {
 		p := t.Pairs()
 		rev := make([]uint64, 0, len(p))
 		for i := 0; i < len(p); i += 2 {
@@ -392,19 +341,31 @@ func (e *Engine) transitivityClosures() {
 		}
 		t.AppendPairs(rev)
 		t.Normalize()
-		closeTable(e.V.SameAs)
 	}
-	// Every property declared transitive.
-	if tt := e.Main.Table(e.V.Type); tt != nil && !tt.Empty() {
-		os := tt.OS()
-		lo, hi := tt.ObjectRun(e.V.TransitiveProp)
-		for i := lo; i < hi; i++ {
-			p := os[2*i+1]
-			if dictionary.IsProperty(p) {
-				closeTable(dictionary.PropIndex(p))
-			}
+	for _, pidx := range e.transitiveTables() {
+		if t := e.Main.Table(pidx); t != nil && !t.Empty() {
+			t.AppendPairs(closure.Close(t.Pairs()))
+			t.Normalize()
 		}
 	}
+}
+
+// transitiveTables lists the property tables the θ stage keeps
+// transitively closed — the tables the pre-loop stage closes and
+// overdeletion must wipe rather than trace: subClassOf/subPropertyOf
+// (unless the hierarchy encoding serves them virtually), and for
+// RDFS-Plus owl:sameAs plus every property currently declared
+// owl:TransitiveProperty.
+func (e *Engine) transitiveTables() []int {
+	var out []int
+	if e.hier == nil {
+		out = append(out, e.V.SubClassOf, e.V.SubPropertyOf)
+	}
+	if e.opts.Fragment.UsesSameAs() {
+		out = append(out, e.V.SameAs)
+		out = append(out, rules.TransitiveProps(e.Main, e.V)...)
+	}
+	return out
 }
 
 // buildHier (re)builds the hierarchy interval index from the raw
@@ -495,43 +456,35 @@ func (e *Engine) hierGuardsOK() bool {
 	return true
 }
 
-// maintainHier runs after every merge round: it rebuilds the interval
-// index when the raw hierarchy edges changed, re-checks the bypass
-// guards when any guard-relevant table changed, and — if a guard
-// tripped — expands the virtual closure into the store and disables the
-// encoding. It returns the (possibly grown) delta and changed set.
-func (e *Engine) maintainHier(delta *store.Store, changed []int) (*store.Store, []int) {
+// maintainHier runs after every merge round, on the round's delta: it
+// rebuilds the interval index when raw hierarchy edges arrived,
+// re-checks the bypass guards when any guard-relevant table received
+// pairs, and — if a guard tripped — expands the virtual closure into the
+// store, folding what that added into the delta.
+func (e *Engine) maintainHier(delta *store.Store) {
 	e.hierClassChanged, e.hierPropChanged = false, false
 	if e.hier == nil {
-		return delta, changed
+		return
 	}
-	touched := func(pidx int) bool {
-		for _, c := range changed {
-			if c == pidx {
-				return true
-			}
-		}
-		return false
-	}
-	if touched(e.V.SubClassOf) {
-		e.hierClassChanged = true
-	}
-	if touched(e.V.SubPropertyOf) {
-		e.hierPropChanged = true
-	}
+	e.hierClassChanged = hasPairs(delta, e.V.SubClassOf)
+	e.hierPropChanged = hasPairs(delta, e.V.SubPropertyOf)
 	if e.hierClassChanged || e.hierPropChanged {
 		e.buildHier()
 	}
-	recheck := e.hierClassChanged || e.hierPropChanged ||
-		touched(e.V.Type) || touched(e.V.Domain) || touched(e.V.Range) ||
-		touched(e.V.SameAs) || touched(e.V.EquivProp) || touched(e.V.InverseOf)
+	typeChanged := hasPairs(delta, e.V.Type)
+	recheck := e.hierClassChanged || e.hierPropChanged || typeChanged ||
+		hasPairs(delta, e.V.Domain) || hasPairs(delta, e.V.Range) ||
+		hasPairs(delta, e.V.SameAs) || hasPairs(delta, e.V.EquivProp) ||
+		hasPairs(delta, e.V.InverseOf)
 	if recheck && !e.hierGuardsOK() {
-		return e.expandEncoding(delta, changed)
+		// The expansion's genuinely-new triples join the running delta so
+		// the fixpoint processes them like any other derivation.
+		store.Union(delta, e.expandEncoding())
+		return
 	}
-	if e.hierClassChanged || touched(e.V.Type) {
-		changed = e.compactTypeTable(delta, changed)
+	if e.hierClassChanged || typeChanged {
+		e.compactTypeTable(delta)
 	}
-	return delta, changed
 }
 
 // compactTypeTable drops stored rdf:type pairs the interval index
@@ -545,16 +498,15 @@ func (e *Engine) maintainHier(delta *store.Store, changed []int) (*store.Store, 
 // no rule ever fires on it again. Rules that read the stored type
 // table directly select marker classes, which guard G1 keeps
 // subclass-free — a marker pair can therefore never be redundant.
-// Returns the changed set, with rdf:type removed when the delta's
-// type table compacts to nothing.
-func (e *Engine) compactTypeTable(delta *store.Store, changed []int) []int {
+// A delta type table that compacts to nothing triggers no rule.
+func (e *Engine) compactTypeTable(delta *store.Store) {
 	if e.hier == nil || e.hier.Classes.VisiblePairs() == 0 {
-		return changed
+		return
 	}
 	rel := e.hier.Classes
 	t := e.Main.Table(e.V.Type)
 	if t == nil || t.Empty() {
-		return changed
+		return
 	}
 	pairs := t.Pairs()
 	// redundant reports whether the class at flat index k+1 is shadowed
@@ -594,20 +546,17 @@ func (e *Engine) compactTypeTable(delta *store.Store, changed []int) []int {
 		i = j
 	}
 	if kept == nil {
-		return changed
+		return
 	}
 	t.SetPairs(kept)
 	t.Normalize()
 
-	if delta == nil {
-		return changed
-	}
-	dt := delta.Table(e.V.Type)
-	if dt == nil || dt.Empty() {
-		return changed
+	if delta == nil || !hasPairs(delta, e.V.Type) {
+		return
 	}
 	// The delta is a subset of the merged main store, so a delta pair
 	// survives iff it survived the main-table compaction.
+	dt := delta.Table(e.V.Type)
 	dp := dt.Pairs()
 	dkept := make([]uint64, 0, len(dp))
 	for i := 0; i < len(dp); i += 2 {
@@ -615,28 +564,19 @@ func (e *Engine) compactTypeTable(delta *store.Store, changed []int) []int {
 			dkept = append(dkept, dp[i], dp[i+1])
 		}
 	}
-	if len(dkept) == len(dp) {
-		return changed
+	if len(dkept) < len(dp) {
+		dt.SetPairs(dkept)
+		dt.Normalize()
 	}
-	dt.SetPairs(dkept)
-	dt.Normalize()
-	if len(dkept) == 0 {
-		out := make([]int, 0, len(changed))
-		for _, c := range changed {
-			if c != e.V.Type {
-				out = append(out, c)
-			}
-		}
-		changed = out
-	}
-	return changed
 }
 
 // expandEncoding materializes every virtual triple into the main store
-// and permanently disables the encoding (the guard trip is sticky). The
-// expansion's genuinely-new triples are unioned into the running delta
-// so the fixpoint processes them like any other derivation.
-func (e *Engine) expandEncoding(delta *store.Store, changed []int) (*store.Store, []int) {
+// and permanently disables the encoding (the bypass is sticky), leaving
+// the visible closure exactly as it was. It returns the triples that
+// were genuinely new to the store. A guard trip mid-fixpoint, a schema
+// edge entering an overdeletion frontier and the restore of a reduced
+// image onto an engine that will not serve virtual triples all end here.
+func (e *Engine) expandEncoding() *store.Store {
 	view := &hierarchy.View{St: e.Main, Idx: e.hier}
 	exp := store.New(e.Main.NumSlots())
 	for _, pidx := range []int{e.V.SubClassOf, e.V.SubPropertyOf, e.V.Type} {
@@ -648,62 +588,25 @@ func (e *Engine) expandEncoding(delta *store.Store, changed []int) (*store.Store
 	}
 	e.hier = nil
 	e.hierBypassed = true
-	e.hierClassChanged, e.hierPropChanged = false, false
-	expDelta, expChanged := store.MergeRound(e.Main, exp, e.opts.Parallel)
-	expDelta.ForEachTable(func(pidx int, t *store.Table) bool {
-		if t.Empty() {
-			return true
-		}
-		dt := delta.Ensure(pidx)
-		dt.AppendPairs(t.RawPairs())
-		dt.Normalize()
-		return true
-	})
-	for _, c := range expChanged {
-		found := false
-		for _, old := range changed {
-			if old == c {
-				found = true
-				break
-			}
-		}
-		if !found {
-			changed = append(changed, c)
-		}
-	}
-	return delta, changed
+	return e.mergeRound(exp)
 }
 
 // applyRules fires the scheduled rules of the fragment against (main,
-// delta), each into a private output store (one thread per rule, §4.3),
-// then concatenates the outputs into a single inferred store for
-// merging. Unless fireAll is set, a rule is scheduled only when its read
-// footprint intersects the changed-property set of the previous merge
-// round — a rule whose antecedent tables received nothing new cannot
-// derive anything new (semi-naive evaluation) and is skipped.
-func (e *Engine) applyRules(delta *store.Store, changed []int, fireAll bool) (*store.Store, int, int) {
-	slots := e.Main.NumSlots()
-
-	runnable := make([]int, 0, len(e.rules))
-	if fireAll {
+// delta) and returns their output stores with the number fired. A rule
+// is scheduled only when its read footprint meets a non-empty delta
+// table — a rule whose antecedent tables received nothing new cannot
+// derive anything new (semi-naive evaluation) and is skipped — except on
+// the first pass of a full materialization, where delta aliases main
+// and every rule fires.
+func (e *Engine) applyRules(delta *store.Store) ([]*store.Store, int) {
+	var runnable []int
+	if delta == e.Main {
 		for i := range e.rules {
 			runnable = append(runnable, i)
 		}
 	} else {
-		mask := make([]bool, slots)
-		for _, p := range changed {
-			if p < slots {
-				mask[p] = true
-			}
-		}
-		anyChanged := len(changed) > 0
-		for i := range e.rules {
-			if e.rules[i].Reads().Triggered(mask, anyChanged) {
-				runnable = append(runnable, i)
-			}
-		}
+		runnable = e.triggered(delta, (*rules.Rule).Reads)
 	}
-	skipped := len(e.rules) - len(runnable)
 	if e.mFired != nil {
 		// runnable is ascending by construction, so one merge-walk marks
 		// every rule as fired or skipped.
@@ -717,58 +620,51 @@ func (e *Engine) applyRules(delta *store.Store, changed []int, fireAll bool) (*s
 			}
 		}
 	}
-	return e.runRules(runnable, delta), len(runnable), skipped
+	return e.runRules(runnable, delta), len(runnable)
+}
+
+// triggered lists, ascending, the rules whose footprint — Reads or
+// Writes, as side picks — meets a non-empty table of st. It is the whole
+// scheduler: the fixpoint and overdeletion select by what a rule reads
+// from the delta or frontier, rederivation by what it writes into the
+// tables a deletion emptied.
+func (e *Engine) triggered(st *store.Store, side func(*rules.Rule) rules.Footprint) []int {
+	runnable := make([]int, 0, len(e.rules))
+	for i := range e.rules {
+		if side(&e.rules[i]).Triggered(st) {
+			runnable = append(runnable, i)
+		}
+	}
+	return runnable
 }
 
 // runRules fires the given rules against (main, delta), each into a
-// private output store, and concatenates the outputs. Retraction reuses
-// it with its own rule selections: read-triggered during overdeletion,
-// write-targeted during rederivation.
-func (e *Engine) runRules(runnable []int, delta *store.Store) *store.Store {
+// private output store (one thread per rule, §4.3), and returns the
+// outputs for mergeRound. Every rule application — full, incremental,
+// overdeletion, rederivation — passes through here, so this is where
+// per-rule time and output are recorded.
+func (e *Engine) runRules(runnable []int, delta *store.Store) []*store.Store {
 	slots := e.Main.NumSlots()
-	outs := make([]*store.Store, len(e.rules))
-	run := func(i int) {
-		out := store.New(slots)
-		ctx := &rules.Context{
-			Main: e.Main, Delta: delta, Out: out, V: e.V,
+	outs := make([]*store.Store, len(runnable))
+	store.RunPool(e.opts.Parallel, len(runnable), func(k int) {
+		i := runnable[k]
+		var start time.Time
+		if e.mSeconds != nil {
+			start = time.Now()
+		}
+		outs[k] = store.New(slots)
+		e.rules[i].Apply(&rules.Context{
+			Main: e.Main, Delta: delta, Out: outs[k], V: e.V,
 			Hier:             e.hier,
 			HierClassChanged: e.hierClassChanged,
 			HierPropChanged:  e.hierPropChanged,
-		}
-		e.rules[i].Apply(ctx)
-		outs[i] = out
-	}
-
-	if e.opts.Parallel && len(runnable) > 1 {
-		sem := make(chan struct{}, runtime.GOMAXPROCS(0))
-		var wg sync.WaitGroup
-		for _, i := range runnable {
-			wg.Add(1)
-			sem <- struct{}{}
-			go func(i int) {
-				defer wg.Done()
-				run(i)
-				<-sem
-			}(i)
-		}
-		wg.Wait()
-	} else {
-		for _, i := range runnable {
-			run(i)
-		}
-	}
-
-	inferred := store.New(slots)
-	for _, out := range outs {
-		if out == nil {
-			continue
-		}
-		out.ForEachTable(func(pidx int, t *store.Table) bool {
-			inferred.Ensure(pidx).AppendPairs(t.RawPairs())
-			return true
 		})
-	}
-	return inferred
+		if e.mSeconds != nil {
+			e.mSeconds[i].Add(uint64(time.Since(start)))
+			e.mPairs[i].Add(uint64(outs[k].Size()))
+		}
+	})
+	return outs
 }
 
 // RestoreState replaces the engine's dictionary and store with a
@@ -805,25 +701,18 @@ func (e *Engine) RestoreState(d *dictionary.Dictionary, st *store.Store, encoded
 	e.V = rules.ResolveVocab(d)
 	st.Grow(d.NumProperties())
 	e.Main = st
-	e.input = st.Size()
 	e.materialized = false
 	e.staged = nil
 	e.hier = nil
 	e.hierBypassed = false
 	e.hierClassChanged, e.hierPropChanged = false, false
-	if e.opts.Parallel {
-		e.Main.NormalizeParallel()
-	} else {
-		e.Main.Normalize()
-	}
+	e.normalize(e.Main)
 	if encoded {
 		e.buildHier()
 		if !e.opts.HierarchyEncoding || !e.hierGuardsOK() {
 			// This engine will not serve virtual triples: expand the
-			// reduced closure into the store before dropping the index.
-			e.expandRestoredClosure()
-			e.hier = nil
-			e.hierBypassed = true
+			// reduced closure into the store and drop the index.
+			e.expandEncoding()
 		}
 	} else {
 		// A fully materialized snapshot: its writer ran without the
@@ -842,7 +731,6 @@ func (e *Engine) RestoreState(d *dictionary.Dictionary, st *store.Store, encoded
 	} else {
 		e.asserted = e.Main.Clone()
 	}
-	e.input = e.Main.Size()
 	return nil
 }
 
@@ -853,25 +741,6 @@ func (e *Engine) RestoreState(d *dictionary.Dictionary, st *store.Store, encoded
 func (e *Engine) AssertedStore() *store.Store {
 	e.asserted.Normalize()
 	return e.asserted
-}
-
-// expandRestoredClosure materializes the virtual triples of a restored
-// reduced closure directly into the main store.
-func (e *Engine) expandRestoredClosure() {
-	view := &hierarchy.View{St: e.Main, Idx: e.hier}
-	for _, pidx := range []int{e.V.SubClassOf, e.V.SubPropertyOf, e.V.Type} {
-		t := e.Main.Table(pidx)
-		if t == nil || t.Empty() {
-			continue
-		}
-		var buf []uint64
-		view.ScanAll(pidx, false, func(s, o uint64) bool {
-			buf = append(buf, s, o)
-			return true
-		})
-		t.AppendPairs(buf)
-		t.Normalize()
-	}
 }
 
 // MarkMaterialized declares the current store a closure, so the next

@@ -6,6 +6,7 @@ import (
 
 	"inferray/internal/dictionary"
 	"inferray/internal/rdf"
+	"inferray/internal/rules"
 	"inferray/internal/store"
 )
 
@@ -13,8 +14,8 @@ import (
 //
 // The engine maintains the closure under deletion DRed-style
 // (delete-and-rederive): overdelete everything the deleted triples could
-// have contributed to — by firing the dependency-scheduled rules forward
-// from the deleted set against the still-intact closure — then rederive
+// have contributed to — by firing the rules whose read footprint meets
+// the deleted set forward against the still-intact closure — then rederive
 // the overdeleted triples that survive on other support, through the
 // same incremental machinery insertions use. See DESIGN.md §11.
 type RetractStats struct {
@@ -89,7 +90,6 @@ func (e *Engine) Retract(batch []rdf.Triple) (RetractStats, error) {
 		return st, nil
 	}
 	e.asserted.Delete(del)
-	e.input -= st.Retracted
 
 	// Phase 1: overdeletion. Retried at most once, when a schema-edge
 	// delete forces the hierarchy encoding to expand first.
@@ -124,64 +124,29 @@ func (e *Engine) Retract(batch []rdf.Triple) (RetractStats, error) {
 	// just the overdeleted slice — but the merge round drops everything
 	// still present, so over-approximation costs a scan, never
 	// correctness.
-	var deletedPidx []int
-	reseed := store.New(slots)
+	reseed := store.New(e.Main.NumSlots())
 	over.ForEachTable(func(pidx int, t *store.Table) bool {
-		deletedPidx = append(deletedPidx, pidx)
-		if at := e.asserted.Table(pidx); at != nil && !at.Empty() {
-			reseed.Ensure(pidx).AppendPairs(at.Pairs())
+		if hasPairs(e.asserted, pidx) {
+			reseed.Ensure(pidx).AppendPairs(e.asserted.Table(pidx).Pairs())
 		}
 		return true
 	})
-	reseed.Normalize()
-	delta, changed := store.MergeRound(e.Main, reseed, e.opts.Parallel)
-	delta, changed = e.maintainHier(delta, changed)
+	delta := e.mergeRound(reseed)
 
 	// A surviving derivation whose antecedents were never deleted is
 	// invisible to semi-naive evaluation (its antecedents are in no
 	// delta), so run one full pass — delta aliasing main, first-pass
 	// semantics — of exactly the rules that write into a deleted table,
-	// and fold the output into the running delta.
-	mask := make([]bool, slots)
-	for _, p := range deletedPidx {
-		if p < slots {
-			mask[p] = true
-		}
-	}
-	var runnable []int
-	for i := range e.rules {
-		if e.rules[i].Writes().Triggered(mask, true) {
-			runnable = append(runnable, i)
-		}
-	}
-	inferred := e.runRules(runnable, e.Main)
-	fullDelta, fullChanged := store.MergeRound(e.Main, inferred, e.opts.Parallel)
-	fullDelta, fullChanged = e.maintainHier(fullDelta, fullChanged)
-	fullDelta.ForEachTable(func(pidx int, t *store.Table) bool {
-		dt := delta.Ensure(pidx)
-		dt.AppendPairs(t.RawPairs())
-		dt.Normalize()
-		return true
-	})
-	for _, c := range fullChanged {
-		dup := false
-		for _, old := range changed {
-			if old == c {
-				dup = true
-				break
-			}
-		}
-		if !dup {
-			changed = append(changed, c)
-		}
-	}
+	// and fold what it restores into the running delta.
+	writers := e.triggered(over, (*rules.Rule).Writes)
+	store.Union(delta, e.mergeRound(e.runRules(writers, e.Main)...))
 
 	// Everything restored so far flows through the ordinary incremental
 	// fixpoint, which also re-closes any θ table the deletion opened up
 	// (the reseeded raw edges are in the delta, so θ re-fires on them).
 	if delta.Size() > 0 {
 		var fs Stats
-		e.fixpoint(delta, changed, false, &fs)
+		e.fixpoint(delta, &fs)
 		st.Iterations += fs.Iterations
 	}
 
@@ -209,37 +174,24 @@ func (e *Engine) overdelete(del *store.Store, st *RetractStats) (*store.Store, b
 	slots := e.Main.NumSlots()
 	over := store.New(slots)
 	frontier := store.New(slots)
-	del.ForEachTable(func(pidx int, dt *store.Table) bool {
-		mt := e.Main.Table(pidx)
-		if mt == nil || mt.Empty() {
-			return true
-		}
-		p := dt.Pairs()
-		for i := 0; i < len(p); i += 2 {
-			if mt.Contains(p[i], p[i+1]) {
-				over.Add(pidx, p[i], p[i+1])
-				frontier.Add(pidx, p[i], p[i+1])
-			}
+	del.ForEach(func(pidx int, s, o uint64) bool {
+		if e.Main.Contains(pidx, s, o) {
+			over.Add(pidx, s, o)
+			frontier.Add(pidx, s, o)
 		}
 		return true
 	})
 	over.Normalize()
 	frontier.Normalize()
 
-	touches := func(s *store.Store, pidx int) bool {
-		t := s.Table(pidx)
-		return t != nil && !t.Empty()
-	}
 	trans := e.transitiveTables()
 	wiped := make(map[int]bool)
 
 	for frontier.Size() > 0 {
 		st.Iterations++
 		if e.hier != nil &&
-			(touches(frontier, e.V.SubClassOf) || touches(frontier, e.V.SubPropertyOf)) {
-			e.expandRestoredClosure()
-			e.hier = nil
-			e.hierBypassed = true
+			(hasPairs(frontier, e.V.SubClassOf) || hasPairs(frontier, e.V.SubPropertyOf)) {
+			e.expandEncoding()
 			st.EncodingDropped = true
 			return nil, true
 		}
@@ -249,15 +201,14 @@ func (e *Engine) overdelete(del *store.Store, st *RetractStats) (*store.Store, b
 		// overdelete the whole table (once); rederivation restores the
 		// surviving asserted edges and the fixpoint re-closes them.
 		for _, pidx := range trans {
-			if wiped[pidx] || !touches(frontier, pidx) {
+			if wiped[pidx] || !hasPairs(frontier, pidx) {
 				continue
 			}
 			wiped[pidx] = true
-			mt := e.Main.Table(pidx)
-			if mt == nil || mt.Empty() {
+			if !hasPairs(e.Main, pidx) {
 				continue
 			}
-			pr := mt.Pairs()
+			pr := e.Main.Table(pidx).Pairs()
 			var adds []uint64
 			for i := 0; i < len(pr); i += 2 {
 				if !over.Contains(pidx, pr[i], pr[i+1]) {
@@ -276,70 +227,18 @@ func (e *Engine) overdelete(del *store.Store, st *RetractStats) (*store.Store, b
 		// the frontier as the delta and the intact closure as main — the
 		// standard semi-naive passes, repurposed: anything they infer
 		// that is physically stored may depend on the deleted set.
-		mask := make([]bool, slots)
-		frontier.ForEachTable(func(pidx int, t *store.Table) bool {
-			if pidx < slots {
-				mask[pidx] = true
-			}
-			return true
-		})
-		var runnable []int
-		for i := range e.rules {
-			if e.rules[i].Reads().Triggered(mask, true) {
-				runnable = append(runnable, i)
-			}
-		}
-		inferred := e.runRules(runnable, frontier)
-		inferred.Normalize()
-
 		next := store.New(slots)
-		inferred.ForEachTable(func(pidx int, t *store.Table) bool {
-			mt := e.Main.Table(pidx)
-			if mt == nil || mt.Empty() {
-				return true
-			}
-			pr := t.Pairs()
-			for i := 0; i < len(pr); i += 2 {
-				if mt.Contains(pr[i], pr[i+1]) && !over.Contains(pidx, pr[i], pr[i+1]) {
-					next.Add(pidx, pr[i], pr[i+1])
+		for _, out := range e.runRules(e.triggered(frontier, (*rules.Rule).Reads), frontier) {
+			out.ForEach(func(pidx int, s, o uint64) bool {
+				if e.Main.Contains(pidx, s, o) && !over.Contains(pidx, s, o) {
+					next.Add(pidx, s, o)
 				}
-			}
-			return true
-		})
+				return true
+			})
+		}
 		next.Normalize()
-		next.ForEachTable(func(pidx int, t *store.Table) bool {
-			over.Ensure(pidx).AppendPairs(t.RawPairs())
-			return true
-		})
-		over.Normalize()
+		store.Union(over, next)
 		frontier = next
 	}
 	return over, false
-}
-
-// transitiveTables lists the property tables the θ stage keeps
-// transitively closed — the tables overdeletion must wipe rather than
-// trace: subClassOf/subPropertyOf (unless the hierarchy encoding serves
-// them virtually), and for RDFS-Plus owl:sameAs plus every property
-// currently declared owl:TransitiveProperty.
-func (e *Engine) transitiveTables() []int {
-	var out []int
-	if e.hier == nil {
-		out = append(out, e.V.SubClassOf, e.V.SubPropertyOf)
-	}
-	if !e.opts.Fragment.UsesSameAs() {
-		return out
-	}
-	out = append(out, e.V.SameAs)
-	if tt := e.Main.Table(e.V.Type); tt != nil && !tt.Empty() {
-		os := tt.OS()
-		lo, hi := tt.ObjectRun(e.V.TransitiveProp)
-		for i := lo; i < hi; i++ {
-			p := os[2*i+1]
-			if dictionary.IsProperty(p) {
-				out = append(out, dictionary.PropIndex(p))
-			}
-		}
-	}
-	return out
 }

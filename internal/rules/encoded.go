@@ -8,8 +8,8 @@ import (
 // This file holds the interval-driven rule forms used when the
 // hierarchy encoding is active (Context.Hier non-nil). The rules keep
 // their Table 5 names — the declarative footprints in spec.go stay
-// valid, and the dependency scheduler fires them on the same changed
-// sets — but their bodies read the hierarchy index instead of the
+// valid, and the scheduler fires them on the same delta tables — but
+// their bodies read the hierarchy index instead of the
 // materialized subsumption closure. The correctness argument for each
 // form, and for the rules that need no encoded form at all, is laid out
 // in DESIGN.md §10.

@@ -6,14 +6,15 @@ import (
 	"strings"
 
 	"inferray/internal/dictionary"
+	"inferray/internal/store"
 )
 
 // This file derives, for every rule, a declared property footprint: the
 // property tables a rule may read its antecedents from (Reads) and the
 // tables its consequents may land in (Writes). Footprints drive the
-// reasoner's dependency scheduler: an iteration only fires the rules
-// whose read footprint intersects the set of tables the previous merge
-// round changed. Footprints are computed from the declarative Specs —
+// reasoner's scheduler: an iteration only fires the rules whose read
+// footprint meets a non-empty table of the previous round's delta.
+// Footprints are computed from the declarative Specs —
 // never hand-written per optimized implementation — so the patterns in
 // spec.go and the executable rules in table5.go cannot drift apart: a
 // rule whose name resolves to no spec fails AnnotateFootprints (and the
@@ -37,41 +38,14 @@ func (fp Footprint) Has(pidx int) bool {
 // Empty reports whether the footprint covers no table at all.
 func (fp Footprint) Empty() bool { return !fp.Wildcard && len(fp.Props) == 0 }
 
-// Triggered reports whether any changed table (mask indexed by property
-// index, anyChanged = mask has at least one true entry) falls inside the
-// footprint. A wildcard footprint is triggered by any change.
-func (fp Footprint) Triggered(mask []bool, anyChanged bool) bool {
-	if !anyChanged {
-		return false
-	}
+// Triggered reports whether any non-empty table of st falls inside the
+// footprint. A wildcard footprint is triggered by any non-empty table.
+func (fp Footprint) Triggered(st *store.Store) bool {
 	if fp.Wildcard {
-		return true
+		return !st.Empty()
 	}
 	for _, p := range fp.Props {
-		if p < len(mask) && mask[p] {
-			return true
-		}
-	}
-	return false
-}
-
-// Intersects reports whether the two footprints can touch a common
-// table. A wildcard intersects anything non-empty.
-func (fp Footprint) Intersects(other Footprint) bool {
-	if fp.Empty() || other.Empty() {
-		return false
-	}
-	if fp.Wildcard || other.Wildcard {
-		return true
-	}
-	i, j := 0, 0
-	for i < len(fp.Props) && j < len(other.Props) {
-		switch {
-		case fp.Props[i] < other.Props[j]:
-			i++
-		case fp.Props[i] > other.Props[j]:
-			j++
-		default:
+		if t := st.Table(p); t != nil && !t.Empty() {
 			return true
 		}
 	}
@@ -178,22 +152,4 @@ func AnnotateFootprints(rs []Rule, f Fragment, v *Vocab) error {
 		rs[i].writes = writes.build()
 	}
 	return nil
-}
-
-// DependencyGraph builds the static rule→rule dependency graph over an
-// annotated ruleset: deps[i] lists (sorted) every rule j whose read
-// footprint intersects rule i's write footprint — i.e. firing i can make
-// j derive something next iteration. The reasoner builds this once at
-// engine construction; per-iteration scheduling refines it with the
-// actual changed-table set.
-func DependencyGraph(rs []Rule) [][]int {
-	deps := make([][]int, len(rs))
-	for i := range rs {
-		for j := range rs {
-			if rs[i].writes.Intersects(rs[j].reads) {
-				deps[i] = append(deps[i], j)
-			}
-		}
-	}
-	return deps
 }

@@ -5,6 +5,7 @@ import (
 
 	"inferray/internal/dictionary"
 	"inferray/internal/rdf"
+	"inferray/internal/store"
 )
 
 func testVocab() *Vocab {
@@ -131,63 +132,32 @@ func TestAnnotateFootprintsDriftGuard(t *testing.T) {
 	}
 }
 
-// TestDependencyGraph checks a few structural edges: a rule that writes
-// a table must be a predecessor of every rule reading it.
-func TestDependencyGraph(t *testing.T) {
-	v := testVocab()
-	rs := Rules(RDFSDefault)
-	if err := AnnotateFootprints(rs, RDFSDefault, v); err != nil {
-		t.Fatal(err)
-	}
-	deps := DependencyGraph(rs)
-	idx := map[string]int{}
-	for i := range rs {
-		idx[rs[i].Name] = i
-	}
-	hasEdge := func(from, to string) bool {
-		for _, j := range deps[idx[from]] {
-			if rs[j].Name == to {
-				return true
-			}
-		}
-		return false
-	}
-	// SCM-DOM1 writes domain; PRP-DOM reads domain.
-	if !hasEdge("SCM-DOM1", "PRP-DOM") {
-		t.Error("missing edge SCM-DOM1 → PRP-DOM")
-	}
-	// THETA writes subClassOf (SCM-SCO); CAX-SCO reads it.
-	if !hasEdge("THETA", "CAX-SCO") {
-		t.Error("missing edge THETA → CAX-SCO")
-	}
-	// CAX-SCO writes only type; SCM-RNG2 reads range/subPropertyOf.
-	if hasEdge("CAX-SCO", "SCM-RNG2") {
-		t.Error("spurious edge CAX-SCO → SCM-RNG2")
-	}
-
-	// Footprint intersection sanity on the same ruleset.
-	a := Footprint{Props: []int{1, 3}}
-	b := Footprint{Props: []int{2, 3}}
-	c := Footprint{Props: []int{0}}
-	w := Footprint{Wildcard: true}
-	var empty Footprint
-	if !a.Intersects(b) || a.Intersects(c) || !a.Intersects(w) || w.Intersects(empty) {
-		t.Error("Footprint.Intersects wrong")
-	}
-}
-
-// TestFootprintTriggered exercises the scheduling predicate.
+// TestFootprintTriggered exercises the scheduling predicate: a
+// footprint is triggered by a store exactly when one of its tables is
+// non-empty there, a wildcard by any non-empty table at all.
 func TestFootprintTriggered(t *testing.T) {
 	fp := Footprint{Props: []int{2, 5}}
-	mask := []bool{false, false, false, false, false, true}
-	if !fp.Triggered(mask, true) {
-		t.Error("footprint with changed table must trigger")
+	st := store.New(6)
+	st.Ensure(2) // allocated but empty: not a change
+	if fp.Triggered(st) {
+		t.Error("an empty table must not trigger")
 	}
-	if fp.Triggered([]bool{true, true, false, true, true, false}, true) {
-		t.Error("footprint without changed table must not trigger")
+	st.Add(5, 1, 2)
+	if !fp.Triggered(st) {
+		t.Error("footprint with a non-empty table must trigger")
+	}
+	other := store.New(6)
+	for _, p := range []int{0, 1, 3, 4} {
+		other.Add(p, 1, 2)
+	}
+	if fp.Triggered(other) {
+		t.Error("footprint without a non-empty table must not trigger")
+	}
+	if fp.Triggered(store.New(1)) {
+		t.Error("a store narrower than the footprint must not trigger")
 	}
 	wc := Footprint{Wildcard: true}
-	if !wc.Triggered(mask, true) || wc.Triggered(nil, false) {
+	if !wc.Triggered(st) || wc.Triggered(store.New(6)) {
 		t.Error("wildcard triggering wrong")
 	}
 }

@@ -574,24 +574,32 @@ func thetaRule(plus bool) Rule {
 		closeIfChanged(c.V.SameAs)
 		// Properties newly marked transitive this iteration must be
 		// closed even if their own table did not change.
-		newlyMarked := map[uint64]bool{}
-		if !c.FirstPass() {
-			for _, p := range markerSubjects(c.deltaTable(c.V.Type), c.V.TransitiveProp) {
-				newlyMarked[p] = true
-				if pidx, ok := propIndexOf(p); ok {
-					closeNow(pidx)
-				}
-			}
+		newlyMarked := map[int]bool{}
+		for _, pidx := range TransitiveProps(c.Delta, c.V) {
+			newlyMarked[pidx] = true
+			closeNow(pidx)
 		}
-		for _, p := range markerSubjects(c.mainTable(c.V.Type), c.V.TransitiveProp) {
-			if newlyMarked[p] {
-				continue
-			}
-			if pidx, ok := propIndexOf(p); ok {
+		for _, pidx := range TransitiveProps(c.Main, c.V) {
+			if !newlyMarked[pidx] {
 				closeIfChanged(pidx)
 			}
 		}
 	}}
+}
+
+// TransitiveProps lists the property-table indexes of the properties st
+// declares transitive: the subjects of ⟨p rdf:type owl:TransitiveProperty⟩
+// that lie on the property side of the numbering. The θ rule and the
+// reasoner's pre-loop closure and overdeletion stages all enumerate the
+// PRP-TRP tables through it.
+func TransitiveProps(st *store.Store, v *Vocab) []int {
+	var out []int
+	for _, p := range markerSubjects(st.Table(v.Type), v.TransitiveProp) {
+		if pidx, ok := propIndexOf(p); ok {
+			out = append(out, pidx)
+		}
+	}
+	return out
 }
 
 // ------------------------------------------------------------ trivial rules

@@ -11,9 +11,6 @@ package sorting
 
 import "sort"
 
-// PairCount returns the number of pairs in a flat pair list.
-func PairCount(pairs []uint64) int { return len(pairs) / 2 }
-
 // PairLess reports whether pair i sorts strictly before pair j in ⟨s,o⟩
 // order.
 func PairLess(pairs []uint64, i, j int) bool {

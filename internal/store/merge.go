@@ -1,86 +1,100 @@
 package store
 
 import (
-	"runtime"
-	"sync"
+	"slices"
 
 	"inferray/internal/sorting"
 )
 
 // MergeRound performs the per-iteration update of Figure 5 for every
-// property that received inferred triples: the inferred table is sorted
-// and deduplicated, then merged into main while the pairs not already in
-// main are collected into the returned delta store ("new" in Algorithm
-// 1). Main's tables remain sorted and duplicate-free; their ⟨o,s⟩ caches
-// are invalidated when new triples arrive (§4.2).
+// property the rule outputs wrote to: the property's inferred pairs are
+// gathered from outs, sorted and deduplicated, then merged into main
+// while the pairs not already in main are collected into the returned
+// delta store ("new" in Algorithm 1). Main's tables remain sorted and
+// duplicate-free; their ⟨o,s⟩ caches are invalidated when new triples
+// arrive (§4.2).
 //
-// The second result is the changed-property set: the sorted property
-// indexes whose main table actually received fresh pairs this round. It
-// is the signal the reasoner's dependency scheduler keys on — a rule
-// need not fire next iteration unless its read footprint intersects this
-// set.
+// The delta is the whole description of the round: its non-empty tables
+// are exactly the main tables that received fresh pairs (and whose
+// version moved), which is the signal the reasoner's scheduler keys on.
 //
-// Each property is independent, so tables are merged in parallel when
-// parallel is true (§4.3).
-func MergeRound(main, inferred *Store, parallel bool) (*Store, []int) {
-	main.Grow(len(inferred.tables))
-	delta := New(len(main.tables))
+// The outputs are borrowed, not consumed: a table only one output wrote
+// is normalized in place and merged straight from its buffer, several
+// are concatenated into one exact-sized buffer first, and neither main
+// nor the delta keeps a reference into an output afterwards.
+//
+// Each property is independent, so tables are merged on the worker pool
+// when parallel is true (§4.3).
+func MergeRound(main *Store, parallel bool, outs ...*Store) *Store {
+	slots := len(main.tables)
+	for _, out := range outs {
+		slots = max(slots, len(out.tables))
+	}
+	main.Grow(slots)
+	delta := New(slots)
 
-	work := make([]int, 0, len(inferred.tables))
-	for pidx, t := range inferred.tables {
-		if t != nil && !t.Empty() {
-			work = append(work, pidx)
+	work := make([]int, 0, slots)
+	for pidx := 0; pidx < slots; pidx++ {
+		for _, out := range outs {
+			if t := out.Table(pidx); t != nil && !t.Empty() {
+				main.Ensure(pidx)
+				work = append(work, pidx)
+				break
+			}
 		}
 	}
 
-	mergeOne := func(pidx int) {
-		inf := sorting.SortPairs(inferred.tables[pidx].RawPairs(), true)
-		mt := main.Ensure(pidx)
+	RunPool(parallel, len(work), func(k int) {
+		pidx := work[k]
+		inf, owned := gather(outs, pidx)
+		mt := main.tables[pidx]
+		if len(mt.pairs) == 0 && !owned {
+			inf = slices.Clone(inf) // mergeSorted hands inf to main as is
+		}
 		merged, fresh := mergeSorted(mt.pairs, inf)
 		if len(fresh) == 0 {
 			return
 		}
 		// Direct field writes are safe here: MergeRound runs only inside a
 		// materialization, which excludes engine readers entirely, and the
-		// parallel mergeOne goroutines each own a distinct table. Only the
-		// ⟨o,s⟩-cache fields also move under osMu, because table readers
-		// (which may resume the instant the materialization's write lock is
-		// released) synchronize on that lock alone inside OS().
+		// pool workers each own a distinct table. Only the ⟨o,s⟩-cache
+		// fields also move under osMu, because table readers (which may
+		// resume the instant the materialization's write lock is released)
+		// synchronize on that lock alone inside OS().
 		mt.pairs = merged
 		mt.dirty = false
 		mt.version++
 		mt.invalidateOS()
-		dt := &Table{pairs: fresh}
-		delta.tables[pidx] = dt
-	}
+		delta.tables[pidx] = &Table{pairs: fresh}
+	})
+	return delta
+}
 
-	if parallel && len(work) > 1 {
-		sem := make(chan struct{}, runtime.GOMAXPROCS(0))
-		var wg sync.WaitGroup
-		for _, pidx := range work {
-			wg.Add(1)
-			sem <- struct{}{}
-			go func(pidx int) {
-				defer wg.Done()
-				mergeOne(pidx)
-				<-sem
-			}(pidx)
-		}
-		wg.Wait()
-	} else {
-		for _, pidx := range work {
-			mergeOne(pidx)
+// gather returns the sorted, duplicate-free pairs outs hold for one
+// property. A single contributor is normalized in place and its buffer
+// returned as is (owned false: it still belongs to the output store);
+// several are concatenated into one exact-sized buffer the caller owns.
+func gather(outs []*Store, pidx int) (inf []uint64, owned bool) {
+	var only *Table
+	n, contributors := 0, 0
+	for _, out := range outs {
+		if t := out.Table(pidx); t != nil && !t.Empty() {
+			only = t
+			n += len(t.pairs)
+			contributors++
 		}
 	}
-
-	// work is already sorted (index order), so changed is too.
-	changed := make([]int, 0, len(work))
-	for _, pidx := range work {
-		if delta.tables[pidx] != nil {
-			changed = append(changed, pidx)
+	if contributors == 1 {
+		only.Normalize()
+		return only.pairs, false
+	}
+	buf := make([]uint64, 0, n)
+	for _, out := range outs {
+		if t := out.Table(pidx); t != nil {
+			buf = append(buf, t.pairs...)
 		}
 	}
-	return delta, changed
+	return sorting.SortPairs(buf, true), true
 }
 
 // mergeSorted merges two ⟨s,o⟩-sorted duplicate-free pair lists. It
@@ -136,7 +150,8 @@ func mergeSorted(main, inf []uint64) (merged, fresh []uint64) {
 }
 
 // Union merges every table of src into dst (both normalized afterwards).
-// It is a convenience for building stores outside the inference loop.
+// The reasoner folds one delta into another with it — a guard-trip
+// expansion or a rederivation pass into the running round.
 func Union(dst, src *Store) {
 	src.ForEachTable(func(pidx int, t *Table) bool {
 		dst.Ensure(pidx).AppendPairs(t.RawPairs())

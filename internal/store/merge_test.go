@@ -2,41 +2,77 @@ package store
 
 import (
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
+
+	"inferray/internal/sorting"
 )
 
 // TestMergeRoundDeltaNotAliased is the regression test for the
-// empty-main fast path of mergeSorted: the round's delta table must own
-// its storage, so that later in-place mutations of the main table
-// (appends into spare capacity, in-place normalization) cannot corrupt
-// delta pairs still being read by the scheduler.
+// empty-main fast path of mergeSorted, and the ownership contract of the
+// gather step in front of it. The round's delta table must own its
+// storage, so that later in-place mutations of the main table (appends
+// into spare capacity, in-place normalization) cannot corrupt delta
+// pairs still being read by the scheduler; and neither main nor the
+// delta may keep a reference into a rule's output buffer — not even
+// when a single rule wrote the table and the merge reads that buffer
+// without copying it.
 func TestMergeRoundDeltaNotAliased(t *testing.T) {
-	main := New(1)
-	inferred := New(1)
-	// The duplicate pair makes the merge-round sort trim its result,
-	// leaving spare capacity in the sorted slice — the precondition for
-	// the old aliasing: main's table and the delta shared that array.
-	inferred.Ensure(0).AppendPairs([]uint64{5, 50, 1, 10, 1, 10, 3, 30})
+	for _, tc := range []struct {
+		name string
+		main []uint64
+		outs [][]uint64
+	}{
+		// The duplicate pair makes the sort trim its result, leaving spare
+		// capacity in the sorted slice — the precondition for the old
+		// aliasing: main's table and the delta shared that array.
+		{"empty main, one output", nil, [][]uint64{{5, 50, 1, 10, 1, 10, 3, 30}}},
+		{"empty main, two outputs", nil, [][]uint64{{5, 50, 1, 10}, {1, 10, 3, 30}}},
+		{"one output", []uint64{2, 20}, [][]uint64{{5, 50, 1, 10, 1, 10, 3, 30}}},
+		{"two outputs", []uint64{2, 20}, [][]uint64{{5, 50, 1, 10}, {1, 10, 3, 30}}},
+	} {
+		main := New(1)
+		main.Ensure(0).AppendPairs(tc.main)
+		main.Normalize()
+		var outs []*Store
+		for _, pairs := range tc.outs {
+			out := New(1)
+			out.Ensure(0).AppendPairs(pairs)
+			outs = append(outs, out)
+		}
 
-	delta, changed := MergeRound(main, inferred, false)
-	if !reflect.DeepEqual(changed, []int{0}) {
-		t.Fatalf("changed = %v, want [0]", changed)
-	}
-	want := []uint64{1, 10, 3, 30, 5, 50}
-	dt := delta.Table(0)
-	if dt == nil || !reflect.DeepEqual(dt.RawPairs(), want) {
-		t.Fatalf("delta pairs = %v, want %v", dt.RawPairs(), want)
-	}
+		delta := MergeRound(main, false, outs...)
+		want := []uint64{1, 10, 3, 30, 5, 50}
+		dt := delta.Table(0)
+		if dt == nil || !reflect.DeepEqual(dt.RawPairs(), want) {
+			t.Fatalf("%s: delta pairs = %v, want %v", tc.name, dt.RawPairs(), want)
+		}
 
-	// Mutate main after the round the way a later iteration does: append
-	// (fills shared spare capacity) and normalize (sorts in place).
-	mt := main.Table(0)
-	mt.AppendPairs([]uint64{0, 7})
-	mt.Normalize()
+		// Scribble over every output buffer, spare capacity included, the
+		// way a rule reusing its store would.
+		for _, out := range outs {
+			p := out.Table(0).RawPairs()
+			p = p[:cap(p)]
+			for i := range p {
+				p[i] = 999
+			}
+		}
+		if !reflect.DeepEqual(dt.RawPairs(), want) {
+			t.Fatalf("%s: delta aliases an output buffer: %v", tc.name, dt.RawPairs())
+		}
+		mt := main.Table(0)
+		if wantMain := sorting.SortPairs(append(slices.Clone(tc.main), want...), true); !reflect.DeepEqual(mt.Pairs(), wantMain) {
+			t.Fatalf("%s: main aliases an output buffer: %v, want %v", tc.name, mt.Pairs(), wantMain)
+		}
 
-	if !reflect.DeepEqual(dt.RawPairs(), want) {
-		t.Fatalf("delta corrupted by main mutation: %v, want %v", dt.RawPairs(), want)
+		// Mutate main after the round the way a later iteration does: append
+		// (fills shared spare capacity) and normalize (sorts in place).
+		mt.AppendPairs([]uint64{0, 7})
+		mt.Normalize()
+		if !reflect.DeepEqual(dt.RawPairs(), want) {
+			t.Fatalf("%s: delta corrupted by main mutation: %v, want %v", tc.name, dt.RawPairs(), want)
+		}
 	}
 }
 
@@ -49,7 +85,7 @@ func TestMergeRoundMergedPathNotAliased(t *testing.T) {
 	inferred := New(1)
 	inferred.Ensure(0).AppendPairs([]uint64{1, 10, 3, 30})
 
-	delta, _ := MergeRound(main, inferred, false)
+	delta := MergeRound(main, false, inferred)
 	want := []uint64{1, 10, 3, 30}
 	dt := delta.Table(0)
 	if dt == nil || !reflect.DeepEqual(dt.RawPairs(), want) {
@@ -67,8 +103,8 @@ func TestMergeRoundMergedPathNotAliased(t *testing.T) {
 
 // TestDropOSCacheConcurrentWithReaders hammers DropOSCache against
 // concurrent OS()/ObjectRun readers; it fails under -race when the drop
-// writes the cache fields without taking osMu (the WithLowMemory /
-// concurrent-server race).
+// writes the cache fields without taking osMu (the concurrent-server
+// race).
 func TestDropOSCacheConcurrentWithReaders(t *testing.T) {
 	tab := &Table{}
 	for i := uint64(0); i < 256; i++ {

@@ -222,8 +222,7 @@ func countRuns(pairs []uint64) int {
 // invalidateOS clears the ⟨o,s⟩ cache under osMu. Every writer that
 // drops the cache must go through here: cache readers synchronize only
 // on osMu inside OS(), so an unlocked clear races a concurrent lazy
-// build (LowMemory drops mid-run today; the server's concurrent readers
-// make the window permanent).
+// build (the server's concurrent readers make the window permanent).
 func (t *Table) invalidateOS() {
 	t.osMu.Lock()
 	t.osOK = false
@@ -345,15 +344,14 @@ func (st *Store) Normalize() {
 }
 
 // NormalizeParallel normalizes every dirty table, running the per-table
-// sorts concurrently on a GOMAXPROCS-bounded worker pool (§4.3: property
-// tables are independent, so index maintenance parallelizes trivially).
-// Like Normalize, it requires exclusive access to the store.
+// sorts concurrently on the worker pool (§4.3: property tables are
+// independent, so index maintenance parallelizes trivially). Like
+// Normalize, it requires exclusive access to the store.
 func (st *Store) NormalizeParallel() { NormalizeParallel(st) }
 
 // NormalizeParallel normalizes the dirty tables of several stores on
 // one worker pool, so a small store does not wait its turn behind a
-// large one. runPool degenerates to the serial path for a single dirty
-// table. It requires exclusive access to every store.
+// large one. It requires exclusive access to every store.
 func NormalizeParallel(stores ...*Store) {
 	dirty := make([]*Table, 0, 16)
 	for _, st := range stores {
@@ -363,7 +361,7 @@ func NormalizeParallel(stores ...*Store) {
 			}
 		}
 	}
-	runPool(len(dirty), func(i int) { dirty[i].Normalize() })
+	RunPool(true, len(dirty), func(i int) { dirty[i].Normalize() })
 }
 
 // WarmOSCaches materializes the ⟨o,s⟩-sorted cache of every non-empty
@@ -372,26 +370,30 @@ func NormalizeParallel(stores ...*Store) {
 // needs object order, which serializes the builds behind the first
 // iteration's joins; pre-warming moves that cost to the start of a full
 // materialization where all cores are idle. Tables must be normalized.
-// Callers that drop caches under memory pressure should not warm them.
 func (st *Store) WarmOSCaches() {
+	tabs := st.nonEmptyTables()
+	RunPool(true, len(tabs), func(i int) { tabs[i].OS() })
+}
+
+// nonEmptyTables lists the tables that hold at least one pair.
+func (st *Store) nonEmptyTables() []*Table {
 	tabs := make([]*Table, 0, 16)
 	for _, t := range st.tables {
 		if t != nil && !t.Empty() {
 			tabs = append(tabs, t)
 		}
 	}
-	if len(tabs) == 0 {
-		return
-	}
-	runPool(len(tabs), func(i int) { tabs[i].OS() })
+	return tabs
 }
 
-// runPool executes fn(0..n-1) on min(n, GOMAXPROCS) workers pulling
-// indexes from a shared atomic counter.
-func runPool(n int, fn func(i int)) {
-	workers := runtime.GOMAXPROCS(0)
-	if workers > n {
-		workers = n
+// RunPool executes fn(0..n-1): in order on the calling goroutine when
+// parallel is false, otherwise on min(n, GOMAXPROCS) workers pulling
+// indexes from a shared atomic counter. It is the one bounded fan-out
+// under every per-table and per-rule step of a materialization.
+func RunPool(parallel bool, n int, fn func(i int)) {
+	workers := 1
+	if parallel {
+		workers = min(n, runtime.GOMAXPROCS(0))
 	}
 	if workers <= 1 {
 		for i := 0; i < n; i++ {
@@ -495,16 +497,6 @@ func (st *Store) Delete(del *Store) int {
 	return removed
 }
 
-// DropOSCaches releases every table's ⟨o,s⟩ cache (the paper clears
-// these under memory pressure, §4.2).
-func (st *Store) DropOSCaches() {
-	for _, t := range st.tables {
-		if t != nil {
-			t.DropOSCache()
-		}
-	}
-}
-
 // Clone returns a deep copy of the store (used by tests and baselines).
 func (st *Store) Clone() *Store {
 	c := New(len(st.tables))
@@ -531,13 +523,8 @@ func (st *Store) RewriteTerms(renames map[uint64]uint64) {
 	if len(renames) == 0 {
 		return
 	}
-	tabs := make([]*Table, 0, 16)
-	for _, t := range st.tables {
-		if t != nil && !t.Empty() {
-			tabs = append(tabs, t)
-		}
-	}
-	runPool(len(tabs), func(k int) {
+	tabs := st.nonEmptyTables()
+	RunPool(true, len(tabs), func(k int) {
 		t := tabs[k]
 		touched := false
 		for i, v := range t.pairs {

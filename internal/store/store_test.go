@@ -137,7 +137,7 @@ func TestMergeRoundFigure5(t *testing.T) {
 	inferred := New(1)
 	inferred.Ensure(0).AppendPairs([]uint64{1, 2, 4, 3, 1, 6, 3, 7, 1, 2})
 
-	delta, changed := MergeRound(main, inferred, false)
+	delta := MergeRound(main, false, inferred)
 
 	wantMain := []uint64{1, 1, 1, 2, 1, 6, 1, 8, 3, 7, 4, 3, 9, 7}
 	if !reflect.DeepEqual(main.Table(0).Pairs(), wantMain) {
@@ -147,9 +147,20 @@ func TestMergeRoundFigure5(t *testing.T) {
 	if !reflect.DeepEqual(delta.Table(0).Pairs(), wantNew) {
 		t.Fatalf("new = %v, want %v", delta.Table(0).Pairs(), wantNew)
 	}
-	if !reflect.DeepEqual(changed, []int{0}) {
-		t.Fatalf("changed set = %v, want [0]", changed)
+	if got := changedTables(delta); !reflect.DeepEqual(got, []int{0}) {
+		t.Fatalf("delta tables = %v, want [0]", got)
 	}
+}
+
+// changedTables lists the property indexes of a store's non-empty
+// tables — of a round's delta, the tables that round changed.
+func changedTables(st *Store) []int {
+	out := []int{}
+	st.ForEachTable(func(pidx int, _ *Table) bool {
+		out = append(out, pidx)
+		return true
+	})
+	return out
 }
 
 func TestMergeRoundEmptyDelta(t *testing.T) {
@@ -158,26 +169,56 @@ func TestMergeRoundEmptyDelta(t *testing.T) {
 	main.Normalize()
 	inferred := New(1)
 	inferred.Ensure(0).AppendPairs([]uint64{1, 2}) // pure duplicate
-	delta, changed := MergeRound(main, inferred, false)
+	delta := MergeRound(main, false, inferred)
 	if delta.Size() != 0 {
 		t.Fatalf("delta size %d, want 0", delta.Size())
 	}
 	if main.Size() != 1 {
 		t.Fatal("main must be unchanged")
 	}
-	if len(changed) != 0 {
-		t.Fatalf("pure-duplicate merge reported changed tables: %v", changed)
-	}
 }
 
-// TestMergeRoundQuick: for random main/inferred contents, merging must
-// equal the map-based oracle, sequentially and in parallel.
+// randomOutputs draws 1–4 rule-output stores over nProps properties with
+// heavily overlapping tables and pairs, plus their concatenation into a
+// single store — what the reasoner used to build before every merge.
+func randomOutputs(rng *rand.Rand, nProps, maxPairs int, universe int) (outs []*Store, concat *Store) {
+	concat = New(nProps)
+	for k := 1 + rng.Intn(4); k > 0; k-- {
+		out := New(nProps)
+		for i := rng.Intn(maxPairs); i > 0; i-- {
+			p, s, o := rng.Intn(nProps), uint64(rng.Intn(universe)), uint64(rng.Intn(universe))
+			out.Add(p, s, o)
+			concat.Add(p, s, o)
+		}
+		outs = append(outs, out)
+	}
+	return outs, concat
+}
+
+// sameTables reports whether two stores hold identical tables.
+func sameTables(a, b *Store) bool {
+	if a.NumSlots() != b.NumSlots() || a.Size() != b.Size() {
+		return false
+	}
+	same := true
+	a.ForEachTable(func(pidx int, tab *Table) bool {
+		other := b.Table(pidx)
+		if other == nil || !reflect.DeepEqual(tab.RawPairs(), other.RawPairs()) {
+			same = false
+		}
+		return same
+	})
+	return same
+}
+
+// TestMergeRoundQuick: for random main contents and 1–4 overlapping
+// output stores, merging must equal the map-based oracle and merging
+// the outputs' concatenation, sequentially and in parallel.
 func TestMergeRoundQuick(t *testing.T) {
 	f := func(seed int64, parallel bool) bool {
 		rng := rand.New(rand.NewSource(seed))
 		nProps := 1 + rng.Intn(4)
 		main := New(nProps)
-		inferred := New(nProps)
 		oracleMain := map[[3]uint64]bool{}
 		for i := 0; i < rng.Intn(60); i++ {
 			p, s, o := rng.Intn(nProps), uint64(rng.Intn(9)), uint64(rng.Intn(9))
@@ -185,16 +226,20 @@ func TestMergeRoundQuick(t *testing.T) {
 			oracleMain[[3]uint64{uint64(p), s, o}] = true
 		}
 		main.Normalize()
+		outs, concat := randomOutputs(rng, nProps, 40, 9)
 		oracleNew := map[[3]uint64]bool{}
-		for i := 0; i < rng.Intn(60); i++ {
-			p, s, o := rng.Intn(nProps), uint64(rng.Intn(9)), uint64(rng.Intn(9))
-			inferred.Add(p, s, o)
-			k := [3]uint64{uint64(p), s, o}
-			if !oracleMain[k] {
+		concat.ForEach(func(pidx int, s, o uint64) bool {
+			if k := [3]uint64{uint64(pidx), s, o}; !oracleMain[k] {
 				oracleNew[k] = true
 			}
+			return true
+		})
+		mainConcat := main.Clone()
+		delta := MergeRound(main, parallel, outs...)
+		deltaConcat := MergeRound(mainConcat, parallel, concat)
+		if !sameTables(main, mainConcat) || !sameTables(delta, deltaConcat) {
+			return false
 		}
-		delta, changed := MergeRound(main, inferred, parallel)
 
 		gotNew := map[[3]uint64]bool{}
 		delta.ForEach(func(pidx int, s, o uint64) bool {
@@ -203,22 +248,6 @@ func TestMergeRoundQuick(t *testing.T) {
 		})
 		if !reflect.DeepEqual(gotNew, oracleNew) {
 			return false
-		}
-		// The changed set must be exactly the tables with fresh pairs.
-		wantChanged := map[int]bool{}
-		for k := range oracleNew {
-			wantChanged[int(k[0])] = true
-		}
-		if len(changed) != len(wantChanged) {
-			return false
-		}
-		for i, p := range changed {
-			if !wantChanged[p] {
-				return false
-			}
-			if i > 0 && changed[i-1] >= p {
-				return false // must be sorted and unique
-			}
 		}
 		// Main must now contain both sets, sorted and deduplicated.
 		want := len(oracleMain) + len(oracleNew)
@@ -254,48 +283,23 @@ func TestUnionHelper(t *testing.T) {
 }
 
 // TestMergeRoundParallelMatchesSerial: for random inputs, the parallel
-// and serial merge paths must produce byte-identical main stores, delta
-// stores, and changed-property sets.
+// and serial merge paths must produce byte-identical main and delta
+// stores, whether the round arrives as 1–4 overlapping outputs or as
+// their concatenation.
 func TestMergeRoundParallelMatchesSerial(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		nProps := 1 + rng.Intn(6)
 		mainSerial := New(nProps)
-		inferredA := New(nProps)
-		inferredB := New(nProps)
 		for i := 0; i < rng.Intn(80); i++ {
 			mainSerial.Add(rng.Intn(nProps), uint64(rng.Intn(12)), uint64(rng.Intn(12)))
 		}
 		mainSerial.Normalize()
-		for i := 0; i < rng.Intn(80); i++ {
-			p, s, o := rng.Intn(nProps), uint64(rng.Intn(12)), uint64(rng.Intn(12))
-			inferredA.Add(p, s, o)
-			inferredB.Add(p, s, o)
-		}
+		outs, concat := randomOutputs(rng, nProps, 50, 12)
 		mainParallel := mainSerial.Clone()
-		mainParallel.Normalize()
 
-		deltaS, changedS := MergeRound(mainSerial, inferredA, false)
-		deltaP, changedP := MergeRound(mainParallel, inferredB, true)
-
-		if !reflect.DeepEqual(changedS, changedP) {
-			return false
-		}
-		sameTables := func(a, b *Store) bool {
-			if a.NumSlots() != b.NumSlots() || a.Size() != b.Size() {
-				return false
-			}
-			same := true
-			a.ForEachTable(func(pidx int, tab *Table) bool {
-				other := b.Table(pidx)
-				if other == nil || !reflect.DeepEqual(tab.RawPairs(), other.RawPairs()) {
-					same = false
-					return false
-				}
-				return true
-			})
-			return same
-		}
+		deltaS := MergeRound(mainSerial, false, concat)
+		deltaP := MergeRound(mainParallel, true, outs...)
 		return sameTables(mainSerial, mainParallel) && sameTables(deltaS, deltaP)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
@@ -304,7 +308,7 @@ func TestMergeRoundParallelMatchesSerial(t *testing.T) {
 }
 
 // TestMergeRoundVersions: a merge round bumps the version of exactly the
-// tables in the changed set.
+// tables its delta names.
 func TestMergeRoundVersions(t *testing.T) {
 	main := New(3)
 	main.Ensure(0).AppendPairs([]uint64{1, 2})
@@ -317,9 +321,9 @@ func TestMergeRoundVersions(t *testing.T) {
 	inferred.Ensure(1).AppendPairs([]uint64{5, 6}) // fresh
 	inferred.Ensure(2).AppendPairs([]uint64{7, 8}) // fresh, new table
 
-	_, changed := MergeRound(main, inferred, false)
-	if !reflect.DeepEqual(changed, []int{1, 2}) {
-		t.Fatalf("changed = %v, want [1 2]", changed)
+	delta := MergeRound(main, false, inferred)
+	if got := changedTables(delta); !reflect.DeepEqual(got, []int{1, 2}) {
+		t.Fatalf("delta tables = %v, want [1 2]", got)
 	}
 	if main.Table(0).Version() != v0 {
 		t.Error("unchanged table's version bumped")

@@ -9,6 +9,7 @@ import (
 	"bytes"
 	"context"
 	"log/slog"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -85,16 +86,22 @@ func TestMetricsSnapshot(t *testing.T) {
 }
 
 func TestWriteMetricsExposition(t *testing.T) {
-	r := obsTestReasoner(t)
-	var buf bytes.Buffer
-	if err := r.WriteMetrics(&buf); err != nil {
-		t.Fatal(err)
+	// Sequential, so the per-rule seconds add up inside the loop phase.
+	r := obsTestReasoner(t, inferray.WithParallelism(false))
+	exposition := func() string {
+		var buf bytes.Buffer
+		if err := r.WriteMetrics(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.String()
 	}
-	out := buf.String()
+	out := exposition()
 	for _, want := range []string{
 		"# TYPE inferray_reasoner_materializations_total counter",
 		"# TYPE inferray_reasoner_materialize_seconds histogram",
 		"# TYPE inferray_reasoner_rule_fired_total counter",
+		"# TYPE inferray_reasoner_rule_seconds_total counter",
+		"# TYPE inferray_reasoner_rule_pairs_total counter",
 		"# TYPE inferray_wal_fsync_seconds histogram",
 		"# TYPE inferray_query_solves_total counter",
 		"# TYPE inferray_query_seconds histogram",
@@ -105,9 +112,56 @@ func TestWriteMetricsExposition(t *testing.T) {
 			t.Errorf("exposition missing %q", want)
 		}
 	}
+	// Every rule's application is timed where it fires, inside the loop.
+	ruleSeconds := sumSamples(t, out, "inferray_reasoner_rule_seconds_total{")
+	loop := sumSamples(t, out, `inferray_reasoner_phase_seconds_total{phase="loop"}`)
+	if ruleSeconds <= 0 || ruleSeconds > loop {
+		t.Errorf("rule seconds %g outside (0, loop phase %g]", ruleSeconds, loop)
+	}
+	const spo1 = `{rule="PRP-SPO1"}`
+	firedBefore := sumSamples(t, out, "inferray_reasoner_rule_fired_total"+spo1)
+	pairsBefore := sumSamples(t, out, "inferray_reasoner_rule_pairs_total"+spo1)
+	if pairsBefore == 0 {
+		t.Error("PRP-SPO1 derived the memberOf triples but reports no pairs")
+	}
+
+	// A retraction fires rules outside the fixpoint's scheduler: the
+	// overdeletion pass runs PRP-SPO1 forward from the deleted triple,
+	// which only the per-rule time and output counters see.
+	if _, err := r.Update(`DELETE DATA { <alice> <worksFor> <DeptCS> }`); err != nil {
+		t.Fatal(err)
+	}
+	out = exposition()
+	if got := sumSamples(t, out, "inferray_reasoner_rule_fired_total"+spo1); got != firedBefore {
+		t.Errorf("the DELETE moved PRP-SPO1's scheduler count %g → %g", firedBefore, got)
+	}
+	if got := sumSamples(t, out, "inferray_reasoner_rule_pairs_total"+spo1); got <= pairsBefore {
+		t.Errorf("PRP-SPO1 pairs %g → %g across a DELETE that overdeletes through it", pairsBefore, got)
+	}
+	if got := sumSamples(t, out, "inferray_reasoner_rule_seconds_total{"); got <= ruleSeconds {
+		t.Errorf("rule seconds %g → %g across a DELETE", ruleSeconds, got)
+	}
 	if t.Failed() {
 		t.Logf("exposition:\n%s", out)
 	}
+}
+
+// sumSamples adds up the values of the exposition's sample lines that
+// start with prefix.
+func sumSamples(t *testing.T, exposition, prefix string) float64 {
+	t.Helper()
+	sum := 0.0
+	for _, line := range strings.Split(exposition, "\n") {
+		if !strings.HasPrefix(line, prefix) {
+			continue
+		}
+		v, err := strconv.ParseFloat(line[strings.LastIndexByte(line, ' ')+1:], 64)
+		if err != nil {
+			t.Fatalf("sample %q: %v", line, err)
+		}
+		sum += v
+	}
+	return sum
 }
 
 func TestSlowQueryLogFires(t *testing.T) {
