@@ -209,12 +209,17 @@ func run(ctx context.Context, args []string, stdin io.Reader, stdout, stderr io.
 			return
 		}
 		fmt.Fprintf(stderr,
-			"fragment=%s batch=%s incremental=%t input=%d inferred=%d total=%d materialized=%d virtual=%d encoded=%t iterations=%d fired=%d skipped=%d parse=%s encode=%s normalize=%s closure=%s loop=%s total=%s\n",
+			"fragment=%s batch=%s incremental=%t input=%d inferred=%d total=%d materialized=%d virtual=%d encoded=%t iterations=%d fired=%d skipped=%d parse=%s encode=%s normalize=%s closure=%s loop=%s count=%s total=%s\n",
 			fragment, batch, st.Incremental, st.InputTriples, st.InferredTriples,
 			st.TotalTriples, st.MaterializedTriples, st.VirtualTriples, st.HierarchyEncoded,
 			st.Iterations, st.RulesFired, st.RulesSkipped,
-			st.ParseTime, st.EncodeTime, st.NormalizeTime, st.ClosureTime, st.LoopTime,
+			st.ParseTime, st.EncodeTime, st.NormalizeTime, st.ClosureTime, st.LoopTime, st.CountTime,
 			st.ParseTime+st.EncodeTime+st.TotalTime) // bytes in → closure
+		for i, r := range st.Rounds {
+			fmt.Fprintf(stderr, "  round=%d batch=%s fired=%d skipped=%d new=%d rules=%s merge=%s maintain=%s\n",
+				i+1, batch, r.RulesFired, r.RulesSkipped, r.NewTriples,
+				r.RulesTime, r.MergeTime, r.MaintainTime)
+		}
 	}
 
 	if *loadImage == "" || inExplicit {

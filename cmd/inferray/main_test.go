@@ -213,8 +213,12 @@ func TestCLIDeltaFlag(t *testing.T) {
 	if !strings.Contains(errOut, "incremental=true") {
 		t.Errorf("delta batches did not run incrementally: %s", errOut)
 	}
-	if strings.Count(errOut, "\n") != 3 {
+	if strings.Count(errOut, "fragment=") != 3 {
 		t.Errorf("expected 3 stats lines, got: %s", errOut)
+	}
+	// Each batch's rounds follow its stats line, with the time split.
+	if !strings.Contains(errOut, "  round=1 batch=initial fired=") || !strings.Contains(errOut, " maintain=") {
+		t.Errorf("missing per-round lines: %s", errOut)
 	}
 }
 
@@ -353,7 +357,7 @@ func TestCLIServe(t *testing.T) {
 		}
 	}
 	// Where the time went, bytes-in to closure, one sample per phase.
-	for _, phase := range []string{"parse", "encode", "normalize", "closure", "loop"} {
+	for _, phase := range []string{"parse", "encode", "normalize", "closure", "loop", "count"} {
 		if sample := `inferray_reasoner_phase_seconds_total{phase="` + phase + `"} `; !strings.Contains(body, sample) {
 			t.Errorf("metrics exposition missing %s", sample)
 		}

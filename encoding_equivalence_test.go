@@ -285,6 +285,11 @@ func TestEncodingIncrementalEquivalence(t *testing.T) {
 				if rOn.Size() != rOff.Size() {
 					t.Fatalf("after delta %d: Size %d encoded vs %d materialized", i, rOn.Size(), rOff.Size())
 				}
+				// Compaction visits only the runs a round touched; that is
+				// sound only while a full sweep would find nothing more.
+				if n := rOn.ShadowedTypePairs(); n != 0 {
+					t.Fatalf("after delta %d: %d stored type pairs are shadowed; the table must stay compact", i, n)
+				}
 				var bufOn, bufOff bytes.Buffer
 				if err := rOn.WriteNTriples(&bufOn); err != nil {
 					t.Fatal(err)

@@ -160,6 +160,11 @@ func (s *IntervalSet) ForEachInterval(fn func(lo, hi int32)) {
 	}
 }
 
+// Spans returns the stored intervals as the flat read-only list
+// [lo0,hi0, lo1,hi1, …], ascending — for callers that walk or probe the
+// intervals in a loop of their own instead of through a callback.
+func (s *IntervalSet) Spans() []int32 { return s.iv }
+
 // Clone returns an independent copy of the set.
 func (s *IntervalSet) Clone() *IntervalSet {
 	c := &IntervalSet{}

@@ -19,8 +19,8 @@
 package hierarchy
 
 import (
-	"encoding/binary"
-	"sort"
+	"math/bits"
+	"slices"
 	"sync"
 
 	"inferray/internal/closure"
@@ -35,6 +35,11 @@ import (
 // engine, including the reflexive pairs cycles produce.
 type Relation struct {
 	nodes []uint64 // sorted distinct node ids (terms with edges)
+	// slots is the id → local index table: open addressing over a
+	// power-of-two array at most half full, so resolving a class is one
+	// multiplicative-hash probe and a short linear scan.
+	slots []slot
+	shift uint // 64 − log2(len(slots))
 
 	sccOf  []int32 // local node index -> SCC id
 	rankOf []int32 // local node index -> dense preorder rank
@@ -65,9 +70,10 @@ func newRelation(pairs []uint64) *Relation {
 	nodes := collectNodes(pairs)
 	n := len(nodes)
 	r.nodes = nodes
+	r.buildSlots()
 	idx := func(id uint64) int32 {
-		i := sort.Search(n, func(i int) bool { return nodes[i] >= id })
-		return int32(i)
+		i, _ := r.lookup(id) // every edge endpoint is a node
+		return i
 	}
 
 	// CSR adjacency for the sub → super edges.
@@ -112,8 +118,8 @@ func newRelation(pairs []uint64) *Relation {
 		downAdj[q.to] = append(downAdj[q.to], q.from)
 	}
 	for c := range upAdj {
-		sortInt32(upAdj[c])
-		sortInt32(downAdj[c])
+		slices.Sort(upAdj[c])
+		slices.Sort(downAdj[c])
 	}
 
 	// SCC member lists in ascending local (= term id) order.
@@ -215,31 +221,55 @@ func newRelation(pairs []uint64) *Relation {
 
 // collectNodes returns the sorted distinct ids of the pair list.
 func collectNodes(pairs []uint64) []uint64 {
-	nodes := make([]uint64, len(pairs))
-	copy(nodes, pairs)
-	sort.Slice(nodes, func(i, j int) bool { return nodes[i] < nodes[j] })
-	w := 1
-	for r := 1; r < len(nodes); r++ {
-		if nodes[r] != nodes[w-1] {
-			nodes[w] = nodes[r]
-			w++
+	nodes := slices.Clone(pairs)
+	slices.Sort(nodes)
+	return slices.Compact(nodes)
+}
+
+// slot is one entry of the lookup table; ref is the local index plus
+// one, zero marking an empty slot.
+type slot struct {
+	id  uint64
+	ref int32
+}
+
+// buildSlots fills the lookup table from the node list.
+func (r *Relation) buildSlots() {
+	size := 4
+	for size < 2*len(r.nodes) {
+		size <<= 1
+	}
+	r.slots = make([]slot, size)
+	r.shift = uint(64 - bits.TrailingZeros(uint(size)))
+	for l, id := range r.nodes {
+		i := r.home(id)
+		for r.slots[i].ref != 0 {
+			i = (i + 1) & (size - 1)
+		}
+		r.slots[i] = slot{id, int32(l) + 1}
+	}
+}
+
+// home returns the slot a term id hashes to (Fibonacci hashing: ids are
+// dense, the multiply spreads them).
+func (r *Relation) home(id uint64) int {
+	return int((id * 0x9E3779B97F4A7C15) >> r.shift)
+}
+
+// lookup returns the local index of a term id. It sits under every
+// per-class step of the engine.
+func (r *Relation) lookup(id uint64) (int32, bool) {
+	if len(r.slots) == 0 {
+		return 0, false
+	}
+	for i := r.home(id); ; i = (i + 1) & (len(r.slots) - 1) {
+		switch sl := r.slots[i]; {
+		case sl.ref == 0:
+			return 0, false
+		case sl.id == id:
+			return sl.ref - 1, true
 		}
 	}
-	return nodes[:w]
-}
-
-func sortInt32(s []int32) {
-	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
-}
-
-// lookup returns the local index of a term id.
-func (r *Relation) lookup(id uint64) (int32, bool) {
-	n := len(r.nodes)
-	i := sort.Search(n, func(i int) bool { return r.nodes[i] >= id })
-	if i < n && r.nodes[i] == id {
-		return int32(i), true
-	}
-	return 0, false
 }
 
 // Has reports whether the term participates in the hierarchy.
@@ -317,7 +347,7 @@ func (r *Relation) reachLocals(c int32, set *closure.IntervalSet, buf []int32) [
 			buf = append(buf, r.nodeAt[first+i])
 		}
 	}
-	sortInt32(buf)
+	slices.Sort(buf)
 	return buf
 }
 
@@ -414,7 +444,8 @@ func (r *Relation) ForEachPair(osOrder bool, fn func(sub, super uint64) bool) bo
 
 // ForEachCyclicSCC calls fn with the sorted member ids of every cyclic
 // strong component — the equivalence classes the encoded SCM-EQC2 /
-// SCM-EQP2 rules emit from.
+// SCM-EQP2 rules emit from. A component's rank block lists its members
+// in ascending id order, so the walk needs no sort.
 func (r *Relation) ForEachCyclicSCC(fn func(members []uint64)) {
 	for c := 0; c < len(r.cyclic); c++ {
 		if !r.cyclic[c] || r.sccSize[c] == 0 {
@@ -425,7 +456,6 @@ func (r *Relation) ForEachCyclicSCC(fn func(members []uint64)) {
 		for i := int32(0); i < r.sccSize[c]; i++ {
 			ids = append(ids, r.nodes[r.nodeAt[first+i]])
 		}
-		sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 		fn(ids)
 	}
 }
@@ -443,7 +473,6 @@ type Index struct {
 	typePidx, scPidx, spPidx int
 
 	mu       sync.Mutex
-	sigCount map[string]int // class-set signature -> visible type count
 	typeMemo typeMemo
 
 	// subjMemo caches the merged visible subject list per class for
@@ -506,55 +535,6 @@ func (x *Index) Intervals() int {
 	return x.Classes.Intervals() + x.Props.Intervals()
 }
 
-// visibleTypeCount returns the number of visible classes of one stored
-// class run (the objects of one subject's rdf:type run): the stored
-// classes plus every visible super, deduplicated. Runs repeat massively
-// across subjects (every instance of a class shares the run), so the
-// result is memoized per run signature.
-func (x *Index) visibleTypeCount(classes []uint64) int {
-	var sig [8]byte
-	key := make([]byte, 0, 8*len(classes))
-	for _, c := range classes {
-		binary.LittleEndian.PutUint64(sig[:], c)
-		key = append(key, sig[:]...)
-	}
-	x.mu.Lock()
-	if n, ok := x.sigCount[string(key)]; ok {
-		x.mu.Unlock()
-		return n
-	}
-	x.mu.Unlock()
-
-	buf := append([]uint64(nil), classes...)
-	for _, c := range classes {
-		buf = x.Classes.AppendSupers(c, buf)
-	}
-	n := dedupCount(buf)
-
-	x.mu.Lock()
-	if x.sigCount == nil {
-		x.sigCount = make(map[string]int)
-	}
-	x.sigCount[string(key)] = n
-	x.mu.Unlock()
-	return n
-}
-
-// dedupCount sorts buf and returns the number of distinct values.
-func dedupCount(buf []uint64) int {
-	if len(buf) == 0 {
-		return 0
-	}
-	sort.Slice(buf, func(i, j int) bool { return buf[i] < buf[j] })
-	n := 1
-	for i := 1; i < len(buf); i++ {
-		if buf[i] != buf[i-1] {
-			n++
-		}
-	}
-	return n
-}
-
 // typeStats returns (virtual type pairs, distinct visible classes) for
 // the given rdf:type table, cached per table version.
 func (x *Index) typeStats(t *store.Table) (virtual, objects int) {
@@ -569,33 +549,32 @@ func (x *Index) typeStats(t *store.Table) (virtual, objects int) {
 	}
 	x.mu.Unlock()
 
+	// One pass, one probe per stored pair: each class is resolved once
+	// and stamped twice — into the run's epoch for the subject's visible
+	// class count, into the table-wide epoch for the distinct visible
+	// classes. Classes outside the hierarchy are visible as themselves.
+	rel := x.Classes
 	pairs := t.Pairs()
-	stored := len(pairs) / 2
+	var run, all stamps
+	all.reset(len(rel.nodes))
+	var outside []uint64
 	visible := 0
-	distinct := make(map[uint64]struct{})
-	for i := 0; i < len(pairs); {
-		j := i
-		for j < len(pairs) && pairs[j] == pairs[i] {
-			distinct[pairs[j+1]] = struct{}{}
-			j += 2
+	for i := 0; i < len(pairs); i += 2 {
+		if i == 0 || pairs[i] != pairs[i-2] {
+			run.reset(len(rel.nodes))
 		}
-		run := make([]uint64, 0, (j-i)/2)
-		for k := i; k < j; k += 2 {
-			run = append(run, pairs[k+1])
+		rank, scc, ok := rel.resolve(pairs[i+1])
+		if !ok {
+			visible++
+			outside = append(outside, pairs[i+1])
+			continue
 		}
-		visible += x.visibleTypeCount(run)
-		i = j
+		visible += rel.stampVisible(rank, scc, &run)
+		objects += rel.stampVisible(rank, scc, &all)
 	}
-	buf := make([]uint64, 0, len(distinct))
-	for c := range distinct {
-		buf = append(buf, c)
-	}
-	base := append([]uint64(nil), buf...)
-	for _, c := range base {
-		buf = x.Classes.AppendSupers(c, buf)
-	}
-	virtual = visible - stored
-	objects = dedupCount(buf)
+	slices.Sort(outside)
+	objects += len(slices.Compact(outside))
+	virtual = visible - len(pairs)/2
 
 	x.mu.Lock()
 	x.typeMemo = typeMemo{ok: true, version: t.Version(), virtual: virtual, objects: objects}

@@ -1,7 +1,7 @@
 package hierarchy
 
 import (
-	"sort"
+	"slices"
 
 	"inferray/internal/store"
 )
@@ -86,18 +86,8 @@ func (v *View) typeObjects(pairs []uint64, lo, hi int) []uint64 {
 
 // sortDedup sorts buf ascending and removes duplicates in place.
 func sortDedup(buf []uint64) []uint64 {
-	if len(buf) < 2 {
-		return buf
-	}
-	sort.Slice(buf, func(i, j int) bool { return buf[i] < buf[j] })
-	w := 1
-	for i := 1; i < len(buf); i++ {
-		if buf[i] != buf[i-1] {
-			buf[w] = buf[i]
-			w++
-		}
-	}
-	return buf[:w]
+	slices.Sort(buf)
+	return slices.Compact(buf)
 }
 
 // ScanSubject streams the visible objects of subject s at pidx in

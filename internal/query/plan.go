@@ -491,44 +491,11 @@ func runFrom(pairs []uint64, k uint64, cur *cursorPos) (lo, hi int) {
 	if cur.valid && k >= cur.key {
 		from = cur.pos
 	}
-	lo = gallopLowerBound(pairs, n, from, k)
+	lo = store.GallopLowerBound(pairs, n, from, k)
 	hi = lo
 	for hi < n && pairs[2*hi] == k {
 		hi++
 	}
 	cur.key, cur.pos, cur.valid = k, lo, true
 	return lo, hi
-}
-
-// gallopLowerBound returns the first pair index in [from, n) whose key
-// is >= k, doubling the step from 'from' before binary-searching the
-// bracketed range — O(log distance) instead of O(log n) when the
-// target is near the cursor.
-func gallopLowerBound(pairs []uint64, n, from int, k uint64) int {
-	if from >= n {
-		return n
-	}
-	if pairs[2*from] >= k {
-		return from
-	}
-	// Invariant: pairs[2*lo] < k; the answer lies in (lo, hi].
-	lo := from
-	step := 1
-	for lo+step < n && pairs[2*(lo+step)] < k {
-		lo += step
-		step <<= 1
-	}
-	hi := lo + step
-	if hi > n {
-		hi = n
-	}
-	for lo+1 < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if pairs[2*mid] < k {
-			lo = mid
-		} else {
-			hi = mid
-		}
-	}
-	return hi
 }

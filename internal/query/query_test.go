@@ -284,7 +284,7 @@ func TestPlanPutsEmptyTableFirst(t *testing.T) {
 	}
 }
 
-// gallopLowerBound must agree with the plain lower bound from every
+// store.GallopLowerBound must agree with the plain lower bound from every
 // starting position.
 func TestGallopLowerBound(t *testing.T) {
 	pairs := []uint64{}
@@ -294,7 +294,7 @@ func TestGallopLowerBound(t *testing.T) {
 	n := len(pairs) / 2
 	for from := 0; from <= n; from++ {
 		for k := uint64(0); k <= 22; k++ {
-			got := gallopLowerBound(pairs, n, from, k)
+			got := store.GallopLowerBound(pairs, n, from, k)
 			// Reference: first index >= from with key >= k.
 			want := n
 			for i := from; i < n; i++ {

@@ -3,8 +3,10 @@ package reasoner
 import (
 	"testing"
 
+	"inferray/internal/datagen"
 	"inferray/internal/rdf"
 	"inferray/internal/rules"
+	"inferray/internal/store"
 )
 
 // lookupID resolves a term that must already be in the dictionary.
@@ -106,4 +108,149 @@ func TestCompactTypeTableCycle(t *testing.T) {
 			t.Errorf("⟨x type %s⟩ must stay visible", o)
 		}
 	}
+
+	// One run holding two cyclic components — {A,B} above {C,D,E} — their
+	// common super, and a class outside the hierarchy: the lower cycle
+	// shadows everything above it and keeps one representative of its
+	// own, the outside class neither shadows nor is shadowed.
+	e.LoadTriples([]rdf.Triple{
+		{S: "<C>", P: rdf.RDFSSubClassOf, O: "<D>"},
+		{S: "<D>", P: rdf.RDFSSubClassOf, O: "<E>"},
+		{S: "<E>", P: rdf.RDFSSubClassOf, O: "<C>"},
+		{S: "<D>", P: rdf.RDFSSubClassOf, O: "<A>"},
+		{S: "<A>", P: rdf.RDFSSubClassOf, O: "<Top>"},
+	})
+	classes := []string{"<A>", "<B>", "<C>", "<D>", "<E>", "<Top>", "<Loose>"}
+	for _, o := range classes {
+		e.LoadTriples([]rdf.Triple{{S: "<y>", P: rdf.RDFType, O: o}})
+	}
+	e.Materialize()
+	if e.HierView() == nil {
+		t.Fatal("hierarchy encoding unexpectedly bypassed")
+	}
+	lower := 0
+	for _, o := range []string{"<C>", "<D>", "<E>"} {
+		if storedType(t, e, "<y>", o) {
+			lower++
+		}
+	}
+	if lower != 1 {
+		t.Errorf("the lower cycle must keep exactly one stored representative for y, got %d", lower)
+	}
+	for _, o := range []string{"<A>", "<B>", "<Top>"} {
+		if storedType(t, e, "<y>", o) {
+			t.Errorf("⟨y type %s⟩ still stored above a stored lower-cycle class", o)
+		}
+	}
+	if !storedType(t, e, "<y>", "<Loose>") {
+		t.Error("a class outside the hierarchy must stay stored")
+	}
+	for _, o := range classes {
+		if !e.Contains(rdf.Triple{S: "<y>", P: rdf.RDFType, O: o}) {
+			t.Errorf("⟨y type %s⟩ must stay visible", o)
+		}
+	}
+	// x's run {A or B} sits in the upper cycle only: still one pair.
+	if a, b := storedType(t, e, "<x>", "<A>"), storedType(t, e, "<x>", "<B>"); a == b {
+		t.Errorf("x must keep exactly one of A/B after the hierarchy grew, got stored A=%v B=%v", a, b)
+	}
+	if n := e.ShadowedTypePairs(); n != 0 {
+		t.Errorf("%d shadowed pairs left stored", n)
+	}
+}
+
+// TestCompactTypeTableProportional pins which runs a round visits. A run
+// made non-compact behind the engine's back on a subject the round does
+// not touch is left alone while the class hierarchy stands still — only
+// the delta's subjects are settled — and is cleaned by the full sweep of
+// the first round that changes the hierarchy.
+func TestCompactTypeTableProportional(t *testing.T) {
+	e := New(Options{Fragment: rules.RDFSDefault, HierarchyEncoding: true})
+	e.LoadTriples([]rdf.Triple{
+		{S: "<Dog>", P: rdf.RDFSSubClassOf, O: "<Mammal>"},
+		{S: "<Mammal>", P: rdf.RDFSSubClassOf, O: "<Animal>"},
+		{S: "<x>", P: rdf.RDFType, O: "<Dog>"},
+		{S: "<y>", P: rdf.RDFType, O: "<Dog>"},
+	})
+	e.Materialize()
+	if e.HierView() == nil {
+		t.Fatal("hierarchy encoding unexpectedly bypassed")
+	}
+
+	// Plant ⟨y type Animal⟩ next to ⟨y type Dog⟩, bypassing the merge.
+	tt := e.Main.Table(e.V.Type)
+	planted := append([]uint64(nil), tt.Pairs()...)
+	tt.SetPairs(append(planted, lookupID(t, e, "<y>"), lookupID(t, e, "<Animal>")))
+	tt.Normalize()
+	if e.ShadowedTypePairs() != 1 {
+		t.Fatalf("fixture: planted run not seen as shadowed (%d)", e.ShadowedTypePairs())
+	}
+
+	// A delta round on x, hierarchy unchanged.
+	e.LoadTriples([]rdf.Triple{{S: "<x>", P: rdf.RDFType, O: "<Animal>"}})
+	e.Materialize()
+	if storedType(t, e, "<x>", "<Animal>") {
+		t.Error("the touched run must be compacted")
+	}
+	if !storedType(t, e, "<y>", "<Animal>") {
+		t.Error("the untouched run was visited: a delta round must settle only the delta's subjects")
+	}
+
+	// A new class edge: the hierarchy changed, so the whole table is swept.
+	e.LoadTriples([]rdf.Triple{{S: "<Cat>", P: rdf.RDFSSubClassOf, O: "<Mammal>"}})
+	e.Materialize()
+	if storedType(t, e, "<y>", "<Animal>") {
+		t.Error("a round that changes the class hierarchy must sweep every run")
+	}
+	if n := e.ShadowedTypePairs(); n != 0 {
+		t.Errorf("%d shadowed pairs left after the full sweep", n)
+	}
+}
+
+// yagoClosed materializes datagen.YagoLike(20) with the encoding on and
+// returns the engine with a one-pair delta store naming a subject in the
+// middle of its closed type table.
+func yagoClosed(tb testing.TB) (*Engine, *store.Store) {
+	tb.Helper()
+	e := New(Options{Fragment: rules.RDFSPlus, Parallel: true, HierarchyEncoding: true})
+	e.LoadTriples(datagen.YagoLike(20).Generate())
+	e.Materialize()
+	tt := e.Main.Table(e.V.Type)
+	if e.hier == nil || tt.Size() < 100_000 {
+		tb.Fatalf("fixture: encoding on=%t, type table %d pairs", e.hier != nil, tt.Size())
+	}
+	mid := 2 * (tt.Size() / 2) // flat index of the middle pair
+	delta := store.New(e.Main.NumSlots())
+	delta.Add(e.V.Type, tt.Pairs()[mid], tt.Pairs()[mid+1])
+	delta.Normalize()
+	return e, delta
+}
+
+// TestCompactTypeTableAllocations: a one-subject round over a large type
+// table with nothing to drop must not scan, copy or allocate per run.
+func TestCompactTypeTableAllocations(t *testing.T) {
+	e, delta := yagoClosed(t)
+	version := e.Main.Table(e.V.Type).Version()
+	allocs := testing.AllocsPerRun(10, func() { e.compactTypeTable(delta) })
+	if allocs > 2 {
+		t.Errorf("a one-subject compaction allocates %.0f objects", allocs)
+	}
+	if e.Main.Table(e.V.Type).Version() != version || delta.Size() != 1 {
+		t.Error("a compaction with nothing to drop must leave main and delta untouched")
+	}
+}
+
+func BenchmarkCompactTypeTable(b *testing.B) {
+	e, delta := yagoClosed(b)
+	b.Run("full", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			e.compactTypeTable(nil)
+		}
+	})
+	b.Run("one-subject", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			e.compactTypeTable(delta)
+		}
+	})
 }

@@ -109,7 +109,7 @@ func TestIncrementalMatchesOneShotAllFragments(t *testing.T) {
 // beside the delta, so they pin "scheduling from the delta alone" to
 // the same decisions.
 func TestRulesSkippedOnLUBM(t *testing.T) {
-	type rounds = []RoundStats
+	type rounds = []roundCounts
 	for _, tc := range []struct {
 		fragment    rules.Fragment
 		encoding    bool
@@ -139,12 +139,20 @@ func TestRulesSkippedOnLUBM(t *testing.T) {
 	}
 }
 
+// roundCounts is the golden part of a RoundStats: what the round did,
+// without how long it took.
+type roundCounts struct{ fired, skipped, newTriples int }
+
 // checkRounds checks one materialization's per-iteration accounting
 // against its golden and against itself.
-func checkRounds(t *testing.T, label string, e *Engine, st Stats, want []RoundStats) {
+func checkRounds(t *testing.T, label string, e *Engine, st Stats, want []roundCounts) {
 	t.Helper()
-	if !reflect.DeepEqual(st.Rounds, want) {
-		t.Errorf("%s: rounds %v, want %v", label, st.Rounds, want)
+	got := make([]roundCounts, len(st.Rounds))
+	for i, r := range st.Rounds {
+		got[i] = roundCounts{r.RulesFired, r.RulesSkipped, r.NewTriples}
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("%s: rounds %v, want %v", label, got, want)
 	}
 	if st.RulesSkipped == 0 || st.RulesFired == 0 {
 		t.Errorf("%s: fired %d, skipped %d; the scheduler must do both", label, st.RulesFired, st.RulesSkipped)

@@ -32,10 +32,14 @@ type Metrics struct {
 	RuleSeconds *metrics.CounterVec
 	RulePairs   *metrics.CounterVec
 	// PhaseSeconds accumulates wall time by pipeline phase — parse,
-	// encode, normalize, closure, loop — so "where did the time go"
-	// reads off /metrics. The engine feeds the phases it runs; the layer
-	// that parses feeds "parse" through ObservePhase.
+	// encode, normalize, closure, loop, count — so "where did the time
+	// go" reads off /metrics. The engine feeds the phases it runs; the
+	// layer that parses feeds "parse" through ObservePhase.
 	PhaseSeconds *metrics.CounterVec
+	// LoopSeconds splits the loop phase by what a round spends it on:
+	// rules (selecting and firing), merge (store.MergeRound), maintain
+	// (hierarchy index rebuild, guards, type compaction).
+	LoopSeconds *metrics.CounterVec
 	// Retractions counts Retract calls; OverdeletedTriples and
 	// RederivedTriples size the two DRed phases, and RetractSeconds
 	// observes total retraction wall time.
@@ -71,8 +75,11 @@ func NewMetrics(reg *metrics.Registry) *Metrics {
 			"Pairs each rule emitted, before the merge round dedups them.",
 			"rule"),
 		PhaseSeconds: reg.SecondsCounterVec("inferray_reasoner_phase_seconds_total",
-			"Wall time from bytes-in to closure by phase: parse, encode (intern, dictionary merge, table fill), normalize, closure (pre-loop transitive closures), loop (fixpoint).",
+			"Wall time from bytes-in to closure by phase: parse, encode (intern, dictionary merge, table fill), normalize, closure (pre-loop transitive closures), loop (fixpoint), count (sizing the visible closure).",
 			"phase"),
+		LoopSeconds: reg.SecondsCounterVec("inferray_reasoner_loop_seconds_total",
+			"The loop phase by part: rules (selecting and firing), merge (sort, dedup and merge of the rule outputs), maintain (hierarchy index rebuild, guards, type compaction).",
+			"part"),
 		Retractions: reg.Counter("inferray_reasoner_retractions_total",
 			"Retract calls (DRed overdelete + rederive runs)."),
 		RetractSeconds: reg.Histogram("inferray_reasoner_retract_seconds",
@@ -119,6 +126,14 @@ func (e *Engine) recordMaterialize(st *Stats) {
 	m.ObservePhase("normalize", st.NormalizeTime)
 	m.ObservePhase("closure", st.ClosureTime)
 	m.ObservePhase("loop", st.LoopTime)
+	m.ObservePhase("count", st.CountTime)
+	var rules, merge, maintain time.Duration
+	for _, r := range st.Rounds {
+		rules, merge, maintain = rules+r.RulesTime, merge+r.MergeTime, maintain+r.MaintainTime
+	}
+	m.LoopSeconds.With("rules").Add(uint64(rules))
+	m.LoopSeconds.With("merge").Add(uint64(merge))
+	m.LoopSeconds.With("maintain").Add(uint64(maintain))
 	m.Materializations.Inc()
 	m.MaterializeSeconds.ObserveDuration(st.TotalTime)
 	m.Rounds.Add(uint64(st.Iterations))

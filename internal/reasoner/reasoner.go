@@ -58,11 +58,19 @@ type Options struct {
 	Metrics *Metrics
 }
 
-// RoundStats reports what one fixpoint iteration did.
+// RoundStats reports what one fixpoint iteration did, and where its wall
+// time went: selecting and firing the rules, store.MergeRound, and
+// keeping the hierarchy encoding current (index rebuild, guards, type
+// compaction). The first round of an incremental run also carries the
+// merge of the staged batch that seeded it.
 type RoundStats struct {
 	RulesFired   int // rules whose read footprint met the round's delta
 	RulesSkipped int // rules the scheduler skipped
 	NewTriples   int // distinct new triples the merge round produced
+
+	RulesTime    time.Duration
+	MergeTime    time.Duration
+	MaintainTime time.Duration
 }
 
 // Stats reports what a materialization did. On an incremental run
@@ -83,7 +91,8 @@ type Stats struct {
 	Incremental     bool
 	ClosureTime     time.Duration
 	LoopTime        time.Duration
-	TotalTime       time.Duration // the Materialize call: normalize + closure + loop
+	CountTime       time.Duration // sizing the visible closure before and after (Size)
+	TotalTime       time.Duration // the Materialize call: normalize + closure + loop + count
 
 	// The ingest phases of the batches this materialization absorbed,
 	// all wall time. ParseTime is set by the caller that parsed (the
@@ -149,6 +158,11 @@ type Engine struct {
 	hierBypassed     bool
 	hierClassChanged bool
 	hierPropChanged  bool
+	typeRuns         hierarchy.RunScratch // compactTypeTable's working memory
+
+	// mergeTime / maintainTime accumulate inside mergeRound; fixpoint
+	// drains them into the round it is closing.
+	mergeTime, maintainTime time.Duration
 
 	// The per-rule instruments, aligned with rules by index; nil when
 	// Options.Metrics is nil. mFired / mSkipped count scheduling
@@ -189,15 +203,19 @@ func (e *Engine) Fragment() rules.Fragment { return e.opts.Fragment }
 func (e *Engine) Materialize() Stats {
 	start := time.Now()
 	st := Stats{Incremental: e.materialized}
+	e.mergeTime, e.maintainTime = 0, 0
 	prevTotal := 0
 	if e.materialized {
 		prevTotal = e.Size()
+		st.CountTime = time.Since(start)
 		e.materializeIncremental(&st)
 	} else {
 		e.materializeFull(&st)
 		e.materialized = true
 	}
+	countStart := time.Now()
 	st.TotalTriples = e.Size()
+	st.CountTime += time.Since(countStart)
 	st.InferredTriples = st.TotalTriples - prevTotal - st.InputTriples
 	st.TotalTime = time.Since(start)
 
@@ -281,7 +299,9 @@ func (e *Engine) materializeIncremental(st *Stats) {
 // main is the first pass of a full materialization.
 func (e *Engine) fixpoint(delta *store.Store, st *Stats) {
 	for e.opts.MaxIterations == 0 || st.Iterations < e.opts.MaxIterations {
+		start := time.Now()
 		outs, fired := e.applyRules(delta)
+		rulesTime := time.Since(start)
 		delta = e.mergeRound(outs...)
 		skipped := len(e.rules) - fired
 		st.Iterations++
@@ -291,7 +311,11 @@ func (e *Engine) fixpoint(delta *store.Store, st *Stats) {
 			RulesFired:   fired,
 			RulesSkipped: skipped,
 			NewTriples:   delta.Size(),
+			RulesTime:    rulesTime,
+			MergeTime:    e.mergeTime,
+			MaintainTime: e.maintainTime,
 		})
+		e.mergeTime, e.maintainTime = 0, 0
 		if delta.Size() == 0 {
 			break
 		}
@@ -304,8 +328,12 @@ func (e *Engine) fixpoint(delta *store.Store, st *Stats) {
 // The returned delta is the round: its non-empty tables are what
 // changed, and the next rule selection reads nothing else.
 func (e *Engine) mergeRound(outs ...*store.Store) *store.Store {
+	start := time.Now()
 	delta := store.MergeRound(e.Main, e.opts.Parallel, outs...)
+	merged := time.Now()
 	e.maintainHier(delta)
+	e.mergeTime += merged.Sub(start)
+	e.maintainTime += time.Since(merged)
 	return delta
 }
 
@@ -499,76 +527,82 @@ func (e *Engine) maintainHier(delta *store.Store) {
 // table directly select marker classes, which guard G1 keeps
 // subclass-free — a marker pair can therefore never be redundant.
 // A delta type table that compacts to nothing triggers no rule.
+//
+// The work is proportional to the round. The stored table is compact
+// after every mergeRound, so while the class hierarchy stands still only
+// a subject the delta's type table names can have gained a shadowed
+// pair: just those runs are visited. The whole table is swept only for a
+// nil delta (the pre-loop stage, over freshly loaded data) and for a
+// round that changed the class hierarchy, which can shadow pairs
+// anywhere.
 func (e *Engine) compactTypeTable(delta *store.Store) {
-	if e.hier == nil || e.hier.Classes.VisiblePairs() == 0 {
+	var dt *store.Table
+	if delta != nil {
+		dt = delta.Table(e.V.Type)
+	}
+	touched := dt // nil, a full sweep, when there is no delta
+	if e.hierClassChanged {
+		touched = nil
+	}
+	drop := e.shadowedTypePairs(touched)
+	if len(drop) == 0 {
 		return
 	}
-	rel := e.hier.Classes
-	t := e.Main.Table(e.V.Type)
-	if t == nil || t.Empty() {
-		return
-	}
-	pairs := t.Pairs()
-	// redundant reports whether the class at flat index k+1 is shadowed
-	// by a sibling class of the same subject run pairs[lo:hi].
-	redundant := func(lo, hi, k int) bool {
-		d := pairs[k+1]
-		for i := lo; i < hi; i += 2 {
-			if i == k {
-				continue
-			}
-			c := pairs[i+1]
-			if c != d && rel.Subsumes(c, d) && (!rel.Subsumes(d, c) || c < d) {
-				return true
-			}
-		}
-		return false
-	}
-	var kept []uint64 // allocated lazily, on the first drop
-	for i := 0; i < len(pairs); {
-		j := i
-		for j < len(pairs) && pairs[j] == pairs[i] {
-			j += 2
-		}
-		if j-i > 2 { // a single-class subject has nothing to shadow
-			for k := i; k < j; k += 2 {
-				if redundant(i, j, k) {
-					if kept == nil {
-						kept = append(make([]uint64, 0, len(pairs)-2), pairs[:k]...)
-					}
-				} else if kept != nil {
-					kept = append(kept, pairs[k], pairs[k+1])
-				}
-			}
-		} else if kept != nil {
-			kept = append(kept, pairs[i:j]...)
-		}
-		i = j
-	}
-	if kept == nil {
-		return
-	}
-	t.SetPairs(kept)
-	t.Normalize()
-
-	if delta == nil || !hasPairs(delta, e.V.Type) {
-		return
-	}
-	// The delta is a subset of the merged main store, so a delta pair
-	// survives iff it survived the main-table compaction.
-	dt := delta.Table(e.V.Type)
-	dp := dt.Pairs()
-	dkept := make([]uint64, 0, len(dp))
-	for i := 0; i < len(dp); i += 2 {
-		if t.Contains(dp[i], dp[i+1]) {
-			dkept = append(dkept, dp[i], dp[i+1])
-		}
-	}
-	if len(dkept) < len(dp) {
-		dt.SetPairs(dkept)
-		dt.Normalize()
+	e.Main.Table(e.V.Type).DeletePairs(drop)
+	if dt != nil {
+		// The delta is a subset of the merged main store, so a delta pair
+		// survives iff it survived the main-table compaction.
+		dt.DeletePairs(drop)
 	}
 }
+
+// shadowedTypePairs lists, ⟨s,o⟩-sorted, the stored rdf:type pairs whose
+// class is shadowed inside its subject's run, visiting the subjects of
+// touched (a type table) or, when touched is nil, every subject. Touched
+// runs are found by galloping forward from the previous one, so a
+// one-triple round does not scan the table.
+func (e *Engine) shadowedTypePairs(touched *store.Table) []uint64 {
+	if e.hier == nil || e.hier.Classes.VisiblePairs() == 0 {
+		return nil
+	}
+	t := e.Main.Table(e.V.Type)
+	if t == nil || t.Empty() {
+		return nil
+	}
+	pairs := t.Pairs()
+	var drop []uint64
+	settle := func(lo, hi int) {
+		for i, shadowed := range e.hier.Classes.Shadowed(pairs[2*lo:2*hi], &e.typeRuns) {
+			if shadowed {
+				drop = append(drop, pairs[2*(lo+i)], pairs[2*(lo+i)+1])
+			}
+		}
+	}
+	if touched == nil {
+		for lo, hi, n := 0, 0, len(pairs)/2; lo < n; lo = hi {
+			for hi = lo + 1; hi < n && pairs[2*hi] == pairs[2*lo]; hi++ {
+			}
+			settle(lo, hi)
+		}
+		return drop
+	}
+	tp := touched.Pairs()
+	hi := 0
+	for i := 0; i < len(tp); i += 2 {
+		if i == 0 || tp[i] != tp[i-2] {
+			var lo int
+			lo, hi = t.SubjectRunFrom(tp[i], hi)
+			settle(lo, hi)
+		}
+	}
+	return drop
+}
+
+// ShadowedTypePairs counts, in one full sweep, the stored rdf:type pairs
+// the interval index already serves. It is zero after every merge round
+// — the invariant that lets compaction visit only the runs a round
+// touched — and exported for the tests that check exactly that.
+func (e *Engine) ShadowedTypePairs() int { return len(e.shadowedTypePairs(nil)) / 2 }
 
 // expandEncoding materializes every virtual triple into the main store
 // and permanently disables the encoding (the bypass is sticky), leaving

@@ -165,6 +165,12 @@ func TestRetractEquivalenceInterleaved(t *testing.T) {
 							label = fmt.Sprintf("seed %d op %d delete %d", seed, op, len(batch))
 						}
 						checkAgainstRemat(t, e, opts, label)
+						// Compaction visits only the runs a round touched;
+						// that is sound only while a full sweep would find
+						// nothing more (zero too when the encoding is off).
+						if n := e.ShadowedTypePairs(); n != 0 {
+							t.Errorf("%s: %d stored type pairs are shadowed; the table must stay compact", label, n)
+						}
 						if t.Failed() {
 							return
 						}

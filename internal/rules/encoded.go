@@ -52,30 +52,47 @@ func encodedSchemaExpand(c *Context, schemaPidx int, rel *hierarchy.Relation, ch
 	}
 }
 
-// minimalClass reports whether cls is a minimal element of property p's
-// schema run (its rdfs:domain or rdfs:range class set in the main
-// store) under the visible subsumption order. With the encoding active,
-// typing instances with the minimal classes suffices: the interval
-// expansion supplies every visible super, so ⟨x type c⟩ for a
-// non-minimal c is already virtual once ⟨x type min⟩ is stored.
-// Mutually subsuming classes (one cyclic strong component) keep the
-// smallest id as their sole representative, which keeps the relation
-// well-founded.
-func minimalClass(c *Context, schemaPidx int, p, cls uint64) bool {
-	mt := c.mainTable(schemaPidx)
-	if mt == nil {
+// minimalRun settles, once per schema run, which classes of property
+// p's rdfs:domain / rdfs:range run in the main store are minimal under
+// the visible subsumption order. With the encoding active, typing
+// instances with the minimal classes suffices: the interval expansion
+// supplies every visible super, so ⟨x type c⟩ for a non-minimal c is
+// already virtual once ⟨x type min⟩ is stored. Mutually subsuming
+// classes (one cyclic strong component) keep the smallest id as their
+// sole representative, which keeps the relation well-founded.
+type minimalRun struct {
+	schema *store.Table // the main store's schema table, nil when empty
+	rel    *hierarchy.Relation
+	sc     hierarchy.RunScratch
+
+	from     int      // gallop cursor into schema: properties arrive ascending
+	run      []uint64 // p's run in schema
+	shadowed []bool   // aligned with run; nil when every class is minimal
+	at       int      // walk cursor into run: classes arrive ascending
+}
+
+// seek moves to property p's run. Properties must be probed in
+// ascending order.
+func (m *minimalRun) seek(p uint64) {
+	m.run, m.shadowed, m.at = nil, nil, 0
+	if m.schema == nil {
+		return
+	}
+	lo, hi := m.schema.SubjectRunFrom(p, m.from)
+	m.from = hi
+	m.run = m.schema.Pairs()[2*lo : 2*hi]
+	m.shadowed = m.rel.Shadowed(m.run, &m.sc)
+}
+
+// minimal reports whether cls is minimal in the current run. Classes of
+// one property must be probed in ascending order; a class the main run
+// does not hold shadows nothing there and counts as minimal.
+func (m *minimalRun) minimal(cls uint64) bool {
+	if m.shadowed == nil {
 		return true
 	}
-	pairs := mt.Pairs()
-	lo, hi := mt.SubjectRun(p)
-	for i := lo; i < hi; i++ {
-		other := pairs[2*i+1]
-		if other == cls || !c.Hier.Classes.Subsumes(other, cls) {
-			continue
-		}
-		if !c.Hier.Classes.Subsumes(cls, other) || other < cls {
-			return false // other is strictly below, or the cycle representative
-		}
+	for m.at < len(m.shadowed) && m.run[2*m.at+1] < cls {
+		m.at++
 	}
-	return true
+	return m.at == len(m.shadowed) || m.run[2*m.at+1] != cls || !m.shadowed[m.at]
 }

@@ -187,39 +187,62 @@ func ruleSCMEQP2() Rule {
 // is typed.
 func gammaSchemaTable(name string, schemaProp func(*Vocab) int, emitSubject bool) Rule {
 	return Rule{Name: name, Class: Gamma, Apply: func(c *Context) {
-		out := c.Out.Ensure(c.V.Type)
+		// First list the ⟨class, instance table⟩ typings, then emit them
+		// into an output reserved once for their exact total.
+		type typing struct {
+			cls  uint64
+			inst []uint64
+		}
+		var work []typing
+		total := 0
 		for _, pass := range c.passes() {
 			schema := pass.a.Table(schemaProp(c.V))
 			if schema == nil || schema.Empty() {
 				continue
 			}
+			// Under the hierarchy encoding, only the minimal classes of
+			// p's schema run are materialized: the interval expansion of a
+			// minimal class covers every super, so typing instances with
+			// non-minimal classes would store triples the view already
+			// answers.
+			var min *minimalRun
+			if c.Hier != nil {
+				min = &minimalRun{schema: c.mainTable(schemaProp(c.V)), rel: c.Hier.Classes}
+			}
 			sp := schema.Pairs()
-			for i := 0; i < len(sp); i += 2 {
-				p, cls := sp[i], sp[i+1]
+			for i := 0; i < len(sp); {
+				p, lo := sp[i], i
+				for i < len(sp) && sp[i] == p {
+					i += 2
+				}
 				pidx, ok := propIndexOf(p)
 				if !ok {
-					continue
-				}
-				// Under the hierarchy encoding, only the minimal classes
-				// of p's schema run are materialized: the interval
-				// expansion of a minimal class covers every super, so
-				// typing instances with non-minimal classes would store
-				// triples the view already answers.
-				if c.Hier != nil && !minimalClass(c, schemaProp(c.V), p, cls) {
 					continue
 				}
 				inst := pass.b.Table(pidx)
 				if inst == nil || inst.Empty() {
 					continue
 				}
-				ip := inst.Pairs()
-				for j := 0; j < len(ip); j += 2 {
-					if emitSubject {
-						out.Append(ip[j], cls)
-					} else {
-						out.Append(ip[j+1], cls)
+				if min != nil {
+					min.seek(p)
+				}
+				for k := lo; k < i; k += 2 {
+					if cls := sp[k+1]; min == nil || min.minimal(cls) {
+						work = append(work, typing{cls, inst.Pairs()})
+						total += inst.Size()
 					}
 				}
+			}
+		}
+		out := c.Out.Ensure(c.V.Type)
+		out.Reserve(total)
+		side := 1
+		if emitSubject {
+			side = 0
+		}
+		for _, w := range work {
+			for j := side; j < len(w.inst); j += 2 {
+				out.Append(w.inst[j], w.cls)
 			}
 		}
 	}}

@@ -243,6 +243,21 @@ func (t *Table) SubjectRun(s uint64) (lo, hi int) {
 	return pairRun(t.Pairs(), s)
 }
 
+// SubjectRunFrom is SubjectRun for a caller probing subjects in
+// ascending order: from is a pair index at or before the run — the
+// previous run's hi — and the search gallops forward from it, so a sweep
+// over a few subjects costs O(log distance) each, not a table scan.
+func (t *Table) SubjectRunFrom(s uint64, from int) (lo, hi int) {
+	p := t.Pairs()
+	n := len(p) / 2
+	lo = GallopLowerBound(p, n, from, s)
+	hi = lo
+	for hi < n && p[2*hi] == s {
+		hi++
+	}
+	return lo, hi
+}
+
 // ObjectRun returns the half-open pair-index range [lo, hi) in the OS
 // view of pairs whose object equals o.
 func (t *Table) ObjectRun(o uint64) (lo, hi int) {
@@ -288,6 +303,36 @@ func lowerBound(pairs []uint64, n int, k uint64) int {
 		}
 	}
 	return lo
+}
+
+// GallopLowerBound returns the first pair index in [from, n) of a
+// key-sorted flat pair list whose key is >= k, doubling the step from
+// 'from' before binary-searching the bracketed range — O(log distance)
+// instead of O(log n) when the target is near the cursor.
+func GallopLowerBound(pairs []uint64, n, from int, k uint64) int {
+	if from >= n {
+		return n
+	}
+	if pairs[2*from] >= k {
+		return from
+	}
+	// Invariant: pairs[2*lo] < k; the answer lies in (lo, hi].
+	lo := from
+	step := 1
+	for lo+step < n && pairs[2*(lo+step)] < k {
+		lo += step
+		step <<= 1
+	}
+	hi := min(lo+step, n)
+	for lo+1 < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if pairs[2*mid] < k {
+			lo = mid
+		} else {
+			hi = mid
+		}
+	}
+	return hi
 }
 
 // Store is a set of property tables indexed by dense property index

@@ -102,6 +102,8 @@ func TestWriteMetricsExposition(t *testing.T) {
 		"# TYPE inferray_reasoner_rule_fired_total counter",
 		"# TYPE inferray_reasoner_rule_seconds_total counter",
 		"# TYPE inferray_reasoner_rule_pairs_total counter",
+		"# TYPE inferray_reasoner_loop_seconds_total counter",
+		`inferray_reasoner_phase_seconds_total{phase="count"}`,
 		"# TYPE inferray_wal_fsync_seconds histogram",
 		"# TYPE inferray_query_solves_total counter",
 		"# TYPE inferray_query_seconds histogram",
@@ -117,6 +119,19 @@ func TestWriteMetricsExposition(t *testing.T) {
 	loop := sumSamples(t, out, `inferray_reasoner_phase_seconds_total{phase="loop"}`)
 	if ruleSeconds <= 0 || ruleSeconds > loop {
 		t.Errorf("rule seconds %g outside (0, loop phase %g]", ruleSeconds, loop)
+	}
+	// A round's time is rule firing, the merge, and hierarchy upkeep; the
+	// three parts sit inside the loop phase too.
+	parts := 0.0
+	for _, part := range []string{"rules", "merge", "maintain"} {
+		sample := `inferray_reasoner_loop_seconds_total{part="` + part + `"}`
+		if !strings.Contains(out, sample) {
+			t.Errorf("exposition missing %s", sample)
+		}
+		parts += sumSamples(t, out, sample)
+	}
+	if parts <= 0 || parts > loop {
+		t.Errorf("loop parts %g outside (0, loop phase %g]", parts, loop)
 	}
 	const spo1 = `{rule="PRP-SPO1"}`
 	firedBefore := sumSamples(t, out, "inferray_reasoner_rule_fired_total"+spo1)
