@@ -260,12 +260,12 @@ func run(ctx context.Context, args []string, stdin io.Reader, stdout, stderr io.
 		// SELECT prints one row per line, columns in projection order;
 		// ASK prints true or false.
 		var vars []string
-		res, err := r.ExecFunc(*selectQ, 0,
+		res, err := r.Exec(context.Background(), *selectQ, 0,
 			func(v []string) { vars = v },
-			func(row map[string]string) bool {
+			func(row inferray.Row) bool {
 				first := true
-				for _, v := range vars {
-					val, ok := row[v]
+				for i, v := range vars {
+					val, ok := row.Term(i)
 					if !ok {
 						continue // unbound in this UNION branch
 					}

@@ -163,7 +163,7 @@ func WithDurability(dir string, opts DurabilityOptions) Option {
 //
 // A Reasoner may be shared by any number of goroutines. The read path —
 // Holds, Query, QueryFunc, QueryCount, Select, SelectWithVars, Ask,
-// ExecFunc, Triples, AllTriples, Size, WriteNTriples — runs under a
+// Exec, ExecFunc, Triples, AllTriples, Size, WriteNTriples — runs under a
 // shared lock: reads proceed
 // concurrently with each other and are linearized against Materialize,
 // so every read observes a consistent closure (the state before or

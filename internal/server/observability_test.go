@@ -214,3 +214,36 @@ func TestConcurrentScrapesWhileServing(t *testing.T) {
 	}
 	t.Fatalf("exposition missing %q after hammer:\n%s", want, body)
 }
+
+// A query that hits -query-timeout is the slowest kind the server sees;
+// it must show in the evaluation counter and the latency histogram, not
+// only in the 504 count.
+func TestTimedOutQueryIsCounted(t *testing.T) {
+	r := inferray.New()
+	if err := r.LoadNTriples(strings.NewReader("<a> <p> <b> .\n")); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.Materialize(); err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(NewWithConfig(r, Config{QueryTimeout: time.Nanosecond}).Handler())
+	defer ts.Close()
+	resp, err := http.Get(ts.URL + "/query?query=" + url.QueryEscape(`SELECT ?s WHERE { ?s <p> ?o }`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusGatewayTimeout {
+		t.Fatalf("status %d, want 504", resp.StatusCode)
+	}
+	body := scrape(t, ts)
+	for _, want := range []string{
+		"inferray_query_evaluations_total 1",
+		"inferray_query_seconds_count 1",
+		"inferray_admission_deadline_total 1",
+	} {
+		if !strings.Contains(body, want) {
+			t.Errorf("/metrics missing %q", want)
+		}
+	}
+}

@@ -79,7 +79,6 @@
 package server
 
 import (
-	"bytes"
 	"context"
 	"crypto/rand"
 	"encoding/hex"
@@ -425,29 +424,14 @@ func (s *Server) Serve(ctx context.Context, ln net.Listener) error {
 
 // ---------------------------------------------------------------- /query
 
-// sparqlResults is the SPARQL 1.1 Query Results JSON document (the
-// server streams it by hand in resultStream; this struct shape is kept
-// for tests and clients that decode whole documents).
-type sparqlResults struct {
-	Head    resultsHead    `json:"head"`
-	Results resultsSection `json:"results"`
-}
-
 // askResults is the SPARQL 1.1 boolean results document for ASK.
 type askResults struct {
 	Head    struct{} `json:"head"`
 	Boolean bool     `json:"boolean"`
 }
 
-type resultsHead struct {
-	Vars []string `json:"vars"`
-}
-
-type resultsSection struct {
-	Bindings []map[string]binding `json:"bindings"`
-}
-
-// binding is one RDF term in results-JSON form.
+// binding is one RDF term in results-JSON form. resultStream writes
+// the fields in this order and with encoding/json's escaping.
 type binding struct {
 	Type     string `json:"type"` // "uri" | "literal" | "bnode"
 	Value    string `json:"value"`
@@ -539,16 +523,16 @@ func (s *Server) handleQuery(w http.ResponseWriter, req *http.Request) {
 	// The results document is encoded by a streaming writer: the head
 	// as soon as the query is planned, one binding at a time as rows
 	// are produced — never a whole-document marshal. It is encoded
-	// into a buffer and put on the wire only after ExecFunc returns,
-	// because ExecFunc runs under the reasoner's read lock: writing to
+	// into a buffer and put on the wire only after Exec returns,
+	// because Exec runs under the reasoner's read lock: writing to
 	// a stalled client from inside the callbacks would let one slow
 	// reader hold the lock, block the next Materialize, and behind it
-	// every new query. Every error ExecFunc can return surfaces before
-	// the head callback runs, so a 400 is always still possible when
-	// it matters; the limit parameter is the caller's tool for
-	// bounding the buffered size.
+	// every new query. Every error Exec can return before the head
+	// callback runs is a 400; after it only the context can fail the
+	// query. The limit parameter is the caller's tool for bounding the
+	// buffered size.
 	st := &resultStream{}
-	res, err := s.r.ExecFuncCtx(ctx, text, maxRows, st.head, st.row)
+	res, err := s.r.Exec(ctx, text, maxRows, st.head, st.row)
 	if err != nil {
 		s.queryErrors.Add(1)
 		switch {
@@ -571,8 +555,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, req *http.Request) {
 		enc, _ := json.Marshal(askResults{Boolean: res.Truth})
 		body = append(enc, '\n')
 	} else {
-		st.close()
-		body = st.buf.Bytes()
+		body = append(st.buf, "]}}\n"...)
 	}
 	if cacheable {
 		key.Generation = res.Generation
@@ -603,44 +586,74 @@ func writeQueryError(w http.ResponseWriter, err error) {
 
 // resultStream encodes a sparql-results+json document incrementally
 // into a buffer: the envelope and head on the first callback, one
-// encoded binding per row, and the closing brackets in close — bounded
-// per-row work, no whole-document marshal.
+// binding object per row written straight from the row's cells (the
+// caller appends the closing brackets) — bounded per-row work, no
+// whole-document marshal and no per-row map.
 type resultStream struct {
-	buf     bytes.Buffer
-	started bool
-	rows    int
+	buf  []byte
+	cols []int    // the projected columns a binding object lists, in key order
+	keys [][]byte // `"name":` for each of cols
+	rows int
 }
 
 func (st *resultStream) head(vars []string) {
 	names, _ := json.Marshal(vars)
-	fmt.Fprintf(&st.buf, `{"head":{"vars":%s},"results":{"bindings":[`, names)
-	st.started = true
+	st.buf = fmt.Appendf(st.buf, `{"head":{"vars":%s},"results":{"bindings":[`, names)
+	// A binding object is what json.Marshal made of a map from variable
+	// name to binding: every name once, sorted.
+	for i, v := range vars {
+		if slices.Index(vars, v) == i {
+			st.cols = append(st.cols, i)
+		}
+	}
+	slices.SortFunc(st.cols, func(a, b int) int { return strings.Compare(vars[a], vars[b]) })
+	for _, c := range st.cols {
+		st.keys = append(st.keys, append(appendJSONString(nil, vars[c]), ':'))
+	}
 }
 
-func (st *resultStream) row(row map[string]string) bool {
-	b := make(map[string]binding, len(row))
-	for name, term := range row {
-		b[name] = termBinding(term)
-	}
-	enc, err := json.Marshal(b)
-	if err != nil {
-		return false
-	}
+func (st *resultStream) row(row inferray.Row) bool {
 	if st.rows > 0 {
-		st.buf.WriteByte(',')
+		st.buf = append(st.buf, ',')
 	}
-	st.buf.Write(enc)
 	st.rows++
+	st.buf = append(st.buf, '{')
+	start := len(st.buf)
+	for k, c := range st.cols {
+		term, ok := row.Term(c)
+		if !ok {
+			continue // unbound cells are omitted, per the results-JSON spec
+		}
+		if len(st.buf) > start {
+			st.buf = append(st.buf, ',')
+		}
+		b := termBinding(term)
+		st.buf = append(append(append(st.buf, st.keys[k]...), `{"type":"`...), b.Type...)
+		st.buf = appendJSONString(append(st.buf, `","value":`...), b.Value)
+		if b.Lang != "" {
+			st.buf = appendJSONString(append(st.buf, `,"xml:lang":`...), b.Lang)
+		}
+		if b.Datatype != "" {
+			st.buf = appendJSONString(append(st.buf, `,"datatype":`...), b.Datatype)
+		}
+		st.buf = append(st.buf, '}')
+	}
+	st.buf = append(st.buf, '}')
 	return true
 }
 
-func (st *resultStream) close() {
-	if !st.started {
-		// A query with no head callback (defensive; ExecFunc always
-		// calls it for SELECT) still gets a valid empty document.
-		st.head([]string{})
+// appendJSONString appends s as encoding/json renders a string (HTML
+// escaping on). Plain ASCII, nearly every term, is copied; anything
+// that needs an escape or a UTF-8 check goes through json.Marshal, so
+// the bytes match it by construction.
+func appendJSONString(dst []byte, s string) []byte {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < 0x20 || c >= 0x80 || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
+			enc, _ := json.Marshal(s)
+			return append(dst, enc...)
+		}
 	}
-	st.buf.WriteString("]}}\n")
+	return append(append(append(dst, '"'), s...), '"')
 }
 
 // termBinding converts an N-Triples surface form into results-JSON.

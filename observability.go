@@ -20,9 +20,9 @@ import (
 // /query endpoint) that takes at least threshold emits one structured
 // record — the query text, the planner's chosen pattern order, the
 // delivered row count, and the duration, plus the request ID when the
-// evaluation ran under ExecFuncCtx with one in the context. logger nil
-// uses slog.Default(). A threshold of 0 disables logging (the
-// default).
+// evaluation ran under Exec with one in the context and the error when
+// its context aborted it. logger nil uses slog.Default(). A threshold
+// of 0 disables logging (the default).
 func WithSlowQueryLog(threshold time.Duration, logger *slog.Logger) Option {
 	return func(c *config) {
 		c.slowQuery = threshold
@@ -60,7 +60,7 @@ func newObs(c *config) *obs {
 		wm:  wal.NewMetrics(reg),
 		qm:  query.NewMetrics(reg),
 		queries: reg.Counter("inferray_query_evaluations_total",
-			"SPARQL evaluations completed (Select, Ask, ExecFunc, HTTP /query)."),
+			"SPARQL evaluations completed or aborted by their context (Select, Ask, Exec, HTTP /query)."),
 		queryRows: reg.Counter("inferray_query_rows_total",
 			"Solution rows delivered to callers, after projection, DISTINCT, OFFSET, and LIMIT."),
 		querySeconds: reg.Histogram("inferray_query_seconds",
@@ -180,11 +180,12 @@ func (r *Reasoner) queryEngine() *query.Engine {
 	return eng
 }
 
-// recordQueryLocked feeds one completed evaluation into the counters
-// and, when it crossed the slow-query threshold, emits the structured
-// slow-query record. Called at the tail of ExecFuncCtx with the read
-// lock still held (the plan description re-runs the planner).
-func (r *Reasoner) recordQueryLocked(ctx context.Context, queryText string, q *sparql.Query, varSlots map[string]int, rows int, d time.Duration) {
+// recordQueryLocked feeds one evaluation — completed, or aborted by its
+// context (err), which is how the slowest queries end — into the
+// counters and, when it crossed the slow-query threshold, emits the
+// structured slow-query record. Called at the tail of exec with the
+// read lock still held (the plan description re-runs the planner).
+func (r *Reasoner) recordQueryLocked(ctx context.Context, queryText string, q *sparql.Query, varSlots map[string]int, rows int, d time.Duration, err error) {
 	o := r.obs
 	o.queries.Inc()
 	o.queryRows.Add(uint64(rows))
@@ -203,6 +204,9 @@ func (r *Reasoner) recordQueryLocked(ctx context.Context, queryText string, q *s
 	if id := RequestIDFromContext(ctx); id != "" {
 		attrs = append(attrs, slog.String("request_id", id))
 	}
+	if err != nil {
+		attrs = append(attrs, slog.String("error", err.Error()))
+	}
 	o.slowLog.LogAttrs(ctx, slog.LevelWarn, "slow query", attrs...)
 }
 
@@ -216,7 +220,7 @@ func (r *Reasoner) planDescriptionLocked(q *sparql.Query, varSlots map[string]in
 		if gi > 0 {
 			b.WriteString(" UNION ")
 		}
-		pats, ok := r.encodePatterns(g.Patterns, varSlots)
+		pats, ok := encodePatterns(r.engine.Dict, g.Patterns, varSlots)
 		if !ok {
 			b.WriteString("(empty: constant not in dictionary)")
 			continue
@@ -243,7 +247,7 @@ type ctxKeyRequestID struct{}
 // ContextWithRequestID returns a context carrying a request ID. The
 // HTTP server stamps every request's context so slow-query records can
 // be joined back to access-log lines; embedders running evaluations
-// through ExecFuncCtx can do the same.
+// through Exec can do the same.
 func ContextWithRequestID(ctx context.Context, id string) context.Context {
 	return context.WithValue(ctx, ctxKeyRequestID{}, id)
 }

@@ -186,8 +186,8 @@ func TestSlowQueryLogFires(t *testing.T) {
 	r := obsTestReasoner(t, inferray.WithSlowQueryLog(time.Nanosecond, logger))
 
 	ctx := inferray.ContextWithRequestID(context.Background(), "req-test-7")
-	if _, err := r.ExecFuncCtx(ctx, `SELECT ?who WHERE { ?who <memberOf> <DeptCS> }`, 0,
-		nil, func(map[string]string) bool { return true }); err != nil {
+	if _, err := r.Exec(ctx, `SELECT ?who WHERE { ?who <memberOf> <DeptCS> }`, 0,
+		nil, func(inferray.Row) bool { return true }); err != nil {
 		t.Fatal(err)
 	}
 
@@ -247,4 +247,155 @@ func TestPlainBGPAllocBudget(t *testing.T) {
 	if got > 5 {
 		t.Fatalf("plain-BGP Solve = %.0f allocs/op with metrics enabled, budget is 5", got)
 	}
+}
+
+// scanTestReasoner holds n <s_i> <p> <o_i> triples and little else: a
+// store large enough that enumerating it shows in the engine counters.
+func scanTestReasoner(t testing.TB, n int, opts ...inferray.Option) *inferray.Reasoner {
+	t.Helper()
+	r := inferray.New(append([]inferray.Option{inferray.WithFragment(inferray.RDFSDefault)}, opts...)...)
+	triples := make([]inferray.Triple, n)
+	for i := range triples {
+		triples[i] = inferray.Triple{S: "<s" + strconv.Itoa(i) + ">", P: "<p>", O: "<o" + strconv.Itoa(i%97) + ">"}
+	}
+	r.AddTriples(triples)
+	if _, err := r.Materialize(); err != nil {
+		t.Fatal(err)
+	}
+	return r
+}
+
+// A query of the wrong form is refused when it is parsed: Ask on a
+// SELECT and Select on an ASK used to evaluate the whole query under
+// the read lock and only then report the mismatch.
+func TestWrongFormRejectedBeforeEvaluation(t *testing.T) {
+	r := scanTestReasoner(t, 20_000)
+	before := r.Metrics()
+	if _, err := r.Ask(`SELECT ?s WHERE { ?s ?p ?o }`); err == nil || !strings.Contains(err.Error(), "use Select") {
+		t.Fatalf("Ask on a SELECT: %v", err)
+	}
+	if _, err := r.Select(`ASK { ?s ?p ?o }`); err == nil || !strings.Contains(err.Error(), "use Ask") {
+		t.Fatalf("Select on an ASK: %v", err)
+	}
+	if _, _, err := r.SelectWithVars(`ASK { ?s ?p ?o }`); err == nil || !strings.Contains(err.Error(), "use Ask") {
+		t.Fatalf("SelectWithVars on an ASK: %v", err)
+	}
+	after := r.Metrics()
+	if after.PlannedSolves != before.PlannedSolves || after.EngineRows != before.EngineRows ||
+		after.Queries != before.Queries || after.QueryRows != before.QueryRows {
+		t.Fatalf("a refused query reached the engine: before %+v, after %+v", before, after)
+	}
+}
+
+// flipContext is cancelable and reports cancellation from its n-th
+// Err call on — a deadline that trips mid-evaluation, deterministically.
+type flipContext struct {
+	context.Context
+	calls, flipAt int
+	done          chan struct{}
+}
+
+func (c *flipContext) Done() <-chan struct{} { return c.done }
+
+func (c *flipContext) Err() error {
+	if c.calls++; c.calls >= c.flipAt {
+		return context.Canceled
+	}
+	return nil
+}
+
+// The context is polled at the head of the stage chain, so a scan whose
+// FILTER rejects every row — no row ever reaches the sink — is still
+// interrupted; and the aborted evaluation is counted, timed and logged
+// like any other (the slowest queries a server sees end this way).
+func TestCanceledScanAbortsAndIsRecorded(t *testing.T) {
+	var buf bytes.Buffer
+	logger := slog.New(slog.NewTextHandler(&buf, nil))
+	const n = 20_000
+	r := scanTestReasoner(t, n, inferray.WithSlowQueryLog(time.Nanosecond, logger))
+
+	// Err call 1 is the check before evaluation; call 3 is engine row 512.
+	ctx := &flipContext{Context: inferray.ContextWithRequestID(context.Background(), "req-abort"), flipAt: 3, done: make(chan struct{})}
+	before := r.Metrics()
+	delivered := 0
+	_, err := r.Exec(ctx, `SELECT ?s WHERE { ?s ?p ?o FILTER(?s = <nothing>) }`, 0, nil,
+		func(inferray.Row) bool { delivered++; return true })
+	if err != context.Canceled {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	after := r.Metrics()
+	if rows := after.EngineRows - before.EngineRows; delivered != 0 || rows != 512 {
+		t.Fatalf("engine produced %d of %d rows before the abort (want 512), %d delivered", rows, n, delivered)
+	}
+	if after.Queries != before.Queries+1 {
+		t.Errorf("Queries = %d, want %d: the aborted evaluation was not counted", after.Queries, before.Queries+1)
+	}
+	if after.QuerySeconds <= before.QuerySeconds {
+		t.Error("the aborted evaluation is missing from inferray_query_seconds")
+	}
+	out := buf.String()
+	for _, want := range []string{`msg="slow query"`, `error="context canceled"`, "request_id=req-abort", "rows=0"} {
+		if !strings.Contains(out, want) {
+			t.Errorf("slow-query record missing %q in:\n%s", want, out)
+		}
+	}
+}
+
+// TestExecAllocBudget pins the allocation budget of the read path above
+// the engine: a ?s rdf:type C scan through Exec allocates a fixed
+// number of objects per query — parse, compile, plan, the chain — and
+// nothing per row, and the map-returning adapter adds exactly the one
+// map it hands over. The CI bench-smoke job runs this beside
+// TestPlainBGPAllocBudget.
+func TestExecAllocBudget(t *testing.T) {
+	const n = 5_000
+	r := inferray.New(inferray.WithFragment(inferray.RDFSDefault))
+	triples := make([]inferray.Triple, n)
+	for i := range triples {
+		triples[i] = inferray.Triple{S: "<s" + strconv.Itoa(i) + ">", P: "<http://www.w3.org/1999/02/22-rdf-syntax-ns#type>", O: "<C>"}
+	}
+	r.AddTriples(triples)
+	if _, err := r.Materialize(); err != nil {
+		t.Fatal(err)
+	}
+	const text = `SELECT ?s WHERE { ?s a <C> }`
+
+	rows, size := 0, 0
+	slotRows := testing.AllocsPerRun(10, func() {
+		rows = 0
+		if _, err := r.Exec(context.Background(), text, 0, nil, func(row inferray.Row) bool {
+			term, _ := row.Term(0)
+			size += len(term)
+			rows++
+			return true
+		}); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if rows != n {
+		t.Fatalf("%d rows, want %d", rows, n)
+	}
+	if perRow := slotRows / n; perRow >= 1 {
+		t.Fatalf("Exec = %.0f allocs for %d rows (%.2f per row), budget is < 1 per row", slotRows, n, perRow)
+	}
+	if slotRows > 100 {
+		t.Fatalf("Exec = %.0f allocs per query; the chain should need a fixed few dozen", slotRows)
+	}
+
+	var sink map[string]string
+	oneMap := testing.AllocsPerRun(100, func() { sink = map[string]string{"s": text} })
+	mapRows := testing.AllocsPerRun(10, func() {
+		if _, err := r.ExecFunc(text, 0, nil, func(row map[string]string) bool {
+			sink = row
+			return true
+		}); err != nil {
+			t.Fatal(err)
+		}
+	})
+	// The adapter's own closure is the only per-query extra.
+	if extra := (mapRows - slotRows - 1) / n; extra > oneMap {
+		t.Fatalf("ExecFunc = %.3f allocs per row over Exec, one map is %.0f", extra, oneMap)
+	}
+	t.Logf("Exec %.0f allocs/query for %d rows; ExecFunc %.0f; one map %.0f", slotRows, n, mapRows, oneMap)
+	_ = sink
 }

@@ -2,12 +2,15 @@ package inferray
 
 import (
 	"context"
+	"encoding/binary"
 	"fmt"
 	"io"
-	"strconv"
+	"math/bits"
+	"slices"
 	"strings"
 	"time"
 
+	"inferray/internal/dictionary"
 	"inferray/internal/query"
 	"inferray/internal/snapshot"
 	"inferray/internal/sparql"
@@ -35,8 +38,8 @@ func (r *Reasoner) Query(patterns ...[3]string) ([]map[string]string, error) {
 // anonPrefix marks the internal names synthesized for anonymous ("?")
 // pattern variables. It starts with a NUL byte, which no "?name" pattern
 // term can spell, so an anonymous slot can never collide with — or
-// shadow — a real user variable, and the prefix cheaply identifies the
-// slots to withhold from result rows.
+// shadow — a real user variable, and compile leaves the names carrying
+// it out of a SELECT * projection.
 const anonPrefix = "\x00anon"
 
 // QueryFunc is the streaming form of Query; fn may return false to
@@ -45,14 +48,26 @@ const anonPrefix = "\x00anon"
 // anonymous variable: it matches anything, joins with nothing, and does
 // not appear in the delivered rows.
 func (r *Reasoner) QueryFunc(fn func(row map[string]string) bool, patterns ...[3]string) error {
+	return r.solveBGP(patterns, mapRows(fn))
+}
+
+// QueryCount returns the number of solutions without materializing them.
+func (r *Reasoner) QueryCount(patterns ...[3]string) (int, error) {
+	n := 0
+	err := r.solveBGP(patterns, func(Row) bool {
+		n++
+		return true
+	})
+	return n, err
+}
+
+// solveBGP runs a pattern list as a one-group SELECT * through the
+// stage chain every SPARQL query takes.
+func (r *Reasoner) solveBGP(patterns [][3]string, onRow func(Row) bool) error {
 	if len(patterns) == 0 {
 		return fmt.Errorf("inferray: empty pattern list")
 	}
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-
-	// A bare "?" gets a private name per occurrence; from there the
-	// patterns compile like any other read's.
+	// A bare "?" gets a private name per occurrence.
 	pats := make([][3]string, len(patterns))
 	anon := 0
 	for i, pat := range patterns {
@@ -64,43 +79,14 @@ func (r *Reasoner) QueryFunc(fn func(row map[string]string) bool, patterns ...[3
 			pats[i][pos] = raw
 		}
 	}
-	varSlots := map[string]int{}
-	varNames := registerVars(pats, varSlots, nil)
-	if len(varNames) > 64 {
-		return fmt.Errorf("inferray: more than 64 distinct variables")
+	pl, err := compile(&sparql.Query{Groups: []sparql.Group{{Patterns: pats}}})
+	if err != nil {
+		return err
 	}
-	qp, ok := r.encodePatterns(pats, varSlots)
-	if !ok {
-		return nil // a constant not in the dictionary can match nothing
-	}
-
-	named := 0
-	for _, name := range varNames {
-		if !strings.HasPrefix(name, anonPrefix) {
-			named++
-		}
-	}
-
-	return r.queryEngine().Solve(qp, len(varNames), func(row []uint64) bool {
-		out := make(map[string]string, named)
-		for i, name := range varNames {
-			if strings.HasPrefix(name, anonPrefix) {
-				continue
-			}
-			out[name] = r.engine.Dict.MustDecode(row[i])
-		}
-		return fn(out)
-	})
-}
-
-// QueryCount returns the number of solutions without materializing them.
-func (r *Reasoner) QueryCount(patterns ...[3]string) (int, error) {
-	n := 0
-	err := r.QueryFunc(func(map[string]string) bool {
-		n++
-		return true
-	}, patterns...)
-	return n, err
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	_, _, err = r.runLocked(context.TODO(), pl, 0, nil, onRow)
+	return err
 }
 
 // SaveSnapshot writes the dictionary and store (closure, after
@@ -184,8 +170,8 @@ func LoadImage(path string, opts ...Option) (*Reasoner, error) {
 // against the store (run Materialize first to query the closure). Each
 // solution maps the projected variable names to term surface forms;
 // variables left unbound by a UNION branch or an unmatched OPTIONAL
-// are absent from that row. ASK queries are rejected here; evaluate
-// them with Ask.
+// are absent from that row. ASK queries are rejected here, before
+// anything is evaluated; evaluate them with Ask.
 func (r *Reasoner) Select(queryText string) ([]map[string]string, error) {
 	_, rows, err := r.SelectWithVars(queryText)
 	return rows, err
@@ -193,39 +179,30 @@ func (r *Reasoner) Select(queryText string) ([]map[string]string, error) {
 
 // SelectWithVars evaluates a SPARQL SELECT like Select and also returns
 // the projection — the SELECT list, or for SELECT * every variable in
-// order of first appearance in the pattern. Result serializers (the
-// HTTP endpoint's results-JSON head, tabular output) need the ordered
-// variable list, which the unordered row maps cannot supply.
+// order of first appearance in the pattern. Result serializers (tabular
+// output) need the ordered variable list, which the unordered row maps
+// cannot supply.
 func (r *Reasoner) SelectWithVars(queryText string) (vars []string, rows []map[string]string, err error) {
-	res, err := r.ExecFunc(queryText, 0, nil, func(row map[string]string) bool {
+	res, err := r.exec(context.TODO(), queryText, sparql.FormSelect, 0, nil, mapRows(func(row map[string]string) bool {
 		rows = append(rows, row)
 		return true
-	})
+	}))
 	if err != nil {
 		return nil, nil, err
-	}
-	if res.Ask {
-		return nil, nil, fmt.Errorf("inferray: query is an ASK query (use Ask)")
 	}
 	return res.Vars, rows, nil
 }
 
 // Ask parses and evaluates a SPARQL ASK query: whether the WHERE
 // clause (with its FILTERs) has at least one solution. Enumeration
-// stops at the first match. SELECT queries are rejected here; evaluate
-// them with Select.
+// stops at the first match. SELECT queries are rejected here, before
+// anything is evaluated; evaluate them with Select.
 func (r *Reasoner) Ask(queryText string) (bool, error) {
-	res, err := r.ExecFunc(queryText, 0, nil, nil)
-	if err != nil {
-		return false, err
-	}
-	if !res.Ask {
-		return false, fmt.Errorf("inferray: query is a SELECT query (use Select)")
-	}
-	return res.Truth, nil
+	res, err := r.exec(context.TODO(), queryText, sparql.FormAsk, 0, nil, nil)
+	return res.Truth, err
 }
 
-// QueryResult is the head of an executed SPARQL query (see ExecFunc):
+// QueryResult is the head of an executed SPARQL query (see Exec):
 // which form it was, the ASK answer, and the SELECT projection.
 type QueryResult struct {
 	// Ask reports that the query was an ASK; Truth is then its answer
@@ -244,139 +221,372 @@ type QueryResult struct {
 	Generation uint64
 }
 
-// ExecFunc is the streaming core under Select, SelectWithVars, and Ask:
-// it parses queryText (SELECT or ASK), plans and evaluates it, and
-// streams SELECT solutions through the solution-modifier pipeline
-// (per-group patterns ⋈ VALUES → OPTIONAL → BIND → FILTER, then
-// aggregation → projection → DISTINCT → ORDER BY → OFFSET → LIMIT).
+// ExecFunc is Exec for callers that want each solution as a map from
+// variable name to term surface form: it runs under
+// context.Background() and builds one map per delivered row — the only
+// place on the read path where a solution becomes a map. Rows are
+// partial bindings: a variable an OPTIONAL block or a UNION branch left
+// unbound is absent from its row map.
+func (r *Reasoner) ExecFunc(queryText string, maxRows int, onHead func(vars []string), onRow func(row map[string]string) bool) (QueryResult, error) {
+	return r.Exec(context.Background(), queryText, maxRows, onHead, mapRows(onRow))
+}
+
+// mapRows is the one adapter from slot rows to the map-returning public
+// API (Query, QueryFunc, Select, SelectWithVars, ExecFunc).
+func mapRows(fn func(map[string]string) bool) func(Row) bool {
+	if fn == nil {
+		return nil
+	}
+	return func(row Row) bool {
+		m := make(map[string]string, len(row.run.vars))
+		for i, name := range row.run.vars {
+			if term, ok := row.Term(i); ok {
+				m[name] = term
+			}
+		}
+		return fn(m)
+	}
+}
+
+// Exec is the streaming core of the read path: it parses queryText
+// (SELECT or ASK), compiles it onto variable slots, and drives every
+// solution as one slot row — the pattern engine's ID row plus its bound
+// mask — through one stage chain:
+//
+//	seed (VALUES) → SolveLeftJoin (patterns, OPTIONAL) → BIND → FILTER
+//	  → [aggregate] → [order] → DISTINCT / OFFSET / LIMIT → onRow
+//
+// Terms are decoded only where a stage needs the lexical form (an
+// expression's variables, ORDER BY keys, an aggregate's argument) and
+// where onRow asks for one.
 //
 // For a SELECT query, onHead (when non-nil) is invoked exactly once
 // with the ordered projection before any row, and onRow once per
-// delivered solution; onRow may return false to stop early. Rows are
-// partial bindings: a variable an OPTIONAL block or a UNION branch
-// left unbound is absent from its row map. A query with ORDER BY
-// buffers internally before delivery — a bounded top-(OFFSET+LIMIT)
-// heap when an effective limit applies and DISTINCT is off, a full
-// sort otherwise; aggregate queries buffer their groups. Every other
-// query streams. maxRows > 0 caps delivered rows on top of the query's
-// own LIMIT (the HTTP endpoint's limit parameter) and bounds the ORDER
-// BY heap the same way. For an ASK query neither callback runs; the
-// answer is in QueryResult.Truth.
+// delivered solution; onRow may return false to stop early, and a nil
+// onRow just counts. A query with ORDER BY buffers internally before
+// delivery — a bounded top-(OFFSET+LIMIT) heap when an effective limit
+// applies and DISTINCT is off, a full sort otherwise; aggregate queries
+// buffer their groups. Every other query streams. maxRows > 0 caps
+// delivered rows on top of the query's own LIMIT (the HTTP endpoint's
+// limit parameter) and bounds the ORDER BY heap the same way. For an
+// ASK query neither callback runs; the answer is in QueryResult.Truth.
+//
+// The context carries request-scoped metadata — a request ID installed
+// with ContextWithRequestID is stamped into the slow-query record — and
+// a deadline: a cancelable context is polled once before evaluation and
+// at the head of the chain, every 256 rows the pattern engine produces,
+// whether or not a FILTER lets them through. A tripped deadline or
+// cancellation aborts the enumeration and returns the context's error
+// (the HTTP server maps it to 504); the aborted evaluation is still
+// counted and logged. Contexts without a Done channel
+// (context.Background) cost nothing.
 //
 // The reasoner's read lock is held for the whole evaluation, so the
 // callbacks must not call back into the Reasoner. Parse failures are
 // returned as *sparql.ParseError values carrying the line and column of
 // the offending token.
-func (r *Reasoner) ExecFunc(queryText string, maxRows int, onHead func(vars []string), onRow func(row map[string]string) bool) (QueryResult, error) {
-	return r.ExecFuncCtx(context.Background(), queryText, maxRows, onHead, onRow)
+func (r *Reasoner) Exec(ctx context.Context, queryText string, maxRows int, onHead func(vars []string), onRow func(row Row) bool) (QueryResult, error) {
+	return r.exec(ctx, queryText, anyForm, maxRows, onHead, onRow)
 }
 
-// ExecFuncCtx is ExecFunc with a caller-supplied context. The context
-// carries request-scoped metadata — a request ID installed with
-// ContextWithRequestID is stamped into the slow-query record, which is
-// how the HTTP server's logs join query text to access-log lines — and
-// a best-effort deadline: a cancelable context is polled once before
-// evaluation and every 256 delivered solutions, and a tripped deadline
-// or cancellation aborts the enumeration and returns the context's
-// error (the HTTP server maps it to 504). The check rides the row
-// stream, so a query that scans long without producing rows is only
-// interrupted at its next row; contexts without a Done channel
-// (context.Background) cost nothing.
-func (r *Reasoner) ExecFuncCtx(ctx context.Context, queryText string, maxRows int, onHead func(vars []string), onRow func(row map[string]string) bool) (QueryResult, error) {
+// anyForm is exec's form argument when SELECT and ASK are both welcome.
+const anyForm sparql.Form = -1
+
+// exec is Exec restricted to one query form: a query of the other form
+// is refused as soon as it is parsed — before the read lock is taken
+// and long before a solution is enumerated.
+func (r *Reasoner) exec(ctx context.Context, queryText string, form sparql.Form, maxRows int, onHead func([]string), onRow func(Row) bool) (QueryResult, error) {
 	start := time.Now()
 	q, err := sparql.ParseQuery(queryText)
 	if err != nil {
 		return QueryResult{}, err
 	}
-
-	// Global variable namespace across UNION branches, in order of
-	// first appearance: triple-pattern variables (required and
-	// OPTIONAL), BIND targets, and VALUES variables.
-	varSlots := map[string]int{}
-	var varNames []string
-	slotOf := func(name string) {
-		if _, ok := varSlots[name]; !ok {
-			varSlots[name] = len(varNames)
-			varNames = append(varNames, name)
+	if form != anyForm && form != q.Form {
+		if q.Form == sparql.FormAsk {
+			return QueryResult{}, fmt.Errorf("inferray: query is an ASK query (use Ask)")
 		}
+		return QueryResult{}, fmt.Errorf("inferray: query is a SELECT query (use Select)")
 	}
+	pl, err := compile(q)
+	if err != nil {
+		return QueryResult{}, err
+	}
+	res := QueryResult{Ask: q.Form == sparql.FormAsk, Vars: pl.vars}
+
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	// Captured under the read lock: mutations bump the generation under
+	// the write lock, so it cannot change for the rest of the evaluation.
+	res.Generation = r.gen.Load()
+	var sent int
+	res.Truth, sent, err = r.runLocked(ctx, pl, maxRows, onHead, onRow)
+	r.recordQueryLocked(ctx, queryText, q, pl.slots, sent, time.Since(start), err)
+	return res, err
+}
+
+// plan is a compiled query: every variable has a slot in one namespace
+// — the WHERE-clause variables in order of first appearance (triple
+// patterns, required and OPTIONAL; BIND targets; VALUES variables),
+// then the aggregate aliases — and the projection is a slot list.
+type plan struct {
+	q     *sparql.Query
+	slots map[string]int // variable name → slot
+	names []string       // slot → variable name
+	vars  []string       // the projection, QueryResult.Vars
+	proj  []int          // slot of each projected variable
+	agg   bool           // the query groups (GROUP BY or an aggregate)
+}
+
+// slot returns name's slot, assigning the next one on first sight.
+func (pl *plan) slot(name string) int {
+	s, ok := pl.slots[name]
+	if !ok {
+		s = len(pl.names)
+		pl.slots[name] = s
+		pl.names = append(pl.names, name)
+	}
+	return s
+}
+
+// compile is the one compile step of the read path — SPARQL queries,
+// Query / QueryFunc / QueryCount and DELETE WHERE all go through it. It
+// assigns the slots, caps them at the 64 a bound mask holds, checks
+// that every clause names variables it can see, and fixes the
+// projection. It needs no lock: constants are resolved against the
+// dictionary per group, at run time (encodePatterns).
+func compile(q *sparql.Query) (*plan, error) {
+	pl := &plan{q: q, slots: map[string]int{}, agg: q.HasAggregates() || len(q.GroupBy) > 0}
 	for _, g := range q.Groups {
-		varNames = registerVars(g.Patterns, varSlots, varNames)
+		pl.patternVars(g.Patterns)
 		for _, o := range g.Optionals {
-			varNames = registerVars(o.Patterns, varSlots, varNames)
+			pl.patternVars(o.Patterns)
 		}
 		for _, b := range g.Binds {
-			slotOf(b.Var)
+			pl.slot(b.Var)
 		}
 		for _, v := range g.Values {
 			for _, name := range v.Vars {
-				slotOf(name)
+				pl.slot(name)
 			}
 		}
 	}
-	if len(varNames) > 64 {
-		return QueryResult{}, fmt.Errorf("inferray: more than 64 distinct variables")
+	where := len(pl.names) // slots from here on are aggregate aliases
+	var err error
+	check := func(clause, name string) {
+		if slot, ok := pl.slots[name]; err == nil && (!ok || slot >= where) {
+			err = fmt.Errorf("inferray: %s variable ?%s does not appear in the WHERE pattern", clause, name)
+		}
 	}
-
-	aggregating := q.HasAggregates() || len(q.GroupBy) > 0
-
-	res := QueryResult{}
 	switch {
 	case q.Form == sparql.FormAsk:
-		res.Ask = true
-	case aggregating:
+	case pl.agg:
 		// The parser already enforced the grouping rules that need only
 		// the query text (plain projections covered by GROUP BY, no
-		// SELECT *, alias collisions); here the keys and aggregate
-		// arguments must additionally resolve to WHERE-clause variables.
+		// SELECT *, aliases distinct from WHERE variables); here the keys
+		// and aggregate arguments must resolve to WHERE-clause variables.
 		for _, v := range q.GroupBy {
-			if _, ok := varSlots[v]; !ok {
-				return QueryResult{}, fmt.Errorf("inferray: GROUP BY variable ?%s does not appear in the WHERE pattern", v)
-			}
+			check("GROUP BY", v)
 		}
 		for _, it := range q.Items {
-			if it.Agg != nil && !it.Agg.Star {
-				if _, ok := varSlots[it.Agg.Var]; !ok {
-					return QueryResult{}, fmt.Errorf("inferray: aggregate variable ?%s does not appear in the WHERE pattern", it.Agg.Var)
+			if it.Agg != nil {
+				pl.slot(it.Name)
+				if !it.Agg.Star {
+					check("aggregate", it.Agg.Var)
 				}
 			}
 		}
-		res.Vars = q.Vars
 		// Post-aggregation rows carry only the GROUP BY keys and the
 		// projected aggregates, so only those are orderable.
-		orderable := map[string]bool{}
-		for _, v := range q.GroupBy {
-			orderable[v] = true
-		}
-		for _, it := range q.Items {
-			orderable[it.Name] = true
-		}
 		for _, k := range q.OrderBy {
-			if !orderable[k.Var] {
-				return QueryResult{}, fmt.Errorf("inferray: ORDER BY variable ?%s is neither a GROUP BY key nor a projected aggregate", k.Var)
+			if slot, ok := pl.slots[k.Var]; err == nil && !slices.Contains(q.GroupBy, k.Var) && (!ok || slot < where) {
+				err = fmt.Errorf("inferray: ORDER BY variable ?%s is neither a GROUP BY key nor a projected aggregate", k.Var)
 			}
 		}
+		pl.vars = q.Vars
 	default:
-		if len(q.Vars) > 0 {
-			// A projected variable that never occurs in the WHERE clause
-			// is almost always a typo; reject it instead of silently
-			// emitting rows with the key missing. Variables bound only
-			// inside OPTIONAL blocks or single UNION branches do occur —
-			// they are merely unbound in some rows.
-			for _, v := range q.Vars {
-				if _, ok := varSlots[v]; !ok {
-					return QueryResult{}, fmt.Errorf("inferray: SELECT variable ?%s does not appear in the WHERE pattern", v)
+		// A projected variable that never occurs in the WHERE clause is
+		// almost always a typo; reject it instead of silently emitting
+		// rows with the key missing. Variables bound only inside OPTIONAL
+		// blocks or single UNION branches do occur — they are merely
+		// unbound in some rows.
+		for _, v := range q.Vars {
+			check("SELECT", v)
+		}
+		for _, k := range q.OrderBy {
+			check("ORDER BY", k.Var)
+		}
+		pl.vars = q.Vars
+		if len(q.Vars) == 0 { // SELECT *
+			for _, name := range pl.names {
+				if !strings.HasPrefix(name, anonPrefix) {
+					pl.vars = append(pl.vars, name)
 				}
 			}
-			res.Vars = q.Vars
-		} else {
-			res.Vars = varNames
 		}
-		for _, k := range q.OrderBy {
-			if _, ok := varSlots[k.Var]; !ok {
-				return QueryResult{}, fmt.Errorf("inferray: ORDER BY variable ?%s does not appear in the WHERE pattern", k.Var)
+	}
+	if len(pl.names) > 64 {
+		return nil, fmt.Errorf("inferray: more than 64 distinct variables")
+	}
+	if err != nil {
+		return nil, err
+	}
+	for _, v := range pl.vars {
+		pl.proj = append(pl.proj, pl.slots[v])
+	}
+	return pl, nil
+}
+
+// patternVars gives every variable of the patterns a slot and returns
+// the set of slots the patterns mention.
+func (pl *plan) patternVars(pats [][3]string) (mask uint64) {
+	for _, pat := range pats {
+		for _, t := range pat {
+			if strings.HasPrefix(t, "?") {
+				mask |= 1 << uint(pl.slot(t[1:]))
 			}
 		}
+	}
+	return mask
+}
+
+// encodePatterns is the one surface-pattern compiler: it translates
+// patterns to engine terms over the slots compile assigned; ok is false
+// when a constant is not in the dictionary (it can match nothing).
+func encodePatterns(dict *dictionary.Dictionary, pats [][3]string, slots map[string]int) ([]query.Pattern, bool) {
+	out := make([]query.Pattern, len(pats))
+	for i, pat := range pats {
+		var terms [3]query.Term
+		for pos, raw := range pat {
+			if strings.HasPrefix(raw, "?") {
+				terms[pos] = query.Var(slots[raw[1:]])
+				continue
+			}
+			id, ok := dict.Lookup(raw)
+			if !ok {
+				return nil, false
+			}
+			terms[pos] = query.Const(id)
+		}
+		out[i] = query.Pattern{S: terms[0], P: terms[1], O: terms[2]}
+	}
+	return out, true
+}
+
+// stage is one link of the chain: it takes a slot row — IDs indexed by
+// slot, valid where bound has the slot's bit — and reports whether the
+// enumeration should go on. The IDs are the producer's buffer; a stage
+// that keeps a row copies it.
+type stage func(ids []uint64, bound uint64) bool
+
+// run is one evaluation of a plan under the read lock.
+type run struct {
+	*plan
+	eng  *query.Engine
+	dict *dictionary.Dictionary
+
+	// Terms the dictionary does not hold — BIND results, aggregate
+	// outputs, never-stored VALUES cells — get query-local IDs from
+	// localBase up, far outside the dictionary's range. encode asks the
+	// dictionary first, so within a run equal IDs mean equal terms and
+	// DISTINCT and GROUP BY can key on ID tuples.
+	local    []string
+	localIDs map[string]uint64
+
+	ctx     context.Context // nil unless cancelable
+	polled  int
+	err     error // what aborted the walk: the context's error
+	stopped bool  // a stage, or err, ended the enumeration
+	next    stage // what follows FILTER
+}
+
+const localBase uint64 = 1 << 63
+
+// encode returns the ID of a term: the dictionary's, else a query-local one.
+func (rn *run) encode(term string) uint64 {
+	if id, ok := rn.dict.Lookup(term); ok {
+		return id
+	}
+	id, ok := rn.localIDs[term]
+	if !ok {
+		if rn.localIDs == nil {
+			rn.localIDs = map[string]uint64{}
+		}
+		id = localBase + uint64(len(rn.local))
+		rn.local = append(rn.local, term)
+		rn.localIDs[term] = id
+	}
+	return id
+}
+
+// decode returns the surface form behind an ID of either kind.
+func (rn *run) decode(id uint64) string {
+	if id >= localBase {
+		return rn.local[id-localBase]
+	}
+	return rn.dict.MustDecode(id)
+}
+
+// cell decodes one slot of a row; ok is false when it is unbound.
+func (rn *run) cell(ids []uint64, bound uint64, slot int) (string, bool) {
+	if bound&(1<<uint(slot)) == 0 {
+		return "", false
+	}
+	return rn.decode(ids[slot]), true
+}
+
+// tupleKey appends the fixed-width key of the given cells of a row,
+// eight bytes a cell; an unbound cell is the zero ID, which no term has.
+func tupleKey(key []byte, slots []int, ids []uint64, bound uint64) []byte {
+	for _, s := range slots {
+		var id uint64
+		if bound&(1<<uint(s)) != 0 {
+			id = ids[s]
+		}
+		key = binary.LittleEndian.AppendUint64(key, id)
+	}
+	return key
+}
+
+// Row is one solution as Exec delivers it: the projected cells by
+// position, parallel to QueryResult.Vars. It is a view of the chain's
+// buffers, valid only until the onRow call it was passed to returns.
+type Row struct {
+	run   *run
+	ids   []uint64
+	bound uint64
+}
+
+// Term returns the surface form of the i-th projected variable; ok is
+// false when an OPTIONAL block or a UNION branch left it unbound.
+func (row Row) Term(i int) (term string, ok bool) {
+	return row.run.cell(row.ids, row.bound, row.run.proj[i])
+}
+
+// lookup is the chain's one name → term resolver, in the shape the
+// expression evaluator takes: a stage points a Row at the current
+// solution and hands lookup to sparql.Eval / EvalTerm.
+func (row *Row) lookup(name string) (string, bool) {
+	slot, ok := row.run.slots[name]
+	if !ok {
+		return "", false
+	}
+	return row.run.cell(row.ids, row.bound, slot)
+}
+
+// runLocked builds the chain for pl back to front and drives every
+// UNION branch through it. It returns the ASK answer, the number of
+// rows delivered, and the context error that aborted the walk, if one
+// did. The caller holds r.mu.
+func (r *Reasoner) runLocked(ctx context.Context, pl *plan, maxRows int, onHead func([]string), onRow func(Row) bool) (truth bool, sent int, err error) {
+	q := pl.q
+	rn := &run{plan: pl, eng: r.queryEngine(), dict: r.engine.Dict}
+	// Deadline polling is armed only for cancelable contexts (Done() is
+	// nil for context.Background(), so the library paths pay nothing).
+	if ctx.Done() != nil {
+		if err := ctx.Err(); err != nil {
+			return false, 0, err
+		}
+		rn.ctx = ctx
 	}
 
 	// Effective row cap: the query's LIMIT tightened by the caller's.
@@ -387,457 +597,264 @@ func (r *Reasoner) ExecFuncCtx(ctx context.Context, queryText string, maxRows in
 	if maxRows > 0 && (limit < 0 || maxRows < limit) {
 		limit = maxRows
 	}
-
-	pl := &rowPipeline{
-		project:  len(q.Vars) > 0,
-		vars:     res.Vars,
-		distinct: q.Distinct,
-		offset:   q.Offset,
-		limit:    limit,
-		out:      onRow,
+	tl := &tail{run: rn, offset: q.Offset, limit: limit, out: onRow}
+	if q.Distinct {
+		tl.seen = map[string]struct{}{}
 	}
-	if pl.distinct {
-		pl.seen = make(map[string]bool)
-	}
+	rn.next = tl.push
 
 	var ob *orderBuffer
-	if len(q.OrderBy) > 0 && !res.Ask {
-		// Bounded buffering: with an effective limit, only the
-		// OFFSET+LIMIT smallest rows can ever be delivered, so the
-		// buffer is a top-k heap. DISTINCT falls back to the full sort —
-		// deduplication happens on the projected row after sorting, so
-		// a bounded buffer could evict rows that deduplication would
-		// have promoted into the window.
-		k := -1
-		if limit >= 0 && !q.Distinct {
-			k = q.Offset + limit
-		}
-		ob = newOrderBuffer(q.OrderBy, k)
-	}
-
 	var agg *aggregator
-	if aggregating && !res.Ask {
-		agg = newAggregator(q)
-	}
-
-	// feed delivers one post-WHERE row into the modifier tail.
-	feed := func(row map[string]string) bool {
-		if ob != nil {
-			ob.push(row)
-			return true
-		}
-		return pl.push(row)
-	}
-	sink := func(row map[string]string) bool {
-		if res.Ask {
-			res.Truth = true
+	if q.Form == sparql.FormAsk {
+		rn.next = func([]uint64, uint64) bool {
+			truth = true
 			return false // one witness is enough
 		}
-		if agg != nil {
-			agg.add(row)
-			return true // every solution feeds its group
-		}
-		return feed(row)
-	}
-
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	// Captured under the read lock: mutations bump the generation under
-	// the write lock, so it cannot change for the rest of the evaluation.
-	res.Generation = r.gen.Load()
-
-	// Deadline/cancellation polling, armed only for cancelable contexts
-	// (Done() is nil for context.Background(), so the library paths pay
-	// nothing — not even an allocation, which the BGP alloc budget test
-	// would notice). The counter check is a mask, not a ticker.
-	var ctxErr error
-	if ctx.Done() != nil {
-		if err := ctx.Err(); err != nil {
-			return res, err
-		}
-		inner := sink
-		polled := 0
-		sink = func(row map[string]string) bool {
-			polled++
-			if polled&255 == 0 {
-				if err := ctx.Err(); err != nil {
-					ctxErr = err
-					return false
-				}
+	} else {
+		if len(q.OrderBy) > 0 {
+			// Bounded buffering: with an effective limit, only the
+			// OFFSET+LIMIT smallest rows can ever be delivered, so the
+			// buffer is a top-k heap. DISTINCT falls back to the full sort
+			// — deduplication happens after sorting, so a bounded buffer
+			// could evict rows that deduplication would have promoted into
+			// the window.
+			k := -1
+			if limit >= 0 && !q.Distinct {
+				k = q.Offset + limit
 			}
-			return inner(row)
+			ob = newOrderBuffer(rn, q.OrderBy, k)
+			rn.next = ob.push
 		}
-	}
-
-	if onHead != nil && !res.Ask {
-		head := res.Vars
-		if head == nil {
-			head = []string{}
+		if pl.agg {
+			agg = newAggregator(rn, rn.next)
+			rn.next = agg.add
 		}
-		onHead(head)
+		if onHead != nil {
+			onHead(append([]string{}, pl.vars...)) // never nil
+		}
 	}
 
 	for _, g := range q.Groups {
-		if !r.evalGroup(g, varSlots, len(varNames), varNames, sink) {
+		if rn.evalGroup(g); rn.stopped {
 			break
 		}
 	}
-
-	if ctxErr != nil {
-		// Canceled mid-enumeration: the buffered modifiers hold a partial
+	if rn.err != nil {
+		// Aborted mid-enumeration: the buffered stages hold a partial
 		// solution set, so flushing them would deliver wrong rows.
-		return res, ctxErr
+		return truth, tl.sent, rn.err
 	}
 	if agg != nil {
-		agg.flush(feed)
+		agg.flush()
 	}
 	if ob != nil {
-		ob.flush(pl.push)
+		ob.flush(tl.push)
 	}
-	r.recordQueryLocked(ctx, queryText, q, varSlots, pl.sent, time.Since(start))
-	return res, nil
+	return truth, tl.sent, nil
 }
 
-// evalGroup evaluates one UNION branch in SPARQL's group order: the
-// VALUES data joins the required graph pattern first (each combination
-// of the blocks' rows seeds one engine run), the OPTIONAL blocks
-// left-join the seeded solutions, each decoded row then takes the
-// branch's BINDs and FILTERs, and survivors go to sink. Returns false
-// when sink stopped the enumeration (later branches must not run).
-func (r *Reasoner) evalGroup(g sparql.Group, varSlots map[string]int, nVars int, varNames []string, sink func(map[string]string) bool) bool {
-	required, ok := r.encodePatterns(g.Patterns, varSlots)
+// evalGroup evaluates one UNION branch in SPARQL's group order. The
+// seed stage joins the VALUES data with the required graph pattern
+// first: each compatible combination of the blocks' rows pre-binds its
+// slots for one engine run. The engine left-joins the OPTIONAL blocks;
+// the head stage then polls the context, evaluates the BINDs in order
+// (an erroring expression leaves its target unbound) and the FILTERs,
+// and passes survivors to rn.next. rn.stopped is set once a later stage
+// ended the enumeration (later branches must not run).
+func (rn *run) evalGroup(g sparql.Group) {
+	required, ok := encodePatterns(rn.dict, g.Patterns, rn.slots)
 	if !ok {
-		return true // unknown constant: branch yields nothing
+		return // unknown constant: the branch yields nothing
 	}
-	// Everything seed-independent is computed once, not per VALUES
-	// combination: the encoded OPTIONAL blocks (an unknown constant
-	// makes a block dead for every combination) and the BIND lookup
-	// table the optional filters resolve targets from.
-	enc := groupEncoding{required: required}
+	// Everything seed-independent is built once, not per VALUES
+	// combination. An OPTIONAL block with an unknown constant never
+	// matches — its variables stay unbound — so it is simply left out.
+	var opts []query.OptionalGroup
+	var optMasks []uint64
 	for _, og := range g.Optionals {
-		pats, ok := r.encodePatterns(og.Patterns, varSlots)
+		pats, ok := encodePatterns(rn.dict, og.Patterns, rn.slots)
 		if !ok {
-			continue // dead OPTIONAL: never matches, its variables stay unbound
+			continue
 		}
-		enc.optionals = append(enc.optionals, encodedOptional{raw: og, patterns: pats})
+		opts = append(opts, query.OptionalGroup{Patterns: pats, Accept: rn.optionalFilter(g, og.Filters)})
+		optMasks = append(optMasks, rn.patternVars(og.Patterns))
 	}
-	if len(g.Binds) > 0 {
-		enc.bindExpr = make(map[string]sparql.Expr, len(g.Binds))
+
+	cur := &Row{run: rn}
+	lookup := cur.lookup
+	head := func(ids []uint64, bound uint64) bool {
+		if rn.ctx != nil {
+			if rn.polled++; rn.polled&255 == 0 {
+				if rn.err = rn.ctx.Err(); rn.err != nil {
+					rn.stopped = true
+					return false
+				}
+			}
+		}
+		cur.ids, cur.bound = ids, bound
 		for _, b := range g.Binds {
-			enc.bindExpr[b.Var] = b.Expr
+			slot := rn.slots[b.Var]
+			if cur.bound&(1<<uint(slot)) != 0 {
+				continue // defensive: the parser rejects rebinding targets
+			}
+			if term, ok := sparql.EvalTerm(b.Expr, lookup); ok {
+				ids[slot] = rn.encode(term)
+				cur.bound |= 1 << uint(slot)
+			}
 		}
+		for _, f := range g.Filters {
+			if !sparql.Eval(f, lookup) {
+				return true // constraint failed: keep walking
+			}
+		}
+		rn.stopped = !rn.next(ids, cur.bound)
+		return !rn.stopped
 	}
-	return forEachValuesRow(g.Values, 0, map[string]string{}, func(vals map[string]string) bool {
-		return r.evalSeeded(g, vals, &enc, varSlots, nVars, varNames, sink)
+
+	reqMask := rn.patternVars(g.Patterns)
+	seedIDs := make([]uint64, len(rn.names))
+	rn.forEachSeed(g.Values, seedIDs, 0, func(bound uint64) bool {
+		// A VALUES cell the dictionary has never seen travels under its
+		// local ID like any other. Pinning a required-pattern variable it
+		// proves the combination empty; pinning an OPTIONAL block's
+		// variable it kills just that block; pinning nothing it simply
+		// shows up in the output rows. Either way the engine never looks
+		// a local ID up.
+		var seed []query.Binding
+		var local uint64
+		for m := bound; m != 0; m &= m - 1 {
+			slot := bits.TrailingZeros64(m)
+			seed = append(seed, query.Binding{Slot: slot, ID: seedIDs[slot]})
+			if seedIDs[slot] >= localBase {
+				local |= 1 << uint(slot)
+			}
+		}
+		if local&reqMask != 0 {
+			return true
+		}
+		live := opts
+		if local != 0 {
+			live = nil
+			for i, opt := range opts {
+				if local&optMasks[i] == 0 {
+					live = append(live, opt)
+				}
+			}
+		}
+		if err := rn.eng.SolveLeftJoin(required, live, len(rn.names), seed, head); err != nil {
+			rn.err, rn.stopped = err, true
+		}
+		return !rn.stopped
 	})
 }
 
-// groupEncoding is one UNION branch's seed-independent compiled state.
-type groupEncoding struct {
-	required  []query.Pattern
-	optionals []encodedOptional
-	bindExpr  map[string]sparql.Expr
-}
-
-// encodedOptional pairs an OPTIONAL block with its engine patterns.
-type encodedOptional struct {
-	raw      sparql.Optional
-	patterns []query.Pattern
-}
-
-// registerVars gives every variable of the patterns that varSlots does
-// not know yet the next slot, in order of first appearance, and returns
-// varNames extended by them.
-func registerVars(pats [][3]string, varSlots map[string]int, varNames []string) []string {
-	for _, pat := range pats {
-		for _, t := range pat {
-			if !strings.HasPrefix(t, "?") {
+// optionalFilter is an OPTIONAL block's Accept hook: its FILTERs over
+// the candidate extension. BIND targets are visible to them (SPARQL
+// binds them before a later OPTIONAL) although the BIND stage runs
+// after the left join, so a name the row does not bind falls back to
+// the group's BIND expression, evaluated on demand over the variables
+// bound at that point of the join.
+func (rn *run) optionalFilter(g sparql.Group, filters []sparql.Expr) func([]uint64, uint64) bool {
+	if len(filters) == 0 {
+		return nil
+	}
+	cur := &Row{run: rn}
+	var busy map[string]bool // BIND targets being resolved: cycles stay unbound
+	var lookup func(string) (string, bool)
+	lookup = func(name string) (string, bool) {
+		if term, ok := cur.lookup(name); ok {
+			return term, true
+		}
+		for _, b := range g.Binds {
+			if b.Var != name || busy[name] {
 				continue
 			}
-			if _, ok := varSlots[t[1:]]; !ok {
-				varSlots[t[1:]] = len(varNames)
-				varNames = append(varNames, t[1:])
+			if busy == nil {
+				busy = map[string]bool{}
+			}
+			busy[name] = true
+			term, ok := sparql.EvalTerm(b.Expr, lookup)
+			delete(busy, name)
+			return term, ok
+		}
+		return "", false
+	}
+	return func(ids []uint64, bound uint64) bool {
+		cur.ids, cur.bound = ids, bound
+		for _, f := range filters {
+			if !sparql.Eval(f, lookup) {
+				return false
 			}
 		}
+		return true
 	}
-	return varNames
 }
 
-// encodePatterns is the one surface-pattern compiler — Select/Ask
-// groups, Query/QueryFunc and DELETE WHERE all go through it. It
-// translates patterns to engine terms over the slots varSlots assigns;
-// ok is false when a constant is not in the dictionary (it can match
-// nothing). The caller holds r.mu.
-func (r *Reasoner) encodePatterns(pats [][3]string, varSlots map[string]int) ([]query.Pattern, bool) {
-	out := make([]query.Pattern, len(pats))
-	for i, pat := range pats {
-		var qp query.Pattern
-		for pos, raw := range pat {
-			var term query.Term
-			if strings.HasPrefix(raw, "?") {
-				term = query.Var(varSlots[raw[1:]])
-			} else {
-				id, ok := r.engine.Dict.Lookup(raw)
-				if !ok {
-					return nil, false
-				}
-				term = query.Const(id)
-			}
-			switch pos {
-			case 0:
-				qp.S = term
-			case 1:
-				qp.P = term
-			case 2:
-				qp.O = term
-			}
-		}
-		out[i] = qp
+// forEachSeed enumerates every cross-block-compatible combination of
+// the VALUES blocks' rows (one empty combination when there are no
+// blocks), writing each into ids and calling fn with its bound mask.
+// UNDEF cells bind nothing; a variable two blocks both bind must agree.
+// Returns false when fn stopped the enumeration.
+func (rn *run) forEachSeed(blocks []sparql.Values, ids []uint64, bound uint64, fn func(bound uint64) bool) bool {
+	if len(blocks) == 0 {
+		return fn(bound)
 	}
-	return out, true
-}
-
-// forEachValuesRow enumerates every cross-block-compatible combination
-// of the VALUES blocks' rows (one empty combination when there are no
-// blocks). UNDEF cells bind nothing; a variable two blocks both bind
-// must agree. Returns false when fn stopped the enumeration.
-func forEachValuesRow(blocks []sparql.Values, i int, acc map[string]string, fn func(map[string]string) bool) bool {
-	if i == len(blocks) {
-		return fn(acc)
-	}
-	vb := blocks[i]
+	vb := blocks[0]
+rows:
 	for _, vrow := range vb.Rows {
-		merged := acc
-		compatible, cloned := true, false
+		merged := bound
 		for k, name := range vb.Vars {
-			term := vrow[k]
-			if term == "" {
+			if vrow[k] == "" {
 				continue // UNDEF
 			}
-			if cur, ok := merged[name]; ok {
-				if cur != term {
-					compatible = false
-					break
-				}
-				continue
+			slot, id := rn.slots[name], rn.encode(vrow[k])
+			if bit := uint64(1) << uint(slot); merged&bit == 0 {
+				ids[slot], merged = id, merged|bit
+			} else if ids[slot] != id {
+				continue rows
 			}
-			if !cloned {
-				c := make(map[string]string, len(merged)+len(vb.Vars))
-				for k2, v2 := range merged {
-					c[k2] = v2
-				}
-				merged, cloned = c, true
-			}
-			merged[name] = term
 		}
-		if !compatible {
-			continue
-		}
-		if !forEachValuesRow(blocks, i+1, merged, fn) {
+		if !rn.forEachSeed(blocks[1:], ids, merged, fn) {
 			return false
 		}
 	}
 	return true
 }
 
-// evalSeeded runs one VALUES combination: seed the engine with the
-// combination's dictionary-known bindings, left-join the live OPTIONAL
-// blocks, decode, overlay dictionary-unknown VALUES cells, and run the
-// group tail (BINDs, FILTERs). An unknown VALUES term pinning a
-// required-pattern variable proves the combination empty; pinning only
-// optional patterns kills just those blocks (their variables stay
-// unbound); pinning nothing still appears in the output rows.
-func (r *Reasoner) evalSeeded(g sparql.Group, vals map[string]string, enc *groupEncoding, varSlots map[string]int, nVars int, varNames []string, sink func(map[string]string) bool) bool {
-	patternVar := func(pats [][3]string, name string) bool {
-		for _, pat := range pats {
-			for _, t := range pat {
-				if strings.HasPrefix(t, "?") && t[1:] == name {
-					return true
-				}
-			}
-		}
+// tail is the last stage: DISTINCT (on the projected cells), OFFSET and
+// LIMIT in SPARQL's order, then delivery. Projection itself costs
+// nothing — Row.Term reads through the plan's slot list.
+type tail struct {
+	run     *run
+	seen    map[string]struct{} // DISTINCT: projected ID tuples already delivered
+	key     []byte
+	offset  int
+	limit   int // -1 = unlimited
+	skipped int
+	sent    int
+	out     func(Row) bool
+}
+
+// push returns false once delivery must stop (limit reached or the
+// consumer aborted).
+func (tl *tail) push(ids []uint64, bound uint64) bool {
+	if tl.limit == 0 {
 		return false
 	}
-
-	var seed []query.Binding
-	var unknown map[string]bool // VALUES vars with no dictionary entry
-	for name, term := range vals {
-		if id, ok := r.engine.Dict.Lookup(term); ok {
-			seed = append(seed, query.Binding{Slot: varSlots[name], ID: id})
-			continue
-		}
-		if patternVar(g.Patterns, name) {
-			return true // no stored triple can contain the term
-		}
-		if unknown == nil {
-			unknown = map[string]bool{}
-		}
-		unknown[name] = true
-	}
-
-	// BIND targets are visible to OPTIONAL FILTERs (SPARQL binds them
-	// before a later OPTIONAL), resolved on demand over the variables
-	// bound at that point of the left join.
-	bindExpr := enc.bindExpr
-
-	var opts []query.OptionalGroup
-	for _, eo := range enc.optionals {
-		dead := false
-		for name := range unknown {
-			if patternVar(eo.raw.Patterns, name) {
-				dead = true // pinned to a term no triple contains
-				break
-			}
-		}
-		if dead {
-			continue
-		}
-		opt := query.OptionalGroup{Patterns: eo.patterns}
-		if len(eo.raw.Filters) > 0 {
-			filters := eo.raw.Filters
-			opt.Accept = func(row []uint64, bound uint64) bool {
-				var inProgress map[string]bool
-				var lookup func(string) (string, bool)
-				lookup = func(name string) (string, bool) {
-					if slot, ok := varSlots[name]; ok && bound&(1<<uint(slot)) != 0 {
-						return r.engine.Dict.MustDecode(row[slot]), true
-					}
-					if unknown[name] {
-						return vals[name], true
-					}
-					if e, ok := bindExpr[name]; ok && !inProgress[name] {
-						if inProgress == nil {
-							inProgress = map[string]bool{}
-						}
-						inProgress[name] = true
-						term, okEval := sparql.EvalTerm(e, lookup)
-						delete(inProgress, name)
-						return term, okEval
-					}
-					return "", false
-				}
-				for _, f := range filters {
-					if !sparql.Eval(f, lookup) {
-						return false
-					}
-				}
-				return true
-			}
-		}
-		opts = append(opts, opt)
-	}
-
-	eng := r.queryEngine()
-	cont := true
-	_ = eng.SolveLeftJoin(enc.required, opts, nVars, seed, func(row []uint64, bound uint64) bool {
-		out := make(map[string]string, len(varNames))
-		for slot, name := range varNames {
-			if bound&(1<<uint(slot)) != 0 {
-				out[name] = r.engine.Dict.MustDecode(row[slot])
-			}
-		}
-		for name := range unknown {
-			out[name] = vals[name]
-		}
-		cont = r.finishRow(g, out, sink)
-		return cont
-	})
-	return cont
-}
-
-// finishRow runs one decoded solution through the group's tail: BINDs
-// in order (an erroring expression leaves its target unbound) and the
-// group's FILTERs (the VALUES data already joined upstream, before the
-// OPTIONAL blocks).
-func (r *Reasoner) finishRow(g sparql.Group, row map[string]string, sink func(map[string]string) bool) bool {
-	lookup := mapLookup(row) // reads the map live, so one closure serves the whole tail
-	for _, b := range g.Binds {
-		if _, ok := row[b.Var]; ok {
-			continue // defensive: the parser rejects rebinding targets
-		}
-		if term, ok := sparql.EvalTerm(b.Expr, lookup); ok {
-			row[b.Var] = term
-		}
-	}
-	for _, f := range g.Filters {
-		if !sparql.Eval(f, lookup) {
-			return true // constraint failed: keep walking
-		}
-	}
-	return sink(row)
-}
-
-// mapLookup adapts a row map to the expression evaluator's lookup.
-func mapLookup(m map[string]string) func(string) (string, bool) {
-	return func(name string) (string, bool) {
-		v, ok := m[name]
-		return v, ok
-	}
-}
-
-// rowPipeline applies the solution modifiers after FILTER and
-// aggregation: projection, DISTINCT (on the projected row), OFFSET,
-// and LIMIT, in SPARQL's order. push returns false once delivery must
-// stop (limit reached or the consumer aborted).
-type rowPipeline struct {
-	project  bool
-	vars     []string
-	distinct bool
-	offset   int
-	limit    int // -1 = unlimited
-	seen     map[string]bool
-	sent     int
-	skipped  int
-	out      func(map[string]string) bool
-}
-
-func (pl *rowPipeline) push(row map[string]string) bool {
-	if pl.limit == 0 {
-		return false
-	}
-	if pl.project {
-		projected := make(map[string]string, len(pl.vars))
-		for _, v := range pl.vars {
-			if val, ok := row[v]; ok {
-				projected[v] = val
-			}
-		}
-		row = projected
-	}
-	if pl.distinct {
-		key := solutionKey(pl.vars, row)
-		if pl.seen[key] {
+	if tl.seen != nil {
+		tl.key = tupleKey(tl.key[:0], tl.run.proj, ids, bound)
+		if _, dup := tl.seen[string(tl.key)]; dup {
 			return true
 		}
-		pl.seen[key] = true
+		tl.seen[string(tl.key)] = struct{}{}
 	}
-	if pl.skipped < pl.offset {
-		pl.skipped++
+	if tl.skipped < tl.offset {
+		tl.skipped++
 		return true
 	}
-	if pl.out != nil && !pl.out(row) {
+	if tl.out != nil && !tl.out(Row{tl.run, ids, bound}) {
 		return false
 	}
-	pl.sent++
-	return pl.limit < 0 || pl.sent < pl.limit
-}
-
-// solutionKey serializes the named cells of a row into an unambiguous
-// key for DISTINCT and GROUP BY: every bound value is length-prefixed
-// and an unbound cell gets its own marker, so no combination of
-// missing keys and value contents (including NUL bytes) can collide.
-func solutionKey(vars []string, row map[string]string) string {
-	var b strings.Builder
-	var num [20]byte
-	for _, v := range vars {
-		if val, ok := row[v]; ok {
-			b.WriteByte('B')
-			b.Write(strconv.AppendInt(num[:0], int64(len(val)), 10))
-			b.WriteByte(':')
-			b.WriteString(val)
-		} else {
-			b.WriteByte('U')
-		}
-	}
-	return b.String()
+	tl.sent++
+	return tl.limit < 0 || tl.sent < tl.limit
 }

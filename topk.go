@@ -4,147 +4,102 @@ package inferray
 // not always have to buffer the whole solution set either: with an
 // effective limit only the OFFSET+LIMIT smallest rows under the sort
 // order can ever be delivered, so the buffer is a bounded binary heap
-// of exactly that many rows. Ties beyond the sort keys break on
-// arrival order — the unbounded buffer through a stable sort, the heap
-// through explicit sequence numbers — so both modes deliver
-// byte-for-byte what a stable full sort followed by OFFSET/LIMIT
-// delivers.
+// (container/heap) of exactly that many rows. The stage decodes a row's
+// sort keys once, when it arrives, and compares decoded keys from then
+// on. Ties beyond the sort keys break on arrival order, which makes the
+// order strict and total — so both modes deliver byte-for-byte what a
+// stable full sort followed by OFFSET/LIMIT delivers.
 
 import (
+	"container/heap"
+	"slices"
 	"sort"
 
 	"inferray/internal/sparql"
 )
 
-// orderBuffer collects rows for ORDER BY: a top-k heap when k ≥ 0, a
-// plain slice (stable full sort at flush) when k < 0.
+// orderBuffer collects slot rows for ORDER BY in a max-heap rooted at
+// the largest kept row: the k smallest seen so far when k ≥ 0 — a new
+// row either displaces the root or is dropped — and every row when
+// k < 0. It is its own heap.Interface.
 type orderBuffer struct {
-	keys []sparql.OrderKey
-	heap *topK
-	rows []map[string]string // full-sort mode; slice order = arrival order
-	seq  int
+	run   *run
+	keys  []sparql.OrderKey
+	slots []int // slot of each key
+	k     int
+	rows  []*seqRow
+	seq   int
+	probe seqRow // the arriving row's keys, decoded before it is known to be kept
 }
 
-func newOrderBuffer(keys []sparql.OrderKey, k int) *orderBuffer {
-	ob := &orderBuffer{keys: keys}
-	if k >= 0 {
-		ob.heap = &topK{k: k, less: ob.seqLess}
+// seqRow is one buffered solution: a copy of the slot row, its decoded
+// ORDER BY cells ("" where unbound, which sorts before any term — see
+// sparql.CompareTerms) and its arrival rank.
+type seqRow struct {
+	ids   []uint64
+	bound uint64
+	keys  []string
+	seq   int
+}
+
+func newOrderBuffer(rn *run, keys []sparql.OrderKey, k int) *orderBuffer {
+	ob := &orderBuffer{run: rn, keys: keys, k: k}
+	for _, key := range keys {
+		ob.slots = append(ob.slots, rn.slots[key.Var])
 	}
 	return ob
 }
 
-// keyCompare orders two rows by the ORDER BY keys alone (unbound cells
-// sort before any bound term, see sparql.CompareTerms).
-func (ob *orderBuffer) keyCompare(a, b map[string]string) int {
-	for _, k := range ob.keys {
-		c := sparql.CompareTerms(a[k.Var], b[k.Var])
+// less orders two rows by the ORDER BY keys, then by arrival.
+func (ob *orderBuffer) less(a, b *seqRow) bool {
+	for i, k := range ob.keys {
+		c := sparql.CompareTerms(a.keys[i], b.keys[i])
 		if k.Desc {
 			c = -c
 		}
 		if c != 0 {
-			return c
+			return c < 0
 		}
-	}
-	return 0
-}
-
-// seqLess is keyCompare with arrival order as the final tiebreak — the
-// heap's strict total order.
-func (ob *orderBuffer) seqLess(a, b *seqRow) bool {
-	if c := ob.keyCompare(a.row, b.row); c != 0 {
-		return c < 0
 	}
 	return a.seq < b.seq
 }
 
-func (ob *orderBuffer) push(row map[string]string) {
-	if ob.heap != nil {
-		ob.heap.push(&seqRow{row: row, seq: ob.seq})
-		ob.seq++
-		return
+func (ob *orderBuffer) push(ids []uint64, bound uint64) bool {
+	p := &ob.probe
+	p.keys, p.seq = p.keys[:0], ob.seq
+	ob.seq++
+	for _, slot := range ob.slots {
+		term, _ := ob.run.cell(ids, bound, slot)
+		p.keys = append(p.keys, term)
 	}
-	ob.rows = append(ob.rows, row)
+	switch {
+	case ob.k < 0 || len(ob.rows) < ob.k:
+		heap.Push(ob, &seqRow{ids: slices.Clone(ids), bound: bound, keys: slices.Clone(p.keys), seq: p.seq})
+	case ob.k > 0 && ob.less(p, ob.rows[0]):
+		root := ob.rows[0] // displaced: its buffers take the new row
+		copy(root.ids, ids)
+		copy(root.keys, p.keys)
+		root.bound, root.seq = bound, p.seq
+		heap.Fix(ob, 0)
+	}
+	return true
 }
 
 // flush delivers the buffered rows in sort order; emit may return
 // false to stop early.
-func (ob *orderBuffer) flush(emit func(map[string]string) bool) {
-	if ob.heap == nil {
-		sort.SliceStable(ob.rows, func(i, j int) bool {
-			return ob.keyCompare(ob.rows[i], ob.rows[j]) < 0
-		})
-		for _, row := range ob.rows {
-			if !emit(row) {
-				return
-			}
-		}
-		return
-	}
-	rows := ob.heap.rows
-	sort.Slice(rows, func(i, j int) bool { return ob.seqLess(rows[i], rows[j]) })
-	for _, r := range rows {
-		if !emit(r.row) {
+func (ob *orderBuffer) flush(emit stage) {
+	sort.Slice(ob.rows, func(i, j int) bool { return ob.less(ob.rows[i], ob.rows[j]) })
+	for _, r := range ob.rows {
+		if !emit(r.ids, r.bound) {
 			return
 		}
 	}
 }
 
-// seqRow is one heap-buffered solution with its arrival rank.
-type seqRow struct {
-	row map[string]string
-	seq int
-}
-
-// topK keeps the k smallest rows seen so far under less, as a max-heap
-// rooted at the largest kept row: a new row either displaces the root
-// or is dropped, so at most k rows are ever retained.
-type topK struct {
-	k    int
-	less func(a, b *seqRow) bool
-	rows []*seqRow
-}
-
-func (h *topK) push(r *seqRow) {
-	if h.k == 0 {
-		return
-	}
-	if len(h.rows) < h.k {
-		h.rows = append(h.rows, r)
-		h.up(len(h.rows) - 1)
-		return
-	}
-	if h.less(r, h.rows[0]) {
-		h.rows[0] = r
-		h.down(0)
-	}
-}
-
-func (h *topK) up(i int) {
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !h.less(h.rows[parent], h.rows[i]) {
-			return
-		}
-		h.rows[parent], h.rows[i] = h.rows[i], h.rows[parent]
-		i = parent
-	}
-}
-
-func (h *topK) down(i int) {
-	n := len(h.rows)
-	for {
-		l := 2*i + 1
-		if l >= n {
-			return
-		}
-		big := l
-		if r := l + 1; r < n && h.less(h.rows[l], h.rows[r]) {
-			big = r
-		}
-		if !h.less(h.rows[i], h.rows[big]) {
-			return
-		}
-		h.rows[i], h.rows[big] = h.rows[big], h.rows[i]
-		i = big
-	}
-}
+// Len, Less, Swap, Push and Pop make the buffer a max-heap for
+// container/heap.
+func (ob *orderBuffer) Len() int           { return len(ob.rows) }
+func (ob *orderBuffer) Less(i, j int) bool { return ob.less(ob.rows[j], ob.rows[i]) }
+func (ob *orderBuffer) Swap(i, j int)      { ob.rows[i], ob.rows[j] = ob.rows[j], ob.rows[i] }
+func (ob *orderBuffer) Push(x any)         { ob.rows = append(ob.rows, x.(*seqRow)) }
+func (ob *orderBuffer) Pop() any           { panic("orderBuffer: rows leave through flush") }

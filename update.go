@@ -1,6 +1,7 @@
 package inferray
 
 import (
+	"context"
 	"fmt"
 	"strings"
 
@@ -104,29 +105,22 @@ func groundTriples(triples [][3]string) ([]rdf.Triple, error) {
 // matchPatternsLocked evaluates a DELETE WHERE basic graph pattern
 // against the visible closure (virtual triples included) and returns
 // every instantiated ground triple. r.mu must be held. It cannot go
-// through the public query path, which takes the read lock; it compiles
-// its patterns with the read path's compiler.
+// through the public query path, which takes the read lock; it runs the
+// same compiled one-group query through the same stage chain.
 func (r *Reasoner) matchPatternsLocked(patterns [][3]string) ([]rdf.Triple, error) {
-	varSlots := map[string]int{}
-	varNames := registerVars(patterns, varSlots, nil)
-	if len(varNames) > 64 {
-		return nil, fmt.Errorf("inferray: more than 64 distinct variables")
-	}
-	qp, ok := r.encodePatterns(patterns, varSlots)
-	if !ok {
-		return nil, nil // a constant not in the dictionary matches nothing
+	pl, err := compile(&sparql.Query{Groups: []sparql.Group{{Patterns: patterns}}})
+	if err != nil {
+		return nil, err
 	}
 	var out []rdf.Triple
-	err := r.queryEngine().Solve(qp, len(varNames), func(row []uint64) bool {
+	_, _, err = r.runLocked(context.TODO(), pl, 0, nil, func(row Row) bool {
 		for _, pat := range patterns {
-			var tr [3]string
 			for pos, raw := range pat {
 				if strings.HasPrefix(raw, "?") {
-					raw = r.engine.Dict.MustDecode(row[varSlots[raw[1:]]])
+					pat[pos], _ = row.lookup(raw[1:])
 				}
-				tr[pos] = raw
 			}
-			out = append(out, rdf.Triple{S: tr[0], P: tr[1], O: tr[2]})
+			out = append(out, rdf.Triple{S: pat[0], P: pat[1], O: pat[2]})
 		}
 		return true
 	})
