@@ -7,10 +7,12 @@ package inferray_test
 // they must pass and observe only consistent closures.
 
 import (
+	"bytes"
 	"fmt"
 	"io"
 	"sync"
 	"testing"
+	"time"
 
 	"inferray"
 )
@@ -275,4 +277,52 @@ func TestConcurrentUpdateDeleteWhere(t *testing.T) {
 	r2 := openDurable(t, dir, inferray.WithFragment(inferray.RDFSPlus))
 	defer r2.Close()
 	sameClosure(t, r2, r)
+}
+
+// TestSaveSnapshotDoesNotBlockReaders: an image write only reads, so it
+// holds the shared lock like a checkpoint. With SaveSnapshot parked on a
+// writer nobody drains, a query must still answer; the image the drained
+// pipe finally delivers must load.
+func TestSaveSnapshotDoesNotBlockReaders(t *testing.T) {
+	r := inferray.New()
+	for i := 0; i < 20_000; i++ { // more than the writer's buffer, so Write really parks
+		r.Add(fmt.Sprintf("<http://example.org/s%d>", i), "<http://example.org/p>", fmt.Sprintf("<http://example.org/o%d>", i))
+	}
+	r.Add("<x>", inferray.Type, "<C>")
+	if _, err := r.Materialize(); err != nil {
+		t.Fatal(err)
+	}
+	pr, pw := io.Pipe()
+	saved := make(chan error, 1)
+	go func() {
+		err := r.SaveSnapshot(pw)
+		pw.CloseWithError(err)
+		saved <- err
+	}()
+	first := make([]byte, 4)
+	if _, err := io.ReadFull(pr, first); err != nil { // SaveSnapshot is inside Write, lock held
+		t.Fatal(err)
+	}
+	held := make(chan bool, 1)
+	go func() { held <- r.Holds("<x>", inferray.Type, "<C>") }()
+	select {
+	case ok := <-held:
+		if !ok {
+			t.Error("Holds answered false beside the image write")
+		}
+	case err := <-saved:
+		t.Fatalf("SaveSnapshot returned (%v) with its writer blocked", err)
+	case <-time.After(5 * time.Second):
+		t.Fatal("Holds blocked behind SaveSnapshot: the image write holds the exclusive lock")
+	}
+	loaded, err := inferray.LoadSnapshot(io.MultiReader(bytes.NewReader(first), pr))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := <-saved; err != nil {
+		t.Fatal(err)
+	}
+	if loaded.Size() != r.Size() || !loaded.Holds("<x>", inferray.Type, "<C>") {
+		t.Errorf("image written beside a reader: %d triples, want %d", loaded.Size(), r.Size())
+	}
 }

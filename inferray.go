@@ -203,11 +203,6 @@ type Reasoner struct {
 	// it reports (the query cache's invalidation signal).
 	gen    atomic.Uint64
 	genSum uint64 // last sampled Main.VersionSum, guarded by mu (write)
-
-	// materialized records that the engine has run its first Materialize
-	// or had an image installed — what a retraction needs before it can
-	// run. Guarded by mu (write).
-	materialized bool
 }
 
 // pendingRun is one contiguous run of staged input: loose triples from
@@ -301,8 +296,8 @@ func Open(opts ...Option) (*Reasoner, error) {
 	// and generation. r.dur is still nil while the hooks run: replayed
 	// records are not logged a second time.
 	hooks := wal.Hooks{
-		Restore: func(d *dictionary.Dictionary, st *store.Store, asserted *store.Store, meta snapshot.Meta) error {
-			return r.install("data dir", d, st, asserted, meta)
+		Restore: func(d *dictionary.Dictionary, st *store.Store, meta snapshot.Meta) error {
+			return r.install("data dir", d, st, meta)
 		},
 		Apply: r.applyRecord,
 	}
@@ -318,12 +313,11 @@ func Open(opts ...Option) (*Reasoner, error) {
 // the one way a snapshot gets in (Open, RestoreImage, LoadImage,
 // LoadSnapshot). A closure is only a closure under its own ruleset, so
 // a fragment mismatch is refused; source names the image in that error.
-// Images are written from closures, so the store is marked
-// materialized, and the store generation resumes from the image's
-// header: X-Inferray-Generation stays one monotone sequence across
-// restarts and across the leader/follower boundary. Staged triples are
-// discarded with the old state.
-func (r *Reasoner) install(source string, d *dictionary.Dictionary, st, asserted *store.Store, meta snapshot.Meta) error {
+// The store generation resumes from the image's header:
+// X-Inferray-Generation stays one monotone sequence across restarts and
+// across the leader/follower boundary. Staged triples are discarded
+// with the old state.
+func (r *Reasoner) install(source string, d *dictionary.Dictionary, st *store.Store, meta snapshot.Meta) error {
 	if meta.Fragment != "" && meta.Fragment != r.engine.Fragment().String() {
 		return fmt.Errorf("inferray: %s was materialized under fragment %s, but the reasoner is configured for %s",
 			source, meta.Fragment, r.engine.Fragment())
@@ -333,11 +327,9 @@ func (r *Reasoner) install(source string, d *dictionary.Dictionary, st, asserted
 	r.pendingMu.Unlock()
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if err := r.engine.RestoreState(d, st, meta.HierarchyEncoded, asserted); err != nil {
+	if err := r.engine.RestoreState(d, st, meta.HierarchyEncoded); err != nil {
 		return err
 	}
-	r.engine.MarkMaterialized()
-	r.materialized = true
 	r.gen.Store(meta.StoreGeneration)
 	r.genSum = r.engine.Main.VersionSum()
 	return nil
@@ -577,10 +569,9 @@ func (r *Reasoner) apply(m mutation) (Stats, reasoner.RetractStats, error) {
 	var st Stats
 	var rs reasoner.RetractStats
 	var err error
-	if m.kind == wal.OpAdd || !r.materialized {
+	if m.kind == wal.OpAdd || !r.engine.Materialized() {
 		r.engine.LoadRanges(m.ranges)
 		st = r.engine.Materialize()
-		r.materialized = true
 	}
 	if m.kind == wal.OpDelete {
 		rs, err = r.engine.Retract(record)
@@ -653,7 +644,7 @@ func (r *Reasoner) Checkpoint() (CheckpointInfo, error) {
 func (r *Reasoner) doCheckpoint() (CheckpointInfo, error) {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	cs, err := r.dur.Checkpoint(r.engine.Dict, r.engine.Main, r.engine.AssertedStore(), r.engine.StoredSize(), r.engine.HierView() != nil, r.gen.Load())
+	cs, err := r.dur.Checkpoint(r.engine.Dict, r.engine.Main, r.engine.StoredSize(), r.engine.HierView() != nil, r.gen.Load())
 	return CheckpointInfo(cs), err
 }
 

@@ -30,18 +30,28 @@ func storedType(t *testing.T, e *Engine, s, o string) bool {
 	return tt.Contains(lookupID(t, e, s), lookupID(t, e, o))
 }
 
-// TestCompactTypeTable checks that subsumption-redundant stored rdf:type
-// pairs — loaded directly or derived by rules that do not consult the
-// interval index (domain fallout here) — are compacted away, while the
-// visible closure keeps every pair.
+// plantType stores ⟨s rdf:type o⟩ as a derivation — unmarked — through
+// the store's merge, behind the engine's back: no compaction follows.
+func plantType(t *testing.T, e *Engine, s, o string) {
+	t.Helper()
+	out := store.New(e.Main.NumSlots())
+	out.Add(e.V.Type, lookupID(t, e, s), lookupID(t, e, o))
+	store.MergeRound(e.Main, false, false, out)
+}
+
+// TestCompactTypeTable checks that subsumption-redundant rdf:type pairs
+// derived by rules that do not consult the interval index (domain
+// fallout here) are compacted away, that a redundant pair which was
+// loaded — asserted — stays stored under its mark, and that the visible
+// closure keeps every pair either way.
 func TestCompactTypeTable(t *testing.T) {
 	e := New(Options{Fragment: rules.RDFSDefault, HierarchyEncoding: true})
 	e.LoadTriples([]rdf.Triple{
 		{S: "<Dog>", P: rdf.RDFSSubClassOf, O: "<Mammal>"},
 		{S: "<Mammal>", P: rdf.RDFSSubClassOf, O: "<Animal>"},
 		{S: "<walks>", P: rdf.RDFSDomain, O: "<Mammal>"},
-		// ⟨x type Animal⟩ is redundant next to ⟨x type Dog⟩; the domain
-		// rule's ⟨x type Mammal⟩ fallout is redundant the same way.
+		// ⟨x type Animal⟩ is redundant next to ⟨x type Dog⟩ but asserted;
+		// the domain rule's ⟨x type Mammal⟩ fallout is redundant and derived.
 		{S: "<x>", P: rdf.RDFType, O: "<Dog>"},
 		{S: "<x>", P: rdf.RDFType, O: "<Animal>"},
 		{S: "<x>", P: "<walks>", O: "<y>"},
@@ -55,10 +65,14 @@ func TestCompactTypeTable(t *testing.T) {
 	if !storedType(t, e, "<x>", "<Dog>") || !storedType(t, e, "<z>", "<Mammal>") {
 		t.Error("minimal type pairs must stay stored")
 	}
-	for _, o := range []string{"<Animal>", "<Mammal>"} {
-		if storedType(t, e, "<x>", o) {
-			t.Errorf("⟨x type %s⟩ still stored; should be compacted", o)
-		}
+	if storedType(t, e, "<x>", "<Mammal>") {
+		t.Error("derived ⟨x type Mammal⟩ still stored; should be compacted")
+	}
+	if !storedType(t, e, "<x>", "<Animal>") {
+		t.Error("asserted ⟨x type Animal⟩ compacted away; a marked pair must stay")
+	}
+	if n := e.ShadowedTypePairs(); n != 0 {
+		t.Errorf("%d unmarked shadowed pairs left stored", n)
 	}
 	for _, tr := range []rdf.Triple{
 		{S: "<x>", P: rdf.RDFType, O: "<Dog>"},
@@ -71,15 +85,18 @@ func TestCompactTypeTable(t *testing.T) {
 		}
 	}
 
-	// Re-loading an already-compacted pair must behave like loading a
-	// duplicate: absorbed (no livelock), still compacted, still visible.
-	e.LoadTriples([]rdf.Triple{{S: "<x>", P: rdf.RDFType, O: "<Animal>"}})
-	e.Materialize()
-	if storedType(t, e, "<x>", "<Animal>") {
-		t.Error("re-loaded redundant pair must compact away again")
+	// Loading an already-compacted pair asserts it: absorbed (it leaves
+	// the delta, so no rule fires and nothing livelocks), stored under
+	// its mark from now on, visible as before.
+	e.LoadTriples([]rdf.Triple{{S: "<x>", P: rdf.RDFType, O: "<Mammal>"}})
+	if ms := e.Materialize(); ms.InputTriples != 0 || ms.Iterations != 0 {
+		t.Errorf("a shadowed insert must leave the delta empty: %+v", ms)
 	}
-	if !e.Contains(rdf.Triple{S: "<x>", P: rdf.RDFType, O: "<Animal>"}) {
-		t.Error("re-loaded redundant pair must stay visible")
+	if !storedType(t, e, "<x>", "<Mammal>") {
+		t.Error("a loaded redundant pair must stay stored")
+	}
+	if !e.Contains(rdf.Triple{S: "<x>", P: rdf.RDFType, O: "<Mammal>"}) {
+		t.Error("a loaded redundant pair must stay visible")
 	}
 }
 
@@ -91,8 +108,12 @@ func TestCompactTypeTableCycle(t *testing.T) {
 	e.LoadTriples([]rdf.Triple{
 		{S: "<A>", P: rdf.RDFSSubClassOf, O: "<B>"},
 		{S: "<B>", P: rdf.RDFSSubClassOf, O: "<A>"},
-		{S: "<x>", P: rdf.RDFType, O: "<A>"},
-		{S: "<x>", P: rdf.RDFType, O: "<B>"},
+		// The memberships are derived (domain fallout): an asserted one
+		// would stay stored whatever shadows it.
+		{S: "<inA>", P: rdf.RDFSDomain, O: "<A>"},
+		{S: "<inB>", P: rdf.RDFSDomain, O: "<B>"},
+		{S: "<x>", P: "<inA>", O: "<o>"},
+		{S: "<x>", P: "<inB>", O: "<o>"},
 	})
 	e.Materialize()
 
@@ -122,7 +143,8 @@ func TestCompactTypeTableCycle(t *testing.T) {
 	})
 	classes := []string{"<A>", "<B>", "<C>", "<D>", "<E>", "<Top>", "<Loose>"}
 	for _, o := range classes {
-		e.LoadTriples([]rdf.Triple{{S: "<y>", P: rdf.RDFType, O: o}})
+		in := "<in" + o[1:]
+		e.LoadTriples([]rdf.Triple{{S: in, P: rdf.RDFSDomain, O: o}, {S: "<y>", P: in, O: "<o>"}})
 	}
 	e.Materialize()
 	if e.HierView() == nil {
@@ -177,20 +199,22 @@ func TestCompactTypeTableProportional(t *testing.T) {
 		t.Fatal("hierarchy encoding unexpectedly bypassed")
 	}
 
-	// Plant ⟨y type Animal⟩ next to ⟨y type Dog⟩, bypassing the merge.
-	tt := e.Main.Table(e.V.Type)
-	planted := append([]uint64(nil), tt.Pairs()...)
-	tt.SetPairs(append(planted, lookupID(t, e, "<y>"), lookupID(t, e, "<Animal>")))
-	tt.Normalize()
-	if e.ShadowedTypePairs() != 1 {
-		t.Fatalf("fixture: planted run not seen as shadowed (%d)", e.ShadowedTypePairs())
+	// Plant derived ⟨x type Animal⟩ and ⟨y type Animal⟩ next to the Dog
+	// pairs, behind the engine's back.
+	plantType(t, e, "<x>", "<Animal>")
+	plantType(t, e, "<y>", "<Animal>")
+	if e.ShadowedTypePairs() != 2 {
+		t.Fatalf("fixture: planted runs not seen as shadowed (%d)", e.ShadowedTypePairs())
 	}
 
 	// A delta round on x, hierarchy unchanged.
-	e.LoadTriples([]rdf.Triple{{S: "<x>", P: rdf.RDFType, O: "<Animal>"}})
+	e.LoadTriples([]rdf.Triple{{S: "<x>", P: rdf.RDFType, O: "<Mammal>"}})
 	e.Materialize()
 	if storedType(t, e, "<x>", "<Animal>") {
 		t.Error("the touched run must be compacted")
+	}
+	if !storedType(t, e, "<x>", "<Mammal>") {
+		t.Error("the asserted pair that touched the run must stay stored")
 	}
 	if !storedType(t, e, "<y>", "<Animal>") {
 		t.Error("the untouched run was visited: a delta round must settle only the delta's subjects")
@@ -243,9 +267,11 @@ func TestCompactTypeTableAllocations(t *testing.T) {
 func BenchmarkCompactTypeTable(b *testing.B) {
 	e, delta := yagoClosed(b)
 	b.Run("full", func(b *testing.B) {
+		e.hierClassChanged = true // as in a round that moved the hierarchy
 		for i := 0; i < b.N; i++ {
-			e.compactTypeTable(nil)
+			e.compactTypeTable(store.New(0))
 		}
+		e.hierClassChanged = false
 	})
 	b.Run("one-subject", func(b *testing.B) {
 		b.ReportAllocs()

@@ -322,7 +322,6 @@ func (e *Engine) LoadRanges(ranges []*Range) {
 	}
 	if len(renames) > 0 {
 		e.Main.RewriteTerms(renames)
-		e.asserted.RewriteTerms(renames)
 		if e.staged != nil {
 			e.staged.RewriteTerms(renames)
 		}
@@ -352,7 +351,6 @@ func (e *Engine) LoadRanges(ranges []*Range) {
 		target = e.staged
 	}
 	target.Grow(d.NumProperties())
-	e.asserted.Grow(d.NumProperties())
 	e.Main.Grow(d.NumProperties())
 
 	// Count the pairs each property receives, size its tables once, fill.
@@ -363,21 +361,17 @@ func (e *Engine) LoadRanges(ranges []*Range) {
 		}
 	}
 	into := make([]*store.Table, len(counts))
-	record := make([]*store.Table, len(counts))
 	for pidx, n := range counts {
 		if n > 0 {
-			into[pidx], record[pidx] = target.Ensure(pidx), e.asserted.Ensure(pidx)
+			into[pidx] = target.Ensure(pidx)
 			into[pidx].Reserve(n)
-			record[pidx].Reserve(n)
 		}
 	}
 	for r, rg := range ranges {
 		m := remaps[r]
 		for i := 0; i < len(rg.tuples); i += 3 {
 			s, p, o := m[rg.tuples[i]], m[rg.tuples[i+1]], m[rg.tuples[i+2]]
-			pidx := dictionary.PropIndex(p)
-			into[pidx].Append(s, o)
-			record[pidx].Append(s, o)
+			into[dictionary.PropIndex(p)].Append(s, o)
 		}
 	}
 	e.encodeTime += time.Since(start)

@@ -128,6 +128,11 @@ type Stats struct {
 // read the closure back out. Loading more triples after a
 // materialization stages them as a delta; the next Materialize extends
 // the closure incrementally.
+//
+// Main is the only store. Which of its pairs were explicitly loaded
+// (asserted) rather than only derived is a mark on the pair itself
+// (store.Table.Marked, DESIGN.md §11): Retract may only remove marked
+// pairs, and a marked pair is never compacted away.
 type Engine struct {
 	Dict *dictionary.Dictionary
 	V    *rules.Vocab
@@ -139,14 +144,6 @@ type Engine struct {
 	materialized bool
 	staged       *store.Store  // triples loaded since the last Materialize
 	encodeTime   time.Duration // spent loading since the last Materialize
-
-	// asserted records the explicitly loaded (asserted) triples,
-	// independent of the closure: Retract may only remove asserted
-	// triples, and rederivation after an overdeletion re-seeds from this
-	// set. It is append-only under LoadTriples and shrinks only in
-	// Retract; under the hierarchy encoding it keeps even the type pairs
-	// compactTypeTable drops from the main store.
-	asserted *store.Store
 
 	// hier is the hierarchy interval index when the encoding is active;
 	// nil when the option is off, before the first Materialize, or after
@@ -188,7 +185,6 @@ func New(opts Options) *Engine {
 	}
 	e.resolveRuleCounters()
 	e.Main = store.New(d.NumProperties())
-	e.asserted = store.New(d.NumProperties())
 	return e
 }
 
@@ -235,10 +231,18 @@ func (e *Engine) Materialize() Stats {
 // materializeFull is Algorithm 1 over the loaded store.
 func (e *Engine) materializeFull(st *Stats) {
 	start := time.Now()
-	// Normalizing the asserted record here (under the caller's write
-	// exclusivity) keeps it clean for snapshot writers, which run under a
-	// shared read lock and must not mutate.
-	e.normalize(e.Main, e.asserted)
+	if e.opts.Parallel {
+		e.Main.NormalizeParallel()
+	} else {
+		e.Main.Normalize()
+	}
+	// Everything loaded so far is input: mark it, clean or not (a caller
+	// may have normalized Main itself). From here on pairs enter Main only
+	// through merges, which carry the marks.
+	e.Main.ForEachTable(func(_ int, t *store.Table) bool {
+		t.MarkAll()
+		return true
+	})
 	st.NormalizeTime = time.Since(start)
 	st.InputTriples = e.Main.Size() // after load-time dedup
 
@@ -260,33 +264,18 @@ func (e *Engine) materializeFull(st *Stats) {
 	st.LoopTime = time.Since(loopStart)
 }
 
-// normalize sorts and dedups the dirty tables of the given stores, on
-// one worker pool when the engine runs parallel.
-func (e *Engine) normalize(stores ...*store.Store) {
-	if e.opts.Parallel {
-		store.NormalizeParallel(stores...)
-		return
-	}
-	for _, st := range stores {
-		st.Normalize()
-	}
-}
-
 // materializeIncremental merges the staged delta into main and runs the
 // fixpoint seeded with only the genuinely new triples. The θ closures of
 // the pre-loop stage are unnecessary here: the in-loop θ rule re-closes
 // every transitive table the delta touches.
 func (e *Engine) materializeIncremental(st *Stats) {
-	start := time.Now()
-	e.normalize(e.asserted)
-	st.NormalizeTime = time.Since(start)
 	staged := e.staged
 	e.staged = nil
 	if staged == nil || staged.Size() == 0 {
 		return
 	}
 	loopStart := time.Now()
-	delta := e.mergeRound(staged)
+	delta := e.mergeRound(true, staged)
 	st.InputTriples = delta.Size()
 	if st.InputTriples > 0 {
 		e.fixpoint(delta, st)
@@ -302,7 +291,7 @@ func (e *Engine) fixpoint(delta *store.Store, st *Stats) {
 		start := time.Now()
 		outs, fired := e.applyRules(delta)
 		rulesTime := time.Since(start)
-		delta = e.mergeRound(outs...)
+		delta = e.mergeRound(false, outs...)
 		skipped := len(e.rules) - fired
 		st.Iterations++
 		st.RulesFired += fired
@@ -326,10 +315,11 @@ func (e *Engine) fixpoint(delta *store.Store, st *Stats) {
 // outputs, a reseed, an encoding expansion alike: merge the outputs into
 // main, then bring the hierarchy encoding up to date with what arrived.
 // The returned delta is the round: its non-empty tables are what
-// changed, and the next rule selection reads nothing else.
-func (e *Engine) mergeRound(outs ...*store.Store) *store.Store {
+// changed, and the next rule selection reads nothing else. asserted is
+// true for the one round whose outputs are input: the staged batch.
+func (e *Engine) mergeRound(asserted bool, outs ...*store.Store) *store.Store {
 	start := time.Now()
-	delta := store.MergeRound(e.Main, e.opts.Parallel, outs...)
+	delta := store.MergeRound(e.Main, e.opts.Parallel, asserted, outs...)
 	merged := time.Now()
 	e.maintainHier(delta)
 	e.mergeTime += merged.Sub(start)
@@ -343,37 +333,41 @@ func hasPairs(st *store.Store, pidx int) bool {
 	return t != nil && !t.Empty()
 }
 
-// transitivityClosures closes the θ tables in place before the fixpoint
+// transitivityClosures closes the θ tables before the fixpoint
 // (owl:sameAs after symmetrization). With the hierarchy encoding
 // requested, the subClassOf/subPropertyOf closures are not materialized:
 // the interval index is built from the raw edges instead (unless a
-// meta-vocabulary guard forces a bypass).
+// meta-vocabulary guard forces a bypass). Nothing is compacted here:
+// every pair of Main is input at this point, and an asserted pair stays.
 func (e *Engine) transitivityClosures() {
 	if e.opts.HierarchyEncoding && !e.hierBypassed {
 		e.buildHier()
 		if !e.hierGuardsOK() {
 			e.hier = nil
 			e.hierBypassed = true
-		} else {
-			e.compactTypeTable(nil)
 		}
 	}
+	// The symmetric and the closed pairs are derivations: they enter the
+	// (marked) tables the way every derivation does, through a merge.
+	derive := func(pidx int, pairs []uint64) {
+		out := store.New(pidx + 1)
+		out.Ensure(pidx).AppendPairs(pairs)
+		store.MergeRound(e.Main, false, false, out)
+	}
 	// owl:sameAs: add the symmetric pairs before closing (§4.1).
-	if t := e.Main.Table(e.V.SameAs); e.opts.Fragment.UsesSameAs() && t != nil && !t.Empty() {
-		p := t.Pairs()
+	if e.opts.Fragment.UsesSameAs() && hasPairs(e.Main, e.V.SameAs) {
+		p := e.Main.Table(e.V.SameAs).Pairs()
 		rev := make([]uint64, 0, len(p))
 		for i := 0; i < len(p); i += 2 {
 			if p[i] != p[i+1] {
 				rev = append(rev, p[i+1], p[i])
 			}
 		}
-		t.AppendPairs(rev)
-		t.Normalize()
+		derive(e.V.SameAs, rev)
 	}
 	for _, pidx := range e.transitiveTables() {
-		if t := e.Main.Table(pidx); t != nil && !t.Empty() {
-			t.AppendPairs(closure.Close(t.Pairs()))
-			t.Normalize()
+		if hasPairs(e.Main, pidx) {
+			derive(pidx, closure.Close(e.Main.Table(pidx).Pairs()))
 		}
 	}
 }
@@ -528,53 +522,58 @@ func (e *Engine) maintainHier(delta *store.Store) {
 // subclass-free — a marker pair can therefore never be redundant.
 // A delta type table that compacts to nothing triggers no rule.
 //
-// The work is proportional to the round. The stored table is compact
-// after every mergeRound, so while the class hierarchy stands still only
-// a subject the delta's type table names can have gained a shadowed
-// pair: just those runs are visited. The whole table is swept only for a
-// nil delta (the pre-loop stage, over freshly loaded data) and for a
-// round that changed the class hierarchy, which can shadow pairs
-// anywhere.
+// An asserted (marked) pair is the one exception: it leaves the delta
+// like any other but stays stored, so it remains retractable with no
+// side record of what was compacted. The view dedups (typeObjects,
+// typeStats), so a stored shadowed pair changes no visible result.
+// Retract passes its unmarked batch as the delta: a retracted pair that
+// is shadowed leaves the store and the batch here, and seeds nothing.
+//
+// The work is proportional to the round. No unmarked pair is shadowed
+// after a mergeRound, so while the class hierarchy stands still only a
+// subject the delta's type table names can have gained one: just those
+// runs are visited. The whole table is swept only for a round that
+// changed the class hierarchy, which can shadow pairs anywhere.
 func (e *Engine) compactTypeTable(delta *store.Store) {
-	var dt *store.Table
-	if delta != nil {
-		dt = delta.Table(e.V.Type)
-	}
-	touched := dt // nil, a full sweep, when there is no delta
+	dt := delta.Table(e.V.Type)
+	touched := dt
 	if e.hierClassChanged {
 		touched = nil
 	}
-	drop := e.shadowedTypePairs(touched)
-	if len(drop) == 0 {
+	unmarked, marked := e.shadowedTypePairs(touched)
+	if len(unmarked)+len(marked) == 0 {
 		return
 	}
-	e.Main.Table(e.V.Type).DeletePairs(drop)
+	e.Main.Table(e.V.Type).DeletePairs(unmarked)
 	if dt != nil {
 		// The delta is a subset of the merged main store, so a delta pair
-		// survives iff it survived the main-table compaction.
-		dt.DeletePairs(drop)
+		// is shadowed iff main's run says so — marked or not.
+		dt.DeletePairs(unmarked)
+		dt.DeletePairs(marked)
 	}
 }
 
 // shadowedTypePairs lists, ⟨s,o⟩-sorted, the stored rdf:type pairs whose
-// class is shadowed inside its subject's run, visiting the subjects of
-// touched (a type table) or, when touched is nil, every subject. Touched
-// runs are found by galloping forward from the previous one, so a
-// one-triple round does not scan the table.
-func (e *Engine) shadowedTypePairs(touched *store.Table) []uint64 {
-	if e.hier == nil || e.hier.Classes.VisiblePairs() == 0 {
-		return nil
+// class is shadowed inside its subject's run — those without an asserted
+// mark and, apart, the few with one — visiting the subjects of touched (a
+// type table) or, when touched is nil, every subject. Touched runs are
+// found by galloping forward from the previous one, so a one-triple
+// round does not scan the table.
+func (e *Engine) shadowedTypePairs(touched *store.Table) (unmarked, marked []uint64) {
+	if e.hier == nil || e.hier.Classes.VisiblePairs() == 0 || !hasPairs(e.Main, e.V.Type) {
+		return nil, nil
 	}
 	t := e.Main.Table(e.V.Type)
-	if t == nil || t.Empty() {
-		return nil
-	}
 	pairs := t.Pairs()
-	var drop []uint64
 	settle := func(lo, hi int) {
 		for i, shadowed := range e.hier.Classes.Shadowed(pairs[2*lo:2*hi], &e.typeRuns) {
-			if shadowed {
-				drop = append(drop, pairs[2*(lo+i)], pairs[2*(lo+i)+1])
+			if !shadowed {
+				continue
+			}
+			if t.Marked(lo + i) {
+				marked = append(marked, pairs[2*(lo+i)], pairs[2*(lo+i)+1])
+			} else {
+				unmarked = append(unmarked, pairs[2*(lo+i)], pairs[2*(lo+i)+1])
 			}
 		}
 	}
@@ -584,7 +583,7 @@ func (e *Engine) shadowedTypePairs(touched *store.Table) []uint64 {
 			}
 			settle(lo, hi)
 		}
-		return drop
+		return unmarked, marked
 	}
 	tp := touched.Pairs()
 	hi := 0
@@ -595,14 +594,18 @@ func (e *Engine) shadowedTypePairs(touched *store.Table) []uint64 {
 			settle(lo, hi)
 		}
 	}
-	return drop
+	return unmarked, marked
 }
 
 // ShadowedTypePairs counts, in one full sweep, the stored rdf:type pairs
-// the interval index already serves. It is zero after every merge round
-// — the invariant that lets compaction visit only the runs a round
-// touched — and exported for the tests that check exactly that.
-func (e *Engine) ShadowedTypePairs() int { return len(e.shadowedTypePairs(nil)) / 2 }
+// the interval index already serves and no assertion holds in place. It
+// is zero after every merge round — the invariant that lets compaction
+// visit only the runs a round touched — and exported for the tests that
+// check exactly that.
+func (e *Engine) ShadowedTypePairs() int {
+	unmarked, _ := e.shadowedTypePairs(nil)
+	return len(unmarked) / 2
+}
 
 // expandEncoding materializes every virtual triple into the main store
 // and permanently disables the encoding (the bypass is sticky), leaving
@@ -622,7 +625,7 @@ func (e *Engine) expandEncoding() *store.Store {
 	}
 	e.hier = nil
 	e.hierBypassed = true
-	return e.mergeRound(exp)
+	return e.mergeRound(false, exp)
 }
 
 // applyRules fires the scheduled rules of the fragment against (main,
@@ -702,12 +705,14 @@ func (e *Engine) runRules(runnable []int, delta *store.Store) []*store.Store {
 }
 
 // RestoreState replaces the engine's dictionary and store with a
-// previously snapshotted pair. The dictionary must contain the standard
-// vocabulary at its head (snapshots written by this package always do:
-// the vocabulary is registered at engine construction, before any data
-// term). The vocabulary indexes are re-resolved and verified. The engine
-// returns to the not-yet-materialized state: the next Materialize runs
-// the full Algorithm 1 over the restored store.
+// previously snapshotted pair — tables normalized, asserted marks in
+// place, as snapshot.Read returns them. The dictionary must contain the
+// standard vocabulary at its head (snapshots written by this package
+// always do: the vocabulary is registered at engine construction, before
+// any data term). The vocabulary indexes are re-resolved and verified.
+// An image is written from a closure, so the engine is materialized
+// afterwards: re-deriving the (empty) fixpoint would only waste the cold
+// start, and the next Materialize extends the closure from staged deltas.
 //
 // encoded declares that the snapshot was written by an engine with the
 // hierarchy encoding active, i.e. the stored closure is reduced (the
@@ -718,13 +723,7 @@ func (e *Engine) runRules(runnable []int, delta *store.Store) []*store.Store {
 // visible closure is exactly the snapshotted one. A snapshot that is
 // not encoded restores onto full materialization whatever the option
 // says: the restored engine is in the state its writer was in.
-//
-// asserted is the snapshotted record of explicitly loaded triples; nil
-// when the snapshot carries none, in which case the
-// whole restored closure is treated as asserted — a degraded but
-// well-defined state: every visible triple is retractable, and none is
-// rederivable from a smaller asserted core.
-func (e *Engine) RestoreState(d *dictionary.Dictionary, st *store.Store, encoded bool, asserted *store.Store) error {
+func (e *Engine) RestoreState(d *dictionary.Dictionary, st *store.Store, encoded bool) error {
 	for i, term := range rdf.VocabularyProperties {
 		id, ok := d.Lookup(term)
 		if !ok || dictionary.PropIndex(id) != i {
@@ -735,12 +734,11 @@ func (e *Engine) RestoreState(d *dictionary.Dictionary, st *store.Store, encoded
 	e.V = rules.ResolveVocab(d)
 	st.Grow(d.NumProperties())
 	e.Main = st
-	e.materialized = false
+	e.materialized = true
 	e.staged = nil
 	e.hier = nil
 	e.hierBypassed = false
 	e.hierClassChanged, e.hierPropChanged = false, false
-	e.normalize(e.Main)
 	if encoded {
 		e.buildHier()
 		if !e.opts.HierarchyEncoding || !e.hierGuardsOK() {
@@ -758,31 +756,25 @@ func (e *Engine) RestoreState(d *dictionary.Dictionary, st *store.Store, encoded
 		// would let the store generation drift from the writer's.
 		e.hierBypassed = true
 	}
-	if asserted != nil {
-		asserted.Grow(d.NumProperties())
-		asserted.Normalize()
-		e.asserted = asserted
-	} else {
-		e.asserted = e.Main.Clone()
-	}
 	return nil
 }
 
-// AssertedStore returns the engine's record of explicitly loaded
-// (asserted) triples, normalized. Snapshot writers persist it so a
-// restored engine can keep retracting; callers must treat it as
-// read-only.
-func (e *Engine) AssertedStore() *store.Store {
-	e.asserted.Normalize()
-	return e.asserted
-}
+// Materialized reports whether Main is a closure: the first Materialize
+// ran, or an image was installed.
+func (e *Engine) Materialized() bool { return e.materialized }
 
-// MarkMaterialized declares the current store a closure, so the next
-// Materialize runs incrementally from staged deltas instead of the full
-// Algorithm 1. Durability recovery uses it after RestoreState: a
-// checkpoint image is always written from a materialized store, so
-// re-deriving the (empty) fixpoint would only waste the cold start.
-func (e *Engine) MarkMaterialized() { e.materialized = true }
+// Asserted calls fn for every asserted triple — the marked pairs of
+// Main — in table order, until fn returns false.
+func (e *Engine) Asserted(fn func(pidx int, s, o uint64) bool) {
+	e.Main.ForEachTable(func(pidx int, t *store.Table) bool {
+		for i, p := 0, t.Pairs(); i < len(p); i += 2 {
+			if t.Marked(i/2) && !fn(pidx, p[i], p[i+1]) {
+				return false
+			}
+		}
+		return true
+	})
+}
 
 // Size returns the current number of visible triples (staged triples
 // not yet materialized are excluded). With the hierarchy encoding
@@ -855,20 +847,22 @@ func (e *Engine) Triples(fn func(t rdf.Triple) bool) {
 // Contains reports whether the given (surface form) triple is visible.
 // All three terms must already be known to the dictionary.
 func (e *Engine) Contains(t rdf.Triple) bool {
-	p, ok := e.Dict.Lookup(t.P)
-	if !ok || !dictionary.IsProperty(p) {
-		return false
-	}
-	s, ok := e.Dict.Lookup(t.S)
-	if !ok {
-		return false
-	}
-	o, ok := e.Dict.Lookup(t.O)
+	pidx, s, o, ok := e.resolve(t)
 	if !ok {
 		return false
 	}
 	if hv := e.HierView(); hv != nil {
-		return hv.Contains(dictionary.PropIndex(p), s, o)
+		return hv.Contains(pidx, s, o)
 	}
-	return e.Main.Contains(dictionary.PropIndex(p), s, o)
+	return e.Main.Contains(pidx, s, o)
+}
+
+// resolve looks a surface-form triple up in the dictionary. ok is false
+// when a term is unknown or the predicate is not a property: such a
+// triple cannot name anything stored.
+func (e *Engine) resolve(t rdf.Triple) (pidx int, s, o uint64, ok bool) {
+	p, okP := e.Dict.Lookup(t.P)
+	s, okS := e.Dict.Lookup(t.S)
+	o, okO := e.Dict.Lookup(t.O)
+	return dictionary.PropIndex(p), s, o, okP && okS && okO && dictionary.IsProperty(p)
 }

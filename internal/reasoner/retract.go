@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"inferray/internal/dictionary"
 	"inferray/internal/rdf"
 	"inferray/internal/rules"
 	"inferray/internal/store"
@@ -21,8 +20,8 @@ import (
 type RetractStats struct {
 	Requested   int // triples in the delete batch
 	Retracted   int // batch triples that were actually asserted (the rest are no-ops)
-	Overdeleted int // stored triples removed by the overdeletion phase
-	Rederived   int // overdeleted triples restored because they survive on other support
+	Overdeleted int // stored triples in the overdeletion set
+	Rederived   int // of those, the ones still stored afterwards: asserted in their own right, or rederived on other support
 
 	TotalTriples int // visible closure size after the retraction
 	Iterations   int // overdeletion + rederivation fixpoint iterations
@@ -56,44 +55,36 @@ func (e *Engine) Retract(batch []rdf.Triple) (RetractStats, error) {
 	if e.staged != nil && e.staged.Size() > 0 {
 		return st, fmt.Errorf("reasoner: staged triples pending; Materialize before Retract")
 	}
-	e.asserted.Normalize()
 
-	// Resolve the batch against the asserted record. Only asserted
-	// triples seed a retraction: a derived triple has no independent
+	// Resolve the batch against the asserted marks. Only an asserted
+	// triple seeds a retraction: a derived triple has no independent
 	// existence to retract, and an unknown term cannot name anything.
+	// Taking a triple into the batch is clearing its mark.
 	slots := e.Main.NumSlots()
 	del := store.New(slots)
 	for _, t := range batch {
-		p, ok := e.Dict.Lookup(t.P)
-		if !ok || !dictionary.IsProperty(p) {
-			continue
-		}
-		s, ok := e.Dict.Lookup(t.S)
-		if !ok {
-			continue
-		}
-		o, ok := e.Dict.Lookup(t.O)
-		if !ok {
-			continue
-		}
-		pidx := dictionary.PropIndex(p)
-		if e.asserted.Contains(pidx, s, o) {
+		if pidx, s, o, ok := e.resolve(t); ok && hasPairs(e.Main, pidx) && e.Main.Table(pidx).Unmark(s, o) {
 			del.Add(pidx, s, o)
 		}
 	}
 	del.Normalize()
 	st.Retracted = del.Size()
-	if st.Retracted == 0 {
+	// An unmarked type pair the interval index still serves is compacted
+	// away like any shadowed derivation — out of the store and out of
+	// del: it stays visible, so nothing can depend on its removal.
+	e.hierClassChanged, e.hierPropChanged = false, false
+	if hasPairs(del, e.V.Type) {
+		e.compactTypeTable(del)
+	}
+	if del.Size() == 0 {
 		st.TotalTriples = e.Size()
 		st.TotalTime = time.Since(start)
 		e.recordRetract(&st)
 		return st, nil
 	}
-	e.asserted.Delete(del)
 
 	// Phase 1: overdeletion. Retried at most once, when a schema-edge
 	// delete forces the hierarchy encoding to expand first.
-	e.hierClassChanged, e.hierPropChanged = false, false
 	overStart := time.Now()
 	var over *store.Store
 	for {
@@ -105,33 +96,27 @@ func (e *Engine) Retract(batch []rdf.Triple) (RetractStats, error) {
 	}
 	st.OverdeleteTime = time.Since(overStart)
 	st.Overdeleted = over.Size()
-	if st.Overdeleted == 0 {
-		// Nothing stored depended on the deleted triples (e.g. they were
-		// compacted type pairs the interval index still serves).
-		st.TotalTriples = e.Size()
-		st.TotalTime = time.Since(start)
-		e.recordRetract(&st)
-		return st, nil
-	}
 
-	// Phase 2: physical deletion, then rederivation of survivors.
+	// Phase 2: the overdeleted pairs that still carry a mark are asserted
+	// in their own right. They never leave Main, and they are the delta
+	// rederivation starts from; only the rest is physically deleted.
 	rederiveStart := time.Now()
-	e.Main.Delete(over)
-	storedAfterDelete := e.Main.Size()
-
-	// Reseed every touched table from the asserted record. This
-	// over-approximates the lost asserted triples — the whole table, not
-	// just the overdeleted slice — but the merge round drops everything
-	// still present, so over-approximation costs a scan, never
-	// correctness.
-	reseed := store.New(e.Main.NumSlots())
-	over.ForEachTable(func(pidx int, t *store.Table) bool {
-		if hasPairs(e.asserted, pidx) {
-			reseed.Ensure(pidx).AppendPairs(e.asserted.Table(pidx).Pairs())
-		}
+	delta, doomed := store.New(slots), store.New(slots)
+	over.ForEachTable(func(pidx int, ot *store.Table) bool {
+		mt, op := e.Main.Table(pidx), ot.Pairs()
+		mt.Locate(op, func(i, at int) {
+			into := doomed
+			if mt.Marked(at) {
+				into = delta
+			}
+			into.Add(pidx, op[2*i], op[2*i+1])
+		})
 		return true
 	})
-	delta := e.mergeRound(reseed)
+	delta.Normalize()
+	doomed.Normalize()
+	stored := e.Main.Size()
+	e.Main.Delete(doomed)
 
 	// A surviving derivation whose antecedents were never deleted is
 	// invisible to semi-naive evaluation (its antecedents are in no
@@ -139,18 +124,18 @@ func (e *Engine) Retract(batch []rdf.Triple) (RetractStats, error) {
 	// semantics — of exactly the rules that write into a deleted table,
 	// and fold what it restores into the running delta.
 	writers := e.triggered(over, (*rules.Rule).Writes)
-	store.Union(delta, e.mergeRound(e.runRules(writers, e.Main)...))
+	store.Union(delta, e.mergeRound(false, e.runRules(writers, e.Main)...))
 
 	// Everything restored so far flows through the ordinary incremental
 	// fixpoint, which also re-closes any θ table the deletion opened up
-	// (the reseeded raw edges are in the delta, so θ re-fires on them).
+	// (its surviving raw edges are in the delta, so θ re-fires on them).
 	if delta.Size() > 0 {
 		var fs Stats
 		e.fixpoint(delta, &fs)
 		st.Iterations += fs.Iterations
 	}
 
-	st.Rederived = e.Main.Size() - storedAfterDelete
+	st.Rederived = st.Overdeleted - (stored - e.Main.Size())
 	st.RederiveTime = time.Since(rederiveStart)
 	st.TotalTriples = e.Size()
 	st.TotalTime = time.Since(start)
@@ -172,17 +157,9 @@ func (e *Engine) Retract(batch []rdf.Triple) (RetractStats, error) {
 // because the closure is still intact.
 func (e *Engine) overdelete(del *store.Store, st *RetractStats) (*store.Store, bool) {
 	slots := e.Main.NumSlots()
-	over := store.New(slots)
-	frontier := store.New(slots)
-	del.ForEach(func(pidx int, s, o uint64) bool {
-		if e.Main.Contains(pidx, s, o) {
-			over.Add(pidx, s, o)
-			frontier.Add(pidx, s, o)
-		}
-		return true
-	})
-	over.Normalize()
-	frontier.Normalize()
+	over, frontier := store.New(slots), store.New(slots)
+	store.Union(over, del) // every pair of del was marked a moment ago, so it is stored
+	store.Union(frontier, del)
 
 	trans := e.transitiveTables()
 	wiped := make(map[int]bool)

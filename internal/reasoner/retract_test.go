@@ -25,11 +25,11 @@ func visibleTriples(e *Engine) []string {
 	return out
 }
 
-// assertedTriples decodes the engine's asserted record back to surface
-// form.
+// assertedTriples decodes the engine's asserted triples — the marked
+// pairs of Main — back to surface form.
 func assertedTriples(e *Engine) []rdf.Triple {
 	var out []rdf.Triple
-	e.AssertedStore().ForEach(func(pidx int, s, o uint64) bool {
+	e.Asserted(func(pidx int, s, o uint64) bool {
 		out = append(out, rdf.Triple{
 			S: e.Dict.MustDecode(s),
 			P: e.Dict.MustDecode(dictionary.PropID(pidx)),
@@ -308,5 +308,102 @@ func TestRetractPreconditions(t *testing.T) {
 	e.Materialize()
 	if _, err := e.Retract([]rdf.Triple{{S: "<x>", P: rdf.RDFType, O: "<a>"}}); err != nil {
 		t.Errorf("Retract after materializing the staged delta failed: %v", err)
+	}
+}
+
+// TestRetractAssertedUnderDerivedShadow: an asserted ⟨x type D⟩ that a
+// *derived* ⟨x type C⟩, C ⊑ D, shadows stays stored under its mark — no
+// side record knows it otherwise — so it can be retracted (and stays
+// visible through C afterwards), and it holds the membership on its own
+// once C's support is deleted, in either order.
+func TestRetractAssertedUnderDerivedShadow(t *testing.T) {
+	xD := rdf.Triple{S: "<x>", P: rdf.RDFType, O: "<D>"}
+	xC := rdf.Triple{S: "<x>", P: rdf.RDFType, O: "<C>"}
+	support := rdf.Triple{S: "<x>", P: "<p>", O: "<y>"}
+	for _, c := range []struct {
+		name          string
+		first, second rdf.Triple
+		visibleAfter1 bool // ⟨x type D⟩ after the first retraction
+		storedAfter1  bool
+	}{
+		{"assertion first", xD, support, true, false},
+		{"support first", support, xD, true, true},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			opts := Options{Fragment: rules.RDFSDefault, HierarchyEncoding: true}
+			e := New(opts)
+			e.LoadTriples([]rdf.Triple{
+				{S: "<C>", P: rdf.RDFSSubClassOf, O: "<D>"},
+				{S: "<p>", P: rdf.RDFSDomain, O: "<C>"},
+				support, xD,
+			})
+			e.Materialize()
+			if e.HierView() == nil || !storedType(t, e, "<x>", "<C>") {
+				t.Fatal("fixture: ⟨x type C⟩ must be derived and stored under the encoding")
+			}
+			if !storedType(t, e, "<x>", "<D>") || e.ShadowedTypePairs() != 0 {
+				t.Fatalf("asserted shadowed pair stored=%t, unmarked shadowed pairs=%d",
+					storedType(t, e, "<x>", "<D>"), e.ShadowedTypePairs())
+			}
+			st, err := e.Retract([]rdf.Triple{c.first})
+			if err != nil || st.Retracted != 1 {
+				t.Fatalf("first retraction: %+v, %v", st, err)
+			}
+			if e.Contains(xD) != c.visibleAfter1 || storedType(t, e, "<x>", "<D>") != c.storedAfter1 {
+				t.Errorf("after retracting %v: ⟨x type D⟩ visible=%t stored=%t, want %t/%t",
+					c.first, e.Contains(xD), storedType(t, e, "<x>", "<D>"), c.visibleAfter1, c.storedAfter1)
+			}
+			checkAgainstRemat(t, e, opts, c.name+" first")
+			st, err = e.Retract([]rdf.Triple{c.second})
+			if err != nil || st.Retracted != 1 {
+				t.Fatalf("second retraction: %+v, %v", st, err)
+			}
+			if e.Contains(xD) || e.Contains(xC) {
+				t.Error("⟨x type C⟩ / ⟨x type D⟩ outlived both their supports")
+			}
+			checkAgainstRemat(t, e, opts, c.name+" second")
+			if n := e.ShadowedTypePairs(); n != 0 {
+				t.Errorf("%d unmarked shadowed pairs left stored", n)
+			}
+		})
+	}
+}
+
+// TestAssertAlreadyDerived: loading a triple the closure already stores
+// as a derivation is a mark, not a change — no new input, no table
+// version moved — and from then on the triple stands on its own: it
+// outlives its derivation's support and goes when it is retracted.
+func TestAssertAlreadyDerived(t *testing.T) {
+	xC := rdf.Triple{S: "<x>", P: rdf.RDFType, O: "<C>"}
+	support := rdf.Triple{S: "<x>", P: "<p>", O: "<y>"}
+	for _, encoded := range []bool{false, true} {
+		t.Run(fmt.Sprintf("encoding=%v", encoded), func(t *testing.T) {
+			opts := Options{Fragment: rules.RDFSDefault, HierarchyEncoding: encoded}
+			e := New(opts)
+			e.LoadTriples([]rdf.Triple{{S: "<p>", P: rdf.RDFSDomain, O: "<C>"}, support})
+			e.Materialize()
+			if !storedType(t, e, "<x>", "<C>") {
+				t.Fatal("fixture: ⟨x type C⟩ must be derived and stored")
+			}
+			if st, _ := e.Retract([]rdf.Triple{xC}); st.Retracted != 0 {
+				t.Fatalf("a derived-only triple was retractable: %+v", st)
+			}
+			sum := e.Main.VersionSum()
+			e.LoadTriples([]rdf.Triple{xC})
+			if st := e.Materialize(); st.InputTriples != 0 || st.Iterations != 0 || e.Main.VersionSum() != sum {
+				t.Errorf("asserting a stored derivation moved the store: %+v, version sum %d -> %d", st, sum, e.Main.VersionSum())
+			}
+			if st, err := e.Retract([]rdf.Triple{support}); err != nil || st.Retracted != 1 {
+				t.Fatalf("retracting the support: %+v, %v", st, err)
+			}
+			if !e.Contains(xC) {
+				t.Error("the asserted triple fell with its former derivation")
+			}
+			checkAgainstRemat(t, e, opts, "support gone")
+			if st, err := e.Retract([]rdf.Triple{xC}); err != nil || st.Retracted != 1 || e.Contains(xC) {
+				t.Errorf("retracting the assertion: %+v, %v, still visible %t", st, err, e.Contains(xC))
+			}
+			checkAgainstRemat(t, e, opts, "assertion gone")
+		})
 	}
 }

@@ -28,10 +28,10 @@ func TestFileMetaVersions(t *testing.T) {
 		Fragment:        "rdfs-default",
 		StoreGeneration: 42,
 	}
-	if err := WriteFile(path, d, st, nil, meta); err != nil {
+	if err := WriteFile(path, d, st, meta); err != nil {
 		t.Fatal(err)
 	}
-	_, _, _, got, err := ReadFile(path)
+	_, _, got, err := ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +61,7 @@ func TestFileMetaVersions(t *testing.T) {
 		if err := os.WriteFile(p, img, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		_, _, _, _, err := ReadFile(p)
+		_, _, _, err := ReadFile(p)
 		if err == nil {
 			t.Fatalf("%s: file version %d accepted", name, v)
 		}
@@ -72,6 +72,30 @@ func TestFileMetaVersions(t *testing.T) {
 		}
 		if after, _ := os.ReadFile(p); !bytes.Equal(after, img) {
 			t.Errorf("%s: refused image was modified", name)
+		}
+	}
+
+	// A current image file around a retired stream — version 4, the one
+	// that carried the asserted triples as a second section — is refused
+	// by the same stream reader, with the file named.
+	v4 := append([]byte(nil), raw[:len(raw)-4]...)
+	at := metaSize + 8 + 4 + len(meta.Fragment) + len(magic)
+	if got := binary.LittleEndian.Uint32(v4[at:]); got != version {
+		t.Fatalf("fixture: stream version not at offset %d (found %d)", at, got)
+	}
+	binary.LittleEndian.PutUint32(v4[at:], 4)
+	v4 = binary.LittleEndian.AppendUint32(v4, crc32.Checksum(v4, castagnoli))
+	p := filepath.Join(dir, "stream-v4.img")
+	if err := os.WriteFile(p, v4, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, _, _, err = ReadFile(p)
+	if err == nil {
+		t.Fatal("image around a version-4 stream accepted")
+	}
+	for _, want := range []string{p, "version 4", fmt.Sprintf("version %d", version)} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("stream-v4: refusal %q does not mention %q", err, want)
 		}
 	}
 }

@@ -5,7 +5,7 @@
 // consumer-independent data access" (§1) — materialize once, persist,
 // then serve the closure without the inference engine.
 //
-// Format (little-endian), stream version 4:
+// Format (little-endian), stream version 5:
 //
 //	magic "IFRY" | version u32 | flags u32
 //	numProps u32 | numResources u32
@@ -13,13 +13,15 @@
 //	resource terms: numResources × (len u32, bytes)
 //	numTables u32
 //	tables: numTables × (propIndex u32, version u64, numPairs u32,
-//	        pairs as delta-encoded uvarint stream)
-//	asserted section (flagAsserted): numTables u32,
-//	        tables × (propIndex u32, numPairs u32, pairs)
+//	        pairs as delta-encoded uvarint stream,
+//	        marks: ⌈numPairs/64⌉ × u64)
 //
 // Pair streams are delta-encoded: subjects ascend in a sorted table, so
 // consecutive differences are tiny and uvarint encoding shrinks the
-// image well below the raw 16 bytes/triple. The per-table version
+// image well below the raw 16 bytes/triple. The mark words are the
+// table's asserted marks (store.Table.Marked): bit i says pair i was
+// explicitly loaded — the subset of the closure SPARQL UPDATE may
+// retract — so the image holds each pair once. The per-table version
 // counter carries the store's mutation counters through a round trip,
 // so WAL/image pairing can rely on them. flagEncoded marks a *reduced*
 // closure: the store was materialized under the hierarchy interval
@@ -27,11 +29,11 @@
 // subsumption-derived rdf:type triples are absent and must be served
 // virtually (or expanded) by the restoring engine. The hierarchy index
 // itself is never serialized — its construction is deterministic in the
-// stored edges, so restore rebuilds it. flagAsserted announces the
-// asserted section: the explicitly loaded subset of the closure that
-// SPARQL UPDATE may retract. A writer with no asserted record leaves
-// the flag clear; the image restores with a nil asserted store and the
-// engine falls back to treating the whole closure as asserted.
+// stored edges, so restore rebuilds it.
+//
+// Marks are positional, so Read repairs nothing: a pair stream that is
+// not strictly ⟨s,o⟩-ascending, or mark words with a bit past the last
+// pair, are refused with an error naming the table.
 //
 // WriteFile/ReadFile wrap the stream in a durable on-disk image: a meta
 // header (generation, creation time, triple count) for pairing the
@@ -39,7 +41,7 @@
 // or bit-rotted image is detected instead of loaded, and
 // write-to-temp + fsync + rename so the image appears atomically.
 //
-// There is one format: stream version 4 inside image-file version 2.
+// There is one format: stream version 5 inside image-file version 2.
 // Read and ReadFile refuse anything else with an error naming the
 // source, the version found and the version supported.
 package snapshot
@@ -62,7 +64,7 @@ import (
 
 const (
 	magic   = "IFRY"
-	version = 4
+	version = 5
 
 	fileMagic   = "IFRI"
 	fileVersion = 2
@@ -70,9 +72,6 @@ const (
 	// flagEncoded (stream flags bit 0) marks a reduced closure written
 	// under the hierarchy interval encoding.
 	flagEncoded = 1 << 0
-	// flagAsserted (stream flags bit 1) announces the asserted-triples
-	// section after the closure tables.
-	flagAsserted = 1 << 1
 )
 
 // castagnoli is the CRC-32C table shared with internal/wal.
@@ -82,44 +81,32 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 // normalized (sorted, duplicate-free). encoded marks the store as a
 // reduced closure (hierarchy interval encoding active at write time);
 // Read hands the flag back so the restoring engine can rebuild the
-// index or expand the virtual triples. asserted, when non-nil, is the
-// engine's record of explicitly loaded triples (also normalized); it is
-// persisted in its own section so a restored engine can keep serving
-// retractions.
-func Write(w io.Writer, d *dictionary.Dictionary, st *store.Store, encoded bool, asserted *store.Store) error {
+// index or expand the virtual triples. Write only reads the store, so
+// it may run beside other readers. A bufio.Writer keeps its first error
+// and refuses everything after it, so the one check is the final Flush.
+func Write(w io.Writer, d *dictionary.Dictionary, st *store.Store, encoded bool) error {
 	bw := bufio.NewWriterSize(w, 1<<16)
-	if _, err := bw.WriteString(magic); err != nil {
-		return err
-	}
+	bw.WriteString(magic)
 	writeU32(bw, version)
 	var flags uint32
 	if encoded {
 		flags |= flagEncoded
 	}
-	if asserted != nil {
-		flags |= flagAsserted
-	}
 	writeU32(bw, flags)
 	writeU32(bw, uint32(d.NumProperties()))
 	writeU32(bw, uint32(d.NumResources()))
 
-	var err error
 	d.Properties(func(id uint64, term string) bool {
-		err = writeString(bw, term)
-		return err == nil
+		writeString(bw, term)
+		return true
 	})
-	if err != nil {
-		return err
-	}
 	lo, hi := d.ResourceIDRange()
 	for id := lo; id < hi; id++ {
 		// A slot inside the range that no longer decodes was tombstoned
 		// by a resource→property promotion; terms are never empty, so an
 		// empty string encodes the tombstone positionally.
 		term, _ := d.Decode(id)
-		if err := writeString(bw, term); err != nil {
-			return err
-		}
+		writeString(bw, term)
 	}
 
 	nTables := 0
@@ -130,81 +117,53 @@ func Write(w io.Writer, d *dictionary.Dictionary, st *store.Store, encoded bool,
 		writeU64(bw, t.Version())
 		pairs := t.Pairs()
 		writeU32(bw, uint32(len(pairs)/2))
-		err = writePairs(bw, pairs)
-		return err == nil
-	})
-	if err != nil {
-		return err
-	}
-	if asserted != nil {
-		nAsserted := 0
-		asserted.ForEachTable(func(int, *store.Table) bool { nAsserted++; return true })
-		writeU32(bw, uint32(nAsserted))
-		asserted.ForEachTable(func(pidx int, t *store.Table) bool {
-			writeU32(bw, uint32(pidx))
-			pairs := t.Pairs()
-			writeU32(bw, uint32(len(pairs)/2))
-			err = writePairs(bw, pairs)
-			return err == nil
-		})
-		if err != nil {
-			return err
+		writePairs(bw, pairs)
+		marks := t.Marks()
+		for i := 0; i < (len(pairs)/2+63)/64; i++ {
+			if marks == nil {
+				writeU64(bw, 0)
+			} else {
+				writeU64(bw, marks[i])
+			}
 		}
-	}
+		return true
+	})
 	return bw.Flush()
 }
 
-// Read restores a snapshot. The returned stores are normalized. encoded
-// reports the stream's flagEncoded bit: the store is a reduced closure
-// whose virtual triples the hierarchy index must supply. asserted is the
-// persisted asserted-triples record, nil when the stream has none
-// (flagAsserted clear).
-func Read(r io.Reader) (*dictionary.Dictionary, *store.Store, bool, *store.Store, error) {
+// Read restores a snapshot: every table normalized, with its asserted
+// marks. encoded reports the stream's flagEncoded bit: the store is a
+// reduced closure whose virtual triples the hierarchy index must supply.
+func Read(r io.Reader) (*dictionary.Dictionary, *store.Store, bool, error) {
 	br := bufio.NewReaderSize(r, 1<<16)
-	head := make([]byte, 4)
-	if _, err := io.ReadFull(br, head); err != nil {
-		return nil, nil, false, nil, fmt.Errorf("snapshot: reading magic: %w", err)
+	le := binary.LittleEndian
+	var head [20]byte // magic, version, flags, numProps, numResources
+	if _, err := io.ReadFull(br, head[:]); err != nil {
+		return nil, nil, false, fmt.Errorf("snapshot: reading header: %w", err)
 	}
-	if string(head) != magic {
-		return nil, nil, false, nil, fmt.Errorf("snapshot: bad magic %q", head)
+	if string(head[:4]) != magic {
+		return nil, nil, false, fmt.Errorf("snapshot: bad magic %q", head[:4])
 	}
-	v, err := readU32(br)
-	if err != nil {
-		return nil, nil, false, nil, err
+	if v := le.Uint32(head[4:]); v != version {
+		return nil, nil, false, fmt.Errorf("snapshot: stream is version %d; this build supports only version %d", v, version)
 	}
-	if v != version {
-		return nil, nil, false, nil, fmt.Errorf("snapshot: stream is version %d; this build supports only version %d", v, version)
-	}
-	flags, err := readU32(br)
-	if err != nil {
-		return nil, nil, false, nil, err
-	}
-	if flags&^(flagEncoded|flagAsserted) != 0 {
-		return nil, nil, false, nil, fmt.Errorf("snapshot: unknown flags %#x", flags)
-	}
-	encoded := flags&flagEncoded != 0
-	hasAsserted := flags&flagAsserted != 0
-	nProps, err := readU32(br)
-	if err != nil {
-		return nil, nil, false, nil, err
-	}
-	nRes, err := readU32(br)
-	if err != nil {
-		return nil, nil, false, nil, err
+	flags, nProps, nRes := le.Uint32(head[8:]), le.Uint32(head[12:]), le.Uint32(head[16:])
+	if flags&^flagEncoded != 0 {
+		return nil, nil, false, fmt.Errorf("snapshot: unknown flags %#x", flags)
 	}
 
 	d := dictionary.New()
 	for i := uint32(0); i < nProps; i++ {
 		term, err := readString(br)
 		if err != nil {
-			return nil, nil, false, nil, err
+			return nil, nil, false, err
 		}
 		d.EncodeProperty(term)
 	}
 	for i := uint32(0); i < nRes; i++ {
 		term, err := readString(br)
 		if err != nil {
-			return nil, nil, false, nil, err
+			return nil, nil, false, err
 		}
 		if term == "" {
 			d.ReserveTombstone()
@@ -213,69 +172,45 @@ func Read(r io.Reader) (*dictionary.Dictionary, *store.Store, bool, *store.Store
 		d.EncodeResource(term)
 	}
 	if d.NumProperties() != int(nProps) || d.NumResources() != int(nRes) {
-		return nil, nil, false, nil, fmt.Errorf("snapshot: duplicate terms corrupted the dictionary")
+		return nil, nil, false, fmt.Errorf("snapshot: duplicate terms corrupted the dictionary")
 	}
 
-	readTables := func(withVersions bool) (*store.Store, error) {
-		st := store.New(int(nProps))
-		nTables, err := readU32(br)
-		if err != nil {
-			return nil, err
-		}
-		if nTables > nProps {
-			return nil, fmt.Errorf("snapshot: %d tables for %d properties", nTables, nProps)
-		}
-		for i := uint32(0); i < nTables; i++ {
-			pidx, err := readU32(br)
-			if err != nil {
-				return nil, err
-			}
-			if pidx >= nProps {
-				return nil, fmt.Errorf("snapshot: table index %d out of range", pidx)
-			}
-			var tver uint64
-			if withVersions {
-				if tver, err = readU64(br); err != nil {
-					return nil, err
-				}
-			}
-			nPairs, err := readU32(br)
-			if err != nil {
-				return nil, err
-			}
-			pairs, err := readPairs(br, int(nPairs))
-			if err != nil {
-				return nil, err
-			}
-			// Every stored ID must decode, or later enumeration of the
-			// restored store would panic in MustDecode on a crafted or
-			// corrupted image.
-			for _, id := range pairs {
-				if _, ok := d.Decode(id); !ok {
-					return nil, fmt.Errorf("snapshot: table %d references unknown id %d", pidx, id)
-				}
-			}
-			t := st.Ensure(int(pidx))
-			t.SetPairs(pairs)
-			t.SetVersion(tver)
-		}
-		// One pass normalizes every table; Normalize never touches the
-		// version counters, so the SetVersion values above survive it.
-		st.Normalize()
-		return st, nil
-	}
-
-	st, err := readTables(true)
+	st := store.New(int(nProps))
+	nTables, err := readU32(br)
 	if err != nil {
-		return nil, nil, false, nil, err
+		return nil, nil, false, err
 	}
-	var asserted *store.Store
-	if hasAsserted {
-		if asserted, err = readTables(false); err != nil {
-			return nil, nil, false, nil, err
+	if nTables > nProps {
+		return nil, nil, false, fmt.Errorf("snapshot: %d tables for %d properties", nTables, nProps)
+	}
+	for i := uint32(0); i < nTables; i++ {
+		var th [16]byte // propIndex, version, numPairs
+		if _, err := io.ReadFull(br, th[:]); err != nil {
+			return nil, nil, false, fmt.Errorf("snapshot: reading table header: %w", err)
 		}
+		pidx, tver, nPairs := le.Uint32(th[:]), le.Uint64(th[4:]), le.Uint32(th[12:])
+		if pidx >= nProps {
+			return nil, nil, false, fmt.Errorf("snapshot: table index %d out of range", pidx)
+		}
+		pairs, err := readPairs(br, int(nPairs))
+		if err != nil {
+			return nil, nil, false, fmt.Errorf("snapshot: table %d: %w", pidx, err)
+		}
+		// Every stored ID must decode, or later enumeration of the
+		// restored store would panic in MustDecode on a crafted or
+		// corrupted image.
+		for _, id := range pairs {
+			if _, ok := d.Decode(id); !ok {
+				return nil, nil, false, fmt.Errorf("snapshot: table %d references unknown id %d", pidx, id)
+			}
+		}
+		marks, err := readMarks(br, int(nPairs))
+		if err != nil {
+			return nil, nil, false, fmt.Errorf("snapshot: table %d: %w", pidx, err)
+		}
+		st.Ensure(int(pidx)).Restore(pairs, marks, tver)
 	}
-	return d, st, encoded, asserted, nil
+	return d, st, flags&flagEncoded != 0, nil
 }
 
 // Meta is the image-file header that pairs a snapshot with the
@@ -326,7 +261,7 @@ const maxFragmentLen = 256
 // renamed into place, and the directory fsynced, so path either holds
 // the complete new image or whatever was there before — never a torn
 // mix.
-func WriteFile(path string, d *dictionary.Dictionary, st *store.Store, asserted *store.Store, meta Meta) (err error) {
+func WriteFile(path string, d *dictionary.Dictionary, st *store.Store, meta Meta) (err error) {
 	dir := filepath.Dir(path)
 	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp*")
 	if err != nil {
@@ -362,7 +297,7 @@ func WriteFile(path string, d *dictionary.Dictionary, st *store.Store, asserted 
 	if _, err = io.WriteString(w, meta.Fragment); err != nil {
 		return err
 	}
-	if err = Write(w, d, st, meta.HierarchyEncoded, asserted); err != nil {
+	if err = Write(w, d, st, meta.HierarchyEncoded); err != nil {
 		return err
 	}
 	var foot [4]byte
@@ -385,34 +320,33 @@ func WriteFile(path string, d *dictionary.Dictionary, st *store.Store, asserted 
 // ReadFile loads a snapshot image written by WriteFile, verifying the
 // whole-file CRC before trusting any of it. Any torn, truncated, or
 // corrupted image returns an error; the caller falls back to an older
-// generation. asserted is nil when the image carries no asserted
-// section.
-func ReadFile(path string) (*dictionary.Dictionary, *store.Store, *store.Store, Meta, error) {
+// generation.
+func ReadFile(path string) (*dictionary.Dictionary, *store.Store, Meta, error) {
 	var meta Meta
 	f, err := os.Open(path)
 	if err != nil {
-		return nil, nil, nil, meta, err
+		return nil, nil, meta, err
 	}
 	defer f.Close()
 	fi, err := f.Stat()
 	if err != nil {
-		return nil, nil, nil, meta, err
+		return nil, nil, meta, err
 	}
 	if fi.Size() < metaSize+8+4 {
-		return nil, nil, nil, meta, fmt.Errorf("snapshot: image %s truncated (%d bytes)", path, fi.Size())
+		return nil, nil, meta, fmt.Errorf("snapshot: image %s truncated (%d bytes)", path, fi.Size())
 	}
 	h := crc32.New(castagnoli)
 	body := io.TeeReader(io.LimitReader(f, fi.Size()-4), h)
 
 	var head [metaSize + 8]byte
 	if _, err := io.ReadFull(body, head[:]); err != nil {
-		return nil, nil, nil, meta, err
+		return nil, nil, meta, err
 	}
 	if string(head[:4]) != fileMagic {
-		return nil, nil, nil, meta, fmt.Errorf("snapshot: bad image magic %q", head[:4])
+		return nil, nil, meta, fmt.Errorf("snapshot: bad image magic %q", head[:4])
 	}
 	if v := binary.LittleEndian.Uint32(head[4:]); v != fileVersion {
-		return nil, nil, nil, meta, fmt.Errorf("snapshot: image %s is file version %d; this build supports only version %d", path, v, fileVersion)
+		return nil, nil, meta, fmt.Errorf("snapshot: image %s is file version %d; this build supports only version %d", path, v, fileVersion)
 	}
 	meta.Generation = binary.LittleEndian.Uint64(head[8:])
 	meta.CreatedUnix = int64(binary.LittleEndian.Uint64(head[16:]))
@@ -420,39 +354,39 @@ func ReadFile(path string) (*dictionary.Dictionary, *store.Store, *store.Store, 
 	meta.StoreGeneration = binary.LittleEndian.Uint64(head[32:])
 	var fragLen [4]byte
 	if _, err := io.ReadFull(body, fragLen[:]); err != nil {
-		return nil, nil, nil, meta, err
+		return nil, nil, meta, err
 	}
 	n := binary.LittleEndian.Uint32(fragLen[:])
 	if n > maxFragmentLen {
-		return nil, nil, nil, meta, fmt.Errorf("snapshot: implausible fragment-name length %d", n)
+		return nil, nil, meta, fmt.Errorf("snapshot: implausible fragment-name length %d", n)
 	}
 	frag := make([]byte, n)
 	if _, err := io.ReadFull(body, frag); err != nil {
-		return nil, nil, nil, meta, err
+		return nil, nil, meta, err
 	}
 	meta.Fragment = string(frag)
 
-	d, st, encoded, asserted, err := Read(body)
+	d, st, encoded, err := Read(body)
 	if err != nil {
-		return nil, nil, nil, meta, fmt.Errorf("image %s: %w", path, err)
+		return nil, nil, meta, fmt.Errorf("image %s: %w", path, err)
 	}
 	meta.HierarchyEncoded = encoded
 	// Drain whatever the stream parser's buffering left unread so the
 	// hash covers the full body, then check the footer.
 	if _, err := io.Copy(io.Discard, body); err != nil {
-		return nil, nil, nil, meta, err
+		return nil, nil, meta, err
 	}
 	var foot [4]byte
 	if _, err := io.ReadFull(f, foot[:]); err != nil {
-		return nil, nil, nil, meta, err
+		return nil, nil, meta, err
 	}
 	if got := binary.LittleEndian.Uint32(foot[:]); got != h.Sum32() {
-		return nil, nil, nil, meta, fmt.Errorf("snapshot: image %s CRC mismatch", path)
+		return nil, nil, meta, fmt.Errorf("snapshot: image %s CRC mismatch", path)
 	}
 	if n := uint64(st.Size()); n != meta.Triples {
-		return nil, nil, nil, meta, fmt.Errorf("snapshot: image %s holds %d triples, header says %d", path, n, meta.Triples)
+		return nil, nil, meta, fmt.Errorf("snapshot: image %s holds %d triples, header says %d", path, n, meta.Triples)
 	}
-	return d, st, asserted, meta, nil
+	return d, st, meta, nil
 }
 
 // SyncDir fsyncs a directory so a rename or unlink inside it is
@@ -480,7 +414,7 @@ func SyncDir(dir string) error {
 // writePairs delta-encodes a sorted pair list: subjects as differences
 // from the previous subject, objects as differences from the previous
 // object under the same subject (reset on subject change).
-func writePairs(w *bufio.Writer, pairs []uint64) error {
+func writePairs(w *bufio.Writer, pairs []uint64) {
 	var buf [binary.MaxVarintLen64]byte
 	var prevS, prevO uint64
 	for i := 0; i < len(pairs); i += 2 {
@@ -490,19 +424,15 @@ func writePairs(w *bufio.Writer, pairs []uint64) error {
 			prevO = 0
 		}
 		do := o - prevO // may wrap; uvarint round-trips uint64 exactly
-		n := binary.PutUvarint(buf[:], ds)
-		if _, err := w.Write(buf[:n]); err != nil {
-			return err
-		}
-		n = binary.PutUvarint(buf[:], do)
-		if _, err := w.Write(buf[:n]); err != nil {
-			return err
-		}
+		w.Write(buf[:binary.PutUvarint(buf[:], ds)])
+		w.Write(buf[:binary.PutUvarint(buf[:], do)])
 		prevS, prevO = s, o
 	}
-	return nil
 }
 
+// readPairs decodes nPairs pairs and checks them strictly ⟨s,o⟩-ascending:
+// a repeated or out-of-order pair is a corrupt or crafted stream, and
+// re-sorting it would mis-assign the positional marks.
 func readPairs(r *bufio.Reader, nPairs int) ([]uint64, error) {
 	// Cap the up-front allocation: a corrupt header can claim 2³² pairs,
 	// and trusting it would allocate gigabytes before the stream runs
@@ -516,21 +446,44 @@ func readPairs(r *bufio.Reader, nPairs int) ([]uint64, error) {
 	for i := 0; i < nPairs; i++ {
 		ds, err := binary.ReadUvarint(r)
 		if err != nil {
-			return nil, fmt.Errorf("snapshot: pair stream: %w", err)
+			return nil, fmt.Errorf("pair stream: %w", err)
 		}
 		do, err := binary.ReadUvarint(r)
 		if err != nil {
-			return nil, fmt.Errorf("snapshot: pair stream: %w", err)
+			return nil, fmt.Errorf("pair stream: %w", err)
 		}
 		if ds != 0 {
 			prevO = 0
 		}
 		s := prevS + ds
 		o := prevO + do
+		if i > 0 && (s < prevS || (s == prevS && o <= prevO)) {
+			return nil, fmt.Errorf("pair %d is not above pair %d in ⟨s,o⟩ order", i, i-1)
+		}
 		pairs = append(pairs, s, o)
 		prevS, prevO = s, o
 	}
 	return pairs, nil
+}
+
+// readMarks reads the ⌈nPairs/64⌉ mark words of a table, refusing a bit
+// set past the last pair. No bit set at all reads as nil.
+func readMarks(r *bufio.Reader, nPairs int) ([]uint64, error) {
+	marks, set := make([]uint64, (nPairs+63)/64), uint64(0)
+	for i := range marks {
+		w, err := readU64(r)
+		if err != nil {
+			return nil, fmt.Errorf("mark words: %w", err)
+		}
+		marks[i], set = w, set|w
+	}
+	if nPairs&63 != 0 && marks[len(marks)-1]>>(uint(nPairs)&63) != 0 {
+		return nil, fmt.Errorf("mark set past the last of %d pairs", nPairs)
+	}
+	if set == 0 {
+		return nil, nil
+	}
+	return marks, nil
 }
 
 func writeU32(w *bufio.Writer, v uint32) {
@@ -561,10 +514,9 @@ func readU32(r *bufio.Reader) (uint32, error) {
 	return binary.LittleEndian.Uint32(buf[:]), nil
 }
 
-func writeString(w *bufio.Writer, s string) error {
+func writeString(w *bufio.Writer, s string) {
 	writeU32(w, uint32(len(s)))
-	_, err := w.WriteString(s)
-	return err
+	w.WriteString(s)
 }
 
 func readString(r *bufio.Reader) (string, error) {

@@ -2,6 +2,7 @@ package snapshot
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -27,16 +28,27 @@ func buildFixture() (*dictionary.Dictionary, *store.Store) {
 	st.Add(p, b, a)
 	st.Add(q, b, lit)
 	st.Normalize()
+	// ⟨a p lit⟩ and ⟨b p a⟩ are asserted, the rest derived; q holds no mark.
+	st.Table(p).Mark([]uint64{a, lit, b, a})
 	return d, st
+}
+
+// marksOf lists a table's marks, one bool per pair.
+func marksOf(t *store.Table) []bool {
+	m := make([]bool, t.Size())
+	for i := range m {
+		m[i] = t.Marked(i)
+	}
+	return m
 }
 
 func TestRoundTrip(t *testing.T) {
 	d, st := buildFixture()
 	var buf bytes.Buffer
-	if err := Write(&buf, d, st, false, nil); err != nil {
+	if err := Write(&buf, d, st, false); err != nil {
 		t.Fatal(err)
 	}
-	d2, st2, _, _, err := Read(&buf)
+	d2, st2, _, err := Read(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,12 +66,27 @@ func TestRoundTrip(t *testing.T) {
 	if st2.Size() != st.Size() {
 		t.Fatalf("store size %d -> %d", st.Size(), st2.Size())
 	}
+	marked := 0
 	st.ForEachTable(func(pidx int, tab *store.Table) bool {
 		if !reflect.DeepEqual(st2.Table(pidx).Pairs(), tab.Pairs()) {
 			t.Fatalf("table %d differs", pidx)
 		}
+		if got, want := marksOf(st2.Table(pidx)), marksOf(tab); !reflect.DeepEqual(got, want) {
+			t.Fatalf("table %d marks %v, want %v", pidx, got, want)
+		}
+		if (st2.Table(pidx).Marks() == nil) != (tab.Marks() == nil) {
+			t.Fatalf("table %d: an unmarked table must restore with nil marks", pidx)
+		}
+		for _, m := range marksOf(tab) {
+			if m {
+				marked++
+			}
+		}
 		return true
 	})
+	if marked != 2 {
+		t.Fatalf("fixture holds %d marked pairs, want 2", marked)
+	}
 }
 
 func TestRoundTripQuick(t *testing.T) {
@@ -85,12 +112,24 @@ func TestRoundTripQuick(t *testing.T) {
 				lo+uint64(rng.Intn(int(hi-lo))))
 		}
 		st.Normalize()
+		st.ForEachTable(func(_ int, tab *store.Table) bool {
+			var sub []uint64
+			for i, p := 0, tab.Pairs(); i < len(p); i += 2 {
+				if rng.Intn(3) == 0 {
+					sub = append(sub, p[i], p[i+1])
+				}
+			}
+			if len(sub) > 0 {
+				tab.Mark(sub)
+			}
+			return true
+		})
 
 		var buf bytes.Buffer
-		if err := Write(&buf, d, st, false, nil); err != nil {
+		if err := Write(&buf, d, st, false); err != nil {
 			return false
 		}
-		d2, st2, _, _, err := Read(&buf)
+		d2, st2, _, err := Read(&buf)
 		if err != nil {
 			return false
 		}
@@ -100,7 +139,7 @@ func TestRoundTripQuick(t *testing.T) {
 		ok := true
 		st.ForEachTable(func(pidx int, tab *store.Table) bool {
 			t2 := st2.Table(pidx)
-			if t2 == nil || !reflect.DeepEqual(t2.Pairs(), tab.Pairs()) {
+			if t2 == nil || !reflect.DeepEqual(t2.Pairs(), tab.Pairs()) || !reflect.DeepEqual(marksOf(t2), marksOf(tab)) {
 				ok = false
 			}
 			return ok
@@ -128,7 +167,7 @@ func randTerm(rng *rand.Rand) string {
 func TestRejectsCorruptInput(t *testing.T) {
 	d, st := buildFixture()
 	var buf bytes.Buffer
-	if err := Write(&buf, d, st, false, nil); err != nil {
+	if err := Write(&buf, d, st, false); err != nil {
 		t.Fatal(err)
 	}
 	img := buf.Bytes()
@@ -144,7 +183,7 @@ func TestRejectsCorruptInput(t *testing.T) {
 		"truncated": img[:len(img)/2],
 	}
 	for name, data := range cases {
-		if _, _, _, _, err := Read(bytes.NewReader(data)); err == nil {
+		if _, _, _, err := Read(bytes.NewReader(data)); err == nil {
 			t.Errorf("%s: corrupt snapshot accepted", name)
 		}
 	}
@@ -163,10 +202,10 @@ func TestCompression(t *testing.T) {
 	}
 	st.Normalize()
 	var withTable, withoutTable bytes.Buffer
-	if err := Write(&withTable, d, st, false, nil); err != nil {
+	if err := Write(&withTable, d, st, false); err != nil {
 		t.Fatal(err)
 	}
-	if err := Write(&withoutTable, d, store.New(1), false, nil); err != nil {
+	if err := Write(&withoutTable, d, store.New(1), false); err != nil {
 		t.Fatal(err)
 	}
 	pairBytes := withTable.Len() - withoutTable.Len()
@@ -210,10 +249,10 @@ func TestRoundTripWithTombstone(t *testing.T) {
 	st.Normalize()
 
 	var buf bytes.Buffer
-	if err := Write(&buf, d, st, false, nil); err != nil {
+	if err := Write(&buf, d, st, false); err != nil {
 		t.Fatalf("Write with tombstone: %v", err)
 	}
-	d2, st2, _, _, err := Read(&buf)
+	d2, st2, _, err := Read(&buf)
 	if err != nil {
 		t.Fatalf("Read with tombstone: %v", err)
 	}
@@ -231,20 +270,21 @@ func TestRoundTripWithTombstone(t *testing.T) {
 	}
 }
 
-// TestReadRefusesOtherStreamVersions: version 4 is the only stream this
-// build reads. The retired layouts (1–3) and a future one are refused
-// by the version check, with an error naming the version found and the
-// version supported — never parsed under the current layout.
+// TestReadRefusesOtherStreamVersions: version 5 is the only stream this
+// build reads. The retired layouts (1–4; 4 carried the asserted triples
+// as a second section) and a future one are refused by the version
+// check, with an error naming the version found and the version
+// supported — never parsed under the current layout.
 func TestReadRefusesOtherStreamVersions(t *testing.T) {
 	d, st := buildFixture()
 	var buf bytes.Buffer
-	if err := Write(&buf, d, st, false, nil); err != nil {
+	if err := Write(&buf, d, st, false); err != nil {
 		t.Fatal(err)
 	}
-	for _, v := range []byte{1, 2, 3, version + 1} {
+	for _, v := range []byte{1, 2, 3, 4, version + 1} {
 		img := append([]byte(nil), buf.Bytes()...)
 		img[4] = v
-		_, _, _, _, err := Read(bytes.NewReader(img))
+		_, _, _, err := Read(bytes.NewReader(img))
 		if err == nil {
 			t.Fatalf("version-%d stream accepted", v)
 		}
@@ -261,16 +301,101 @@ func TestReadRefusesOtherStreamVersions(t *testing.T) {
 func TestEncodedFlagRoundTrip(t *testing.T) {
 	d, st := buildFixture()
 	var buf bytes.Buffer
-	if err := Write(&buf, d, st, true, nil); err != nil {
+	if err := Write(&buf, d, st, true); err != nil {
 		t.Fatal(err)
 	}
 	img := buf.Bytes()
-	if _, _, encoded, _, err := Read(bytes.NewReader(img)); err != nil || !encoded {
+	if _, _, encoded, err := Read(bytes.NewReader(img)); err != nil || !encoded {
 		t.Fatalf("encoded flag lost: encoded=%v err=%v", encoded, err)
 	}
 	bad := append([]byte{}, img...)
 	bad[8] |= 0x80 // unknown flag bit
-	if _, _, _, _, err := Read(bytes.NewReader(bad)); err == nil {
+	if _, _, _, err := Read(bytes.NewReader(bad)); err == nil {
 		t.Error("unknown flag bits accepted")
+	}
+}
+
+// TestReadRefusesWhatItWouldHaveToRepair: marks are positional, so a
+// table that is not strictly ⟨s,o⟩-ascending, or mark words reaching
+// past the last pair, are refused with the table named — a bare stream
+// has no CRC, and re-sorting would hand the marks to the wrong pairs.
+func TestReadRefusesWhatItWouldHaveToRepair(t *testing.T) {
+	d, good := buildFixture()
+	p, ok := d.Lookup("<p>")
+	if !ok {
+		t.Fatal("fixture lost <p>")
+	}
+	pidx := dictionary.PropIndex(p)
+	pairs := good.Table(pidx).Pairs()
+	a, b, lit := pairs[0], pairs[1], pairs[3]
+	for name, c := range map[string]struct {
+		pairs, marks []uint64
+		want         string
+	}{
+		"out of order":    {[]uint64{b, a, a, b}, nil, "is not above"},
+		"duplicate":       {[]uint64{a, b, a, b}, nil, "is not above"},
+		"objects descend": {[]uint64{a, lit, a, b}, nil, "is not above"},
+		"mark past end":   {[]uint64{a, b, a, lit}, []uint64{1 << 2}, "past the last of 2 pairs"},
+	} {
+		st := store.New(d.NumProperties())
+		st.Ensure(pidx).Restore(c.pairs, c.marks, 1) // Restore trusts its caller; Read must not
+		var buf bytes.Buffer
+		if err := Write(&buf, d, st, false); err != nil {
+			t.Fatal(err)
+		}
+		_, _, _, err := Read(&buf)
+		if err == nil {
+			t.Errorf("%s: accepted", name)
+			continue
+		}
+		for _, want := range []string{fmt.Sprintf("table %d", pidx), c.want} {
+			if !strings.Contains(err.Error(), want) {
+				t.Errorf("%s: refusal %q does not mention %q", name, err, want)
+			}
+		}
+	}
+}
+
+// failAfter accepts n bytes and then fails every write.
+type failAfter struct {
+	n   int
+	err error
+}
+
+func (f *failAfter) Write(p []byte) (int, error) {
+	if len(p) > f.n {
+		n := f.n
+		f.n = 0
+		return n, f.err
+	}
+	f.n -= len(p)
+	return len(p), nil
+}
+
+// TestWriteReportsWriterFailure: Write checks its buffered writer once,
+// at the final Flush; wherever in the stream the underlying writer
+// fails, that first error is what Write returns.
+func TestWriteReportsWriterFailure(t *testing.T) {
+	d := dictionary.New()
+	p := dictionary.PropIndex(d.EncodeProperty("<p>"))
+	st := store.New(1)
+	base := dictionary.PropBase + 1
+	for i := 0; i < 20000; i++ { // several buffers' worth of terms and pairs
+		d.EncodeResource(randFixed(i))
+		st.Add(p, base+uint64(i), base+uint64(i))
+	}
+	st.Normalize()
+	var whole bytes.Buffer
+	if err := Write(&whole, d, st, false); err != nil {
+		t.Fatal(err)
+	}
+	boom := errors.New("disk full")
+	for _, n := range []int{0, 3, 1 << 16, whole.Len() / 2, whole.Len() - 1} {
+		if err := Write(&failAfter{n: n, err: boom}, d, st, false); !errors.Is(err, boom) {
+			t.Errorf("writer failing after %d of %d bytes: Write returned %v", n, whole.Len(), err)
+		}
+	}
+	if err := Write(&failAfter{n: whole.Len(), err: boom}, d, st, false); err != nil {
+		t.Errorf("writer with exactly enough room: %v", err)
 	}
 }

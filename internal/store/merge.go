@@ -1,6 +1,7 @@
 package store
 
 import (
+	"math/bits"
 	"slices"
 
 	"inferray/internal/sorting"
@@ -14,6 +15,13 @@ import (
 // duplicate-free; their ⟨o,s⟩ caches are invalidated when new triples
 // arrive (§4.2).
 //
+// asserted says the outputs are explicitly loaded triples (a staged
+// batch) rather than derivations: every pair of theirs — fresh, or
+// already in main as a derivation — gets main's asserted mark. Marking a
+// pair that was present changes no content, so it moves no version.
+// Either way the marks main already holds follow their pairs through
+// the merge.
+//
 // The delta is the whole description of the round: its non-empty tables
 // are exactly the main tables that received fresh pairs (and whose
 // version moved), which is the signal the reasoner's scheduler keys on.
@@ -25,7 +33,7 @@ import (
 //
 // Each property is independent, so tables are merged on the worker pool
 // when parallel is true (§4.3).
-func MergeRound(main *Store, parallel bool, outs ...*Store) *Store {
+func MergeRound(main *Store, parallel, asserted bool, outs ...*Store) *Store {
 	slots := len(main.tables)
 	for _, out := range outs {
 		slots = max(slots, len(out.tables))
@@ -52,20 +60,25 @@ func MergeRound(main *Store, parallel bool, outs ...*Store) *Store {
 			inf = slices.Clone(inf) // mergeSorted hands inf to main as is
 		}
 		merged, fresh := mergeSorted(mt.pairs, inf)
-		if len(fresh) == 0 {
-			return
+		if len(fresh) > 0 {
+			// Direct field writes are safe here: MergeRound runs only inside a
+			// materialization, which excludes engine readers entirely, and the
+			// pool workers each own a distinct table. Only the ⟨o,s⟩-cache
+			// fields also move under osMu, because table readers (which may
+			// resume the instant the materialization's write lock is released)
+			// synchronize on that lock alone inside OS().
+			if mt.marks != nil {
+				mt.marks = shiftMarks(mt.marks, mt.pairs, fresh, len(merged)/2)
+			}
+			mt.pairs = merged
+			mt.dirty = false
+			mt.version++
+			mt.invalidateOS()
+			delta.tables[pidx] = &Table{pairs: fresh}
 		}
-		// Direct field writes are safe here: MergeRound runs only inside a
-		// materialization, which excludes engine readers entirely, and the
-		// pool workers each own a distinct table. Only the ⟨o,s⟩-cache
-		// fields also move under osMu, because table readers (which may
-		// resume the instant the materialization's write lock is released)
-		// synchronize on that lock alone inside OS().
-		mt.pairs = merged
-		mt.dirty = false
-		mt.version++
-		mt.invalidateOS()
-		delta.tables[pidx] = &Table{pairs: fresh}
+		if asserted {
+			mt.Mark(inf)
+		}
 	})
 	return delta
 }
@@ -147,6 +160,25 @@ func mergeSorted(main, inf []uint64) (merged, fresh []uint64) {
 		return main, nil
 	}
 	return merged, fresh
+}
+
+// shiftMarks carries a table's marks through a merge: the pair at index
+// i of main moves up by the number of fresh pairs that sort below it.
+// Only the set bits are visited.
+func shiftMarks(marks, main, fresh []uint64, n int) []uint64 {
+	out := make([]uint64, (n+63)/64)
+	j := 0
+	for w, word := range marks {
+		for ; word != 0; word &= word - 1 {
+			i := w<<6 + bits.TrailingZeros64(word)
+			s, o := main[2*i], main[2*i+1]
+			for j < len(fresh) && (fresh[j] < s || (fresh[j] == s && fresh[j+1] < o)) {
+				j += 2
+			}
+			setBit(out, i+j/2)
+		}
+	}
+	return out
 }
 
 // Union merges every table of src into dst (both normalized afterwards).

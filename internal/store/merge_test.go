@@ -42,7 +42,7 @@ func TestMergeRoundDeltaNotAliased(t *testing.T) {
 			outs = append(outs, out)
 		}
 
-		delta := MergeRound(main, false, outs...)
+		delta := MergeRound(main, false, false, outs...)
 		want := []uint64{1, 10, 3, 30, 5, 50}
 		dt := delta.Table(0)
 		if dt == nil || !reflect.DeepEqual(dt.RawPairs(), want) {
@@ -85,7 +85,7 @@ func TestMergeRoundMergedPathNotAliased(t *testing.T) {
 	inferred := New(1)
 	inferred.Ensure(0).AppendPairs([]uint64{1, 10, 3, 30})
 
-	delta := MergeRound(main, false, inferred)
+	delta := MergeRound(main, false, false, inferred)
 	want := []uint64{1, 10, 3, 30}
 	dt := delta.Table(0)
 	if dt == nil || !reflect.DeepEqual(dt.RawPairs(), want) {

@@ -19,8 +19,15 @@ import (
 // the primary list is sorted on ⟨s,o⟩ and duplicate-free; OS() serves the
 // ⟨o,s⟩-sorted view, built on demand and invalidated by any mutation
 // (the paper's clearable cache).
+//
+// marks is the asserted record: bit i is set when pair i was loaded
+// explicitly rather than only derived. It is nil while no pair of the
+// table is asserted, positional over a normalized table, and carried
+// through every step that moves pairs (merge, DeletePairs, RewriteTerms).
+// Nothing may append to a table that holds marks.
 type Table struct {
 	pairs   []uint64
+	marks   []uint64
 	os      []uint64 // cache: pairs re-ordered as (o,s), sorted
 	osOK    bool
 	dirty   bool   // true when unsorted appends are pending
@@ -38,12 +45,6 @@ type Table struct {
 // the table's contents change (appends, merges, rewrites), so readers
 // can detect staleness without diffing pairs.
 func (t *Table) Version() uint64 { return t.version }
-
-// SetVersion overwrites the mutation counter. Snapshot restore uses it
-// so a table resumes the counter it was persisted with, keeping
-// version-based pairing (snapshot image ↔ WAL tail) stable across a
-// save/load cycle.
-func (t *Table) SetVersion(v uint64) { t.version = v }
 
 // Append adds one pair. The table becomes dirty until Normalize.
 func (t *Table) Append(s, o uint64) {
@@ -72,12 +73,16 @@ func (t *Table) AppendPairs(pairs []uint64) {
 	t.version++
 }
 
-// SetPairs replaces the table contents with an owned, unsorted pair list.
-func (t *Table) SetPairs(pairs []uint64) {
-	t.pairs = pairs
-	t.dirty = true
-	t.osOK = false
-	t.version++
+// Restore replaces the table with a persisted one: an owned pair list
+// that is ⟨s,o⟩-sorted and duplicate-free, its mark words (nil, or ⌈n/64⌉
+// words with no bit set past the last pair) — the snapshot reader checks
+// both — and the mutation counter it was persisted with, which keeps
+// version-based pairing (snapshot image ↔ WAL tail) stable across a
+// save/load cycle.
+func (t *Table) Restore(pairs, marks []uint64, version uint64) {
+	t.pairs, t.marks, t.version = pairs, marks, version
+	t.dirty = false
+	t.invalidateOS()
 }
 
 // DeletePairs removes every ⟨s,o⟩ pair of del — a normalized flat pair
@@ -95,7 +100,8 @@ func (t *Table) DeletePairs(del []uint64) int {
 		return 0
 	}
 	pairs := t.pairs
-	out := pairs[:0] // in-place compaction: write index never passes read index
+	out := pairs[:0]                      // in-place compaction: write index never passes read index
+	marks := make([]uint64, len(t.marks)) // rebuilt: a mark moves down with its pair
 	di := 0
 	removed := 0
 	for i := 0; i < len(pairs); i += 2 {
@@ -107,12 +113,18 @@ func (t *Table) DeletePairs(del []uint64) int {
 			removed++
 			continue
 		}
+		if t.Marked(i / 2) {
+			setBit(marks, len(out)/2)
+		}
 		out = append(out, s, o)
 	}
 	if removed == 0 {
 		return 0
 	}
 	t.pairs = out
+	if t.marks != nil {
+		t.marks = marks[:(len(out)/2+63)/64]
+	}
 	t.version++
 	t.invalidateOS()
 	return removed
@@ -124,9 +136,68 @@ func (t *Table) Normalize() {
 	if !t.dirty {
 		return
 	}
+	if t.marks != nil {
+		panic("store: append to a table that holds asserted marks; merge instead")
+	}
 	t.pairs = sorting.SortPairs(t.pairs, true)
 	t.dirty = false
 }
+
+// Marked reports whether pair i carries the asserted mark.
+func (t *Table) Marked(i int) bool { return t.marks != nil && getBit(t.marks, i) }
+
+// Marks returns the mark words: nil when no pair was ever marked, else
+// ⌈Size/64⌉ words with no bit set past the last pair. Read-only.
+func (t *Table) Marks() []uint64 { return t.marks }
+
+// MarkAll marks every pair asserted: a first materialization's input.
+func (t *Table) MarkAll() {
+	t.marks = make([]uint64, (t.Size()+63)/64)
+	for i := range t.Size() {
+		setBit(t.marks, i)
+	}
+}
+
+// Mark sets the asserted mark of every pair of sub — a normalized flat
+// pair list — that the table holds. Marks are not content: the version
+// does not move.
+func (t *Table) Mark(sub []uint64) {
+	if t.marks == nil {
+		t.marks = make([]uint64, (t.Size()+63)/64)
+	}
+	t.Locate(sub, func(_, at int) { setBit(t.marks, at) })
+}
+
+// Unmark clears the asserted mark of ⟨s,o⟩ and reports whether it was set.
+func (t *Table) Unmark(s, o uint64) (was bool) {
+	t.Locate([]uint64{s, o}, func(_, at int) {
+		if was = t.Marked(at); was {
+			t.marks[at>>6] &^= 1 << (uint(at) & 63)
+		}
+	})
+	return was
+}
+
+// Locate calls fn(i, at) for every pair i of sub — a normalized flat pair
+// list — that the table holds, at being that pair's index in the table.
+// It gallops forward from hit to hit, so a short sub does not scan the
+// table. The table must be normalized.
+func (t *Table) Locate(sub []uint64, fn func(i, at int)) {
+	p, n, at := t.Pairs(), t.Size(), 0
+	for i := 0; i < len(sub); i += 2 {
+		at = GallopLowerBound(p, n, at, sub[i])
+		for at < n && p[2*at] == sub[i] && p[2*at+1] < sub[i+1] {
+			at++
+		}
+		if at < n && p[2*at] == sub[i] && p[2*at+1] == sub[i+1] {
+			fn(i/2, at)
+		}
+	}
+}
+
+func getBit(m []uint64, i int) bool { return m[i>>6]>>(uint(i)&63)&1 != 0 }
+
+func setBit(m []uint64, i int) { m[i>>6] |= 1 << (uint(i) & 63) }
 
 // Pairs returns the ⟨s,o⟩-sorted pair list. The table must be normalized.
 func (t *Table) Pairs() []uint64 {
@@ -392,18 +463,11 @@ func (st *Store) Normalize() {
 // sorts concurrently on the worker pool (§4.3: property tables are
 // independent, so index maintenance parallelizes trivially). Like
 // Normalize, it requires exclusive access to the store.
-func (st *Store) NormalizeParallel() { NormalizeParallel(st) }
-
-// NormalizeParallel normalizes the dirty tables of several stores on
-// one worker pool, so a small store does not wait its turn behind a
-// large one. It requires exclusive access to every store.
-func NormalizeParallel(stores ...*Store) {
+func (st *Store) NormalizeParallel() {
 	dirty := make([]*Table, 0, 16)
-	for _, st := range stores {
-		for _, t := range st.tables {
-			if t != nil && t.dirty {
-				dirty = append(dirty, t)
-			}
+	for _, t := range st.tables {
+		if t != nil && t.dirty {
+			dirty = append(dirty, t)
 		}
 	}
 	RunPool(true, len(dirty), func(i int) { dirty[i].Normalize() })
@@ -542,20 +606,6 @@ func (st *Store) Delete(del *Store) int {
 	return removed
 }
 
-// Clone returns a deep copy of the store (used by tests and baselines).
-func (st *Store) Clone() *Store {
-	c := New(len(st.tables))
-	for i, t := range st.tables {
-		if t == nil {
-			continue
-		}
-		nt := &Table{dirty: t.dirty, version: t.version}
-		nt.pairs = append(make([]uint64, 0, len(t.pairs)), t.pairs...)
-		c.tables[i] = nt
-	}
-	return c
-}
-
 // RewriteTerms replaces every subject/object occurrence of each renames
 // key with its value and renormalizes the touched tables, in a single
 // pass over the store. The dictionary's resource→property promotions use
@@ -563,7 +613,10 @@ func (st *Store) Clone() *Store {
 // triples stored before the move; batching the renames keeps a load that
 // promotes many terms at one full-store scan instead of one per term.
 // Tables rewrite independently (the renames map is only read), so the
-// scan runs on the worker pool when more than one table exists.
+// scan runs on the worker pool when more than one table exists. Marks
+// follow their pairs: the marked pairs are rewritten on the side and
+// marked again once the table is re-sorted, so two pairs a rename made
+// equal leave one pair, marked if either was.
 func (st *Store) RewriteTerms(renames map[uint64]uint64) {
 	if len(renames) == 0 {
 		return
@@ -578,11 +631,21 @@ func (st *Store) RewriteTerms(renames map[uint64]uint64) {
 				touched = true
 			}
 		}
-		if touched {
-			t.dirty = true
-			t.version++
-			t.invalidateOS()
-			t.Normalize()
+		if !touched {
+			return
+		}
+		var marked []uint64
+		for i := 0; i < len(t.pairs); i += 2 {
+			if t.Marked(i / 2) {
+				marked = append(marked, t.pairs[i], t.pairs[i+1])
+			}
+		}
+		t.dirty, t.marks = true, nil
+		t.version++
+		t.invalidateOS()
+		t.Normalize()
+		if len(marked) > 0 {
+			t.Mark(sorting.SortPairs(marked, true))
 		}
 	})
 }

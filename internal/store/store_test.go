@@ -3,6 +3,7 @@ package store
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -113,6 +114,23 @@ func TestStoreForEachOrder(t *testing.T) {
 	}
 }
 
+// Clone returns a deep copy of the store, marks included. Only tests
+// copy a store; the engine keeps one.
+func (st *Store) Clone() *Store {
+	c := New(len(st.tables))
+	for i, t := range st.tables {
+		if t != nil {
+			c.tables[i] = &Table{
+				pairs:   slices.Clone(t.pairs),
+				marks:   slices.Clone(t.marks),
+				dirty:   t.dirty,
+				version: t.version,
+			}
+		}
+	}
+	return c
+}
+
 func TestStoreClone(t *testing.T) {
 	st := New(1)
 	st.Add(0, 1, 2)
@@ -137,7 +155,7 @@ func TestMergeRoundFigure5(t *testing.T) {
 	inferred := New(1)
 	inferred.Ensure(0).AppendPairs([]uint64{1, 2, 4, 3, 1, 6, 3, 7, 1, 2})
 
-	delta := MergeRound(main, false, inferred)
+	delta := MergeRound(main, false, false, inferred)
 
 	wantMain := []uint64{1, 1, 1, 2, 1, 6, 1, 8, 3, 7, 4, 3, 9, 7}
 	if !reflect.DeepEqual(main.Table(0).Pairs(), wantMain) {
@@ -169,7 +187,7 @@ func TestMergeRoundEmptyDelta(t *testing.T) {
 	main.Normalize()
 	inferred := New(1)
 	inferred.Ensure(0).AppendPairs([]uint64{1, 2}) // pure duplicate
-	delta := MergeRound(main, false, inferred)
+	delta := MergeRound(main, false, false, inferred)
 	if delta.Size() != 0 {
 		t.Fatalf("delta size %d, want 0", delta.Size())
 	}
@@ -235,8 +253,8 @@ func TestMergeRoundQuick(t *testing.T) {
 			return true
 		})
 		mainConcat := main.Clone()
-		delta := MergeRound(main, parallel, outs...)
-		deltaConcat := MergeRound(mainConcat, parallel, concat)
+		delta := MergeRound(main, parallel, false, outs...)
+		deltaConcat := MergeRound(mainConcat, parallel, false, concat)
 		if !sameTables(main, mainConcat) || !sameTables(delta, deltaConcat) {
 			return false
 		}
@@ -298,8 +316,8 @@ func TestMergeRoundParallelMatchesSerial(t *testing.T) {
 		outs, concat := randomOutputs(rng, nProps, 50, 12)
 		mainParallel := mainSerial.Clone()
 
-		deltaS := MergeRound(mainSerial, false, concat)
-		deltaP := MergeRound(mainParallel, true, outs...)
+		deltaS := MergeRound(mainSerial, false, false, concat)
+		deltaP := MergeRound(mainParallel, true, false, outs...)
 		return sameTables(mainSerial, mainParallel) && sameTables(deltaS, deltaP)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
@@ -321,7 +339,7 @@ func TestMergeRoundVersions(t *testing.T) {
 	inferred.Ensure(1).AppendPairs([]uint64{5, 6}) // fresh
 	inferred.Ensure(2).AppendPairs([]uint64{7, 8}) // fresh, new table
 
-	delta := MergeRound(main, false, inferred)
+	delta := MergeRound(main, false, false, inferred)
 	if got := changedTables(delta); !reflect.DeepEqual(got, []int{1, 2}) {
 		t.Fatalf("delta tables = %v, want [1 2]", got)
 	}
@@ -611,7 +629,8 @@ func TestNormalizeParallelAcrossStores(t *testing.T) {
 		a.Add(int(i%4), i, i) // duplicate
 		b.Add(int(i%2), i, 1)
 	}
-	NormalizeParallel(a, b)
+	a.NormalizeParallel()
+	b.NormalizeParallel()
 	for _, st := range []*Store{a, b} {
 		st.ForEachTable(func(pidx int, tab *Table) bool {
 			if !sorting.IsSortedPairs(tab.Pairs()) { // Pairs panics on a dirty table

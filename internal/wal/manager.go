@@ -80,11 +80,10 @@ type Recovery struct {
 // Hooks receive the recovered state during OpenManager. Restore is
 // called at most once, before any Apply call; Apply is called once per
 // surviving log record, in append order, with the record's op kind and
-// decoded batch. asserted is the image's asserted-triples section, nil
-// when the image was written without one. A nil hook skips its step
-// (tests that only inspect the directory).
+// decoded batch. A nil hook skips its step (tests that only inspect the
+// directory).
 type Hooks struct {
-	Restore func(d *dictionary.Dictionary, st *store.Store, asserted *store.Store, meta snapshot.Meta) error
+	Restore func(d *dictionary.Dictionary, st *store.Store, meta snapshot.Meta) error
 	Apply   func(kind OpKind, batch []rdf.Triple) error
 }
 
@@ -147,14 +146,14 @@ func OpenManager(dir string, opts Options, hooks Hooks) (*Manager, error) {
 	sort.Slice(gens, func(i, j int) bool { return gens[i] > gens[j] })
 	var corrupt []string
 	for _, g := range gens {
-		d, st, asserted, meta, err := snapshot.ReadFile(snaps[g])
+		d, st, meta, err := snapshot.ReadFile(snaps[g])
 		if err != nil {
 			m.recovery.CorruptSnapshots++
 			corrupt = append(corrupt, fmt.Sprintf("%s (%v)", snaps[g], err))
 			continue
 		}
 		if hooks.Restore != nil {
-			if err := hooks.Restore(d, st, asserted, meta); err != nil {
+			if err := hooks.Restore(d, st, meta); err != nil {
 				return nil, fmt.Errorf("wal: restoring snapshot %s: %w", snaps[g], err)
 			}
 		}
@@ -284,14 +283,12 @@ func (m *Manager) ShouldRotate() bool {
 // log (fsync), then deletion of the superseded generation. triples is
 // the *stored* triple count, and encoded marks a reduced closure
 // written under the hierarchy interval encoding (the image flags it so
-// recovery rebuilds the index or expands the virtual triples). asserted
-// is the engine's asserted-triples record, persisted alongside the
-// closure so a restored engine can keep serving retractions; nil writes
-// an image without the section. storeGen is the reasoner's logical
+// recovery rebuilds the index or expands the virtual triples); the
+// store's asserted marks ride inside its tables. storeGen is the reasoner's logical
 // store generation at checkpoint time; it is stamped into the image so
 // a recovered process (or a bootstrapping follower) resumes the same
 // generation sequence instead of restarting from zero.
-func (m *Manager) Checkpoint(d *dictionary.Dictionary, st *store.Store, asserted *store.Store, triples int, encoded bool, storeGen uint64) (CheckpointStats, error) {
+func (m *Manager) Checkpoint(d *dictionary.Dictionary, st *store.Store, triples int, encoded bool, storeGen uint64) (CheckpointStats, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	start := time.Now()
@@ -305,7 +302,7 @@ func (m *Manager) Checkpoint(d *dictionary.Dictionary, st *store.Store, asserted
 		StoreGeneration:  storeGen,
 	}
 	snapPath := m.snapPath(newGen)
-	if err := snapshot.WriteFile(snapPath, d, st, asserted, meta); err != nil {
+	if err := snapshot.WriteFile(snapPath, d, st, meta); err != nil {
 		m.checkpointErr = err
 		return CheckpointStats{}, err
 	}

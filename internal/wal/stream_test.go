@@ -95,7 +95,7 @@ func TestStreamFromAcrossCheckpoint(t *testing.T) {
 	m.Append(OpAdd, []rdf.Triple{triple("<a>", "<b>")})
 	m.Append(OpAdd, []rdf.Triple{triple("<c>", "<d>")})
 	oldTail := m.TailPosition()
-	if _, err := m.Checkpoint(ts.d, ts.st, nil, 2, false, 7); err != nil {
+	if _, err := m.Checkpoint(ts.d, ts.st, 2, false, 7); err != nil {
 		t.Fatal(err)
 	}
 

@@ -92,13 +92,13 @@ func (r *Reasoner) solveBGP(patterns [][3]string, onRow func(Row) bool) error {
 // SaveSnapshot writes the dictionary and store (closure, after
 // Materialize) as a compact binary image — the paper's off-line
 // materialization workflow: infer once, persist, serve without the
-// engine. It takes the exclusive lock (the store is normalized in
-// place), so it waits out concurrent reads and materializations.
+// engine. It only reads, under the shared lock like a checkpoint: it
+// waits out a materialization, never a query, and a slow writer blocks
+// no reader.
 func (r *Reasoner) SaveSnapshot(w io.Writer) error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.engine.Main.Normalize()
-	return snapshot.Write(w, r.engine.Dict, r.engine.Main, r.engine.HierView() != nil, r.engine.AssertedStore())
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	return snapshot.Write(w, r.engine.Dict, r.engine.Main, r.engine.HierView() != nil)
 }
 
 // LoadSnapshot restores a reasoner from a snapshot image. The restored
@@ -112,13 +112,13 @@ func (r *Reasoner) SaveSnapshot(w io.Writer) error {
 // un-inferred: later deltas extend it incrementally without deriving
 // the facts the skipped initial run would have produced.
 func LoadSnapshot(src io.Reader, opts ...Option) (*Reasoner, error) {
-	d, st, encoded, asserted, err := snapshot.Read(src)
+	d, st, encoded, err := snapshot.Read(src)
 	if err != nil {
 		return nil, err
 	}
 	r := New(opts...)
 	// The bare stream carries no fragment and no store generation.
-	if err := r.install("snapshot", d, st, asserted, snapshot.Meta{HierarchyEncoded: encoded}); err != nil {
+	if err := r.install("snapshot", d, st, snapshot.Meta{HierarchyEncoded: encoded}); err != nil {
 		return nil, err
 	}
 	return r, nil
@@ -130,11 +130,11 @@ func LoadSnapshot(src io.Reader, opts ...Option) (*Reasoner, error) {
 // (temp file + fsync + rename) — a failed or interrupted save never
 // destroys an existing image at path. This is the persistence step of
 // the offline-materialize/online-serve workflow; LoadImage restores it.
+// Like SaveSnapshot it holds only the shared lock.
 func (r *Reasoner) SaveImage(path string) error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.engine.Main.Normalize()
-	return snapshot.WriteFile(path, r.engine.Dict, r.engine.Main, r.engine.AssertedStore(), snapshot.Meta{
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	return snapshot.WriteFile(path, r.engine.Dict, r.engine.Main, snapshot.Meta{
 		CreatedUnix:      time.Now().Unix(),
 		Triples:          uint64(r.engine.StoredSize()),
 		Fragment:         r.engine.Fragment().String(),
@@ -150,12 +150,12 @@ func (r *Reasoner) SaveImage(path string) error {
 // ruleset. Like LoadSnapshot, the restored store is installed as an
 // already-materialized closure.
 func LoadImage(path string, opts ...Option) (*Reasoner, error) {
-	d, st, asserted, meta, err := snapshot.ReadFile(path)
+	d, st, meta, err := snapshot.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
 	r := New(opts...)
-	if err := r.install("image "+path, d, st, asserted, meta); err != nil {
+	if err := r.install("image "+path, d, st, meta); err != nil {
 		return nil, err
 	}
 	return r, nil

@@ -107,11 +107,11 @@ func (r *Reasoner) RestoreImage(path string) (WALPosition, error) {
 	if r.dur != nil {
 		return WALPosition{}, fmt.Errorf("inferray: RestoreImage on a durable reasoner would fork its data directory from the replicated history")
 	}
-	d, st, asserted, meta, err := snapshot.ReadFile(path)
+	d, st, meta, err := snapshot.ReadFile(path)
 	if err != nil {
 		return WALPosition{}, err
 	}
-	if err := r.install("image "+path, d, st, asserted, meta); err != nil {
+	if err := r.install("image "+path, d, st, meta); err != nil {
 		return WALPosition{}, err
 	}
 	return WALPosition{Generation: meta.Generation}, nil

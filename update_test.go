@@ -182,7 +182,7 @@ func TestUpdateDurableReplay(t *testing.T) {
 }
 
 // TestUpdateDurableCheckpointed: deletions survive through a checkpoint
-// image (the asserted record rides the snapshot), not just WAL replay.
+// image (the asserted marks ride the snapshot), not just WAL replay.
 func TestUpdateDurableCheckpointed(t *testing.T) {
 	dir := t.TempDir()
 	r := openDurable(t, dir)
@@ -199,7 +199,7 @@ func TestUpdateDurableCheckpointed(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Post-checkpoint delete lands in the fresh WAL and must replay on
-	// top of the image's asserted record.
+	// top of the image's asserted marks.
 	if _, err := r.Update(`DELETE DATA { <x> a <a> }`); err != nil {
 		t.Fatal(err)
 	}
@@ -213,6 +213,61 @@ func TestUpdateDurableCheckpointed(t *testing.T) {
 	}
 	if !r2.Holds("<a>", inferray.SubClassOf, "<b>") {
 		t.Error("recovered closure lost the schema edge")
+	}
+}
+
+// TestInsertAlreadyDerivedDurable: INSERT DATA of a triple the closure
+// already stores as a derivation only marks it asserted — the generation
+// does not move — and the mark is durable state like any pair: the
+// triple outlives its derivation's support, through a checkpoint image
+// and a reopen, and is retractable afterwards.
+func TestInsertAlreadyDerivedDurable(t *testing.T) {
+	dir := t.TempDir()
+	r := openDurable(t, dir)
+	if _, err := r.Update(`INSERT DATA {
+		<p> <http://www.w3.org/2000/01/rdf-schema#domain> <C> .
+		<x> <p> <y>
+	}`); err != nil {
+		t.Fatal(err)
+	}
+	if !r.Holds("<x>", inferray.Type, "<C>") {
+		t.Fatal("fixture: ⟨x type C⟩ not derived")
+	}
+	if st, err := r.Update(`DELETE DATA { <x> a <C> }`); err != nil || st.Deleted != 0 {
+		t.Fatalf("a derived-only triple was deletable: %+v, %v", st, err)
+	}
+	gen := r.Generation()
+	if _, err := r.Update(`INSERT DATA { <x> a <C> }`); err != nil {
+		t.Fatal(err)
+	}
+	if r.Generation() != gen {
+		t.Errorf("asserting a stored derivation moved the generation %d -> %d", gen, r.Generation())
+	}
+	if _, err := r.Update(`DELETE DATA { <x> <p> <y> }`); err != nil {
+		t.Fatal(err)
+	}
+	if !r.Holds("<x>", inferray.Type, "<C>") {
+		t.Fatal("the asserted triple fell with its former derivation")
+	}
+	if _, err := r.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	gen = r.Generation()
+	r.Close()
+
+	r2 := openDurable(t, dir)
+	defer r2.Close()
+	if ds, _ := r2.DurabilityStats(); !ds.RecoveredFromSnapshot || ds.ReplayedRecords != 0 {
+		t.Fatalf("reopen did not come from the image alone: %+v", ds)
+	}
+	if !r2.Holds("<x>", inferray.Type, "<C>") || r2.Generation() != gen {
+		t.Errorf("reopened: holds=%t generation %d, want true / %d", r2.Holds("<x>", inferray.Type, "<C>"), r2.Generation(), gen)
+	}
+	if st, err := r2.Update(`DELETE DATA { <x> a <C> }`); err != nil || st.Deleted != 1 {
+		t.Fatalf("retracting the restored assertion: %+v, %v", st, err)
+	}
+	if r2.Holds("<x>", inferray.Type, "<C>") {
+		t.Error("the retracted assertion is still visible")
 	}
 }
 
