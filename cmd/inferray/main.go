@@ -204,6 +204,7 @@ func run(ctx context.Context, args []string, stdin io.Reader, stdout, stderr io.
 	} else {
 		r = inferray.New(opts...)
 	}
+	var seen inferray.MetricsSnapshot
 	printStats := func(st inferray.Stats, batch string) {
 		if !*stats {
 			return
@@ -220,6 +221,15 @@ func run(ctx context.Context, args []string, stdin io.Reader, stdout, stderr io.
 				i+1, batch, r.RulesFired, r.RulesSkipped, r.NewTriples,
 				r.RulesTime, r.MergeTime, r.MaintainTime)
 		}
+		// What this batch cost the store: an incremental batch that is small
+		// against its tables should read rebuild=0 and os_dropped=0 on every
+		// table long enough to splice (DESIGN.md §7).
+		m := r.Metrics()
+		fmt.Fprintf(stderr, "  store batch=%s splice=%d rebuild=%d os_built=%d os_patched=%d os_dropped=%d\n",
+			batch, m.MergesSplice-seen.MergesSplice, m.MergesRebuild-seen.MergesRebuild,
+			m.OSCacheBuilt-seen.OSCacheBuilt, m.OSCachePatched-seen.OSCachePatched,
+			m.OSCacheDropped-seen.OSCacheDropped)
+		seen = m
 	}
 
 	if *loadImage == "" || inExplicit {

@@ -220,6 +220,10 @@ func TestCLIDeltaFlag(t *testing.T) {
 	if !strings.Contains(errOut, "  round=1 batch=initial fired=") || !strings.Contains(errOut, " maintain=") {
 		t.Errorf("missing per-round lines: %s", errOut)
 	}
+	// ... and one store line per batch: merge paths and ⟨o,s⟩-cache events.
+	if strings.Count(errOut, "  store batch=") != 3 || !strings.Contains(errOut, "  store batch=initial splice=0 rebuild=") {
+		t.Errorf("missing per-batch store lines: %s", errOut)
+	}
 }
 
 // syncBuffer is a goroutine-safe bytes.Buffer: the serve goroutine

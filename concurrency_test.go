@@ -10,11 +10,14 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"regexp"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"inferray"
+	"inferray/internal/datagen"
 )
 
 func hammer(t *testing.T) {
@@ -324,5 +327,135 @@ func TestSaveSnapshotDoesNotBlockReaders(t *testing.T) {
 	}
 	if loaded.Size() != r.Size() || !loaded.Holds("<x>", inferray.Type, "<C>") {
 		t.Errorf("image written beside a reader: %d triples, want %d", loaded.Size(), r.Size())
+	}
+}
+
+// lubmChurnReasoner materializes a LUBM base under rdfs-plus with the
+// hierarchy encoding on and returns it with one stored takesCourse
+// triple: tables long enough that a single-triple write is spliced in
+// place, cache and all.
+func lubmChurnReasoner(t *testing.T) (*inferray.Reasoner, inferray.Triple) {
+	t.Helper()
+	r := inferray.New(inferray.WithFragment(inferray.RDFSPlus))
+	triples := datagen.LUBM(20_000, 1)
+	r.AddTriples(triples)
+	if _, err := r.Materialize(); err != nil {
+		t.Fatal(err)
+	}
+	for _, tr := range triples {
+		if strings.HasSuffix(tr.P, "lubm/takesCourse>") {
+			return r, tr
+		}
+	}
+	t.Fatal("LUBM base holds no takesCourse triple")
+	return nil, inferray.Triple{}
+}
+
+// TestConcurrentObjectScansWhileSplicing: readers scan by object — the
+// ⟨o,s⟩ cache of the takesCourse table, the visible-subject list of a
+// class — while a writer inserts and deletes single triples, each of
+// which patches those caches in place instead of dropping them. Under
+// -race a reader touching a list mid-splice is a report; either way
+// every answer must contain the base data's own rows, and what the
+// writer carried must equal a recount when it stops.
+func TestConcurrentObjectScansWhileSplicing(t *testing.T) {
+	r, like := lubmChurnReasoner(t)
+	byCourse := fmt.Sprintf(`SELECT ?s WHERE { ?s %s %s }`, like.P, like.O)
+	byClass := fmt.Sprintf(`SELECT ?s WHERE { ?s a %s }`, strings.Replace(like.P, "takesCourse", "Student", 1))
+	base := map[string]int{}
+	for _, q := range []string{byCourse, byClass} {
+		rows, err := r.Select(q)
+		if err != nil || len(rows) == 0 {
+			t.Fatalf("%s: %d rows, %v", q, len(rows), err)
+		}
+		base[q] = len(rows)
+	}
+
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for i := 0; i < 4; i++ {
+		wg.Add(1)
+		go func(q string) {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				rows, err := r.Select(q)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				// Inserted students come and go; the base rows never leave.
+				if len(rows) < base[q] || len(rows) > base[q]+1 {
+					t.Errorf("%s: %d rows, base %d", q, len(rows), base[q])
+					return
+				}
+			}
+		}([]string{byCourse, byClass}[i%2])
+	}
+	for i := 0; i < 60; i++ {
+		tr := fmt.Sprintf("<http://example.org/churn/s%d> %s %s", i, like.P, like.O)
+		if _, err := r.Update("INSERT DATA { " + tr + " }"); err != nil {
+			t.Fatal(err)
+		}
+		if st, err := r.Update("DELETE DATA { " + tr + " }"); err != nil || st.Deleted != 1 {
+			t.Fatalf("delete %d: %+v, %v", i, st, err)
+		}
+	}
+	close(stop)
+	wg.Wait()
+	if err := r.CheckCarried(); err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := r.WriteMetrics(&buf); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{
+		`inferray_store_os_cache_total{event="patched"}`,
+		`inferray_store_merges_total{path="splice"}`,
+	} {
+		if !regexp.MustCompile(regexp.QuoteMeta(want) + ` [1-9]`).Match(buf.Bytes()) {
+			t.Errorf("after 120 single-triple writes, %s is zero or missing", want)
+		}
+	}
+}
+
+// TestSizeIsCarriedAcrossWrites: Materialize sizes the closure before
+// and after an incremental run and the /update handler asks a third
+// time; Retract sizes it once more. On the incremental path every one of
+// those is a hit on the visible-count memo the write carried forward —
+// no pass over the rdf:type table — and the carried number is the cold
+// recount's.
+func TestSizeIsCarriedAcrossWrites(t *testing.T) {
+	r, like := lubmChurnReasoner(t)
+	size := r.Size()
+	passes := r.TypeStatsPasses()
+	if passes < 1 {
+		t.Fatalf("%d whole-table passes after the first materialization: is the encoding on?", passes)
+	}
+	for i := 0; i < 10; i++ {
+		tr := fmt.Sprintf("<http://example.org/churn/s%d> %s %s", i, like.P, like.O)
+		if _, err := r.Update("INSERT DATA { " + tr + " }"); err != nil {
+			t.Fatal(err)
+		}
+		if got := r.Size(); got <= size {
+			t.Fatalf("insert %d: Size() %d, was %d", i, got, size)
+		}
+		if i%2 == 1 {
+			if _, err := r.Update("DELETE DATA { " + tr + " }"); err != nil {
+				t.Fatal(err)
+			}
+		}
+		size = r.Size()
+		if got := r.TypeStatsPasses(); got != passes {
+			t.Fatalf("write %d: %d whole-table passes over the type table, %d before the writes: Size() missed the memo", i, got, passes)
+		}
+	}
+	if err := r.CheckCarried(); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -8,3 +8,22 @@ func (r *Reasoner) ShadowedTypePairs() int {
 	defer r.mu.RUnlock()
 	return r.engine.ShadowedTypePairs()
 }
+
+// CheckCarried exposes the engine's self-check of everything the write
+// path carries between versions (visible count, cached ⟨o,s⟩ lists).
+func (r *Reasoner) CheckCarried() error {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.engine.CheckCarried()
+}
+
+// TypeStatsPasses reports how many whole-table passes the visible-count
+// memo has needed on the current hierarchy index; -1 without one.
+func (r *Reasoner) TypeStatsPasses() int {
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	if hv := r.engine.HierView(); hv != nil {
+		return hv.Idx.TypeStatsPasses()
+	}
+	return -1
+}

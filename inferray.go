@@ -553,16 +553,21 @@ func (r *Reasoner) apply(m mutation) (Stats, reasoner.RetractStats, error) {
 	}
 
 	r.mu.Lock()
+	held := time.Now()
+	unlock := func() {
+		r.mu.Unlock()
+		r.obs.writeHold.ObserveDuration(time.Since(held))
+	}
 	if m.where != nil {
 		var err error
 		if record, err = r.matchPatternsLocked(m.where); err != nil || len(record) == 0 {
-			r.mu.Unlock()
+			unlock()
 			return Stats{}, reasoner.RetractStats{}, err
 		}
 	}
 	if r.dur != nil {
 		if err := r.dur.Append(m.kind, record); err != nil {
-			r.mu.Unlock()
+			unlock()
 			return Stats{}, reasoner.RetractStats{}, fmt.Errorf("inferray: write-ahead log: %w", err)
 		}
 	}
@@ -577,7 +582,7 @@ func (r *Reasoner) apply(m mutation) (Stats, reasoner.RetractStats, error) {
 		rs, err = r.engine.Retract(record)
 	}
 	r.bumpGenerationLocked()
-	r.mu.Unlock()
+	unlock()
 
 	st.ParseTime = m.parseTime
 	st.EncodeTime += m.internTime

@@ -474,6 +474,7 @@ type Index struct {
 
 	mu       sync.Mutex
 	typeMemo typeMemo
+	carryRun stamps // CarryTypeStats' per-run working memory
 
 	// subjMemo caches the merged visible subject list per class for
 	// virtual type scans (View.typeSubjects), valid for one type-table
@@ -507,13 +508,27 @@ func (x *Index) memoTypeSubjects(class, version uint64, subjects []uint64) {
 	x.subjMemo[class] = subjects
 }
 
-// typeMemo caches the whole-table virtual rdf:type statistics per type
-// table version.
+// typeMemo is the visible rdf:type count of one type-table version: what
+// Size() and the planner read. A whole-table pass (typeStats) fills it;
+// after that the reasoner carries it from version to version by
+// recounting only the subject runs a round touched (CarryTypeStats), so
+// a write costs the runs it changed, not the table.
 type typeMemo struct {
 	ok      bool
 	version uint64
-	virtual int // visible type pairs minus stored type pairs
-	objects int // distinct visible classes
+	visible int // visible type pairs: stored plus virtual
+	passes  int // whole-table passes so far (the tests' memo-hit check)
+
+	// The distinct visible classes, with the table-wide stamps (classes
+	// inside the hierarchy) and set (classes outside it) that counted
+	// them, kept so that arriving pairs can only add to the count. A
+	// removal cannot be carried — the class may or may not have another
+	// holder — so it clears objectsOK and the next reader that needs the
+	// number runs the pass.
+	objectsOK bool
+	objects   int
+	all       stamps
+	outside   map[uint64]struct{}
 }
 
 // Build constructs the index from the raw (unclosed, normalized)
@@ -536,14 +551,18 @@ func (x *Index) Intervals() int {
 }
 
 // typeStats returns (virtual type pairs, distinct visible classes) for
-// the given rdf:type table, cached per table version.
-func (x *Index) typeStats(t *store.Table) (virtual, objects int) {
+// the given rdf:type table. It is a memo hit when the memo stands at the
+// table's version — the reasoner carries it there after every round —
+// and a whole-table pass otherwise: a cold memo (a new index after
+// buildHier, an installed image) or, for a caller that needs objects,
+// the first such read after a removal.
+func (x *Index) typeStats(t *store.Table, needObjects bool) (virtual, objects int) {
 	if t == nil || t.Empty() {
 		return 0, 0
 	}
 	x.mu.Lock()
-	if x.typeMemo.ok && x.typeMemo.version == t.Version() {
-		v, o := x.typeMemo.virtual, x.typeMemo.objects
+	if m := &x.typeMemo; m.ok && m.version == t.Version() && (m.objectsOK || !needObjects) {
+		v, o := m.visible-t.Size(), m.objects
 		x.mu.Unlock()
 		return v, o
 	}
@@ -557,7 +576,7 @@ func (x *Index) typeStats(t *store.Table) (virtual, objects int) {
 	pairs := t.Pairs()
 	var run, all stamps
 	all.reset(len(rel.nodes))
-	var outside []uint64
+	outside := make(map[uint64]struct{})
 	visible := 0
 	for i := 0; i < len(pairs); i += 2 {
 		if i == 0 || pairs[i] != pairs[i-2] {
@@ -566,18 +585,111 @@ func (x *Index) typeStats(t *store.Table) (virtual, objects int) {
 		rank, scc, ok := rel.resolve(pairs[i+1])
 		if !ok {
 			visible++
-			outside = append(outside, pairs[i+1])
+			outside[pairs[i+1]] = struct{}{}
 			continue
 		}
 		visible += rel.stampVisible(rank, scc, &run)
 		objects += rel.stampVisible(rank, scc, &all)
 	}
-	slices.Sort(outside)
-	objects += len(slices.Compact(outside))
-	virtual = visible - len(pairs)/2
+	objects += len(outside)
 
 	x.mu.Lock()
-	x.typeMemo = typeMemo{ok: true, version: t.Version(), virtual: virtual, objects: objects}
+	x.typeMemo = typeMemo{
+		ok: true, version: t.Version(), visible: visible, passes: x.typeMemo.passes + 1,
+		objectsOK: true, objects: objects, all: all, outside: outside,
+	}
 	x.mu.Unlock()
-	return virtual, objects
+	return visible - t.Size(), objects
+}
+
+// CarryTypeStats moves the memo from version from of the rdf:type table
+// to the version t stands at now. changed lists, ⟨s,o⟩-sorted, the pairs
+// that arrived (added) or left since from, t holding the arrivals and
+// lacking the departures; pairs compacted away are not reported — a
+// shadowed pair is visible either way — so a compaction is carried with
+// a nil list. Only the subject runs changed names are recounted, each
+// found by galloping from the one before. A memo that does not stand at
+// from (cold, or a version was skipped) is left alone: the next read
+// runs the whole-table pass.
+func (x *Index) CarryTypeStats(t *store.Table, from uint64, changed []uint64, added bool) {
+	x.mu.Lock()
+	defer x.mu.Unlock()
+	m := &x.typeMemo
+	if !m.ok || m.version != from {
+		return
+	}
+	m.version = t.Version()
+	if len(changed) == 0 {
+		return
+	}
+	rel, pairs, run := x.Classes, t.Pairs(), &x.carryRun
+	count := func(lists ...[]uint64) (n int) {
+		run.reset(len(rel.nodes))
+		for _, l := range lists {
+			for i := 1; i < len(l); i += 2 {
+				if rank, scc, ok := rel.resolve(l[i]); ok {
+					n += rel.stampVisible(rank, scc, run)
+				} else {
+					n++ // outside the hierarchy: visible as itself, once
+				}
+			}
+		}
+		return n
+	}
+	hi := 0
+	for i, j := 0, 0; i < len(changed); i = j {
+		for j = i + 2; j < len(changed) && changed[j] == changed[i]; j += 2 {
+		}
+		var lo int
+		lo, hi = t.SubjectRunFrom(changed[i], hi)
+		now, sub := pairs[2*lo:2*hi], changed[i:j]
+		if added {
+			m.visible += count(now) - count(without(now, sub))
+		} else {
+			m.visible += count(now) - count(now, sub)
+		}
+	}
+	if !added {
+		m.objectsOK, m.all, m.outside = false, stamps{}, nil
+	} else if m.objectsOK {
+		for i := 1; i < len(changed); i += 2 {
+			if rank, scc, ok := rel.resolve(changed[i]); ok {
+				m.objects += rel.stampVisible(rank, scc, &m.all)
+			} else if _, seen := m.outside[changed[i]]; !seen {
+				m.outside[changed[i]] = struct{}{}
+				m.objects++
+			}
+		}
+	}
+}
+
+// without returns the pairs of run — one subject's ⟨s,o⟩-sorted run —
+// that sub, a sorted subset of it, does not hold.
+func without(run, sub []uint64) []uint64 {
+	out := make([]uint64, 0, len(run)-len(sub))
+	j := 0
+	for i := 0; i < len(run); i += 2 {
+		if j < len(sub) && sub[j+1] == run[i+1] {
+			j += 2
+			continue
+		}
+		out = append(out, run[i], run[i+1])
+	}
+	return out
+}
+
+// TypeStatsPasses returns how many whole-table passes typeStats has run
+// on this index; ForgetTypeStats makes the next read run one. Both exist
+// for the tests that check the carried count against a cold recount.
+func (x *Index) TypeStatsPasses() int {
+	x.mu.Lock()
+	defer x.mu.Unlock()
+	return x.typeMemo.passes
+}
+
+// ForgetTypeStats drops the memo (keeping the pass count).
+func (x *Index) ForgetTypeStats() {
+	x.mu.Lock()
+	defer x.mu.Unlock()
+	x.typeMemo = typeMemo{passes: x.typeMemo.passes}
 }

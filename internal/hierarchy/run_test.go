@@ -126,7 +126,7 @@ func TestTypeStatsMatchesSupers(t *testing.T) {
 			all = append(all, classes...)
 		}
 		tab.Normalize()
-		virtual, objects := x.typeStats(tab)
+		virtual, objects := x.typeStats(tab, true)
 		if want := visible - tab.Size(); virtual != want {
 			t.Fatalf("edges %v table %v: virtual = %d, want %d", edges, tab.Pairs(), virtual, want)
 		}
@@ -173,7 +173,7 @@ func TestTypeStatsAllocations(t *testing.T) {
 	}
 	allocs := testing.AllocsPerRun(3, func() {
 		x.typeMemo = typeMemo{}
-		x.typeStats(tab)
+		x.typeStats(tab, true)
 	})
 	if allocs > 4 {
 		t.Errorf("typeStats allocates %.0f objects over %d subjects; want a constant", allocs, tab.Stats().Subjects)
@@ -186,7 +186,7 @@ func BenchmarkTypeStats(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		x.typeMemo = typeMemo{}
-		x.typeStats(tab)
+		x.typeStats(tab, true)
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(tab.Size()), "ns/pair")
 }

@@ -290,7 +290,7 @@ func (v *View) Stats(pidx int) store.TableStats {
 			return store.TableStats{}
 		}
 		st := t.Stats()
-		virtual, objects := v.Idx.typeStats(t)
+		virtual, objects := v.Idx.typeStats(t, true)
 		st.Pairs += virtual
 		st.Objects = objects
 		st.ObjectsExact = true
@@ -314,6 +314,6 @@ func (v *View) VirtualCounts() (vSC, vSP, vType int) {
 	if t := v.table(v.Idx.spPidx); t != nil {
 		vSP -= t.Size()
 	}
-	vType, _ = v.Idx.typeStats(v.table(v.Idx.typePidx))
+	vType, _ = v.Idx.typeStats(v.table(v.Idx.typePidx), false)
 	return vSC, vSP, vType
 }

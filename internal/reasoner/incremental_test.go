@@ -79,6 +79,9 @@ func TestIncrementalMatchesOneShotAllFragments(t *testing.T) {
 					if b > 0 && !st.Incremental {
 						t.Fatalf("seed %d batch %d: expected an incremental run", seed, b)
 					}
+					if err := inc.CheckCarried(); err != nil {
+						t.Fatalf("seed %d batch %d: %v", seed, b, err)
+					}
 				}
 
 				oneShot := New(Options{Fragment: fragment, Parallel: true})

@@ -4,6 +4,7 @@ import (
 	"time"
 
 	"inferray/internal/metrics"
+	"inferray/internal/store"
 )
 
 // Metrics is the reasoner's instrument set. Hang one on
@@ -47,6 +48,13 @@ type Metrics struct {
 	RetractSeconds     *metrics.Histogram
 	OverdeletedTriples *metrics.Counter
 	RederivedTriples   *metrics.Counter
+	// RederivePairs sizes retraction's rederivation pass: emitted = the
+	// pairs its rules produced, kept = the distinct ones that could be new
+	// to the store and went into the merge.
+	RederivePairs *metrics.CounterVec
+	// Store is the main store's own instrument set (merge paths, ⟨o,s⟩
+	// cache events); the engine attaches it to every store it makes Main.
+	Store *store.Metrics
 }
 
 // NewMetrics registers the reasoner families into reg and returns the
@@ -88,6 +96,10 @@ func NewMetrics(reg *metrics.Registry) *Metrics {
 			"Triples removed by DRed overdeletion (including casualties later rederived)."),
 		RederivedTriples: reg.Counter("inferray_reasoner_rederived_triples_total",
 			"Overdeletion casualties restored by the rederivation fixpoint."),
+		RederivePairs: reg.CounterVec("inferray_reasoner_rederive_pairs_total",
+			"Retraction's rederivation pass: pairs its rules emitted, and the distinct pairs kept for the merge because they could be new to the store.",
+			"kind"),
+		Store: store.NewMetrics(reg),
 	}
 }
 
@@ -152,4 +164,6 @@ func (e *Engine) recordRetract(st *RetractStats) {
 	m.RetractSeconds.ObserveDuration(st.TotalTime)
 	m.OverdeletedTriples.Add(uint64(st.Overdeleted))
 	m.RederivedTriples.Add(uint64(st.Rederived))
+	m.RederivePairs.With("emitted").Add(uint64(st.RederiveEmitted))
+	m.RederivePairs.With("kept").Add(uint64(st.RederiveKept))
 }

@@ -18,6 +18,7 @@ package reasoner
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"inferray/internal/closure"
@@ -185,6 +186,9 @@ func New(opts Options) *Engine {
 	}
 	e.resolveRuleCounters()
 	e.Main = store.New(d.NumProperties())
+	if opts.Metrics != nil {
+		e.Main.SetMetrics(opts.Metrics.Store)
+	}
 	return e
 }
 
@@ -208,6 +212,7 @@ func (e *Engine) Materialize() Stats {
 	} else {
 		e.materializeFull(&st)
 		e.materialized = true
+		e.Main.Steady() // from here on Main is maintained, not loaded
 	}
 	countStart := time.Now()
 	st.TotalTriples = e.Size()
@@ -319,12 +324,23 @@ func (e *Engine) fixpoint(delta *store.Store, st *Stats) {
 // true for the one round whose outputs are input: the staged batch.
 func (e *Engine) mergeRound(asserted bool, outs ...*store.Store) *store.Store {
 	start := time.Now()
+	typeVersion := e.typeVersion()
 	delta := store.MergeRound(e.Main, e.opts.Parallel, asserted, outs...)
 	merged := time.Now()
-	e.maintainHier(delta)
+	e.maintainHier(delta, typeVersion)
 	e.mergeTime += merged.Sub(start)
 	e.maintainTime += time.Since(merged)
 	return delta
+}
+
+// typeVersion returns the rdf:type table's version, the key of the
+// visible-count memo (hierarchy.Index.CarryTypeStats); 0 before the
+// table exists.
+func (e *Engine) typeVersion() uint64 {
+	if t := e.Main.Table(e.V.Type); t != nil {
+		return t.Version()
+	}
+	return 0
 }
 
 // hasPairs reports whether st holds at least one pair of property pidx.
@@ -482,8 +498,11 @@ func (e *Engine) hierGuardsOK() bool {
 // rebuilds the interval index when raw hierarchy edges arrived,
 // re-checks the bypass guards when any guard-relevant table received
 // pairs, and — if a guard tripped — expands the virtual closure into the
-// store, folding what that added into the delta.
-func (e *Engine) maintainHier(delta *store.Store) {
+// store, folding what that added into the delta. Otherwise the visible
+// count is carried from typeVersion — the type table's version before
+// the merge — over the runs the delta's type pairs touched, and those
+// runs are compacted.
+func (e *Engine) maintainHier(delta *store.Store, typeVersion uint64) {
 	e.hierClassChanged, e.hierPropChanged = false, false
 	if e.hier == nil {
 		return
@@ -503,6 +522,12 @@ func (e *Engine) maintainHier(delta *store.Store) {
 		// the fixpoint processes them like any other derivation.
 		store.Union(delta, e.expandEncoding())
 		return
+	}
+	if typeChanged {
+		// Before compaction: a fresh pair may be compacted out of the delta a
+		// moment later, but the runs it joined are counted with it in place.
+		// A rebuilt index starts cold and ignores the call.
+		e.hier.CarryTypeStats(e.Main.Table(e.V.Type), typeVersion, delta.Table(e.V.Type).Pairs(), true)
 	}
 	if e.hierClassChanged || typeChanged {
 		e.compactTypeTable(delta)
@@ -544,7 +569,12 @@ func (e *Engine) compactTypeTable(delta *store.Store) {
 	if len(unmarked)+len(marked) == 0 {
 		return
 	}
-	e.Main.Table(e.V.Type).DeletePairs(unmarked)
+	// A shadowed pair is visible with or without its stored copy: the
+	// visible count moves to the new version as it is.
+	tt := e.Main.Table(e.V.Type)
+	before := tt.Version()
+	tt.DeletePairs(unmarked)
+	e.hier.CarryTypeStats(tt, before, nil, false)
 	if dt != nil {
 		// The delta is a subset of the merged main store, so a delta pair
 		// is shadowed iff main's run says so — marked or not.
@@ -605,6 +635,40 @@ func (e *Engine) shadowedTypePairs(touched *store.Table) (unmarked, marked []uin
 func (e *Engine) ShadowedTypePairs() int {
 	unmarked, _ := e.shadowedTypePairs(nil)
 	return len(unmarked) / 2
+}
+
+// CheckCarried recomputes what the write path carries from one version
+// to the next instead of recomputing — the visible count behind Size(),
+// the planner's type statistics, every cached ⟨o,s⟩ list — and reports
+// the first difference from a cold recount or a rebuild. Like
+// ShadowedTypePairs it exists for the equivalence suites, which call it
+// after every operation; it drops the count memo, so it needs the same
+// exclusive access a write does.
+func (e *Engine) CheckCarried() error {
+	if hv := e.HierView(); hv != nil {
+		size, stats := e.Size(), hv.Stats(e.V.Type)
+		e.hier.ForgetTypeStats()
+		if cold := e.Size(); cold != size {
+			return fmt.Errorf("reasoner: carried Size() %d, cold recount %d", size, cold)
+		}
+		if cold := hv.Stats(e.V.Type); cold != stats {
+			return fmt.Errorf("reasoner: carried rdf:type stats %+v, cold recount %+v", stats, cold)
+		}
+	}
+	var err error
+	e.Main.ForEachTable(func(pidx int, t *store.Table) bool {
+		if os, ok := t.CachedOS(); ok {
+			var cold store.Table
+			cold.AppendPairs(t.Pairs())
+			cold.Normalize()
+			if !slices.Equal(os, cold.OS()) {
+				err = fmt.Errorf("reasoner: cached ⟨o,s⟩ list of %s differs from a rebuild",
+					e.Dict.MustDecode(dictionary.PropID(pidx)))
+			}
+		}
+		return err == nil
+	})
+	return err
 }
 
 // expandEncoding materializes every virtual triple into the main store
@@ -734,6 +798,10 @@ func (e *Engine) RestoreState(d *dictionary.Dictionary, st *store.Store, encoded
 	e.V = rules.ResolveVocab(d)
 	st.Grow(d.NumProperties())
 	e.Main = st
+	st.Steady()
+	if e.opts.Metrics != nil {
+		st.SetMetrics(e.opts.Metrics.Store)
+	}
 	e.materialized = true
 	e.staged = nil
 	e.hier = nil

@@ -23,6 +23,11 @@ type RetractStats struct {
 	Overdeleted int // stored triples in the overdeletion set
 	Rederived   int // of those, the ones still stored afterwards: asserted in their own right, or rederived on other support
 
+	// The rederivation pass: the pairs its rules emitted, and the distinct
+	// ones of them that could be new to the store and were merged.
+	RederiveEmitted int
+	RederiveKept    int
+
 	TotalTriples int // visible closure size after the retraction
 	Iterations   int // overdeletion + rederivation fixpoint iterations
 
@@ -115,8 +120,11 @@ func (e *Engine) Retract(batch []rdf.Triple) (RetractStats, error) {
 	})
 	delta.Normalize()
 	doomed.Normalize()
-	stored := e.Main.Size()
+	stored, typeVersion := e.Main.Size(), e.typeVersion()
 	e.Main.Delete(doomed)
+	if e.hier != nil && hasPairs(doomed, e.V.Type) {
+		e.hier.CarryTypeStats(e.Main.Table(e.V.Type), typeVersion, doomed.Table(e.V.Type).Pairs(), false)
+	}
 
 	// A surviving derivation whose antecedents were never deleted is
 	// invisible to semi-naive evaluation (its antecedents are in no
@@ -124,7 +132,8 @@ func (e *Engine) Retract(batch []rdf.Triple) (RetractStats, error) {
 	// semantics — of exactly the rules that write into a deleted table,
 	// and fold what it restores into the running delta.
 	writers := e.triggered(over, (*rules.Rule).Writes)
-	store.Union(delta, e.mergeRound(false, e.runRules(writers, e.Main)...))
+	kept := e.possiblyNew(e.runRules(writers, e.Main), doomed, &st)
+	store.Union(delta, e.mergeRound(false, kept))
 
 	// Everything restored so far flows through the ordinary incremental
 	// fixpoint, which also re-closes any θ table the deletion opened up
@@ -141,6 +150,62 @@ func (e *Engine) Retract(batch []rdf.Triple) (RetractStats, error) {
 	st.TotalTime = time.Since(start)
 	e.recordRetract(&st)
 	return st, nil
+}
+
+// possiblyNew keeps, of what the rederivation pass emitted, only the
+// pairs that can be new to Main. Main was a fixpoint before doomed left
+// it and the rules are monotone, so everything the pass derives from
+// what remains was visible a moment ago: it is still stored, or it is in
+// doomed — or, with the hierarchy encoding active, it is an rdf:type
+// pair ⟨x, D⟩ that was never stored because a stored ⟨x, C⟩ with C
+// below D served it. That last kind can have become new only if x lost a
+// type pair, i.e. x is a subject of doomed's type table; otherwise the
+// pair that shadowed it still stands and compaction would remove it
+// again. So per table the answer is out ∩ doomed, plus every emitted
+// type pair of a subject doomed's type table names, which the merge and
+// compaction then settle as they do any round. (A schema edge never
+// reaches here with the encoding active: overdelete expands it first.)
+// The result is normalized: sort, merge and compaction see the tens of
+// pairs that matter instead of everything the pass re-derives.
+func (e *Engine) possiblyNew(outs []*store.Store, doomed *store.Store, st *RetractStats) *store.Store {
+	kept := store.New(e.Main.NumSlots())
+	for _, out := range outs {
+		st.RederiveEmitted += out.Size()
+		out.ForEachTable(func(pidx int, t *store.Table) bool {
+			dt := doomed.Table(pidx)
+			if dt == nil || dt.Empty() {
+				return true
+			}
+			// doomed is tens of pairs and the pass emits a table's worth:
+			// reject on the subject range before searching.
+			dp := dt.Pairs()
+			first, last := dp[0], dp[len(dp)-2]
+			bySubject := pidx == e.V.Type && e.hier != nil
+			var kt *store.Table
+			for p, i := t.RawPairs(), 0; i < len(p); i += 2 {
+				if p[i] < first || p[i] > last {
+					continue
+				}
+				var keep bool
+				if bySubject {
+					lo, hi := dt.SubjectRun(p[i])
+					keep = lo < hi
+				} else {
+					keep = dt.Contains(p[i], p[i+1])
+				}
+				if keep {
+					if kt == nil {
+						kt = kept.Ensure(pidx)
+					}
+					kt.Append(p[i], p[i+1])
+				}
+			}
+			return true
+		})
+	}
+	kept.Normalize()
+	st.RederiveKept = kept.Size()
+	return kept
 }
 
 // overdelete computes the overdeletion set: every stored triple with a

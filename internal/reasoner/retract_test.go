@@ -3,11 +3,13 @@ package reasoner
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
 	"inferray/internal/datagen"
 	"inferray/internal/dictionary"
+	"inferray/internal/metrics"
 	"inferray/internal/rdf"
 	"inferray/internal/rules"
 )
@@ -96,7 +98,12 @@ func checkAgainstRemat(t *testing.T, e *Engine, opts Options, label string) {
 // inserts and DRed retractions, across every fragment with the
 // hierarchy encoding on and off, the maintained closure must equal a
 // from-scratch rematerialization of the surviving asserted triples
-// after every single operation.
+// after every single operation — and so must everything the write path
+// carries instead of recomputing (CheckCarried: the visible count, the
+// cached ⟨o,s⟩ lists). Seeds 0–5 churn random ontologies of a few dozen
+// triples, where every change is a large share of its table; seed 6
+// churns a LUBM base, whose tables are long enough for single triples
+// to take the in-place path, and the store's counters must say they did.
 func TestRetractEquivalenceInterleaved(t *testing.T) {
 	fragments := []rules.Fragment{
 		rules.RhoDF, rules.RDFSDefault, rules.RDFSFull, rules.RDFSPlus, rules.RDFSPlusFull,
@@ -105,7 +112,7 @@ func TestRetractEquivalenceInterleaved(t *testing.T) {
 		for _, encoded := range []bool{false, true} {
 			fragment, encoded := fragment, encoded
 			t.Run(fmt.Sprintf("%s/encoding=%v", fragment, encoded), func(t *testing.T) {
-				for seed := int64(0); seed < 6; seed++ {
+				for seed := int64(0); seed < 7; seed++ {
 					rng := rand.New(rand.NewSource(seed*31 + 7))
 					cfg := datagen.RandomConfig{
 						Classes:   4 + rng.Intn(5),
@@ -116,12 +123,18 @@ func TestRetractEquivalenceInterleaved(t *testing.T) {
 						Plus:      fragment.UsesSameAs(),
 					}
 					pool := datagen.RandomOntology(rng, cfg)
+					if seed == 6 {
+						pool = datagen.LUBM(2500, 6)
+					}
 					opts := Options{
 						Fragment:          fragment,
 						Parallel:          seed%2 == 0,
 						HierarchyEncoding: encoded,
 					}
-					e := New(opts)
+					m := NewMetrics(metrics.NewRegistry())
+					watched := opts
+					watched.Metrics = m
+					e := New(watched)
 					cut := len(pool) * 2 / 3
 					e.LoadTriples(pool[:cut])
 					e.Materialize()
@@ -165,6 +178,9 @@ func TestRetractEquivalenceInterleaved(t *testing.T) {
 							label = fmt.Sprintf("seed %d op %d delete %d", seed, op, len(batch))
 						}
 						checkAgainstRemat(t, e, opts, label)
+						if err := e.CheckCarried(); err != nil {
+							t.Errorf("%s: %v", label, err)
+						}
 						// Compaction visits only the runs a round touched;
 						// that is sound only while a full sweep would find
 						// nothing more (zero too when the encoding is off).
@@ -173,6 +189,13 @@ func TestRetractEquivalenceInterleaved(t *testing.T) {
 						}
 						if t.Failed() {
 							return
+						}
+					}
+					if seed == 6 {
+						splices := m.Store.Merges.With("splice").Value()
+						patched := m.Store.OSCache.With("patched").Value()
+						if splices == 0 || patched == 0 {
+							t.Errorf("seed 6: %d spliced merges, %d patched caches: the LUBM churn never took the in-place path", splices, patched)
 						}
 					}
 				}
@@ -229,6 +252,9 @@ func TestRetractChainLink(t *testing.T) {
 				}
 			}
 			checkAgainstRemat(t, e, opts, "chain link")
+			if err := e.CheckCarried(); err != nil {
+				t.Error(err)
+			}
 		})
 	}
 }
@@ -405,5 +431,135 @@ func TestAssertAlreadyDerived(t *testing.T) {
 			}
 			checkAgainstRemat(t, e, opts, "assertion gone")
 		})
+	}
+}
+
+// TestRederiveKeepsWhatCanBeNew drives retraction's rederivation filter
+// (possiblyNew) through the cases its containment argument rests on, each
+// checked against a fresh materialization of the surviving input with
+// the hierarchy encoding on and off.
+func TestRederiveKeepsWhatCanBeNew(t *testing.T) {
+	const ns = "<http://example.org/"
+	schema := []rdf.Triple{
+		{S: ns + "Student>", P: rdf.RDFSSubClassOf, O: ns + "Person>"},
+		{S: ns + "takesCourse>", P: rdf.RDFSDomain, O: ns + "Student>"},
+		{S: ns + "memberOf>", P: rdf.RDFSDomain, O: ns + "Person>"},
+		{S: ns + "partOf>", P: rdf.RDFType, O: rdf.OWLTransitiveProperty},
+	}
+	for _, tc := range []struct {
+		name            string
+		data, del       []rdf.Triple
+		gone, stay      []rdf.Triple
+		encodingDropped bool
+	}{
+		{
+			// ⟨x type Person⟩ was never stored under the encoding: the stored
+			// ⟨x type Student⟩ served it. Deleting the course dooms Student,
+			// and the pass re-derives Person from memberOf — a pair that is
+			// neither stored nor doomed, which the filter must keep because
+			// its subject lost a type pair.
+			name: "unshadowed type pair",
+			data: []rdf.Triple{
+				{S: ns + "x>", P: ns + "takesCourse>", O: ns + "c>"},
+				{S: ns + "x>", P: ns + "memberOf>", O: ns + "d>"},
+				{S: ns + "y>", P: ns + "takesCourse>", O: ns + "c>"},
+			},
+			del:  []rdf.Triple{{S: ns + "x>", P: ns + "takesCourse>", O: ns + "c>"}},
+			gone: []rdf.Triple{{S: ns + "x>", P: rdf.RDFType, O: ns + "Student>"}},
+			stay: []rdf.Triple{
+				{S: ns + "x>", P: rdf.RDFType, O: ns + "Person>"},
+				{S: ns + "y>", P: rdf.RDFType, O: ns + "Student>"},
+				{S: ns + "y>", P: rdf.RDFType, O: ns + "Person>"},
+			},
+		},
+		{
+			// A doomed pair with a second derivation: out ∩ doomed.
+			name: "second support",
+			data: []rdf.Triple{
+				{S: ns + "x>", P: ns + "takesCourse>", O: ns + "c>"},
+				{S: ns + "x>", P: ns + "takesCourse>", O: ns + "c2>"},
+			},
+			del:  []rdf.Triple{{S: ns + "x>", P: ns + "takesCourse>", O: ns + "c>"}},
+			stay: []rdf.Triple{{S: ns + "x>", P: rdf.RDFType, O: ns + "Student>"}},
+		},
+		{
+			// θ wipe: one owl:sameAs edge of a chain. The whole sameAs table
+			// is overdeleted; the pass restores what a ~ b's absence leaves.
+			name: "sameAs edge",
+			data: []rdf.Triple{
+				{S: ns + "a>", P: rdf.OWLSameAs, O: ns + "b>"},
+				{S: ns + "b>", P: rdf.OWLSameAs, O: ns + "c>"},
+				{S: ns + "a>", P: ns + "memberOf>", O: ns + "d>"},
+			},
+			del:  []rdf.Triple{{S: ns + "a>", P: rdf.OWLSameAs, O: ns + "b>"}},
+			gone: []rdf.Triple{{S: ns + "c>", P: ns + "memberOf>", O: ns + "d>"}, {S: ns + "a>", P: rdf.OWLSameAs, O: ns + "c>"}},
+			stay: []rdf.Triple{{S: ns + "c>", P: rdf.OWLSameAs, O: ns + "b>"}},
+		},
+		{
+			// θ wipe of a declared-transitive property's table.
+			name: "transitive edge",
+			data: []rdf.Triple{
+				{S: ns + "u>", P: ns + "partOf>", O: ns + "v>"},
+				{S: ns + "v>", P: ns + "partOf>", O: ns + "w>"},
+				{S: ns + "w>", P: ns + "partOf>", O: ns + "z>"},
+			},
+			del:  []rdf.Triple{{S: ns + "u>", P: ns + "partOf>", O: ns + "v>"}},
+			gone: []rdf.Triple{{S: ns + "u>", P: ns + "partOf>", O: ns + "z>"}},
+			stay: []rdf.Triple{{S: ns + "v>", P: ns + "partOf>", O: ns + "z>"}},
+		},
+		{
+			// A schema edge: the encoding expands first (EncodingDropped), so
+			// the filter runs with every type pair stored — out ∩ doomed only.
+			name: "schema edge",
+			data: []rdf.Triple{
+				{S: ns + "x>", P: ns + "takesCourse>", O: ns + "c>"},
+				{S: ns + "x>", P: ns + "memberOf>", O: ns + "d>"},
+				{S: ns + "y>", P: ns + "takesCourse>", O: ns + "c>"},
+			},
+			del:             []rdf.Triple{{S: ns + "Student>", P: rdf.RDFSSubClassOf, O: ns + "Person>"}},
+			gone:            []rdf.Triple{{S: ns + "y>", P: rdf.RDFType, O: ns + "Person>"}},
+			stay:            []rdf.Triple{{S: ns + "x>", P: rdf.RDFType, O: ns + "Person>"}, {S: ns + "y>", P: rdf.RDFType, O: ns + "Student>"}},
+			encodingDropped: true,
+		},
+	} {
+		for _, encoded := range []bool{true, false} {
+			label := fmt.Sprintf("%s/encoding=%v", tc.name, encoded)
+			opts := Options{Fragment: rules.RDFSPlus, Parallel: true, HierarchyEncoding: encoded}
+			e := New(opts)
+			e.LoadTriples(append(slices.Clone(schema), tc.data...))
+			e.Materialize()
+			for _, tr := range append(slices.Clone(tc.gone), tc.stay...) {
+				if !e.Contains(tr) {
+					t.Fatalf("%s: closure lacks %v before the retraction", label, tr)
+				}
+			}
+			st, err := e.Retract(tc.del)
+			if err != nil || st.Retracted != len(tc.del) {
+				t.Fatalf("%s: Retract: %+v, %v", label, st, err)
+			}
+			if st.EncodingDropped != (encoded && tc.encodingDropped) {
+				t.Errorf("%s: EncodingDropped = %t", label, st.EncodingDropped)
+			}
+			if st.RederiveKept > st.RederiveEmitted {
+				t.Errorf("%s: kept %d of %d emitted pairs", label, st.RederiveKept, st.RederiveEmitted)
+			}
+			for _, tr := range tc.gone {
+				if e.Contains(tr) {
+					t.Errorf("%s: %v survived the retraction", label, tr)
+				}
+			}
+			for _, tr := range tc.stay {
+				if !e.Contains(tr) {
+					t.Errorf("%s: %v was lost: it has support the retraction did not touch", label, tr)
+				}
+			}
+			checkAgainstRemat(t, e, opts, label)
+			if err := e.CheckCarried(); err != nil {
+				t.Errorf("%s: %v", label, err)
+			}
+			if n := e.ShadowedTypePairs(); n != 0 {
+				t.Errorf("%s: %d stored type pairs are shadowed", label, n)
+			}
+		}
 	}
 }

@@ -15,8 +15,11 @@ import (
 // closure of datagen.LUBM(250_000, 1), rdfs-plus, encoding on. They use
 // only LoadTriples / Materialize / Retract, so the same file runs
 // unchanged on an older commit for a before/after pair. CI runs each
-// once; no threshold is asserted — an incremental merge still rebuilds
-// the table it touches, so neither is O(delta) yet (ROADMAP item 2).
+// once as a reading; the gate is TestSingleTripleWriteBudget. Since
+// PR 23 an insert splices its delta into the tables in place (0.19 ms,
+// 24 KB here, from 2.8 ms and 3.1 MB); what a delete still pays is the
+// rederivation pass firing its rules over the whole store (ROADMAP
+// item 2).
 
 func lubm250k(b *testing.B) (*Engine, []rdf.Triple) {
 	b.Helper()

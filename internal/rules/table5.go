@@ -432,6 +432,16 @@ func ruleSameAs() Rule {
 			if same == nil || same.Empty() {
 				continue
 			}
+			// The B side's non-empty tables, each with its two sorted lists,
+			// taken once per pass on the first pair that needs them: OS()
+			// locks the table's cache mutex, and the loop below probes every
+			// table for every sameAs pair.
+			type probe struct {
+				pidx   int
+				so, os []uint64
+			}
+			var probes []probe
+			listed := false
 			sp := same.Pairs()
 			for i := 0; i < len(sp); i += 2 {
 				a, b := sp[i], sp[i+1]
@@ -448,25 +458,27 @@ func ruleSameAs() Rule {
 				}
 				// EQ-REP-S and EQ-REP-O: probe every property table for b
 				// in subject and object position.
-				pass.b.ForEachTable(func(pidx int, t *store.Table) bool {
-					pp := t.Pairs()
-					lo, hi := t.SubjectRun(b)
-					if lo < hi {
-						out := c.Out.Ensure(pidx)
+				if !listed {
+					listed = true
+					pass.b.ForEachTable(func(pidx int, t *store.Table) bool {
+						probes = append(probes, probe{pidx, t.Pairs(), t.OS()})
+						return true
+					})
+				}
+				for _, t := range probes {
+					if lo, hi := store.KeyRun(t.so, b); lo < hi {
+						out := c.Out.Ensure(t.pidx)
 						for k := lo; k < hi; k++ {
-							out.Append(a, pp[2*k+1])
+							out.Append(a, t.so[2*k+1])
 						}
 					}
-					os := t.OS()
-					lo, hi = t.ObjectRun(b)
-					if lo < hi {
-						out := c.Out.Ensure(pidx)
+					if lo, hi := store.KeyRun(t.os, b); lo < hi {
+						out := c.Out.Ensure(t.pidx)
 						for k := lo; k < hi; k++ {
-							out.Append(os[2*k+1], a)
+							out.Append(t.os[2*k+1], a)
 						}
 					}
-					return true
-				})
+				}
 			}
 		}
 	}}

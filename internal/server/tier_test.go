@@ -2,6 +2,7 @@ package server
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -11,6 +12,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"regexp"
 	"strconv"
 	"strings"
 	"sync"
@@ -686,4 +688,93 @@ func TestSlowReaderCannotHoldConnection(t *testing.T) {
 	}
 	cancel()
 	<-done
+}
+
+// TestConcurrentObjectQueriesWhileSplicing is the serving-tier half of
+// the in-place write path's race check: uncached HTTP readers scan a
+// property by object and a class by its visible subjects — both served
+// from lists a write now patches in place — while a writer posts
+// single-triple INSERT DATA / DELETE DATA over a LUBM closure long enough
+// for every one of them to be spliced. Every answer must hold the base
+// rows (an inserted student comes and goes), and /metrics must show the
+// caches were patched, not rebuilt.
+func TestConcurrentObjectQueriesWhileSplicing(t *testing.T) {
+	r := inferray.New(inferray.WithFragment(inferray.RDFSPlus))
+	triples := datagen.LUBM(20_000, 1)
+	r.AddTriples(triples)
+	if _, err := r.Materialize(); err != nil {
+		t.Fatal(err)
+	}
+	var like rdf.Triple
+	for _, tr := range triples {
+		if tr.P == lubmIRI("takesCourse") {
+			like = tr
+			break
+		}
+	}
+	ts := httptest.NewServer(New(r).Handler())
+	defer ts.Close()
+	queries := []string{
+		fmt.Sprintf(`SELECT ?s WHERE { ?s %s %s }`, like.P, like.O),
+		fmt.Sprintf(`SELECT ?s WHERE { ?s a %s }`, lubmIRI("Student")),
+	}
+	rows := func(body []byte) int { return bytes.Count(body, []byte(`"s":`)) }
+	base := make([]int, len(queries))
+	for i, q := range queries {
+		_, body, _, _ := tierGet(t, ts, q, true)
+		if base[i] = rows(body); base[i] == 0 {
+			t.Fatalf("%s: no rows", q)
+		}
+	}
+
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for g := 0; g < 3; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := g; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				// Not tierGet: it may call t.Fatal, and this is not the test's
+				// goroutine.
+				k := i % len(queries)
+				req, _ := http.NewRequest(http.MethodGet, ts.URL+"/query?query="+url.QueryEscape(queries[k]), nil)
+				req.Header.Set("Cache-Control", "no-cache")
+				resp, err := http.DefaultClient.Do(req)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				body, err := io.ReadAll(resp.Body)
+				resp.Body.Close()
+				if n := rows(body); err != nil || resp.StatusCode != http.StatusOK || n < base[k] || n > base[k]+1 {
+					t.Errorf("%s: status %d, %d rows, base %d, %v", queries[k], resp.StatusCode, n, base[k], err)
+					return
+				}
+			}
+		}(g)
+	}
+	for i := 0; i < 40; i++ {
+		tr := fmt.Sprintf("<http://example.org/churn/s%d> %s %s", i, like.P, like.O)
+		postUpdate(t, ts, "INSERT DATA { "+tr+" }")
+		postUpdate(t, ts, "DELETE DATA { "+tr+" }")
+	}
+	close(stop)
+	wg.Wait()
+	metrics := scrape(t, ts)
+	for _, want := range []string{
+		`inferray_store_os_cache_total{event="patched"}`,
+		`inferray_store_merges_total{path="splice"}`,
+		`inferray_reasoner_rederive_pairs_total{kind="kept"}`,
+		`inferray_write_lock_hold_seconds_count`,
+		`inferray_read_lock_wait_seconds_count`,
+	} {
+		if !regexp.MustCompile(regexp.QuoteMeta(want) + ` [1-9]`).MatchString(metrics) {
+			t.Errorf("after 80 single-triple writes, %s is zero or missing", want)
+		}
+	}
 }

@@ -12,8 +12,13 @@ import (
 // gathered from outs, sorted and deduplicated, then merged into main
 // while the pairs not already in main are collected into the returned
 // delta store ("new" in Algorithm 1). Main's tables remain sorted and
-// duplicate-free; their ⟨o,s⟩ caches are invalidated when new triples
-// arrive (§4.2).
+// duplicate-free.
+//
+// Figure 5's allocate-and-merge, with the ⟨o,s⟩ cache cleared when new
+// triples arrive (§4.2), is the bulk rule. Once main is steady, a table
+// whose inferred list is small against it (spliceable) is maintained in
+// place instead: the fresh pairs are found by galloping and spliced in,
+// marks and cache with them (Table.splice).
 //
 // asserted says the outputs are explicitly loaded triples (a staged
 // batch) rather than derivations: every pair of theirs — fresh, or
@@ -24,7 +29,8 @@ import (
 //
 // The delta is the whole description of the round: its non-empty tables
 // are exactly the main tables that received fresh pairs (and whose
-// version moved), which is the signal the reasoner's scheduler keys on.
+// version moved, by one), which is the signal the reasoner's scheduler
+// keys on.
 //
 // The outputs are borrowed, not consumed: a table only one output wrote
 // is normalized in place and merged straight from its buffer, several
@@ -56,24 +62,15 @@ func MergeRound(main *Store, parallel, asserted bool, outs ...*Store) *Store {
 		pidx := work[k]
 		inf, owned := gather(outs, pidx)
 		mt := main.tables[pidx]
-		if len(mt.pairs) == 0 && !owned {
-			inf = slices.Clone(inf) // mergeSorted hands inf to main as is
+		var fresh []uint64
+		if main.steady && spliceable(mt.pairs, inf) {
+			fresh = mt.splice(inf)
+			main.count(mergeSplice)
+		} else {
+			fresh = mt.rebuild(inf, owned)
+			main.count(mergeRebuild)
 		}
-		merged, fresh := mergeSorted(mt.pairs, inf)
 		if len(fresh) > 0 {
-			// Direct field writes are safe here: MergeRound runs only inside a
-			// materialization, which excludes engine readers entirely, and the
-			// pool workers each own a distinct table. Only the ⟨o,s⟩-cache
-			// fields also move under osMu, because table readers (which may
-			// resume the instant the materialization's write lock is released)
-			// synchronize on that lock alone inside OS().
-			if mt.marks != nil {
-				mt.marks = shiftMarks(mt.marks, mt.pairs, fresh, len(merged)/2)
-			}
-			mt.pairs = merged
-			mt.dirty = false
-			mt.version++
-			mt.invalidateOS()
 			delta.tables[pidx] = &Table{pairs: fresh}
 		}
 		if asserted {
@@ -81,6 +78,59 @@ func MergeRound(main *Store, parallel, asserted bool, outs ...*Store) *Store {
 		}
 	})
 	return delta
+}
+
+// Both merge paths write the table's fields directly, which is safe:
+// MergeRound runs only inside a materialization, which excludes engine
+// readers entirely, and the pool workers each own a distinct table. Only
+// the ⟨o,s⟩-cache fields move under osMu (settleOS), because table
+// readers — which may resume the instant the materialization's write
+// lock is released — synchronize on that lock alone inside OS().
+
+// rebuild merges inf into the table the way Figure 5 draws it — main and
+// delta reallocated, the cache dropped — and returns the fresh pairs.
+func (t *Table) rebuild(inf []uint64, owned bool) []uint64 {
+	if len(t.pairs) == 0 && !owned {
+		inf = slices.Clone(inf) // mergeSorted hands inf to main as is
+	}
+	merged, fresh := mergeSorted(t.pairs, inf)
+	if len(fresh) == 0 {
+		return nil
+	}
+	if t.marks != nil {
+		t.marks = shiftMarks(t.marks, t.pairs, fresh, len(merged)/2)
+	}
+	t.pairs = merged
+	t.dirty = false
+	t.version++
+	t.settleOS(nil)
+	return fresh
+}
+
+// splice merges a small inf into the table in place and returns the
+// fresh pairs, in a buffer of their own: they are located by galloping,
+// the pair list grows once and only the pairs behind the first of them
+// move, the marks shift from the first affected word, and a present
+// ⟨o,s⟩ cache receives the same pairs, swapped and sorted, the same way.
+func (t *Table) splice(inf []uint64) []uint64 {
+	fresh, at := absent(t.pairs, inf)
+	if len(fresh) == 0 {
+		return nil
+	}
+	n := t.Size()
+	t.pairs = spliceIn(t.pairs, fresh, at)
+	if t.marks != nil {
+		for j := range at {
+			at[j] += j // where fresh[j] landed
+		}
+		t.marks = openBits(t.marks, n, at)
+	}
+	t.version++
+	t.settleOS(func(os []uint64) []uint64 {
+		sw := swapSorted(fresh)
+		return spliceIn(os, sw, seek(os, sw))
+	})
+	return fresh
 }
 
 // gather returns the sorted, duplicate-free pairs outs hold for one

@@ -101,6 +101,53 @@ func TestMergeRoundMergedPathNotAliased(t *testing.T) {
 	}
 }
 
+// TestMergeRoundSplicePathNotAliased is the same contract on the
+// in-place path of a steady store: the fresh pairs are spliced into the
+// table's own array — regrown or not — and the delta gets a buffer that
+// is neither that array nor the rule's output, so scribbling over the
+// output, filling the table's headroom and splicing again leave it alone.
+func TestMergeRoundSplicePathNotAliased(t *testing.T) {
+	for _, headroom := range []bool{false, true} {
+		main := New(1)
+		mt := main.Ensure(0)
+		for i := uint64(0); i < 400; i++ {
+			mt.Append(2*i, i)
+		}
+		mt.Normalize()
+		main.Steady()
+		if headroom {
+			mt.pairs = append(make([]uint64, 0, len(mt.pairs)+32), mt.pairs...)
+		}
+		base := slices.Clone(mt.pairs)
+
+		out := New(1)
+		out.Ensure(0).AppendPairs([]uint64{401, 7, 3, 30, 3, 30, 1, 10, 2, 1}) // ⟨2,1⟩ is stored
+		delta := MergeRound(main, false, false, out)
+		want := []uint64{1, 10, 3, 30, 401, 7}
+		dt := delta.Table(0)
+		if dt == nil || !reflect.DeepEqual(dt.RawPairs(), want) {
+			t.Fatalf("headroom %t: delta pairs = %v, want %v", headroom, dt.RawPairs(), want)
+		}
+		p := out.Table(0).RawPairs()
+		for i := range p[:cap(p)] {
+			p[:cap(p)][i] = 999
+		}
+		wantMain := sorting.SortPairs(append(base, want...), true)
+		if !reflect.DeepEqual(mt.Pairs(), wantMain) {
+			t.Fatalf("headroom %t: main aliases the output buffer: %v", headroom, mt.Pairs())
+		}
+
+		// The next round splices into the same array, moving every pair
+		// behind index 0.
+		next := New(1)
+		next.Ensure(0).AppendPairs([]uint64{0, 99})
+		MergeRound(main, false, false, next)
+		if !reflect.DeepEqual(dt.RawPairs(), want) {
+			t.Fatalf("headroom %t: delta corrupted by the next splice: %v, want %v", headroom, dt.RawPairs(), want)
+		}
+	}
+}
+
 // TestDropOSCacheConcurrentWithReaders hammers DropOSCache against
 // concurrent OS()/ObjectRun readers; it fails under -race when the drop
 // writes the cache fields without taking osMu (the concurrent-server

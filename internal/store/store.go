@@ -17,8 +17,9 @@ import (
 
 // Table is one property table: a flat ⟨s,o⟩ pair list. After Normalize
 // the primary list is sorted on ⟨s,o⟩ and duplicate-free; OS() serves the
-// ⟨o,s⟩-sorted view, built on demand and invalidated by any mutation
-// (the paper's clearable cache).
+// ⟨o,s⟩-sorted view, built on demand. A bulk change drops it (the paper's
+// clearable cache, §4.2); a small change to a table of a steady store
+// patches it in place (settleOS).
 //
 // marks is the asserted record: bit i is set when pair i was loaded
 // explicitly rather than only derived. It is nil while no pair of the
@@ -39,6 +40,11 @@ type Table struct {
 	statsVersion uint64
 
 	osMu sync.Mutex // guards lazy construction of os (rules run in parallel)
+
+	// home is the store that created the table (Ensure); nil for a table
+	// that stands alone — a round's delta, a test's. It supplies the
+	// regime (Store.Steady) and the event counters.
+	home *Store
 }
 
 // Version returns the table's mutation counter: it increases every time
@@ -46,11 +52,16 @@ type Table struct {
 // can detect staleness without diffing pairs.
 func (t *Table) Version() uint64 { return t.version }
 
-// Append adds one pair. The table becomes dirty until Normalize.
+// Append adds one pair. The table becomes dirty until Normalize. Like
+// every mutation it requires exclusive access, which is what makes the
+// unlocked look at osOK safe: no OS() can be running. The cache itself
+// is only ever dropped through settleOS.
 func (t *Table) Append(s, o uint64) {
 	t.pairs = append(t.pairs, s, o)
 	t.dirty = true
-	t.osOK = false
+	if t.osOK {
+		t.settleOS(nil)
+	}
 	t.version++
 }
 
@@ -69,7 +80,9 @@ func (t *Table) AppendPairs(pairs []uint64) {
 	}
 	t.pairs = append(t.pairs, pairs...)
 	t.dirty = true
-	t.osOK = false
+	if t.osOK {
+		t.settleOS(nil) // exclusive access, as in Append
+	}
 	t.version++
 }
 
@@ -82,22 +95,28 @@ func (t *Table) AppendPairs(pairs []uint64) {
 func (t *Table) Restore(pairs, marks []uint64, version uint64) {
 	t.pairs, t.marks, t.version = pairs, marks, version
 	t.dirty = false
-	t.invalidateOS()
+	t.settleOS(nil)
 }
 
 // DeletePairs removes every ⟨s,o⟩ pair of del — a normalized flat pair
-// list (⟨s,o⟩-sorted, duplicate-free) — from the table in one linear
-// merge pass; pairs absent from the table are ignored. The table must be
-// normalized and stays normalized (removal preserves the sort), so no
-// re-sort is needed. The version bump invalidates the cached planner
-// statistics, and the ⟨o,s⟩ cache is dropped under osMu. Returns the
-// number of pairs removed. Like Normalize, it requires exclusive access.
+// list (⟨s,o⟩-sorted, duplicate-free) — from the table; pairs absent from
+// the table are ignored. The table must be normalized and stays
+// normalized (removal preserves the sort), so no re-sort is needed. A del
+// that is small against the table is located by galloping and only the
+// pairs behind the first hit move, marks and — in a steady store — the
+// ⟨o,s⟩ cache with them; a larger one is one linear merge pass that
+// drops the cache. The version bump invalidates the cached planner
+// statistics. Returns the number of pairs removed. Like Normalize, it
+// requires exclusive access.
 func (t *Table) DeletePairs(del []uint64) int {
 	if t.dirty {
 		panic("store: DeletePairs on dirty table; call Normalize first")
 	}
 	if len(del) == 0 || len(t.pairs) == 0 {
 		return 0
+	}
+	if spliceable(t.pairs, del) {
+		return t.cut(del)
 	}
 	pairs := t.pairs
 	out := pairs[:0]                      // in-place compaction: write index never passes read index
@@ -126,8 +145,30 @@ func (t *Table) DeletePairs(del []uint64) int {
 		t.marks = marks[:(len(out)/2+63)/64]
 	}
 	t.version++
-	t.invalidateOS()
+	t.settleOS(nil)
 	return removed
+}
+
+// cut is DeletePairs for a small del: the mirror image of splice.
+func (t *Table) cut(del []uint64) int {
+	var at []int
+	var gone []uint64
+	t.Locate(del, func(i, p int) {
+		at, gone = append(at, p), append(gone, del[2*i], del[2*i+1])
+	})
+	if len(at) == 0 {
+		return 0
+	}
+	n := t.Size()
+	t.pairs = closeGaps(t.pairs, at)
+	if t.marks != nil {
+		t.marks = closeBits(t.marks, n, at)
+	}
+	t.version++
+	t.settleOS(func(os []uint64) []uint64 {
+		return closeGaps(os, seek(os, swapSorted(gone)))
+	})
+	return len(at)
 }
 
 // Normalize sorts the primary list on ⟨s,o⟩ and removes duplicates using
@@ -185,10 +226,7 @@ func (t *Table) Unmark(s, o uint64) (was bool) {
 func (t *Table) Locate(sub []uint64, fn func(i, at int)) {
 	p, n, at := t.Pairs(), t.Size(), 0
 	for i := 0; i < len(sub); i += 2 {
-		at = GallopLowerBound(p, n, at, sub[i])
-		for at < n && p[2*at] == sub[i] && p[2*at+1] < sub[i+1] {
-			at++
-		}
+		at = gallopPair(p, n, at, sub[i], sub[i+1])
 		if at < n && p[2*at] == sub[i] && p[2*at+1] == sub[i+1] {
 			fn(i/2, at)
 		}
@@ -227,15 +265,20 @@ func (t *Table) OS() []uint64 {
 	t.osMu.Lock()
 	defer t.osMu.Unlock()
 	if !t.osOK {
-		os := make([]uint64, len(t.pairs))
-		for i := 0; i < len(t.pairs); i += 2 {
-			os[i] = t.pairs[i+1]
-			os[i+1] = t.pairs[i]
-		}
-		t.os = sorting.SortPairs(os, false)
+		t.os = swapSorted(t.pairs)
 		t.osOK = true
+		t.home.count(osBuilt)
 	}
 	return t.os
+}
+
+// CachedOS returns the ⟨o,s⟩ cache as it stands, without building it;
+// ok is false when the table holds none. The engine's self-check
+// compares a patched cache with a rebuild through it.
+func (t *Table) CachedOS() (os []uint64, ok bool) {
+	t.osMu.Lock()
+	defer t.osMu.Unlock()
+	return t.os, t.osOK
 }
 
 // TableStats summarizes a table for the query planner's selectivity
@@ -290,28 +333,42 @@ func countRuns(pairs []uint64) int {
 	return n
 }
 
-// invalidateOS clears the ⟨o,s⟩ cache under osMu. Every writer that
-// drops the cache must go through here: cache readers synchronize only
-// on osMu inside OS(), so an unlocked clear races a concurrent lazy
-// build (the server's concurrent readers make the window permanent).
-func (t *Table) invalidateOS() {
+// settleOS is the one place that decides what a content change does to
+// the ⟨o,s⟩ cache, under osMu: cache readers synchronize only on osMu
+// inside OS(), so an unlocked clear races a concurrent lazy build (the
+// server's concurrent readers make the window permanent). A present
+// cache is patched — patch receives the list and returns it with the
+// same change applied — when the caller has one and the table's store is
+// steady; otherwise it is dropped, for the next OS() to rebuild. Dropping
+// is the bulk-load rule of §4.2, and the only rule before a store is
+// steady: a late round of a first materialization is a small merge too,
+// and a cache patched there would stay resident where the paper's is
+// cleared (DESIGN.md §7 has the bytes).
+func (t *Table) settleOS(patch func(os []uint64) []uint64) {
 	t.osMu.Lock()
-	t.osOK = false
-	t.os = nil
-	t.osMu.Unlock()
+	defer t.osMu.Unlock()
+	switch {
+	case !t.osOK: // nothing cached, nothing to decide
+	case patch != nil && t.home != nil && t.home.steady:
+		t.os = patch(t.os)
+		t.home.count(osPatched)
+	default:
+		t.osOK, t.os = false, nil
+		t.home.count(osDropped)
+	}
 }
 
 // DropOSCache releases the ⟨o,s⟩ cache (the paper clears it under memory
 // pressure; benchmarks use it for the cache ablation). It is safe to
 // call concurrently with OS()/ObjectRun readers.
 func (t *Table) DropOSCache() {
-	t.invalidateOS()
+	t.settleOS(nil)
 }
 
 // SubjectRun returns the half-open pair-index range [lo, hi) of pairs
 // whose subject equals s. The table must be normalized.
 func (t *Table) SubjectRun(s uint64) (lo, hi int) {
-	return pairRun(t.Pairs(), s)
+	return KeyRun(t.Pairs(), s)
 }
 
 // SubjectRunFrom is SubjectRun for a caller probing subjects in
@@ -330,15 +387,16 @@ func (t *Table) SubjectRunFrom(s uint64, from int) (lo, hi int) {
 }
 
 // ObjectRun returns the half-open pair-index range [lo, hi) in the OS
-// view of pairs whose object equals o.
+// view of pairs whose object equals o. A caller probing many objects
+// takes OS() once and calls KeyRun on it: each ObjectRun locks osMu.
 func (t *Table) ObjectRun(o uint64) (lo, hi int) {
-	return pairRun(t.OS(), o)
+	return KeyRun(t.OS(), o)
 }
 
 // Contains reports whether the pair (s, o) is present.
 func (t *Table) Contains(s, o uint64) bool {
 	p := t.Pairs()
-	lo, hi := pairRun(p, s)
+	lo, hi := KeyRun(p, s)
 	for i := lo; i < hi; i++ {
 		if p[2*i+1] == o {
 			return true
@@ -350,9 +408,10 @@ func (t *Table) Contains(s, o uint64) bool {
 	return false
 }
 
-// pairRun binary-searches a key-sorted flat pair list for the run of
-// pairs whose key (even index) equals k, returned as pair indices.
-func pairRun(pairs []uint64, k uint64) (lo, hi int) {
+// KeyRun binary-searches a key-sorted flat pair list — Pairs() keyed on
+// subject, OS() on object — for the run of pairs whose key (even index)
+// equals k, returned as pair indices.
+func KeyRun(pairs []uint64, k uint64) (lo, hi int) {
 	n := len(pairs) / 2
 	lo = lowerBound(pairs, n, k)
 	hi = lo
@@ -410,7 +469,21 @@ func GallopLowerBound(pairs []uint64, n, from int, k uint64) int {
 // (dictionary.PropIndex). A nil entry means the property has no triples.
 type Store struct {
 	tables []*Table
+
+	// steady says the store holds a closure that is now maintained, not
+	// loaded: small changes splice in place and patch the ⟨o,s⟩ caches.
+	steady bool
+	m      *Metrics
 }
+
+// Steady declares the bulk load over: the reasoner calls it once its
+// first materialization is done (or an image is installed). Until then
+// every merge takes the allocate-and-merge path and drops the caches it
+// touches, whatever its size.
+func (st *Store) Steady() { st.steady = true }
+
+// SetMetrics attaches the store's event counters; nil detaches them.
+func (st *Store) SetMetrics(m *Metrics) { st.m = m }
 
 // New creates a store sized for the given number of properties; it grows
 // automatically when later properties appear.
@@ -440,7 +513,7 @@ func (st *Store) Table(pidx int) *Table {
 func (st *Store) Ensure(pidx int) *Table {
 	st.Grow(pidx + 1)
 	if st.tables[pidx] == nil {
-		st.tables[pidx] = &Table{}
+		st.tables[pidx] = &Table{home: st}
 	}
 	return st.tables[pidx]
 }
@@ -642,7 +715,7 @@ func (st *Store) RewriteTerms(renames map[uint64]uint64) {
 		}
 		t.dirty, t.marks = true, nil
 		t.version++
-		t.invalidateOS()
+		t.settleOS(nil)
 		t.Normalize()
 		if len(marked) > 0 {
 			t.Mark(sorting.SortPairs(marked, true))

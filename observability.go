@@ -44,6 +44,12 @@ type obs struct {
 	querySeconds *metrics.Histogram
 	slowQueries  *metrics.Counter
 
+	// The two sides of r.mu: how long apply held it for writing, and how
+	// long an evaluation waited to share it. A read tail far above the
+	// read median is attributed by comparing them (EXPERIMENTS.md).
+	writeHold *metrics.Histogram
+	readWait  *metrics.Histogram
+
 	slowThreshold time.Duration
 	slowLog       *slog.Logger
 }
@@ -68,6 +74,12 @@ func newObs(c *config) *obs {
 			metrics.DurationBuckets()),
 		slowQueries: reg.Counter("inferray_slow_queries_total",
 			"Evaluations at or above the slow-query threshold (0 when logging is disabled)."),
+		writeHold: reg.Histogram("inferray_write_lock_hold_seconds",
+			"How long each mutation held the engine's write lock: log append, merge or retraction, generation bump.",
+			metrics.DurationBuckets()),
+		readWait: reg.Histogram("inferray_read_lock_wait_seconds",
+			"How long each query evaluation waited for the engine's shared lock, i.e. behind a write in progress.",
+			metrics.DurationBuckets()),
 		slowThreshold: c.slowQuery,
 		slowLog:       c.slowLog,
 	}
@@ -113,6 +125,20 @@ type MetricsSnapshot struct {
 	Retractions        uint64
 	OverdeletedTriples uint64
 	RederivedTriples   uint64
+	// The rederivation pass of those retractions: pairs its rules
+	// emitted, and the distinct ones kept for the merge because they could
+	// be new to the store.
+	RederiveEmitted uint64
+	RederiveKept    uint64
+	// How the store kept its tables sorted: merges that spliced a small
+	// delta in place against merges that rebuilt the table, and what
+	// happened to the object-sorted caches (built by a lazy sort, patched
+	// in place by a splice, dropped by a rebuild).
+	MergesSplice   uint64
+	MergesRebuild  uint64
+	OSCacheBuilt   uint64
+	OSCachePatched uint64
+	OSCacheDropped uint64
 	// Durability totals; zero on in-memory reasoners.
 	WALAppends     uint64
 	WALAppendBytes uint64
@@ -143,6 +169,13 @@ func (r *Reasoner) Metrics() MetricsSnapshot {
 		Retractions:        o.rm.Retractions.Value(),
 		OverdeletedTriples: o.rm.OverdeletedTriples.Value(),
 		RederivedTriples:   o.rm.RederivedTriples.Value(),
+		RederiveEmitted:    o.rm.RederivePairs.With("emitted").Value(),
+		RederiveKept:       o.rm.RederivePairs.With("kept").Value(),
+		MergesSplice:       o.rm.Store.Merges.With("splice").Value(),
+		MergesRebuild:      o.rm.Store.Merges.With("rebuild").Value(),
+		OSCacheBuilt:       o.rm.Store.OSCache.With("built").Value(),
+		OSCachePatched:     o.rm.Store.OSCache.With("patched").Value(),
+		OSCacheDropped:     o.rm.Store.OSCache.With("dropped").Value(),
 		WALAppends:         o.wm.Appends.Value(),
 		WALAppendBytes:     o.wm.AppendBytes.Value(),
 		WALFsyncs:          o.wm.Fsyncs.Value(),
@@ -168,6 +201,14 @@ func (r *Reasoner) Metrics() MetricsSnapshot {
 		s.RuleSkipped[values[0]] = c.Value()
 	})
 	return s
+}
+
+// readLock takes r.mu for reading on behalf of a query evaluation and
+// records how long that took. The caller unlocks.
+func (r *Reasoner) readLock() {
+	start := time.Now()
+	r.mu.RLock()
+	r.obs.readWait.ObserveDuration(time.Since(start))
 }
 
 // queryEngine builds a pattern engine over the current closure with the

@@ -83,7 +83,7 @@ func (r *Reasoner) solveBGP(patterns [][3]string, onRow func(Row) bool) error {
 	if err != nil {
 		return err
 	}
-	r.mu.RLock()
+	r.readLock()
 	defer r.mu.RUnlock()
 	_, _, err = r.runLocked(context.TODO(), pl, 0, nil, onRow)
 	return err
@@ -313,7 +313,7 @@ func (r *Reasoner) exec(ctx context.Context, queryText string, form sparql.Form,
 	}
 	res := QueryResult{Ask: q.Form == sparql.FormAsk, Vars: pl.vars}
 
-	r.mu.RLock()
+	r.readLock()
 	defer r.mu.RUnlock()
 	// Captured under the read lock: mutations bump the generation under
 	// the write lock, so it cannot change for the rest of the evaluation.

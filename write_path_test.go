@@ -190,6 +190,12 @@ func runWritePathScript(t *testing.T, frag inferray.Fragment, encoding bool, see
 	}
 	agree := func(who string, got *inferray.Reasoner, op int, what string) {
 		t.Helper()
+		// What each side carries from write to write must equal a recount.
+		for name, r := range map[string]*inferray.Reasoner{"leader": leader, who: got} {
+			if err := r.CheckCarried(); err != nil {
+				t.Fatalf("op %d (%s): %s: %v", op, what, name, err)
+			}
+		}
 		if g, w := got.Generation(), leader.Generation(); g != w {
 			t.Fatalf("op %d (%s): %s at generation %d, leader at %d", op, what, who, g, w)
 		}
