@@ -411,6 +411,98 @@ func TestImageFragmentMismatch(t *testing.T) {
 	}
 }
 
+// TestEveryRestoreDoorVerifies: SaveSnapshot and SaveImage emit the one
+// image, and the three ways in that take one — LoadSnapshot, LoadImage,
+// RestoreImage — are one reader in front of one install. Each resumes
+// the saved store generation, and each refuses a stream saved under
+// another fragment (naming both), a flipped bit (inside a term string,
+// where only the checksum sees it), a cut stream, and bytes after the
+// trailer. The retired layouts are the reader's own test
+// (internal/snapshot, TestReadRefusesOtherStreamVersions).
+func TestEveryRestoreDoorVerifies(t *testing.T) {
+	plus := inferray.WithFragment(inferray.RDFSPlus)
+	r := inferray.New(plus)
+	mustAdd(t, r, "<http://example.org/alice>", inferray.SameAs, "<b>")
+	if _, err := r.Materialize(); err != nil {
+		t.Fatal(err)
+	}
+	mustAdd(t, r, "<b>", "<p>", "<c>")
+	if _, err := r.Materialize(); err != nil {
+		t.Fatal(err)
+	}
+	if r.Generation() < 2 {
+		t.Fatalf("setup: generation %d", r.Generation())
+	}
+	var stream bytes.Buffer
+	if err := r.SaveSnapshot(&stream); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "c.img")
+	if err := r.SaveImage(path); err != nil {
+		t.Fatal(err)
+	}
+	file, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(file) != stream.Len() {
+		t.Fatalf("SaveImage wrote %d bytes, SaveSnapshot %d: not one format", len(file), stream.Len())
+	}
+
+	doors := map[string]func(img []byte, opts ...inferray.Option) (*inferray.Reasoner, error){
+		"LoadSnapshot": func(img []byte, opts ...inferray.Option) (*inferray.Reasoner, error) {
+			return inferray.LoadSnapshot(bytes.NewReader(img), opts...)
+		},
+		"LoadImage": func(img []byte, opts ...inferray.Option) (*inferray.Reasoner, error) {
+			p := filepath.Join(t.TempDir(), "x.img")
+			if err := os.WriteFile(p, img, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			return inferray.LoadImage(p, opts...)
+		},
+		"RestoreImage": func(img []byte, opts ...inferray.Option) (*inferray.Reasoner, error) {
+			into := inferray.New(opts...)
+			_, err := into.RestoreImage(bytes.NewReader(img))
+			return into, err
+		},
+	}
+	img := stream.Bytes()
+	inTerm := bytes.Index(img, []byte("example.org/alice"))
+	if inTerm < 0 {
+		t.Fatal("setup: term not found in the image")
+	}
+	flipped := append([]byte(nil), img...)
+	flipped[inTerm] ^= 0x01
+	for name, load := range doors {
+		for form, whole := range map[string][]byte{"stream": img, "file": file} {
+			got, err := load(whole, plus)
+			if err != nil {
+				t.Fatalf("%s of the %s form: %v", name, form, err)
+			}
+			if got.Generation() != r.Generation() || got.Size() != r.Size() || !got.Holds("<http://example.org/alice>", "<p>", "<c>") {
+				t.Errorf("%s of the %s form: generation %d size %d, saved at %d / %d",
+					name, form, got.Generation(), got.Size(), r.Generation(), r.Size())
+			}
+		}
+		_, err := load(img) // the default fragment
+		if err == nil || !strings.Contains(err.Error(), "rdfs-plus") || !strings.Contains(err.Error(), "rdfs-default") {
+			t.Errorf("%s under another fragment: %v", name, err)
+		}
+		for what, bad := range map[string][]byte{
+			"flipped bit":    flipped,
+			"cut stream":     img[:len(img)-7],
+			"trailing bytes": append(img[:len(img):len(img)], 0, 0),
+		} {
+			got, err := load(bad, plus)
+			if err == nil {
+				t.Errorf("%s accepted an image with %s", name, what)
+			} else if got != nil && (got.Generation() != 0 || got.Size() != 0) {
+				t.Errorf("%s refused an image with %s and replaced its state all the same", name, what)
+			}
+		}
+	}
+}
+
 func TestDurableFragmentMismatch(t *testing.T) {
 	dir := t.TempDir()
 	r, err := inferray.Open(

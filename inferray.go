@@ -287,7 +287,6 @@ func Open(opts ...Option) (*Reasoner, error) {
 		SyncInterval:  c.durOpts.SyncInterval,
 		RotateBytes:   c.durOpts.CheckpointBytes,
 		RotateRecords: c.durOpts.CheckpointRecords,
-		Fragment:      c.engine.Fragment.String(),
 		Metrics:       r.obs.wm,
 	}
 	// Recovery uses the doors every later write uses — install for the
@@ -310,16 +309,17 @@ func Open(opts ...Option) (*Reasoner, error) {
 }
 
 // install replaces the reasoner's entire state with a restored image —
-// the one way a snapshot gets in (Open, RestoreImage, LoadImage,
-// LoadSnapshot). A closure is only a closure under its own ruleset, so
-// a fragment mismatch is refused; source names the image in that error.
+// the one way a snapshot gets in (Open's recovery, and restore for
+// everything else). A closure is only a closure under its own ruleset,
+// so a fragment mismatch is refused; source names the image in that
+// error.
 // The store generation resumes from the image's header:
 // X-Inferray-Generation stays one monotone sequence across restarts and
 // across the leader/follower boundary. Staged triples are discarded
 // with the old state.
 func (r *Reasoner) install(source string, d *dictionary.Dictionary, st *store.Store, meta snapshot.Meta) error {
-	if meta.Fragment != "" && meta.Fragment != r.engine.Fragment().String() {
-		return fmt.Errorf("inferray: %s was materialized under fragment %s, but the reasoner is configured for %s",
+	if meta.Fragment != r.engine.Fragment().String() {
+		return fmt.Errorf("inferray: %s was materialized under fragment %q, but the reasoner is configured for %q",
 			source, meta.Fragment, r.engine.Fragment())
 	}
 	r.pendingMu.Lock()
@@ -498,6 +498,28 @@ func (r *Reasoner) drain(noCheckpoint bool) (Stats, error) {
 	return st, nil
 }
 
+// Insert asserts a batch and extends the closure by it, all or nothing:
+// the request-scoped write behind INSERT DATA and POST /triples. Triples
+// staged earlier are materialized first, in program order; then the
+// batch goes through apply on its own, never through the staging
+// buffer, so a batch the write-ahead log refuses is dropped with the
+// error instead of riding along with a later write. The returned Stats
+// describe this batch alone.
+func (r *Reasoner) Insert(batch []Triple) (Stats, error) {
+	if err := r.settle(false); err != nil {
+		return Stats{}, err
+	}
+	return r.applyAdd(batch)
+}
+
+// applyAdd interns one batch, outside every lock, and hands it to apply.
+func (r *Reasoner) applyAdd(batch []rdf.Triple) (Stats, error) {
+	start := time.Now()
+	ranges := r.engine.Intern(batch)
+	st, _, err := r.apply(mutation{kind: wal.OpAdd, ranges: ranges, internTime: time.Since(start)})
+	return st, err
+}
+
 // settle drains the staged triples, when there are any, ahead of a
 // retraction or a checkpoint. With nothing staged it takes no lock and
 // counts no materialization.
@@ -600,18 +622,15 @@ func (r *Reasoner) apply(m mutation) (Stats, reasoner.RetractStats, error) {
 // applyRecord hands one write-ahead-log record — replayed at Open, or
 // shipped to a follower — to apply.
 func (r *Reasoner) applyRecord(kind wal.OpKind, batch []rdf.Triple) error {
-	m := mutation{kind: kind}
+	var err error
 	switch kind {
 	case wal.OpAdd:
-		start := time.Now()
-		m.ranges = r.engine.Intern(batch)
-		m.internTime = time.Since(start)
+		_, err = r.applyAdd(batch)
 	case wal.OpDelete:
-		m.batch = batch
+		_, _, err = r.apply(mutation{kind: kind, batch: batch})
 	default:
-		return fmt.Errorf("inferray: unknown write-ahead-log op kind %d", kind)
+		err = fmt.Errorf("inferray: unknown write-ahead-log op kind %d", kind)
 	}
-	_, _, err := r.apply(m)
 	return err
 }
 
@@ -649,7 +668,7 @@ func (r *Reasoner) Checkpoint() (CheckpointInfo, error) {
 func (r *Reasoner) doCheckpoint() (CheckpointInfo, error) {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	cs, err := r.dur.Checkpoint(r.engine.Dict, r.engine.Main, r.engine.StoredSize(), r.engine.HierView() != nil, r.gen.Load())
+	cs, err := r.dur.Checkpoint(r.engine.Dict, r.engine.Main, r.imageMetaLocked())
 	return CheckpointInfo(cs), err
 }
 

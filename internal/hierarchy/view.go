@@ -1,6 +1,7 @@
 package hierarchy
 
 import (
+	"fmt"
 	"slices"
 
 	"inferray/internal/store"
@@ -9,9 +10,11 @@ import (
 // View fuses a store with a hierarchy index into the *visible* triple
 // relation the encoded engine exposes: for the three encoded predicates
 // the stored pairs plus the virtual subsumption pairs, for every other
-// predicate exactly the stored table. It implements the query package's
-// Virtual interface structurally (the query package defines the
-// interface; this package never imports it).
+// predicate exactly the stored table — which callers scan themselves:
+// only Contains takes every predicate, the scans and Stats take the
+// three VirtualPidx tables. It implements the query package's Virtual
+// interface structurally (the query package defines the interface; this
+// package never imports it).
 //
 // Visible semantics, per predicate:
 //
@@ -44,7 +47,15 @@ func (v *View) table(pidx int) *store.Table {
 	return t
 }
 
-// Contains reports whether ⟨s, pidx, o⟩ is visible.
+// notVirtual is the panic of a scan or statistics call for a property
+// the view does not answer: callers route only VirtualPidx tables here
+// and read every other one from the store.
+func notVirtual(pidx int) string {
+	return fmt.Sprintf("hierarchy: property table %d is not virtual", pidx)
+}
+
+// Contains reports whether ⟨s, pidx, o⟩ is visible — the one question
+// the view answers for every predicate.
 func (v *View) Contains(pidx int, s, o uint64) bool {
 	switch pidx {
 	case v.Idx.scPidx:
@@ -90,8 +101,8 @@ func sortDedup(buf []uint64) []uint64 {
 	return slices.Compact(buf)
 }
 
-// ScanSubject streams the visible objects of subject s at pidx in
-// ascending id order. The return value reports whether the walk ran to
+// ScanSubject streams the visible objects of subject s at the virtual
+// table pidx in ascending id order. The return value reports whether the walk ran to
 // completion (fn returning false stops it).
 func (v *View) ScanSubject(pidx int, s uint64, fn func(o uint64) bool) bool {
 	switch pidx {
@@ -116,18 +127,7 @@ func (v *View) ScanSubject(pidx int, s uint64, fn func(o uint64) bool) bool {
 		}
 		return true
 	}
-	t := v.table(pidx)
-	if t == nil {
-		return true
-	}
-	pairs := t.Pairs()
-	lo, hi := t.SubjectRun(s)
-	for i := lo; i < hi; i++ {
-		if !fn(pairs[2*i+1]) {
-			return false
-		}
-	}
-	return true
+	panic(notVirtual(pidx))
 }
 
 // typeSubjects returns the sorted, deduplicated visible subjects typed
@@ -157,8 +157,8 @@ func (v *View) typeSubjects(t *store.Table, o uint64) []uint64 {
 	return subjects
 }
 
-// ScanObject streams the visible subjects with object o at pidx in
-// ascending id order.
+// ScanObject streams the visible subjects with object o at the virtual
+// table pidx in ascending id order.
 func (v *View) ScanObject(pidx int, o uint64, fn func(s uint64) bool) bool {
 	switch pidx {
 	case v.Idx.scPidx:
@@ -177,23 +177,12 @@ func (v *View) ScanObject(pidx int, o uint64, fn func(s uint64) bool) bool {
 		}
 		return true
 	}
-	t := v.table(pidx)
-	if t == nil {
-		return true
-	}
-	os := t.OS()
-	lo, hi := t.ObjectRun(o)
-	for i := lo; i < hi; i++ {
-		if !fn(os[2*i+1]) {
-			return false
-		}
-	}
-	return true
+	panic(notVirtual(pidx))
 }
 
-// ScanAll streams every visible ⟨s, o⟩ pair of pidx: sorted by ⟨s, o⟩
-// when osOrder is false, by ⟨o, s⟩ when true. fn is always called as
-// fn(s, o).
+// ScanAll streams every visible ⟨s, o⟩ pair of the virtual table pidx:
+// sorted by ⟨s, o⟩ when osOrder is false, by ⟨o, s⟩ when true. fn is
+// always called as fn(s, o).
 func (v *View) ScanAll(pidx int, osOrder bool, fn func(s, o uint64) bool) bool {
 	switch pidx {
 	case v.Idx.scPidx:
@@ -243,29 +232,11 @@ func (v *View) ScanAll(pidx int, osOrder bool, fn func(s, o uint64) bool) bool {
 		}
 		return true
 	}
-	t := v.table(pidx)
-	if t == nil {
-		return true
-	}
-	pairs := t.Pairs()
-	if osOrder {
-		os := t.OS()
-		for i := 0; i < len(os); i += 2 {
-			if !fn(os[i+1], os[i]) {
-				return false
-			}
-		}
-		return true
-	}
-	for i := 0; i < len(pairs); i += 2 {
-		if !fn(pairs[i], pairs[i+1]) {
-			return false
-		}
-	}
-	return true
+	panic(notVirtual(pidx))
 }
 
-// Stats returns visible-relation planner statistics for pidx.
+// Stats returns visible-relation planner statistics for the virtual
+// table pidx.
 func (v *View) Stats(pidx int) store.TableStats {
 	switch pidx {
 	case v.Idx.scPidx:
@@ -296,11 +267,7 @@ func (v *View) Stats(pidx int) store.TableStats {
 		st.ObjectsExact = true
 		return st
 	}
-	t := v.table(pidx)
-	if t == nil {
-		return store.TableStats{}
-	}
-	return t.Stats()
+	panic(notVirtual(pidx))
 }
 
 // VirtualCounts returns the number of virtual (computed, not stored)

@@ -128,7 +128,7 @@ func FuzzReadNTriplesBlocks(f *testing.F) {
 	})
 }
 
-// FuzzUnescapeLiteral: the literal unescaper must round trip what
+// FuzzUnescapeLiteral: the literal splitter must round trip what
 // EscapeLiteral produces and reject everything else without panicking.
 func FuzzUnescapeLiteral(f *testing.F) {
 	f.Add(`"plain"`)
@@ -140,9 +140,9 @@ func FuzzUnescapeLiteral(f *testing.F) {
 		if len(term) > 1<<16 {
 			return
 		}
-		if lex, ok := UnescapeLiteral(term); ok && term == EscapeLiteral(lex) {
+		if lex, _, _, ok := SplitLiteral(term); ok && term == EscapeLiteral(lex) {
 			// Round-trippable literals must be stable.
-			lex2, ok2 := UnescapeLiteral(EscapeLiteral(lex))
+			lex2, _, _, ok2 := SplitLiteral(EscapeLiteral(lex))
 			if !ok2 || lex2 != lex {
 				t.Fatalf("unstable literal round trip: %q", term)
 			}

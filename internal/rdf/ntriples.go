@@ -419,43 +419,63 @@ func WriteNTriples(w io.Writer, triples []Triple) error {
 	return bw.Flush()
 }
 
-// UnescapeLiteral decodes the lexical form of a literal surface form,
-// resolving the N-Triples escape sequences. It returns the raw string
-// between the quotes; language tags and datatypes are dropped.
-func UnescapeLiteral(term string) (string, bool) {
+// CutLiteral cuts a literal surface form just past its closing quote:
+// quoted is the lexical form as written (quotes and escapes included),
+// suffix whatever follows it — "", "@lang" or "^^datatype". It is the
+// one place that decides where a lexical form ends. ok is false, with
+// the whole term as quoted, when term is not a literal or its quote
+// never closes.
+func CutLiteral(term string) (quoted, suffix string, ok bool) {
 	if !IsLiteral(term) {
-		return "", false
+		return term, "", false
 	}
-	i := 1
-	var b strings.Builder
-	for i < len(term) {
-		c := term[i]
-		if c == '"' {
-			return b.String(), true
+	for i := 1; i < len(term); i++ {
+		switch term[i] {
+		case '\\':
+			i++
+		case '"':
+			return term[:i+1], term[i+1:], true
 		}
-		if c == '\\' && i+1 < len(term) {
+	}
+	return term, "", false
+}
+
+// SplitLiteral takes a literal surface form apart: the lexical form
+// with the N-Triples escape sequences resolved, the language tag as
+// written, and the datatype IRI without its angle brackets ("" when
+// absent). ok is false when CutLiteral's is.
+func SplitLiteral(term string) (lex, lang, datatype string, ok bool) {
+	quoted, suffix, ok := CutLiteral(term)
+	if !ok {
+		return "", "", "", false
+	}
+	switch {
+	case strings.HasPrefix(suffix, "@"):
+		lang = suffix[1:]
+	case strings.HasPrefix(suffix, "^^<") && strings.HasSuffix(suffix, ">"):
+		datatype = suffix[3 : len(suffix)-1]
+	}
+	lex = quoted[1 : len(quoted)-1]
+	if !strings.Contains(lex, `\`) {
+		return lex, lang, datatype, true
+	}
+	var b strings.Builder
+	for i := 0; i < len(lex); i++ {
+		c := lex[i]
+		if c == '\\' { // never the last byte: it would have escaped the closing quote
 			i++
-			switch term[i] {
+			switch c = lex[i]; c {
 			case 'n':
-				b.WriteByte('\n')
+				c = '\n'
 			case 't':
-				b.WriteByte('\t')
+				c = '\t'
 			case 'r':
-				b.WriteByte('\r')
-			case '\\':
-				b.WriteByte('\\')
-			case '"':
-				b.WriteByte('"')
-			default:
-				b.WriteByte(term[i])
+				c = '\r'
 			}
-			i++
-			continue
 		}
 		b.WriteByte(c)
-		i++
 	}
-	return "", false
+	return b.String(), lang, datatype, true
 }
 
 // EscapeLiteral builds the surface form of a plain literal from a raw

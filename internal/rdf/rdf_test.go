@@ -117,11 +117,40 @@ func TestEscapeUnescapeLiteralQuick(t *testing.T) {
 		// embedded NUL is fine, any byte works since escaping is per
 		// byte).
 		esc := EscapeLiteral(raw)
-		back, ok := UnescapeLiteral(esc)
+		back, _, _, ok := SplitLiteral(esc)
 		return ok && back == raw
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestSplitLiteral: where the lexical form ends is decided in one place
+// — an escaped quote does not end it, a quote inside the suffix never
+// starts it — and the parts come back decoded.
+func TestSplitLiteral(t *testing.T) {
+	for _, c := range []struct {
+		term, quoted, suffix, lex, lang, datatype string
+		ok                                        bool
+	}{
+		{`"plain"`, `"plain"`, "", "plain", "", "", true},
+		{`"chat"@fr-BE`, `"chat"`, "@fr-BE", "chat", "fr-BE", "", true},
+		{`"5"^^<http://x/int>`, `"5"`, "^^<http://x/int>", "5", "", "http://x/int", true},
+		{`"5"^^xsd:int`, `"5"`, "^^xsd:int", "5", "", "", true},
+		{`"a\"@en\\"@de`, `"a\"@en\\"`, "@de", `a"@en\`, "de", "", true},
+		{`"tab\there\n"`, `"tab\there\n"`, "", "tab\there\n", "", "", true},
+		{`"open\"`, `"open\"`, "", "", "", "", false},
+		{`"`, `"`, "", "", "", "", false},
+		{`<iri>`, `<iri>`, "", "", "", "", false},
+	} {
+		quoted, suffix, ok := CutLiteral(c.term)
+		if quoted != c.quoted || suffix != c.suffix || ok != c.ok {
+			t.Errorf("CutLiteral(%s) = %s | %s | %v", c.term, quoted, suffix, ok)
+		}
+		lex, lang, datatype, ok := SplitLiteral(c.term)
+		if lex != c.lex || lang != c.lang || datatype != c.datatype || ok != c.ok {
+			t.Errorf("SplitLiteral(%s) = %q, %q, %q, %v", c.term, lex, lang, datatype, ok)
+		}
 	}
 }
 
@@ -132,7 +161,7 @@ func TestEscapedLiteralParses(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	back, ok := UnescapeLiteral(tr.O)
+	back, _, _, ok := SplitLiteral(tr.O)
 	if !ok || back != "line1\nline2\t\"quoted\" \\slash" {
 		t.Fatalf("literal mangled: %q", back)
 	}

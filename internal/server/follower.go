@@ -15,7 +15,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"os"
 	"strconv"
 	"sync"
 	"time"
@@ -266,25 +265,28 @@ func (f *Follower) bootstrap(ctx context.Context) error {
 	default:
 		return fmt.Errorf("follower: GET /snapshot/latest: %s", resp.Status)
 	}
-	tmp, err := os.CreateTemp("", "inferray-bootstrap-*.img")
-	if err != nil {
-		return err
-	}
-	defer os.Remove(tmp.Name())
-	n, err := io.Copy(tmp, resp.Body)
-	if cerr := tmp.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		return fmt.Errorf("follower: downloading snapshot: %w", err)
-	}
-	f.received.Add(uint64(n))
-	pos, err := f.r.RestoreImage(tmp.Name())
+	// The image is parsed and verified off the wire; nothing is replaced
+	// unless the whole body passes, so a cut download costs only a retry.
+	body := &countingReader{r: resp.Body}
+	pos, err := f.r.RestoreImage(body)
+	f.received.Add(body.n)
 	if err != nil {
 		return fmt.Errorf("follower: installing snapshot: %w", err)
 	}
 	f.finishBootstrap(pos)
 	return nil
+}
+
+// countingReader counts the bytes read through it.
+type countingReader struct {
+	r io.Reader
+	n uint64
+}
+
+func (c *countingReader) Read(p []byte) (int, error) {
+	n, err := c.r.Read(p)
+	c.n += uint64(n)
+	return n, err
 }
 
 func (f *Follower) finishBootstrap(pos inferray.WALPosition) {

@@ -159,13 +159,6 @@ type Server struct {
 	updates      atomic.Int64
 	updateErrors atomic.Int64
 
-	// deltaMu serializes stage+materialize per request, so a delta
-	// response reports the effect of that request's batch rather than
-	// whatever happened to be pending (two concurrent posts would
-	// otherwise race to drain the shared staging buffer, and one of
-	// them would report a no-op).
-	deltaMu sync.Mutex
-
 	lastMu sync.Mutex
 	last   inferray.Stats
 	lastAt time.Time
@@ -664,35 +657,14 @@ func termBinding(term string) binding {
 	case rdf.IsBlank(term):
 		return binding{Type: "bnode", Value: term[2:]}
 	case rdf.IsLiteral(term):
-		lex, ok := rdf.UnescapeLiteral(term)
+		lex, lang, datatype, ok := rdf.SplitLiteral(term)
 		if !ok {
 			return binding{Type: "literal", Value: term}
 		}
-		b := binding{Type: "literal", Value: lex}
-		switch suffix := term[literalEnd(term):]; {
-		case strings.HasPrefix(suffix, "@"):
-			b.Lang = suffix[1:]
-		case strings.HasPrefix(suffix, "^^<") && strings.HasSuffix(suffix, ">"):
-			b.Datatype = suffix[3 : len(suffix)-1]
-		}
-		return b
+		return binding{Type: "literal", Value: lex, Lang: lang, Datatype: datatype}
 	default:
 		return binding{Type: "literal", Value: term}
 	}
-}
-
-// literalEnd returns the index just past the closing quote of a literal
-// surface form (len(term) when unterminated).
-func literalEnd(term string) int {
-	for i := 1; i < len(term); i++ {
-		switch term[i] {
-		case '\\':
-			i++
-		case '"':
-			return i + 1
-		}
-	}
-	return len(term)
 }
 
 // -------------------------------------------------------------- /triples
@@ -768,11 +740,8 @@ func (s *Server) handleTriples(w http.ResponseWriter, req *http.Request) {
 		httpError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	s.deltaMu.Lock()
-	defer s.deltaMu.Unlock()
-	s.r.AddTriples(batch)
 	staged := len(batch)
-	st, err := s.r.Materialize()
+	st, err := s.r.Insert(batch)
 	if err != nil {
 		httpError(w, http.StatusInternalServerError, "%v", err)
 		return
@@ -837,14 +806,9 @@ func (s *Server) handleUpdate(w http.ResponseWriter, req *http.Request) {
 		httpError(w, http.StatusBadRequest, "missing update parameter")
 		return
 	}
-	// Serialize against /triples and /checkpoint: Update drains the
-	// shared staging buffer through a materialization, and deletions
-	// must not interleave with another request's stage+report cycle.
-	s.deltaMu.Lock()
 	start := time.Now()
 	st, err := s.r.Update(text)
 	elapsed := time.Since(start)
-	s.deltaMu.Unlock()
 	if err != nil {
 		s.updateErrors.Add(1)
 		var pe *sparql.ParseError
@@ -880,12 +844,7 @@ type checkpointResponse struct {
 }
 
 func (s *Server) handleCheckpoint(w http.ResponseWriter, req *http.Request) {
-	// Serialize against /triples: Checkpoint drains pending triples
-	// through a materialization, and two drains racing would misreport
-	// each other's batches.
-	s.deltaMu.Lock()
 	info, err := s.r.Checkpoint()
-	s.deltaMu.Unlock()
 	if err == inferray.ErrNotDurable {
 		httpError(w, http.StatusConflict, "%v", err)
 		return

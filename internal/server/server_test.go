@@ -360,28 +360,39 @@ func TestConcurrentQueriesAndDeltas(t *testing.T) {
 			}
 		}()
 	}
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for j := 0; j < 10; j++ {
-			delta := fmt.Sprintf("<worker%d> <worksFor> <DeptCS> .\n", j)
-			resp, err := http.Post(ts.URL+"/triples", "application/n-triples", strings.NewReader(delta))
-			if err != nil {
-				t.Error(err)
-				return
+	// Several writers at once, with nothing but apply's write lock
+	// between them: each response must describe its own batch — one
+	// staged, one new — never a neighbour's or a drained-empty buffer.
+	const writers = 3
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for j := 0; j < 10; j++ {
+				delta := fmt.Sprintf("<worker%d_%d> <worksFor> <DeptCS> .\n", w, j)
+				resp, err := http.Post(ts.URL+"/triples", "application/n-triples", strings.NewReader(delta))
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				var dr deltaResponse
+				err = json.NewDecoder(resp.Body).Decode(&dr)
+				resp.Body.Close()
+				if resp.StatusCode != http.StatusOK || err != nil {
+					t.Errorf("delta status %d (%v)", resp.StatusCode, err)
+					return
+				}
+				if dr.Staged != 1 || dr.NewInput != 1 {
+					t.Errorf("delta %q answered staged=%d new_input=%d, want 1 and 1", delta, dr.Staged, dr.NewInput)
+				}
 			}
-			resp.Body.Close()
-			if resp.StatusCode != http.StatusOK {
-				t.Errorf("delta status %d", resp.StatusCode)
-				return
-			}
-		}
-	}()
+		}(w)
+	}
 	wg.Wait()
 
 	res := getResults(t, ts, `SELECT ?who WHERE { ?who <memberOf> <DeptCS> }`)
-	if len(res.Results.Bindings) != 11 { // alice + 10 workers
-		t.Fatalf("final bindings = %d, want 11", len(res.Results.Bindings))
+	if len(res.Results.Bindings) != 1+writers*10 { // alice + the workers
+		t.Fatalf("final bindings = %d, want %d", len(res.Results.Bindings), 1+writers*10)
 	}
 }
 
@@ -445,6 +456,53 @@ func postTriples(t *testing.T, ts *httptest.Server, doc string) {
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("POST /triples status %d", resp.StatusCode)
+	}
+}
+
+// A request-scoped write is all or nothing: when the write-ahead log
+// refuses it, the client is told so and the batch is gone — not staged
+// for the next request (or the settle ahead of a DELETE or a checkpoint)
+// to log and apply behind its back.
+func TestRefusedWriteIsNotAppliedLater(t *testing.T) {
+	dir := t.TempDir()
+	ts, r := newDurableTestServer(t, dir)
+	postTriples(t, ts, "<a> <p> <b> .\n")
+	if err := r.Close(); err != nil { // every append from here on fails
+		t.Fatal(err)
+	}
+	for _, req := range []struct{ path, ctype, body string }{
+		{"/update", "application/sparql-update", "INSERT DATA { <lost> <p> <update> }"},
+		{"/triples", "application/n-triples", "<lost> <p> <triples> .\n"},
+	} {
+		resp, err := http.Post(ts.URL+req.path, req.ctype, strings.NewReader(req.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusInternalServerError {
+			t.Errorf("POST %s with the log closed: status %d, want 500", req.path, resp.StatusCode)
+		}
+		if n := r.Pending(); n != 0 {
+			t.Errorf("POST %s left %d refused triples staged", req.path, n)
+		}
+	}
+	if r.Holds("<lost>", "<p>", "<update>") || r.Holds("<lost>", "<p>", "<triples>") {
+		t.Error("a refused write is visible")
+	}
+
+	reopened, err := inferray.Open(
+		inferray.WithFragment(inferray.RDFSDefault),
+		inferray.WithDurability(dir, inferray.DurabilityOptions{Sync: "always"}),
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer reopened.Close()
+	if !reopened.Holds("<a>", "<p>", "<b>") {
+		t.Error("the acknowledged write did not survive")
+	}
+	if reopened.Holds("<lost>", "<p>", "<update>") || reopened.Holds("<lost>", "<p>", "<triples>") {
+		t.Error("a refused write reached the log")
 	}
 }
 

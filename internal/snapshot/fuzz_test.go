@@ -2,6 +2,7 @@ package snapshot
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math/bits"
 	"testing"
 
@@ -9,80 +10,102 @@ import (
 	"inferray/internal/store"
 )
 
-// FuzzRead: arbitrary bytes fed to the snapshot stream parser must
-// either round into a consistent (dictionary, store) pair or return an
-// error — never panic, and never allocate proportionally to a corrupt
-// header's claims instead of to the actual input.
+// FuzzRead: arbitrary bytes fed to the one image reader must either
+// round into a consistent (dictionary, store) pair or return an error —
+// never panic, and never allocate proportionally to a corrupt header's
+// claims instead of to the actual input. Each input is tried as it
+// stands and again sealed with the checksum recomputed over it, so a
+// mutated body still reaches the parser instead of dying at the trailer.
 func FuzzRead(f *testing.F) {
-	// Seeds: a real image, the empty and near-empty prefixes, and
-	// mutants that aim at each validation branch. The same seeds are
-	// checked in under testdata/fuzz/FuzzRead for CI's smoke mode.
-	d, st := buildFixture()
-	var buf bytes.Buffer
-	if err := Write(&buf, d, st, false); err != nil {
-		f.Fatal(err)
+	// Seeds, as bodies (an image minus its trailer): a real image, the
+	// empty and near-empty prefixes, and mutants that aim at each
+	// validation branch. The same seeds are checked in under
+	// testdata/fuzz/FuzzRead for CI's smoke mode.
+	for _, seed := range fuzzSeeds(f) {
+		f.Add(seed.body)
 	}
-	img := buf.Bytes()
-	f.Add(img)
-	f.Add([]byte{})
-	f.Add([]byte("IFRY"))
-	f.Add(img[:len(img)/2])
-	huge := append([]byte(nil), img...)
-	huge[12] = 0xFF // absurd numProps
-	f.Add(huge)
-	old := append([]byte(nil), img...)
-	old[4] = 4 // a retired stream version: refused, never parsed
-	f.Add(old)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) > 1<<20 {
+			return // keep iterations fast
+		}
+		for _, img := range [][]byte{data, seal(data)} {
+			d, st, _, err := Read(bytes.NewReader(img))
+			if err != nil {
+				continue
+			}
+			// Accepted input must be self-consistent: every stored ID
+			// decodes (Read validates this so restored stores can never
+			// panic in MustDecode), every table is strictly
+			// ⟨s,o⟩-ascending, and no table holds more marks than pairs.
+			if d == nil || st == nil {
+				t.Fatal("nil result without error")
+			}
+			st.ForEachTable(func(pidx int, tab *store.Table) bool {
+				p := tab.Pairs()
+				for i := 0; i < len(p); i += 2 {
+					d.MustDecode(p[i])
+					d.MustDecode(p[i+1])
+					if i > 0 && (p[i] < p[i-2] || (p[i] == p[i-2] && p[i+1] <= p[i-1])) {
+						t.Fatalf("table %d accepted out of order at pair %d", pidx, i/2)
+					}
+				}
+				marked := 0
+				for _, w := range tab.Marks() {
+					marked += bits.OnesCount64(w)
+				}
+				if marked > tab.Size() {
+					t.Fatalf("table %d: %d marks on %d pairs", pidx, marked, tab.Size())
+				}
+				return true
+			})
+		}
+	})
+}
+
+// fuzzSeed is one named seed body; the name is its corpus file.
+type fuzzSeed struct {
+	name string
+	body []byte
+}
+
+func fuzzSeeds(t testing.TB) []fuzzSeed {
+	img := image(t)
+	body := img[:len(img)-4]
+	streamV5, fileV2 := retiredFixtures(img)
+	huge := append([]byte(nil), body...)
+	huge[sectionsAt+1] = 0xFF // absurd numProps
+	v4 := append([]byte(nil), body...)
+	binary.LittleEndian.PutUint32(v4[4:], 4)
+	seeds := []fuzzSeed{
+		{"valid-image", body},
+		{"empty", nil},
+		{"magic-only", []byte(magic)},
+		{"truncated", body[:len(body)/2]},
+		{"huge-numprops", huge},
+		{"version-2-image", fileV2},
+		{"version-4-image", v4},
+		{"bare-v5-stream", streamV5},
+	}
 	// What Read must refuse rather than repair: a table out of order, and
 	// mark words reaching past the last pair.
+	d, st := buildFixture()
 	pid, _ := d.Lookup("<p>")
 	pidx := dictionary.PropIndex(pid)
 	pp := st.Table(pidx).Pairs()
-	for _, bad := range [][2][]uint64{
-		{{pp[2], pp[3], pp[0], pp[1]}, nil},
-		{pp[:2], {1 << 7}},
+	for _, bad := range []struct {
+		name         string
+		pairs, marks []uint64
+	}{
+		{"unsorted-table", []uint64{pp[2], pp[3], pp[0], pp[1]}, nil},
+		{"mark-past-end", pp[:2], []uint64{1 << 7}},
 	} {
 		crafted := store.New(d.NumProperties())
-		crafted.Ensure(pidx).Restore(bad[0], bad[1], 1)
+		crafted.Ensure(pidx).Restore(bad.pairs, bad.marks, 1)
 		var cb bytes.Buffer
-		if err := Write(&cb, d, crafted, false); err != nil {
-			f.Fatal(err)
+		if err := Write(&cb, d, crafted, testMeta); err != nil {
+			t.Fatal(err)
 		}
-		f.Add(cb.Bytes())
+		seeds = append(seeds, fuzzSeed{bad.name, cb.Bytes()[:cb.Len()-4]})
 	}
-
-	f.Fuzz(func(t *testing.T, data []byte) {
-		if len(data) > 1<<20 {
-			return // size is bounded by callers (files); keep iterations fast
-		}
-		d, st, _, err := Read(bytes.NewReader(data))
-		if err != nil {
-			return
-		}
-		// Accepted input must be self-consistent: every stored ID
-		// decodes (Read validates this so restored stores can never
-		// panic in MustDecode), every table is strictly ⟨s,o⟩-ascending,
-		// and no table holds more marks than pairs.
-		if d == nil || st == nil {
-			t.Fatal("nil result without error")
-		}
-		st.ForEachTable(func(pidx int, tab *store.Table) bool {
-			p := tab.Pairs()
-			for i := 0; i < len(p); i += 2 {
-				d.MustDecode(p[i])
-				d.MustDecode(p[i+1])
-				if i > 0 && (p[i] < p[i-2] || (p[i] == p[i-2] && p[i+1] <= p[i-1])) {
-					t.Fatalf("table %d accepted out of order at pair %d", pidx, i/2)
-				}
-			}
-			marked := 0
-			for _, w := range tab.Marks() {
-				marked += bits.OnesCount64(w)
-			}
-			if marked > tab.Size() {
-				t.Fatalf("table %d: %d marks on %d pairs", pidx, marked, tab.Size())
-			}
-			return true
-		})
-	})
+	return seeds
 }

@@ -5,9 +5,12 @@
 // consumer-independent data access" (§1) — materialize once, persist,
 // then serve the closure without the inference engine.
 //
-// Format (little-endian), stream version 5:
+// There is one format, written by Write and read by Read over any
+// io.Writer / io.Reader (little-endian), version 6:
 //
-//	magic "IFRY" | version u32 | flags u32
+//	magic "IFRI" | version u32 | flags u32
+//	walGeneration u64 | storeGeneration u64 | createdUnix i64 | triples u64
+//	fragment (len u32, bytes)
 //	numProps u32 | numResources u32
 //	property terms: numProps × (len u32, bytes)
 //	resource terms: numResources × (len u32, bytes)
@@ -15,35 +18,34 @@
 //	tables: numTables × (propIndex u32, version u64, numPairs u32,
 //	        pairs as delta-encoded uvarint stream,
 //	        marks: ⌈numPairs/64⌉ × u64)
+//	crc32c u32 over every byte before it
 //
-// Pair streams are delta-encoded: subjects ascend in a sorted table, so
-// consecutive differences are tiny and uvarint encoding shrinks the
-// image well below the raw 16 bytes/triple. The mark words are the
-// table's asserted marks (store.Table.Marked): bit i says pair i was
-// explicitly loaded — the subset of the closure SPARQL UPDATE may
-// retract — so the image holds each pair once. The per-table version
-// counter carries the store's mutation counters through a round trip,
-// so WAL/image pairing can rely on them. flagEncoded marks a *reduced*
-// closure: the store was materialized under the hierarchy interval
-// encoding, so the transitive subsumption closure and the
-// subsumption-derived rdf:type triples are absent and must be served
-// virtually (or expanded) by the restoring engine. The hierarchy index
-// itself is never serialized — its construction is deterministic in the
-// stored edges, so restore rebuilds it.
+// The header is the Meta that pairs the image with a write-ahead log
+// and names the ruleset it is a closure under. Pair streams are
+// delta-encoded: subjects ascend in a sorted table, so consecutive
+// differences are tiny and uvarint encoding shrinks the image well below
+// the raw 16 bytes/triple. The mark words are the table's asserted marks
+// (store.Table.Marked): bit i says pair i was explicitly loaded — the
+// subset of the closure SPARQL UPDATE may retract — so the image holds
+// each pair once. The per-table version counter carries the store's
+// mutation counters through a round trip, so WAL/image pairing can rely
+// on them. flagEncoded marks a *reduced* closure: the store was
+// materialized under the hierarchy interval encoding, so the transitive
+// subsumption closure and the subsumption-derived rdf:type triples are
+// absent and must be served virtually (or expanded) by the restoring
+// engine. The hierarchy index itself is never serialized — its
+// construction is deterministic in the stored edges, so restore rebuilds
+// it.
 //
-// Marks are positional, so Read repairs nothing: a pair stream that is
-// not strictly ⟨s,o⟩-ascending, or mark words with a bit past the last
-// pair, are refused with an error naming the table.
+// Read trusts nothing and repairs nothing: any other magic or version is
+// refused with the one found and the one supported named; a pair stream
+// that is not strictly ⟨s,o⟩-ascending, or mark words with a bit past
+// the last pair, are refused with the table named (marks are
+// positional); a flipped bit anywhere, a cut stream, or bytes after the
+// checksum are refused by the trailer check.
 //
-// WriteFile/ReadFile wrap the stream in a durable on-disk image: a meta
-// header (generation, creation time, triple count) for pairing the
-// image with a write-ahead log, a CRC-32C of the whole file so a torn
-// or bit-rotted image is detected instead of loaded, and
-// write-to-temp + fsync + rename so the image appears atomically.
-//
-// There is one format: stream version 5 inside image-file version 2.
-// Read and ReadFile refuse anything else with an error naming the
-// source, the version found and the version supported.
+// WriteFile/ReadFile put an image on disk under a path: write-to-temp +
+// fsync + rename so it appears atomically, and the path in every error.
 package snapshot
 
 import (
@@ -51,6 +53,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash"
 	"hash/crc32"
 	"io"
 	"os"
@@ -63,39 +66,88 @@ import (
 )
 
 const (
-	magic   = "IFRY"
-	version = 5
+	magic   = "IFRI"
+	version = 6
 
-	fileMagic   = "IFRI"
-	fileVersion = 2
-
-	// flagEncoded (stream flags bit 0) marks a reduced closure written
-	// under the hierarchy interval encoding.
+	// flagEncoded (flags bit 0) marks a reduced closure written under
+	// the hierarchy interval encoding.
 	flagEncoded = 1 << 0
+
+	// maxFragmentLen and maxTermLen bound the two kinds of
+	// length-prefixed string on read (the writer checks the first too).
+	maxFragmentLen = 256
+	maxTermLen     = 1 << 24
 )
 
 // castagnoli is the CRC-32C table shared with internal/wal.
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
-// Write serializes the dictionary and store to w. Tables must be
-// normalized (sorted, duplicate-free). encoded marks the store as a
-// reduced closure (hierarchy interval encoding active at write time);
-// Read hands the flag back so the restoring engine can rebuild the
-// index or expand the virtual triples. Write only reads the store, so
-// it may run beside other readers. A bufio.Writer keeps its first error
-// and refuses everything after it, so the one check is the final Flush.
-func Write(w io.Writer, d *dictionary.Dictionary, st *store.Store, encoded bool) error {
-	bw := bufio.NewWriterSize(w, 1<<16)
+// crcResidue is the CRC-32C of any byte string followed by its own
+// CRC-32C (little-endian) — a constant, here taken from the empty
+// string, whose checksum is 0. Read hashes body and trailer together in
+// whatever chunks its buffered reader pulls and compares the sum with
+// this, so it needs neither the stream's length nor a per-byte hash.
+var crcResidue = crc32.Checksum(make([]byte, 4), castagnoli)
+
+// Meta is the image header: what pairs a snapshot with the write-ahead
+// log covering the changes made after it was taken, and what the
+// restoring reasoner must know before it installs the tables.
+type Meta struct {
+	// Generation is the checkpoint generation: the image holds every
+	// triple logged in wal files of earlier generations, so recovery
+	// loads the image and replays only wal-<Generation>.log. Zero for an
+	// image saved outside a data directory.
+	Generation uint64
+	// StoreGeneration is the reasoner's logical store generation at
+	// write time — the monotone write counter behind the
+	// X-Inferray-Generation header. Persisting it lets recovery and
+	// follower bootstrap resume the same generation sequence, so the
+	// header stays a cluster-wide read-your-writes coordinate instead of
+	// a per-process one.
+	StoreGeneration uint64
+	// CreatedUnix is the wall-clock write time (Unix seconds).
+	CreatedUnix int64
+	// Triples is the stored-triple count, for operator-facing stats
+	// without parsing the tables. Write takes it from the store and Read
+	// checks the restored store against it.
+	Triples uint64
+	// Fragment names the rule fragment the closure was materialized
+	// under. Loaders refuse to install an image as a ready-made closure
+	// under a different ruleset — extending an rdfs-plus closure with
+	// rdfs-default rules would yield a store that is the closure of
+	// neither.
+	Fragment string
+	// HierarchyEncoded reports that the tables are a reduced closure
+	// (flagEncoded).
+	HierarchyEncoded bool
+}
+
+// Write serializes the dictionary and store to w as one image. Tables
+// must be normalized (sorted, duplicate-free). Write only reads the
+// store, so it may run beside other readers. A bufio.Writer keeps its
+// first error and refuses everything after it, so the one check before
+// the trailer is the final Flush.
+func Write(w io.Writer, d *dictionary.Dictionary, st *store.Store, meta Meta) error {
+	if len(meta.Fragment) > maxFragmentLen {
+		return fmt.Errorf("snapshot: fragment name %q too long", meta.Fragment)
+	}
+	h := crc32.New(castagnoli)
+	bw := bufio.NewWriterSize(io.MultiWriter(w, h), 1<<16)
 	bw.WriteString(magic)
 	writeU32(bw, version)
 	var flags uint32
-	if encoded {
+	if meta.HierarchyEncoded {
 		flags |= flagEncoded
 	}
 	writeU32(bw, flags)
+	writeU64(bw, meta.Generation)
+	writeU64(bw, meta.StoreGeneration)
+	writeU64(bw, uint64(meta.CreatedUnix))
+	writeU64(bw, uint64(st.Size()))
+	writeString(bw, meta.Fragment)
+
 	writeU32(bw, uint32(d.NumProperties()))
 	writeU32(bw, uint32(d.NumResources()))
-
 	d.Properties(func(id uint64, term string) bool {
 		writeString(bw, term)
 		return true
@@ -128,42 +180,94 @@ func Write(w io.Writer, d *dictionary.Dictionary, st *store.Store, encoded bool)
 		}
 		return true
 	})
-	return bw.Flush()
+	if err := bw.Flush(); err != nil {
+		return err
+	}
+	_, err := w.Write(binary.LittleEndian.AppendUint32(nil, h.Sum32()))
+	return err
 }
 
-// Read restores a snapshot: every table normalized, with its asserted
-// marks. encoded reports the stream's flagEncoded bit: the store is a
-// reduced closure whose virtual triples the hierarchy index must supply.
-func Read(r io.Reader) (*dictionary.Dictionary, *store.Store, bool, error) {
-	br := bufio.NewReaderSize(r, 1<<16)
-	le := binary.LittleEndian
-	var head [20]byte // magic, version, flags, numProps, numResources
-	if _, err := io.ReadFull(br, head[:]); err != nil {
-		return nil, nil, false, fmt.Errorf("snapshot: reading header: %w", err)
+// Read restores an image: header, every table normalized with its
+// asserted marks, and the checksum verified over the whole stream, which
+// must end at the trailer. Nothing is returned from an image that fails
+// any of it.
+func Read(r io.Reader) (*dictionary.Dictionary, *store.Store, Meta, error) {
+	h := crc32.New(castagnoli)
+	br := bufio.NewReaderSize(io.TeeReader(r, h), 1<<16)
+	d, st, meta, err := readBody(br)
+	if err == nil {
+		err = readTrailer(br, h)
 	}
-	if string(head[:4]) != magic {
-		return nil, nil, false, fmt.Errorf("snapshot: bad magic %q", head[:4])
+	if err == nil && uint64(st.Size()) != meta.Triples {
+		err = fmt.Errorf("snapshot: image holds %d triples, header says %d", st.Size(), meta.Triples)
 	}
-	if v := le.Uint32(head[4:]); v != version {
-		return nil, nil, false, fmt.Errorf("snapshot: stream is version %d; this build supports only version %d", v, version)
+	if err != nil {
+		return nil, nil, Meta{}, err
 	}
-	flags, nProps, nRes := le.Uint32(head[8:]), le.Uint32(head[12:]), le.Uint32(head[16:])
-	if flags&^flagEncoded != 0 {
-		return nil, nil, false, fmt.Errorf("snapshot: unknown flags %#x", flags)
-	}
+	return d, st, meta, nil
+}
 
+// readTrailer reads the checksum, requires the stream to end there, and
+// checks what h saw of it — body and trailer — against crcResidue.
+func readTrailer(br *bufio.Reader, h hash.Hash32) error {
+	if _, err := readU32(br); err != nil {
+		return fmt.Errorf("snapshot: reading checksum: %w", err)
+	}
+	if _, err := br.ReadByte(); err == nil {
+		return errors.New("snapshot: bytes after the checksum")
+	} else if err != io.EOF {
+		return err
+	}
+	if h.Sum32() != crcResidue {
+		return errors.New("snapshot: CRC mismatch")
+	}
+	return nil
+}
+
+// readBody parses everything ahead of the trailer.
+func readBody(br *bufio.Reader) (*dictionary.Dictionary, *store.Store, Meta, error) {
+	var meta Meta
+	le := binary.LittleEndian
+	var head [44]byte // magic, version, flags, the four meta words
+	if _, err := io.ReadFull(br, head[:]); err != nil {
+		return nil, nil, meta, fmt.Errorf("snapshot: reading header: %w", err)
+	}
+	if v := le.Uint32(head[4:]); string(head[:4]) != magic || v != version {
+		return nil, nil, meta, fmt.Errorf("snapshot: image is %q version %d; this build supports only %q version %d",
+			head[:4], v, magic, version)
+	}
+	flags := le.Uint32(head[8:])
+	if flags&^flagEncoded != 0 {
+		return nil, nil, meta, fmt.Errorf("snapshot: unknown flags %#x", flags)
+	}
+	meta.HierarchyEncoded = flags&flagEncoded != 0
+	meta.Generation = le.Uint64(head[12:])
+	meta.StoreGeneration = le.Uint64(head[20:])
+	meta.CreatedUnix = int64(le.Uint64(head[28:]))
+	meta.Triples = le.Uint64(head[36:])
+	fragment, err := readString(br, maxFragmentLen)
+	if err != nil {
+		return nil, nil, meta, fmt.Errorf("snapshot: fragment name: %w", err)
+	}
+	meta.Fragment = fragment
+
+	var counts [8]byte // numProps, numResources
+	if _, err := io.ReadFull(br, counts[:]); err != nil {
+		return nil, nil, meta, fmt.Errorf("snapshot: reading header: %w", err)
+	}
+	nProps, nRes := le.Uint32(counts[:]), le.Uint32(counts[4:])
 	d := dictionary.New()
 	for i := uint32(0); i < nProps; i++ {
-		term, err := readString(br)
+		term, err := readString(br, maxTermLen)
 		if err != nil {
-			return nil, nil, false, err
+			return nil, nil, meta, err
 		}
 		d.EncodeProperty(term)
 	}
 	for i := uint32(0); i < nRes; i++ {
-		term, err := readString(br)
+		term, err := readString(br, maxTermLen)
 		if err != nil {
-			return nil, nil, false, err
+			return nil, nil, meta, err
 		}
 		if term == "" {
 			d.ReserveTombstone()
@@ -172,95 +276,51 @@ func Read(r io.Reader) (*dictionary.Dictionary, *store.Store, bool, error) {
 		d.EncodeResource(term)
 	}
 	if d.NumProperties() != int(nProps) || d.NumResources() != int(nRes) {
-		return nil, nil, false, fmt.Errorf("snapshot: duplicate terms corrupted the dictionary")
+		return nil, nil, meta, fmt.Errorf("snapshot: duplicate terms corrupted the dictionary")
 	}
 
 	st := store.New(int(nProps))
 	nTables, err := readU32(br)
 	if err != nil {
-		return nil, nil, false, err
+		return nil, nil, meta, err
 	}
 	if nTables > nProps {
-		return nil, nil, false, fmt.Errorf("snapshot: %d tables for %d properties", nTables, nProps)
+		return nil, nil, meta, fmt.Errorf("snapshot: %d tables for %d properties", nTables, nProps)
 	}
 	for i := uint32(0); i < nTables; i++ {
 		var th [16]byte // propIndex, version, numPairs
 		if _, err := io.ReadFull(br, th[:]); err != nil {
-			return nil, nil, false, fmt.Errorf("snapshot: reading table header: %w", err)
+			return nil, nil, meta, fmt.Errorf("snapshot: reading table header: %w", err)
 		}
 		pidx, tver, nPairs := le.Uint32(th[:]), le.Uint64(th[4:]), le.Uint32(th[12:])
 		if pidx >= nProps {
-			return nil, nil, false, fmt.Errorf("snapshot: table index %d out of range", pidx)
+			return nil, nil, meta, fmt.Errorf("snapshot: table index %d out of range", pidx)
 		}
 		pairs, err := readPairs(br, int(nPairs))
 		if err != nil {
-			return nil, nil, false, fmt.Errorf("snapshot: table %d: %w", pidx, err)
+			return nil, nil, meta, fmt.Errorf("snapshot: table %d: %w", pidx, err)
 		}
 		// Every stored ID must decode, or later enumeration of the
-		// restored store would panic in MustDecode on a crafted or
-		// corrupted image.
+		// restored store would panic in MustDecode on a crafted image
+		// (a checksum is no defence against one).
 		for _, id := range pairs {
 			if _, ok := d.Decode(id); !ok {
-				return nil, nil, false, fmt.Errorf("snapshot: table %d references unknown id %d", pidx, id)
+				return nil, nil, meta, fmt.Errorf("snapshot: table %d references unknown id %d", pidx, id)
 			}
 		}
 		marks, err := readMarks(br, int(nPairs))
 		if err != nil {
-			return nil, nil, false, fmt.Errorf("snapshot: table %d: %w", pidx, err)
+			return nil, nil, meta, fmt.Errorf("snapshot: table %d: %w", pidx, err)
 		}
 		st.Ensure(int(pidx)).Restore(pairs, marks, tver)
 	}
-	return d, st, flags&flagEncoded != 0, nil
+	return d, st, meta, nil
 }
 
-// Meta is the image-file header that pairs a snapshot with the
-// write-ahead log covering the changes made after it was taken.
-type Meta struct {
-	// Generation is the checkpoint generation: the image holds every
-	// triple logged in wal files of earlier generations, so recovery
-	// loads the image and replays only wal-<Generation>.log.
-	Generation uint64
-	// CreatedUnix is the wall-clock write time (Unix seconds).
-	CreatedUnix int64
-	// Triples is the store size at write time, for sanity checks and
-	// operator-facing stats without parsing the body.
-	Triples uint64
-	// Fragment names the rule fragment the closure was materialized
-	// under. Loaders refuse (or at least can refuse) to install an
-	// image as a ready-made closure under a different ruleset —
-	// extending an rdfs-plus closure with rdfs-default rules would
-	// yield a store that is the closure of neither.
-	Fragment string
-	// HierarchyEncoded reports that the image body is a reduced closure
-	// (see the package comment on flagEncoded). It lives in the inner
-	// stream's flags word, not the file header — the field is filled by
-	// ReadFile and consumed by WriteFile, and the IFRI byte layout is
-	// unchanged.
-	HierarchyEncoded bool
-	// StoreGeneration is the reasoner's logical store generation at
-	// checkpoint time — the monotone write counter behind the
-	// X-Inferray-Generation header. Persisting it lets recovery and
-	// follower bootstrap resume the same generation sequence, so the
-	// header stays a cluster-wide read-your-writes coordinate instead of
-	// a per-process one.
-	StoreGeneration uint64
-}
-
-// metaSize is the byte length of the file header up to the triple
-// count — magic, file version, generation, creation time, triples. The
-// 8-byte StoreGeneration follows it, then the variable-length fragment
-// name.
-const metaSize = 4 + 4 + 8 + 8 + 8
-
-// maxFragmentLen bounds the fragment-name field on read.
-const maxFragmentLen = 256
-
-// WriteFile atomically writes a durable snapshot image: meta header,
-// the Write stream, and a trailing CRC-32C over everything before it.
-// The image is written to a temp file in the target directory, fsynced,
-// renamed into place, and the directory fsynced, so path either holds
-// the complete new image or whatever was there before — never a torn
-// mix.
+// WriteFile writes an image to path atomically: to a temp file in the
+// target directory, fsynced, renamed into place, and the directory
+// fsynced, so path either holds the complete new image or whatever was
+// there before — never a torn mix.
 func WriteFile(path string, d *dictionary.Dictionary, st *store.Store, meta Meta) (err error) {
 	dir := filepath.Dir(path)
 	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp*")
@@ -273,36 +333,7 @@ func WriteFile(path string, d *dictionary.Dictionary, st *store.Store, meta Meta
 			os.Remove(tmp.Name())
 		}
 	}()
-
-	h := crc32.New(castagnoli)
-	w := io.MultiWriter(tmp, h)
-	var head [metaSize + 8]byte
-	copy(head[:4], fileMagic)
-	binary.LittleEndian.PutUint32(head[4:], fileVersion)
-	binary.LittleEndian.PutUint64(head[8:], meta.Generation)
-	binary.LittleEndian.PutUint64(head[16:], uint64(meta.CreatedUnix))
-	binary.LittleEndian.PutUint64(head[24:], meta.Triples)
-	binary.LittleEndian.PutUint64(head[32:], meta.StoreGeneration)
-	if _, err = w.Write(head[:]); err != nil {
-		return err
-	}
-	if len(meta.Fragment) > maxFragmentLen {
-		return fmt.Errorf("snapshot: fragment name %q too long", meta.Fragment)
-	}
-	var fragLen [4]byte
-	binary.LittleEndian.PutUint32(fragLen[:], uint32(len(meta.Fragment)))
-	if _, err = w.Write(fragLen[:]); err != nil {
-		return err
-	}
-	if _, err = io.WriteString(w, meta.Fragment); err != nil {
-		return err
-	}
-	if err = Write(w, d, st, meta.HierarchyEncoded); err != nil {
-		return err
-	}
-	var foot [4]byte
-	binary.LittleEndian.PutUint32(foot[:], h.Sum32())
-	if _, err = tmp.Write(foot[:]); err != nil {
+	if err = Write(tmp, d, st, meta); err != nil {
 		return err
 	}
 	if err = tmp.Sync(); err != nil {
@@ -317,74 +348,18 @@ func WriteFile(path string, d *dictionary.Dictionary, st *store.Store, meta Meta
 	return SyncDir(dir)
 }
 
-// ReadFile loads a snapshot image written by WriteFile, verifying the
-// whole-file CRC before trusting any of it. Any torn, truncated, or
-// corrupted image returns an error; the caller falls back to an older
-// generation.
+// ReadFile reads the image at path, naming the path in any refusal. A
+// torn, truncated, or corrupted image returns an error; the caller
+// falls back to an older generation.
 func ReadFile(path string) (*dictionary.Dictionary, *store.Store, Meta, error) {
-	var meta Meta
 	f, err := os.Open(path)
 	if err != nil {
-		return nil, nil, meta, err
+		return nil, nil, Meta{}, err
 	}
 	defer f.Close()
-	fi, err := f.Stat()
+	d, st, meta, err := Read(f)
 	if err != nil {
-		return nil, nil, meta, err
-	}
-	if fi.Size() < metaSize+8+4 {
-		return nil, nil, meta, fmt.Errorf("snapshot: image %s truncated (%d bytes)", path, fi.Size())
-	}
-	h := crc32.New(castagnoli)
-	body := io.TeeReader(io.LimitReader(f, fi.Size()-4), h)
-
-	var head [metaSize + 8]byte
-	if _, err := io.ReadFull(body, head[:]); err != nil {
-		return nil, nil, meta, err
-	}
-	if string(head[:4]) != fileMagic {
-		return nil, nil, meta, fmt.Errorf("snapshot: bad image magic %q", head[:4])
-	}
-	if v := binary.LittleEndian.Uint32(head[4:]); v != fileVersion {
-		return nil, nil, meta, fmt.Errorf("snapshot: image %s is file version %d; this build supports only version %d", path, v, fileVersion)
-	}
-	meta.Generation = binary.LittleEndian.Uint64(head[8:])
-	meta.CreatedUnix = int64(binary.LittleEndian.Uint64(head[16:]))
-	meta.Triples = binary.LittleEndian.Uint64(head[24:])
-	meta.StoreGeneration = binary.LittleEndian.Uint64(head[32:])
-	var fragLen [4]byte
-	if _, err := io.ReadFull(body, fragLen[:]); err != nil {
-		return nil, nil, meta, err
-	}
-	n := binary.LittleEndian.Uint32(fragLen[:])
-	if n > maxFragmentLen {
-		return nil, nil, meta, fmt.Errorf("snapshot: implausible fragment-name length %d", n)
-	}
-	frag := make([]byte, n)
-	if _, err := io.ReadFull(body, frag); err != nil {
-		return nil, nil, meta, err
-	}
-	meta.Fragment = string(frag)
-
-	d, st, encoded, err := Read(body)
-	if err != nil {
-		return nil, nil, meta, fmt.Errorf("image %s: %w", path, err)
-	}
-	meta.HierarchyEncoded = encoded
-	// Drain whatever the stream parser's buffering left unread so the
-	// hash covers the full body, then check the footer.
-	if _, err := io.Copy(io.Discard, body); err != nil {
-		return nil, nil, meta, err
-	}
-	var foot [4]byte
-	if _, err := io.ReadFull(f, foot[:]); err != nil {
-		return nil, nil, meta, err
-	}
-	if got := binary.LittleEndian.Uint32(foot[:]); got != h.Sum32() {
-		return nil, nil, meta, fmt.Errorf("snapshot: image %s CRC mismatch", path)
-	}
-	if n := uint64(st.Size()); n != meta.Triples {
-		return nil, nil, meta, fmt.Errorf("snapshot: image %s holds %d triples, header says %d", path, n, meta.Triples)
+		return nil, nil, Meta{}, fmt.Errorf("image %s: %w", path, err)
 	}
 	return d, st, meta, nil
 }
@@ -519,13 +494,14 @@ func writeString(w *bufio.Writer, s string) {
 	w.WriteString(s)
 }
 
-func readString(r *bufio.Reader) (string, error) {
+// readString reads a length-prefixed string of at most limit bytes.
+func readString(r *bufio.Reader, limit uint32) (string, error) {
 	n, err := readU32(r)
 	if err != nil {
 		return "", err
 	}
-	if n > 1<<24 {
-		return "", fmt.Errorf("snapshot: implausible term length %d", n)
+	if n > limit {
+		return "", fmt.Errorf("snapshot: implausible string length %d", n)
 	}
 	// Allocate up front only for plausible term sizes; a corrupt length
 	// below the hard cap still must not buy megabytes before the stream

@@ -2,9 +2,13 @@ package snapshot
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -42,15 +46,67 @@ func marksOf(t *store.Table) []bool {
 	return m
 }
 
-func TestRoundTrip(t *testing.T) {
+// testMeta is a header with every field set to something a zero value
+// would not produce.
+var testMeta = Meta{
+	Generation:       3,
+	StoreGeneration:  42,
+	CreatedUnix:      1700000000,
+	Triples:          4,
+	Fragment:         "rdfs-default",
+	HierarchyEncoded: true,
+}
+
+// image serializes the fixture under testMeta.
+func image(t testing.TB) []byte {
+	t.Helper()
 	d, st := buildFixture()
 	var buf bytes.Buffer
-	if err := Write(&buf, d, st, false); err != nil {
+	if err := Write(&buf, d, st, testMeta); err != nil {
 		t.Fatal(err)
 	}
-	d2, st2, _, err := Read(&buf)
+	return buf.Bytes()
+}
+
+// seal closes body with its CRC-32C trailer, as Write does: what lets a
+// test patch a field and still reach the parser.
+func seal(body []byte) []byte {
+	return binary.LittleEndian.AppendUint32(append([]byte(nil), body...), crc32.Checksum(body, castagnoli))
+}
+
+// sectionsAt is where the dictionary and table sections start in an
+// image written under testMeta: past the 44 fixed header bytes and the
+// length-prefixed fragment name.
+var sectionsAt = 44 + 4 + len(testMeta.Fragment)
+
+// retiredFixtures synthesizes the two layouts this format replaced from
+// the current bytes, so they track the writer instead of a stale blob:
+// the bare version-5 stream (its own magic, no meta, no checksum) and
+// the version-2 file that wrapped it.
+func retiredFixtures(img []byte) (streamV5, fileV2 []byte) {
+	le := binary.LittleEndian
+	streamV5 = le.AppendUint32([]byte("IFRY"), 5)
+	streamV5 = append(streamV5, img[8:12]...) // flags
+	streamV5 = append(streamV5, img[sectionsAt:len(img)-4]...)
+
+	fileV2 = le.AppendUint32([]byte("IFRI"), 2)
+	fileV2 = le.AppendUint64(fileV2, testMeta.Generation)
+	fileV2 = le.AppendUint64(fileV2, uint64(testMeta.CreatedUnix))
+	fileV2 = le.AppendUint64(fileV2, testMeta.Triples)
+	fileV2 = le.AppendUint64(fileV2, testMeta.StoreGeneration)
+	fileV2 = append(fileV2, img[44:sectionsAt]...) // fragment
+	fileV2 = append(fileV2, streamV5...)
+	return streamV5, seal(fileV2)
+}
+
+func TestRoundTrip(t *testing.T) {
+	d, st := buildFixture()
+	d2, st2, meta, err := Read(bytes.NewReader(image(t)))
 	if err != nil {
 		t.Fatal(err)
+	}
+	if meta != testMeta {
+		t.Fatalf("meta = %+v, want %+v", meta, testMeta)
 	}
 	if d2.NumProperties() != d.NumProperties() || d2.NumResources() != d.NumResources() {
 		t.Fatal("dictionary sizes changed")
@@ -126,7 +182,7 @@ func TestRoundTripQuick(t *testing.T) {
 		})
 
 		var buf bytes.Buffer
-		if err := Write(&buf, d, st, false); err != nil {
+		if err := Write(&buf, d, st, Meta{}); err != nil {
 			return false
 		}
 		d2, st2, _, err := Read(&buf)
@@ -164,28 +220,36 @@ func randTerm(rng *rand.Rand) string {
 	return string(b)
 }
 
+// TestRejectsCorruptInput: the trailer covers every byte, so one flipped
+// bit anywhere — inside a term string, where no parser check can see it,
+// included — a cut at any length, and anything after the trailer are all
+// refused.
 func TestRejectsCorruptInput(t *testing.T) {
-	d, st := buildFixture()
-	var buf bytes.Buffer
-	if err := Write(&buf, d, st, false); err != nil {
+	img := image(t)
+	if _, _, _, err := Read(bytes.NewReader(img)); err != nil {
 		t.Fatal(err)
 	}
-	img := buf.Bytes()
-
-	cases := map[string][]byte{
-		"empty":     {},
-		"bad-magic": append([]byte("NOPE"), img[4:]...),
-		"bad-version": func() []byte {
-			c := append([]byte{}, img...)
-			c[4] = 0xFF
-			return c
-		}(),
-		"truncated": img[:len(img)/2],
-	}
-	for name, data := range cases {
-		if _, _, _, err := Read(bytes.NewReader(data)); err == nil {
-			t.Errorf("%s: corrupt snapshot accepted", name)
+	for i := range img {
+		bad := append([]byte(nil), img...)
+		bad[i] ^= 0x10
+		if _, _, _, err := Read(bytes.NewReader(bad)); err == nil {
+			t.Errorf("byte %d of %d flipped: accepted", i, len(img))
 		}
+		if _, _, _, err := Read(bytes.NewReader(img[:i])); err == nil {
+			t.Errorf("cut at %d of %d bytes: accepted", i, len(img))
+		}
+	}
+	inTerm := bytes.Index(img, []byte("a literal")) // flips 'a' to 'q': still a fine term
+	bad := append([]byte(nil), img...)
+	bad[inTerm] ^= 0x10
+	if _, _, _, err := Read(bytes.NewReader(bad)); err == nil || !strings.Contains(err.Error(), "CRC mismatch") {
+		t.Errorf("flip inside a term string: %v, want a CRC mismatch", err)
+	}
+	if _, _, _, err := Read(bytes.NewReader(append(img[:len(img):len(img)], 0))); err == nil || !strings.Contains(err.Error(), "after the checksum") {
+		t.Errorf("byte after the trailer: %v", err)
+	}
+	if _, _, _, err := Read(bytes.NewReader(append([]byte("NOPE"), img[4:]...))); err == nil {
+		t.Error("bad magic accepted")
 	}
 }
 
@@ -202,10 +266,10 @@ func TestCompression(t *testing.T) {
 	}
 	st.Normalize()
 	var withTable, withoutTable bytes.Buffer
-	if err := Write(&withTable, d, st, false); err != nil {
+	if err := Write(&withTable, d, st, Meta{}); err != nil {
 		t.Fatal(err)
 	}
-	if err := Write(&withoutTable, d, store.New(1), false); err != nil {
+	if err := Write(&withoutTable, d, store.New(1), Meta{}); err != nil {
 		t.Fatal(err)
 	}
 	pairBytes := withTable.Len() - withoutTable.Len()
@@ -249,7 +313,7 @@ func TestRoundTripWithTombstone(t *testing.T) {
 	st.Normalize()
 
 	var buf bytes.Buffer
-	if err := Write(&buf, d, st, false); err != nil {
+	if err := Write(&buf, d, st, Meta{}); err != nil {
 		t.Fatalf("Write with tombstone: %v", err)
 	}
 	d2, st2, _, err := Read(&buf)
@@ -270,25 +334,27 @@ func TestRoundTripWithTombstone(t *testing.T) {
 	}
 }
 
-// TestReadRefusesOtherStreamVersions: version 5 is the only stream this
-// build reads. The retired layouts (1–4; 4 carried the asserted triples
-// as a second section) and a future one are refused by the version
-// check, with an error naming the version found and the version
-// supported — never parsed under the current layout.
+// TestReadRefusesOtherStreamVersions: there is one format and no
+// migration. The two layouts it replaced — the bare version-5 stream and
+// the version-2 file around it — and any other version number under the
+// current magic, retired or future, are refused by the one header check
+// with the version found and the version supported named; none is
+// parsed under the current layout, whole and checksum-valid as it is.
 func TestReadRefusesOtherStreamVersions(t *testing.T) {
-	d, st := buildFixture()
-	var buf bytes.Buffer
-	if err := Write(&buf, d, st, false); err != nil {
-		t.Fatal(err)
+	img := image(t)
+	streamV5, fileV2 := retiredFixtures(img)
+	cases := map[uint32][]byte{5: streamV5, 2: fileV2}
+	for _, v := range []uint32{1, 3, 4, version + 1} {
+		patched := append([]byte(nil), img[:len(img)-4]...)
+		binary.LittleEndian.PutUint32(patched[4:], v)
+		cases[v] = seal(patched)
 	}
-	for _, v := range []byte{1, 2, 3, 4, version + 1} {
-		img := append([]byte(nil), buf.Bytes()...)
-		img[4] = v
-		_, _, _, err := Read(bytes.NewReader(img))
+	for v, data := range cases {
+		_, _, _, err := Read(bytes.NewReader(data))
 		if err == nil {
-			t.Fatalf("version-%d stream accepted", v)
+			t.Fatalf("version-%d image accepted", v)
 		}
-		for _, want := range []string{fmt.Sprintf("version %d", v), fmt.Sprintf("version %d", version)} {
+		for _, want := range []string{fmt.Sprintf("version %d;", v), fmt.Sprintf("version %d", version)} {
 			if !strings.Contains(err.Error(), want) {
 				t.Errorf("version-%d refusal %q does not mention %q", v, err, want)
 			}
@@ -296,29 +362,71 @@ func TestReadRefusesOtherStreamVersions(t *testing.T) {
 	}
 }
 
-// TestEncodedFlagRoundTrip: the flags word round-trips, and unknown
-// flag bits are rejected rather than silently dropped.
-func TestEncodedFlagRoundTrip(t *testing.T) {
+// TestFileMetaVersions: WriteFile / ReadFile add only the path — the
+// header round-trips through a file, and a refused file (here the
+// retired version-2 layout) is named in the error and left untouched.
+func TestFileMetaVersions(t *testing.T) {
+	dir := t.TempDir()
 	d, st := buildFixture()
-	var buf bytes.Buffer
-	if err := Write(&buf, d, st, true); err != nil {
+	path := filepath.Join(dir, "current.img")
+	if err := WriteFile(path, d, st, testMeta); err != nil {
 		t.Fatal(err)
 	}
-	img := buf.Bytes()
-	if _, _, encoded, err := Read(bytes.NewReader(img)); err != nil || !encoded {
-		t.Fatalf("encoded flag lost: encoded=%v err=%v", encoded, err)
+	if _, _, got, err := ReadFile(path); err != nil || got != testMeta {
+		t.Fatalf("meta = %+v, err = %v", got, err)
 	}
-	bad := append([]byte{}, img...)
+	if raw, _ := os.ReadFile(path); !bytes.Equal(raw[:44], image(t)[:44]) {
+		t.Error("WriteFile and Write disagree on the header bytes")
+	}
+	if left, _ := filepath.Glob(filepath.Join(dir, "*.tmp*")); len(left) != 0 {
+		t.Errorf("temp files left behind: %v", left)
+	}
+
+	_, fileV2 := retiredFixtures(image(t))
+	old := filepath.Join(dir, "v2.img")
+	if err := os.WriteFile(old, fileV2, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, _, _, err := ReadFile(old)
+	if err == nil {
+		t.Fatal("version-2 file accepted")
+	}
+	for _, want := range []string{old, "version 2;", fmt.Sprintf("version %d", version)} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("refusal %q does not mention %q", err, want)
+		}
+	}
+	if after, _ := os.ReadFile(old); !bytes.Equal(after, fileV2) {
+		t.Error("refused image was modified")
+	}
+}
+
+// TestEncodedFlagRoundTrip: the flags word round-trips both ways, and
+// unknown flag bits are rejected rather than silently dropped.
+func TestEncodedFlagRoundTrip(t *testing.T) {
+	d, st := buildFixture()
+	for _, encoded := range []bool{true, false} {
+		var buf bytes.Buffer
+		if err := Write(&buf, d, st, Meta{HierarchyEncoded: encoded}); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, meta, err := Read(&buf); err != nil || meta.HierarchyEncoded != encoded {
+			t.Fatalf("encoded flag %v read back as %v (err %v)", encoded, meta.HierarchyEncoded, err)
+		}
+	}
+	img := image(t)
+	bad := append([]byte(nil), img[:len(img)-4]...)
 	bad[8] |= 0x80 // unknown flag bit
-	if _, _, _, err := Read(bytes.NewReader(bad)); err == nil {
-		t.Error("unknown flag bits accepted")
+	if _, _, _, err := Read(bytes.NewReader(seal(bad))); err == nil || !strings.Contains(err.Error(), "unknown flags") {
+		t.Errorf("unknown flag bits: %v", err)
 	}
 }
 
 // TestReadRefusesWhatItWouldHaveToRepair: marks are positional, so a
 // table that is not strictly ⟨s,o⟩-ascending, or mark words reaching
-// past the last pair, are refused with the table named — a bare stream
-// has no CRC, and re-sorting would hand the marks to the wrong pairs.
+// past the last pair, are refused with the table named — a checksum
+// says nothing about what a writer was handed, and re-sorting would give
+// the marks to the wrong pairs.
 func TestReadRefusesWhatItWouldHaveToRepair(t *testing.T) {
 	d, good := buildFixture()
 	p, ok := d.Lookup("<p>")
@@ -340,7 +448,7 @@ func TestReadRefusesWhatItWouldHaveToRepair(t *testing.T) {
 		st := store.New(d.NumProperties())
 		st.Ensure(pidx).Restore(c.pairs, c.marks, 1) // Restore trusts its caller; Read must not
 		var buf bytes.Buffer
-		if err := Write(&buf, d, st, false); err != nil {
+		if err := Write(&buf, d, st, Meta{}); err != nil {
 			t.Fatal(err)
 		}
 		_, _, _, err := Read(&buf)
@@ -386,16 +494,16 @@ func TestWriteReportsWriterFailure(t *testing.T) {
 	}
 	st.Normalize()
 	var whole bytes.Buffer
-	if err := Write(&whole, d, st, false); err != nil {
+	if err := Write(&whole, d, st, Meta{}); err != nil {
 		t.Fatal(err)
 	}
 	boom := errors.New("disk full")
 	for _, n := range []int{0, 3, 1 << 16, whole.Len() / 2, whole.Len() - 1} {
-		if err := Write(&failAfter{n: n, err: boom}, d, st, false); !errors.Is(err, boom) {
+		if err := Write(&failAfter{n: n, err: boom}, d, st, Meta{}); !errors.Is(err, boom) {
 			t.Errorf("writer failing after %d of %d bytes: Write returned %v", n, whole.Len(), err)
 		}
 	}
-	if err := Write(&failAfter{n: whole.Len(), err: boom}, d, st, false); err != nil {
+	if err := Write(&failAfter{n: whole.Len(), err: boom}, d, st, Meta{}); err != nil {
 		t.Errorf("writer with exactly enough room: %v", err)
 	}
 }

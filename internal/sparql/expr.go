@@ -95,11 +95,10 @@ func termValue(term string) value {
 	case strings.HasPrefix(term, "_:"):
 		return value{kind: kindBlank, term: term, lex: term[2:]}
 	case strings.HasPrefix(term, `"`):
-		lex, ok := rdf.UnescapeLiteral(term)
+		lex, lang, dtype, ok := rdf.SplitLiteral(term)
 		if !ok {
 			return value{kind: kindLiteral, term: term, lex: term}
 		}
-		lang, dtype := literalTags(term)
 		if dtype == xsdBoolean {
 			return value{kind: kindBool, term: term, lex: lex, b: lex == "true" || lex == "1"}
 		}
@@ -118,34 +117,6 @@ func termValue(term string) value {
 	default:
 		return value{kind: kindString, term: term, lex: term}
 	}
-}
-
-// literalTags extracts the language tag and datatype IRI of a literal
-// surface form ("" when absent).
-func literalTags(term string) (lang, dtype string) {
-	end := literalLexEnd(term)
-	suffix := term[end:]
-	switch {
-	case strings.HasPrefix(suffix, "@"):
-		return strings.ToLower(suffix[1:]), ""
-	case strings.HasPrefix(suffix, "^^<") && strings.HasSuffix(suffix, ">"):
-		return "", suffix[3 : len(suffix)-1]
-	}
-	return "", ""
-}
-
-// literalLexEnd returns the index just past the closing quote of a
-// literal surface form (len(term) when unterminated).
-func literalLexEnd(term string) int {
-	for i := 1; i < len(term); i++ {
-		switch term[i] {
-		case '\\':
-			i++
-		case '"':
-			return i + 1
-		}
-	}
-	return len(term)
 }
 
 // EvalTerm evaluates a BIND expression to a term surface form under
@@ -725,10 +696,10 @@ func (p *parser) nextStringLiteral() (string, error) {
 		return "", p.errHere("expected a quoted string")
 	}
 	p.next()
-	if lang, dtype := literalTags(tok); lang != "" || dtype != "" {
+	lex, lang, dtype, ok := rdf.SplitLiteral(tok)
+	if lang != "" || dtype != "" {
 		return "", p.errPrev("expected a plain quoted string (no language tag or datatype)")
 	}
-	lex, ok := rdf.UnescapeLiteral(tok)
 	if !ok {
 		return "", p.errPrev("unterminated string literal")
 	}

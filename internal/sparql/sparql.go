@@ -26,6 +26,8 @@ import (
 	"strconv"
 	"strings"
 	"unicode"
+
+	"inferray/internal/rdf"
 )
 
 // Form distinguishes the supported query forms.
@@ -497,6 +499,7 @@ func (p *parser) parseBracedGroup(prefixes map[string]string) (Group, error) {
 func (p *parser) parseGroupBody(prefixes map[string]string, inOptional bool) (Group, error) {
 	var g Group
 	var bindPos []int // token index of each BIND, for rebind errors
+	term := func(pos int) (string, error) { return p.patternTerm(pos, prefixes) }
 	for !p.peekTok("}") {
 		tok := p.peek()
 		switch {
@@ -580,7 +583,7 @@ func (p *parser) parseGroupBody(prefixes map[string]string, inOptional bool) (Gr
 			return g, p.errHere("nested group patterns are not supported (UNION branches must be the entire WHERE clause)")
 		}
 
-		if err := p.parseTriplesBlock(&g, prefixes); err != nil {
+		if err := p.parseTriplesBlock(&g.Patterns, term); err != nil {
 			return g, err
 		}
 		if p.peekTok(".") {
@@ -606,14 +609,17 @@ func (p *parser) parseGroupBody(prefixes map[string]string, inOptional bool) (Gr
 // parseTriplesBlock parses one subject with its predicate-object list:
 // `s p o`, extended by `, o2` (same subject and predicate) and
 // `; p2 o3` (same subject). A trailing ';' before '.' or '}' is
-// accepted, as in SPARQL.
-func (p *parser) parseTriplesBlock(g *Group, prefixes map[string]string) error {
-	subj, err := p.patternTerm(0, prefixes)
+// accepted, as in SPARQL. term reads the term at position pos
+// (0=subject, 1=predicate, 2=object): patternTerm for a query, and for
+// an update the reader that also enforces the operation's term rules, so
+// an error points at the offending token.
+func (p *parser) parseTriplesBlock(out *[][3]string, term func(pos int) (string, error)) error {
+	subj, err := term(0)
 	if err != nil {
 		return err
 	}
 	for {
-		pred, err := p.patternTerm(1, prefixes)
+		pred, err := term(1)
 		if err != nil {
 			return err
 		}
@@ -621,11 +627,11 @@ func (p *parser) parseTriplesBlock(g *Group, prefixes map[string]string) error {
 			return p.errHere("property paths are not supported")
 		}
 		for {
-			obj, err := p.patternTerm(2, prefixes)
+			obj, err := term(2)
 			if err != nil {
 				return err
 			}
-			g.Patterns = append(g.Patterns, [3]string{subj, pred, obj})
+			*out = append(*out, [3]string{subj, pred, obj})
 			if p.peekTok(",") {
 				p.next()
 				continue
@@ -793,8 +799,7 @@ func (p *parser) valuesTerm(prefixes map[string]string) (string, error) {
 // through unchanged. Without the expansion the prefixed form would
 // silently match nothing (the dictionary only knows full IRIs).
 func expandLiteralDatatype(tok string, prefixes map[string]string) (string, error) {
-	end := literalLexEnd(tok)
-	suffix := tok[end:]
+	quoted, suffix, _ := rdf.CutLiteral(tok)
 	if !strings.HasPrefix(suffix, "^^") || strings.HasPrefix(suffix, "^^<") {
 		return tok, nil
 	}
@@ -807,7 +812,7 @@ func expandLiteralDatatype(tok string, prefixes map[string]string) (string, erro
 	if !ok {
 		return "", fmt.Errorf("undefined prefix %q in literal datatype", dt[:colon])
 	}
-	return tok[:end] + "^^<" + ns + dt[colon+1:] + ">", nil
+	return quoted + "^^<" + ns + dt[colon+1:] + ">", nil
 }
 
 // isPathToken reports whether tok is a SPARQL property-path operator.

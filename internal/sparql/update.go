@@ -157,6 +157,7 @@ func (p *parser) parseDataBlock(prefixes map[string]string, kind UpdateKind) ([]
 		return nil, p.errHere("expected '{' to open the %s block", kind)
 	}
 	p.next()
+	term := func(pos int) (string, error) { return p.updateTerm(pos, prefixes, kind) }
 	var out [][3]string
 	for !p.peekTok("}") {
 		switch {
@@ -170,7 +171,7 @@ func (p *parser) parseDataBlock(prefixes map[string]string, kind UpdateKind) ([]
 			return nil, p.errHere("%s holds only triples (%s is not allowed here)",
 				kind, strings.ToUpper(p.peek()))
 		}
-		if err := p.parseUpdateTriples(&out, prefixes, kind); err != nil {
+		if err := p.parseTriplesBlock(&out, term); err != nil {
 			return nil, err
 		}
 		if p.peekTok(".") {
@@ -179,50 +180,6 @@ func (p *parser) parseDataBlock(prefixes map[string]string, kind UpdateKind) ([]
 	}
 	p.next()
 	return out, nil
-}
-
-// parseUpdateTriples parses one subject with its predicate-object list,
-// mirroring parseTriplesBlock but validating every term against the
-// operation's rules as it is read, so errors point at the offending
-// token.
-func (p *parser) parseUpdateTriples(out *[][3]string, prefixes map[string]string, kind UpdateKind) error {
-	subj, err := p.updateTerm(0, prefixes, kind)
-	if err != nil {
-		return err
-	}
-	for {
-		pred, err := p.updateTerm(1, prefixes, kind)
-		if err != nil {
-			return err
-		}
-		if isPathToken(p.peek()) {
-			return p.errHere("property paths are not supported")
-		}
-		for {
-			obj, err := p.updateTerm(2, prefixes, kind)
-			if err != nil {
-				return err
-			}
-			*out = append(*out, [3]string{subj, pred, obj})
-			if p.peekTok(",") {
-				p.next()
-				continue
-			}
-			break
-		}
-		if p.peekTok(";") {
-			p.next()
-			for p.peekTok(";") {
-				p.next()
-			}
-			if p.peekTok(".") || p.peekTok("}") {
-				break
-			}
-			continue
-		}
-		break
-	}
-	return nil
 }
 
 // updateTerm reads one term and enforces the operation's term rules.

@@ -104,7 +104,7 @@ func TestMarksFollowPairs(t *testing.T) {
 				}
 			case 5: // image round trip
 				var buf bytes.Buffer
-				if err := snapshot.Write(&buf, d, st, false); err != nil {
+				if err := snapshot.Write(&buf, d, st, snapshot.Meta{}); err != nil {
 					t.Fatalf("%s: %v", label, err)
 				}
 				var err error

@@ -45,10 +45,6 @@ type Options struct {
 	// RotateRecords triggers an automatic checkpoint once the log holds
 	// this many records. 0 means the 4096 default; negative disables.
 	RotateRecords int
-	// Fragment names the rule fragment the owning reasoner materializes
-	// under; it is stamped into every checkpoint image so recovery can
-	// refuse to install a closure built under different rules.
-	Fragment string
 	// Metrics, when non-nil, receives append, fsync, and checkpoint
 	// instrumentation (see NewMetrics); it is attached to every log the
 	// manager opens or rotates to.
@@ -280,27 +276,16 @@ func (m *Manager) ShouldRotate() bool {
 // appends only under the write lock), which is what guarantees every
 // logged record is inside the image before its log is deleted. The
 // sequence is crash-ordered: image first (fsync+rename), then the new
-// log (fsync), then deletion of the superseded generation. triples is
-// the *stored* triple count, and encoded marks a reduced closure
-// written under the hierarchy interval encoding (the image flags it so
-// recovery rebuilds the index or expands the virtual triples); the
-// store's asserted marks ride inside its tables. storeGen is the reasoner's logical
-// store generation at checkpoint time; it is stamped into the image so
-// a recovered process (or a bootstrapping follower) resumes the same
-// generation sequence instead of restarting from zero.
-func (m *Manager) Checkpoint(d *dictionary.Dictionary, st *store.Store, triples int, encoded bool, storeGen uint64) (CheckpointStats, error) {
+// log (fsync), then deletion of the superseded generation. meta is the
+// caller's description of the state (fragment, store generation,
+// encoding flag); the manager fills in only the generation it is about
+// to open.
+func (m *Manager) Checkpoint(d *dictionary.Dictionary, st *store.Store, meta snapshot.Meta) (CheckpointStats, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	start := time.Now()
 	newGen := m.gen + 1
-	meta := snapshot.Meta{
-		Generation:       newGen,
-		CreatedUnix:      time.Now().Unix(),
-		Triples:          uint64(triples),
-		Fragment:         m.opts.Fragment,
-		HierarchyEncoded: encoded,
-		StoreGeneration:  storeGen,
-	}
+	meta.Generation = newGen
 	snapPath := m.snapPath(newGen)
 	if err := snapshot.WriteFile(snapPath, d, st, meta); err != nil {
 		m.checkpointErr = err
@@ -337,7 +322,7 @@ func (m *Manager) Checkpoint(d *dictionary.Dictionary, st *store.Store, triples 
 	fi, _ := os.Stat(snapPath)
 	cs := CheckpointStats{
 		Generation: newGen,
-		Triples:    triples,
+		Triples:    st.Size(),
 		Duration:   time.Since(start),
 	}
 	if fi != nil {

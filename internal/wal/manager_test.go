@@ -105,7 +105,7 @@ func TestManagerLifecycle(t *testing.T) {
 	mustContain(t, ts2, "<c>", "<d>")
 
 	// Checkpoint: image written, log rotated and emptied, old gen pruned.
-	cs, err := m2.Checkpoint(ts2.d, ts2.st, ts2.st.Size(), false, 0)
+	cs, err := m2.Checkpoint(ts2.d, ts2.st, snapshot.Meta{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,13 +190,13 @@ func TestManagerCorruptSnapshotRefusesStart(t *testing.T) {
 	b1 := []rdf.Triple{triple("<a>", "<b>")}
 	m.Append(OpAdd, b1)
 	ts.apply(OpAdd, b1)
-	if _, err := m.Checkpoint(ts.d, ts.st, ts.st.Size(), false, 0); err != nil {
+	if _, err := m.Checkpoint(ts.d, ts.st, snapshot.Meta{}); err != nil {
 		t.Fatal(err)
 	}
 	b2 := []rdf.Triple{triple("<c>", "<d>")}
 	m.Append(OpAdd, b2)
 	ts.apply(OpAdd, b2)
-	if _, err := m.Checkpoint(ts.d, ts.st, ts.st.Size(), false, 0); err != nil {
+	if _, err := m.Checkpoint(ts.d, ts.st, snapshot.Meta{}); err != nil {
 		t.Fatal(err)
 	}
 	m.Close()
@@ -252,7 +252,7 @@ func TestManagerShouldRotate(t *testing.T) {
 	if !m.ShouldRotate() {
 		t.Fatal("threshold crossed but ShouldRotate false")
 	}
-	if _, err := m.Checkpoint(ts.d, ts.st, 0, false, 0); err != nil {
+	if _, err := m.Checkpoint(ts.d, ts.st, snapshot.Meta{}); err != nil {
 		t.Fatal(err)
 	}
 	if m.ShouldRotate() {

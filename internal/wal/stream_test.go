@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"inferray/internal/rdf"
+	"inferray/internal/snapshot"
 )
 
 // drain reads a stream to EOF, returning the (kind, payload) pairs.
@@ -95,7 +96,7 @@ func TestStreamFromAcrossCheckpoint(t *testing.T) {
 	m.Append(OpAdd, []rdf.Triple{triple("<a>", "<b>")})
 	m.Append(OpAdd, []rdf.Triple{triple("<c>", "<d>")})
 	oldTail := m.TailPosition()
-	if _, err := m.Checkpoint(ts.d, ts.st, 2, false, 7); err != nil {
+	if _, err := m.Checkpoint(ts.d, ts.st, snapshot.Meta{}); err != nil {
 		t.Fatal(err)
 	}
 

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"math/bits"
+	"os"
 	"slices"
 	"strings"
 	"time"
@@ -89,76 +90,85 @@ func (r *Reasoner) solveBGP(patterns [][3]string, onRow func(Row) bool) error {
 	return err
 }
 
-// SaveSnapshot writes the dictionary and store (closure, after
-// Materialize) as a compact binary image — the paper's off-line
-// materialization workflow: infer once, persist, serve without the
-// engine. It only reads, under the shared lock like a checkpoint: it
-// waits out a materialization, never a query, and a slow writer blocks
-// no reader.
+// SaveSnapshot writes the closure (after Materialize) to w as one
+// self-describing image: the dictionary and the stored tables behind a
+// header naming the rule fragment, the store generation and the triple
+// count, closed by a CRC-32C. It is the paper's off-line materialization
+// workflow: infer once, persist, serve without the engine. It only
+// reads, under the shared lock like a checkpoint: it waits out a
+// materialization, never a query, and a slow writer blocks no reader.
 func (r *Reasoner) SaveSnapshot(w io.Writer) error {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	return snapshot.Write(w, r.engine.Dict, r.engine.Main, r.engine.HierView() != nil)
+	return snapshot.Write(w, r.engine.Dict, r.engine.Main, r.imageMetaLocked())
 }
 
-// LoadSnapshot restores a reasoner from a snapshot image. The restored
-// store is treated as an already-materialized closure (SaveSnapshot is
-// documented to persist the closure, and durability images are always
-// written post-materialization): it can be queried immediately with no
-// inference run, and triples added afterwards extend it incrementally
-// on the next Materialize — restoring and extending never re-derives
-// the image's own closure. Consequently an image saved before any
-// Materialize ran (unusual; SaveSnapshot is meant for closures) stays
-// un-inferred: later deltas extend it incrementally without deriving
-// the facts the skipped initial run would have produced.
-func LoadSnapshot(src io.Reader, opts ...Option) (*Reasoner, error) {
-	d, st, encoded, err := snapshot.Read(src)
-	if err != nil {
-		return nil, err
-	}
-	r := New(opts...)
-	// The bare stream carries no fragment and no store generation.
-	if err := r.install("snapshot", d, st, snapshot.Meta{HierarchyEncoded: encoded}); err != nil {
-		return nil, err
-	}
-	return r, nil
-}
-
-// SaveImage writes the closure as a durable image file: the
-// SaveSnapshot stream wrapped with metadata (rule fragment, triple
-// count, creation time) and a whole-file CRC-32C, written atomically
+// SaveImage writes the same image as SaveSnapshot to a file, atomically
 // (temp file + fsync + rename) — a failed or interrupted save never
-// destroys an existing image at path. This is the persistence step of
-// the offline-materialize/online-serve workflow; LoadImage restores it.
-// Like SaveSnapshot it holds only the shared lock.
+// destroys an existing image at path. LoadImage restores it.
 func (r *Reasoner) SaveImage(path string) error {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	return snapshot.WriteFile(path, r.engine.Dict, r.engine.Main, snapshot.Meta{
-		CreatedUnix:      time.Now().Unix(),
-		Triples:          uint64(r.engine.StoredSize()),
-		Fragment:         r.engine.Fragment().String(),
-		HierarchyEncoded: r.engine.HierView() != nil,
-		StoreGeneration:  r.gen.Load(),
-	})
+	return snapshot.WriteFile(path, r.engine.Dict, r.engine.Main, r.imageMetaLocked())
 }
 
-// LoadImage restores a reasoner from an image file written by SaveImage
-// (or by a durability checkpoint). The whole-file CRC is verified
-// before anything is trusted, and the image's rule fragment must match
-// the configured one — a closure is only a closure under its own
-// ruleset. Like LoadSnapshot, the restored store is installed as an
-// already-materialized closure.
-func LoadImage(path string, opts ...Option) (*Reasoner, error) {
-	d, st, meta, err := snapshot.ReadFile(path)
-	if err != nil {
-		return nil, err
+// imageMetaLocked is the header of an image of the current state; a
+// checkpoint adds its WAL generation. r.mu must be held.
+func (r *Reasoner) imageMetaLocked() snapshot.Meta {
+	return snapshot.Meta{
+		StoreGeneration:  r.gen.Load(),
+		CreatedUnix:      time.Now().Unix(),
+		Fragment:         r.engine.Fragment().String(),
+		HierarchyEncoded: r.engine.HierView() != nil,
 	}
+}
+
+// LoadSnapshot restores a reasoner from an image written by
+// SaveSnapshot, SaveImage or a durability checkpoint. The checksum is
+// verified before anything is trusted, and the image's rule fragment
+// must match the configured one — a closure is only a closure under its
+// own ruleset. The restored store is treated as an already-materialized
+// closure at the generation it was saved at: it can be queried
+// immediately with no inference run, and triples added afterwards extend
+// it incrementally on the next Materialize — restoring and extending
+// never re-derives the image's own closure. Consequently an image saved
+// before any Materialize ran (unusual; images are meant for closures)
+// stays un-inferred: later deltas extend it incrementally without
+// deriving the facts the skipped initial run would have produced.
+func LoadSnapshot(src io.Reader, opts ...Option) (*Reasoner, error) {
 	r := New(opts...)
-	if err := r.install("image "+path, d, st, meta); err != nil {
+	if _, err := r.restore("snapshot", src); err != nil {
 		return nil, err
 	}
 	return r, nil
+}
+
+// LoadImage is LoadSnapshot over the file at path.
+func LoadImage(path string, opts ...Option) (*Reasoner, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	r := New(opts...)
+	if _, err := r.restore("image "+path, f); err != nil {
+		return nil, err
+	}
+	return r, nil
+}
+
+// restore reads one image from src and installs it — the way in for
+// LoadSnapshot, LoadImage and RestoreImage. source names the image in
+// errors. It returns the WAL position the image pairs with.
+func (r *Reasoner) restore(source string, src io.Reader) (WALPosition, error) {
+	d, st, meta, err := snapshot.Read(src)
+	if err != nil {
+		return WALPosition{}, fmt.Errorf("%s: %w", source, err)
+	}
+	if err := r.install(source, d, st, meta); err != nil {
+		return WALPosition{}, err
+	}
+	return WALPosition{Generation: meta.Generation}, nil
 }
 
 // Select parses and evaluates a SPARQL SELECT query — the dialect

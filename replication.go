@@ -2,8 +2,8 @@ package inferray
 
 import (
 	"fmt"
+	"io"
 
-	"inferray/internal/snapshot"
 	"inferray/internal/wal"
 )
 
@@ -93,26 +93,20 @@ func (r *Reasoner) ApplyReplicated(op WALOp, batch []Triple) error {
 	return r.applyRecord(op, batch)
 }
 
-// RestoreImage replaces the reasoner's entire state with a snapshot
-// image file — the follower bootstrap (and re-bootstrap after
-// ErrWALTruncated). The image's fragment must match the configured one,
-// the restored closure is installed as already materialized, the store
-// generation resumes from the image's header, and any staged triples
-// are discarded with the old state. It returns the WAL position the
-// image pairs with: stream from there to tail everything newer.
+// RestoreImage replaces the reasoner's entire state with the snapshot
+// image read from src — the follower bootstrap (and re-bootstrap after
+// ErrWALTruncated), fed straight from the leader's response body. The
+// image is verified and its fragment matched exactly as LoadSnapshot
+// does, and nothing is replaced unless the whole stream passes; the
+// store generation resumes from the image's header, and any staged
+// triples are discarded with the old state. It returns the WAL position
+// the image pairs with: stream from there to tail everything newer.
 // Concurrent readers block for the duration of the swap and then see
 // the restored closure. Refused on a durable reasoner for the same
 // reason as ApplyReplicated.
-func (r *Reasoner) RestoreImage(path string) (WALPosition, error) {
+func (r *Reasoner) RestoreImage(src io.Reader) (WALPosition, error) {
 	if r.dur != nil {
 		return WALPosition{}, fmt.Errorf("inferray: RestoreImage on a durable reasoner would fork its data directory from the replicated history")
 	}
-	d, st, meta, err := snapshot.ReadFile(path)
-	if err != nil {
-		return WALPosition{}, err
-	}
-	if err := r.install("image "+path, d, st, meta); err != nil {
-		return WALPosition{}, err
-	}
-	return WALPosition{Generation: meta.Generation}, nil
+	return r.restore("image", src)
 }

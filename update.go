@@ -57,8 +57,7 @@ func (r *Reasoner) Update(text string) (UpdateStats, error) {
 			if err != nil {
 				return st, err
 			}
-			r.AddTriples(batch)
-			if _, err := r.drain(false); err != nil {
+			if _, err := r.Insert(batch); err != nil {
 				return st, err
 			}
 			st.Inserted += len(batch)

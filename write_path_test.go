@@ -20,7 +20,8 @@ import (
 // against each other. A seeded script of library writes, SPARQL UPDATEs
 // and checkpoints runs on a durable leader; after every operation an
 // in-memory follower fed only by StreamWAL + ApplyReplicated (and
-// re-bootstrapped with RestoreImage after each checkpoint) must report
+// re-bootstrapped with RestoreImage, from a bare io.Reader over the
+// leader's image, after each checkpoint) must report
 // the leader's Generation() and hold its closure byte for byte, and so
 // must, every 25th operation and at the end, a fresh Open on a copy of
 // the data directory. The leader reaches its state through Materialize
@@ -141,7 +142,7 @@ func runWritePathScript(t *testing.T, frag inferray.Fragment, encoding bool, see
 	if err := leader.ApplyReplicated(inferray.WALAdd, nil); err == nil {
 		t.Fatal("ApplyReplicated accepted on a durable reasoner")
 	}
-	if _, err := leader.RestoreImage("nowhere.img"); err == nil {
+	if _, err := leader.RestoreImage(strings.NewReader("")); err == nil {
 		t.Fatal("RestoreImage accepted on a durable reasoner")
 	}
 
@@ -154,7 +155,13 @@ func runWritePathScript(t *testing.T, frag inferray.Fragment, encoding bool, see
 		if err != nil || !ok {
 			t.Fatalf("no image to bootstrap from: ok=%v err=%v", ok, err)
 		}
-		if pos, err = follower.RestoreImage(path); err != nil {
+		f, err := os.Open(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer f.Close()
+		// As the wire delivers it: a stream with no size and no seek.
+		if pos, err = follower.RestoreImage(struct{ io.Reader }{f}); err != nil {
 			t.Fatal(err)
 		}
 		bootstraps++
