@@ -230,6 +230,11 @@ func run(ctx context.Context, args []string, stdin io.Reader, stdout, stderr io.
 			m.OSCacheBuilt-seen.OSCacheBuilt, m.OSCachePatched-seen.OSCachePatched,
 			m.OSCacheDropped-seen.OSCacheDropped)
 		seen = m
+		// What the dictionary holds after this batch, by part (the split
+		// GET /debug/tables serves).
+		d := r.MemoryStats(0).Dictionary
+		fmt.Fprintf(stderr, "  dict batch=%s terms=%d term_bytes=%d arena_bytes=%d ref_bytes=%d index_bytes=%d\n",
+			batch, d.Terms, d.TermBytes, d.ArenaBytes, d.RefBytes, d.IndexBytes)
 	}
 
 	if *loadImage == "" || inExplicit {

@@ -224,6 +224,10 @@ func TestCLIDeltaFlag(t *testing.T) {
 	if strings.Count(errOut, "  store batch=") != 3 || !strings.Contains(errOut, "  store batch=initial splice=0 rebuild=") {
 		t.Errorf("missing per-batch store lines: %s", errOut)
 	}
+	// ... and one dict line per batch: the dictionary's bytes by part.
+	if strings.Count(errOut, "  dict batch=") != 3 || !strings.Contains(errOut, "  dict batch=initial terms=") || !strings.Contains(errOut, " index_bytes=") {
+		t.Errorf("missing per-batch dict lines: %s", errOut)
+	}
 }
 
 // syncBuffer is a goroutine-safe bytes.Buffer: the serve goroutine
@@ -335,6 +339,9 @@ func TestCLIServe(t *testing.T) {
 	if code, body := get("/stats"); code != http.StatusOK || !strings.Contains(body, `"go_version":"go`) {
 		t.Fatalf("stats missing build info %d: %s", code, body)
 	}
+	if code, body := get("/debug/tables?top=2"); code != http.StatusOK || !strings.Contains(body, `22-rdf-syntax-ns#type`) || !strings.Contains(body, `"index_bytes":`) {
+		t.Fatalf("debug/tables response %d: %s", code, body)
+	}
 
 	// The startup line only prints after SetReady(true), so readiness
 	// is observable as soon as the address is known.
@@ -358,6 +365,23 @@ func TestCLIServe(t *testing.T) {
 	} {
 		if !strings.Contains(body, family) {
 			t.Errorf("metrics exposition missing family %q", family)
+		}
+	}
+	// The Go runtime's own numbers, each a live reading.
+	for _, family := range []string{
+		"# TYPE inferray_go_heap_inuse_bytes gauge\ninferray_go_heap_inuse_bytes ",
+		"# TYPE inferray_go_heap_live_bytes gauge\ninferray_go_heap_live_bytes ",
+		"# TYPE inferray_go_gc_cycles_total counter\ninferray_go_gc_cycles_total ",
+		"# TYPE inferray_go_gc_pause_seconds_total counter\ninferray_go_gc_pause_seconds_total ",
+		"# TYPE inferray_go_goroutines gauge\ninferray_go_goroutines ",
+	} {
+		if !strings.Contains(body, family) {
+			t.Errorf("metrics exposition missing %q", family)
+		}
+	}
+	for _, gauge := range []string{"inferray_go_heap_inuse_bytes ", "inferray_go_goroutines "} {
+		if i := strings.Index(body, "\n"+gauge); i < 0 || strings.HasPrefix(body[i+1+len(gauge):], "0\n") {
+			t.Errorf("%s reads zero", gauge)
 		}
 	}
 	// Where the time went, bytes-in to closure, one sample per phase.

@@ -1,11 +1,16 @@
 package dictionary
 
 import (
+	"bufio"
+	"bytes"
 	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 	"testing/quick"
 	"unsafe"
+
+	"inferray/internal/datagen"
 )
 
 func TestSplitNumbering(t *testing.T) {
@@ -110,16 +115,10 @@ func TestDensity(t *testing.T) {
 	if lo != PropBase+1 || hi != PropBase+1+uint64(m) {
 		t.Fatalf("resource range [%d,%d) wrong", lo, hi)
 	}
-	seen := 0
-	d.Properties(func(id uint64, term string) bool {
-		if PropIndex(id) != seen {
-			t.Fatalf("property iteration out of order at %d", seen)
+	for i := 0; i < n; i++ {
+		if term, ok := d.Decode(PropID(i)); !ok || term != fmt.Sprintf("<p%d>", i) {
+			t.Fatalf("property index %d decodes to %q (%t)", i, term, ok)
 		}
-		seen++
-		return true
-	})
-	if seen != n {
-		t.Fatalf("iterated %d properties, want %d", seen, n)
 	}
 }
 
@@ -233,25 +232,43 @@ func TestDictionaryOwnsTermBytes(t *testing.T) {
 	}
 }
 
-// TestArenaChunksKeepEarlierTerms registers several arena chunks' worth
-// of terms — including one larger than any chunk — and checks every
-// term still decodes and looks up: starting a new chunk must leave the
-// substrings of the old ones intact.
+// TestArenaChunksKeepEarlierTerms registers over a thousand arena
+// chunks' worth of terms — including one larger than any chunk — holding
+// on to the string Decode returned for each as it went, and promotes one
+// of them half-way. Every held string must still equal its term (a new
+// chunk, an index growth, a promotion and a collection leave the bytes
+// under earlier strings alone), and every term must still decode and
+// look up.
 func TestArenaChunksKeepEarlierTerms(t *testing.T) {
 	d := New()
-	d.Reserve(50_000)
-	huge := "<" + strings.Repeat("h", 2*maxChunk) + ">"
+	huge := "<" + strings.Repeat("h", 64*chunkSize) + ">"
+	const n = 100_000
 	var ids []uint64
-	var terms []string
-	for i := 0; i < 50_000; i++ {
+	var terms, held []string
+	for i := 0; i < n; i++ {
 		term := fmt.Sprintf("<http://example.org/resource/number/%d>", i)
 		if i == 20_000 {
 			term = huge
 		}
 		terms = append(terms, term)
 		ids = append(ids, d.EncodeResource(term))
+		held = append(held, d.MustDecode(ids[i]))
+		if i == n/2 {
+			pid, _, moved := d.PromoteToProperty(terms[n/4])
+			if !moved {
+				t.Fatal("promotion did not move the term")
+			}
+			ids[n/4] = pid
+		}
 	}
+	if len(d.chunks) < 1000 {
+		t.Fatalf("%d chunks: the test needs at least 1000 chunk growths", len(d.chunks))
+	}
+	runtime.GC()
 	for i, id := range ids {
+		if held[i] != terms[i] {
+			t.Fatalf("string held for term %d reads %q, want %q", i, held[i], terms[i])
+		}
 		if got := d.MustDecode(id); got != terms[i] {
 			t.Fatalf("id %d decodes to %q, want %q", id, got, terms[i])
 		}
@@ -259,6 +276,139 @@ func TestArenaChunksKeepEarlierTerms(t *testing.T) {
 			t.Fatalf("%q looks up to %d (%t), want %d", terms[i], back, ok, id)
 		}
 	}
+}
+
+// TestHashOutlivesItsDictionary: a hash taken before a dictionary exists
+// — the reasoner interns a batch, hashes included, and an image install
+// may swap the engine's dictionary before the batch is merged — finds
+// and registers terms in it exactly as the unhashed calls do, so the
+// merge can neither miss a registered term nor register one twice.
+func TestHashOutlivesItsDictionary(t *testing.T) {
+	terms := []string{"<p>", "<a>", "<b>", `"lit"`}
+	hashes := make([]uint64, len(terms))
+	for i, term := range terms {
+		hashes[i] = Hash(term)
+	}
+	restored := sectionRoundTrip(t, NewWithVocabulary([]string{"<p>"}, []string{"<a>"}))
+	for _, d := range []*Dictionary{New(), restored} {
+		for i, term := range terms {
+			if i == 0 {
+				d.PromoteToPropertyHashed(term, hashes[i])
+				continue
+			}
+			id := d.EncodeResourceHashed(term, hashes[i])
+			if back, ok := d.LookupHashed(term, hashes[i]); !ok || back != id || d.EncodeResource(term) != id {
+				t.Fatalf("%q: hashed %d, looked up %d (%t), unhashed %d", term, id, back, ok, d.EncodeResource(term))
+			}
+		}
+		if d.NumProperties() != 1 || d.NumResources() != 3 {
+			t.Fatalf("%d properties, %d resources; want 1 and 3", d.NumProperties(), d.NumResources())
+		}
+	}
+}
+
+// TestLookupDecodeAllocateNothing: a probe hashes in place and a decoded
+// term is a view of the arena, for short terms, long ones and misses.
+func TestLookupDecodeAllocateNothing(t *testing.T) {
+	d := NewWithVocabulary([]string{"<p>"}, []string{"<a>"})
+	long := "<" + strings.Repeat("l", 4*chunkSize) + ">"
+	id := d.EncodeResource(long)
+	var sink int
+	allocs := testing.AllocsPerRun(100, func() {
+		for _, term := range []string{"<p>", "<a>", long, "<missing>"} {
+			got, _ := d.Lookup(term)
+			s, _ := d.Decode(got)
+			sink += len(s)
+		}
+		sink += len(d.MustDecode(id)) + len(d.MustDecode(PropBase))
+	})
+	if allocs != 0 {
+		t.Fatalf("Lookup + Decode = %.1f allocs per round, want 0", allocs)
+	}
+	_ = sink
+}
+
+// TestHugeTermRoundTrips: a term over 16 MB — past any chunk and past the
+// parser's statement cap — registers, decodes, looks up and survives the
+// image section on either side of the split.
+func TestHugeTermRoundTrips(t *testing.T) {
+	huge := "<" + strings.Repeat("x", 16<<20) + ">"
+	d := New()
+	p := d.EncodeProperty("<p>")
+	h := d.EncodeResource(huge)
+	for round := 0; round < 2; round++ {
+		if got := d.MustDecode(h); got != huge {
+			t.Fatalf("round %d: the huge term decodes to %d bytes, want %d", round, len(got), len(huge))
+		}
+		if id, ok := d.Lookup(huge); !ok || id != h {
+			t.Fatalf("round %d: the huge term looks up to %d (%t), want %d", round, id, ok, h)
+		}
+		if d.MustDecode(p) != "<p>" {
+			t.Fatalf("round %d: <p> lost", round)
+		}
+		d = sectionRoundTrip(t, d)
+	}
+	if pid, old, moved := d.PromoteToProperty(huge); !moved || old != h || d.MustDecode(pid) != huge {
+		t.Fatal("the huge term did not promote intact")
+	}
+}
+
+// sectionRoundTrip writes d's image section and reads it back.
+func sectionRoundTrip(t testing.TB, d *Dictionary) *Dictionary {
+	t.Helper()
+	var buf bytes.Buffer
+	w := bufio.NewWriter(&buf)
+	d.WriteSection(w)
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	back, err := ReadSection(bufio.NewReader(&buf))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if buf.Len() != 0 {
+		t.Fatalf("ReadSection left %d bytes of its section unread", buf.Len())
+	}
+	return back
+}
+
+// TestDictionaryOverheadBudget pins what the dictionary costs beyond the
+// bytes of its terms — refs, index, arena slack — on LUBM(20k), encoded
+// the way the benchmark's dictionary probe does it: at most 20 bytes per
+// term (a map plus two string slices cost 64). CI's bench-smoke job runs
+// it as a gate.
+func TestDictionaryOverheadBudget(t *testing.T) {
+	triples := datagen.LUBM(20_000, 1)
+	before := liveHeap()
+	d := New()
+	for _, tr := range triples {
+		d.EncodeProperty(tr.P)
+		d.EncodeResource(tr.S)
+		d.EncodeResource(tr.O)
+	}
+	after := liveHeap()
+	runtime.KeepAlive(triples)
+	fp := d.Footprint()
+	perTerm := (float64(after) - float64(before) - float64(fp.TermBytes)) / float64(fp.Terms)
+	t.Logf("%d terms, %.1f term bytes each; overhead %.1f B/term (refs %.1f, index %.1f, arena slack %.1f)",
+		fp.Terms, float64(fp.TermBytes)/float64(fp.Terms), perTerm,
+		float64(fp.RefBytes)/float64(fp.Terms), float64(fp.IndexBytes)/float64(fp.Terms),
+		float64(fp.ArenaBytes-fp.TermBytes)/float64(fp.Terms))
+	if perTerm > 20 {
+		t.Fatalf("dictionary overhead %.1f B/term beyond its term bytes, budget is 20", perTerm)
+	}
+	runtime.KeepAlive(d)
+}
+
+// liveHeap is the heap in use once everything unreachable is collected
+// (the second cycle frees what the first only swept), as the benchmark
+// reads it.
+func liveHeap() uint64 {
+	runtime.GC()
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return ms.HeapAlloc
 }
 
 // TestReserveKeepsEntries: Reserve only resizes the index.

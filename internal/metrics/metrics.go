@@ -318,8 +318,8 @@ func (r *Registry) GaugeFunc(name, help string, fn func() float64, constLabels .
 // CounterFunc is GaugeFunc for a monotonic count that is already kept
 // elsewhere: the family is typed counter and fn is read at scrape time,
 // so the event is counted in one place only.
-func (r *Registry) CounterFunc(name, help string, fn func() uint64) {
-	r.add(&family{name: name, help: help, typ: "counter", valueFn: func() float64 { return float64(fn()) }})
+func (r *Registry) CounterFunc(name, help string, fn func() float64) {
+	r.add(&family{name: name, help: help, typ: "counter", valueFn: fn})
 }
 
 // Histogram registers and returns a new histogram over the given

@@ -249,6 +249,10 @@ type exec struct {
 	// rows tallies delivered solutions locally; the owning Solve adds
 	// it to Engine.Metrics once, keeping the walk free of atomics.
 	rows uint64
+	// visited counts candidate triples for the Engine.Stop poll; err is
+	// what the poll returned when it ended the walk.
+	visited uint64
+	err     error
 }
 
 // optLayer is one planned OPTIONAL group.
@@ -453,8 +457,17 @@ func (x *exec) enumVirtual(steps []planStep, i int, bound uint64, done func(uint
 // tryTriple unifies step i's pattern with the concrete triple
 // (s, property pidx, o) and, on success, recurses into the remaining
 // steps. A unification mismatch keeps the walk going; false means the
-// consumer aborted.
+// consumer aborted or Engine.Stop ended the walk. Every scan of every
+// step passes its candidates through here, which is what makes it the
+// one place to poll.
 func (x *exec) tryTriple(steps []planStep, i int, bound uint64, done func(uint64) bool, pidx int, s, o uint64) bool {
+	if x.e.Stop != nil {
+		if x.visited++; x.visited%stopEvery == 0 {
+			if x.err = x.e.Stop(); x.err != nil {
+				return false
+			}
+		}
+	}
 	p := steps[i].pat
 	nb := bound
 	if !bindTerm(p.S, s, x.row, &nb) ||

@@ -65,7 +65,18 @@ type Engine struct {
 	// Metrics, when non-nil, receives solve and row counters. Updates
 	// are atomic adds only — safe on the hot path.
 	Metrics *Metrics
+	// Stop, when non-nil, is polled once every stopEvery candidate triples
+	// the walk visits, matching or not, so a join that probes for long
+	// without producing a row can still be interrupted. Once it returns
+	// an error the walk ends and Solve / SolveLeftJoin return that error.
+	// A caller arms it only for a cancelable context (ctx.Err); nil costs
+	// the walk one predictable branch per candidate.
+	Stop func() error
 }
+
+// stopEvery is how many candidate triples the walk visits between polls
+// of Engine.Stop.
+const stopEvery = 4096
 
 // virtualPidx reports whether pidx is routed through e.Virtual.
 func (e *Engine) virtualPidx(pidx int) bool {
@@ -90,7 +101,7 @@ func (e *Engine) Solve(patterns []Pattern, nVars int, fn func(row []uint64) bool
 		m.PlannedSolves.Inc()
 		m.Rows.Add(x.rows)
 	}
-	return nil
+	return x.err
 }
 
 // OptionalGroup is one OPTIONAL block for SolveLeftJoin: a basic graph
@@ -161,7 +172,7 @@ func (e *Engine) SolveLeftJoin(patterns []Pattern, optionals []OptionalGroup, nV
 		m.PlannedSolves.Inc()
 		m.Rows.Add(x.rows)
 	}
-	return nil
+	return x.err
 }
 
 // varMask returns the bitmask of variable slots the patterns mention.

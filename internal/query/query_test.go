@@ -1,6 +1,7 @@
 package query
 
 import (
+	"errors"
 	"math/rand"
 	"reflect"
 	"sort"
@@ -115,6 +116,45 @@ func TestEarlyStop(t *testing.T) {
 	})
 	if err != nil || n != 1 {
 		t.Fatalf("early stop delivered %d rows (err %v)", n, err)
+	}
+}
+
+// TestStopEndsARowlessWalk: a join whose every candidate fails — no row
+// ever reaches the callback — polls Stop once per stopEvery candidates,
+// at any depth, and ends as soon as Stop reports an error, which Solve
+// and SolveLeftJoin return.
+func TestStopEndsARowlessWalk(t *testing.T) {
+	const n = 10 * stopEvery
+	st := store.New(2)
+	for i := uint64(1); i <= n; i++ {
+		st.Add(0, i, n+i) // step 1's candidates ...
+		st.Add(1, i, i)   // ... all rejected by step 2: its subjects are never objects of table 0
+	}
+	st.Normalize()
+	join := []Pattern{{Var(0), Const(pid(0)), Var(1)}, {Var(1), Const(pid(1)), Var(2)}}
+	stopped := errors.New("stop")
+	for _, leftJoin := range []bool{false, true} {
+		polls := 0
+		e := &Engine{St: st, Stop: func() error {
+			if polls++; polls == 3 {
+				return stopped
+			}
+			return nil
+		}}
+		rows := 0
+		var err error
+		if leftJoin {
+			err = e.SolveLeftJoin(join, nil, 3, nil, func([]uint64, uint64) bool { rows++; return true })
+		} else {
+			err = e.Solve(join, 3, func([]uint64) bool { rows++; return true })
+		}
+		if err != stopped || rows != 0 || polls != 3 {
+			t.Errorf("leftJoin=%t: err %v after %d polls and %d rows; want the stop error at poll 3, no rows", leftJoin, err, polls, rows)
+		}
+	}
+	// Unarmed, the same walk visits every candidate and finds nothing.
+	if rows := len(collect(t, &Engine{St: st}, join, 3)); rows != 0 {
+		t.Fatalf("%d rows from a rowless join", rows)
 	}
 }
 

@@ -14,12 +14,13 @@ import (
 // This file is the ingest path: string triples → dictionary IDs →
 // property tables. It runs in two steps. Interning is range-local and
 // needs no engine state: a contiguous run of triples is reduced to its
-// distinct terms plus index tuples (Range), so it can run on any
-// goroutine, several ranges at once, before the caller holds the engine
-// exclusively. LoadRanges then merges the ranges in order — the only
-// step that touches the dictionary and the stores — probing the global
-// dictionary once per distinct term per range instead of once per
-// occurrence, and fills tables whose sizes it has counted.
+// distinct terms, their dictionary hashes and index tuples (Range), so
+// it can run on any goroutine, several ranges at once, before the
+// caller holds the engine exclusively. LoadRanges then merges the ranges
+// in order — the only step that touches the dictionary and the stores —
+// with one pre-hashed dictionary probe per distinct term per range
+// instead of one hashed probe per occurrence, and fills tables whose
+// sizes it has counted.
 
 // Range is the range-local intern of one contiguous run of input
 // triples: every distinct term once, and the triples as indexes into
@@ -32,6 +33,11 @@ type Range struct {
 	// dictionary would meet them, which is what lets LoadRanges
 	// reproduce a term-at-a-time loader's numbering.
 	terms []string
+	// hashes holds dictionary.Hash of each term, computed here — on the
+	// interning goroutine — so the merge probes without hashing. The
+	// hash seed is process-wide, so the hashes hold whichever dictionary
+	// the merge meets.
+	hashes []uint64
 	// roles lists the terms that occur in a property role — predicate
 	// position, or a position a schema triple declares a property — in
 	// order of first such occurrence.
@@ -104,6 +110,7 @@ func (b *interner) id(term string) uint32 {
 	i := uint32(len(b.rg.terms))
 	b.index[term] = i
 	b.rg.terms = append(b.rg.terms, term)
+	b.rg.hashes = append(b.rg.hashes, dictionary.Hash(term))
 	b.class = append(b.class, classify(term))
 	b.role = append(b.role, false)
 	return i
@@ -272,17 +279,14 @@ func (e *Engine) LoadRanges(ranges []*Range) {
 	// behind for good; half of it errs by one growth step either way.
 	d.Reserve(max(most, terms/2))
 
-	// asProperty gives term a property-side ID. A term previously encoded
-	// as a resource (first seen as plain subject/object, only now revealed
-	// to be a property — by a schema triple or an owl:sameAs link in a
-	// later batch) is promoted; the stored occurrences of its old ID are
-	// collected and rewritten in one batched pass below.
+	// asProperty gives term i of rg a property-side ID. A term previously
+	// encoded as a resource (first seen as plain subject/object, only now
+	// revealed to be a property — by a schema triple or an owl:sameAs link
+	// in a later batch) is promoted; the stored occurrences of its old ID
+	// are collected and rewritten in one batched pass below.
 	var renames map[uint64]uint64
-	asProperty := func(term string) {
-		if id, ok := d.Lookup(term); ok && dictionary.IsProperty(id) {
-			return
-		}
-		newID, oldID, moved := d.PromoteToProperty(term)
+	asProperty := func(rg *Range, i uint32) {
+		newID, oldID, moved := d.PromoteToPropertyHashed(rg.terms[i], rg.hashes[i])
 		if moved {
 			if renames == nil {
 				renames = make(map[uint64]uint64)
@@ -292,7 +296,7 @@ func (e *Engine) LoadRanges(ranges []*Range) {
 	}
 	for _, rg := range ranges {
 		for _, i := range rg.roles {
-			asProperty(rg.terms[i])
+			asProperty(rg, i)
 		}
 	}
 	// owl:sameAs links between a property and a non-property term must
@@ -300,21 +304,21 @@ func (e *Engine) LoadRanges(ranges []*Range) {
 	// replicate the table (a term without a property ID has no table).
 	// Sameness is transitive, so iterate to a fixpoint; each pass either
 	// moves at least one term to the property side or stops.
-	isProp := func(term string) bool {
-		id, ok := d.Lookup(term)
+	isProp := func(rg *Range, i uint32) bool {
+		id, ok := d.LookupHashed(rg.terms[i], rg.hashes[i])
 		return ok && dictionary.IsProperty(id)
 	}
 	for changed := sameAs > 0; changed; {
 		changed = false
 		for _, rg := range ranges {
 			for i := 0; i < len(rg.sameAs); i += 2 {
-				a, b := rg.terms[rg.sameAs[i]], rg.terms[rg.sameAs[i+1]]
-				switch aProp, bProp := isProp(a), isProp(b); {
+				a, b := rg.sameAs[i], rg.sameAs[i+1]
+				switch aProp, bProp := isProp(rg, a), isProp(rg, b); {
 				case aProp && !bProp:
-					asProperty(b)
+					asProperty(rg, b)
 					changed = true
 				case bProp && !aProp:
-					asProperty(a)
+					asProperty(rg, a)
 					changed = true
 				}
 			}
@@ -331,7 +335,7 @@ func (e *Engine) LoadRanges(ranges []*Range) {
 	}
 
 	// Register the remaining terms as resources, range by range: one
-	// dictionary probe per distinct term of a range yields its
+	// pre-hashed dictionary probe per distinct term of a range yields its
 	// local→global map. Property-role terms resolve to the IDs they
 	// already hold.
 	ids := make([]uint64, terms)
@@ -339,7 +343,7 @@ func (e *Engine) LoadRanges(ranges []*Range) {
 	for r, rg := range ranges {
 		remaps[r], ids = ids[:len(rg.terms)], ids[len(rg.terms):]
 		for i, term := range rg.terms {
-			remaps[r][i] = d.EncodeResource(term)
+			remaps[r][i] = d.EncodeResourceHashed(term, rg.hashes[i])
 		}
 	}
 

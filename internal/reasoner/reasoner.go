@@ -827,6 +827,53 @@ func (e *Engine) RestoreState(d *dictionary.Dictionary, st *store.Store, encoded
 	return nil
 }
 
+// MemoryStats is where an engine's resident bytes are: the dictionary by
+// part, and the property tables' pairs, asserted marks and ⟨o,s⟩ caches,
+// summed and for the largest tables.
+type MemoryStats struct {
+	Dictionary dictionary.Footprint
+	// Tables counts the non-empty property tables and Pairs their stored
+	// pairs; the three byte counts sum their parts over all of them.
+	Tables       int
+	Pairs        int
+	PairBytes    int
+	MarkBytes    int
+	OSCacheBytes int
+	// Top lists the largest tables by stored pairs, largest first.
+	Top []TableMemory
+}
+
+// TableMemory is one property table's share of MemoryStats.
+type TableMemory struct {
+	Property     string // the property's surface form
+	Pairs        int
+	PairBytes    int
+	MarkBytes    int
+	OSCacheBytes int
+}
+
+// MemoryStats reports where the engine's resident bytes are, listing
+// the top largest tables. The caller must keep writers out (a read lock
+// suffices).
+func (e *Engine) MemoryStats(top int) MemoryStats {
+	ms := MemoryStats{Dictionary: e.Dict.Footprint()}
+	var all []TableMemory
+	e.Main.ForEachTable(func(pidx int, t *store.Table) bool {
+		tm := TableMemory{Property: e.Dict.MustDecode(dictionary.PropID(pidx)), Pairs: t.Size()}
+		tm.PairBytes, tm.MarkBytes, tm.OSCacheBytes = t.Footprint()
+		ms.Tables++
+		ms.Pairs += tm.Pairs
+		ms.PairBytes += tm.PairBytes
+		ms.MarkBytes += tm.MarkBytes
+		ms.OSCacheBytes += tm.OSCacheBytes
+		all = append(all, tm)
+		return true
+	})
+	slices.SortStableFunc(all, func(a, b TableMemory) int { return b.Pairs - a.Pairs })
+	ms.Top = all[:min(max(top, 0), len(all))]
+	return ms
+}
+
 // Materialized reports whether Main is a closure: the first Materialize
 // ran, or an image was installed.
 func (e *Engine) Materialized() bool { return e.materialized }

@@ -1,11 +1,13 @@
 package server
 
 import (
+	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -65,6 +67,65 @@ func TestMetricsEndpointFamilies(t *testing.T) {
 	}
 	if t.Failed() {
 		t.Logf("exposition:\n%s", body)
+	}
+}
+
+// TestDebugTables: /debug/tables lists the largest tables first, its
+// totals are the sum over every table, its dictionary split is the one
+// /stats carries, and a malformed top is a 400.
+func TestDebugTables(t *testing.T) {
+	ts, r := newTestServer(t)
+	get := func(path string, v any) int {
+		t.Helper()
+		resp, err := http.Get(ts.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		if v != nil && resp.StatusCode == http.StatusOK {
+			if err := json.NewDecoder(resp.Body).Decode(v); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return resp.StatusCode
+	}
+	var all, top2 tablesResponse
+	if get("/debug/tables?top=1000", &all) != http.StatusOK || get("/debug/tables?top=2", &top2) != http.StatusOK {
+		t.Fatal("/debug/tables refused a valid top")
+	}
+	if len(all.Top) != all.Tables.Count || len(top2.Top) != 2 {
+		t.Fatalf("%d and %d tables listed, want all %d and 2", len(all.Top), len(top2.Top), all.Tables.Count)
+	}
+	var sum tableInfo
+	for i, tb := range all.Top {
+		if i > 0 && tb.Pairs > all.Top[i-1].Pairs {
+			t.Fatalf("table %s (%d pairs) listed after one of %d", tb.Property, tb.Pairs, all.Top[i-1].Pairs)
+		}
+		if tb.PairBytes < 16*tb.Pairs {
+			t.Errorf("table %s: %d pair bytes for %d pairs", tb.Property, tb.PairBytes, tb.Pairs)
+		}
+		sum.Pairs += tb.Pairs
+		sum.PairBytes += tb.PairBytes
+		sum.MarkBytes += tb.MarkBytes
+		sum.OSCacheBytes += tb.OSCacheBytes
+	}
+	if sum.Count = all.Tables.Count; sum != all.Tables || sum.Pairs != r.StoredSize() {
+		t.Fatalf("totals %+v, the tables sum to %+v over %d stored triples", all.Tables, sum, r.StoredSize())
+	}
+	if !slices.Equal(top2.Top, all.Top[:2]) {
+		t.Fatalf("top=2 lists %+v, want the first two of %+v", top2.Top, all.Top)
+	}
+	d := all.Dictionary
+	if d.Terms == 0 || d.TermBytes == 0 || d.ArenaBytes < d.TermBytes || d.RefBytes < 8*d.Terms || d.IndexBytes < 4*d.Terms {
+		t.Fatalf("dictionary split %+v does not add up", d)
+	}
+	if st := serverStats(t, ts); st.Dictionary != d {
+		t.Fatalf("/stats dictionary %+v, /debug/tables %+v", st.Dictionary, d)
+	}
+	for _, bad := range []string{"-1", "x", "1001"} {
+		if code := get("/debug/tables?top="+bad, nil); code != http.StatusBadRequest {
+			t.Errorf("top=%s: status %d, want 400", bad, code)
+		}
 	}
 }
 

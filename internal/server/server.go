@@ -45,7 +45,12 @@
 //	GET  /metrics               Prometheus text exposition: the server's
 //	                            HTTP families plus every family the
 //	                            reasoner registers (reasoner, WAL, query
-//	                            engine, build info)
+//	                            engine, build info, Go runtime)
+//	GET  /debug/tables          where the resident bytes are: the
+//	                            dictionary's terms and its arena / ref /
+//	                            index bytes, and the top ?top=N (default
+//	                            10) property tables by pairs with their
+//	                            pair, mark and ⟨o,s⟩-cache bytes
 //
 // Every request is stamped with a request ID (the X-Request-ID header
 // when the client sent one, a fresh random ID otherwise), echoed back
@@ -219,13 +224,13 @@ func NewWithConfig(r *inferray.Reasoner, cfg Config) *Server {
 	// /stats and /metrics both read those numbers, so they cannot drift.
 	reg.CounterFunc("inferray_cache_hits_total",
 		"Query responses served from the result cache.",
-		func() uint64 { return s.cache.Snapshot().Hits })
+		func() float64 { return float64(s.cache.Snapshot().Hits) })
 	reg.CounterFunc("inferray_cache_misses_total",
 		"Cacheable query requests that missed the result cache.",
-		func() uint64 { return s.cache.Snapshot().Misses })
+		func() float64 { return float64(s.cache.Snapshot().Misses) })
 	reg.CounterFunc("inferray_cache_bypassed_total",
 		"Query requests that skipped the result cache (no-cache, POST, or oversized).",
-		func() uint64 { return s.cache.Snapshot().Bypassed })
+		func() float64 { return float64(s.cache.Snapshot().Bypassed) })
 	reg.GaugeFunc("inferray_cache_entries",
 		"Entries currently held by the query-result cache.",
 		func() float64 { return float64(s.cache.Snapshot().Entries) })
@@ -276,6 +281,7 @@ var routes = []route{
 	{pattern: "/healthz", endpoint: "healthz", handler: (*Server).handleHealthz},
 	{pattern: "/readyz", endpoint: "readyz", handler: (*Server).handleReadyz},
 	{pattern: "/metrics", endpoint: "metrics", methods: []string{"GET"}, handler: (*Server).handleMetrics},
+	{pattern: "/debug/tables", endpoint: "debug_tables", methods: []string{"GET"}, handler: (*Server).handleDebugTables},
 }
 
 // Handler returns the routed HTTP handler: every endpoint of the route
@@ -882,6 +888,7 @@ type statsResponse struct {
 	LastMaterialize *lastMaterialize `json:"last_materialize,omitempty"`
 	Durability      *durabilityInfo  `json:"durability,omitempty"`
 	Hierarchy       *hierarchyInfo   `json:"hierarchy,omitempty"`
+	Dictionary      dictionaryInfo   `json:"dictionary"`
 
 	// Generation is the store generation counter (Reasoner.Generation):
 	// bumped on every mutation, it keys the query-result cache and is
@@ -941,6 +948,26 @@ type hierarchyInfo struct {
 	Intervals           int `json:"intervals"`
 }
 
+// dictionaryInfo is the dictionary section of /stats and /debug/tables:
+// its terms, and what they cost by part (dictionary.Footprint).
+type dictionaryInfo struct {
+	Terms        int     `json:"terms"`
+	TermBytes    int     `json:"term_bytes"`
+	ArenaBytes   int     `json:"arena_bytes"`
+	RefBytes     int     `json:"ref_bytes"`
+	IndexBytes   int     `json:"index_bytes"`
+	BytesPerTerm float64 `json:"bytes_per_term"`
+}
+
+func dictionaryInfoOf(ms inferray.MemoryStats) dictionaryInfo {
+	d := ms.Dictionary
+	info := dictionaryInfo{Terms: d.Terms, TermBytes: d.TermBytes, ArenaBytes: d.ArenaBytes, RefBytes: d.RefBytes, IndexBytes: d.IndexBytes}
+	if d.Terms > 0 {
+		info.BytesPerTerm = float64(d.ArenaBytes+d.RefBytes+d.IndexBytes) / float64(d.Terms)
+	}
+	return info
+}
+
 // durabilityInfo is the persistence section of /stats, present only
 // when the reasoner has a data dir.
 type durabilityInfo struct {
@@ -986,6 +1013,7 @@ func (s *Server) handleStats(w http.ResponseWriter, req *http.Request) {
 		Updates:       s.updates.Load(),
 		UpdateErrors:  s.updateErrors.Load(),
 		Generation:    s.r.Generation(),
+		Dictionary:    dictionaryInfoOf(s.r.MemoryStats(0)),
 	}
 	if s.cache.Enabled() {
 		cs := s.cache.Snapshot()
@@ -1083,11 +1111,60 @@ func (s *Server) handleReadyz(w http.ResponseWriter, req *http.Request) {
 	writeJSON(w, "application/json", map[string]string{"status": "ok"})
 }
 
+// --------------------------------------------------------- /debug/tables
+
+// tablesResponse is the /debug/tables document: the dictionary's split,
+// the property tables' bytes summed, and the largest tables by pairs.
+type tablesResponse struct {
+	Dictionary dictionaryInfo `json:"dictionary"`
+	Tables     tableInfo      `json:"tables"`
+	Top        []tableInfo    `json:"top"`
+}
+
+// tableInfo is one property table's bytes — or, as the total, every
+// table's, with Count tables behind it.
+type tableInfo struct {
+	Property     string `json:"property,omitempty"`
+	Count        int    `json:"count,omitempty"`
+	Pairs        int    `json:"pairs"`
+	PairBytes    int    `json:"pair_bytes"`
+	MarkBytes    int    `json:"mark_bytes"`
+	OSCacheBytes int    `json:"os_cache_bytes"`
+}
+
+// maxTop caps /debug/tables?top=N: a table listing, not a dump.
+const maxTop = 1000
+
+func (s *Server) handleDebugTables(w http.ResponseWriter, req *http.Request) {
+	top := 10
+	if v := req.URL.Query().Get("top"); v != "" {
+		n, err := strconv.Atoi(v)
+		if err != nil || n < 0 || n > maxTop {
+			httpError(w, http.StatusBadRequest, "top must be an integer in [0, %d]", maxTop)
+			return
+		}
+		top = n
+	}
+	ms := s.r.MemoryStats(top)
+	resp := tablesResponse{
+		Dictionary: dictionaryInfoOf(ms),
+		Tables: tableInfo{Count: ms.Tables, Pairs: ms.Pairs,
+			PairBytes: ms.PairBytes, MarkBytes: ms.MarkBytes, OSCacheBytes: ms.OSCacheBytes},
+		Top: make([]tableInfo, len(ms.Top)),
+	}
+	for i, t := range ms.Top {
+		resp.Top[i] = tableInfo{Property: t.Property, Pairs: t.Pairs,
+			PairBytes: t.PairBytes, MarkBytes: t.MarkBytes, OSCacheBytes: t.OSCacheBytes}
+	}
+	writeJSON(w, "application/json", resp)
+}
+
 // -------------------------------------------------------------- /metrics
 
 // handleMetrics renders the full metric surface in the Prometheus text
 // exposition format: the server's HTTP families first, then everything
-// the reasoner registers (reasoner, WAL, query engine, build info).
+// the reasoner registers (reasoner, WAL, query engine, build info, Go
+// runtime).
 func (s *Server) handleMetrics(w http.ResponseWriter, req *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	if err := s.reg.WritePrometheus(w); err != nil {

@@ -551,6 +551,30 @@ func TestQueryTimeout504(t *testing.T) {
 	}
 }
 
+// TestRowlessJoinTimesOut: the deadline reaches a walk that produces no
+// rows. On LUBM-200k this join probes every table for each of ≈25,000
+// ⟨student, course⟩ pairs (tens of milliseconds) and matches nothing;
+// with a 1 ms budget it must answer 504, not a late empty 200.
+func TestRowlessJoinTimesOut(t *testing.T) {
+	r := inferray.New(inferray.WithFragment(inferray.RDFSPlus))
+	r.AddTriples(datagen.LUBM(200_000, 1))
+	if _, err := r.Materialize(); err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(NewWithConfig(r, Config{QueryTimeout: time.Millisecond}).Handler())
+	defer ts.Close()
+	join := `SELECT ?s WHERE { ?s <http://example.org/lubm/takesCourse> ?c . ?c ?p ?s }`
+	resp, err := http.Get(ts.URL + "/query?query=" + url.QueryEscape(join))
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusGatewayTimeout {
+		t.Fatalf("status %d (%s), want 504", resp.StatusCode, body)
+	}
+}
+
 // serverStats fetches and decodes /stats.
 func serverStats(t *testing.T, ts *httptest.Server) statsResponse {
 	t.Helper()

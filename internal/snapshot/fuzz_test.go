@@ -71,9 +71,11 @@ type fuzzSeed struct {
 func fuzzSeeds(t testing.TB) []fuzzSeed {
 	img := image(t)
 	body := img[:len(img)-4]
-	streamV5, fileV2 := retiredFixtures(img)
+	imageV6, streamV5, fileV2 := retiredFixtures(img)
 	huge := append([]byte(nil), body...)
 	huge[sectionsAt+1] = 0xFF // absurd numProps
+	hugeBlob := append([]byte(nil), body...)
+	hugeBlob[sectionsAt+13] = 0x40 // absurd blobLen
 	v4 := append([]byte(nil), body...)
 	binary.LittleEndian.PutUint32(v4[4:], 4)
 	seeds := []fuzzSeed{
@@ -82,9 +84,14 @@ func fuzzSeeds(t testing.TB) []fuzzSeed {
 		{"magic-only", []byte(magic)},
 		{"truncated", body[:len(body)/2]},
 		{"huge-numprops", huge},
+		{"huge-bloblen", hugeBlob},
 		{"version-2-image", fileV2},
 		{"version-4-image", v4},
 		{"bare-v5-stream", streamV5},
+		{"version-6-image", imageV6[:len(imageV6)-4]},
+		// What the dictionary's one-pass index rebuild must refuse.
+		{"duplicate-term", dictionaryBody(t, dictSection(9, []string{"<p>"}, []string{"<a>", "<a>"}))},
+		{"empty-property", dictionaryBody(t, dictSection(3, []string{"<p>", ""}, []string{"<a>"}))},
 	}
 	// What Read must refuse rather than repair: a table out of order, and
 	// mark words reaching past the last pair.

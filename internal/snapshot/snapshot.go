@@ -6,14 +6,15 @@
 // then serve the closure without the inference engine.
 //
 // There is one format, written by Write and read by Read over any
-// io.Writer / io.Reader (little-endian), version 6:
+// io.Writer / io.Reader (little-endian), version 7:
 //
 //	magic "IFRI" | version u32 | flags u32
 //	walGeneration u64 | storeGeneration u64 | createdUnix i64 | triples u64
 //	fragment (len u32, bytes)
-//	numProps u32 | numResources u32
-//	property terms: numProps × (len u32, bytes)
-//	resource terms: numResources × (len u32, bytes)
+//	numProps u32 | numResources u32 | blobLen u64
+//	term lengths: (numProps + numResources) × uvarint, properties first,
+//	        0 for a tombstoned resource slot
+//	blob: blobLen bytes, every term's bytes in the same order
 //	numTables u32
 //	tables: numTables × (propIndex u32, version u64, numPairs u32,
 //	        pairs as delta-encoded uvarint stream,
@@ -21,7 +22,11 @@
 //	crc32c u32 over every byte before it
 //
 // The header is the Meta that pairs the image with a write-ahead log
-// and names the ruleset it is a closure under. Pair streams are
+// and names the ruleset it is a closure under. The dictionary section is
+// the dictionary's own (dictionary.WriteSection / ReadSection): all term
+// lengths ahead of all term bytes, so the reader plans the arena first
+// and then reads the blob straight into it — whole chunks, no string per
+// term — and rebuilds the lookup index in one pass. Pair streams are
 // delta-encoded: subjects ascend in a sorted table, so consecutive
 // differences are tiny and uvarint encoding shrinks the image well below
 // the raw 16 bytes/triple. The mark words are the table's asserted marks
@@ -38,9 +43,12 @@
 // it.
 //
 // Read trusts nothing and repairs nothing: any other magic or version is
-// refused with the one found and the one supported named; a pair stream
-// that is not strictly ⟨s,o⟩-ascending, or mark words with a bit past
-// the last pair, are refused with the table named (marks are
+// refused with the one found and the one supported named; a term
+// registered twice, an empty property term, or term lengths that do not
+// add up to blobLen are refused, and a blobLen the stream cannot back
+// costs at most one arena chunk before the stream runs dry; a pair
+// stream that is not strictly ⟨s,o⟩-ascending, or mark words with a bit
+// past the last pair, are refused with the table named (marks are
 // positional); a flipped bit anywhere, a cut stream, or bytes after the
 // checksum are refused by the trailer check.
 //
@@ -58,7 +66,6 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"strings"
 	"syscall"
 
 	"inferray/internal/dictionary"
@@ -67,16 +74,14 @@ import (
 
 const (
 	magic   = "IFRI"
-	version = 6
+	version = 7
 
 	// flagEncoded (flags bit 0) marks a reduced closure written under
 	// the hierarchy interval encoding.
 	flagEncoded = 1 << 0
 
-	// maxFragmentLen and maxTermLen bound the two kinds of
-	// length-prefixed string on read (the writer checks the first too).
+	// maxFragmentLen bounds the fragment name (checked on write and read).
 	maxFragmentLen = 256
-	maxTermLen     = 1 << 24
 )
 
 // castagnoli is the CRC-32C table shared with internal/wal.
@@ -145,21 +150,7 @@ func Write(w io.Writer, d *dictionary.Dictionary, st *store.Store, meta Meta) er
 	writeU64(bw, uint64(meta.CreatedUnix))
 	writeU64(bw, uint64(st.Size()))
 	writeString(bw, meta.Fragment)
-
-	writeU32(bw, uint32(d.NumProperties()))
-	writeU32(bw, uint32(d.NumResources()))
-	d.Properties(func(id uint64, term string) bool {
-		writeString(bw, term)
-		return true
-	})
-	lo, hi := d.ResourceIDRange()
-	for id := lo; id < hi; id++ {
-		// A slot inside the range that no longer decodes was tombstoned
-		// by a resource→property promotion; terms are never empty, so an
-		// empty string encodes the tombstone positionally.
-		term, _ := d.Decode(id)
-		writeString(bw, term)
-	}
+	d.WriteSection(bw)
 
 	nTables := 0
 	st.ForEachTable(func(int, *store.Table) bool { nTables++; return true })
@@ -251,34 +242,11 @@ func readBody(br *bufio.Reader) (*dictionary.Dictionary, *store.Store, Meta, err
 	}
 	meta.Fragment = fragment
 
-	var counts [8]byte // numProps, numResources
-	if _, err := io.ReadFull(br, counts[:]); err != nil {
-		return nil, nil, meta, fmt.Errorf("snapshot: reading header: %w", err)
+	d, err := dictionary.ReadSection(br)
+	if err != nil {
+		return nil, nil, meta, fmt.Errorf("snapshot: %w", err)
 	}
-	nProps, nRes := le.Uint32(counts[:]), le.Uint32(counts[4:])
-	d := dictionary.New()
-	for i := uint32(0); i < nProps; i++ {
-		term, err := readString(br, maxTermLen)
-		if err != nil {
-			return nil, nil, meta, err
-		}
-		d.EncodeProperty(term)
-	}
-	for i := uint32(0); i < nRes; i++ {
-		term, err := readString(br, maxTermLen)
-		if err != nil {
-			return nil, nil, meta, err
-		}
-		if term == "" {
-			d.ReserveTombstone()
-			continue
-		}
-		d.EncodeResource(term)
-	}
-	if d.NumProperties() != int(nProps) || d.NumResources() != int(nRes) {
-		return nil, nil, meta, fmt.Errorf("snapshot: duplicate terms corrupted the dictionary")
-	}
-
+	nProps := uint32(d.NumProperties())
 	st := store.New(int(nProps))
 	nTables, err := readU32(br)
 	if err != nil {
@@ -494,7 +462,8 @@ func writeString(w *bufio.Writer, s string) {
 	w.WriteString(s)
 }
 
-// readString reads a length-prefixed string of at most limit bytes.
+// readString reads a length-prefixed string of at most limit bytes,
+// which must fit the reader's buffer.
 func readString(r *bufio.Reader, limit uint32) (string, error) {
 	n, err := readU32(r)
 	if err != nil {
@@ -503,19 +472,6 @@ func readString(r *bufio.Reader, limit uint32) (string, error) {
 	if n > limit {
 		return "", fmt.Errorf("snapshot: implausible string length %d", n)
 	}
-	// Allocate up front only for plausible term sizes; a corrupt length
-	// below the hard cap still must not buy megabytes before the stream
-	// proves it has the bytes.
-	if n > 1<<16 {
-		var b strings.Builder
-		if _, err := io.CopyN(&b, r, int64(n)); err != nil {
-			return "", err
-		}
-		return b.String(), nil
-	}
-	// The common case fits the reader's buffer (1<<16): convert straight
-	// out of it, one allocation per term — the dictionary makes its own
-	// copy of whatever it registers.
 	buf, err := r.Peek(int(n))
 	if err != nil {
 		if err == io.EOF {

@@ -1,6 +1,7 @@
 package snapshot
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/binary"
 	"errors"
@@ -10,6 +11,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -79,15 +81,89 @@ func seal(body []byte) []byte {
 // length-prefixed fragment name.
 var sectionsAt = 44 + 4 + len(testMeta.Fragment)
 
-// retiredFixtures synthesizes the two layouts this format replaced from
-// the current bytes, so they track the writer instead of a stale blob:
-// the bare version-5 stream (its own magic, no meta, no checksum) and
-// the version-2 file that wrapped it.
-func retiredFixtures(img []byte) (streamV5, fileV2 []byte) {
+// tablesAt is where the table sections start in an image of d written
+// under testMeta: past its dictionary section.
+func tablesAt(d *dictionary.Dictionary) int {
+	var buf bytes.Buffer
+	w := bufio.NewWriter(&buf)
+	d.WriteSection(w)
+	w.Flush()
+	return sectionsAt + buf.Len()
+}
+
+// dictSection hand-builds a dictionary section — what WriteSection would
+// write for these terms, unless blobLen says otherwise — so a test can
+// feed the reader what no dictionary would produce.
+func dictSection(blobLen uint64, props, res []string) []byte {
+	terms := append(append([]string(nil), props...), res...)
+	lengths := make([]int, len(terms))
+	for i, term := range terms {
+		lengths[i] = len(term)
+	}
+	sec := sectionHead(len(props), len(res), blobLen, lengths...)
+	for _, term := range terms {
+		sec = append(sec, term...)
+	}
+	return sec
+}
+
+// sectionHead is a dictionary section up to its blob: the counts, the
+// blob length and the term lengths.
+func sectionHead(nProps, nRes int, blobLen uint64, lengths ...int) []byte {
 	le := binary.LittleEndian
+	sec := le.AppendUint32(nil, uint32(nProps))
+	sec = le.AppendUint32(sec, uint32(nRes))
+	sec = le.AppendUint64(sec, blobLen)
+	for _, n := range lengths {
+		sec = binary.AppendUvarint(sec, uint64(n))
+	}
+	return sec
+}
+
+// dictionaryBody is the body of an image (no trailer) that holds a
+// hand-built dictionary section and no tables.
+func dictionaryBody(t testing.TB, section []byte) []byte {
+	body := append([]byte(nil), image(t)[:sectionsAt]...)
+	binary.LittleEndian.PutUint64(body[36:], 0) // triples
+	body = append(body, section...)
+	return binary.LittleEndian.AppendUint32(body, 0) // numTables
+}
+
+// retiredFixtures synthesizes the layouts this format replaced from the
+// fixture's current bytes, so they track the writer instead of a stale
+// blob: the version-6 image (the dictionary as length-prefixed strings,
+// one per term), the bare version-5 stream around the same sections (its
+// own magic, no meta, no checksum) and the version-2 file that wrapped
+// it.
+func retiredFixtures(img []byte) (imageV6, streamV5, fileV2 []byte) {
+	le := binary.LittleEndian
+	d, _ := buildFixture()
+	// Versions 5 and 6 stored the dictionary as its two counts and then
+	// every term as a length-prefixed string, a tombstone as the empty one.
+	var sections []byte
+	sections = le.AppendUint32(sections, uint32(d.NumProperties()))
+	sections = le.AppendUint32(sections, uint32(d.NumResources()))
+	appendTerm := func(term string) {
+		sections = le.AppendUint32(sections, uint32(len(term)))
+		sections = append(sections, term...)
+	}
+	for i := 0; i < d.NumProperties(); i++ {
+		appendTerm(d.MustDecode(dictionary.PropID(i)))
+	}
+	lo, hi := d.ResourceIDRange()
+	for id := lo; id < hi; id++ {
+		term, _ := d.Decode(id) // "" for a tombstone
+		appendTerm(term)
+	}
+	sections = append(sections, img[tablesAt(d):len(img)-4]...)
+
+	imageV6 = append([]byte(nil), img[:sectionsAt]...)
+	le.PutUint32(imageV6[4:], 6)
+	imageV6 = seal(append(imageV6, sections...))
+
 	streamV5 = le.AppendUint32([]byte("IFRY"), 5)
 	streamV5 = append(streamV5, img[8:12]...) // flags
-	streamV5 = append(streamV5, img[sectionsAt:len(img)-4]...)
+	streamV5 = append(streamV5, sections...)
 
 	fileV2 = le.AppendUint32([]byte("IFRI"), 2)
 	fileV2 = le.AppendUint64(fileV2, testMeta.Generation)
@@ -96,7 +172,7 @@ func retiredFixtures(img []byte) (streamV5, fileV2 []byte) {
 	fileV2 = le.AppendUint64(fileV2, testMeta.StoreGeneration)
 	fileV2 = append(fileV2, img[44:sectionsAt]...) // fragment
 	fileV2 = append(fileV2, streamV5...)
-	return streamV5, seal(fileV2)
+	return imageV6, streamV5, seal(fileV2)
 }
 
 func TestRoundTrip(t *testing.T) {
@@ -112,13 +188,13 @@ func TestRoundTrip(t *testing.T) {
 		t.Fatal("dictionary sizes changed")
 	}
 	// Every term keeps its ID.
-	d.Properties(func(id uint64, term string) bool {
-		got, ok := d2.Lookup(term)
-		if !ok || got != id {
-			t.Fatalf("property %q: id %d -> %d", term, id, got)
+	_, hi := d.ResourceIDRange()
+	for id := dictionary.PropID(d.NumProperties() - 1); id < hi; id++ {
+		term := d.MustDecode(id)
+		if got, ok := d2.Lookup(term); !ok || got != id {
+			t.Fatalf("term %q: id %d -> %d", term, id, got)
 		}
-		return true
-	})
+	}
 	if st2.Size() != st.Size() {
 		t.Fatalf("store size %d -> %d", st.Size(), st2.Size())
 	}
@@ -335,15 +411,16 @@ func TestRoundTripWithTombstone(t *testing.T) {
 }
 
 // TestReadRefusesOtherStreamVersions: there is one format and no
-// migration. The two layouts it replaced — the bare version-5 stream and
-// the version-2 file around it — and any other version number under the
-// current magic, retired or future, are refused by the one header check
-// with the version found and the version supported named; none is
-// parsed under the current layout, whole and checksum-valid as it is.
+// migration. The three layouts it replaced — the version-6 image with
+// one string per term, the bare version-5 stream and the version-2 file
+// around it — and any other version number under the current magic,
+// retired or future, are refused by the one header check with the
+// version found and the version supported named; none is parsed under
+// the current layout, whole and checksum-valid as it is.
 func TestReadRefusesOtherStreamVersions(t *testing.T) {
 	img := image(t)
-	streamV5, fileV2 := retiredFixtures(img)
-	cases := map[uint32][]byte{5: streamV5, 2: fileV2}
+	imageV6, streamV5, fileV2 := retiredFixtures(img)
+	cases := map[uint32][]byte{6: imageV6, 5: streamV5, 2: fileV2}
 	for _, v := range []uint32{1, 3, 4, version + 1} {
 		patched := append([]byte(nil), img[:len(img)-4]...)
 		binary.LittleEndian.PutUint32(patched[4:], v)
@@ -382,7 +459,7 @@ func TestFileMetaVersions(t *testing.T) {
 		t.Errorf("temp files left behind: %v", left)
 	}
 
-	_, fileV2 := retiredFixtures(image(t))
+	_, _, fileV2 := retiredFixtures(image(t))
 	old := filepath.Join(dir, "v2.img")
 	if err := os.WriteFile(old, fileV2, 0o644); err != nil {
 		t.Fatal(err)
@@ -460,6 +537,64 @@ func TestReadRefusesWhatItWouldHaveToRepair(t *testing.T) {
 			if !strings.Contains(err.Error(), want) {
 				t.Errorf("%s: refusal %q does not mention %q", name, err, want)
 			}
+		}
+	}
+}
+
+// TestReadRefusesBadDictionary: the dictionary section is rebuilt, not
+// replayed, so what a dictionary could never hold is refused — a term
+// registered twice, on one side or across the two; an empty property
+// term; lengths that do not add up to the blob — and a blob the stream
+// cannot back is refused after at most one arena chunk, however much
+// it claims, short terms or one long one.
+func TestReadRefusesBadDictionary(t *testing.T) {
+	for name, c := range map[string]struct {
+		section []byte
+		want    string
+	}{
+		"duplicate resource":     {dictSection(9, []string{"<p>"}, []string{"<a>", "<a>"}), `term "<a>" registered twice`},
+		"property twice":         {dictSection(9, []string{"<p>", "<q>"}, []string{"<p>"}), `term "<p>" registered twice`},
+		"empty property":         {dictSection(3, []string{"<p>", ""}, []string{"<a>"}), "property term 1 is empty"},
+		"lengths short of blob":  {dictSection(7, []string{"<p>"}, []string{"<a>"}), "sum to 6 bytes, blob holds 7"},
+		"lengths past the blob":  {dictSection(5, []string{"<p>"}, []string{"<a>"}), "overrun the 5-byte blob"},
+		"tombstone is not empty": {dictSection(3, []string{"<p>"}, []string{""}), ""},
+	} {
+		_, _, _, err := Read(bytes.NewReader(seal(dictionaryBody(t, c.section))))
+		if c.want == "" {
+			if err != nil {
+				t.Errorf("%s: %v", name, err)
+			}
+			continue
+		}
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: %v, want a refusal mentioning %q", name, err, c.want)
+		}
+	}
+
+	// Terms the stream never delivers — 10 MB of short ones, and one of
+	// 1 GB — after "<p>" and 100 bytes of the next term have arrived. Each
+	// is refused having allocated a sliver of what it claims.
+	short := make([]int, 10_001)
+	for i := range short {
+		short[i] = 1000
+	}
+	short[0] = 3
+	for name, section := range map[string][]byte{
+		"short terms": sectionHead(1, 10_000, 3+10_000*1000, short...),
+		"one long":    sectionHead(1, 1, 3+1<<30, 3, 1<<30),
+	} {
+		stream := append(image(t)[:sectionsAt:sectionsAt], section...)
+		stream = append(stream, "<p>"...)
+		stream = append(stream, strings.Repeat("x", 100)...)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, _, _, err := Read(bytes.NewReader(stream))
+		runtime.ReadMemStats(&after)
+		if err == nil || !strings.Contains(err.Error(), "dictionary blob") {
+			t.Errorf("%s: %v, want a cut dictionary blob", name, err)
+		}
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+			t.Errorf("%s: reading allocated %d bytes", name, grew)
 		}
 	}
 }

@@ -272,6 +272,18 @@ func (t *Table) OS() []uint64 {
 	return t.os
 }
 
+// Footprint reports the bytes the table holds, by capacity: its pair
+// list, its mark words, and its ⟨o,s⟩ cache (0 while none is built).
+// Safe beside concurrent readers.
+func (t *Table) Footprint() (pairs, marks, os int) {
+	t.osMu.Lock()
+	defer t.osMu.Unlock()
+	if t.osOK {
+		os = 8 * cap(t.os)
+	}
+	return 8 * cap(t.pairs), 8 * cap(t.marks), os
+}
+
 // CachedOS returns the ⟨o,s⟩ cache as it stands, without building it;
 // ok is false when the table holds none. The engine's self-check
 // compares a patched cache with a rebuild through it.

@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
+	"runtime"
+	rtmetrics "runtime/metrics"
 	"strings"
 	"time"
 
@@ -56,7 +58,8 @@ type obs struct {
 
 // newObs builds the registry and registers every family the reasoner
 // owns: reasoner, durability, and query-engine layers plus the
-// evaluation-level query counters and build info. The reasoner.Metrics
+// evaluation-level query counters, build info and the Go runtime's
+// gauges. The reasoner.Metrics
 // handle is returned through c.engine for the engine constructor.
 func newObs(c *config) *obs {
 	reg := metrics.NewRegistry()
@@ -92,13 +95,56 @@ func newObs(c *config) *obs {
 		func() float64 { return 1 },
 		"version", version, "goversion", goVersion,
 		"fragment", c.engine.Fragment.String())
+	registerRuntime(reg)
 	c.engine.Metrics = o.rm
 	return o
 }
 
+// registerRuntime adds the Go runtime's own numbers, read at scrape
+// time: the heap in use and the part of it the last collection found
+// live, how many collections ran and how long they stopped the program,
+// and how many goroutines exist. They are how an operator sees resident
+// bytes move without a profiler.
+func registerRuntime(reg *metrics.Registry) {
+	sum := func(names ...string) float64 {
+		samples := make([]rtmetrics.Sample, len(names))
+		for i, name := range names {
+			samples[i].Name = name
+		}
+		rtmetrics.Read(samples)
+		total := 0.0
+		for _, s := range samples {
+			if s.Value.Kind() == rtmetrics.KindUint64 {
+				total += float64(s.Value.Uint64())
+			}
+		}
+		return total
+	}
+	reg.GaugeFunc("inferray_go_heap_inuse_bytes",
+		"Bytes of heap spans holding objects, free slots in them included (runtime.MemStats.HeapInuse).",
+		func() float64 { return sum("/memory/classes/heap/objects:bytes", "/memory/classes/heap/unused:bytes") })
+	reg.GaugeFunc("inferray_go_heap_live_bytes",
+		"Heap bytes the last garbage collection marked live.",
+		func() float64 { return sum("/gc/heap/live:bytes") })
+	reg.CounterFunc("inferray_go_gc_cycles_total",
+		"Completed garbage-collection cycles.",
+		func() float64 { return sum("/gc/cycles/total:gc-cycles") })
+	reg.CounterFunc("inferray_go_gc_pause_seconds_total",
+		"Stop-the-world pause time of every garbage collection, summed.",
+		func() float64 {
+			var ms runtime.MemStats
+			runtime.ReadMemStats(&ms)
+			return float64(ms.PauseTotalNs) / 1e9
+		})
+	reg.GaugeFunc("inferray_go_goroutines",
+		"Goroutines that currently exist.",
+		func() float64 { return float64(runtime.NumGoroutine()) })
+}
+
 // WriteMetrics renders every metric family the reasoner owns —
-// reasoner, durability, query engine, evaluation counters, and build
-// info — in the Prometheus text exposition format. The server's GET
+// reasoner, durability, query engine, evaluation counters, build info,
+// and the Go runtime's heap, collection and goroutine gauges — in the
+// Prometheus text exposition format. The server's GET
 // /metrics endpoint is this plus its own HTTP families; embedders
 // without HTTP can expose or log the same numbers directly.
 func (r *Reasoner) WriteMetrics(w io.Writer) error {
@@ -201,6 +247,21 @@ func (r *Reasoner) Metrics() MetricsSnapshot {
 		s.RuleSkipped[values[0]] = c.Value()
 	})
 	return s
+}
+
+// MemoryStats is where a reasoner's resident bytes are: the dictionary's
+// terms and its term, arena, ref and index bytes; the pair, asserted-mark
+// and ⟨o,s⟩-cache bytes summed over the property tables; and the largest
+// tables with the same split.
+type MemoryStats = reasoner.MemoryStats
+
+// MemoryStats reports where the reasoner's resident bytes are, listing
+// the top largest property tables by stored pairs. It shares the read
+// lock with queries.
+func (r *Reasoner) MemoryStats(top int) MemoryStats {
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	return r.engine.MemoryStats(top)
 }
 
 // readLock takes r.mu for reading on behalf of a query evaluation and

@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"inferray"
+	"inferray/internal/datagen"
 	"inferray/internal/dictionary"
 	"inferray/internal/metrics"
 	"inferray/internal/query"
@@ -338,6 +339,36 @@ func TestCanceledScanAbortsAndIsRecorded(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("slow-query record missing %q in:\n%s", want, out)
 		}
+	}
+}
+
+// rowlessJoin matches nothing on LUBM — a course is the subject of no
+// triple naming a student — but only after probing every table for
+// every ⟨student, course⟩ pair: a walk that never hands the chain a row.
+const rowlessJoin = `SELECT ?s WHERE { ?s <http://example.org/lubm/takesCourse> ?c . ?c ?p ?s }`
+
+// A deadline reaches a walk that produces no rows: the engine polls the
+// context among its candidates, not only the chain among its rows.
+func TestRowlessJoinIsCanceled(t *testing.T) {
+	r := inferray.New(inferray.WithFragment(inferray.RDFSPlus))
+	r.AddTriples(datagen.LUBM(40_000, 1)) // ≈5,000 takesCourse pairs: one engine poll
+	if _, err := r.Materialize(); err != nil {
+		t.Fatal(err)
+	}
+	// Err call 1 is the check before evaluation; call 2 the engine's first
+	// poll, after 4,096 candidates.
+	ctx := &flipContext{Context: context.Background(), flipAt: 2, done: make(chan struct{})}
+	before := r.Metrics()
+	res, err := r.Exec(ctx, rowlessJoin, 0, nil, func(inferray.Row) bool { return true })
+	if err != context.Canceled {
+		t.Fatalf("err = %v (result %+v), want context.Canceled", err, res)
+	}
+	if rows := r.Metrics().EngineRows - before.EngineRows; rows != 0 || ctx.calls != 2 {
+		t.Fatalf("%d engine rows, %d context polls; want 0 rows, 2 polls", rows, ctx.calls)
+	}
+	delivered := 0
+	if _, err := r.Exec(context.Background(), rowlessJoin, 0, nil, func(inferray.Row) bool { delivered++; return true }); err != nil || delivered != 0 {
+		t.Fatalf("uncanceled: %d rows, %v; want none", delivered, err)
 	}
 }
 

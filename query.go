@@ -591,12 +591,16 @@ func (r *Reasoner) runLocked(ctx context.Context, pl *plan, maxRows int, onHead 
 	q := pl.q
 	rn := &run{plan: pl, eng: r.queryEngine(), dict: r.engine.Dict}
 	// Deadline polling is armed only for cancelable contexts (Done() is
-	// nil for context.Background(), so the library paths pay nothing).
+	// nil for context.Background(), so the library paths pay nothing): in
+	// the engine's walk every few thousand candidate triples, so a join
+	// that matches nothing for long still stops, and at the head of the
+	// chain every 256 rows, which covers rows no scan produced (VALUES).
 	if ctx.Done() != nil {
 		if err := ctx.Err(); err != nil {
 			return false, 0, err
 		}
 		rn.ctx = ctx
+		rn.eng.Stop = ctx.Err
 	}
 
 	// Effective row cap: the query's LIMIT tightened by the caller's.
