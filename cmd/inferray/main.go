@@ -217,8 +217,8 @@ func run(ctx context.Context, args []string, stdin io.Reader, stdout, stderr io.
 			st.ParseTime, st.EncodeTime, st.NormalizeTime, st.ClosureTime, st.LoopTime, st.CountTime,
 			st.ParseTime+st.EncodeTime+st.TotalTime) // bytes in → closure
 		for i, r := range st.Rounds {
-			fmt.Fprintf(stderr, "  round=%d batch=%s fired=%d skipped=%d new=%d rules=%s merge=%s maintain=%s\n",
-				i+1, batch, r.RulesFired, r.RulesSkipped, r.NewTriples,
+			fmt.Fprintf(stderr, "  round=%d batch=%s fired=%d skipped=%d emitted=%d new=%d rules=%s merge=%s maintain=%s\n",
+				i+1, batch, r.RulesFired, r.RulesSkipped, r.Emitted, r.NewTriples,
 				r.RulesTime, r.MergeTime, r.MaintainTime)
 		}
 		// What this batch cost the store: an incremental batch that is small

@@ -216,8 +216,10 @@ func TestCLIDeltaFlag(t *testing.T) {
 	if strings.Count(errOut, "fragment=") != 3 {
 		t.Errorf("expected 3 stats lines, got: %s", errOut)
 	}
-	// Each batch's rounds follow its stats line, with the time split.
-	if !strings.Contains(errOut, "  round=1 batch=initial fired=") || !strings.Contains(errOut, " maintain=") {
+	// Each batch's rounds follow its stats line, with what the rules
+	// emitted beside what the merge kept, and the time split.
+	if !strings.Contains(errOut, "  round=1 batch=initial fired=") || !strings.Contains(errOut, " emitted=") ||
+		!strings.Contains(errOut, " maintain=") {
 		t.Errorf("missing per-round lines: %s", errOut)
 	}
 	// ... and one store line per batch: merge paths and ⟨o,s⟩-cache events.
@@ -310,8 +312,10 @@ func TestCLIServe(t *testing.T) {
 	}
 
 	// Delta: <y> is typed into the hierarchy; the incremental
-	// materialization must propagate it to <c>.
-	delta := "<y> <http://www.w3.org/1999/02/22-rdf-syntax-ns#type> <a> .\n"
+	// materialization must propagate it to <c>. The domain statement gives
+	// a rule something to emit, so the round counters move.
+	delta := "<y> <http://www.w3.org/1999/02/22-rdf-syntax-ns#type> <a> .\n" +
+		"<knows> <http://www.w3.org/2000/01/rdf-schema#domain> <a> .\n<x> <knows> <y> .\n"
 	resp, err := http.Post(baseURL+"/triples", "application/n-triples", strings.NewReader(delta))
 	if err != nil {
 		t.Fatal(err)
@@ -388,6 +392,13 @@ func TestCLIServe(t *testing.T) {
 	for _, phase := range []string{"parse", "encode", "normalize", "closure", "loop", "count"} {
 		if sample := `inferray_reasoner_phase_seconds_total{phase="` + phase + `"} `; !strings.Contains(body, sample) {
 			t.Errorf("metrics exposition missing %s", sample)
+		}
+	}
+	// What the fixpoint's rules emitted against what its merges kept.
+	for _, kind := range []string{"emitted", "kept"} {
+		sample := `inferray_reasoner_round_pairs_total{kind="` + kind + `"} `
+		if i := strings.Index(body, "\n"+sample); i < 0 || strings.HasPrefix(body[i+1+len(sample):], "0\n") {
+			t.Errorf("metrics exposition missing %s, or it reads zero", sample)
 		}
 	}
 	if t.Failed() {

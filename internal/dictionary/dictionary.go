@@ -440,6 +440,13 @@ func (d *Dictionary) ResourceIDRange() (lo, hi uint64) {
 	return PropBase + 1, PropBase + 1 + uint64(len(d.res))
 }
 
+// IDRange returns the n IDs in use on both sides, [lo, lo+n): the
+// properties' below PropBase and the resources' above it are one
+// contiguous span, so id-lo is a dense position for per-term arrays.
+func (d *Dictionary) IDRange() (lo uint64, n int) {
+	return PropBase + 1 - uint64(len(d.props)), len(d.props) + len(d.res)
+}
+
 // Footprint is where a dictionary's resident bytes are.
 type Footprint struct {
 	// Terms counts the registered terms; a tombstoned slot is not one.

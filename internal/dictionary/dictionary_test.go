@@ -115,6 +115,9 @@ func TestDensity(t *testing.T) {
 	if lo != PropBase+1 || hi != PropBase+1+uint64(m) {
 		t.Fatalf("resource range [%d,%d) wrong", lo, hi)
 	}
+	if lo, k := d.IDRange(); lo != PropBase-uint64(n)+1 || k != n+m {
+		t.Fatalf("id range %d+%d, want %d+%d", lo, k, PropBase-uint64(n)+1, n+m)
+	}
 	for i := 0; i < n; i++ {
 		if term, ok := d.Decode(PropID(i)); !ok || term != fmt.Sprintf("<p%d>", i) {
 			t.Fatalf("property index %d decodes to %q (%t)", i, term, ok)

@@ -45,6 +45,21 @@ type RunScratch struct {
 // strict descendant set: one binary search of the sorted ranks per
 // interval, O(k log k) for a run of k classes over a tree.
 func (r *Relation) Shadowed(run []uint64, sc *RunScratch) []bool {
+	return r.shadowed(run, true, sc)
+}
+
+// StrictlyShadowed is Shadowed without the cycle mates: mask[i] reports
+// only that another class of the run lies strictly below the i-th, so
+// every member of a cycle with nothing of the run strictly below it
+// stands. It is the test to use where the class doing the skipped one's
+// work must not depend on it: an expansion up the hierarchy can derive a
+// cycle mate from the skipped class, never a class strictly below it.
+func (r *Relation) StrictlyShadowed(run []uint64, sc *RunScratch) []bool {
+	return r.shadowed(run, false, sc)
+}
+
+// shadowed is Shadowed, counting cycle mates when mates is set.
+func (r *Relation) shadowed(run []uint64, mates bool, sc *RunScratch) []bool {
 	k := len(run) / 2
 	if k < 2 || len(r.nodes) == 0 {
 		return nil
@@ -67,7 +82,7 @@ func (r *Relation) Shadowed(run []uint64, sc *RunScratch) []bool {
 
 	var mask []bool
 	for i, rank := range ranks {
-		if rank < 0 || !r.shadowedAt(rank, sccs[i], sorted) {
+		if rank < 0 || !r.shadowedAt(rank, sccs[i], sorted, mates) {
 			continue
 		}
 		if mask == nil {
@@ -80,9 +95,10 @@ func (r *Relation) Shadowed(run []uint64, sc *RunScratch) []bool {
 }
 
 // shadowedAt reports whether the class at rank, of component scc, is
-// shadowed by one of the sorted ranks.
-func (r *Relation) shadowedAt(rank, scc int32, sorted []int32) bool {
-	if r.sccSize[scc] > 1 {
+// shadowed by one of the sorted ranks; a cycle mate counts when mates is
+// set.
+func (r *Relation) shadowedAt(rank, scc int32, sorted []int32, mates bool) bool {
+	if mates && r.sccSize[scc] > 1 {
 		if p, _ := slices.BinarySearch(sorted, rank); p > 0 && sorted[p-1] >= r.sccFirst[scc] {
 			return true
 		}

@@ -56,44 +56,50 @@ func randomRun(rng *rand.Rand, s uint64, nodes int) []uint64 {
 	return run
 }
 
-// TestShadowedMatchesPairwise checks the run-level shadow mask against
-// the pairwise definition it replaced: d is shadowed iff some other
+// TestShadowedMatchesPairwise checks the run-level shadow masks against
+// the pairwise definition Shadowed replaced: d is shadowed iff some other
 // class c of the run is subsumed by d, and either strictly (d is not
-// subsumed by c) or as the cycle mate with the smaller id.
+// subsumed by c) or, for Shadowed but not StrictlyShadowed, as the cycle
+// mate with the smaller id.
 func TestShadowedMatchesPairwise(t *testing.T) {
-	rng := rand.New(rand.NewSource(20))
-	var sc RunScratch
-	shadowedRuns := 0
-	for iter := 0; iter < 2000; iter++ {
-		nodes := 2 + rng.Intn(24)
-		edges := randomEdges(rng, nodes)
-		r := newRelation(edges)
-		for k := 0; k < 4; k++ {
-			run := randomRun(rng, 7, nodes)
-			got := r.Shadowed(run, &sc)
-			any := false
-			for i := 1; i < len(run); i += 2 {
-				d, want := run[i], false
-				for j := 1; j < len(run); j += 2 {
-					if c := run[j]; c != d && r.Subsumes(c, d) && (!r.Subsumes(d, c) || c < d) {
-						want = true
+	for _, mates := range []bool{true, false} {
+		rng := rand.New(rand.NewSource(20))
+		var sc RunScratch
+		shadowedRuns := 0
+		for iter := 0; iter < 2000; iter++ {
+			nodes := 2 + rng.Intn(24)
+			edges := randomEdges(rng, nodes)
+			r := newRelation(edges)
+			for k := 0; k < 4; k++ {
+				run := randomRun(rng, 7, nodes)
+				got := r.StrictlyShadowed(run, &sc)
+				if mates {
+					got = r.Shadowed(run, &sc)
+				}
+				any := false
+				for i := 1; i < len(run); i += 2 {
+					d, want := run[i], false
+					for j := 1; j < len(run); j += 2 {
+						if c := run[j]; c != d && r.Subsumes(c, d) && (!r.Subsumes(d, c) || mates && c < d) {
+							want = true
+						}
+					}
+					any = any || want
+					if have := got != nil && got[i/2]; have != want {
+						t.Fatalf("mates %t, edges %v run %v: class %d shadowed = %t, pairwise says %t", mates, edges, run, d, have, want)
 					}
 				}
-				any = any || want
-				if have := got != nil && got[i/2]; have != want {
-					t.Fatalf("edges %v run %v: class %d shadowed = %t, pairwise says %t", edges, run, d, have, want)
+				if !any && got != nil {
+					t.Fatalf("mates %t, edges %v run %v: non-nil mask with nothing shadowed", mates, edges, run)
+				}
+				if any {
+					shadowedRuns++
 				}
 			}
-			if !any && got != nil {
-				t.Fatalf("edges %v run %v: non-nil mask with nothing shadowed", edges, run)
-			}
-			if any {
-				shadowedRuns++
-			}
 		}
-	}
-	if shadowedRuns < 1000 {
-		t.Fatalf("only %d of 8000 runs had a shadowed class; the generator is too sparse to test anything", shadowedRuns)
+		if shadowedRuns < 1000 {
+			t.Fatalf("mates %t: only %d of 8000 runs had a shadowed class; the generator is too sparse to test anything", mates, shadowedRuns)
+		}
 	}
 }
 

@@ -41,6 +41,10 @@ type Metrics struct {
 	// rules (selecting and firing), merge (store.MergeRound), maintain
 	// (hierarchy index rebuild, guards, type compaction).
 	LoopSeconds *metrics.CounterVec
+	// RoundPairs sizes the fixpoint's rounds: emitted = the pairs the
+	// fired rules handed to the merge, kept = the new triples it found
+	// among them.
+	RoundPairs *metrics.CounterVec
 	// Retractions counts Retract calls; OverdeletedTriples and
 	// RederivedTriples size the two DRed phases, and RetractSeconds
 	// observes total retraction wall time.
@@ -88,6 +92,9 @@ func NewMetrics(reg *metrics.Registry) *Metrics {
 		LoopSeconds: reg.SecondsCounterVec("inferray_reasoner_loop_seconds_total",
 			"The loop phase by part: rules (selecting and firing), merge (sort, dedup and merge of the rule outputs), maintain (hierarchy index rebuild, guards, type compaction).",
 			"part"),
+		RoundPairs: reg.CounterVec("inferray_reasoner_round_pairs_total",
+			"Fixpoint rounds: pairs the fired rules emitted into the merge, and the new triples the merge kept of them.",
+			"kind"),
 		Retractions: reg.Counter("inferray_reasoner_retractions_total",
 			"Retract calls (DRed overdelete + rederive runs)."),
 		RetractSeconds: reg.Histogram("inferray_reasoner_retract_seconds",
@@ -140,12 +147,16 @@ func (e *Engine) recordMaterialize(st *Stats) {
 	m.ObservePhase("loop", st.LoopTime)
 	m.ObservePhase("count", st.CountTime)
 	var rules, merge, maintain time.Duration
+	var emitted, kept int
 	for _, r := range st.Rounds {
 		rules, merge, maintain = rules+r.RulesTime, merge+r.MergeTime, maintain+r.MaintainTime
+		emitted, kept = emitted+r.Emitted, kept+r.NewTriples
 	}
 	m.LoopSeconds.With("rules").Add(uint64(rules))
 	m.LoopSeconds.With("merge").Add(uint64(merge))
 	m.LoopSeconds.With("maintain").Add(uint64(maintain))
+	m.RoundPairs.With("emitted").Add(uint64(emitted))
+	m.RoundPairs.With("kept").Add(uint64(kept))
 	m.Materializations.Inc()
 	m.MaterializeSeconds.ObserveDuration(st.TotalTime)
 	m.Rounds.Add(uint64(st.Iterations))

@@ -67,6 +67,7 @@ type Options struct {
 type RoundStats struct {
 	RulesFired   int // rules whose read footprint met the round's delta
 	RulesSkipped int // rules the scheduler skipped
+	Emitted      int // pairs the fired rules handed to the merge, before it dedups them
 	NewTriples   int // distinct new triples the merge round produced
 
 	RulesTime    time.Duration
@@ -296,6 +297,10 @@ func (e *Engine) fixpoint(delta *store.Store, st *Stats) {
 		start := time.Now()
 		outs, fired := e.applyRules(delta)
 		rulesTime := time.Since(start)
+		emitted := 0
+		for _, out := range outs {
+			emitted += out.Size()
+		}
 		delta = e.mergeRound(false, outs...)
 		skipped := len(e.rules) - fired
 		st.Iterations++
@@ -304,6 +309,7 @@ func (e *Engine) fixpoint(delta *store.Store, st *Stats) {
 		st.Rounds = append(st.Rounds, RoundStats{
 			RulesFired:   fired,
 			RulesSkipped: skipped,
+			Emitted:      emitted,
 			NewTriples:   delta.Size(),
 			RulesTime:    rulesTime,
 			MergeTime:    e.mergeTime,
@@ -747,6 +753,7 @@ func (e *Engine) triggered(st *store.Store, side func(*rules.Rule) rules.Footpri
 func (e *Engine) runRules(runnable []int, delta *store.Store) []*store.Store {
 	slots := e.Main.NumSlots()
 	outs := make([]*store.Store, len(runnable))
+	termBase, terms := e.Dict.IDRange()
 	store.RunPool(e.opts.Parallel, len(runnable), func(k int) {
 		i := runnable[k]
 		var start time.Time
@@ -759,6 +766,8 @@ func (e *Engine) runRules(runnable []int, delta *store.Store) []*store.Store {
 			Hier:             e.hier,
 			HierClassChanged: e.hierClassChanged,
 			HierPropChanged:  e.hierPropChanged,
+			TermBase:         termBase,
+			Terms:            terms,
 		})
 		if e.mSeconds != nil {
 			e.mSeconds[i].Add(uint64(time.Since(start)))

@@ -395,6 +395,53 @@ func TestRetractAssertedUnderDerivedShadow(t *testing.T) {
 	}
 }
 
+// TestRetractSchemaOverCycle: under the encoding, a domain or range on one
+// member of a subsumption cycle is expanded to the other, and retracting
+// it must take that expansion and the typings it made along, whichever
+// member the retraction names. A and B are equivalent, by two subClassOf
+// edges or by owl:equivalentClass, and A is interned first, so it has the
+// smaller id.
+func TestRetractSchemaOverCycle(t *testing.T) {
+	sc := func(a, b string) rdf.Triple { return rdf.Triple{S: a, P: rdf.RDFSSubClassOf, O: b} }
+	for _, cycle := range []struct {
+		name  string
+		edges []rdf.Triple
+	}{
+		{"subClassOf", []rdf.Triple{sc("<A>", "<B>"), sc("<B>", "<A>")}},
+		{"equivalentClass", []rdf.Triple{{S: "<A>", P: rdf.OWLEquivalentClass, O: "<B>"}}},
+	} {
+		for _, schema := range []string{rdf.RDFSDomain, rdf.RDFSRange} {
+			for _, cls := range []string{"<A>", "<B>"} {
+				label := fmt.Sprintf("%s cycle, retract ⟨p %s %s⟩", cycle.name, schema, cls)
+				opts := Options{Fragment: rules.RDFSPlus, HierarchyEncoding: true}
+				e := New(opts)
+				decl := rdf.Triple{S: "<p>", P: schema, O: cls}
+				e.LoadTriples(append(slices.Clone(cycle.edges), decl, rdf.Triple{S: "<x>", P: "<p>", O: "<y>"}))
+				e.Materialize()
+				typed := "<x>"
+				if schema == rdf.RDFSRange {
+					typed = "<y>"
+				}
+				if e.HierView() == nil || !e.Contains(rdf.Triple{S: typed, P: rdf.RDFType, O: "<A>"}) {
+					t.Fatalf("%s: fixture: the encoding must be on and %s typed A", label, typed)
+				}
+				if st, err := e.Retract([]rdf.Triple{decl}); err != nil || st.Retracted != 1 {
+					t.Fatalf("%s: %+v, %v", label, st, err)
+				}
+				for _, c := range []string{"<A>", "<B>"} {
+					if e.Contains(rdf.Triple{S: "<p>", P: schema, O: c}) || e.Contains(rdf.Triple{S: typed, P: rdf.RDFType, O: c}) {
+						t.Errorf("%s: ⟨p %s %s⟩ or ⟨%s type %s⟩ outlived the retraction", label, schema, c, typed, c)
+					}
+				}
+				checkAgainstRemat(t, e, opts, label)
+				if err := e.CheckCarried(); err != nil {
+					t.Fatalf("%s: %v", label, err)
+				}
+			}
+		}
+	}
+}
+
 // TestAssertAlreadyDerived: loading a triple the closure already stores
 // as a derivation is a mark, not a change — no new input, no table
 // version moved — and from then on the triple stands on its own: it

@@ -80,6 +80,13 @@ type Context struct {
 	// the delta.
 	HierClassChanged bool
 	HierPropChanged  bool
+
+	// Every ID in the stores lies in [TermBase, TermBase+Terms), the
+	// dictionary's IDRange, so a rule can keep per-term scratch as a
+	// dense array indexed by id-TermBase. Terms 0 means unknown, and the
+	// rules fall back to scratch in proportion to their input.
+	TermBase uint64
+	Terms    int
 }
 
 // FirstPass reports whether this is the first iteration, where delta and
@@ -187,20 +194,47 @@ func (c *Context) alphaJoin(aProp int, aOnSubj bool, bProp int, bOnSubj bool, em
 	}
 }
 
-// markerSubjects returns the subjects s with ⟨s, rdf:type, marker⟩ in the
-// given type table (nil-safe).
+// markerSubjects returns, ascending, the subjects s with ⟨s, rdf:type,
+// marker⟩ in the given type table (nil-safe). It reads the table's ⟨o,s⟩
+// list when one is cached and scans the pairs otherwise: building the
+// list would sort a copy of the whole table to find one run.
 func markerSubjects(typeTable *store.Table, marker uint64) []uint64 {
 	if typeTable == nil || typeTable.Empty() {
 		return nil
 	}
-	os := typeTable.OS()
-	lo, hi := typeTable.ObjectRun(marker)
-	if lo == hi {
-		return nil
+	var subs []uint64
+	if os, ok := typeTable.CachedOS(); ok {
+		lo, hi := store.KeyRun(os, marker)
+		for i := lo; i < hi; i++ {
+			subs = append(subs, os[2*i+1])
+		}
+		return subs
 	}
-	subs := make([]uint64, 0, hi-lo)
-	for i := lo; i < hi; i++ {
-		subs = append(subs, os[2*i+1])
+	pairs := typeTable.Pairs()
+	for i := 1; i < len(pairs); i += 2 {
+		if pairs[i] == marker {
+			subs = append(subs, pairs[i-1])
+		}
 	}
 	return subs
+}
+
+// markedProperties returns, ascending, the table indexes of the
+// properties p with ⟨p, rdf:type, marker⟩ in the given type table
+// (nil-safe). Property IDs sort before every resource ID, so those pairs
+// are the table's leading subject runs: the scan ends where the first
+// resource subject begins.
+func markedProperties(typeTable *store.Table, marker uint64) []int {
+	if typeTable == nil {
+		return nil
+	}
+	var out []int
+	pairs := typeTable.Pairs()
+	end := store.GallopLowerBound(pairs, len(pairs)/2, 0, dictionary.PropBase+1)
+	for i := 0; i < end; i++ {
+		if pairs[2*i+1] == marker {
+			out = append(out, dictionary.PropIndex(pairs[2*i]))
+		}
+	}
+	return out
 }

@@ -24,6 +24,15 @@ import (
 // derive nothing new); when the hierarchy itself changed — or on the
 // first pass — the whole main schema table is re-swept against the
 // fresh intervals.
+//
+// The up form skips a class c when another class m of p's run in the
+// main table lies strictly below it: c's supers are among m's, and m's
+// chain down to a minimal class was expanded in the pass that swept it
+// in, this one or an earlier one, because runs only grow between sweeps.
+// A cycle mate does not count: ⟨p, m⟩ can itself be derived from ⟨p, c⟩
+// when c and m are equivalent, and a retraction of ⟨p, c⟩ must then reach
+// ⟨p, m⟩ through c's expansion (DESIGN.md §10 "What the rules stop
+// doing").
 func encodedSchemaExpand(c *Context, schemaPidx int, rel *hierarchy.Relation, changed, up bool) {
 	var t *store.Table
 	if c.FirstPass() || changed {
@@ -35,19 +44,28 @@ func encodedSchemaExpand(c *Context, schemaPidx int, rel *hierarchy.Relation, ch
 		return
 	}
 	out := c.Out.Ensure(schemaPidx)
-	pairs := t.RawPairs()
-	for i := 0; i < len(pairs); i += 2 {
-		p, cls := pairs[i], pairs[i+1]
-		if up {
-			rel.Supers(cls, func(super uint64) bool {
-				out.Append(p, super)
-				return true
-			})
-		} else {
+	pairs := t.Pairs()
+	if !up {
+		for i := 0; i < len(pairs); i += 2 {
+			p, cls := pairs[i], pairs[i+1]
 			rel.Subs(p, func(sub uint64) bool {
 				out.Append(sub, cls)
 				return true
 			})
+		}
+		return
+	}
+	min := minimalRun{schema: c.mainTable(schemaPidx), rel: rel, strict: true}
+	for i := 0; i < len(pairs); {
+		p := pairs[i]
+		min.seek(p)
+		for ; i < len(pairs) && pairs[i] == p; i += 2 {
+			if cls := pairs[i+1]; min.minimal(cls) {
+				rel.Supers(cls, func(super uint64) bool {
+					out.Append(p, super)
+					return true
+				})
+			}
 		}
 	}
 }
@@ -59,10 +77,14 @@ func encodedSchemaExpand(c *Context, schemaPidx int, rel *hierarchy.Relation, ch
 // supplies every visible super, so ⟨x type c⟩ for a non-minimal c is
 // already virtual once ⟨x type min⟩ is stored. Mutually subsuming
 // classes (one cyclic strong component) keep the smallest id as their
-// sole representative, which keeps the relation well-founded.
+// sole representative, which keeps the relation well-founded — unless
+// strict is set, as for the up form of encodedSchemaExpand: then only a
+// class strictly below makes a class non-minimal, and every member of a
+// cycle with nothing below it in the run counts as minimal.
 type minimalRun struct {
 	schema *store.Table // the main store's schema table, nil when empty
 	rel    *hierarchy.Relation
+	strict bool
 	sc     hierarchy.RunScratch
 
 	from     int      // gallop cursor into schema: properties arrive ascending
@@ -81,7 +103,11 @@ func (m *minimalRun) seek(p uint64) {
 	lo, hi := m.schema.SubjectRunFrom(p, m.from)
 	m.from = hi
 	m.run = m.schema.Pairs()[2*lo : 2*hi]
-	m.shadowed = m.rel.Shadowed(m.run, &m.sc)
+	if m.strict {
+		m.shadowed = m.rel.StrictlyShadowed(m.run, &m.sc)
+	} else {
+		m.shadowed = m.rel.Shadowed(m.run, &m.sc)
+	}
 }
 
 // minimal reports whether cls is minimal in the current run. Classes of

@@ -38,9 +38,16 @@ func (h *testHarness) run(r Rule) *store.Store {
 	h.main.Grow(h.d.NumProperties())
 	h.main.Normalize()
 	out := store.New(h.main.NumSlots())
-	r.Apply(&Context{Main: h.main, Delta: h.main, Out: out, V: h.v})
+	r.Apply(h.context(h.main, out))
 	out.Normalize()
 	return out
+}
+
+// context is the rule context over the harness's main store, with delta
+// as the previous round's delta (main itself for a first pass).
+func (h *testHarness) context(delta, out *store.Store) *Context {
+	base, terms := h.d.IDRange()
+	return &Context{Main: h.main, Delta: delta, Out: out, V: h.v, TermBase: base, Terms: terms}
 }
 
 // TestCAXSCOPaperExample replays Figure 4: explicit triples

@@ -187,14 +187,9 @@ func ruleSCMEQP2() Rule {
 // is typed.
 func gammaSchemaTable(name string, schemaProp func(*Vocab) int, emitSubject bool) Rule {
 	return Rule{Name: name, Class: Gamma, Apply: func(c *Context) {
-		// First list the ⟨class, instance table⟩ typings, then emit them
-		// into an output reserved once for their exact total.
-		type typing struct {
-			cls  uint64
-			inst []uint64
-		}
+		// First list the ⟨class, instance table⟩ typings, then emit each
+		// pair they yield once (typings.go).
 		var work []typing
-		total := 0
 		for _, pass := range c.passes() {
 			schema := pass.a.Table(schemaProp(c.V))
 			if schema == nil || schema.Empty() {
@@ -228,23 +223,16 @@ func gammaSchemaTable(name string, schemaProp func(*Vocab) int, emitSubject bool
 				}
 				for k := lo; k < i; k += 2 {
 					if cls := sp[k+1]; min == nil || min.minimal(cls) {
-						work = append(work, typing{cls, inst.Pairs()})
-						total += inst.Size()
+						work = append(work, typing{cls, pidx, inst.Pairs()})
 					}
 				}
 			}
 		}
-		out := c.Out.Ensure(c.V.Type)
-		out.Reserve(total)
 		side := 1
 		if emitSubject {
 			side = 0
 		}
-		for _, w := range work {
-			for j := side; j < len(w.inst); j += 2 {
-				out.Append(w.inst[j], w.cls)
-			}
-		}
+		emitTypings(c, work, side, c.Out.Ensure(c.V.Type))
 	}}
 }
 
@@ -320,12 +308,7 @@ func rulePRPSPO1() Rule {
 func rulePRPSYMP() Rule {
 	return Rule{Name: "PRP-SYMP", Class: Gamma, Apply: func(c *Context) {
 		for _, pass := range c.passes() {
-			typeTab := pass.a.Table(c.V.Type)
-			for _, p := range markerSubjects(typeTab, c.V.SymmetricProp) {
-				pidx, ok := propIndexOf(p)
-				if !ok {
-					continue
-				}
+			for _, pidx := range markedProperties(pass.a.Table(c.V.Type), c.V.SymmetricProp) {
 				src := pass.b.Table(pidx)
 				if src == nil || src.Empty() {
 					continue
@@ -519,35 +502,26 @@ func funcPropRule(name string, inverse bool) Rule {
 		}
 
 		if c.FirstPass() {
-			typeTab := c.mainTable(c.V.Type)
-			for _, p := range markerSubjects(typeTab, marker) {
-				if pidx, ok := propIndexOf(p); ok {
-					if t := c.mainTable(pidx); t != nil {
-						process(t)
-					}
+			for _, pidx := range markedProperties(c.mainTable(c.V.Type), marker) {
+				if t := c.mainTable(pidx); t != nil {
+					process(t)
 				}
 			}
 			return
 		}
 		// Newly marked properties: full main table scan.
-		seen := map[uint64]bool{}
-		for _, p := range markerSubjects(c.deltaTable(c.V.Type), marker) {
-			seen[p] = true
-			if pidx, ok := propIndexOf(p); ok {
-				if t := c.mainTable(pidx); t != nil {
-					process(t)
-				}
+		seen := map[int]bool{}
+		for _, pidx := range markedProperties(c.deltaTable(c.V.Type), marker) {
+			seen[pidx] = true
+			if t := c.mainTable(pidx); t != nil {
+				process(t)
 			}
 		}
 		// Already-marked properties whose table changed: rescan. The run
 		// containing a new pair may straddle old pairs, so the whole main
 		// table is scanned (it is sorted; duplicates wash out in merge).
-		for _, p := range markerSubjects(c.mainTable(c.V.Type), marker) {
-			if seen[p] {
-				continue
-			}
-			pidx, ok := propIndexOf(p)
-			if !ok {
+		for _, pidx := range markedProperties(c.mainTable(c.V.Type), marker) {
+			if seen[pidx] {
 				continue
 			}
 			if dt := c.deltaTable(pidx); dt == nil {
@@ -628,13 +602,7 @@ func thetaRule(plus bool) Rule {
 // reasoner's pre-loop closure and overdeletion stages all enumerate the
 // PRP-TRP tables through it.
 func TransitiveProps(st *store.Store, v *Vocab) []int {
-	var out []int
-	for _, p := range markerSubjects(st.Table(v.Type), v.TransitiveProp) {
-		if pidx, ok := propIndexOf(p); ok {
-			out = append(out, pidx)
-		}
-	}
-	return out
+	return markedProperties(st.Table(v.Type), v.TransitiveProp)
 }
 
 // ------------------------------------------------------------ trivial rules
