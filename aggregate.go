@@ -10,8 +10,6 @@ package inferray
 // aliases' slots.
 
 import (
-	"encoding/binary"
-
 	"inferray/internal/sparql"
 )
 
@@ -21,27 +19,37 @@ type aggregator struct {
 	run    *run
 	keys   []int // GROUP BY slots
 	items  []sparql.SelectItem
-	groups map[string][]*sparql.AggState // by tupleKey of the GROUP BY cells
-	order  []string                      // first-seen key order, for deterministic output
-	key    []byte
+	seen   *tupleSet            // group number by the GROUP BY cells' ID tuple; nil without GROUP BY
+	cells  []uint64             // every group's GROUP BY cells, len(keys) a group, first-seen order
+	groups [][]*sparql.AggState // by group number
 	emit   stage
 }
 
 func newAggregator(rn *run, emit stage) *aggregator {
-	a := &aggregator{run: rn, items: rn.q.Items, groups: map[string][]*sparql.AggState{}, emit: emit}
+	a := &aggregator{run: rn, items: rn.q.Items, emit: emit}
 	for _, v := range rn.q.GroupBy {
 		a.keys = append(a.keys, rn.slots[v])
+	}
+	if len(a.keys) == 0 {
+		// The one implicit group, open before any solution: over zero
+		// solutions it still emits (COUNT is then 0), per SPARQL.
+		a.newGroup(nil, 0)
+	} else {
+		a.seen = newTupleSet(a.keys)
 	}
 	return a
 }
 
 // add feeds one WHERE solution into its group.
 func (a *aggregator) add(ids []uint64, bound uint64) bool {
-	a.key = tupleKey(a.key[:0], a.keys, ids, bound)
-	states, ok := a.groups[string(a.key)]
-	if !ok {
-		states = a.newGroup(string(a.key))
+	g := 0 // the implicit group
+	if a.seen != nil {
+		var first bool
+		if g, first = a.seen.add(ids, bound); first {
+			a.newGroup(ids, bound)
+		}
 	}
+	states := a.groups[g]
 	for i, it := range a.items {
 		switch {
 		case it.Agg == nil:
@@ -54,33 +62,29 @@ func (a *aggregator) add(ids []uint64, bound uint64) bool {
 	return true // every solution feeds its group
 }
 
-func (a *aggregator) newGroup(key string) []*sparql.AggState {
+// newGroup opens the next group, keyed by the row's GROUP BY cells.
+func (a *aggregator) newGroup(ids []uint64, bound uint64) {
+	for _, slot := range a.keys {
+		a.cells = append(a.cells, cellID(ids, bound, slot))
+	}
 	states := make([]*sparql.AggState, len(a.items))
 	for i, it := range a.items {
 		if it.Agg != nil {
 			states[i] = sparql.NewAggState(it.Agg)
 		}
 	}
-	a.groups[key] = states
-	a.order = append(a.order, key)
-	return states
+	a.groups = append(a.groups, states)
 }
 
 // flush emits one row per group in first-seen order: the group's GROUP
-// BY cells, read back out of its key, plus every aggregate's output
-// (unbound aggregate cells — MIN/MAX over nothing, SUM/AVG over a
-// non-numeric — stay unbound). With no GROUP BY and zero solutions the
-// single implicit group still emits (COUNT is then 0), per SPARQL.
+// BY cells plus every aggregate's output (unbound aggregate cells —
+// MIN/MAX over nothing, SUM/AVG over a non-numeric — stay unbound).
 func (a *aggregator) flush() {
-	if len(a.groups) == 0 && len(a.keys) == 0 {
-		a.newGroup("")
-	}
 	ids := make([]uint64, len(a.run.names))
-	for _, key := range a.order {
-		states := a.groups[key]
+	for g, states := range a.groups {
 		var bound uint64
 		for i, slot := range a.keys {
-			if ids[slot] = binary.LittleEndian.Uint64([]byte(key[8*i : 8*i+8])); ids[slot] != 0 {
+			if ids[slot] = a.cells[g*len(a.keys)+i]; ids[slot] != 0 {
 				bound |= 1 << uint(slot)
 			}
 		}

@@ -361,6 +361,8 @@ func TestCLIServe(t *testing.T) {
 	for _, family := range []string{
 		"inferray_http_requests_total",
 		"inferray_http_request_duration_seconds_bucket",
+		"inferray_http_query_response_bytes_total",
+		"inferray_http_query_write_seconds_bucket",
 		"inferray_reasoner_materializations_total",
 		"inferray_wal_appends_total",
 		"inferray_query_solves_total",
@@ -383,7 +385,10 @@ func TestCLIServe(t *testing.T) {
 			t.Errorf("metrics exposition missing %q", family)
 		}
 	}
-	for _, gauge := range []string{"inferray_go_heap_inuse_bytes ", "inferray_go_goroutines "} {
+	// Nonzero readings: the runtime's, and the /query bodies this test
+	// read (bytes written, writes timed).
+	for _, gauge := range []string{"inferray_go_heap_inuse_bytes ", "inferray_go_goroutines ",
+		"inferray_http_query_response_bytes_total ", "inferray_http_query_write_seconds_count "} {
 		if i := strings.Index(body, "\n"+gauge); i < 0 || strings.HasPrefix(body[i+1+len(gauge):], "0\n") {
 			t.Errorf("%s reads zero", gauge)
 		}

@@ -70,6 +70,39 @@ func TestMetricsEndpointFamilies(t *testing.T) {
 	}
 }
 
+// TestQueryWriteObservability: every /query body written — evaluated,
+// from the cache, or an ASK — is counted in
+// inferray_http_query_response_bytes_total and /stats, and timed once in
+// inferray_http_query_write_seconds; a failed query is neither.
+func TestQueryWriteObservability(t *testing.T) {
+	ts, _ := newTestServer(t)
+	sel := `SELECT ?who WHERE { ?who <memberOf> <DeptCS> }`
+	total := 0
+	for i, q := range []string{sel, sel, `ASK { <alice> <memberOf> <DeptCS> }`} {
+		code, body, _, _ := tierGet(t, ts, q, false)
+		if code != http.StatusOK {
+			t.Fatalf("query %d: status %d", i, code)
+		}
+		total += len(body)
+	}
+	if code, _, _, _ := tierGet(t, ts, "SELECT nonsense", false); code != http.StatusBadRequest {
+		t.Fatalf("malformed query: status %d, want 400", code)
+	}
+	if st := serverStats(t, ts); st.QueryBytes != uint64(total) {
+		t.Fatalf("/stats query_response_bytes %d, the bodies hold %d", st.QueryBytes, total)
+	}
+	body := scrape(t, ts)
+	for _, want := range []string{
+		fmt.Sprintf("# TYPE inferray_http_query_response_bytes_total counter\ninferray_http_query_response_bytes_total %d\n", total),
+		"# TYPE inferray_http_query_write_seconds histogram",
+		"inferray_http_query_write_seconds_count 3\n",
+	} {
+		if !strings.Contains(body, want) {
+			t.Errorf("exposition missing %q", want)
+		}
+	}
+}
+
 // TestDebugTables: /debug/tables lists the largest tables first, its
 // totals are the sum over every table, its dictionary split is the one
 // /stats carries, and a malformed top is a 400.

@@ -84,6 +84,7 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"crypto/rand"
 	"encoding/hex"
@@ -125,6 +126,12 @@ type Server struct {
 	httpRequests *metrics.CounterVec   // by endpoint and status code
 	httpDuration *metrics.HistogramVec // by endpoint
 	inFlight     *metrics.Gauge
+
+	// What a /query result costs after the engine: body bytes put on the
+	// wire and the time from Exec returning (or a cache hit) to the last
+	// page handed to the connection.
+	responseBytes *metrics.Counter
+	writeDuration *metrics.Histogram
 
 	// Serving tier (see Config): query-result cache, per-client rate
 	// limiters, and admission control. cache and the limiters are always
@@ -197,6 +204,11 @@ func NewWithConfig(r *inferray.Reasoner, cfg Config) *Server {
 			metrics.DurationBuckets(), "endpoint"),
 		inFlight: reg.Gauge("inferray_http_in_flight_requests",
 			"HTTP requests currently being handled."),
+		responseBytes: reg.Counter("inferray_http_query_response_bytes_total",
+			"Body bytes of /query results written, cache hits included."),
+		writeDuration: reg.Histogram("inferray_http_query_write_seconds",
+			"Time from a /query result being ready (evaluated or found in the cache) to its last byte handed to the connection.",
+			metrics.DurationBuckets()),
 
 		cfg: cfg,
 		cache: qcache.New(qcache.Options{
@@ -429,7 +441,7 @@ type askResults struct {
 	Boolean bool     `json:"boolean"`
 }
 
-// binding is one RDF term in results-JSON form. resultStream writes
+// binding is one RDF term in results-JSON form. appendBinding writes
 // the fields in this order and with encoding/json's escaping.
 type binding struct {
 	Type     string `json:"type"` // "uri" | "literal" | "bnode"
@@ -506,7 +518,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, req *http.Request) {
 			w.Header().Set("X-Inferray-Cache", "hit")
 			genHeader(w, key.Generation)
 			w.Header().Set("Content-Type", e.ContentType)
-			_, _ = w.Write(e.Body)
+			s.writeResult(w, time.Now(), e.Body)
 			return
 		}
 		cacheState = "miss"
@@ -522,7 +534,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, req *http.Request) {
 	// The results document is encoded by a streaming writer: the head
 	// as soon as the query is planned, one binding at a time as rows
 	// are produced — never a whole-document marshal. It is encoded
-	// into a buffer and put on the wire only after Exec returns,
+	// into fixed pages and put on the wire only after Exec returns,
 	// because Exec runs under the reasoner's read lock: writing to
 	// a stalled client from inside the callbacks would let one slow
 	// reader hold the lock, block the next Materialize, and behind it
@@ -532,6 +544,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, req *http.Request) {
 	// buffered size.
 	st := &resultStream{}
 	res, err := s.r.Exec(ctx, text, maxRows, st.head, st.row)
+	ready := time.Now()
 	if err != nil {
 		s.queryErrors.Add(1)
 		switch {
@@ -549,14 +562,17 @@ func (s *Server) handleQuery(w http.ResponseWriter, req *http.Request) {
 	s.queries.Add(1)
 
 	const resultsType = "application/sparql-results+json"
-	var body []byte
+	var pages [][]byte
 	if res.Ask {
 		enc, _ := json.Marshal(askResults{Boolean: res.Truth})
-		body = append(enc, '\n')
+		pages = [][]byte{append(enc, '\n')}
 	} else {
-		body = append(st.buf, "]}}\n"...)
+		pages = st.finish()
 	}
 	if cacheable {
+		// The cache keeps one exact-size body, never the pages' slack.
+		body := bytes.Join(pages, nil)
+		pages = [][]byte{body}
 		key.Generation = res.Generation
 		if !s.cache.Put(key, qcache.Entry{Body: body, ContentType: resultsType}) {
 			// Oversized for the cache: served, just not stored.
@@ -567,7 +583,28 @@ func (s *Server) handleQuery(w http.ResponseWriter, req *http.Request) {
 	w.Header().Set("X-Inferray-Cache", cacheState)
 	genHeader(w, res.Generation)
 	w.Header().Set("Content-Type", resultsType)
-	_, _ = w.Write(body)
+	s.writeResult(w, ready, pages...)
+}
+
+// writeResult sets Content-Length and hands a /query body's pages to the
+// connection in order, then counts the bytes written and the time since
+// the result was ready.
+func (s *Server) writeResult(w http.ResponseWriter, ready time.Time, pages ...[]byte) {
+	size := 0
+	for _, p := range pages {
+		size += len(p)
+	}
+	w.Header().Set("Content-Length", strconv.Itoa(size))
+	written := 0
+	for _, p := range pages {
+		n, err := w.Write(p)
+		written += n
+		if err != nil {
+			break // the client went away
+		}
+	}
+	s.writeDuration.ObserveDuration(time.Since(ready))
+	s.responseBytes.Add(uint64(written))
 }
 
 // writeQueryError sends the structured 400, lifting position info out
@@ -583,21 +620,30 @@ func writeQueryError(w http.ResponseWriter, err error) {
 	_ = json.NewEncoder(w).Encode(qe)
 }
 
+// Result pages: rows are appended to a page while at least pageSlack
+// bytes of it are free, then to a new one; a row larger than what is
+// left simply grows its page. Nothing is regrown from empty.
+const (
+	pageSize  = 64 << 10
+	pageSlack = 1 << 10
+)
+
 // resultStream encodes a sparql-results+json document incrementally
-// into a buffer: the envelope and head on the first callback, one
-// binding object per row written straight from the row's cells (the
-// caller appends the closing brackets) — bounded per-row work, no
+// into fixed pages: the envelope and head on the first callback, one
+// binding object per row written straight from the row's cells, and
+// the closing brackets in finish — bounded per-row work, no
 // whole-document marshal and no per-row map.
 type resultStream struct {
-	buf  []byte
-	cols []int    // the projected columns a binding object lists, in key order
-	keys [][]byte // `"name":` for each of cols
-	rows int
+	pages [][]byte // filled pages, in order
+	page  []byte   // the page rows are appended to
+	cols  []int    // the projected columns a binding object lists, in key order
+	keys  [][]byte // `"name":` for each of cols
+	rows  int
 }
 
 func (st *resultStream) head(vars []string) {
 	names, _ := json.Marshal(vars)
-	st.buf = fmt.Appendf(st.buf, `{"head":{"vars":%s},"results":{"bindings":[`, names)
+	st.page = fmt.Appendf(make([]byte, 0, pageSize), `{"head":{"vars":%s},"results":{"bindings":[`, names)
 	// A binding object is what json.Marshal made of a map from variable
 	// name to binding: every name once, sorted.
 	for i, v := range vars {
@@ -612,42 +658,79 @@ func (st *resultStream) head(vars []string) {
 }
 
 func (st *resultStream) row(row inferray.Row) bool {
+	if cap(st.page)-len(st.page) < pageSlack {
+		st.pages = append(st.pages, st.page)
+		st.page = make([]byte, 0, pageSize)
+	}
+	b := st.page
 	if st.rows > 0 {
-		st.buf = append(st.buf, ',')
+		b = append(b, ',')
 	}
 	st.rows++
-	st.buf = append(st.buf, '{')
-	start := len(st.buf)
+	b = append(b, '{')
+	start := len(b)
 	for k, c := range st.cols {
 		term, ok := row.Term(c)
 		if !ok {
 			continue // unbound cells are omitted, per the results-JSON spec
 		}
-		if len(st.buf) > start {
-			st.buf = append(st.buf, ',')
+		if len(b) > start {
+			b = append(b, ',')
 		}
-		b := termBinding(term)
-		st.buf = append(append(append(st.buf, st.keys[k]...), `{"type":"`...), b.Type...)
-		st.buf = appendJSONString(append(st.buf, `","value":`...), b.Value)
-		if b.Lang != "" {
-			st.buf = appendJSONString(append(st.buf, `,"xml:lang":`...), b.Lang)
-		}
-		if b.Datatype != "" {
-			st.buf = appendJSONString(append(st.buf, `,"datatype":`...), b.Datatype)
-		}
-		st.buf = append(st.buf, '}')
+		b = appendBinding(append(b, st.keys[k]...), term)
 	}
-	st.buf = append(st.buf, '}')
+	st.page = append(b, '}')
 	return true
 }
 
+// finish closes the document and returns its pages in order.
+func (st *resultStream) finish() [][]byte {
+	return append(st.pages, append(st.page, "]}}\n"...))
+}
+
+// appendBinding appends term's results-JSON binding object: the bytes
+// json.Marshal(termBinding(term)) makes. IRIs and blank nodes, nearly
+// every cell, are written straight from the surface form.
+func appendBinding(dst []byte, term string) []byte {
+	switch {
+	case rdf.IsIRI(term):
+		dst = appendJSONString(append(dst, `{"type":"uri","value":`...), term[1:len(term)-1])
+	case rdf.IsBlank(term):
+		dst = appendJSONString(append(dst, `{"type":"bnode","value":`...), term[2:])
+	default:
+		b := termBinding(term)
+		dst = append(append(append(dst, `{"type":"`...), b.Type...), `","value":`...)
+		dst = appendJSONString(dst, b.Value)
+		if b.Lang != "" {
+			dst = appendJSONString(append(dst, `,"xml:lang":`...), b.Lang)
+		}
+		if b.Datatype != "" {
+			dst = appendJSONString(append(dst, `,"datatype":`...), b.Datatype)
+		}
+	}
+	return append(dst, '}')
+}
+
+// plain marks the bytes encoding/json copies into a string unchanged:
+// printable ASCII except the quote, the backslash and the HTML-escaped
+// <, > and &.
+var plain = func() (t [256]bool) {
+	for c := 0x20; c < 0x80; c++ {
+		t[c] = true
+	}
+	for _, c := range []byte(`"\<>&`) {
+		t[c] = false
+	}
+	return t
+}()
+
 // appendJSONString appends s as encoding/json renders a string (HTML
-// escaping on). Plain ASCII, nearly every term, is copied; anything
-// that needs an escape or a UTF-8 check goes through json.Marshal, so
-// the bytes match it by construction.
+// escaping on). A string of plain bytes, nearly every term, is copied;
+// anything that needs an escape or a UTF-8 check goes through
+// json.Marshal, so the bytes match it by construction.
 func appendJSONString(dst []byte, s string) []byte {
 	for i := 0; i < len(s); i++ {
-		if c := s[i]; c < 0x20 || c >= 0x80 || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
+		if !plain[s[i]] {
 			enc, _ := json.Marshal(s)
 			return append(dst, enc...)
 		}
@@ -881,6 +964,7 @@ type statsResponse struct {
 	UptimeSeconds   int64            `json:"uptime_seconds"`
 	Queries         int64            `json:"queries"`
 	QueryErrors     int64            `json:"query_errors"`
+	QueryBytes      uint64           `json:"query_response_bytes"` // inferray_http_query_response_bytes_total
 	DeltaBatches    int64            `json:"delta_batches"`
 	DeltaTriples    int64            `json:"delta_triples"`
 	Updates         int64            `json:"updates"`
@@ -1008,6 +1092,7 @@ func (s *Server) handleStats(w http.ResponseWriter, req *http.Request) {
 		UptimeSeconds: int64(time.Since(s.start).Seconds()),
 		Queries:       s.queries.Load(),
 		QueryErrors:   s.queryErrors.Load(),
+		QueryBytes:    s.responseBytes.Value(),
 		DeltaBatches:  s.deltaBatches.Load(),
 		DeltaTriples:  s.deltaTriples.Load(),
 		Updates:       s.updates.Load(),

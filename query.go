@@ -544,17 +544,64 @@ func (rn *run) cell(ids []uint64, bound uint64, slot int) (string, bool) {
 	return rn.decode(ids[slot]), true
 }
 
+// cellID is the ID in one slot of a row, or the zero ID — which no term
+// has — when the slot is unbound.
+func cellID(ids []uint64, bound uint64, slot int) uint64 {
+	if bound&(1<<uint(slot)) == 0 {
+		return 0
+	}
+	return ids[slot]
+}
+
 // tupleKey appends the fixed-width key of the given cells of a row,
-// eight bytes a cell; an unbound cell is the zero ID, which no term has.
+// eight bytes a cell.
 func tupleKey(key []byte, slots []int, ids []uint64, bound uint64) []byte {
 	for _, s := range slots {
-		var id uint64
-		if bound&(1<<uint(s)) != 0 {
-			id = ids[s]
-		}
-		key = binary.LittleEndian.AppendUint64(key, id)
+		key = binary.LittleEndian.AppendUint64(key, cellID(ids, bound, s))
 	}
 	return key
+}
+
+// tupleSet numbers the distinct ID tuples that some cells of the rows
+// take, in first-seen order: the GROUP BY buckets and the DISTINCT
+// filter. A one-cell tuple is keyed by its ID, a wider one by its
+// tupleKey.
+type tupleSet struct {
+	slots []int
+	one   map[uint64]int // len(slots) == 1
+	many  map[string]int // otherwise
+	key   []byte
+}
+
+func newTupleSet(slots []int) *tupleSet {
+	ts := &tupleSet{slots: slots}
+	if len(slots) == 1 {
+		ts.one = map[uint64]int{}
+	} else {
+		ts.many = map[string]int{}
+	}
+	return ts
+}
+
+// add returns the number of the row's tuple and whether the row is the
+// first to have it.
+func (ts *tupleSet) add(ids []uint64, bound uint64) (n int, first bool) {
+	if ts.one != nil {
+		id := cellID(ids, bound, ts.slots[0])
+		if n, ok := ts.one[id]; ok {
+			return n, false
+		}
+		n = len(ts.one)
+		ts.one[id] = n
+		return n, true
+	}
+	ts.key = tupleKey(ts.key[:0], ts.slots, ids, bound)
+	if n, ok := ts.many[string(ts.key)]; ok {
+		return n, false
+	}
+	n = len(ts.many)
+	ts.many[string(ts.key)] = n
+	return n, true
 }
 
 // Row is one solution as Exec delivers it: the projected cells by
@@ -613,7 +660,7 @@ func (r *Reasoner) runLocked(ctx context.Context, pl *plan, maxRows int, onHead 
 	}
 	tl := &tail{run: rn, offset: q.Offset, limit: limit, out: onRow}
 	if q.Distinct {
-		tl.seen = map[string]struct{}{}
+		tl.seen = newTupleSet(rn.proj)
 	}
 	rn.next = tl.push
 
@@ -840,8 +887,7 @@ rows:
 // nothing — Row.Term reads through the plan's slot list.
 type tail struct {
 	run     *run
-	seen    map[string]struct{} // DISTINCT: projected ID tuples already delivered
-	key     []byte
+	seen    *tupleSet // DISTINCT: projected ID tuples already delivered
 	offset  int
 	limit   int // -1 = unlimited
 	skipped int
@@ -856,11 +902,9 @@ func (tl *tail) push(ids []uint64, bound uint64) bool {
 		return false
 	}
 	if tl.seen != nil {
-		tl.key = tupleKey(tl.key[:0], tl.run.proj, ids, bound)
-		if _, dup := tl.seen[string(tl.key)]; dup {
+		if _, first := tl.seen.add(ids, bound); !first {
 			return true
 		}
-		tl.seen[string(tl.key)] = struct{}{}
 	}
 	if tl.skipped < tl.offset {
 		tl.skipped++

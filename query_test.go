@@ -815,6 +815,83 @@ func TestSelectUnboundCellsInModifiers(t *testing.T) {
 	}
 }
 
+// GROUP BY and DISTINCT over one cell key on the cell's ID alone: an
+// unbound key is a group of its own, groups and distinct rows come out
+// in first-seen order, and both agree with the same query keyed on a
+// second, constant cell as well (a two-cell tuple key).
+func TestOneCellGroupAndDistinctKeys(t *testing.T) {
+	r := universityFixture(t)
+	for _, e := range [][3]string{
+		{"<bob>", inferray.Type, "<Student>"},
+		{"<carol>", inferray.Type, "<Student>"},
+		{"<dave>", inferray.Type, "<Student>"},
+		{"<dave>", "<worksFor>", "<DeptCS>"},
+		{"<erin>", inferray.Type, "<Student>"},
+	} {
+		if err := r.Add(e[0], e[1], e[2]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := r.Materialize(); err != nil {
+		t.Fatal(err)
+	}
+	rows := func(text string) []map[string]string {
+		t.Helper()
+		var out []map[string]string
+		if _, err := r.ExecFunc(text, 0, nil, func(row map[string]string) bool {
+			out = append(out, row)
+			return true
+		}); err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	const where = `?who a ?c OPTIONAL { ?who <worksFor> ?org }`
+	const constant = ` BIND("k" AS ?k)`
+
+	// The groups as the WHERE solutions reveal them: ?org in first-seen
+	// order ("" for unbound) and the rows of each.
+	var order []string
+	counts := map[string]int{}
+	for _, row := range rows(`SELECT ?org WHERE { ` + where + ` }`) {
+		if counts[row["org"]]++; counts[row["org"]] == 1 {
+			order = append(order, row["org"])
+		}
+	}
+	if counts[""] == 0 || len(order) < 3 {
+		t.Fatalf("fixture: groups %v, want an unbound one beside two bound", counts)
+	}
+	intLit := func(n int) string { return fmt.Sprintf(`"%d"^^<http://www.w3.org/2001/XMLSchema#integer>`, n) }
+
+	grouped := rows(`SELECT ?org (COUNT(*) AS ?n) WHERE { ` + where + ` } GROUP BY ?org`)
+	if len(grouped) != len(order) {
+		t.Fatalf("%d groups, want %d: %v", len(grouped), len(order), grouped)
+	}
+	for i, row := range grouped {
+		if _, bound := row["org"]; bound != (order[i] != "") || row["org"] != order[i] || row["n"] != intLit(counts[order[i]]) {
+			t.Fatalf("group %d = %v, want org %q with %d rows", i, row, order[i], counts[order[i]])
+		}
+	}
+	if wide := rows(`SELECT ?org (COUNT(*) AS ?n) WHERE { ` + where + constant + ` } GROUP BY ?org ?k`); fmt.Sprint(wide) != fmt.Sprint(grouped) {
+		t.Fatalf("GROUP BY ?org ?k = %v\nGROUP BY ?org   = %v", wide, grouped)
+	}
+
+	for _, text := range []string{
+		`SELECT DISTINCT ?org WHERE { ` + where + ` }`,
+		`SELECT DISTINCT ?org ?k WHERE { ` + where + constant + ` }`,
+	} {
+		distinct := rows(text)
+		if len(distinct) != len(order) {
+			t.Fatalf("%s: %d rows, want %d: %v", text, len(distinct), len(order), distinct)
+		}
+		for i, row := range distinct {
+			if _, bound := row["org"]; bound != (order[i] != "") || row["org"] != order[i] {
+				t.Fatalf("%s: row %d = %v, want org %q", text, i, row, order[i])
+			}
+		}
+	}
+}
+
 // The ORDER BY + LIMIT top-k heap must deliver exactly what the full
 // sort delivered, offsets included.
 func TestSelectOrderByLimitMatchesFullSort(t *testing.T) {
