@@ -39,60 +39,27 @@ func sameClosure(t *testing.T, got, want *inferray.Reasoner) {
 	}
 }
 
-// Crash-recovery equivalence at the library level: batches materialized
-// into a durable reasoner that is never closed (a crash) must all be
-// recovered on reopen, and the recovered closure must equal an
-// uninterrupted in-memory run over the same input.
+// Crash-recovery equivalence at the library level, as a conformance
+// script: batches materialized into a durable reasoner that is never
+// closed (a crash) must all be recovered from the WAL alone, with the
+// oracle's closure, and the recovered reasoner keeps absorbing deltas.
 func TestDurableCrashRecoveryEquivalence(t *testing.T) {
-	dir := t.TempDir()
-	batches := [][][3]string{
-		{{"<human>", inferray.SubClassOf, "<mammal>"}, {"<mammal>", inferray.SubClassOf, "<animal>"}},
-		{{"<Bart>", inferray.Type, "<human>"}},
-		{{"<hasPet>", inferray.Domain, "<human>"}, {"<Lisa>", "<hasPet>", "<cat>"}},
+	batches := [][]inferray.Triple{
+		{{S: "<human>", P: inferray.SubClassOf, O: "<mammal>"}, {S: "<mammal>", P: inferray.SubClassOf, O: "<animal>"}},
+		{{S: "<Bart>", P: inferray.Type, O: "<human>"}},
+		{{S: "<hasPet>", P: inferray.Domain, O: "<human>"}, {S: "<Lisa>", P: "<hasPet>", O: "<cat>"}},
 	}
-
-	r := openDurable(t, dir)
+	w := newConformance(t, scriptConfig{frag: inferray.RDFSDefault, encoding: true})
 	for _, b := range batches {
-		for _, tr := range b {
-			mustAdd(t, r, tr[0], tr[1], tr[2])
-		}
-		if _, err := r.Materialize(); err != nil {
-			t.Fatal(err)
-		}
+		w.run('a', func() { w.add(b) })
 	}
-	crashed := r.Size()
 	// Hard stop: no Close, no checkpoint. The WAL alone must carry it.
-
-	recovered := openDurable(t, dir)
-	defer recovered.Close()
-	ds, ok := recovered.DurabilityStats()
-	if !ok {
-		t.Fatal("durable reasoner reports no durability stats")
-	}
-	if ds.RecoveredFromSnapshot || ds.ReplayedRecords != len(batches) {
+	w.run('x', w.crash)
+	if ds, _ := w.leader.DurabilityStats(); ds.RecoveredFromSnapshot || ds.ReplayedRecords != len(batches) {
 		t.Fatalf("recovery stats: %+v", ds)
 	}
-	if recovered.Size() != crashed {
-		t.Fatalf("recovered %d triples, crashed with %d", recovered.Size(), crashed)
-	}
-
-	uninterrupted := inferray.New()
-	for _, b := range batches {
-		for _, tr := range b {
-			mustAdd(t, uninterrupted, tr[0], tr[1], tr[2])
-		}
-	}
-	if _, err := uninterrupted.Materialize(); err != nil {
-		t.Fatal(err)
-	}
-	sameClosure(t, recovered, uninterrupted)
-
-	// And the recovered reasoner keeps absorbing durable deltas.
-	mustAdd(t, recovered, "<Maggie>", inferray.Type, "<human>")
-	if _, err := recovered.Materialize(); err != nil {
-		t.Fatal(err)
-	}
-	if !recovered.Holds("<Maggie>", inferray.Type, "<animal>") {
+	w.run('a', func() { w.add([]inferray.Triple{{S: "<Maggie>", P: inferray.Type, O: "<human>"}}) })
+	if !w.leader.Holds("<Maggie>", inferray.Type, "<animal>") {
 		t.Fatal("post-recovery delta not materialized")
 	}
 }

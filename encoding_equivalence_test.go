@@ -2,6 +2,7 @@ package inferray_test
 
 import (
 	"bytes"
+	"fmt"
 	"sort"
 	"strings"
 	"testing"
@@ -9,13 +10,15 @@ import (
 	"inferray"
 )
 
-// The hierarchy interval encoding (DESIGN.md §10) must be invisible:
-// for every fragment and every dataset, the reasoner's externally
-// observable closure — WriteNTriples output, Holds, Select, Ask — has
-// to match the fully materialized engine byte for byte. These tests
-// drive both engines over datasets chosen to hit the encoding's edge
-// cases: transitive chains, diamonds, subsumption cycles, equivalences,
-// guard-tripping meta-vocabulary, and incremental deltas.
+// The hierarchy interval encoding (DESIGN.md §10) must be invisible.
+// The datasets below are chosen to hit its edge cases: transitive
+// chains, diamonds, subsumption cycles, equivalences and
+// guard-tripping meta-vocabulary. The equivalence tests run each as a
+// script of the write-path conformance harness (write_path_test.go)
+// under every fragment, encoding on and off: after every op the visible
+// closure must equal the independent oracle's, so the encoded and the
+// fully materialized engine agree through it. The remaining tests pin
+// the guard fallback and the reduced image.
 
 const eqTaxonomy = `
 <Dog> <http://www.w3.org/2000/01/rdf-schema#subClassOf> <Mammal> .
@@ -136,27 +139,99 @@ func diffLines(t *testing.T, on, off []string) {
 	}
 }
 
+// eqDeltas are staged after an edge dataset: a fresh instance of an
+// encoded class, a new top class plus an edge that is already virtual,
+// and a subproperty with an instance.
+var eqDeltas = []string{
+	"<rex2> <http://www.w3.org/1999/02/22-rdf-syntax-ns#type> <Dog> .\n",
+	"<LivingThing> <http://www.w3.org/2000/01/rdf-schema#subClassOf> <Entity> .\n" +
+		"<Dog> <http://www.w3.org/2000/01/rdf-schema#subClassOf> <Animal> .\n",
+	"<owns> <http://www.w3.org/2000/01/rdf-schema#subPropertyOf> <hasPet> .\n" +
+		"<carol> <owns> <tweety> .\n",
+}
+
+// edgeBase starts a conformance script on one of the edge datasets:
+// load it and check the guards.
+func edgeBase(t *testing.T, cfg scriptConfig, name, nt string) *conformance {
+	w := newConformance(t, cfg)
+	w.run('l', func() { w.load(nt) })
+	if name == "guard-trip" && w.leader.HierarchyEncoded() {
+		t.Fatal("meta-vocabulary subclassing must trip the encoding guards")
+	}
+	return w
+}
+
+// runEdgeDeltas applies the deltas to a loaded edge dataset, queries,
+// and retracts the deltas again in reverse order.
+func runEdgeDeltas(t *testing.T, w *conformance, name string) {
+	for _, d := range eqDeltas {
+		w.run('l', func() { w.load(d) })
+	}
+	w.run('q', w.query)
+	if name == "guard-trip" && w.leader.HierarchyEncoded() {
+		t.Fatal("meta-vocabulary subclassing must trip the encoding guards")
+	}
+	for i := len(eqDeltas) - 1; i >= 0; i-- {
+		w.run('d', func() { w.deleteData(nil, parseBlock(t, eqDeltas[i])) })
+	}
+	w.reopen()
+}
+
 // TestEncodingClosureEquivalence: for all five fragments and every edge
-// dataset, the visible closure under the hierarchy encoding is
-// line-identical to the fully materialized one.
+// dataset, the closure of the loaded dataset and the answers of the
+// Query op equal the oracle's with the encoding on and off, and a
+// reopened copy holds the same closure.
 func TestEncodingClosureEquivalence(t *testing.T) {
 	for _, fr := range eqFragments {
 		for _, ds := range eqDatasets {
 			t.Run(fr.name+"/"+ds.name, func(t *testing.T) {
-				on, rOn := closureLines(t, fr.f, ds.nt, true)
-				off, rOff := closureLines(t, fr.f, ds.nt, false)
-				if len(on) != len(off) {
-					t.Errorf("closure sizes differ: %d encoded vs %d materialized", len(on), len(off))
-				}
-				diffLines(t, on, off)
-				if rOn.Size() != rOff.Size() {
-					t.Errorf("Size() differs: %d vs %d", rOn.Size(), rOff.Size())
-				}
-				if rOff.HierarchyEncoded() {
-					t.Error("encoding-off engine reports itself encoded")
+				for _, encoding := range []bool{true, false} {
+					cfg := scriptConfig{frag: fr.f, encoding: encoding, parallel: encoding}
+					t.Run(fmt.Sprintf("encoding=%v", encoding), func(t *testing.T) {
+						t.Parallel()
+						w := edgeBase(t, cfg, ds.name, ds.nt)
+						w.run('q', w.query)
+						w.reopen()
+					})
 				}
 			})
 		}
+	}
+}
+
+// TestEncodingIncrementalEquivalence: deltas staged after the first
+// materialization of each edge dataset — including new hierarchy edges
+// that subsume already virtual pairs and fresh instances of encoded
+// classes — and their retraction keep the closure equal to the
+// oracle's, with the encoding on and off.
+func TestEncodingIncrementalEquivalence(t *testing.T) {
+	for _, fr := range eqFragments {
+		t.Run(fr.name, func(t *testing.T) {
+			for _, ds := range eqDatasets {
+				for _, encoding := range []bool{true, false} {
+					cfg := scriptConfig{frag: fr.f, encoding: encoding, parallel: encoding}
+					t.Run(fmt.Sprintf("%s/encoding=%v", ds.name, encoding), func(t *testing.T) {
+						t.Parallel()
+						runEdgeDeltas(t, edgeBase(t, cfg, ds.name, ds.nt), ds.name)
+					})
+				}
+			}
+		})
+	}
+}
+
+// TestEncodingQueriesEquivalent: Select and Ask answers over /query
+// equal a naive evaluation over the oracle closure with the encoding
+// on and off, covering the virtual-table query paths (type lookup by
+// class, subClassOf enumeration, subproperty instance joins).
+func TestEncodingQueriesEquivalent(t *testing.T) {
+	for _, encoding := range []bool{true, false} {
+		w := newConformance(t, scriptConfig{frag: inferray.RDFSDefault, encoding: encoding})
+		w.run('l', func() { w.load(eqTaxonomy) })
+		if encoding && !w.leader.HierarchyEncoded() {
+			t.Fatal("taxonomy dataset should keep the encoding active")
+		}
+		w.run('q', w.query)
 	}
 }
 
@@ -179,135 +254,7 @@ func TestEncodingGuardFallback(t *testing.T) {
 	}
 }
 
-// TestEncodingQueriesEquivalent: Select and Ask answers agree between
-// the two modes, covering the virtual-table query paths (type lookup
-// by class, subClassOf enumeration, subproperty instance joins).
-func TestEncodingQueriesEquivalent(t *testing.T) {
-	queries := []string{
-		`SELECT ?x WHERE { ?x <http://www.w3.org/1999/02/22-rdf-syntax-ns#type> <Animal> }`,
-		`SELECT ?c WHERE { <Dog> <http://www.w3.org/2000/01/rdf-schema#subClassOf> ?c }`,
-		`SELECT ?s ?o WHERE { ?s <http://www.w3.org/2000/01/rdf-schema#subClassOf> ?o }`,
-		`SELECT ?x ?y WHERE { ?x <relatedTo> ?y }`,
-		`SELECT ?x ?t WHERE { ?x <http://www.w3.org/1999/02/22-rdf-syntax-ns#type> ?t }`,
-	}
-	asks := []string{
-		`ASK { <rex> <http://www.w3.org/1999/02/22-rdf-syntax-ns#type> <LivingThing> }`,
-		`ASK { <alice> <relatedTo> <rex> }`,
-		`ASK { <rex> <http://www.w3.org/1999/02/22-rdf-syntax-ns#type> <Bird> }`,
-	}
-	_, rOn := closureLines(t, inferray.RDFSDefault, eqTaxonomy, true)
-	_, rOff := closureLines(t, inferray.RDFSDefault, eqTaxonomy, false)
-	if !rOn.HierarchyEncoded() {
-		t.Fatal("taxonomy dataset should keep the encoding active")
-	}
-	for _, q := range queries {
-		a, err := rOn.Select(q)
-		if err != nil {
-			t.Fatalf("%s: %v", q, err)
-		}
-		b, err := rOff.Select(q)
-		if err != nil {
-			t.Fatalf("%s: %v", q, err)
-		}
-		if len(a) != len(b) {
-			t.Errorf("%s: %d rows encoded vs %d materialized", q, len(a), len(b))
-			continue
-		}
-		key := func(rows []map[string]string) []string {
-			ks := make([]string, len(rows))
-			for i, row := range rows {
-				var parts []string
-				for k, v := range row {
-					parts = append(parts, k+"="+v)
-				}
-				sort.Strings(parts)
-				ks[i] = strings.Join(parts, "|")
-			}
-			sort.Strings(ks)
-			return ks
-		}
-		ka, kb := key(a), key(b)
-		for i := range ka {
-			if ka[i] != kb[i] {
-				t.Errorf("%s: row %d differs: %s vs %s", q, i, ka[i], kb[i])
-			}
-		}
-	}
-	for _, q := range asks {
-		a, err := rOn.Ask(q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := rOff.Ask(q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if a != b {
-			t.Errorf("%s: %v encoded vs %v materialized", q, a, b)
-		}
-	}
-}
-
-// TestEncodingIncrementalEquivalence: deltas staged after the first
-// materialization — including new hierarchy edges that subsume already
-// virtual pairs and fresh instances of encoded classes — keep the two
-// modes identical.
-func TestEncodingIncrementalEquivalence(t *testing.T) {
-	deltas := []string{
-		"<rex2> <http://www.w3.org/1999/02/22-rdf-syntax-ns#type> <Dog> .\n",
-		"<LivingThing> <http://www.w3.org/2000/01/rdf-schema#subClassOf> <Entity> .\n" +
-			"<Dog> <http://www.w3.org/2000/01/rdf-schema#subClassOf> <Animal> .\n", // already virtual
-		"<owns> <http://www.w3.org/2000/01/rdf-schema#subPropertyOf> <hasPet> .\n" +
-			"<carol> <owns> <tweety> .\n",
-	}
-	for _, fr := range eqFragments {
-		t.Run(fr.name, func(t *testing.T) {
-			build := func(enc bool) *inferray.Reasoner {
-				r := inferray.New(inferray.WithFragment(fr.f), inferray.WithHierarchyEncoding(enc))
-				if err := r.LoadNTriples(strings.NewReader(eqTaxonomy)); err != nil {
-					t.Fatal(err)
-				}
-				if _, err := r.Materialize(); err != nil {
-					t.Fatal(err)
-				}
-				return r
-			}
-			rOn, rOff := build(true), build(false)
-			for i, d := range deltas {
-				for _, r := range []*inferray.Reasoner{rOn, rOff} {
-					if err := r.LoadNTriples(strings.NewReader(d)); err != nil {
-						t.Fatal(err)
-					}
-					if _, err := r.Materialize(); err != nil {
-						t.Fatal(err)
-					}
-				}
-				if rOn.Size() != rOff.Size() {
-					t.Fatalf("after delta %d: Size %d encoded vs %d materialized", i, rOn.Size(), rOff.Size())
-				}
-				// Compaction visits only the runs a round touched; that is
-				// sound only while a full sweep would find nothing more.
-				if n := rOn.ShadowedTypePairs(); n != 0 {
-					t.Fatalf("after delta %d: %d stored type pairs are shadowed; the table must stay compact", i, n)
-				}
-				var bufOn, bufOff bytes.Buffer
-				if err := rOn.WriteNTriples(&bufOn); err != nil {
-					t.Fatal(err)
-				}
-				if err := rOff.WriteNTriples(&bufOff); err != nil {
-					t.Fatal(err)
-				}
-				on := strings.Split(strings.TrimRight(bufOn.String(), "\n"), "\n")
-				off := strings.Split(strings.TrimRight(bufOff.String(), "\n"), "\n")
-				sort.Strings(on)
-				sort.Strings(off)
-				diffLines(t, on, off)
-			}
-		})
-	}
-}
-
-// TestEncodingSnapshotRoundTrip: a reduced-closure snapshot (stream v3)
+// TestEncodingSnapshotRoundTrip: a reduced-closure image
 // restores into an identical visible closure, both into an
 // encoding-enabled engine (stays reduced) and an encoding-disabled one
 // (expands on load).

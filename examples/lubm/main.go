@@ -21,7 +21,9 @@ func main() {
 	flag.Parse()
 
 	r := inferray.New(inferray.WithFragment(inferray.RDFSPlus))
-	r.AddTriples(datagen.LUBM(*size, 42))
+	if err := r.AddTriples(datagen.LUBM(*size, 42)); err != nil {
+		log.Fatal(err)
+	}
 	stats, err := r.Materialize()
 	if err != nil {
 		log.Fatal(err)

@@ -28,7 +28,9 @@ func main() {
 
 	// ---- Producer: infer once, persist.
 	producer := inferray.New(inferray.WithFragment(inferray.RDFSPlus))
-	producer.AddTriples(datagen.LUBM(*size, 42))
+	if err := producer.AddTriples(datagen.LUBM(*size, 42)); err != nil {
+		log.Fatal(err)
+	}
 	stats, err := producer.Materialize()
 	if err != nil {
 		log.Fatal(err)

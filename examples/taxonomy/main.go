@@ -25,7 +25,9 @@ func main() {
 	triples := datagen.Chain(*depth)
 
 	r := inferray.New(inferray.WithFragment(inferray.RDFSDefault))
-	r.AddTriples(triples)
+	if err := r.AddTriples(triples); err != nil {
+		log.Fatal(err)
+	}
 	start := time.Now()
 	stats, err := r.Materialize()
 	if err != nil {

@@ -352,26 +352,38 @@ func (r *Reasoner) Durable() bool { return r.dur != nil }
 // Add buffers one triple. Terms are N-Triples surface forms: "<iri>",
 // "\"literal\"", or "_:blank".
 func (r *Reasoner) Add(s, p, o string) error {
-	if !rdf.IsIRI(p) {
-		return fmt.Errorf("inferray: predicate %q is not an IRI", p)
+	return r.AddTriples([]Triple{{S: s, P: p, O: o}})
+}
+
+// checkTriple enforces the term rules every write entry point shares:
+// the predicate is an IRI and the subject is not a literal.
+func checkTriple(t Triple) error {
+	if !rdf.IsIRI(t.P) {
+		return fmt.Errorf("inferray: predicate %q is not an IRI", t.P)
 	}
-	if rdf.IsLiteral(s) {
-		return fmt.Errorf("inferray: subject %q may not be a literal", s)
+	if rdf.IsLiteral(t.S) {
+		return fmt.Errorf("inferray: subject %q may not be a literal", t.S)
 	}
-	r.AddTriples([]Triple{{S: s, P: p, O: o}})
 	return nil
 }
 
-// AddTriples buffers a batch of triples. The slice is copied; the
-// caller keeps it.
-func (r *Reasoner) AddTriples(triples []Triple) {
+// AddTriples buffers a batch of triples. Every predicate must be an IRI
+// and no subject a literal; if a triple breaks that, nothing is buffered
+// and the error names it. The slice is copied; the caller keeps it.
+func (r *Reasoner) AddTriples(triples []Triple) error {
+	for _, t := range triples {
+		if err := checkTriple(t); err != nil {
+			return err
+		}
+	}
 	r.pendingMu.Lock()
 	defer r.pendingMu.Unlock()
 	if n := len(r.pending); n > 0 && r.pending[n-1].rng == nil {
 		r.pending[n-1].triples = append(r.pending[n-1].triples, triples...)
-		return
+		return nil
 	}
 	r.pending = append(r.pending, pendingRun{triples: append([]Triple(nil), triples...)})
+	return nil
 }
 
 // LoadNTriples buffers every triple of an N-Triples document. The

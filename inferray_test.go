@@ -36,6 +36,17 @@ func TestAddValidation(t *testing.T) {
 	if err := r.Add("_:blank", "<p>", `"a literal"`); err != nil {
 		t.Errorf("valid triple rejected: %v", err)
 	}
+	// AddTriples makes the same checks, and a batch with one bad triple
+	// stages nothing: every staged triple can be dumped and deleted.
+	good := inferray.Triple{S: "<x>", P: "<p>", O: "<y>"}
+	for _, bad := range []inferray.Triple{{S: `"lit"`, P: `"notiri"`, O: "<o>"}, {S: `"lit"`, P: "<p>", O: "<o>"}} {
+		if err := r.AddTriples([]inferray.Triple{good, bad}); err == nil {
+			t.Errorf("AddTriples accepted %v", bad)
+		}
+	}
+	if n := r.Pending(); n != 1 {
+		t.Errorf("%d triples pending, want the one valid Add", n)
+	}
 }
 
 func TestNTriplesRoundTripThroughReasoner(t *testing.T) {

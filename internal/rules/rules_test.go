@@ -324,8 +324,11 @@ func TestParseFragment(t *testing.T) {
 			t.Errorf("%s: round trip gave %s", name, f)
 		}
 	}
-	if _, err := ParseFragment("owl-dl"); err == nil {
-		t.Error("unknown fragment must error")
+	// Only the five printed names: the former aliases are refused too.
+	for _, name := range []string{"owl-dl", "rho-df", "rdf", "rdfs_default", "default", "rdfs", "full", "rdfsplus", "plus"} {
+		if _, err := ParseFragment(name); err == nil {
+			t.Errorf("%q must not name a fragment", name)
+		}
 	}
 }
 

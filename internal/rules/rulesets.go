@@ -36,19 +36,13 @@ func (f Fragment) String() string {
 	return "unknown"
 }
 
-// ParseFragment resolves a fragment by name (accepting a few aliases).
+// ParseFragment resolves a fragment by the name String prints; no
+// other spelling is accepted.
 func ParseFragment(name string) (Fragment, error) {
-	switch name {
-	case "rhodf", "rho-df", "rdf":
-		return RhoDF, nil
-	case "rdfs-default", "rdfs_default", "default":
-		return RDFSDefault, nil
-	case "rdfs-full", "rdfs", "full":
-		return RDFSFull, nil
-	case "rdfs-plus", "rdfsplus", "plus":
-		return RDFSPlus, nil
-	case "rdfs-plus-full":
-		return RDFSPlusFull, nil
+	for f := RhoDF; f <= RDFSPlusFull; f++ {
+		if f.String() == name {
+			return f, nil
+		}
 	}
 	return 0, fmt.Errorf("rules: unknown fragment %q", name)
 }

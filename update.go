@@ -2,7 +2,6 @@ package inferray
 
 import (
 	"context"
-	"fmt"
 	"strings"
 
 	"inferray/internal/rdf"
@@ -90,13 +89,11 @@ func (r *Reasoner) Update(text string) (UpdateStats, error) {
 func groundTriples(triples [][3]string) ([]rdf.Triple, error) {
 	out := make([]rdf.Triple, 0, len(triples))
 	for _, tr := range triples {
-		if !rdf.IsIRI(tr[1]) {
-			return nil, fmt.Errorf("inferray: predicate %q is not an IRI", tr[1])
+		t := rdf.Triple{S: tr[0], P: tr[1], O: tr[2]}
+		if err := checkTriple(t); err != nil {
+			return nil, err
 		}
-		if rdf.IsLiteral(tr[0]) {
-			return nil, fmt.Errorf("inferray: subject %q may not be a literal", tr[0])
-		}
-		out = append(out, rdf.Triple{S: tr[0], P: tr[1], O: tr[2]})
+		out = append(out, t)
 	}
 	return out, nil
 }
