@@ -1,9 +1,8 @@
 package inferray_test
 
-// One testing.B benchmark per table and figure of the paper's
-// evaluation, plus the ablation benches DESIGN.md §4 calls out.
-// cmd/benchtables prints the full formatted tables; these benches give
-// the same measurements in `go test -bench` form at CI-friendly sizes.
+// The ablation benches DESIGN.md §4 calls out and the public-API,
+// query and serving benches. The paper's tables and figures are
+// measured in one place, cmd/benchtables.
 
 import (
 	"fmt"
@@ -14,57 +13,17 @@ import (
 	"time"
 
 	"inferray"
-	"inferray/internal/baseline"
 	"inferray/internal/closure"
 	"inferray/internal/datagen"
 	"inferray/internal/dictionary"
-	"inferray/internal/mapreduce"
-	"inferray/internal/rdf"
 	"inferray/internal/reasoner"
 	"inferray/internal/rules"
 	"inferray/internal/sorting"
 	"inferray/internal/store"
 )
 
-// --------------------------------------------------------------- Table 1
-
-// BenchmarkTable1Sorting measures pair-sorting throughput per algorithm
-// across the dense/sparse operating ranges of §5.4.
-func BenchmarkTable1Sorting(b *testing.B) {
-	shapes := []struct {
-		name   string
-		size   int
-		rangeN int
-	}{
-		{"dense/size1M_range100K", 1_000_000, 100_000},
-		{"balanced/size500K_range500K", 500_000, 500_000},
-		{"sparse/size100K_range10M", 100_000, 10_000_000},
-	}
-	algs := []sorting.Algorithm{
-		sorting.Counting, sorting.MSDARadix, sorting.LSDRadix128,
-		sorting.Mergesort, sorting.Quicksort,
-	}
-	for _, sh := range shapes {
-		master := benchPairs(sh.size, sh.rangeN)
-		for _, alg := range algs {
-			if alg == sorting.Counting && sh.rangeN > sh.size {
-				continue // outside counting's operating range
-			}
-			b.Run(fmt.Sprintf("%s/%s", sh.name, alg), func(b *testing.B) {
-				buf := make([]uint64, len(master))
-				b.SetBytes(int64(len(master) * 8))
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					b.StopTimer()
-					copy(buf, master)
-					b.StartTimer()
-					sorting.SortPairsWith(alg, buf, false)
-				}
-			})
-		}
-	}
-}
-
+// benchPairs draws n pairs uniformly from a window of rangeN IDs just
+// above the resource base, as under dense numbering.
 func benchPairs(n, rangeN int) []uint64 {
 	rng := rand.New(rand.NewSource(42))
 	out := make([]uint64, 2*n)
@@ -73,103 +32,6 @@ func benchPairs(n, rangeN int) []uint64 {
 		out[i] = base + uint64(rng.Intn(rangeN))
 	}
 	return out
-}
-
-// --------------------------------------------------------------- Table 2
-
-// BenchmarkTable2RDFSFlavors measures full materialization on the BSBM
-// workload for the three RDFS flavors, Inferray vs the hash-join
-// baseline.
-func BenchmarkTable2RDFSFlavors(b *testing.B) {
-	triples := datagen.BSBM(20_000, 11)
-	for _, fragment := range []rules.Fragment{rules.RhoDF, rules.RDFSDefault, rules.RDFSFull} {
-		b.Run("inferray/"+fragment.String(), func(b *testing.B) {
-			benchInferray(b, triples, fragment)
-		})
-		b.Run("hashjoin/"+fragment.String(), func(b *testing.B) {
-			benchHashJoin(b, triples, fragment)
-		})
-	}
-}
-
-// --------------------------------------------------------------- Table 3
-
-// BenchmarkTable3RDFSPlus measures the most demanding ruleset on the
-// LUBM-like workload across sizes.
-func BenchmarkTable3RDFSPlus(b *testing.B) {
-	for _, size := range []int{5_000, 20_000, 50_000} {
-		triples := datagen.LUBM(size, 13)
-		b.Run(fmt.Sprintf("inferray/lubm%s", kilo(size)), func(b *testing.B) {
-			benchInferray(b, triples, rules.RDFSPlus)
-		})
-		if size <= 20_000 {
-			b.Run(fmt.Sprintf("hashjoin/lubm%s", kilo(size)), func(b *testing.B) {
-				benchHashJoin(b, triples, rules.RDFSPlus)
-			})
-		}
-	}
-}
-
-// --------------------------------------------------------------- Table 4
-
-// BenchmarkTable4TransitiveClosure measures chain closure: Inferray's
-// Nuutila stage vs the semi-naive hash-join engine vs the naive
-// iterative strategy.
-func BenchmarkTable4TransitiveClosure(b *testing.B) {
-	for _, n := range []int{100, 250, 500, 1000} {
-		triples := datagen.Chain(n)
-		b.Run(fmt.Sprintf("inferray/chain%d", n), func(b *testing.B) {
-			benchInferray(b, triples, rules.RDFSDefault)
-		})
-		// The iterative baselines grow super-linearly (that is the whole
-		// point of Table 4); cap them so the suite stays runnable.
-		if n > 250 {
-			continue
-		}
-		b.Run(fmt.Sprintf("hashjoin/chain%d", n), func(b *testing.B) {
-			benchHashJoin(b, triples, rules.RhoDF)
-		})
-		b.Run(fmt.Sprintf("naive/chain%d", n), func(b *testing.B) {
-			pairs := chainPairs(n)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				baseline.NaiveTransitiveClosure(pairs)
-			}
-		})
-	}
-}
-
-// ------------------------------------------------------------ Figures 7/8
-
-// BenchmarkFigure7ClosureKernels measures the raw closure kernel
-// (closure.Close) whose memory behaviour Figure 7 profiles; the
-// simulated counters themselves are deterministic (see
-// cmd/benchtables -figure 7) so here we time the kernels.
-func BenchmarkFigure7ClosureKernels(b *testing.B) {
-	for _, n := range []int{500, 1000, 2500} {
-		pairs := chainPairs(n)
-		b.Run(fmt.Sprintf("nuutila/chain%d", n), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				closure.Close(pairs)
-			}
-		})
-	}
-}
-
-// BenchmarkFigure8RDFSPlusIteration measures one full RDFS-Plus
-// materialization on each real-world-like taxonomy (the Figure 8
-// datasets).
-func BenchmarkFigure8RDFSPlusIteration(b *testing.B) {
-	sets := map[string][]rdf.Triple{
-		"wikipedia": datagen.WikipediaLike(2).Generate(),
-		"yago":      datagen.YagoLike(2).Generate(),
-		"wordnet":   datagen.WordnetLike(2).Generate(),
-	}
-	for name, triples := range sets {
-		b.Run(name, func(b *testing.B) {
-			benchInferray(b, triples, rules.RDFSPlus)
-		})
-	}
 }
 
 // -------------------------------------------------------------- Ablations
@@ -225,17 +87,30 @@ func BenchmarkAblationDenseVsSparseNumbering(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationNuutilaVsNaive isolates the §4.1 design choice.
-func BenchmarkAblationNuutilaVsNaive(b *testing.B) {
-	pairs := chainPairs(250)
-	b.Run("nuutila", func(b *testing.B) {
+// BenchmarkAblationComponentSplit isolates the §4.1 choice to split
+// the graph into connected components and renumber each densely before
+// Nuutila's algorithm: closure.Close against closure.CloseMonolithic on
+// a forest of disjoint taxonomies with scattered IDs.
+func BenchmarkAblationComponentSplit(b *testing.B) {
+	const trees, depth = 200, 40
+	rng := rand.New(rand.NewSource(5))
+	pairs := make([]uint64, 0, 2*trees*depth)
+	for t := 0; t < trees; t++ {
+		node := rng.Uint64() >> 8
+		for i := 0; i < depth; i++ {
+			next := rng.Uint64() >> 8
+			pairs = append(pairs, node, next)
+			node = next
+		}
+	}
+	b.Run("split", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			closure.Close(pairs)
 		}
 	})
-	b.Run("naive-fixpoint", func(b *testing.B) {
+	b.Run("monolithic", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			baseline.NaiveTransitiveClosure(pairs)
+			closure.CloseMonolithic(pairs)
 		}
 	})
 }
@@ -280,50 +155,6 @@ func BenchmarkAblationParallelRules(b *testing.B) {
 
 // --------------------------------------------------------------- helpers
 
-func benchInferray(b *testing.B, triples []rdf.Triple, fragment rules.Fragment) {
-	b.ReportAllocs()
-	var total int
-	for i := 0; i < b.N; i++ {
-		e := reasoner.New(reasoner.Options{Fragment: fragment, Parallel: true})
-		e.LoadTriples(triples)
-		st := e.Materialize()
-		total = st.TotalTriples
-	}
-	b.ReportMetric(float64(total), "triples")
-}
-
-func benchHashJoin(b *testing.B, triples []rdf.Triple, fragment rules.Fragment) {
-	b.ReportAllocs()
-	// Encode once outside the timer (the paper reports inference time).
-	e := reasoner.New(reasoner.Options{Fragment: fragment})
-	e.LoadTriples(triples)
-	e.Main.Normalize()
-	facts := make([]baseline.Fact, 0, e.Main.Size())
-	e.Main.ForEach(func(pidx int, s, o uint64) bool {
-		facts = append(facts, baseline.Fact{s, dictionary.PropID(pidx), o})
-		return true
-	})
-	specs := rules.Specs(fragment, e.V)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		h := baseline.NewHashJoinEngine(specs)
-		for _, f := range facts {
-			h.Add(f)
-		}
-		h.Materialize()
-	}
-}
-
-func chainPairs(n int) []uint64 {
-	pairs := make([]uint64, 0, 2*n)
-	for i := 0; i < n; i++ {
-		pairs = append(pairs, uint64(i+1), uint64(i+2))
-	}
-	return pairs
-}
-
-func kilo(n int) string { return fmt.Sprintf("%dk", n/1000) }
-
 // BenchmarkPublicAPIEndToEnd exercises the facade the way a user would
 // (load N-Triples text, materialize, serialize).
 func BenchmarkPublicAPIEndToEnd(b *testing.B) {
@@ -334,38 +165,6 @@ func BenchmarkPublicAPIEndToEnd(b *testing.B) {
 		if _, err := r.Materialize(); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-// BenchmarkTable2WebPIE measures the MapReduce reasoner on the Table 2
-// workload (the paper's WebPIE column, RDFS only).
-func BenchmarkTable2WebPIE(b *testing.B) {
-	triples := datagen.BSBM(10_000, 11)
-	for _, full := range []bool{false, true} {
-		name := "rdfs-default"
-		fragment := rules.RDFSDefault
-		if full {
-			name = "rdfs-full"
-			fragment = rules.RDFSFull
-		}
-		b.Run(name, func(b *testing.B) {
-			e := reasoner.New(reasoner.Options{Fragment: fragment})
-			e.LoadTriples(triples)
-			e.Main.Normalize()
-			facts := make([]baseline.Fact, 0, e.Main.Size())
-			e.Main.ForEach(func(pidx int, s, o uint64) bool {
-				facts = append(facts, baseline.Fact{s, dictionary.PropID(pidx), o})
-				return true
-			})
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				wp := baseline.NewWebPIEEngine(e.V, full, mapreduce.Config{})
-				for _, f := range facts {
-					wp.Add(f)
-				}
-				wp.Materialize()
-			}
-		})
 	}
 }
 

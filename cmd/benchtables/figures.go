@@ -3,9 +3,9 @@ package main
 import (
 	"fmt"
 
-	"inferray/internal/baseline"
+	"inferray/cmd/benchtables/internal/memsim"
+	"inferray/cmd/benchtables/internal/standin"
 	"inferray/internal/datagen"
-	"inferray/internal/memsim"
 	"inferray/internal/reasoner"
 	"inferray/internal/rules"
 )
@@ -62,7 +62,7 @@ func naiveChainGenerated(n int) (closedPairs, generated int) {
 	for i := 0; i < measured; i++ {
 		pairs = append(pairs, uint64(i+1), uint64(i+2))
 	}
-	closed, gen := baseline.NaiveTransitiveClosure(pairs)
+	closed, gen := standin.NaiveTransitiveClosure(pairs)
 	if measured < n {
 		scale := float64(n) / float64(measured)
 		return datagen.ChainClosureSize(n) + n, int(float64(gen) * scale * scale * scale)

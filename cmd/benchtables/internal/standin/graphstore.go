@@ -1,6 +1,29 @@
-package baseline
+// Package standin holds the competitor architectures that only the
+// paper's tables run (cmd/benchtables; DESIGN.md §3). The real
+// competitors are closed or JVM systems; what the paper contrasts is
+// their algorithmic designs, which these reproduce in Go:
+//
+//   - GraphEngine — an object-graph statement store with naive full
+//     re-evaluation and per-triple existence checks, standing in for the
+//     Sesame/OWLIM linked-statement design;
+//   - WebPIEEngine — MapReduce forward chaining over an in-memory
+//     MapReduce framework (RunJob), standing in for WebPIE;
+//   - NaiveTransitiveClosure — fixed-point pair joining with per-round
+//     duplicate elimination, the strategy whose duplicate explosion
+//     motivates Inferray's dedicated closure stage (§4.1).
+//
+// The RDFox-like column is baseline.HashJoinEngine, which stays in the
+// library because the tests use it as their oracle.
+package standin
 
-import "inferray/internal/rules"
+import (
+	"inferray/internal/baseline"
+	"inferray/internal/rules"
+)
+
+// Fact is one encoded triple ⟨s, p, o⟩, shared with the hash-join
+// engine so every column sees the same input.
+type Fact = baseline.Fact
 
 // GraphEngine models the Sesame/OWLIM-family design the paper describes
 // (§2.2): the store is an object graph — statements in a linked list,
@@ -97,7 +120,7 @@ func (g *GraphEngine) Materialize() (derived, iterations int) {
 		added := 0
 		for i := range g.specs {
 			spec := &g.specs[i]
-			var b binding
+			var b baseline.Binding
 			g.matchAtoms(spec, 0, &b, func(f Fact) {
 				if g.Add(f) {
 					added++
@@ -114,19 +137,19 @@ func (g *GraphEngine) Materialize() (derived, iterations int) {
 // matchAtoms enumerates matches for body atoms from index ai onward by
 // walking statement chains (subject out-chain or object in-chain when
 // bound, the global list otherwise).
-func (g *GraphEngine) matchAtoms(spec *rules.Spec, ai int, b *binding, emit func(Fact)) {
+func (g *GraphEngine) matchAtoms(spec *rules.Spec, ai int, b *baseline.Binding, emit func(Fact)) {
 	if ai == len(spec.Body) {
 		if d := spec.Distinct; d[0] >= 0 {
-			x, _ := b.get(d[0])
-			y, _ := b.get(d[1])
+			x, _ := b.Get(d[0])
+			y, _ := b.Get(d[1])
 			if x == y {
 				return
 			}
 		}
 		for _, h := range spec.Head {
-			s, _ := resolve(h.S, b)
-			p, _ := resolve(h.P, b)
-			o, _ := resolve(h.O, b)
+			s, _ := baseline.Resolve(h.S, b)
+			p, _ := baseline.Resolve(h.P, b)
+			o, _ := baseline.Resolve(h.O, b)
 			emit(Fact{s, p, o})
 		}
 		return
@@ -147,13 +170,13 @@ func (g *GraphEngine) matchAtoms(spec *rules.Spec, ai int, b *binding, emit func
 				}
 				return
 			}
-			if cur, set := b.get(t.Var); set {
+			if cur, set := b.Get(t.Var); set {
 				if cur != v {
 					ok = false
 				}
 				return
 			}
-			b.bind(t.Var, v)
+			b.Bind(t.Var, v)
 			bound[n] = t.Var
 			n++
 		}
@@ -164,13 +187,13 @@ func (g *GraphEngine) matchAtoms(spec *rules.Spec, ai int, b *binding, emit func
 			g.matchAtoms(spec, ai+1, b, emit)
 		}
 		for i := 0; i < n; i++ {
-			b.unbind(bound[i])
+			b.Unbind(bound[i])
 		}
 	}
 
 	// Pick a chain: subject-bound → out-chain, object-bound → in-chain,
 	// otherwise the full statement list. Each step is a pointer chase.
-	if s, ok := resolve(pat.S, b); ok {
+	if s, ok := baseline.Resolve(pat.S, b); ok {
 		if n := g.nodes[s]; n != nil {
 			for st := n.out; st != nil; st = st.nextOut {
 				tryStmt(st)
@@ -178,7 +201,7 @@ func (g *GraphEngine) matchAtoms(spec *rules.Spec, ai int, b *binding, emit func
 		}
 		return
 	}
-	if o, ok := resolve(pat.O, b); ok {
+	if o, ok := baseline.Resolve(pat.O, b); ok {
 		if n := g.nodes[o]; n != nil {
 			for st := n.in; st != nil; st = st.nextIn {
 				tryStmt(st)

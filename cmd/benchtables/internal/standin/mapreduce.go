@@ -1,20 +1,22 @@
-// Package mapreduce is a small in-memory MapReduce framework: enough of
-// the Hadoop execution model — parallel mappers over input splits, a
-// hash shuffle, parallel reducers, and a per-job synchronization barrier
-// — to reproduce the WebPIE reasoner's architecture (Urbani et al.,
-// ESWC 2009), the distributed competitor of the paper's Table 2.
-//
-// The framework is deliberately faithful to the aspects that dominate
-// WebPIE's cost profile: every job materializes its full intermediate
-// key space, the shuffle copies every emitted pair, and nothing is
-// shared between jobs except their materialized outputs.
-package mapreduce
+package standin
 
 import (
 	"runtime"
 	"sort"
 	"sync"
 )
+
+// A small in-memory MapReduce framework, the one WebPIEEngine runs on:
+// enough of the Hadoop execution model — parallel mappers over input
+// splits, a hash shuffle, parallel reducers, and a per-job
+// synchronization barrier — to reproduce the WebPIE reasoner's
+// architecture (Urbani et al., ESWC 2009), the distributed competitor of
+// the paper's Table 2.
+//
+// The framework is deliberately faithful to the aspects that dominate
+// WebPIE's cost profile: every job materializes its full intermediate
+// key space, the shuffle copies every emitted pair, and nothing is
+// shared between jobs except their materialized outputs.
 
 // KV is one key/value record. Keys and values are opaque 64-bit triples
 // packed by the caller.
@@ -31,15 +33,15 @@ type Mapper func(record [3]uint64, emit func(KV))
 // records via emit.
 type Reducer func(key uint64, values [][3]uint64, emit func([3]uint64))
 
-// Config tunes a Job run.
-type Config struct {
+// JobConfig tunes a RunJob call.
+type JobConfig struct {
 	// Workers is the mapper/reducer parallelism (default GOMAXPROCS).
 	Workers int
 	// Partitions is the number of shuffle partitions (default Workers).
 	Partitions int
 }
 
-func (c Config) withDefaults() Config {
+func (c JobConfig) withDefaults() JobConfig {
 	if c.Workers <= 0 {
 		c.Workers = runtime.GOMAXPROCS(0)
 	}
@@ -49,18 +51,18 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Stats reports what one job execution did.
-type Stats struct {
+// JobStats reports what one job execution did.
+type JobStats struct {
 	InputRecords        int
 	IntermediateRecords int // records copied through the shuffle
 	OutputRecords       int
 }
 
-// Run executes one MapReduce job over the input records and returns the
+// RunJob executes one MapReduce job over the input records and returns the
 // reducer output and the job statistics.
-func Run(input [][3]uint64, m Mapper, r Reducer, cfg Config) ([][3]uint64, Stats) {
+func RunJob(input [][3]uint64, m Mapper, r Reducer, cfg JobConfig) ([][3]uint64, JobStats) {
 	cfg = cfg.withDefaults()
-	stats := Stats{InputRecords: len(input)}
+	stats := JobStats{InputRecords: len(input)}
 
 	// ---- Map phase: split the input, run mappers in parallel, hash
 	// emitted records into per-worker × per-partition buckets.

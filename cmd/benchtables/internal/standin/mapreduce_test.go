@@ -1,4 +1,4 @@
-package mapreduce
+package standin
 
 import (
 	"sort"
@@ -18,7 +18,7 @@ func TestWordCountStyleJob(t *testing.T) {
 	r := func(key uint64, values [][3]uint64, emit func([3]uint64)) {
 		emit([3]uint64{key, uint64(len(values)), 0})
 	}
-	out, stats := Run(input, m, r, Config{Workers: 4, Partitions: 4})
+	out, stats := RunJob(input, m, r, JobConfig{Workers: 4, Partitions: 4})
 	sort.Slice(out, func(i, j int) bool { return out[i][0] < out[j][0] })
 	if len(out) != 2 || out[0] != [3]uint64{1, 3, 0} || out[1] != [3]uint64{2, 1, 0} {
 		t.Fatalf("out = %v", out)
@@ -54,7 +54,7 @@ func TestGroupingIsExact(t *testing.T) {
 			calls[key]++
 			mu <- struct{}{}
 		}
-		Run(input, m, r, Config{
+		RunJob(input, m, r, JobConfig{
 			Workers:    int(workers%8) + 1,
 			Partitions: int(partitions%8) + 1,
 		})
@@ -74,10 +74,10 @@ func TestGroupingIsExact(t *testing.T) {
 }
 
 func TestEmptyInput(t *testing.T) {
-	out, stats := Run(nil,
+	out, stats := RunJob(nil,
 		func([3]uint64, func(KV)) {},
 		func(uint64, [][3]uint64, func([3]uint64)) {},
-		Config{})
+		JobConfig{})
 	if len(out) != 0 || stats.InputRecords != 0 {
 		t.Fatalf("empty job produced %v %+v", out, stats)
 	}
@@ -96,7 +96,7 @@ func TestFanOutMapper(t *testing.T) {
 			emit(v)
 		}
 	}
-	out, stats := Run(input, m, r, Config{Workers: 3, Partitions: 5})
+	out, stats := RunJob(input, m, r, JobConfig{Workers: 3, Partitions: 5})
 	if len(out) != 100 || stats.IntermediateRecords != 100 {
 		t.Fatalf("fan-out lost records: %d out, %+v", len(out), stats)
 	}
@@ -117,8 +117,8 @@ func TestDeterministicWithinPartitionOrderIrrelevant(t *testing.T) {
 		sort.Slice(out, func(i, j int) bool { return out[i][0] < out[j][0] })
 		return out
 	}
-	a, _ := Run(input, m, r, Config{Workers: 1, Partitions: 1})
-	b, _ := Run(input, m, r, Config{Workers: 7, Partitions: 3})
+	a, _ := RunJob(input, m, r, JobConfig{Workers: 1, Partitions: 1})
+	b, _ := RunJob(input, m, r, JobConfig{Workers: 7, Partitions: 3})
 	a, b = normalize(a), normalize(b)
 	if len(a) != len(b) {
 		t.Fatal("worker count changed output size")

@@ -1,4 +1,4 @@
-package baseline
+package standin
 
 // NaiveTransitiveClosure computes the transitive closure of a flat
 // ⟨s,o⟩ pair list by iterative rule application: each round joins the

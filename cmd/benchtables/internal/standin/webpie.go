@@ -1,9 +1,8 @@
-package baseline
+package standin
 
 import (
 	"inferray/internal/closure"
 	"inferray/internal/dictionary"
-	"inferray/internal/mapreduce"
 	"inferray/internal/rules"
 )
 
@@ -18,7 +17,7 @@ import (
 type WebPIEEngine struct {
 	v    *rules.Vocab
 	full bool
-	cfg  mapreduce.Config
+	cfg  JobConfig
 
 	facts [][3]uint64
 	set   map[Fact]struct{}
@@ -30,7 +29,7 @@ type WebPIEEngine struct {
 
 // NewWebPIEEngine builds an engine; full selects RDFS-full (adds the
 // axiomatic single-antecedent rules) over RDFS-default.
-func NewWebPIEEngine(v *rules.Vocab, full bool, cfg mapreduce.Config) *WebPIEEngine {
+func NewWebPIEEngine(v *rules.Vocab, full bool, cfg JobConfig) *WebPIEEngine {
 	return &WebPIEEngine{v: v, full: full, cfg: cfg, set: make(map[Fact]struct{})}
 }
 
@@ -176,10 +175,10 @@ func (e *WebPIEEngine) Materialize() (derived, iterations int) {
 		schema, schemaTriples := e.buildSchema()
 
 		// ---- Rule job: map over every fact with the schema replicated.
-		mapper := func(t [3]uint64, emit func(mapreduce.KV)) {
+		mapper := func(t [3]uint64, emit func(KV)) {
 			out := func(s, p, o uint64) {
 				f := [3]uint64{s, p, o}
-				emit(mapreduce.KV{Key: factHash(f), Value: f})
+				emit(KV{Key: factHash(f), Value: f})
 			}
 			s, p, o := t[0], t[1], t[2]
 			if p == typeP {
@@ -223,7 +222,7 @@ func (e *WebPIEEngine) Materialize() (derived, iterations int) {
 				}
 			}
 		}
-		candidates, st1 := mapreduce.Run(e.facts, mapper, dedupReducer, e.cfg)
+		candidates, st1 := RunJob(e.facts, mapper, dedupReducer, e.cfg)
 		e.Jobs++
 		e.ShuffledRecords += st1.IntermediateRecords
 
@@ -235,10 +234,10 @@ func (e *WebPIEEngine) Materialize() (derived, iterations int) {
 		dedupInput := make([][3]uint64, 0, len(e.facts)+len(candidates))
 		dedupInput = append(dedupInput, e.facts...)
 		dedupInput = append(dedupInput, candidates...)
-		identity := func(t [3]uint64, emit func(mapreduce.KV)) {
-			emit(mapreduce.KV{Key: factHash(t), Value: t})
+		identity := func(t [3]uint64, emit func(KV)) {
+			emit(KV{Key: factHash(t), Value: t})
 		}
-		union, st2 := mapreduce.Run(dedupInput, identity, dedupReducer, e.cfg)
+		union, st2 := RunJob(dedupInput, identity, dedupReducer, e.cfg)
 		e.Jobs++
 		e.ShuffledRecords += st2.IntermediateRecords
 

@@ -2,8 +2,10 @@ package main
 
 import (
 	"fmt"
+	"os"
 	"time"
 
+	"inferray/cmd/benchtables/internal/standin"
 	"inferray/internal/baseline"
 	"inferray/internal/dictionary"
 	"inferray/internal/rdf"
@@ -27,16 +29,42 @@ func encodeFacts(triples []rdf.Triple, fragment rules.Fragment) ([]baseline.Fact
 }
 
 // runInferray measures one full Inferray materialization (load excluded,
-// matching the paper's methodology of reporting inference time). It
-// runs the production configuration — parallel rules and the hierarchy
-// interval encoding — so the headline tables reflect what the library
-// ships.
-func runInferray(triples []rdf.Triple, fragment rules.Fragment) (time.Duration, reasoner.Stats) {
-	e := reasoner.New(reasoner.Options{Fragment: fragment, Parallel: true, HierarchyEncoding: true})
+// matching the paper's methodology of reporting inference time) with
+// parallel rules. encoding picks the configuration: off is Algorithm 1
+// as published, whose θ stage computes every subClassOf/subPropertyOf
+// closure pair (the "paper" column); on is what the library ships, the
+// hierarchy interval encoding answering those pairs and the rdf:type
+// triples they entail without storing them (the "shipped" column).
+func runInferray(triples []rdf.Triple, fragment rules.Fragment, encoding bool) (time.Duration, reasoner.Stats) {
+	e := reasoner.New(reasoner.Options{Fragment: fragment, Parallel: true, HierarchyEncoding: encoding})
 	e.LoadTriples(triples)
 	start := time.Now()
 	stats := e.Materialize()
 	return time.Since(start), stats
+}
+
+// inferrayRun is one configuration's measurement.
+type inferrayRun struct {
+	time  time.Duration
+	stats reasoner.Stats
+}
+
+// runBothInferray measures the paper and the shipped configuration on
+// one dataset. Both must infer the same closure; the program stops if
+// they do not, since a table of unequal closures compares nothing.
+func runBothInferray(triples []rdf.Triple, fragment rules.Fragment) (paper, shipped inferrayRun) {
+	paper.time, paper.stats = runInferray(triples, fragment, false)
+	shipped.time, shipped.stats = runInferray(triples, fragment, true)
+	if p, s := paper.stats.InferredTriples, shipped.stats.InferredTriples; p != s {
+		fmt.Fprintf(os.Stderr, "benchtables: %s: paper inferred %d, shipped %d\n", fragment, p, s)
+		os.Exit(1)
+	}
+	return paper, shipped
+}
+
+// matVirt renders a configuration's stored and virtual triple counts.
+func matVirt(st reasoner.Stats) string {
+	return kfmt(st.MaterializedTriples) + "/" + kfmt(st.VirtualTriples)
 }
 
 // runHashJoin measures the RDFox-like baseline on pre-encoded facts.
@@ -52,7 +80,7 @@ func runHashJoin(facts []baseline.Fact, specs []rules.Spec) (time.Duration, int)
 
 // runGraph measures the Sesame/OWLIM-like baseline on pre-encoded facts.
 func runGraph(facts []baseline.Fact, specs []rules.Spec) (time.Duration, int) {
-	e := baseline.NewGraphEngine(specs)
+	e := standin.NewGraphEngine(specs)
 	for _, f := range facts {
 		e.Add(f)
 	}

@@ -49,13 +49,21 @@ func TestEncodeFactsMatchesInput(t *testing.T) {
 	}
 }
 
+// TestRunInferraySmoke runs both Inferray columns on a chain: the paper
+// configuration stores the whole closure, the shipped one keeps it
+// virtual, and both infer the same number of triples.
 func TestRunInferraySmoke(t *testing.T) {
-	d, stats := runInferray(datagen.Chain(20), rules.RDFSDefault)
-	if stats.InferredTriples != datagen.ChainClosureSize(20) {
-		t.Fatalf("inferred %d", stats.InferredTriples)
-	}
-	if d <= 0 {
-		t.Fatal("non-positive duration")
+	for _, encoding := range []bool{false, true} {
+		d, stats := runInferray(datagen.Chain(20), rules.RDFSDefault, encoding)
+		if stats.InferredTriples != datagen.ChainClosureSize(20) {
+			t.Fatalf("encoding=%t: inferred %d, want %d", encoding, stats.InferredTriples, datagen.ChainClosureSize(20))
+		}
+		if d <= 0 {
+			t.Fatalf("encoding=%t: non-positive duration", encoding)
+		}
+		if virtual := stats.VirtualTriples; encoding != (virtual > 0) {
+			t.Fatalf("encoding=%t: %d virtual triples", encoding, virtual)
+		}
 	}
 }
 

@@ -513,8 +513,8 @@ func runServe(ctx context.Context, args []string, stdin io.Reader, stderr io.Wri
 
 // runUpdate implements the update subcommand: an HTTP client for a
 // running server's POST /update. The request comes from -update or,
-// when the flag is empty, from stdin — so both one-liners and files
-// work:
+// when the flag is empty, from all of stdin — so both one-liners and
+// files work; the server's body limit is the only bound:
 //
 //	inferray update -addr localhost:7070 -update 'DELETE DATA { <s> <p> <o> }'
 //	inferray update < batch.ru
@@ -528,7 +528,7 @@ func runUpdate(ctx context.Context, args []string, stdin io.Reader, stdout, stde
 	}
 	body := *text
 	if body == "" {
-		raw, err := io.ReadAll(io.LimitReader(stdin, 1<<20))
+		raw, err := io.ReadAll(stdin)
 		if err != nil {
 			return err
 		}

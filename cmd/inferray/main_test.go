@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
+	"net/http/httptest"
 	"net/url"
 	"os"
 	"path/filepath"
@@ -12,6 +14,9 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"inferray"
+	"inferray/internal/server"
 )
 
 func runCLI(t *testing.T, args []string, stdin string) (stdout, stderr string, err error) {
@@ -455,5 +460,44 @@ func TestCLISelectUnboundAndAggregates(t *testing.T) {
 	want = "t=<a>\tn=\"2\"^^<http://www.w3.org/2001/XMLSchema#integer>\n"
 	if out != want {
 		t.Fatalf("aggregate output:\n%q\nwant:\n%q", out, want)
+	}
+}
+
+// TestCLIUpdateSubcommandLargeRequest pipes a request of more than
+// 1 MiB to the update subcommand against an in-process server: every
+// op reaches the server, the last one included.
+func TestCLIUpdateSubcommandLargeRequest(t *testing.T) {
+	r := inferray.New()
+	ts := httptest.NewServer(server.New(r).Handler())
+	defer ts.Close()
+
+	var req strings.Builder
+	ops := 0
+	for req.Len() <= 1<<20 {
+		req.WriteString("INSERT DATA {")
+		for i := 0; i < 1000; i++ {
+			fmt.Fprintf(&req, " <http://x/s%d> <http://x/p> <http://x/o> .", ops*1000+i)
+		}
+		req.WriteString(" } ;\n")
+		ops++
+	}
+	req.WriteString("INSERT DATA { <http://x/after> <http://x/p> <http://x/o> }\n")
+	ops++
+
+	out, _, err := runCLI(t, []string{"update", "-addr", ts.URL}, req.String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var resp struct {
+		Ops int `json:"ops"`
+	}
+	if err := json.Unmarshal([]byte(out), &resp); err != nil {
+		t.Fatalf("update output %q: %v", out, err)
+	}
+	if resp.Ops != ops {
+		t.Fatalf("server ran %d ops, want %d", resp.Ops, ops)
+	}
+	if ok, err := r.Ask(`ASK { <http://x/after> ?p ?o }`); err != nil || !ok {
+		t.Fatalf("last op lost: ask=%t err=%v", ok, err)
 	}
 }

@@ -62,7 +62,7 @@ func (e *HashJoinEngine) applySemiNaive(spec *rules.Spec, delta []Fact, deltaSet
 				order = append(order, i)
 			}
 		}
-		var b binding
+		var b Binding
 		e.matchAtomList(spec, order, 0, delta, deltaSet, &b, emit)
 	}
 }
@@ -70,19 +70,19 @@ func (e *HashJoinEngine) applySemiNaive(spec *rules.Spec, delta []Fact, deltaSet
 // matchAtomList matches the body atoms in the given evaluation order,
 // from position ai onward. order[0] is the delta atom, matched against
 // the delta list; the rest probe the full store's indexes.
-func (e *HashJoinEngine) matchAtomList(spec *rules.Spec, order []int, ai int, delta []Fact, deltaSet map[Fact]struct{}, b *binding, emit func(Fact)) {
+func (e *HashJoinEngine) matchAtomList(spec *rules.Spec, order []int, ai int, delta []Fact, deltaSet map[Fact]struct{}, b *Binding, emit func(Fact)) {
 	if ai == len(spec.Body) {
 		if d := spec.Distinct; d[0] >= 0 {
-			x, _ := b.get(d[0])
-			y, _ := b.get(d[1])
+			x, _ := b.Get(d[0])
+			y, _ := b.Get(d[1])
 			if x == y {
 				return
 			}
 		}
 		for _, h := range spec.Head {
-			s, _ := resolve(h.S, b)
-			p, _ := resolve(h.P, b)
-			o, _ := resolve(h.O, b)
+			s, _ := Resolve(h.S, b)
+			p, _ := Resolve(h.P, b)
+			o, _ := Resolve(h.O, b)
 			emit(Fact{s, p, o})
 		}
 		return
@@ -102,13 +102,13 @@ func (e *HashJoinEngine) matchAtomList(spec *rules.Spec, order []int, ai int, de
 				}
 				return
 			}
-			if cur, set := b.get(t.Var); set {
+			if cur, set := b.Get(t.Var); set {
 				if cur != v {
 					ok = false
 				}
 				return
 			}
-			b.bind(t.Var, v)
+			b.Bind(t.Var, v)
 			bound[n] = t.Var
 			n++
 		}
@@ -119,7 +119,7 @@ func (e *HashJoinEngine) matchAtomList(spec *rules.Spec, order []int, ai int, de
 			e.matchAtomList(spec, order, ai+1, delta, deltaSet, b, emit)
 		}
 		for i := 0; i < n; i++ {
-			b.unbind(bound[i])
+			b.Unbind(bound[i])
 		}
 	}
 
@@ -136,10 +136,10 @@ func (e *HashJoinEngine) matchAtomList(spec *rules.Spec, order []int, ai int, de
 
 // lookup picks the most selective hash index for a pattern under the
 // current bindings and returns candidate facts.
-func (e *HashJoinEngine) lookup(pat rules.Pattern, b *binding) []Fact {
-	s, sOK := resolve(pat.S, b)
-	p, pOK := resolve(pat.P, b)
-	o, oOK := resolve(pat.O, b)
+func (e *HashJoinEngine) lookup(pat rules.Pattern, b *Binding) []Fact {
+	s, sOK := Resolve(pat.S, b)
+	p, pOK := Resolve(pat.P, b)
+	o, oOK := Resolve(pat.O, b)
 	ts := e.Store
 	switch {
 	case sOK && pOK && oOK:
@@ -172,11 +172,11 @@ func (e *HashJoinEngine) lookup(pat rules.Pattern, b *binding) []Fact {
 	return ts.all
 }
 
-// resolve evaluates a term under a binding; ok is false for an unbound
+// Resolve evaluates a term under a binding; ok is false for an unbound
 // variable.
-func resolve(t rules.Term, b *binding) (uint64, bool) {
+func Resolve(t rules.Term, b *Binding) (uint64, bool) {
 	if !t.IsVar {
 		return t.Const, true
 	}
-	return b.get(t.Var)
+	return b.Get(t.Var)
 }

@@ -1,18 +1,13 @@
-// Package baseline implements the competitor architectures Inferray is
-// benchmarked against in §6 of the paper. The real competitors (RDFox,
-// OWLIM-SE, WebPIE) are closed or JVM systems; what the paper contrasts
-// is their *algorithmic* designs, which this package reproduces
-// faithfully in Go (see DESIGN.md §3):
-//
-//   - HashJoinEngine — semi-naive datalog over hash indexes with random
-//     memory access, standing in for RDFox's mostly-lock-free parallel
-//     hash joins;
-//   - GraphEngine — an object-graph statement store with naive
-//     full re-evaluation and per-triple existence checks, standing in
-//     for the Sesame/OWLIM linked-statement design;
-//   - NaiveTransitiveClosure — fixed-point pair joining with per-round
-//     duplicate elimination, the strategy whose duplicate explosion
-//     motivates Inferray's dedicated closure stage (§4.1).
+// Package baseline is the independent evaluator the tests judge the
+// engine against: HashJoinEngine runs semi-naive datalog over a
+// hash-indexed TripleSet, driven by the declarative rules.Specs. It
+// shares no sort, merge, hierarchy encoding, DRed or WAL code with
+// internal/reasoner, so a bug in those cannot hide in both sides of a
+// comparison. TestWritePathConformance and internal/reasoner's tests
+// compare closures against it (DESIGN.md §3); cmd/benchtables also
+// prints it as the RDFox-like column of the paper's tables. The other
+// competitor stand-ins live with that program, under
+// cmd/benchtables/internal.
 package baseline
 
 // Fact is one encoded triple ⟨s, p, o⟩.
@@ -72,14 +67,18 @@ func (ts *TripleSet) Size() int { return len(ts.all) }
 // All returns the facts in insertion order (callers must not mutate).
 func (ts *TripleSet) All() []Fact { return ts.all }
 
-// binding is a partial assignment of variable slots.
-type binding struct {
+// Binding is a partial assignment of a rule's variable slots, shared
+// with the stand-in engines of cmd/benchtables.
+type Binding struct {
 	vals [8]uint64
 	set  [8]bool
 }
 
-func (b *binding) get(slot int) (uint64, bool) { return b.vals[slot], b.set[slot] }
+// Get returns the slot's value and whether it is bound.
+func (b *Binding) Get(slot int) (uint64, bool) { return b.vals[slot], b.set[slot] }
 
-func (b *binding) bind(slot int, v uint64) { b.vals[slot] = v; b.set[slot] = true }
+// Bind sets the slot.
+func (b *Binding) Bind(slot int, v uint64) { b.vals[slot] = v; b.set[slot] = true }
 
-func (b *binding) unbind(slot int) { b.set[slot] = false }
+// Unbind clears the slot.
+func (b *Binding) Unbind(slot int) { b.set[slot] = false }
