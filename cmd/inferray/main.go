@@ -25,8 +25,8 @@
 //
 // With -stats, run statistics (input/inferred counts, iteration count,
 // rules fired/skipped by the dependency scheduler, and the phase times
-// parse, encode, normalize, closure, loop, whose total= spans bytes in
-// to closure) are printed to stderr, one line per materialization.
+// parse, encode, normalize, closure, loop, and wall= for bytes in to
+// closure) are printed to stderr, one line per materialization.
 //
 // -save-image persists the materialized closure as a compact binary
 // snapshot; -load-image restores one instead of re-running inference —
@@ -210,7 +210,7 @@ func run(ctx context.Context, args []string, stdin io.Reader, stdout, stderr io.
 			return
 		}
 		fmt.Fprintf(stderr,
-			"fragment=%s batch=%s incremental=%t input=%d inferred=%d total=%d materialized=%d virtual=%d encoded=%t iterations=%d fired=%d skipped=%d parse=%s encode=%s normalize=%s closure=%s loop=%s count=%s total=%s\n",
+			"fragment=%s batch=%s incremental=%t input=%d inferred=%d total=%d materialized=%d virtual=%d encoded=%t iterations=%d fired=%d skipped=%d parse=%s encode=%s normalize=%s closure=%s loop=%s count=%s wall=%s\n",
 			fragment, batch, st.Incremental, st.InputTriples, st.InferredTriples,
 			st.TotalTriples, st.MaterializedTriples, st.VirtualTriples, st.HierarchyEncoded,
 			st.Iterations, st.RulesFired, st.RulesSkipped,

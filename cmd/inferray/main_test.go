@@ -72,6 +72,17 @@ func TestCLIStatsAndQuiet(t *testing.T) {
 	if !strings.Contains(errOut, "materialized=3 virtual=3 encoded=true") {
 		t.Fatalf("stats line lacks encoding figures: %s", errOut)
 	}
+	// Every line is key=value fields a reader keys on: no key twice.
+	for _, line := range strings.Split(strings.TrimSpace(errOut), "\n") {
+		seen := map[string]bool{}
+		for _, field := range strings.Fields(line) {
+			key, _, _ := strings.Cut(field, "=")
+			if seen[key] {
+				t.Fatalf("key %q repeats on the stats line: %s", key, line)
+			}
+			seen[key] = true
+		}
+	}
 }
 
 func TestCLITurtleFormat(t *testing.T) {

@@ -213,7 +213,6 @@ func (e *Engine) Materialize() Stats {
 	} else {
 		e.materializeFull(&st)
 		e.materialized = true
-		e.Main.Steady() // from here on Main is maintained, not loaded
 	}
 	countStart := time.Now()
 	st.TotalTriples = e.Size()
@@ -256,12 +255,6 @@ func (e *Engine) materializeFull(st *Stats) {
 	closureStart := time.Now()
 	e.transitivityClosures()
 	st.ClosureTime = time.Since(closureStart)
-
-	// Pre-warm the ⟨o,s⟩ caches across cores instead of letting the
-	// first iteration's joins build them one by one under table locks.
-	if e.opts.Parallel {
-		e.Main.WarmOSCaches()
-	}
 
 	// Lines 3–8: fixed point. On the first pass delta aliases main and
 	// every rule fires.
@@ -807,7 +800,6 @@ func (e *Engine) RestoreState(d *dictionary.Dictionary, st *store.Store, encoded
 	e.V = rules.ResolveVocab(d)
 	st.Grow(d.NumProperties())
 	e.Main = st
-	st.Steady()
 	if e.opts.Metrics != nil {
 		st.SetMetrics(e.opts.Metrics.Store)
 	}

@@ -13,6 +13,7 @@ import (
 	"inferray/internal/metrics"
 	"inferray/internal/rdf"
 	"inferray/internal/rules"
+	"inferray/internal/store"
 )
 
 // visibleTriples returns the engine's visible closure as sorted triple
@@ -72,6 +73,8 @@ func checkAgainstOracle(t *testing.T, e *Engine, opts Options, label string) {
 // triples, where every change is a large share of its table; seed 6
 // churns a LUBM base, whose tables are long enough for single triples
 // to take the in-place path, and the store's counters must say they did.
+// A cache is built only when something probes by object, so seed 6 first
+// reads every table in object order, as a server's readers would.
 func TestRetractEquivalenceInterleaved(t *testing.T) {
 	fragments := []rules.Fragment{
 		rules.RhoDF, rules.RDFSDefault, rules.RDFSFull, rules.RDFSPlus, rules.RDFSPlusFull,
@@ -106,6 +109,12 @@ func TestRetractEquivalenceInterleaved(t *testing.T) {
 					cut := len(pool) * 2 / 3
 					e.LoadTriples(pool[:cut])
 					e.Materialize()
+					if seed == 6 {
+						e.Main.ForEachTable(func(_ int, tab *store.Table) bool {
+							tab.OS()
+							return true
+						})
+					}
 					rest := pool[cut:]
 					for op := 0; op < 8; op++ {
 						var label string

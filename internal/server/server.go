@@ -18,8 +18,8 @@
 //	                            with unbound cells omitted per the spec;
 //	                            optional &limit=N row cap on top of the
 //	                            query's own LIMIT
-//	POST /query                 same, query in the body (application/sparql-query)
-//	                            or form field "query"
+//	POST /query                 same, query in the body (application/sparql-query,
+//	                            at most 1 MiB: 413 past it) or form field "query"
 //	POST /triples               N-Triples document staged as a delta and
 //	                            materialized incrementally (durably, when the
 //	                            reasoner has a data dir); JSON run stats
@@ -460,6 +460,11 @@ type queryError struct {
 	Token  string `json:"token,omitempty"`
 }
 
+// queryBodyLimit bounds a POST /query body sent as
+// application/sparql-query. Config.MaxBodyBytes bounds the write
+// endpoints only.
+const queryBodyLimit = 1 << 20
+
 func (s *Server) handleQuery(w http.ResponseWriter, req *http.Request) {
 	var text string
 	var limitParam string
@@ -472,9 +477,11 @@ func (s *Server) handleQuery(w http.ResponseWriter, req *http.Request) {
 		if strings.HasPrefix(ct, "application/sparql-query") {
 			// MaxBytesReader (not LimitReader) so an oversized query is
 			// an error, never silently truncated into a different query.
-			body, err := io.ReadAll(http.MaxBytesReader(w, req.Body, 1<<20))
+			body, err := io.ReadAll(http.MaxBytesReader(w, req.Body, queryBodyLimit))
 			if err != nil {
-				httpError(w, http.StatusBadRequest, "reading body: %v", err)
+				if !tooLarge(w, err) {
+					httpError(w, http.StatusBadRequest, "reading body: %v", err)
+				}
 				return
 			}
 			text = string(body)
@@ -800,8 +807,8 @@ func (tr *readErrTracker) Read(p []byte) (int, error) {
 }
 
 // tooLarge answers a body-limit overflow with a structured 413 carrying
-// the configured limit; reports whether err was one.
-func (s *Server) tooLarge(w http.ResponseWriter, err error) bool {
+// the limit that was exceeded; reports whether err was one.
+func tooLarge(w http.ResponseWriter, err error) bool {
 	var mbe *http.MaxBytesError
 	if !errors.As(err, &mbe) {
 		return false
@@ -809,8 +816,8 @@ func (s *Server) tooLarge(w http.ResponseWriter, err error) bool {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(http.StatusRequestEntityTooLarge)
 	_ = json.NewEncoder(w).Encode(map[string]any{
-		"error":       fmt.Sprintf("request body exceeds the %d-byte limit", s.cfg.MaxBodyBytes),
-		"limit_bytes": s.cfg.MaxBodyBytes,
+		"error":       fmt.Sprintf("request body exceeds the %d-byte limit", mbe.Limit),
+		"limit_bytes": mbe.Limit,
 	})
 	return true
 }
@@ -823,7 +830,7 @@ func (s *Server) handleTriples(w http.ResponseWriter, req *http.Request) {
 		return nil
 	})
 	if err != nil {
-		if s.tooLarge(w, body.err) || s.tooLarge(w, err) {
+		if tooLarge(w, body.err) || tooLarge(w, err) {
 			return
 		}
 		httpError(w, http.StatusBadRequest, "%v", err)
@@ -874,7 +881,7 @@ func (s *Server) handleUpdate(w http.ResponseWriter, req *http.Request) {
 	if strings.HasPrefix(ct, "application/sparql-update") {
 		body, err := io.ReadAll(req.Body)
 		if err != nil {
-			if s.tooLarge(w, err) {
+			if tooLarge(w, err) {
 				return
 			}
 			httpError(w, http.StatusBadRequest, "reading body: %v", err)
@@ -883,7 +890,7 @@ func (s *Server) handleUpdate(w http.ResponseWriter, req *http.Request) {
 		text = string(body)
 	} else {
 		if err := req.ParseForm(); err != nil {
-			if s.tooLarge(w, err) {
+			if tooLarge(w, err) {
 				return
 			}
 			httpError(w, http.StatusBadRequest, "parsing form: %v", err)

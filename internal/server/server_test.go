@@ -38,6 +38,45 @@ func newTestServer(t *testing.T) (*httptest.Server, *inferray.Reasoner) {
 	return ts, r
 }
 
+// TestOversizedQueryBody413: a POST /query body past the 1 MiB cap
+// answers the same structured 413 as the write endpoints, and is counted
+// as a 413; a body at the cap is still evaluated.
+func TestOversizedQueryBody413(t *testing.T) {
+	ts, _ := newTestServer(t)
+	const limit = 1 << 20
+	post := func(n int) *http.Response {
+		t.Helper()
+		q := "SELECT ?s WHERE { ?s ?p ?o }"
+		body := q + strings.Repeat(" ", n-len(q))
+		resp, err := http.Post(ts.URL+"/query", "application/sparql-query", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { resp.Body.Close() })
+		return resp
+	}
+	if resp := post(limit); resp.StatusCode != http.StatusOK {
+		t.Fatalf("a body at the cap: status %d, want 200", resp.StatusCode)
+	}
+	resp := post(limit + 1)
+	var payload struct {
+		Error      string `json:"error"`
+		LimitBytes int64  `json:"limit_bytes"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&payload); err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("status %d, want 413 (%+v)", resp.StatusCode, payload)
+	}
+	if payload.LimitBytes != limit || payload.Error == "" {
+		t.Fatalf("413 body = %+v", payload)
+	}
+	if want := `inferray_http_requests_total{endpoint="query",code="413"} 1`; !strings.Contains(scrape(t, ts), want) {
+		t.Fatalf("exposition missing %q", want)
+	}
+}
+
 func getResults(t *testing.T, ts *httptest.Server, query string) sparqlResults {
 	t.Helper()
 	resp, err := http.Get(ts.URL + "/query?query=" + url.QueryEscape(query))

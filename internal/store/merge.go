@@ -15,10 +15,10 @@ import (
 // duplicate-free.
 //
 // Figure 5's allocate-and-merge, with the ⟨o,s⟩ cache cleared when new
-// triples arrive (§4.2), is the bulk rule. Once main is steady, a table
-// whose inferred list is small against it (spliceable) is maintained in
-// place instead: the fresh pairs are found by galloping and spliced in,
-// marks and cache with them (Table.splice).
+// triples arrive (§4.2), is the bulk rule. A table whose inferred list is
+// small against it (spliceable) is maintained in place instead: the
+// fresh pairs are found by galloping and spliced in, marks and a present
+// cache with them (Table.splice).
 //
 // asserted says the outputs are explicitly loaded triples (a staged
 // batch) rather than derivations: every pair of theirs — fresh, or
@@ -63,7 +63,7 @@ func MergeRound(main *Store, parallel, asserted bool, outs ...*Store) *Store {
 		inf, owned := gather(outs, pidx)
 		mt := main.tables[pidx]
 		var fresh []uint64
-		if main.steady && spliceable(mt.pairs, inf) {
+		if spliceable(mt.pairs, inf) {
 			fresh = mt.splice(inf)
 			main.count(mergeSplice)
 		} else {

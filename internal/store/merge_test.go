@@ -102,10 +102,10 @@ func TestMergeRoundMergedPathNotAliased(t *testing.T) {
 }
 
 // TestMergeRoundSplicePathNotAliased is the same contract on the
-// in-place path of a steady store: the fresh pairs are spliced into the
-// table's own array — regrown or not — and the delta gets a buffer that
-// is neither that array nor the rule's output, so scribbling over the
-// output, filling the table's headroom and splicing again leave it alone.
+// in-place path: the fresh pairs are spliced into the table's own array
+// — regrown or not — and the delta gets a buffer that is neither that
+// array nor the rule's output, so scribbling over the output, filling
+// the table's headroom and splicing again leave it alone.
 func TestMergeRoundSplicePathNotAliased(t *testing.T) {
 	for _, headroom := range []bool{false, true} {
 		main := New(1)
@@ -114,7 +114,6 @@ func TestMergeRoundSplicePathNotAliased(t *testing.T) {
 			mt.Append(2*i, i)
 		}
 		mt.Normalize()
-		main.Steady()
 		if headroom {
 			mt.pairs = append(make([]uint64, 0, len(mt.pairs)+32), mt.pairs...)
 		}

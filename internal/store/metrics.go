@@ -4,9 +4,9 @@ import "inferray/internal/metrics"
 
 // Metrics counts what the store does to keep its tables sorted, so that
 // "a write costs O(delta)" can be read off /metrics: single-triple
-// writes to a steady store should move path="splice" and event="patched"
-// and leave path="rebuild" and event="dropped" to tables shorter than
-// the size rule (spliceFactor pairs per changed pair).
+// writes should move path="splice" and event="patched" and leave
+// path="rebuild" and event="dropped" to tables shorter than the size
+// rule (spliceFactor pairs per changed pair).
 type Metrics struct {
 	// Merges counts table merges of MergeRound by the path they took:
 	// splice (in place) or rebuild (allocate main + delta and merge).

@@ -11,9 +11,8 @@ import (
 // steps — locate, shift, fill — so a one-triple write never rebuilds a
 // table (DESIGN.md §7, "⟨o,s⟩-cache discipline").
 //
-// Which path a change takes is read off its inputs: spliceable below for
-// the size rule, Store.Steady for the regime. Bulk merges and every merge
-// of a first materialization keep the allocate-and-merge path of merge.go.
+// Which path a change takes is read off its inputs alone: spliceable
+// below. Larger changes keep the allocate-and-merge path of merge.go.
 
 // spliceFactor is the size rule: a change takes the in-place path when
 // the table is at least this many times longer than the change. Above

@@ -12,17 +12,16 @@ import (
 // spliceScript drives one table of one store through the inserts and
 // deletes a byte string spells out and compares it, after every step,
 // with a rebuild from a map oracle. The first byte picks the set-up —
-// marks present or nil, ⟨o,s⟩ cache present or absent, store steady or
-// still loading — and every later op is a kind byte, a count byte and
-// that many ⟨s,o⟩ byte pairs. Small ops take the in-place path of a
-// steady store, large ones (and everything before Steady) the rebuild
-// path; what is checked is the same either way:
+// marks present or nil, ⟨o,s⟩ cache present or absent, spare capacity or
+// none — and every later op is a kind byte, a count byte and that many
+// ⟨s,o⟩ byte pairs. Small ops take the in-place path, large ones the
+// rebuild path; what is checked is the same either way:
 //
 //   - Pairs() strictly sorted and equal to the oracle's pairs;
 //   - pair i marked iff the oracle says that pair is asserted, the mark
 //     words exactly ⌈n/64⌉ with no bit past the last pair;
 //   - a present cache equal to a fresh OS() of a clone, present exactly
-//     when the step could patch it (steady store, spliceable change);
+//     when the step could patch it (a spliceable change);
 //   - Version() up by exactly one per content change, unmoved otherwise;
 //   - Stats() equal to a cold table's;
 //   - the round's delta equal to the fresh pairs and never aliasing the
@@ -33,7 +32,6 @@ type spliceScript struct {
 	st     *Store
 	tab    *Table
 	oracle map[[2]uint64]bool // pair → asserted
-	steady bool
 
 	lastDelta, lastDeltaWant []uint64
 }
@@ -50,7 +48,7 @@ func runSpliceScript(t testing.TB, script []byte) {
 		return
 	}
 	setup, script := script[0], script[1:]
-	sc := &spliceScript{t: t, st: New(1), oracle: map[[2]uint64]bool{}, steady: setup&4 != 0}
+	sc := &spliceScript{t: t, st: New(1), oracle: map[[2]uint64]bool{}}
 	sc.tab = sc.st.Ensure(0)
 
 	// The base table: every third pair of the universe, shifted by the
@@ -72,11 +70,8 @@ func runSpliceScript(t testing.TB, script []byte) {
 	if setup&2 != 0 {
 		sc.tab.OS()
 	}
-	if setup&8 != 0 { // headroom instead of an exact-capacity list
+	if setup&4 != 0 { // headroom instead of an exact-capacity list
 		sc.tab.pairs = append(make([]uint64, 0, len(sc.tab.pairs)+64), sc.tab.pairs...)
-	}
-	if sc.steady {
-		sc.st.Steady()
 	}
 	sc.check("set-up", sc.tab.Version(), false, sc.tab.osOK)
 
@@ -118,7 +113,7 @@ func runSpliceScript(t testing.TB, script []byte) {
 
 func (sc *spliceScript) merge(label string, pairs []uint64, asserted bool) {
 	version, cached := sc.tab.Version(), sc.tab.osOK
-	patchable := sc.steady && spliceable(sc.tab.pairs, pairs)
+	patchable := spliceable(sc.tab.pairs, pairs)
 	var fresh []uint64
 	for i := 0; i < len(pairs); i += 2 {
 		k := [2]uint64{pairs[i], pairs[i+1]}
@@ -155,7 +150,7 @@ func (sc *spliceScript) merge(label string, pairs []uint64, asserted bool) {
 
 func (sc *spliceScript) delete(label string, pairs []uint64) {
 	version, cached := sc.tab.Version(), sc.tab.osOK
-	patchable := sc.steady && spliceable(sc.tab.pairs, pairs)
+	patchable := spliceable(sc.tab.pairs, pairs)
 	removed := 0
 	for i := 0; i < len(pairs); i += 2 {
 		k := [2]uint64{pairs[i], pairs[i+1]}
@@ -243,11 +238,11 @@ func spliceSeedScript(seed int64) []byte {
 }
 
 // TestSpliceMatchesRebuild is the property test of the in-place write
-// path: 300 seeded scripts across all sixteen set-ups.
+// path: 300 seeded scripts across all eight set-ups.
 func TestSpliceMatchesRebuild(t *testing.T) {
 	for seed := int64(0); seed < 300; seed++ {
 		script := spliceSeedScript(seed)
-		script[0] = script[0]&^15 | byte(seed%16)
+		script[0] = script[0]&^7 | byte(seed%8)
 		runSpliceScript(t, script)
 	}
 }
@@ -263,7 +258,7 @@ func FuzzSplice(f *testing.F) {
 // TestSpliceBoundaries pins the cases a random script only meets by
 // luck: no fresh pair at all, a pair in front of index 0, one behind the
 // last, a change straddling a 64-pair mark word, and regrowth — on a
-// steady table with marks and a cache.
+// table with marks and a cache.
 func TestSpliceBoundaries(t *testing.T) {
 	build := func() (*Store, *Table, map[[2]uint64]bool) {
 		st := New(1)
@@ -276,7 +271,6 @@ func TestSpliceBoundaries(t *testing.T) {
 		tab.Normalize()
 		tab.MarkAll()
 		tab.OS()
-		st.Steady()
 		return st, tab, oracle
 	}
 	for _, tc := range []struct {
@@ -293,7 +287,7 @@ func TestSpliceBoundaries(t *testing.T) {
 	} {
 		for _, del := range []bool{false, true} {
 			st, tab, oracle := build()
-			sc := &spliceScript{t: t, st: st, tab: tab, oracle: oracle, steady: true}
+			sc := &spliceScript{t: t, st: st, tab: tab, oracle: oracle}
 			if del {
 				// Insert first (unmarked), then delete the same pairs again —
 				// along with one stored, marked neighbour per pair.

@@ -17,9 +17,9 @@ import (
 
 // Table is one property table: a flat ⟨s,o⟩ pair list. After Normalize
 // the primary list is sorted on ⟨s,o⟩ and duplicate-free; OS() serves the
-// ⟨o,s⟩-sorted view, built on demand. A bulk change drops it (the paper's
-// clearable cache, §4.2); a small change to a table of a steady store
-// patches it in place (settleOS).
+// ⟨o,s⟩-sorted view, built the first time something probes by object. A
+// small change patches a present cache in place; a bulk change drops it
+// (the paper's clearable cache, §4.2) — settleOS decides.
 //
 // marks is the asserted record: bit i is set when pair i was loaded
 // explicitly rather than only derived. It is nil while no pair of the
@@ -43,7 +43,7 @@ type Table struct {
 
 	// home is the store that created the table (Ensure); nil for a table
 	// that stands alone — a round's delta, a test's. It supplies the
-	// regime (Store.Steady) and the event counters.
+	// event counters.
 	home *Store
 }
 
@@ -103,11 +103,10 @@ func (t *Table) Restore(pairs, marks []uint64, version uint64) {
 // the table are ignored. The table must be normalized and stays
 // normalized (removal preserves the sort), so no re-sort is needed. A del
 // that is small against the table is located by galloping and only the
-// pairs behind the first hit move, marks and — in a steady store — the
-// ⟨o,s⟩ cache with them; a larger one is one linear merge pass that
-// drops the cache. The version bump invalidates the cached planner
-// statistics. Returns the number of pairs removed. Like Normalize, it
-// requires exclusive access.
+// pairs behind the first hit move, marks and a present ⟨o,s⟩ cache with
+// them; a larger one is one linear merge pass that drops the cache. The
+// version bump invalidates the cached planner statistics. Returns the
+// number of pairs removed. Like Normalize, it requires exclusive access.
 func (t *Table) DeletePairs(del []uint64) int {
 	if t.dirty {
 		panic("store: DeletePairs on dirty table; call Normalize first")
@@ -349,19 +348,15 @@ func countRuns(pairs []uint64) int {
 // the ⟨o,s⟩ cache, under osMu: cache readers synchronize only on osMu
 // inside OS(), so an unlocked clear races a concurrent lazy build (the
 // server's concurrent readers make the window permanent). A present
-// cache is patched — patch receives the list and returns it with the
-// same change applied — when the caller has one and the table's store is
-// steady; otherwise it is dropped, for the next OS() to rebuild. Dropping
-// is the bulk-load rule of §4.2, and the only rule before a store is
-// steady: a late round of a first materialization is a small merge too,
-// and a cache patched there would stay resident where the paper's is
-// cleared (DESIGN.md §7 has the bytes).
+// cache is patched when the caller hands a patch — which receives the
+// list and returns it with the same change applied — and dropped
+// otherwise, for the next OS() to rebuild: the bulk rule of §4.2.
 func (t *Table) settleOS(patch func(os []uint64) []uint64) {
 	t.osMu.Lock()
 	defer t.osMu.Unlock()
 	switch {
 	case !t.osOK: // nothing cached, nothing to decide
-	case patch != nil && t.home != nil && t.home.steady:
+	case patch != nil:
 		t.os = patch(t.os)
 		t.home.count(osPatched)
 	default:
@@ -481,18 +476,8 @@ func GallopLowerBound(pairs []uint64, n, from int, k uint64) int {
 // (dictionary.PropIndex). A nil entry means the property has no triples.
 type Store struct {
 	tables []*Table
-
-	// steady says the store holds a closure that is now maintained, not
-	// loaded: small changes splice in place and patch the ⟨o,s⟩ caches.
-	steady bool
 	m      *Metrics
 }
-
-// Steady declares the bulk load over: the reasoner calls it once its
-// first materialization is done (or an image is installed). Until then
-// every merge takes the allocate-and-merge path and drops the caches it
-// touches, whatever its size.
-func (st *Store) Steady() { st.steady = true }
 
 // SetMetrics attaches the store's event counters; nil detaches them.
 func (st *Store) SetMetrics(m *Metrics) { st.m = m }
@@ -556,17 +541,6 @@ func (st *Store) NormalizeParallel() {
 		}
 	}
 	RunPool(true, len(dirty), func(i int) { dirty[i].Normalize() })
-}
-
-// WarmOSCaches materializes the ⟨o,s⟩-sorted cache of every non-empty
-// table up front, in parallel on the worker pool. The caches are
-// otherwise built lazily under each table's lock the first time a rule
-// needs object order, which serializes the builds behind the first
-// iteration's joins; pre-warming moves that cost to the start of a full
-// materialization where all cores are idle. Tables must be normalized.
-func (st *Store) WarmOSCaches() {
-	tabs := st.nonEmptyTables()
-	RunPool(true, len(tabs), func(i int) { tabs[i].OS() })
 }
 
 // nonEmptyTables lists the tables that hold at least one pair.

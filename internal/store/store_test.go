@@ -450,27 +450,6 @@ func TestNormalizeParallelMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestWarmOSCaches: pre-warming builds the same ⟨o,s⟩ views the lazy
-// path would, and a subsequent OS() call reuses them (same backing
-// array, no rebuild).
-func TestWarmOSCaches(t *testing.T) {
-	st := New(2)
-	st.Ensure(0).AppendPairs([]uint64{2, 7, 1, 9})
-	st.Ensure(1).AppendPairs([]uint64{4, 3})
-	st.Normalize()
-	st.WarmOSCaches()
-	os0 := st.Table(0).OS()
-	if !reflect.DeepEqual(os0, []uint64{7, 2, 9, 1}) {
-		t.Fatalf("warmed OS view wrong: %v", os0)
-	}
-	if &os0[0] != &st.Table(0).OS()[0] {
-		t.Error("OS() after warm rebuilt the cache")
-	}
-	if got := st.Table(1).OS(); !reflect.DeepEqual(got, []uint64{3, 4}) {
-		t.Fatalf("table 1 OS = %v", got)
-	}
-}
-
 func TestTableDeletePairs(t *testing.T) {
 	var tab Table
 	tab.AppendPairs([]uint64{1, 1, 1, 2, 2, 5, 3, 3, 9, 9})
