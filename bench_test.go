@@ -13,7 +13,6 @@ import (
 	"time"
 
 	"inferray"
-	"inferray/internal/closure"
 	"inferray/internal/datagen"
 	"inferray/internal/dictionary"
 	"inferray/internal/reasoner"
@@ -85,34 +84,6 @@ func BenchmarkAblationDenseVsSparseNumbering(b *testing.B) {
 			}
 		})
 	}
-}
-
-// BenchmarkAblationComponentSplit isolates the §4.1 choice to split
-// the graph into connected components and renumber each densely before
-// Nuutila's algorithm: closure.Close against closure.CloseMonolithic on
-// a forest of disjoint taxonomies with scattered IDs.
-func BenchmarkAblationComponentSplit(b *testing.B) {
-	const trees, depth = 200, 40
-	rng := rand.New(rand.NewSource(5))
-	pairs := make([]uint64, 0, 2*trees*depth)
-	for t := 0; t < trees; t++ {
-		node := rng.Uint64() >> 8
-		for i := 0; i < depth; i++ {
-			next := rng.Uint64() >> 8
-			pairs = append(pairs, node, next)
-			node = next
-		}
-	}
-	b.Run("split", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			closure.Close(pairs)
-		}
-	})
-	b.Run("monolithic", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			closure.CloseMonolithic(pairs)
-		}
-	})
 }
 
 // BenchmarkAblationOSCache measures the ⟨o,s⟩ cache: repeated

@@ -3,7 +3,6 @@ package closure
 import (
 	"math/rand"
 	"reflect"
-	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -124,7 +123,11 @@ func TestCloseRandomGraphsQuick(t *testing.T) {
 		for i := range edges {
 			edges[i] = [2]int{rng.Intn(n), rng.Intn(n)}
 		}
-		got := closePairsSet(edgesToPairs(edges, func(i int) uint64 { return ids[i] }))
+		out := Close(edgesToPairs(edges, func(i int) uint64 { return ids[i] }))
+		got := make(map[[2]uint64]bool, len(out)/2)
+		for i := 0; i < len(out); i += 2 {
+			got[[2]uint64{out[i], out[i+1]}] = true
+		}
 		want := floydWarshall(n, edges)
 		for u := 0; u < n; u++ {
 			for v := 0; v < n; v++ {
@@ -133,7 +136,8 @@ func TestCloseRandomGraphsQuick(t *testing.T) {
 				}
 			}
 		}
-		return len(got) == countTrue(want)
+		// Each pair exactly once: the set and the output agree in size.
+		return len(got) == countTrue(want) && len(out)/2 == countTrue(want)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
 		t.Error(err)
@@ -189,71 +193,12 @@ func TestCloseDuplicateEdges(t *testing.T) {
 	}
 }
 
-func TestUnionFind(t *testing.T) {
-	uf := NewUnionFind(10)
-	if uf.Sets() != 10 {
-		t.Fatal("fresh union-find must have n sets")
-	}
-	if !uf.Union(0, 1) || !uf.Union(1, 2) {
-		t.Fatal("first unions must merge")
-	}
-	if uf.Union(0, 2) {
-		t.Fatal("re-union must be a no-op")
-	}
-	if !uf.Same(0, 2) || uf.Same(0, 3) {
-		t.Fatal("membership wrong")
-	}
-	if uf.Sets() != 8 {
-		t.Fatalf("sets = %d, want 8", uf.Sets())
-	}
-}
-
-// TestUnionFindQuick: after any sequence of unions, Same must equal
-// reachability in the undirected union graph (checked via a simple
-// label-propagation oracle).
-func TestUnionFindQuick(t *testing.T) {
-	f := func(pairs []uint16) bool {
-		n := 64
-		uf := NewUnionFind(n)
-		labels := make([]int, n)
-		for i := range labels {
-			labels[i] = i
-		}
-		relabel := func(from, to int) {
-			for i := range labels {
-				if labels[i] == from {
-					labels[i] = to
-				}
-			}
-		}
-		for _, p := range pairs {
-			a := int32(p % uint16(n))
-			b := int32((p / uint16(n)) % uint16(n))
-			uf.Union(a, b)
-			if labels[a] != labels[b] {
-				relabel(labels[a], labels[b])
-			}
-		}
-		for i := 0; i < n; i++ {
-			for j := 0; j < n; j++ {
-				if uf.Same(int32(i), int32(j)) != (labels[i] == labels[j]) {
-					return false
-				}
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestTarjanReverseTopologicalOrder(t *testing.T) {
 	// DAG 0→1→2, plus 3↔4 cycle feeding 2: SCC ids must satisfy
 	// id(successor) < id(predecessor) in the condensation.
 	es := []int32{0, 1, 3, 4, 3}
 	ed := []int32{1, 2, 4, 3, 2}
-	adjStart, adj := buildCSR(5, es, ed)
+	adjStart, adj := csr(5, es, ed)
 	scc, nscc, selfLoop := tarjanSCC(5, adjStart, adj)
 	if nscc != 4 {
 		t.Fatalf("nscc = %d, want 4", nscc)
@@ -270,24 +215,6 @@ func TestTarjanReverseTopologicalOrder(t *testing.T) {
 	if !selfLoop[scc[3]] || selfLoop[scc[0]] || selfLoop[scc[2]] {
 		t.Fatalf("selfLoop flags wrong: %v", selfLoop)
 	}
-}
-
-func buildCSR(n int, es, ed []int32) (adjStart, adj []int32) {
-	adjStart = make([]int32, n+1)
-	for _, s := range es {
-		adjStart[s+1]++
-	}
-	for i := 0; i < n; i++ {
-		adjStart[i+1] += adjStart[i]
-	}
-	adj = make([]int32, len(es))
-	fill := make([]int32, n)
-	copy(fill, adjStart[:n])
-	for i, s := range es {
-		adj[fill[s]] = ed[i]
-		fill[s]++
-	}
-	return adjStart, adj
 }
 
 func TestCollectNodes(t *testing.T) {
@@ -320,36 +247,5 @@ func TestCloseDeepChainPerformanceShape(t *testing.T) {
 	}
 	if !found {
 		t.Fatal("head does not reach tail")
-	}
-	sort.Slice(pairs, func(i, j int) bool { return pairs[i] < pairs[j] }) // keep sort import honest
-}
-
-// TestMonolithicMatchesClose differential-tests the ablation variant.
-func TestMonolithicMatchesClose(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		n := 2 + rng.Intn(30)
-		var pairs []uint64
-		for i := 0; i < rng.Intn(80); i++ {
-			pairs = append(pairs, uint64(rng.Intn(n))*13+7, uint64(rng.Intn(n))*13+7)
-		}
-		a := closePairsSet(pairs)
-		mono := CloseMonolithic(pairs)
-		b := make(map[[2]uint64]bool, len(mono)/2)
-		for i := 0; i < len(mono); i += 2 {
-			b[[2]uint64{mono[i], mono[i+1]}] = true
-		}
-		if len(a) != len(b) {
-			return false
-		}
-		for k := range a {
-			if !b[k] {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
-		t.Error(err)
 	}
 }

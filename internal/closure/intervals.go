@@ -1,10 +1,12 @@
 // Package closure implements Inferray's transitive-closure stage (§4.1
-// of the paper): graphs are split into connected components with
-// UNION-FIND, nodes are densely renumbered, and each component is closed
-// with Nuutila's algorithm — Tarjan strong-component detection, a
-// quotient (condensation) graph processed in reverse topological order,
-// and reachable sets represented as compact interval sets in the style of
-// Cotton's implementation.
+// of the paper) with Nuutila's algorithm: Tarjan strong-component
+// detection, a quotient (condensation) graph processed in reverse
+// topological order, and reachable sets represented as compact interval
+// sets in the style of Cotton's implementation. One build, Condense,
+// serves both Close and the hierarchy interval index: every strong
+// component owns one contiguous block of a dense preorder rank space, so
+// the reach sets stay short runs without splitting the graph into
+// connected components first.
 package closure
 
 // IntervalSet is a set of int32 values stored as a sorted list of

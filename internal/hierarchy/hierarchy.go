@@ -19,7 +19,6 @@
 package hierarchy
 
 import (
-	"math/bits"
 	"slices"
 	"sync"
 
@@ -33,24 +32,17 @@ import (
 // transitive closure with path length ≥ 1 of the edges it was built
 // from: exactly what closure.Close materializes in the encoding-off
 // engine, including the reflexive pairs cycles produce.
+//
+// The embedded condensation — nodes and their lookup, components, rank
+// blocks and strict ancestor (up) sets — is the θ stage's own build; the
+// relation adds only what Close does not need: the strict descendant
+// sets and the counts.
 type Relation struct {
-	nodes []uint64 // sorted distinct node ids (terms with edges)
-	// slots is the id → local index table: open addressing over a
-	// power-of-two array at most half full, so resolving a class is one
-	// multiplicative-hash probe and a short linear scan.
-	slots []slot
-	shift uint // 64 − log2(len(slots))
-
-	sccOf  []int32 // local node index -> SCC id
-	rankOf []int32 // local node index -> dense preorder rank
-	nodeAt []int32 // rank -> local node index
-
-	cyclic   []bool  // per SCC: mutual or self edges (reflexive pairs visible)
-	sccFirst []int32 // per SCC: first rank of its contiguous member block
-	sccSize  []int32 // per SCC: member count
-	// Strict ancestor / descendant rank sets per SCC (members of the SCC
-	// itself excluded; a cyclic SCC adds its own block at query time).
-	up, down []*closure.IntervalSet
+	*closure.Condensation
+	// Strict descendant rank sets per component (members of the
+	// component itself excluded; a cyclic one adds its own block at
+	// query time).
+	down []closure.IntervalSet
 
 	visiblePairs int // total visible (sub, super) pairs
 	subjects     int // nodes with a nonempty visible super set
@@ -63,147 +55,21 @@ type Relation struct {
 // edge list, so rebuilding from a restored snapshot reproduces the same
 // encoding.
 func newRelation(pairs []uint64) *Relation {
-	r := &Relation{}
-	if len(pairs) == 0 {
-		return r
-	}
-	nodes := collectNodes(pairs)
-	n := len(nodes)
-	r.nodes = nodes
-	r.buildSlots()
-	idx := func(id uint64) int32 {
-		i, _ := r.lookup(id) // every edge endpoint is a node
-		return i
-	}
-
-	// CSR adjacency for the sub → super edges.
-	nEdges := len(pairs) / 2
-	src := make([]int32, nEdges)
-	dst := make([]int32, nEdges)
-	adjStart := make([]int32, n+1)
-	for e := 0; e < nEdges; e++ {
-		src[e] = idx(pairs[2*e])
-		dst[e] = idx(pairs[2*e+1])
-		adjStart[src[e]+1]++
-	}
-	for i := 0; i < n; i++ {
-		adjStart[i+1] += adjStart[i]
-	}
-	adj := make([]int32, nEdges)
-	fill := make([]int32, n)
-	copy(fill, adjStart[:n])
-	for e := 0; e < nEdges; e++ {
-		adj[fill[src[e]]] = dst[e]
-		fill[src[e]]++
-	}
-
-	scc, nscc, cyclic := closure.StronglyConnected(n, adjStart, adj)
-	r.sccOf = scc
-	r.cyclic = cyclic
-
-	// Deduplicated quotient edges, in both orientations. SCC ids are in
-	// reverse topological order of sub → super, so supers have lower ids.
-	type qedge struct{ from, to int32 }
-	qset := make(map[qedge]struct{}, nEdges)
-	for e := 0; e < nEdges; e++ {
-		cf, ct := scc[src[e]], scc[dst[e]]
-		if cf != ct {
-			qset[qedge{cf, ct}] = struct{}{}
-		}
-	}
-	upAdj := make([][]int32, nscc)   // SCC -> its direct super SCCs
-	downAdj := make([][]int32, nscc) // SCC -> its direct sub SCCs
-	for q := range qset {
-		upAdj[q.from] = append(upAdj[q.from], q.to)
-		downAdj[q.to] = append(downAdj[q.to], q.from)
-	}
-	for c := range upAdj {
-		slices.Sort(upAdj[c])
-		slices.Sort(downAdj[c])
-	}
-
-	// SCC member lists in ascending local (= term id) order.
-	members := make([][]int32, nscc)
-	for v := int32(0); v < int32(n); v++ {
-		members[scc[v]] = append(members[scc[v]], v)
-	}
-
-	// Preorder ranks: walk the condensation from the hierarchy tops down
-	// the super → sub edges, giving every SCC one contiguous member
-	// block and — for the common tree-shaped hierarchy — every subtree a
-	// contiguous rank range, which is what keeps the descendant interval
-	// sets near-minimal (the LiteMat property). Ascending SCC id order
-	// visits supers first, so every component is reached.
-	r.rankOf = make([]int32, n)
-	r.nodeAt = make([]int32, n)
-	r.sccFirst = make([]int32, nscc)
-	r.sccSize = make([]int32, nscc)
-	visited := make([]bool, nscc)
-	var next int32
-	var stack []int32
-	for rootC := int32(0); rootC < int32(nscc); rootC++ {
-		if visited[rootC] {
-			continue
-		}
-		stack = append(stack[:0], rootC)
-		visited[rootC] = true
-		for len(stack) > 0 {
-			c := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			r.sccFirst[c] = next
-			r.sccSize[c] = int32(len(members[c]))
-			for _, v := range members[c] {
-				r.rankOf[v] = next
-				r.nodeAt[next] = v
-				next++
-			}
-			// Push children in reverse so the lowest-id sub is visited
-			// first (pure determinism; any fixed order is correct).
-			kids := downAdj[c]
-			for i := len(kids) - 1; i >= 0; i-- {
-				if !visited[kids[i]] {
-					visited[kids[i]] = true
-					stack = append(stack, kids[i])
-				}
-			}
-		}
-	}
-
-	// Strict ancestor sets, in ascending SCC id order: every direct
-	// super SCC (lower id) is final when its subs are processed. The
-	// containment check is Nuutila's pruning — member blocks enter
-	// atomically, so one rank probes the whole block.
-	r.up = make([]*closure.IntervalSet, nscc)
-	r.down = make([]*closure.IntervalSet, nscc)
-	for c := 0; c < nscc; c++ {
-		r.up[c] = &closure.IntervalSet{}
-		r.down[c] = &closure.IntervalSet{}
-	}
-	for c := int32(0); c < int32(nscc); c++ {
-		for _, t := range upAdj[c] {
-			if r.up[c].Contains(r.sccFirst[t]) {
-				continue
-			}
-			r.up[c].AddRange(r.sccFirst[t], r.sccFirst[t]+r.sccSize[t]-1)
-			r.up[c].UnionWith(r.up[t])
-		}
-	}
-	// Strict descendant sets, in descending SCC id order (subs first).
+	r := &Relation{Condensation: closure.Condense(pairs)}
+	nscc := len(r.Size)
+	// Strict descendant sets in descending component order: subs have
+	// higher numbers, so their sets are final first.
+	r.down = make([]closure.IntervalSet, nscc)
 	for c := int32(nscc) - 1; c >= 0; c-- {
-		for _, s := range downAdj[c] {
-			if r.down[c].Contains(r.sccFirst[s]) {
-				continue
-			}
-			r.down[c].AddRange(r.sccFirst[s], r.sccFirst[s]+r.sccSize[s]-1)
-			r.down[c].UnionWith(r.down[s])
+		for _, s := range r.DirectSubs(c) {
+			r.Absorb(&r.down[c], r.down, s)
 		}
 	}
-
 	for c := 0; c < nscc; c++ {
-		size := int(r.sccSize[c])
-		supers := r.up[c].Cardinality()
+		size := int(r.Size[c])
+		supers := r.Up[c].Cardinality()
 		subs := r.down[c].Cardinality()
-		if r.cyclic[c] {
+		if r.Cyclic[c] {
 			supers += size
 			subs += size
 		}
@@ -214,72 +80,19 @@ func newRelation(pairs []uint64) *Relation {
 		if subs > 0 {
 			r.objects += size
 		}
-		r.intervals += r.up[c].Intervals() + r.down[c].Intervals()
+		r.intervals += r.Up[c].Intervals() + r.down[c].Intervals()
 	}
 	return r
 }
 
-// collectNodes returns the sorted distinct ids of the pair list.
-func collectNodes(pairs []uint64) []uint64 {
-	nodes := slices.Clone(pairs)
-	slices.Sort(nodes)
-	return slices.Compact(nodes)
-}
-
-// slot is one entry of the lookup table; ref is the local index plus
-// one, zero marking an empty slot.
-type slot struct {
-	id  uint64
-	ref int32
-}
-
-// buildSlots fills the lookup table from the node list.
-func (r *Relation) buildSlots() {
-	size := 4
-	for size < 2*len(r.nodes) {
-		size <<= 1
-	}
-	r.slots = make([]slot, size)
-	r.shift = uint(64 - bits.TrailingZeros(uint(size)))
-	for l, id := range r.nodes {
-		i := r.home(id)
-		for r.slots[i].ref != 0 {
-			i = (i + 1) & (size - 1)
-		}
-		r.slots[i] = slot{id, int32(l) + 1}
-	}
-}
-
-// home returns the slot a term id hashes to (Fibonacci hashing: ids are
-// dense, the multiply spreads them).
-func (r *Relation) home(id uint64) int {
-	return int((id * 0x9E3779B97F4A7C15) >> r.shift)
-}
-
-// lookup returns the local index of a term id. It sits under every
-// per-class step of the engine.
-func (r *Relation) lookup(id uint64) (int32, bool) {
-	if len(r.slots) == 0 {
-		return 0, false
-	}
-	for i := r.home(id); ; i = (i + 1) & (len(r.slots) - 1) {
-		switch sl := r.slots[i]; {
-		case sl.ref == 0:
-			return 0, false
-		case sl.id == id:
-			return sl.ref - 1, true
-		}
-	}
-}
-
 // Has reports whether the term participates in the hierarchy.
 func (r *Relation) Has(id uint64) bool {
-	_, ok := r.lookup(id)
+	_, ok := r.Lookup(id)
 	return ok
 }
 
 // Nodes returns the number of hierarchy terms.
-func (r *Relation) Nodes() int { return len(r.nodes) }
+func (r *Relation) Nodes() int { return len(r.IDs) }
 
 // VisiblePairs returns the total number of visible ⟨sub, super⟩ pairs —
 // the size the materialized closure of the edges would have.
@@ -299,39 +112,39 @@ func (r *Relation) Objects() int { return r.objects }
 // length ≥ 1 from a to super exists — the interval-containment check at
 // the heart of the encoding.
 func (r *Relation) Subsumes(a, super uint64) bool {
-	la, ok := r.lookup(a)
+	la, ok := r.Lookup(a)
 	if !ok {
 		return false
 	}
-	lb, ok := r.lookup(super)
+	lb, ok := r.Lookup(super)
 	if !ok {
 		return false
 	}
-	ca, cb := r.sccOf[la], r.sccOf[lb]
+	ca, cb := r.SCC[la], r.SCC[lb]
 	if ca == cb {
-		return r.cyclic[ca]
+		return r.Cyclic[ca]
 	}
-	return r.up[ca].Contains(r.rankOf[lb])
+	return r.Up[ca].Contains(r.Rank[lb])
 }
 
 // HasSupers reports whether a has at least one visible super.
 func (r *Relation) HasSupers(a uint64) bool {
-	la, ok := r.lookup(a)
+	la, ok := r.Lookup(a)
 	if !ok {
 		return false
 	}
-	c := r.sccOf[la]
-	return r.cyclic[c] || !r.up[c].Empty()
+	c := r.SCC[la]
+	return r.Cyclic[c] || !r.Up[c].Empty()
 }
 
 // HasSubs reports whether super has at least one visible sub.
 func (r *Relation) HasSubs(super uint64) bool {
-	lb, ok := r.lookup(super)
+	lb, ok := r.Lookup(super)
 	if !ok {
 		return false
 	}
-	c := r.sccOf[lb]
-	return r.cyclic[c] || !r.down[c].Empty()
+	c := r.SCC[lb]
+	return r.Cyclic[c] || !r.down[c].Empty()
 }
 
 // reachLocals appends the sorted local indexes of the visible reach of
@@ -339,12 +152,12 @@ func (r *Relation) HasSubs(super uint64) bool {
 // SCC's own block when it is cyclic.
 func (r *Relation) reachLocals(c int32, set *closure.IntervalSet, buf []int32) []int32 {
 	set.ForEach(func(rank int32) {
-		buf = append(buf, r.nodeAt[rank])
+		buf = append(buf, r.At[rank])
 	})
-	if r.cyclic[c] {
-		first := r.sccFirst[c]
-		for i := int32(0); i < r.sccSize[c]; i++ {
-			buf = append(buf, r.nodeAt[first+i])
+	if r.Cyclic[c] {
+		first := r.First[c]
+		for i := int32(0); i < r.Size[c]; i++ {
+			buf = append(buf, r.At[first+i])
 		}
 	}
 	slices.Sort(buf)
@@ -355,13 +168,13 @@ func (r *Relation) reachLocals(c int32, set *closure.IntervalSet, buf []int32) [
 // fn returning false stops the walk; the return value reports whether
 // the walk ran to completion.
 func (r *Relation) Supers(a uint64, fn func(super uint64) bool) bool {
-	la, ok := r.lookup(a)
+	la, ok := r.Lookup(a)
 	if !ok {
 		return true
 	}
-	c := r.sccOf[la]
-	for _, li := range r.reachLocals(c, r.up[c], nil) {
-		if !fn(r.nodes[li]) {
+	c := r.SCC[la]
+	for _, li := range r.reachLocals(c, &r.Up[c], nil) {
+		if !fn(r.IDs[li]) {
 			return false
 		}
 	}
@@ -370,13 +183,13 @@ func (r *Relation) Supers(a uint64, fn func(super uint64) bool) bool {
 
 // Subs streams the visible subs of super in ascending term-id order.
 func (r *Relation) Subs(super uint64, fn func(sub uint64) bool) bool {
-	lb, ok := r.lookup(super)
+	lb, ok := r.Lookup(super)
 	if !ok {
 		return true
 	}
-	c := r.sccOf[lb]
-	for _, li := range r.reachLocals(c, r.down[c], nil) {
-		if !fn(r.nodes[li]) {
+	c := r.SCC[lb]
+	for _, li := range r.reachLocals(c, &r.down[c], nil) {
+		if !fn(r.IDs[li]) {
 			return false
 		}
 	}
@@ -386,18 +199,18 @@ func (r *Relation) Subs(super uint64, fn func(sub uint64) bool) bool {
 // AppendSupers appends the visible supers of a to buf (unsorted SCC
 // block order; callers sort after accumulating several sets).
 func (r *Relation) AppendSupers(a uint64, buf []uint64) []uint64 {
-	la, ok := r.lookup(a)
+	la, ok := r.Lookup(a)
 	if !ok {
 		return buf
 	}
-	c := r.sccOf[la]
-	r.up[c].ForEach(func(rank int32) {
-		buf = append(buf, r.nodes[r.nodeAt[rank]])
+	c := r.SCC[la]
+	r.Up[c].ForEach(func(rank int32) {
+		buf = append(buf, r.IDs[r.At[rank]])
 	})
-	if r.cyclic[c] {
-		first := r.sccFirst[c]
-		for i := int32(0); i < r.sccSize[c]; i++ {
-			buf = append(buf, r.nodes[r.nodeAt[first+i]])
+	if r.Cyclic[c] {
+		first := r.First[c]
+		for i := int32(0); i < r.Size[c]; i++ {
+			buf = append(buf, r.IDs[r.At[first+i]])
 		}
 	}
 	return buf
@@ -405,14 +218,14 @@ func (r *Relation) AppendSupers(a uint64, buf []uint64) []uint64 {
 
 // SupersCount returns the number of visible supers of a.
 func (r *Relation) SupersCount(a uint64) int {
-	la, ok := r.lookup(a)
+	la, ok := r.Lookup(a)
 	if !ok {
 		return 0
 	}
-	c := r.sccOf[la]
-	n := r.up[c].Cardinality()
-	if r.cyclic[c] {
-		n += int(r.sccSize[c])
+	c := r.SCC[la]
+	n := r.Up[c].Cardinality()
+	if r.Cyclic[c] {
+		n += int(r.Size[c])
 	}
 	return n
 }
@@ -421,18 +234,18 @@ func (r *Relation) SupersCount(a uint64) int {
 // ⟨sub, super⟩ when osOrder is false, by ⟨super, sub⟩ when true. fn is
 // always called as fn(sub, super).
 func (r *Relation) ForEachPair(osOrder bool, fn func(sub, super uint64) bool) bool {
-	for li := int32(0); li < int32(len(r.nodes)); li++ {
-		c := r.sccOf[li]
-		set := r.up[c]
+	for li := int32(0); li < int32(len(r.IDs)); li++ {
+		c := r.SCC[li]
+		set := &r.Up[c]
 		if osOrder {
-			set = r.down[c]
+			set = &r.down[c]
 		}
 		for _, lj := range r.reachLocals(c, set, nil) {
 			var ok bool
 			if osOrder {
-				ok = fn(r.nodes[lj], r.nodes[li])
+				ok = fn(r.IDs[lj], r.IDs[li])
 			} else {
-				ok = fn(r.nodes[li], r.nodes[lj])
+				ok = fn(r.IDs[li], r.IDs[lj])
 			}
 			if !ok {
 				return false
@@ -447,14 +260,14 @@ func (r *Relation) ForEachPair(osOrder bool, fn func(sub, super uint64) bool) bo
 // SCM-EQP2 rules emit from. A component's rank block lists its members
 // in ascending id order, so the walk needs no sort.
 func (r *Relation) ForEachCyclicSCC(fn func(members []uint64)) {
-	for c := 0; c < len(r.cyclic); c++ {
-		if !r.cyclic[c] || r.sccSize[c] == 0 {
+	for c := 0; c < len(r.Cyclic); c++ {
+		if !r.Cyclic[c] || r.Size[c] == 0 {
 			continue
 		}
-		ids := make([]uint64, 0, r.sccSize[c])
-		first := r.sccFirst[c]
-		for i := int32(0); i < r.sccSize[c]; i++ {
-			ids = append(ids, r.nodes[r.nodeAt[first+i]])
+		ids := make([]uint64, 0, r.Size[c])
+		first := r.First[c]
+		for i := int32(0); i < r.Size[c]; i++ {
+			ids = append(ids, r.IDs[r.At[first+i]])
 		}
 		fn(ids)
 	}
@@ -575,12 +388,12 @@ func (x *Index) typeStats(t *store.Table, needObjects bool) (virtual, objects in
 	rel := x.Classes
 	pairs := t.Pairs()
 	var run, all stamps
-	all.reset(len(rel.nodes))
+	all.reset(len(rel.IDs))
 	outside := make(map[uint64]struct{})
 	visible := 0
 	for i := 0; i < len(pairs); i += 2 {
 		if i == 0 || pairs[i] != pairs[i-2] {
-			run.reset(len(rel.nodes))
+			run.reset(len(rel.IDs))
 		}
 		rank, scc, ok := rel.resolve(pairs[i+1])
 		if !ok {
@@ -624,7 +437,7 @@ func (x *Index) CarryTypeStats(t *store.Table, from uint64, changed []uint64, ad
 	}
 	rel, pairs, run := x.Classes, t.Pairs(), &x.carryRun
 	count := func(lists ...[]uint64) (n int) {
-		run.reset(len(rel.nodes))
+		run.reset(len(rel.IDs))
 		for _, l := range lists {
 			for i := 1; i < len(l); i += 2 {
 				if rank, scc, ok := rel.resolve(l[i]); ok {

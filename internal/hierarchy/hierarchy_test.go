@@ -1,38 +1,167 @@
 package hierarchy
 
 import (
+	"cmp"
+	"math/rand"
 	"reflect"
-	"sort"
+	"slices"
 	"testing"
+	"testing/quick"
 
 	"inferray/internal/closure"
 	"inferray/internal/store"
 )
 
-// closurePairs materializes the reference closure of an edge list as a
-// sorted, deduplicated flat pair list.
-func closurePairs(edges []uint64) []uint64 {
-	out := closure.Close(edges)
-	type pair struct{ s, o uint64 }
-	set := make(map[pair]struct{})
-	for i := 0; i < len(out); i += 2 {
-		set[pair{out[i], out[i+1]}] = struct{}{}
+// reachPairs is the reference closure of an edge list, independent of
+// the condensation under test: a breadth-first search from every node
+// over the raw edges. It returns every ⟨u, v⟩ with a path of length ≥ 1
+// as a sorted flat pair list.
+func reachPairs(edges []uint64) []uint64 {
+	next := make(map[uint64][]uint64)
+	for i := 0; i < len(edges); i += 2 {
+		next[edges[i]] = append(next[edges[i]], edges[i+1])
 	}
-	flat := make([]pair, 0, len(set))
-	for p := range set {
-		flat = append(flat, p)
-	}
-	sort.Slice(flat, func(i, j int) bool {
-		if flat[i].s != flat[j].s {
-			return flat[i].s < flat[j].s
+	var out []uint64
+	for _, u := range distinct(edges) {
+		seen := make(map[uint64]bool)
+		queue := slices.Clone(next[u])
+		for len(queue) > 0 {
+			v := queue[0]
+			queue = queue[1:]
+			if !seen[v] {
+				seen[v] = true
+				queue = append(queue, next[v]...)
+			}
 		}
-		return flat[i].o < flat[j].o
-	})
-	res := make([]uint64, 0, 2*len(flat))
-	for _, p := range flat {
-		res = append(res, p.s, p.o)
+		var reach []uint64
+		for v := range seen {
+			reach = append(reach, v)
+		}
+		slices.Sort(reach)
+		for _, v := range reach {
+			out = append(out, u, v)
+		}
 	}
-	return res
+	return out
+}
+
+// distinct returns the sorted distinct ids of an edge list.
+func distinct(edges []uint64) []uint64 {
+	return slices.Compact(slices.Sorted(slices.Values(edges)))
+}
+
+// checkRelation compares every answer of r with the reference closure
+// of the edges it was built from.
+func checkRelation(t *testing.T, name string, edges []uint64, r *Relation) {
+	t.Helper()
+	ref := reachPairs(edges)
+	refSet := make(map[[2]uint64]bool)
+	for i := 0; i < len(ref); i += 2 {
+		refSet[[2]uint64{ref[i], ref[i+1]}] = true
+	}
+
+	// Full pair enumeration in ⟨s,o⟩ order must equal the closure.
+	var got []uint64
+	r.ForEachPair(false, func(s, o uint64) bool {
+		got = append(got, s, o)
+		return true
+	})
+	if !slices.Equal(got, ref) {
+		t.Errorf("%s: ForEachPair(so) = %v, want %v", name, got, ref)
+	}
+
+	// ⟨o,s⟩-order enumeration: the same pairs, sorted by ⟨o,s⟩.
+	var gotOS, wantOS [][2]uint64
+	r.ForEachPair(true, func(s, o uint64) bool {
+		gotOS = append(gotOS, [2]uint64{s, o})
+		return true
+	})
+	for i := 0; i < len(ref); i += 2 {
+		wantOS = append(wantOS, [2]uint64{ref[i], ref[i+1]})
+	}
+	slices.SortFunc(wantOS, func(a, b [2]uint64) int {
+		return cmp.Or(cmp.Compare(a[1], b[1]), cmp.Compare(a[0], b[0]))
+	})
+	if !reflect.DeepEqual(gotOS, wantOS) {
+		t.Errorf("%s: ForEachPair(os) = %v, want %v", name, gotOS, wantOS)
+	}
+
+	if r.VisiblePairs()*2 != len(ref) {
+		t.Errorf("%s: VisiblePairs = %d, want %d", name, r.VisiblePairs(), len(ref)/2)
+	}
+
+	// Point lookups across the full id square, plus an id outside it.
+	ids := distinct(edges)
+	probe := append(slices.Clone(ids), 1<<63+5)
+	for _, a := range probe {
+		for _, b := range probe {
+			want := refSet[[2]uint64{a, b}]
+			if got := r.Subsumes(a, b); got != want {
+				t.Errorf("%s: Subsumes(%d,%d) = %v, want %v", name, a, b, got, want)
+			}
+		}
+	}
+
+	// Supers/Subs enumerations, ascending and complete.
+	for _, a := range probe {
+		var supers, want []uint64
+		r.Supers(a, func(s uint64) bool { supers = append(supers, s); return true })
+		for _, b := range ids {
+			if refSet[[2]uint64{a, b}] {
+				want = append(want, b)
+			}
+		}
+		if !slices.Equal(supers, want) {
+			t.Errorf("%s: Supers(%d) = %v, want %v", name, a, supers, want)
+		}
+		if got := slices.Sorted(slices.Values(r.AppendSupers(a, nil))); !slices.Equal(got, want) {
+			t.Errorf("%s: AppendSupers(%d) = %v, want %v", name, a, got, want)
+		}
+		if got := r.SupersCount(a); got != len(want) {
+			t.Errorf("%s: SupersCount(%d) = %d, want %d", name, a, got, len(want))
+		}
+		if got := r.HasSupers(a); got != (len(want) > 0) {
+			t.Errorf("%s: HasSupers(%d) = %v", name, a, got)
+		}
+
+		var subs []uint64
+		r.Subs(a, func(s uint64) bool { subs = append(subs, s); return true })
+		want = nil
+		for _, b := range ids {
+			if refSet[[2]uint64{b, a}] {
+				want = append(want, b)
+			}
+		}
+		if !slices.Equal(subs, want) {
+			t.Errorf("%s: Subs(%d) = %v, want %v", name, a, subs, want)
+		}
+		if got := r.HasSubs(a); got != (len(want) > 0) {
+			t.Errorf("%s: HasSubs(%d) = %v", name, a, got)
+		}
+	}
+
+	// Cyclic components: the nodes that reach themselves, grouped by
+	// mutual reach, each group sorted, the groups by first member.
+	var wantSCCs, gotSCCs [][]uint64
+	for _, a := range ids {
+		if !refSet[[2]uint64{a, a}] {
+			continue
+		}
+		var mates []uint64
+		for _, b := range ids {
+			if refSet[[2]uint64{a, b}] && refSet[[2]uint64{b, a}] {
+				mates = append(mates, b)
+			}
+		}
+		if mates[0] == a {
+			wantSCCs = append(wantSCCs, mates)
+		}
+	}
+	r.ForEachCyclicSCC(func(members []uint64) { gotSCCs = append(gotSCCs, members) })
+	slices.SortFunc(gotSCCs, func(a, b []uint64) int { return cmp.Compare(a[0], b[0]) })
+	if !reflect.DeepEqual(gotSCCs, wantSCCs) {
+		t.Errorf("%s: ForEachCyclicSCC = %v, want %v", name, gotSCCs, wantSCCs)
+	}
 }
 
 var graphs = map[string][]uint64{
@@ -48,99 +177,82 @@ var graphs = map[string][]uint64{
 
 func TestRelationMatchesClosure(t *testing.T) {
 	for name, edges := range graphs {
-		ref := closurePairs(edges)
-		r := newRelation(edges)
-
-		// Full pair enumeration in ⟨s,o⟩ order must equal the closure.
-		var got []uint64
-		r.ForEachPair(false, func(s, o uint64) bool {
-			got = append(got, s, o)
-			return true
-		})
-		if !reflect.DeepEqual(got, ref) {
-			t.Errorf("%s: ForEachPair(so) = %v, want %v", name, got, ref)
-		}
-
-		// OS-order enumeration: same set, sorted by ⟨o,s⟩.
-		var gotOS [][2]uint64
-		r.ForEachPair(true, func(s, o uint64) bool {
-			gotOS = append(gotOS, [2]uint64{s, o})
-			return true
-		})
-		if !sort.SliceIsSorted(gotOS, func(i, j int) bool {
-			if gotOS[i][1] != gotOS[j][1] {
-				return gotOS[i][1] < gotOS[j][1]
-			}
-			return gotOS[i][0] < gotOS[j][0]
-		}) {
-			t.Errorf("%s: ForEachPair(os) not in ⟨o,s⟩ order: %v", name, gotOS)
-		}
-		if len(gotOS)*2 != len(ref) {
-			t.Errorf("%s: ForEachPair(os) yielded %d pairs, want %d", name, len(gotOS), len(ref)/2)
-		}
-
-		if r.VisiblePairs()*2 != len(ref) {
-			t.Errorf("%s: VisiblePairs = %d, want %d", name, r.VisiblePairs(), len(ref)/2)
-		}
-
-		// Point lookups across the full id square.
-		refSet := make(map[[2]uint64]bool)
-		for i := 0; i < len(ref); i += 2 {
-			refSet[[2]uint64{ref[i], ref[i+1]}] = true
-		}
-		ids := collectNodes(edges)
-		for _, a := range ids {
-			for _, b := range ids {
-				want := refSet[[2]uint64{a, b}]
-				if got := r.Subsumes(a, b); got != want {
-					t.Errorf("%s: Subsumes(%d,%d) = %v, want %v", name, a, b, got, want)
-				}
-			}
-		}
-
-		// Supers/Subs enumerations, ascending and complete.
-		for _, a := range ids {
-			var supers []uint64
-			r.Supers(a, func(s uint64) bool { supers = append(supers, s); return true })
-			var want []uint64
-			for _, b := range ids {
-				if refSet[[2]uint64{a, b}] {
-					want = append(want, b)
-				}
-			}
-			if !reflect.DeepEqual(supers, want) {
-				t.Errorf("%s: Supers(%d) = %v, want %v", name, a, supers, want)
-			}
-			if got := r.SupersCount(a); got != len(want) {
-				t.Errorf("%s: SupersCount(%d) = %d, want %d", name, a, got, len(want))
-			}
-			if got := r.HasSupers(a); got != (len(want) > 0) {
-				t.Errorf("%s: HasSupers(%d) = %v", name, a, got)
-			}
-
-			var subs []uint64
-			r.Subs(a, func(s uint64) bool { subs = append(subs, s); return true })
-			want = nil
-			for _, b := range ids {
-				if refSet[[2]uint64{b, a}] {
-					want = append(want, b)
-				}
-			}
-			if !reflect.DeepEqual(subs, want) {
-				t.Errorf("%s: Subs(%d) = %v, want %v", name, a, subs, want)
-			}
-			if got := r.HasSubs(a); got != (len(want) > 0) {
-				t.Errorf("%s: HasSubs(%d) = %v", name, a, got)
-			}
-		}
+		checkRelation(t, name, edges, newRelation(edges))
 	}
+}
+
+// TestRelationMatchesReachQuick checks the relation against the
+// breadth-first reference on random digraphs with cycles, self-loops,
+// duplicate edges and scattered 64-bit ids.
+func TestRelationMatchesReachQuick(t *testing.T) {
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		n := 1 + rng.Intn(30)
+		ids := make([]uint64, n)
+		for i := range ids {
+			ids[i] = rng.Uint64()&^0xff | uint64(i) // distinct low byte
+		}
+		var edges []uint64
+		for i := rng.Intn(3 * n); i > 0; i-- {
+			a, b := ids[rng.Intn(n)], ids[rng.Intn(n)]
+			edges = append(edges, a, b)
+			if rng.Intn(8) == 0 {
+				edges = append(edges, a, b)
+			}
+		}
+		checkRelation(t, "random", edges, newRelation(edges))
+		return !t.Failed()
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Error(err)
+	}
+}
+
+// FuzzCondense decodes an edge list from the fuzzer's bytes — two bytes
+// per edge, 32 possible nodes with scattered ids — and checks both users
+// of the one condensation build against the breadth-first reference:
+// closure.Close must emit each closure pair exactly once, and every
+// Relation answer must agree.
+func FuzzCondense(f *testing.F) {
+	f.Add([]byte{1, 2, 2, 3, 3, 4})       // chain
+	f.Add([]byte{1, 2, 2, 1})             // 2-cycle
+	f.Add([]byte{1, 1, 2, 1})             // self-loop
+	f.Add([]byte{1, 2, 1, 2, 2, 3, 2, 3}) // parallel edges
+	f.Add([]byte{1, 2, 2, 3, 8, 9, 9, 8}) // two components
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) > 400 {
+			data = data[:400]
+		}
+		id := func(b byte) uint64 { return uint64(b%32)*0x9E3779B97F4A7C15>>1 + 1 }
+		var edges []uint64
+		for i := 0; i+1 < len(data); i += 2 {
+			edges = append(edges, id(data[i]), id(data[i+1]))
+		}
+		closed := closure.Close(edges)
+		var got [][2]uint64
+		for i := 0; i < len(closed); i += 2 {
+			got = append(got, [2]uint64{closed[i], closed[i+1]})
+		}
+		slices.SortFunc(got, func(a, b [2]uint64) int {
+			return cmp.Or(cmp.Compare(a[0], b[0]), cmp.Compare(a[1], b[1]))
+		})
+		ref := reachPairs(edges)
+		var want [][2]uint64
+		for i := 0; i < len(ref); i += 2 {
+			want = append(want, [2]uint64{ref[i], ref[i+1]})
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("Close(%v) = %v, want %v", edges, got, want)
+		}
+		checkRelation(t, "fuzz", edges, newRelation(edges))
+	})
 }
 
 func TestRelationDeterministic(t *testing.T) {
 	edges := graphs["diamond"]
 	a := newRelation(edges)
 	b := newRelation(edges)
-	if !reflect.DeepEqual(a.rankOf, b.rankOf) || !reflect.DeepEqual(a.nodeAt, b.nodeAt) {
+	if !reflect.DeepEqual(a.Rank, b.Rank) || !reflect.DeepEqual(a.At, b.At) {
 		t.Fatal("relation build is not deterministic")
 	}
 }

@@ -14,11 +14,11 @@ import "slices"
 // resolve returns the preorder rank and strong component of a class, or
 // ok false when the class has no hierarchy edge.
 func (r *Relation) resolve(id uint64) (rank, scc int32, ok bool) {
-	l, ok := r.lookup(id)
+	l, ok := r.Lookup(id)
 	if !ok {
 		return 0, 0, false
 	}
-	return r.rankOf[l], r.sccOf[l], true
+	return r.Rank[l], r.SCC[l], true
 }
 
 // RunScratch is the working memory of Shadowed. The zero value is ready;
@@ -61,7 +61,7 @@ func (r *Relation) StrictlyShadowed(run []uint64, sc *RunScratch) []bool {
 // shadowed is Shadowed, counting cycle mates when mates is set.
 func (r *Relation) shadowed(run []uint64, mates bool, sc *RunScratch) []bool {
 	k := len(run) / 2
-	if k < 2 || len(r.nodes) == 0 {
+	if k < 2 || len(r.IDs) == 0 {
 		return nil
 	}
 	ranks, sccs, sorted := sc.ranks[:0], sc.sccs[:0], sc.sorted[:0]
@@ -98,8 +98,8 @@ func (r *Relation) shadowed(run []uint64, mates bool, sc *RunScratch) []bool {
 // shadowed by one of the sorted ranks; a cycle mate counts when mates is
 // set.
 func (r *Relation) shadowedAt(rank, scc int32, sorted []int32, mates bool) bool {
-	if mates && r.sccSize[scc] > 1 {
-		if p, _ := slices.BinarySearch(sorted, rank); p > 0 && sorted[p-1] >= r.sccFirst[scc] {
+	if mates && r.Size[scc] > 1 {
+		if p, _ := slices.BinarySearch(sorted, rank); p > 0 && sorted[p-1] >= r.First[scc] {
 			return true
 		}
 	}
@@ -151,12 +151,12 @@ func (r *Relation) stampVisible(rank, scc int32, s *stamps) int {
 		return 0
 	}
 	n := 0
-	if r.cyclic[scc] {
-		n = s.mark(r.sccFirst[scc], r.sccFirst[scc]+r.sccSize[scc]-1)
+	if r.Cyclic[scc] {
+		n = s.mark(r.First[scc], r.First[scc]+r.Size[scc]-1)
 	} else {
 		n = s.mark(rank, rank)
 	}
-	iv := r.up[scc].Spans()
+	iv := r.Up[scc].Spans()
 	for j := 0; j < len(iv); j += 2 {
 		n += s.mark(iv[j], iv[j+1])
 	}

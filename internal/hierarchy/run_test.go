@@ -209,8 +209,8 @@ func TestLookupSlots(t *testing.T) {
 		}
 		r := newRelation(edges)
 		for id := dictionary.PropBase - 60; id < dictionary.PropBase+360; id++ {
-			want, wantOK := slices.BinarySearch(r.nodes, id)
-			got, ok := r.lookup(id)
+			want, wantOK := slices.BinarySearch(r.IDs, id)
+			got, ok := r.Lookup(id)
 			if ok != wantOK || (ok && int(got) != want) {
 				t.Fatalf("lookup(%d) = %d, %t; node list says %d, %t", id, got, ok, want, wantOK)
 			}
