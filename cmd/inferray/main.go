@@ -156,7 +156,7 @@ func run(ctx context.Context, args []string, stdin io.Reader, stdout, stderr io.
 		inFlag    = fs.String("in", "-", "input file ('-' for stdin)")
 		outFlag   = fs.String("out", "-", "output N-Triples file ('-' for stdout)")
 		format    = fs.String("format", "", "input format: nt | turtle (default: by file extension, nt otherwise)")
-		stats     = fs.Bool("stats", false, "print run statistics to stderr")
+		stats     = fs.Bool("stats", false, "print run statistics to stderr; per round, maintain= is θ closing plus hierarchy upkeep after the merge")
 		seq       = fs.Bool("sequential", false, "disable parallel rule execution")
 		quiet     = fs.Bool("quiet", false, "suppress triple output (measure only)")
 		selectQ   = fs.String("select", "", "run a SPARQL SELECT or ASK query over the closure instead of dumping triples (dialect: docs/SPARQL.md)")

@@ -55,11 +55,11 @@ func TestIncrementalMatchesOneShotAllFragments(t *testing.T) {
 	}
 }
 
-// TestRulesSkippedOnLUBM is the scheduler's acceptance check: a
-// materialization of the LUBM generator output must skip rules in later
-// iterations (only a subset of tables changes once the schema settles),
-// and — full run, then one incremental batch — fire, skip and derive
-// per round exactly what the golden records. The golden values were
+// TestRulesSkippedOnLUBM is the scheduler's acceptance check: an
+// incremental batch over the LUBM generator output must skip rules (only
+// a subset of tables changes), and — full run, then one incremental
+// batch — fire, skip and derive per round exactly what the golden
+// records. The golden values were
 // taken from the engine that still threaded a changed-property list
 // beside the delta, so they pin "scheduling from the delta alone" to
 // the same decisions.
@@ -70,18 +70,20 @@ func TestRulesSkippedOnLUBM(t *testing.T) {
 		encoding    bool
 		full, batch rounds
 	}{
+		// Each row's comment is the golden of the engine that still closed
+		// the θ tables through a THETA rule, one round after they changed.
 		{rules.RDFSDefault, false,
-			rounds{{9, 0, 1054}, {8, 1, 0}},
-			rounds{{4, 5, 14}, {4, 5, 0}}},
+			rounds{{8, 0, 1054}, {8, 0, 0}}, // {9, 0, 1054}, {8, 1, 0}
+			rounds{{4, 4, 14}, {4, 4, 0}}},  // {4, 5, 14}, {4, 5, 0}
 		{rules.RDFSDefault, true,
-			rounds{{9, 0, 173}, {8, 1, 0}},
-			rounds{{4, 5, 13}, {3, 6, 0}}},
+			rounds{{8, 0, 173}, {8, 0, 0}}, // {9, 0, 173}, {8, 1, 0}
+			rounds{{4, 4, 13}, {3, 5, 0}}}, // {4, 5, 13}, {3, 6, 0}
 		{rules.RDFSPlus, false,
-			rounds{{23, 0, 1437}, {20, 3, 460}, {21, 2, 56}, {16, 7, 0}},
-			rounds{{15, 8, 100}, {15, 8, 7}, {12, 11, 10}, {15, 8, 0}}},
+			rounds{{22, 0, 1470}, {19, 3, 483}, {19, 3, 0}}, // {23, 0, 1437}, {20, 3, 460}, {21, 2, 56}, {16, 7, 0}
+			rounds{{14, 8, 103}, {14, 8, 14}, {14, 8, 0}}},  // {15, 8, 100}, {15, 8, 7}, {12, 11, 10}, {15, 8, 0}
 		{rules.RDFSPlus, true,
-			rounds{{23, 0, 556}, {20, 3, 28}, {19, 4, 56}, {18, 5, 0}},
-			rounds{{15, 8, 98}, {12, 11, 7}, {12, 11, 10}, {15, 8, 0}}},
+			rounds{{22, 0, 583}, {19, 3, 55}, {19, 3, 2}, {15, 7, 0}}, // {23, 0, 556}, {20, 3, 28}, {19, 4, 56}, {18, 5, 0}
+			rounds{{14, 8, 101}, {11, 11, 14}, {14, 8, 0}}},           // {15, 8, 98}, {12, 11, 7}, {12, 11, 10}, {15, 8, 0}
 	} {
 		for _, parallel := range []bool{true, false} {
 			label := fmt.Sprintf("%s encoding=%t parallel=%t", tc.fragment, tc.encoding, parallel)
@@ -109,8 +111,10 @@ func checkRounds(t *testing.T, label string, e *Engine, st Stats, want []roundCo
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("%s: rounds %v, want %v", label, got, want)
 	}
-	if st.RulesSkipped == 0 || st.RulesFired == 0 {
-		t.Errorf("%s: fired %d, skipped %d; the scheduler must do both", label, st.RulesFired, st.RulesSkipped)
+	// A full RDFS run has nothing to skip (every rule reads rdf:type or
+	// any table); a batch touches only some tables.
+	if st.RulesFired == 0 || (st.Incremental && st.RulesSkipped == 0) {
+		t.Errorf("%s: fired %d, skipped %d; the scheduler must fire, and skip on a batch", label, st.RulesFired, st.RulesSkipped)
 	}
 	if len(st.Rounds) != st.Iterations {
 		t.Errorf("%s: rounds %d != iterations %d", label, len(st.Rounds), st.Iterations)

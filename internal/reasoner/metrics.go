@@ -39,7 +39,7 @@ type Metrics struct {
 	PhaseSeconds *metrics.CounterVec
 	// LoopSeconds splits the loop phase by what a round spends it on:
 	// rules (selecting and firing), merge (store.MergeRound), maintain
-	// (hierarchy index rebuild, guards, type compaction).
+	// (θ closing, hierarchy index rebuild, guards, type compaction).
 	LoopSeconds *metrics.CounterVec
 	// RoundPairs sizes the fixpoint's rounds: emitted = the pairs the
 	// fired rules handed to the merge, kept = the new triples it found
@@ -90,7 +90,7 @@ func NewMetrics(reg *metrics.Registry) *Metrics {
 			"Wall time from bytes-in to closure by phase: parse, encode (intern, dictionary merge, table fill), normalize, closure (pre-loop transitive closures), loop (fixpoint), count (sizing the visible closure).",
 			"phase"),
 		LoopSeconds: reg.SecondsCounterVec("inferray_reasoner_loop_seconds_total",
-			"The loop phase by part: rules (selecting and firing), merge (sort, dedup and merge of the rule outputs), maintain (hierarchy index rebuild, guards, type compaction).",
+			"The loop phase by part: rules (selecting and firing), merge (sort, dedup and merge of the rule outputs), maintain (closing the θ tables the round touched, hierarchy index rebuild, guards, type compaction).",
 			"part"),
 		RoundPairs: reg.CounterVec("inferray_reasoner_round_pairs_total",
 			"Fixpoint rounds: pairs the fired rules emitted into the merge, and the new triples the merge kept of them.",

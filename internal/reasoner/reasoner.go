@@ -2,7 +2,7 @@
 // paper): a dedicated transitive-closure stage over the schema followed
 // by semi-naive fixed-point application of the fragment's rules, with
 // per-rule output stores and a parallel per-property merge (Figure 5)
-// between iterations.
+// between iterations, each merge followed by the same θ closing.
 //
 // Two refinements extend the paper's loop. First, rule firing is
 // scheduled from the delta: every rule carries a property footprint
@@ -61,14 +61,15 @@ type Options struct {
 
 // RoundStats reports what one fixpoint iteration did, and where its wall
 // time went: selecting and firing the rules, store.MergeRound, and
-// keeping the hierarchy encoding current (index rebuild, guards, type
-// compaction). The first round of an incremental run also carries the
-// merge of the staged batch that seeded it.
+// maintenance after the merge — re-closing the θ tables the round
+// touched, then keeping the hierarchy encoding current (index rebuild,
+// guards, type compaction). The first round of an incremental run also
+// carries the merge of the staged batch that seeded it.
 type RoundStats struct {
 	RulesFired   int // rules whose read footprint met the round's delta
 	RulesSkipped int // rules the scheduler skipped
 	Emitted      int // pairs the fired rules handed to the merge, before it dedups them
-	NewTriples   int // distinct new triples the merge round produced
+	NewTriples   int // distinct new triples the merge round produced, θ closures included
 
 	RulesTime    time.Duration
 	MergeTime    time.Duration
@@ -251,9 +252,20 @@ func (e *Engine) materializeFull(st *Stats) {
 	st.NormalizeTime = time.Since(start)
 	st.InputTriples = e.Main.Size() // after load-time dedup
 
-	// Line 2: transitivity closures on a dedicated layout (§4.1).
+	// Line 2: the θ stage (§4.1). With the hierarchy encoding requested,
+	// subClassOf/subPropertyOf are not θ tables: the interval index is
+	// built from the raw edges instead, unless a meta-vocabulary guard
+	// forces a bypass. Nothing is compacted here: every pair of Main is
+	// input at this point, and an asserted pair stays.
 	closureStart := time.Now()
-	e.transitivityClosures()
+	if e.opts.HierarchyEncoding && !e.hierBypassed {
+		e.buildHier()
+		if !e.hierGuardsOK() {
+			e.hier = nil
+			e.hierBypassed = true
+		}
+	}
+	e.closeTheta(e.Main)
 	st.ClosureTime = time.Since(closureStart)
 
 	// Lines 3–8: fixed point. On the first pass delta aliases main and
@@ -264,9 +276,8 @@ func (e *Engine) materializeFull(st *Stats) {
 }
 
 // materializeIncremental merges the staged delta into main and runs the
-// fixpoint seeded with only the genuinely new triples. The θ closures of
-// the pre-loop stage are unnecessary here: the in-loop θ rule re-closes
-// every transitive table the delta touches.
+// fixpoint seeded with only the genuinely new triples. The merge round
+// closes every θ table the batch touches, so no separate θ stage runs.
 func (e *Engine) materializeIncremental(st *Stats) {
 	staged := e.staged
 	e.staged = nil
@@ -317,15 +328,18 @@ func (e *Engine) fixpoint(delta *store.Store, st *Stats) {
 
 // mergeRound is the one step that ends every round — staged input, rule
 // outputs, a reseed, an encoding expansion alike: merge the outputs into
-// main, then bring the hierarchy encoding up to date with what arrived.
-// The returned delta is the round: its non-empty tables are what
-// changed, and the next rule selection reads nothing else. asserted is
-// true for the one round whose outputs are input: the staged batch.
+// main, close the θ tables the merge touched (closeTheta), then bring
+// the hierarchy encoding up to date with what arrived. The returned
+// delta is the round: its non-empty tables are what changed, the θ
+// closures' fresh pairs included, and the next rule selection reads
+// nothing else. asserted is true for the one round whose outputs are
+// input: the staged batch.
 func (e *Engine) mergeRound(asserted bool, outs ...*store.Store) *store.Store {
 	start := time.Now()
 	typeVersion := e.typeVersion()
 	delta := store.MergeRound(e.Main, e.opts.Parallel, asserted, outs...)
 	merged := time.Now()
+	e.closeTheta(delta)
 	e.maintainHier(delta, typeVersion)
 	e.mergeTime += merged.Sub(start)
 	e.maintainTime += time.Since(merged)
@@ -348,61 +362,68 @@ func hasPairs(st *store.Store, pidx int) bool {
 	return t != nil && !t.Empty()
 }
 
-// transitivityClosures closes the θ tables before the fixpoint
-// (owl:sameAs after symmetrization). With the hierarchy encoding
-// requested, the subClassOf/subPropertyOf closures are not materialized:
-// the interval index is built from the raw edges instead (unless a
-// meta-vocabulary guard forces a bypass). Nothing is compacted here:
-// every pair of Main is input at this point, and an asserted pair stays.
-func (e *Engine) transitivityClosures() {
-	if e.opts.HierarchyEncoding && !e.hierBypassed {
-		e.buildHier()
-		if !e.hierGuardsOK() {
-			e.hier = nil
-			e.hierBypassed = true
+// thetaTables lists, ascending, the θ tables st touches. The θ tables
+// are the ones kept transitively closed (§4.1): subClassOf and
+// subPropertyOf (unless the hierarchy encoding serves them virtually)
+// and, for RDFS-Plus, owl:sameAs plus every property Main declares
+// owl:TransitiveProperty. st touches one by holding its pairs or by
+// declaring it transitive. The θ step closes these after a merge, and
+// overdeletion wipes them rather than trace them.
+func (e *Engine) thetaTables(st *store.Store) []int {
+	var theta []int
+	if e.hier == nil {
+		theta = append(theta, e.V.SubClassOf, e.V.SubPropertyOf)
+	}
+	var declared []int
+	if e.opts.Fragment.UsesSameAs() {
+		theta = append(theta, e.V.SameAs)
+		theta = append(theta, rules.TransitiveProps(e.Main, e.V)...)
+		declared = rules.TransitiveProps(st, e.V)
+	}
+	touched := theta[:0]
+	for _, pidx := range theta {
+		if hasPairs(e.Main, pidx) && (hasPairs(st, pidx) || slices.Contains(declared, pidx)) {
+			touched = append(touched, pidx)
 		}
 	}
-	// The symmetric and the closed pairs are derivations: they enter the
-	// (marked) tables the way every derivation does, through a merge.
-	derive := func(pidx int, pairs []uint64) {
-		out := store.New(pidx + 1)
-		out.Ensure(pidx).AppendPairs(pairs)
-		store.MergeRound(e.Main, false, false, out)
-	}
-	// owl:sameAs: add the symmetric pairs before closing (§4.1).
-	if e.opts.Fragment.UsesSameAs() && hasPairs(e.Main, e.V.SameAs) {
-		p := e.Main.Table(e.V.SameAs).Pairs()
-		rev := make([]uint64, 0, len(p))
-		for i := 0; i < len(p); i += 2 {
-			if p[i] != p[i+1] {
-				rev = append(rev, p[i+1], p[i])
-			}
-		}
-		derive(e.V.SameAs, rev)
-	}
-	for _, pidx := range e.transitiveTables() {
-		if hasPairs(e.Main, pidx) {
-			derive(pidx, closure.Close(e.Main.Table(pidx).Pairs()))
-		}
-	}
+	slices.Sort(touched)
+	return slices.Compact(touched)
 }
 
-// transitiveTables lists the property tables the θ stage keeps
-// transitively closed — the tables the pre-loop stage closes and
-// overdeletion must wipe rather than trace: subClassOf/subPropertyOf
-// (unless the hierarchy encoding serves them virtually), and for
-// RDFS-Plus owl:sameAs plus every property currently declared
-// owl:TransitiveProperty.
-func (e *Engine) transitiveTables() []int {
-	var out []int
-	if e.hier == nil {
-		out = append(out, e.V.SubClassOf, e.V.SubPropertyOf)
+// closeTheta is the θ step: it re-closes every θ table delta touches,
+// merges the pairs the closures add into Main and folds them into delta.
+// It runs in every mergeRound, on Retract's survivors, and once before
+// the loop with delta == Main. owl:sameAs is closed as an undirected graph, its pairs with
+// their reverses, which is EQ-SYM and EQ-TRANS in one call. Only a
+// closed rdf:type table (rdf:type itself declared transitive) can
+// declare further θ tables, so only then does the step go again.
+func (e *Engine) closeTheta(delta *store.Store) {
+	for touched := delta; ; {
+		tables := e.thetaTables(touched)
+		if len(tables) == 0 {
+			return
+		}
+		out := store.New(e.Main.NumSlots())
+		for _, pidx := range tables {
+			p := e.Main.Table(pidx).Pairs()
+			if pidx == e.V.SameAs {
+				sym := make([]uint64, 0, 2*len(p))
+				for i := 0; i < len(p); i += 2 {
+					sym = append(sym, p[i], p[i+1], p[i+1], p[i])
+				}
+				p = sym
+			}
+			out.Ensure(pidx).AppendPairs(closure.Close(p))
+		}
+		fresh := store.MergeRound(e.Main, e.opts.Parallel, false, out)
+		if delta != e.Main {
+			store.Union(delta, fresh)
+		}
+		if !hasPairs(fresh, e.V.Type) {
+			return
+		}
+		touched = fresh
 	}
-	if e.opts.Fragment.UsesSameAs() {
-		out = append(out, e.V.SameAs)
-		out = append(out, rules.TransitiveProps(e.Main, e.V)...)
-	}
-	return out
 }
 
 // buildHier (re)builds the hierarchy interval index from the raw

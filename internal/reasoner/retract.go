@@ -126,6 +126,10 @@ func (e *Engine) Retract(batch []rdf.Triple) (RetractStats, error) {
 		e.hier.CarryTypeStats(e.Main.Table(e.V.Type), typeVersion, doomed.Table(e.V.Type).Pairs(), false)
 	}
 
+	// The survivors never pass through a merge round: close the θ tables
+	// they touch here, folding the restored closure pairs into delta.
+	e.closeTheta(delta)
+
 	// A surviving derivation whose antecedents were never deleted is
 	// invisible to semi-naive evaluation (its antecedents are in no
 	// delta), so run one full pass — delta aliasing main, first-pass
@@ -135,9 +139,8 @@ func (e *Engine) Retract(batch []rdf.Triple) (RetractStats, error) {
 	kept := e.possiblyNew(e.runRules(writers, e.Main), doomed, &st)
 	store.Union(delta, e.mergeRound(false, kept))
 
-	// Everything restored so far flows through the ordinary incremental
-	// fixpoint, which also re-closes any θ table the deletion opened up
-	// (its surviving raw edges are in the delta, so θ re-fires on them).
+	// Everything restored so far, θ tables closed again, flows through
+	// the ordinary incremental fixpoint.
 	if delta.Size() > 0 {
 		var fs Stats
 		e.fixpoint(delta, &fs)
@@ -226,7 +229,6 @@ func (e *Engine) overdelete(del *store.Store, st *RetractStats) (*store.Store, b
 	store.Union(over, del) // every pair of del was marked a moment ago, so it is stored
 	store.Union(frontier, del)
 
-	trans := e.transitiveTables()
 	wiped := make(map[int]bool)
 
 	for frontier.Size() > 0 {
@@ -237,33 +239,35 @@ func (e *Engine) overdelete(del *store.Store, st *RetractStats) (*store.Store, b
 			st.EncodingDropped = true
 			return nil, true
 		}
-		// θ emits nothing new on an already-closed table, so rule firing
-		// alone cannot trace transitive consequences of a deleted edge.
-		// When the frontier reaches a θ-closed table, conservatively
-		// overdelete the whole table (once); rederivation restores the
-		// surviving asserted edges and the fixpoint re-closes them.
-		for _, pidx := range trans {
-			if wiped[pidx] || !hasPairs(frontier, pidx) {
-				continue
-			}
-			wiped[pidx] = true
-			if !hasPairs(e.Main, pidx) {
-				continue
-			}
-			pr := e.Main.Table(pidx).Pairs()
-			var adds []uint64
-			for i := 0; i < len(pr); i += 2 {
-				if !over.Contains(pidx, pr[i], pr[i+1]) {
-					adds = append(adds, pr[i], pr[i+1])
+		// No rule traces the transitive consequences of a deleted edge:
+		// the θ step closes tables outside the rules. When the frontier
+		// reaches a θ table — its pairs, or its owl:TransitiveProperty
+		// marker — conservatively overdelete the whole table (once);
+		// rederivation restores the surviving asserted edges and the θ
+		// step re-closes them. A wiped rdf:type table (rdf:type declared
+		// transitive) brings markers of its own, so wipe until none is new.
+		for again := true; again; {
+			again = false
+			for _, pidx := range e.thetaTables(frontier) {
+				if wiped[pidx] {
+					continue
+				}
+				wiped[pidx], again = true, true
+				pr := e.Main.Table(pidx).Pairs()
+				var adds []uint64
+				for i := 0; i < len(pr); i += 2 {
+					if !over.Contains(pidx, pr[i], pr[i+1]) {
+						adds = append(adds, pr[i], pr[i+1])
+					}
+				}
+				if len(adds) > 0 {
+					over.Ensure(pidx).AppendPairs(adds)
+					frontier.Ensure(pidx).AppendPairs(adds)
 				}
 			}
-			if len(adds) > 0 {
-				over.Ensure(pidx).AppendPairs(adds)
-				frontier.Ensure(pidx).AppendPairs(adds)
-			}
+			over.Normalize()
+			frontier.Normalize()
 		}
-		over.Normalize()
-		frontier.Normalize()
 
 		// Fire the rules whose read footprint meets the frontier, with
 		// the frontier as the delta and the intact closure as main — the

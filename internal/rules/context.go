@@ -6,53 +6,13 @@ import (
 	"inferray/internal/store"
 )
 
-// Class labels a rule with its Table 5 execution class.
-type Class int
-
-// Rule classes of §4.4. Trivial covers the single-antecedent rules the
-// paper leaves undetailed; FuncProp covers the three-antecedent PRP-FP /
-// PRP-IFP self-join rules.
-const (
-	Alpha Class = iota
-	Beta
-	Gamma
-	Delta
-	SameAsClass
-	Theta
-	Trivial
-	FuncProp
-)
-
-// String returns the paper's name for the class.
-func (c Class) String() string {
-	switch c {
-	case Alpha:
-		return "alpha"
-	case Beta:
-		return "beta"
-	case Gamma:
-		return "gamma"
-	case Delta:
-		return "delta"
-	case SameAsClass:
-		return "same-as"
-	case Theta:
-		return "theta"
-	case Trivial:
-		return "trivial"
-	case FuncProp:
-		return "functional"
-	}
-	return "unknown"
-}
-
-// Rule is one inference rule: a name for reporting, its class, and an
-// Apply function that derives triples into ctx.Out. The read/write
-// property footprints (see footprint.go) are attached by
-// AnnotateFootprints and drive the reasoner's dependency scheduler.
+// Rule is one inference rule: a name for reporting and an Apply
+// function that derives triples into ctx.Out. table5.go groups the rules
+// by the paper's execution classes (§4.4). The read/write property
+// footprints (see footprint.go) are attached by AnnotateFootprints and
+// drive the reasoner's dependency scheduler.
 type Rule struct {
 	Name  string
-	Class Class
 	Apply func(ctx *Context)
 
 	reads, writes Footprint
@@ -237,4 +197,12 @@ func markedProperties(typeTable *store.Table, marker uint64) []int {
 		}
 	}
 	return out
+}
+
+// TransitiveProps lists the property-table indexes of the properties st
+// declares transitive: the subjects of ⟨p rdf:type owl:TransitiveProperty⟩
+// that lie on the property side of the numbering. The reasoner's θ step
+// enumerates the PRP-TRP tables through it.
+func TransitiveProps(st *store.Store, v *Vocab) []int {
+	return markedProperties(st.Table(v.Type), v.TransitiveProp)
 }

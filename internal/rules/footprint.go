@@ -77,13 +77,9 @@ func (r *Rule) Writes() Footprint { return r.writes }
 // several Table 5 rules into one implementation back to the spec names
 // they cover. Rules absent from this map carry their spec's own name.
 var specSources = map[string][]string{
-	// The single-loop same-as rule covers symmetry and the three
-	// replication rules (§4.4 "same-as rules").
-	"EQ-REP/SYM": {"EQ-SYM", "EQ-REP-S", "EQ-REP-O", "EQ-REP-P"},
-	// The θ rule re-closes every transitive table mid-fixpoint; which
-	// closures exist depends on the fragment (sameAs transitivity and
-	// owl:TransitiveProperty only in RDFS-Plus).
-	"THETA": {"SCM-SCO", "SCM-SPO", "EQ-TRANS", "PRP-TRP"},
+	// The single-loop same-as rule covers the three replication rules
+	// (§4.4 "same-as rules").
+	"EQ-REP": {"EQ-REP-S", "EQ-REP-O", "EQ-REP-P"},
 }
 
 // footprintBuilder accumulates pattern predicates into a Footprint.
@@ -116,8 +112,8 @@ func (b *footprintBuilder) build() Footprint {
 
 // AnnotateFootprints derives and attaches the read/write footprint of
 // every rule in rs from the fragment's declarative specs. It returns an
-// error when a rule's name resolves to no spec — the drift guard between
-// table5.go and spec.go.
+// error when a rule's name, or one of the specs a fused rule covers,
+// resolves to no spec — the drift guard between table5.go and spec.go.
 func AnnotateFootprints(rs []Rule, f Fragment, v *Vocab) error {
 	specs := Specs(f, v)
 	byName := make(map[string]*Spec, len(specs))
@@ -130,23 +126,18 @@ func AnnotateFootprints(rs []Rule, f Fragment, v *Vocab) error {
 			names = []string{rs[i].Name}
 		}
 		var reads, writes footprintBuilder
-		found := false
 		for _, name := range names {
 			sp, ok := byName[name]
 			if !ok {
-				continue // e.g. EQ-TRANS under a non-Plus θ rule
+				return fmt.Errorf("rules: rule %q has no declarative spec %s in fragment %s (footprint drift)",
+					rs[i].Name, name, f)
 			}
-			found = true
 			for _, pat := range sp.Body {
 				reads.add(pat.P)
 			}
 			for _, pat := range sp.Head {
 				writes.add(pat.P)
 			}
-		}
-		if !found {
-			return fmt.Errorf("rules: rule %q has no declarative spec in fragment %s (footprint drift)",
-				rs[i].Name, f)
 		}
 		rs[i].reads = reads.build()
 		rs[i].writes = writes.build()

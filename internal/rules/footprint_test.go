@@ -75,51 +75,22 @@ func TestFootprintContents(t *testing.T) {
 		t.Errorf("PRP-SPO1 reads %v writes %v", spo1.Reads(), spo1.Writes())
 	}
 
-	// The fused same-as rule covers EQ-SYM + EQ-REP-*: reads sameAs and
-	// wildcard, writes sameAs and wildcard.
-	sa := byName["EQ-REP/SYM"]
+	// The fused same-as rule covers EQ-REP-S/O/P: reads sameAs and
+	// wildcard, writes wildcard (EQ-SYM is the reasoner's θ step).
+	sa := byName["EQ-REP"]
 	if !sa.Reads().Has(v.SameAs) || !sa.Reads().Wildcard {
-		t.Errorf("EQ-REP/SYM reads %v", sa.Reads())
+		t.Errorf("EQ-REP reads %v", sa.Reads())
 	}
-	if !sa.Writes().Has(v.SameAs) || !sa.Writes().Wildcard {
-		t.Errorf("EQ-REP/SYM writes %v", sa.Writes())
+	if sa.Writes().Has(v.SameAs) || !sa.Writes().Wildcard {
+		t.Errorf("EQ-REP writes %v", sa.Writes())
 	}
 
-	// THETA under RDFS-Plus covers SCM-SCO/SPO + EQ-TRANS + PRP-TRP:
-	// reads type (transitive markers) and wildcard.
-	th := byName["THETA"]
-	for _, p := range []int{v.SubClassOf, v.SubPropertyOf, v.SameAs, v.Type} {
-		if !th.Reads().Has(p) {
-			t.Errorf("THETA reads %v, missing pidx %d", th.Reads(), p)
+	// The θ-class rules are the reasoner's θ step, not rules.
+	for _, name := range []string{"THETA", "SCM-SCO", "SCM-SPO", "EQ-SYM", "EQ-TRANS", "PRP-TRP"} {
+		if byName[name] != nil {
+			t.Errorf("rdfs-plus lists a rule %s", name)
 		}
 	}
-	if !th.Reads().Wildcard || !th.Writes().Wildcard {
-		t.Errorf("THETA reads %v writes %v", th.Reads(), th.Writes())
-	}
-}
-
-// TestThetaFootprintWithoutPlus: under plain RDFS the θ rule must not
-// inherit the Plus-only wildcard (no PRP-TRP/EQ-TRANS specs there).
-func TestThetaFootprintWithoutPlus(t *testing.T) {
-	v := testVocab()
-	rs := Rules(RDFSDefault)
-	if err := AnnotateFootprints(rs, RDFSDefault, v); err != nil {
-		t.Fatal(err)
-	}
-	for i := range rs {
-		if rs[i].Name != "THETA" {
-			continue
-		}
-		r := &rs[i]
-		if r.Reads().Wildcard {
-			t.Errorf("non-Plus THETA must not read wildcard: %v", r.Reads())
-		}
-		if !r.Reads().Has(v.SubClassOf) || !r.Reads().Has(v.SubPropertyOf) {
-			t.Errorf("non-Plus THETA reads %v", r.Reads())
-		}
-		return
-	}
-	t.Fatal("THETA rule not found")
 }
 
 // TestAnnotateFootprintsDriftGuard: an invented rule name must be

@@ -51,9 +51,9 @@ func ParseFragment(name string) (Fragment, error) {
 // machinery (equality closure, EQ-* rules).
 func (f Fragment) UsesSameAs() bool { return f == RDFSPlus || f == RDFSPlusFull }
 
-// Rules returns the rule list for a fragment, θ rule included. The θ
-// rule is listed last so its (usually no-op) closure re-checks run after
-// the cheap rules in sequential mode.
+// Rules returns the rule list for a fragment. The θ-class rules
+// (SCM-SCO, SCM-SPO, EQ-SYM, EQ-TRANS, PRP-TRP) are not in it: the
+// reasoner's θ step closes those tables after every merge.
 func Rules(f Fragment) []Rule {
 	switch f {
 	case RhoDF:
@@ -64,7 +64,6 @@ func Rules(f Fragment) []Rule {
 			rulePRPSPO1(),
 			ruleSCMDOM2(),
 			ruleSCMRNG2(),
-			thetaRule(false),
 		}
 	case RDFSDefault:
 		return []Rule{
@@ -76,7 +75,6 @@ func Rules(f Fragment) []Rule {
 			ruleSCMDOM2(),
 			ruleSCMRNG1(),
 			ruleSCMRNG2(),
-			thetaRule(false),
 		}
 	case RDFSFull:
 		return append(Rules(RDFSDefault),
@@ -111,7 +109,6 @@ func Rules(f Fragment) []Rule {
 			ruleSCMEQP2(),
 			ruleSCMRNG1(),
 			ruleSCMRNG2(),
-			thetaRule(true),
 		}
 	case RDFSPlusFull:
 		return append(Rules(RDFSPlus),

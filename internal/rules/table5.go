@@ -1,7 +1,6 @@
 package rules
 
 import (
-	"inferray/internal/closure"
 	"inferray/internal/dictionary"
 	"inferray/internal/store"
 )
@@ -13,7 +12,7 @@ import (
 
 // ruleCAXSCO (#3): c1 subClassOf c2 ∧ x type c1 ⇒ x type c2.
 func ruleCAXSCO() Rule {
-	return Rule{Name: "CAX-SCO", Class: Alpha, Apply: func(c *Context) {
+	return Rule{Name: "CAX-SCO", Apply: func(c *Context) {
 		if c.Hier != nil {
 			// Subsumption-derived types are virtual under the hierarchy
 			// encoding: the view expands ⟨x type c1⟩ to every visible
@@ -30,7 +29,7 @@ func ruleCAXSCO() Rule {
 
 // ruleCAXEQC1 (#1): c1 equivalentClass c2 ∧ x type c2 ⇒ x type c1.
 func ruleCAXEQC1() Rule {
-	return Rule{Name: "CAX-EQC1", Class: Alpha, Apply: func(c *Context) {
+	return Rule{Name: "CAX-EQC1", Apply: func(c *Context) {
 		if c.Hier != nil {
 			// SCM-EQC1 materializes every equivalentClass pair as mutual
 			// subClassOf edges, so equivalent classes share a cyclic
@@ -47,7 +46,7 @@ func ruleCAXEQC1() Rule {
 
 // ruleCAXEQC2 (#2): c1 equivalentClass c2 ∧ x type c1 ⇒ x type c2.
 func ruleCAXEQC2() Rule {
-	return Rule{Name: "CAX-EQC2", Class: Alpha, Apply: func(c *Context) {
+	return Rule{Name: "CAX-EQC2", Apply: func(c *Context) {
 		if c.Hier != nil {
 			return // see CAX-EQC1: covered by the cyclic-SCC expansion
 		}
@@ -60,7 +59,7 @@ func ruleCAXEQC2() Rule {
 
 // ruleSCMDOM1 (#20): p domain c1 ∧ c1 subClassOf c2 ⇒ p domain c2.
 func ruleSCMDOM1() Rule {
-	return Rule{Name: "SCM-DOM1", Class: Alpha, Apply: func(c *Context) {
+	return Rule{Name: "SCM-DOM1", Apply: func(c *Context) {
 		if c.Hier != nil {
 			encodedSchemaExpand(c, c.V.Domain, c.Hier.Classes, c.HierClassChanged, true)
 			return
@@ -74,7 +73,7 @@ func ruleSCMDOM1() Rule {
 
 // ruleSCMDOM2 (#21): p2 domain c ∧ p1 subPropertyOf p2 ⇒ p1 domain c.
 func ruleSCMDOM2() Rule {
-	return Rule{Name: "SCM-DOM2", Class: Alpha, Apply: func(c *Context) {
+	return Rule{Name: "SCM-DOM2", Apply: func(c *Context) {
 		if c.Hier != nil {
 			encodedSchemaExpand(c, c.V.Domain, c.Hier.Props, c.HierPropChanged, false)
 			return
@@ -88,7 +87,7 @@ func ruleSCMDOM2() Rule {
 
 // ruleSCMRNG1 (#26): p range c1 ∧ c1 subClassOf c2 ⇒ p range c2.
 func ruleSCMRNG1() Rule {
-	return Rule{Name: "SCM-RNG1", Class: Alpha, Apply: func(c *Context) {
+	return Rule{Name: "SCM-RNG1", Apply: func(c *Context) {
 		if c.Hier != nil {
 			encodedSchemaExpand(c, c.V.Range, c.Hier.Classes, c.HierClassChanged, true)
 			return
@@ -102,7 +101,7 @@ func ruleSCMRNG1() Rule {
 
 // ruleSCMRNG2 (#27): p2 range c ∧ p1 subPropertyOf p2 ⇒ p1 range c.
 func ruleSCMRNG2() Rule {
-	return Rule{Name: "SCM-RNG2", Class: Alpha, Apply: func(c *Context) {
+	return Rule{Name: "SCM-RNG2", Apply: func(c *Context) {
 		if c.Hier != nil {
 			encodedSchemaExpand(c, c.V.Range, c.Hier.Props, c.HierPropChanged, false)
 			return
@@ -121,7 +120,7 @@ func ruleSCMRNG2() Rule {
 // delta table with a binary-search probe of the (already merged) main
 // table finds every pair with at least one new antecedent.
 func betaSymmetricPair(name string, prop func(*Vocab) int, head func(*Vocab) int) Rule {
-	return Rule{Name: name, Class: Beta, Apply: func(c *Context) {
+	return Rule{Name: name, Apply: func(c *Context) {
 		if c.Hier != nil {
 			// Mutual visible subsumption is exactly co-membership in a
 			// cyclic strong component, so the head pairs are the ordered
@@ -186,7 +185,7 @@ func ruleSCMEQP2() Rule {
 // whether the subject (domain) or object (range) of the instance triple
 // is typed.
 func gammaSchemaTable(name string, schemaProp func(*Vocab) int, emitSubject bool) Rule {
-	return Rule{Name: name, Class: Gamma, Apply: func(c *Context) {
+	return Rule{Name: name, Apply: func(c *Context) {
 		// First list the ⟨class, instance table⟩ typings, then emit each
 		// pair they yield once (typings.go).
 		var work []typing
@@ -250,7 +249,7 @@ func rulePRPRNG() Rule {
 // p1 table is copied into the p2 output table (γ with a δ-style bulk
 // copy per schema pair).
 func rulePRPSPO1() Rule {
-	return Rule{Name: "PRP-SPO1", Class: Gamma, Apply: func(c *Context) {
+	return Rule{Name: "PRP-SPO1", Apply: func(c *Context) {
 		if c.Hier != nil {
 			// Interval form: each data table is copied through its
 			// property's visible supers (the virtual subPropertyOf
@@ -306,7 +305,7 @@ func rulePRPSPO1() Rule {
 
 // rulePRPSYMP (#18): p type SymmetricProperty ∧ x p y ⇒ y p x.
 func rulePRPSYMP() Rule {
-	return Rule{Name: "PRP-SYMP", Class: Gamma, Apply: func(c *Context) {
+	return Rule{Name: "PRP-SYMP", Apply: func(c *Context) {
 		for _, pass := range c.passes() {
 			for _, pidx := range markedProperties(pass.a.Table(c.V.Type), c.V.SymmetricProp) {
 				src := pass.b.Table(pidx)
@@ -329,7 +328,7 @@ func rulePRPSYMP() Rule {
 // table, the property table selected by src is copied (optionally
 // reversed) into the table selected by dst.
 func deltaCopy(name string, schemaProp func(*Vocab) int, srcFirst, reverse bool) Rule {
-	return Rule{Name: name, Class: Delta, Apply: func(c *Context) {
+	return Rule{Name: name, Apply: func(c *Context) {
 		for _, pass := range c.passes() {
 			schema := pass.a.Table(schemaProp(c.V))
 			if schema == nil || schema.Empty() {
@@ -390,26 +389,15 @@ func rulePRPINV2() Rule {
 
 // ----------------------------------------------------------- same-as rules
 
-// ruleSameAs implements the four same-as rules (#4 EQ-REP-O, #5 EQ-REP-P,
-// #6 EQ-REP-S, #7 EQ-SYM) with the single loop over the sameAs property
-// table the paper describes: for every ⟨a, b⟩ pair the symmetric triple
-// is emitted, property tables are copied when both members are
-// properties, and every property table is probed for subject/object
-// occurrences of b to be replicated under a.
+// ruleSameAs implements the three replication rules (#4 EQ-REP-O, #5
+// EQ-REP-P, #6 EQ-REP-S) with the single loop over the sameAs property
+// table the paper describes: for every ⟨a, b⟩ pair property tables are
+// copied when both members are properties, and every property table is
+// probed for subject/object occurrences of b to be replicated under a.
+// The table is symmetric (#7 EQ-SYM is the reasoner's θ step), so b's
+// facts reach a and a's reach b.
 func ruleSameAs() Rule {
-	return Rule{Name: "EQ-REP/SYM", Class: SameAsClass, Apply: func(c *Context) {
-		sameOut := c.Out.Ensure(c.V.SameAs)
-
-		// EQ-SYM is single-antecedent: the delta pass alone suffices.
-		if dt := c.deltaTable(c.V.SameAs); dt != nil {
-			p := dt.Pairs()
-			for i := 0; i < len(p); i += 2 {
-				if p[i] != p[i+1] {
-					sameOut.Append(p[i+1], p[i])
-				}
-			}
-		}
-
+	return Rule{Name: "EQ-REP", Apply: func(c *Context) {
 		for _, pass := range c.passes() {
 			same := pass.a.Table(c.V.SameAs)
 			if same == nil || same.Empty() {
@@ -467,8 +455,8 @@ func ruleSameAs() Rule {
 	}}
 }
 
-// EQ-TRANS (row #8, owl:sameAs transitivity) is θ-class and handled by
-// the closure machinery in thetaRule and the reasoner's pre-loop stage.
+// EQ-SYM and EQ-TRANS (rows #7 and #8) are θ-class: the reasoner's θ
+// step closes owl:sameAs as an undirected graph.
 
 // ----------------------------------------------------- functional property
 
@@ -480,7 +468,7 @@ func ruleSameAs() Rule {
 // the equivalence class — this keeps the self-join linear, matching the
 // paper's O(k·n) bound.
 func funcPropRule(name string, inverse bool) Rule {
-	return Rule{Name: name, Class: FuncProp, Apply: func(c *Context) {
+	return Rule{Name: name, Apply: func(c *Context) {
 		marker := c.V.FunctionalProp
 		if inverse {
 			marker = c.V.InverseFunctionalProp
@@ -537,79 +525,11 @@ func funcPropRule(name string, inverse bool) Rule {
 func rulePRPFP() Rule  { return funcPropRule("PRP-FP", false) }
 func rulePRPIFP() Rule { return funcPropRule("PRP-IFP", true) }
 
-// ---------------------------------------------------------------- θ rules
-
-// thetaRule re-closes the transitive tables whose contents changed in
-// the previous iteration: subClassOf and subPropertyOf (SCM-SCO #28,
-// SCM-SPO #29) and — for RDFS-Plus — owl:sameAs (EQ-TRANS #8) and every
-// property marked owl:TransitiveProperty (PRP-TRP #19). The bulk of the
-// closure work happens in the reasoner's pre-loop stage (§4.1); this rule
-// only fires when other rules feed new pairs into a transitive table
-// mid-fixpoint (e.g. SCM-EQC1 deriving subClassOf from equivalentClass).
-func thetaRule(plus bool) Rule {
-	return Rule{Name: "THETA", Class: Theta, Apply: func(c *Context) {
-		// The pre-loop stage (reasoner.transitivityClosures) already
-		// closed every θ table over the loaded data; on the first pass
-		// nothing new can come out of re-closing.
-		if c.FirstPass() {
-			return
-		}
-		closeNow := func(pidx int) {
-			mt := c.mainTable(pidx)
-			if mt == nil {
-				return
-			}
-			closed := closure.Close(mt.Pairs())
-			if len(closed) > 0 {
-				c.Out.Ensure(pidx).AppendPairs(closed)
-			}
-		}
-		closeIfChanged := func(pidx int) {
-			if c.deltaTable(pidx) != nil {
-				closeNow(pidx)
-			}
-		}
-		if c.Hier == nil {
-			// With the hierarchy encoding active the transitive
-			// subClassOf/subPropertyOf closure is virtual: the reasoner
-			// rebuilds the interval index whenever the raw edges change,
-			// so there is nothing to re-close here.
-			closeIfChanged(c.V.SubClassOf)
-			closeIfChanged(c.V.SubPropertyOf)
-		}
-		if !plus {
-			return
-		}
-		closeIfChanged(c.V.SameAs)
-		// Properties newly marked transitive this iteration must be
-		// closed even if their own table did not change.
-		newlyMarked := map[int]bool{}
-		for _, pidx := range TransitiveProps(c.Delta, c.V) {
-			newlyMarked[pidx] = true
-			closeNow(pidx)
-		}
-		for _, pidx := range TransitiveProps(c.Main, c.V) {
-			if !newlyMarked[pidx] {
-				closeIfChanged(pidx)
-			}
-		}
-	}}
-}
-
-// TransitiveProps lists the property-table indexes of the properties st
-// declares transitive: the subjects of ⟨p rdf:type owl:TransitiveProperty⟩
-// that lie on the property side of the numbering. The θ rule and the
-// reasoner's pre-loop closure and overdeletion stages all enumerate the
-// PRP-TRP tables through it.
-func TransitiveProps(st *store.Store, v *Vocab) []int {
-	return markedProperties(st.Table(v.Type), v.TransitiveProp)
-}
-
 // ------------------------------------------------------------ trivial rules
 
 // ruleSCMEQC1 (#22): c1 equivalentClass c2 ⇒ c1 subClassOf c2 ∧ c2 subClassOf c1.
 func ruleSCMEQC1() Rule {
-	return Rule{Name: "SCM-EQC1", Class: Trivial, Apply: func(c *Context) {
+	return Rule{Name: "SCM-EQC1", Apply: func(c *Context) {
 		dt := c.deltaTable(c.V.EquivClass)
 		if dt == nil {
 			return
@@ -625,7 +545,7 @@ func ruleSCMEQC1() Rule {
 
 // ruleSCMEQP1 (#24): p1 equivalentProperty p2 ⇒ p1 subPropertyOf p2 ∧ p2 subPropertyOf p1.
 func ruleSCMEQP1() Rule {
-	return Rule{Name: "SCM-EQP1", Class: Trivial, Apply: func(c *Context) {
+	return Rule{Name: "SCM-EQP1", Apply: func(c *Context) {
 		dt := c.deltaTable(c.V.EquivProp)
 		if dt == nil {
 			return
@@ -642,7 +562,7 @@ func ruleSCMEQP1() Rule {
 // markerTrivial builds the ⟨x type M⟩ ⇒ emissions pattern shared by
 // SCM-CLS, SCM-DP/OP and RDFS 6/8/10/12/13.
 func markerTrivial(name string, marker func(*Vocab) uint64, emit func(c *Context, x uint64)) Rule {
-	return Rule{Name: name, Class: Trivial, Apply: func(c *Context) {
+	return Rule{Name: name, Apply: func(c *Context) {
 		dt := c.deltaTable(c.V.Type)
 		for _, x := range markerSubjects(dt, marker(c.V)) {
 			emit(c, x)
@@ -682,7 +602,7 @@ func ruleSCMOP() Rule {
 
 // ruleRDFS4 (#33): x p y ⇒ x type Resource ∧ y type Resource.
 func ruleRDFS4() Rule {
-	return Rule{Name: "RDFS4", Class: Trivial, Apply: func(c *Context) {
+	return Rule{Name: "RDFS4", Apply: func(c *Context) {
 		out := c.Out.Ensure(c.V.Type)
 		c.Delta.ForEachTable(func(pidx int, t *store.Table) bool {
 			p := t.RawPairs()

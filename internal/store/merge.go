@@ -91,7 +91,7 @@ func MergeRound(main *Store, parallel, asserted bool, outs ...*Store) *Store {
 // delta reallocated, the cache dropped — and returns the fresh pairs.
 func (t *Table) rebuild(inf []uint64, owned bool) []uint64 {
 	if len(t.pairs) == 0 && !owned {
-		inf = slices.Clone(inf) // mergeSorted hands inf to main as is
+		inf = slices.Clone(inf) // mergeSorted hands inf to the delta as is
 	}
 	merged, fresh := mergeSorted(t.pairs, inf)
 	if len(fresh) == 0 {
@@ -168,16 +168,17 @@ func gather(outs []*Store, pidx int) (inf []uint64, owned bool) {
 // table's pairs — which later appends and in-place normalizations may
 // rewrite — while fresh becomes a delta table still scanned by the
 // scheduler after this round, so aliasing the two corrupts the delta.
+// merged keeps no dead capacity: it stays with the table for good, while
+// a round that re-derives what main holds sizes it for both lists.
 func mergeSorted(main, inf []uint64) (merged, fresh []uint64) {
 	if len(inf) == 0 {
 		return main, nil
 	}
 	if len(main) == 0 {
-		// Everything is fresh. inf (often a trimmed subslice of a larger
-		// sort buffer, with spare capacity) goes to main; the delta copy
-		// must own separate storage.
-		fresh = append(make([]uint64, 0, len(inf)), inf...)
-		return inf, fresh
+		// Everything is fresh. Main gets an exact-size copy; inf (often a
+		// trimmed subslice of a larger sort buffer, with spare capacity)
+		// goes to the delta.
+		return slices.Clone(inf), inf
 	}
 	merged = make([]uint64, 0, len(main)+len(inf))
 	fresh = make([]uint64, 0, len(inf))
@@ -208,6 +209,9 @@ func mergeSorted(main, inf []uint64) (merged, fresh []uint64) {
 	}
 	if len(fresh) == 0 {
 		return main, nil
+	}
+	if cap(merged)-len(merged) > len(merged)/8 {
+		merged = slices.Clone(merged)
 	}
 	return merged, fresh
 }

@@ -101,6 +101,44 @@ func TestMergeRoundMergedPathNotAliased(t *testing.T) {
 	}
 }
 
+// TestMergeKeepsNoDeadCapacity: a round that re-derives a table's own
+// pairs plus one new pair rebuilds the table, and the merged list it
+// keeps is sized for the union, not for both inputs. The same holds for
+// a table that starts empty, where the merge's sort buffer — twice the
+// size here, every pair emitted twice — goes to the delta rather than to
+// the table.
+func TestMergeKeepsNoDeadCapacity(t *testing.T) {
+	const n = 4096
+	var own []uint64
+	for i := uint64(0); i < n; i++ {
+		own = append(own, i, i+1)
+	}
+	for _, tc := range []struct {
+		name      string
+		main, inf []uint64
+		fresh     int
+	}{
+		{"re-derived", own, append(slices.Clone(own), n, 0), 1},
+		{"empty main", nil, append(slices.Clone(own), own...), n},
+	} {
+		main := New(1)
+		main.Ensure(0).AppendPairs(tc.main)
+		main.Normalize()
+		// Two outputs, so the merge sorts one buffer of its own.
+		a, b := New(1), New(1)
+		a.Ensure(0).AppendPairs(tc.inf[:len(tc.inf)/2])
+		b.Ensure(0).AppendPairs(tc.inf[len(tc.inf)/2:])
+		if fresh := MergeRound(main, false, false, a, b).Size(); fresh != tc.fresh {
+			t.Fatalf("%s: %d fresh pairs, want %d", tc.name, fresh, tc.fresh)
+		}
+		mt := main.Table(0)
+		if pairBytes, _, _ := mt.Footprint(); 8*pairBytes > 9*16*mt.Size() {
+			t.Errorf("%s: %d pair bytes for %d pairs, want at most 9/8 × 16 each",
+				tc.name, pairBytes, mt.Size())
+		}
+	}
+}
+
 // TestMergeRoundSplicePathNotAliased is the same contract on the
 // in-place path: the fresh pairs are spliced into the table's own array
 // — regrown or not — and the delta gets a buffer that is neither that
