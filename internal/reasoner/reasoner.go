@@ -260,7 +260,7 @@ func (e *Engine) materializeFull(st *Stats) {
 	closureStart := time.Now()
 	if e.opts.HierarchyEncoding && !e.hierBypassed {
 		e.buildHier()
-		if !e.hierGuardsOK() {
+		if !e.hierGuardsOK(e.Main) {
 			e.hier = nil
 			e.hierBypassed = true
 		}
@@ -445,7 +445,20 @@ func (e *Engine) buildHier() {
 // materialization only while the loaded data does not re-describe the
 // RDFS/OWL meta-vocabulary itself. The guards are deliberately
 // conservative — tripping one costs only the encoding, never soundness.
-func (e *Engine) hierGuardsOK() bool {
+//
+// G3 reads only the sameAs pairs of st: Main right after the index is
+// built, a round's delta while it stands (see maintainHier). That is
+// sound under one invariant: every stored sameAs endpoint has been
+// checked against the current index, either by the walk over Main when
+// the index was last built, or in the merge round whose delta brought
+// it. Two paths store sameAs pairs outside a merge round, and both add no
+// endpoint: materializeFull's closeTheta(e.Main) right after the check
+// closes the pairs just walked, and a symmetric-transitive closure
+// names only the terms it starts from; Retract's closeTheta on its
+// reseed restores a subset of the closure that stood before the delete.
+// A new path that stores sameAs pairs outside mergeRound must pass them
+// through this check itself.
+func (e *Engine) hierGuardsOK(st *store.Store) bool {
 	h, v := e.hier, e.V
 	// G1: no rule-marker class may acquire subclasses. Several rules
 	// select subjects by ⟨x rdf:type marker⟩ runs over the stored type
@@ -503,7 +516,7 @@ func (e *Engine) hierGuardsOK() bool {
 	// hierarchies — sameAs-driven replication of a hierarchy node would
 	// have to flow through the virtual closure.
 	if e.opts.Fragment.UsesSameAs() {
-		if t := e.Main.Table(v.SameAs); t != nil && !t.Empty() {
+		if t := st.Table(v.SameAs); t != nil && !t.Empty() {
 			for _, id := range t.Pairs() {
 				if h.Classes.Has(id) || h.Props.Has(id) {
 					return false
@@ -521,7 +534,9 @@ func (e *Engine) hierGuardsOK() bool {
 // store, folding what that added into the delta. Otherwise the visible
 // count is carried from typeVersion — the type table's version before
 // the merge — over the runs the delta's type pairs touched, and those
-// runs are compacted.
+// runs are compacted. The hierarchy nodes change only with a rebuild, so
+// G3 walks every stored sameAs pair after one and only the delta's
+// otherwise (the invariant this relies on is at hierGuardsOK).
 func (e *Engine) maintainHier(delta *store.Store, typeVersion uint64) {
 	e.hierClassChanged, e.hierPropChanged = false, false
 	if e.hier == nil {
@@ -537,7 +552,11 @@ func (e *Engine) maintainHier(delta *store.Store, typeVersion uint64) {
 		hasPairs(delta, e.V.Domain) || hasPairs(delta, e.V.Range) ||
 		hasPairs(delta, e.V.SameAs) || hasPairs(delta, e.V.EquivProp) ||
 		hasPairs(delta, e.V.InverseOf)
-	if recheck && !e.hierGuardsOK() {
+	sameAs := delta
+	if e.hierClassChanged || e.hierPropChanged {
+		sameAs = e.Main
+	}
+	if recheck && !e.hierGuardsOK(sameAs) {
 		// The expansion's genuinely-new triples join the running delta so
 		// the fixpoint processes them like any other derivation.
 		store.Union(delta, e.expandEncoding())
@@ -831,7 +850,7 @@ func (e *Engine) RestoreState(d *dictionary.Dictionary, st *store.Store, encoded
 	e.hierClassChanged, e.hierPropChanged = false, false
 	if encoded {
 		e.buildHier()
-		if !e.opts.HierarchyEncoding || !e.hierGuardsOK() {
+		if !e.opts.HierarchyEncoding || !e.hierGuardsOK(e.Main) {
 			// This engine will not serve virtual triples: expand the
 			// reduced closure into the store and drop the index.
 			e.expandEncoding()

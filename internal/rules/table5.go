@@ -390,12 +390,17 @@ func rulePRPINV2() Rule {
 // ----------------------------------------------------------- same-as rules
 
 // ruleSameAs implements the three replication rules (#4 EQ-REP-O, #5
-// EQ-REP-P, #6 EQ-REP-S) with the single loop over the sameAs property
-// table the paper describes: for every ⟨a, b⟩ pair property tables are
-// copied when both members are properties, and every property table is
-// probed for subject/object occurrences of b to be replicated under a.
-// The table is symmetric (#7 EQ-SYM is the reasoner's θ step), so b's
-// facts reach a and a's reach b.
+// EQ-REP-P, #6 EQ-REP-S) as sequential scans, like every other rule
+// class. Per pass, the objects b of the A side's ⟨a, b⟩ pairs with a ≠ b
+// are the members; when a and b are both properties, b's table is copied
+// under a (EQ-REP-P). One pass over each B-side table's ⟨s,o⟩ pairs then
+// replicates a pair whose subject is a member as ⟨a, o⟩ (EQ-REP-S) and
+// one whose object is a member as ⟨s, a⟩ (EQ-REP-O), for every partner a
+// of that member, read off the sameAs table's own ⟨o,s⟩ list. That list
+// is the only one the rule sorts by object. The reasoner's θ step keeps
+// the table symmetric (#7 EQ-SYM), so b's facts reach a and a's reach b;
+// the rule itself emits the per-pair multiset whether the A side is
+// symmetric or not.
 func ruleSameAs() Rule {
 	return Rule{Name: "EQ-REP", Apply: func(c *Context) {
 		for _, pass := range c.passes() {
@@ -403,22 +408,15 @@ func ruleSameAs() Rule {
 			if same == nil || same.Empty() {
 				continue
 			}
-			// The B side's non-empty tables, each with its two sorted lists,
-			// taken once per pass on the first pair that needs them: OS()
-			// locks the table's cache mutex, and the loop below probes every
-			// table for every sameAs pair.
-			type probe struct {
-				pidx   int
-				so, os []uint64
-			}
-			var probes []probe
-			listed := false
-			sp := same.Pairs()
-			for i := 0; i < len(sp); i += 2 {
-				a, b := sp[i], sp[i+1]
+			// ⟨b, a⟩ sorted on b: a member's run lists its partners.
+			partners := same.OS()
+			members := false
+			for i := 0; i < len(partners); i += 2 {
+				b, a := partners[i], partners[i+1]
 				if a == b {
 					continue
 				}
+				members = true
 				// EQ-REP-P: replicate b's property table under a.
 				if ai, aok := propIndexOf(a); aok {
 					if bi, bok := propIndexOf(b); bok {
@@ -427,32 +425,99 @@ func ruleSameAs() Rule {
 						}
 					}
 				}
-				// EQ-REP-S and EQ-REP-O: probe every property table for b
-				// in subject and object position.
-				if !listed {
-					listed = true
-					pass.b.ForEachTable(func(pidx int, t *store.Table) bool {
-						probes = append(probes, probe{pidx, t.Pairs(), t.OS()})
-						return true
-					})
-				}
-				for _, t := range probes {
-					if lo, hi := store.KeyRun(t.so, b); lo < hi {
-						out := c.Out.Ensure(t.pidx)
-						for k := lo; k < hi; k++ {
-							out.Append(a, t.so[2*k+1])
-						}
-					}
-					if lo, hi := store.KeyRun(t.os, b); lo < hi {
-						out := c.Out.Ensure(t.pidx)
-						for k := lo; k < hi; k++ {
-							out.Append(t.os[2*k+1], a)
-						}
-					}
-				}
 			}
+			if !members {
+				continue
+			}
+			// EQ-REP-S and EQ-REP-O: one scan of every B-side table.
+			bits := memberBits(partners, c.TermBase, c.Terms, pass.b.Size())
+			pass.b.ForEachTable(func(pidx int, t *store.Table) bool {
+				replicateMembers(c.Out, pidx, t.Pairs(), partners, bits, c.TermBase)
+				return true
+			})
 		}
 	}}
+}
+
+// memberShare sets when EQ-REP tests membership in a bitmap over the
+// dictionary's IDs rather than by binary search in the sameAs table's
+// ⟨o,s⟩ list: once the pairs a pass scans reach 1/memberShare of the
+// dictionary's terms. The bitmap costs a bit per term, allocated and
+// cleared per pass, so at most 32 bytes per scanned pair; a search costs
+// O(log k) in a k-pair sameAs table per test, two tests per pair. Over
+// 300 k terms BenchmarkSameAsMembership has the bitmap faster from 1/256
+// on with a 4-pair and a 10 k-pair sameAs table alike, and the search
+// as fast or faster at 1/1024 with both (EXPERIMENTS.md "EQ-REP as one
+// scan").
+const memberShare = 256
+
+// memberBits marks the members of partners (an ⟨o,s⟩-sorted sameAs
+// list) in a bitmap over the dictionary's IDs, bit b-base for member b,
+// when the n pairs to be tested reach 1/memberShare of its terms. Below
+// that, or when terms is 0 (unknown), it returns nil and each test is a
+// binary search in partners: an insert round tests a handful of pairs
+// against the whole sameAs table, and a bitmap would cost it bytes in
+// proportion to the dictionary.
+func memberBits(partners []uint64, base uint64, terms, n int) []uint64 {
+	if terms == 0 || n*memberShare < terms {
+		return nil
+	}
+	bits := make([]uint64, (terms+63)/64)
+	for i := 0; i < len(partners); i += 2 {
+		if b := partners[i]; b != partners[i+1] {
+			x := b - base
+			bits[x>>6] |= 1 << (x & 63)
+		}
+	}
+	return bits
+}
+
+// replicateMembers appends to table pidx of out the EQ-REP-S and EQ-REP-O
+// pairs of one table's ⟨s,o⟩ list p: ⟨a, o⟩ for a member subject and
+// ⟨s, a⟩ for a member object, for every partner a of the member. The
+// members are the bits set in bits or, when it is nil, the keys of
+// partners.
+func replicateMembers(out *store.Store, pidx int, p, partners, bits []uint64, base uint64) {
+	for j := 0; j < len(p); j += 2 {
+		s, o := p[j], p[j+1]
+		var sHit, oHit bool
+		if bits != nil {
+			x, y := s-base, o-base
+			sHit, oHit = bits[x>>6]>>(x&63)&1 != 0, bits[y>>6]>>(y&63)&1 != 0
+		} else {
+			lo, hi := store.KeyRun(partners, s)
+			sHit = lo < hi
+			lo, hi = store.KeyRun(partners, o)
+			oHit = lo < hi
+		}
+		if sHit {
+			replicate(out, pidx, partners, s, o, true)
+		}
+		if oHit {
+			replicate(out, pidx, partners, o, s, false)
+		}
+	}
+}
+
+// replicate appends to table pidx of out one pair per partner a ≠ x of
+// member x: ⟨a, y⟩ when x is the subject, ⟨y, a⟩ when it is the object.
+func replicate(out *store.Store, pidx int, partners []uint64, x, y uint64, subject bool) {
+	var t *store.Table
+	lo, hi := store.KeyRun(partners, x)
+	for k := 2*lo + 1; k < 2*hi; k += 2 {
+		a := partners[k]
+		if a == x {
+			continue
+		}
+		if t == nil {
+			t = out.Ensure(pidx)
+		}
+		if subject {
+			t.Append(a, y)
+		} else {
+			t.Append(y, a)
+		}
+	}
 }
 
 // EQ-SYM and EQ-TRANS (rows #7 and #8) are θ-class: the reasoner's θ
