@@ -1,12 +1,11 @@
 package inferray_test
 
-// The ablation benches DESIGN.md §4 calls out and the public-API,
-// query and serving benches. The paper's tables and figures are
-// measured in one place, cmd/benchtables.
+// The query and serving benches EXPERIMENTS.md records. The paper's
+// tables and figures are measured in one place, cmd/benchtables, and
+// whole-pipeline workloads by `go run ./bench`.
 
 import (
 	"fmt"
-	"math/rand"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -14,130 +13,8 @@ import (
 
 	"inferray"
 	"inferray/internal/datagen"
-	"inferray/internal/dictionary"
-	"inferray/internal/reasoner"
-	"inferray/internal/rules"
-	"inferray/internal/sorting"
 	"inferray/internal/store"
 )
-
-// benchPairs draws n pairs uniformly from a window of rangeN IDs just
-// above the resource base, as under dense numbering.
-func benchPairs(n, rangeN int) []uint64 {
-	rng := rand.New(rand.NewSource(42))
-	out := make([]uint64, 2*n)
-	base := dictionary.PropBase + 1
-	for i := range out {
-		out[i] = base + uint64(rng.Intn(rangeN))
-	}
-	return out
-}
-
-// -------------------------------------------------------------- Ablations
-
-// BenchmarkAblationSortSelector compares the operating-range selector
-// against forcing a single algorithm on dense data (the §5.4 choice).
-func BenchmarkAblationSortSelector(b *testing.B) {
-	master := benchPairs(500_000, 50_000) // dense: counting's home turf
-	run := func(b *testing.B, sortFn func([]uint64)) {
-		buf := make([]uint64, len(master))
-		for i := 0; i < b.N; i++ {
-			b.StopTimer()
-			copy(buf, master)
-			b.StartTimer()
-			sortFn(buf)
-		}
-	}
-	b.Run("selector", func(b *testing.B) {
-		run(b, func(p []uint64) { sorting.SortPairs(p, false) })
-	})
-	b.Run("force-radix", func(b *testing.B) {
-		run(b, func(p []uint64) { sorting.RadixSortPairsMSDA(p, false) })
-	})
-	b.Run("force-quicksort", func(b *testing.B) {
-		run(b, func(p []uint64) { sorting.QuicksortPairs(p) })
-	})
-}
-
-// BenchmarkAblationDenseVsSparseNumbering quantifies §5.1: the same
-// data sorted under dense numbering vs scattered 64-bit IDs.
-func BenchmarkAblationDenseVsSparseNumbering(b *testing.B) {
-	n := 500_000
-	dense := benchPairs(n, n/4)
-	sparse := make([]uint64, 2*n)
-	rng := rand.New(rand.NewSource(9))
-	for i := range sparse {
-		sparse[i] = rng.Uint64()
-	}
-	for _, c := range []struct {
-		name string
-		data []uint64
-	}{{"dense", dense}, {"sparse", sparse}} {
-		c := c
-		b.Run(c.name, func(b *testing.B) {
-			buf := make([]uint64, len(c.data))
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				copy(buf, c.data)
-				b.StartTimer()
-				sorting.SortPairs(buf, false)
-			}
-		})
-	}
-}
-
-// BenchmarkAblationOSCache measures the ⟨o,s⟩ cache: repeated
-// object-keyed access with and without cache reuse (§4.2).
-func BenchmarkAblationOSCache(b *testing.B) {
-	var tab store.Table
-	tab.AppendPairs(benchPairs(200_000, 200_000))
-	tab.Normalize()
-	b.Run("cached", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			_ = tab.OS() // built once, then served from cache
-		}
-	})
-	b.Run("rebuild", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			tab.DropOSCache()
-			_ = tab.OS()
-		}
-	})
-}
-
-// BenchmarkAblationParallelRules compares parallel vs sequential rule
-// execution (§4.3).
-func BenchmarkAblationParallelRules(b *testing.B) {
-	triples := datagen.LUBM(30_000, 21)
-	for _, parallel := range []bool{true, false} {
-		name := "sequential"
-		if parallel {
-			name = "parallel"
-		}
-		b.Run(name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				e := reasoner.New(reasoner.Options{Fragment: rules.RDFSPlus, Parallel: parallel})
-				e.LoadTriples(triples)
-				e.Materialize()
-			}
-		})
-	}
-}
-
-// --------------------------------------------------------------- helpers
-
-// BenchmarkPublicAPIEndToEnd exercises the facade the way a user would
-// (load N-Triples text, materialize, serialize).
-func BenchmarkPublicAPIEndToEnd(b *testing.B) {
-	triples := datagen.BSBM(10_000, 3)
-	for i := 0; i < b.N; i++ {
-		r := inferray.New(inferray.WithFragment(inferray.RDFSDefault))
-		r.AddTriples(triples)
-		if _, err := r.Materialize(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
 
 // ------------------------------------------------------------ Query engine
 

@@ -10,7 +10,9 @@
 //     MapReduce framework (RunJob), standing in for WebPIE;
 //   - NaiveTransitiveClosure — fixed-point pair joining with per-round
 //     duplicate elimination, the strategy whose duplicate explosion
-//     motivates Inferray's dedicated closure stage (§4.1).
+//     motivates Inferray's dedicated closure stage (§4.1);
+//   - LSDRadixPairs, MergesortPairs and QuicksortPairs — the generic
+//     pair sorts Table 1 sets against internal/sorting's (§5.4).
 //
 // The RDFox-like column is baseline.HashJoinEngine, which stays in the
 // library because the tests use it as their oracle.

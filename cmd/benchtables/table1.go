@@ -5,8 +5,29 @@ import (
 	"math/rand"
 	"time"
 
+	"inferray/cmd/benchtables/internal/standin"
 	"inferray/internal/dictionary"
 	"inferray/internal/sorting"
+)
+
+// sortRow is one row of Table 1: its label and the sort it times.
+type sortRow struct {
+	label string
+	sort  func(pairs []uint64)
+}
+
+// The paper's sorts, whose throughput depends on the value range, and
+// the generic baselines, which are timed once over a 2⁴⁰ range.
+var (
+	paperSorts = []sortRow{
+		{"Counting", func(p []uint64) { sorting.CountingSortPairs(p, false) }},
+		{"MSDA Radix", func(p []uint64) { sorting.RadixSortPairsMSDA(p, false) }},
+	}
+	genericSorts = []sortRow{
+		{"Radix128", standin.LSDRadixPairs},
+		{"Mergesort", standin.MergesortPairs},
+		{"Quicksort", standin.QuicksortPairs},
+	}
 )
 
 // table1 reproduces Table 1: sorting throughput (million pairs/second)
@@ -22,33 +43,33 @@ func table1(cfg scaleCfg) {
 	fmt.Println()
 
 	for _, rng := range cfg.sortRanges {
-		for _, alg := range []sorting.Algorithm{sorting.Counting, sorting.MSDARadix} {
-			fmt.Printf("%-12s %-12s", kfmt(rng), alg)
+		for _, row := range paperSorts {
+			fmt.Printf("%-12s %-12s", kfmt(rng), row.label)
 			for _, n := range cfg.sortSizes {
-				fmt.Printf(" %10.1f", throughput(alg, n, rng))
+				fmt.Printf(" %10.1f", throughput(row.sort, n, rng))
 			}
 			fmt.Println()
 		}
 	}
 	fmt.Println("Generic (range-independent):")
-	for _, alg := range []sorting.Algorithm{sorting.LSDRadix128, sorting.Mergesort, sorting.Quicksort} {
-		fmt.Printf("%-12s %-12s", "-", alg)
+	for _, row := range genericSorts {
+		fmt.Printf("%-12s %-12s", "-", row.label)
 		for _, n := range cfg.sortSizes {
-			fmt.Printf(" %10.1f", throughput(alg, n, 1<<40))
+			fmt.Printf(" %10.1f", throughput(row.sort, n, 1<<40))
 		}
 		fmt.Println()
 	}
 	fmt.Println()
 }
 
-// throughput sorts one freshly generated list and returns Mpairs/s
-// (median of three runs).
-func throughput(alg sorting.Algorithm, n, valueRange int) float64 {
+// throughput sorts three freshly generated lists and returns Mpairs/s
+// of the fastest run (best of three).
+func throughput(sortFn func([]uint64), n, valueRange int) float64 {
 	var best time.Duration
 	for run := 0; run < 3; run++ {
 		pairs := genTablePairs(n, valueRange, int64(run))
 		start := time.Now()
-		sorting.SortPairsWith(alg, pairs, false)
+		sortFn(pairs)
 		d := time.Since(start)
 		if run == 0 || d < best {
 			best = d

@@ -155,16 +155,9 @@ func (s *IntervalSet) ForEach(fn func(int32)) {
 	}
 }
 
-// ForEachInterval calls fn for every stored [lo,hi] interval.
-func (s *IntervalSet) ForEachInterval(fn func(lo, hi int32)) {
-	for i := 0; i < len(s.iv); i += 2 {
-		fn(s.iv[i], s.iv[i+1])
-	}
-}
-
 // Spans returns the stored intervals as the flat read-only list
-// [lo0,hi0, lo1,hi1, …], ascending — for callers that walk or probe the
-// intervals in a loop of their own instead of through a callback.
+// [lo0,hi0, lo1,hi1, …], ascending, for callers that walk or probe the
+// intervals in a loop of their own.
 func (s *IntervalSet) Spans() []int32 { return s.iv }
 
 // Clone returns an independent copy of the set.

@@ -94,14 +94,15 @@ func TestIntervalSetUnionQuick(t *testing.T) {
 // non-adjacent intervals.
 func intervalsWellFormed(s *IntervalSet) bool {
 	prevHi := int32(-2)
-	ok := true
-	s.ForEachInterval(func(lo, hi int32) {
+	iv := s.Spans()
+	for i := 0; i < len(iv); i += 2 {
+		lo, hi := iv[i], iv[i+1]
 		if lo > hi || int(lo) <= int(prevHi)+1 {
-			ok = false
+			return false
 		}
 		prevHi = hi
-	})
-	return ok
+	}
+	return true
 }
 
 func TestIntervalSetAddRange(t *testing.T) {

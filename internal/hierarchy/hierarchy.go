@@ -127,16 +127,6 @@ func (r *Relation) Subsumes(a, super uint64) bool {
 	return r.Up[ca].Contains(r.Rank[lb])
 }
 
-// HasSupers reports whether a has at least one visible super.
-func (r *Relation) HasSupers(a uint64) bool {
-	la, ok := r.Lookup(a)
-	if !ok {
-		return false
-	}
-	c := r.SCC[la]
-	return r.Cyclic[c] || !r.Up[c].Empty()
-}
-
 // HasSubs reports whether super has at least one visible sub.
 func (r *Relation) HasSubs(super uint64) bool {
 	lb, ok := r.Lookup(super)
@@ -214,20 +204,6 @@ func (r *Relation) AppendSupers(a uint64, buf []uint64) []uint64 {
 		}
 	}
 	return buf
-}
-
-// SupersCount returns the number of visible supers of a.
-func (r *Relation) SupersCount(a uint64) int {
-	la, ok := r.Lookup(a)
-	if !ok {
-		return 0
-	}
-	c := r.SCC[la]
-	n := r.Up[c].Cardinality()
-	if r.Cyclic[c] {
-		n += int(r.Size[c])
-	}
-	return n
 }
 
 // ForEachPair streams every visible ⟨sub, super⟩ pair: sorted by

@@ -114,13 +114,6 @@ type CounterVec struct {
 	children map[string]*vecChild[*Counter]
 }
 
-// GaugeVec is a family of gauges partitioned by label values.
-type GaugeVec struct {
-	labels   []string
-	mu       sync.RWMutex
-	children map[string]*vecChild[*Gauge]
-}
-
 // HistogramVec is a family of histograms partitioned by label values.
 type HistogramVec struct {
 	labels   []string
@@ -159,29 +152,6 @@ func (v *CounterVec) With(values ...string) *Counter {
 		return c.m
 	}
 	child := &vecChild[*Counter]{values: append([]string(nil), values...), m: &Counter{}}
-	v.children[k] = child
-	return child.m
-}
-
-// With returns the gauge for the given label values, creating it on
-// first use.
-func (v *GaugeVec) With(values ...string) *Gauge {
-	if len(values) != len(v.labels) {
-		panic(fmt.Sprintf("metrics: %d label values for %d labels", len(values), len(v.labels)))
-	}
-	k := vecKey(values)
-	v.mu.RLock()
-	c, ok := v.children[k]
-	v.mu.RUnlock()
-	if ok {
-		return c.m
-	}
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	if c, ok := v.children[k]; ok {
-		return c.m
-	}
-	child := &vecChild[*Gauge]{values: append([]string(nil), values...), m: &Gauge{}}
 	v.children[k] = child
 	return child.m
 }
@@ -235,7 +205,6 @@ type family struct {
 	hist    *Histogram
 
 	counterVec *CounterVec
-	gaugeVec   *GaugeVec
 	histVec    *HistogramVec
 
 	constLabels []string // alternating name, value — rendered on every sample
@@ -351,14 +320,6 @@ func (r *Registry) SecondsCounterVec(name, help string, labels ...string) *Count
 	return r.counterVec(name, help, 1e-9, labels)
 }
 
-// GaugeVec registers and returns a gauge family partitioned by the
-// given label names.
-func (r *Registry) GaugeVec(name, help string, labels ...string) *GaugeVec {
-	v := &GaugeVec{labels: labels, children: make(map[string]*vecChild[*Gauge])}
-	r.add(&family{name: name, help: help, typ: "gauge", gaugeVec: v})
-	return v
-}
-
 // HistogramVec registers and returns a histogram family partitioned by
 // the given label names, every child over the same bounds.
 func (r *Registry) HistogramVec(name, help string, bounds []float64, labels ...string) *HistogramVec {
@@ -404,10 +365,6 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 		case f.counterVec != nil:
 			for _, c := range sortedChildren(&f.counterVec.mu, f.counterVec.children) {
 				writeSample(&b, f.name, f.counterVec.labels, c.values, f.scale*float64(c.m.Value()))
-			}
-		case f.gaugeVec != nil:
-			for _, c := range sortedChildren(&f.gaugeVec.mu, f.gaugeVec.children) {
-				writeSample(&b, f.name, f.gaugeVec.labels, c.values, float64(c.m.Value()))
 			}
 		case f.histVec != nil:
 			for _, c := range sortedChildren(&f.histVec.mu, f.histVec.children) {

@@ -71,13 +71,19 @@ func TestMarkerLookupsMatchObjectRun(t *testing.T) {
 				e.Materialize()
 			}
 			tt := e.Main.Table(e.V.Type)
-			var cold store.Table
-			cold.AppendPairs(tt.Pairs())
-			cold.Normalize()
-			os := cold.OS()
+			tt.OS() // the lookups' cached path
+			copyOf := func() *store.Table {
+				var c store.Table
+				c.AppendPairs(tt.Pairs())
+				c.Normalize()
+				return &c
+			}
+			cold := copyOf() // never probed by object: the uncached path
+			fresh := copyOf()
+			os := fresh.OS()
 			objectRun := func(marker uint64, propsOnly bool) []uint64 {
 				var out []uint64
-				lo, hi := cold.ObjectRun(marker)
+				lo, hi := fresh.ObjectRun(marker)
 				for i := lo; i < hi; i++ {
 					if s := os[2*i+1]; !propsOnly || dictionary.IsProperty(s) {
 						out = append(out, s)
@@ -86,34 +92,33 @@ func TestMarkerLookupsMatchObjectRun(t *testing.T) {
 				return out
 			}
 			found := 0
-			for _, cached := range []bool{false, true} {
-				if cached {
-					tt.OS()
-				} else {
-					tt.DropOSCache()
-				}
+			for _, tab := range []*store.Table{cold, tt} {
+				cached := tab == tt
 				for _, m := range markers {
 					id, ok := e.Dict.Lookup(m)
 					if !ok {
 						t.Fatalf("%s: marker %s not in the dictionary", label, m)
 					}
 					want := objectRun(id, false)
-					if got := rules.MarkerSubjects(tt, id); !slices.Equal(got, want) {
+					if got := rules.MarkerSubjects(tab, id); !slices.Equal(got, want) {
 						t.Errorf("%s cached=%t: subjects typed %s: %v, ObjectRun %v", label, cached, m, got, want)
 					}
 					var got []uint64
-					for _, pidx := range rules.MarkedProperties(tt, id) {
+					for _, pidx := range rules.MarkedProperties(tab, id) {
 						got = append(got, dictionary.PropID(pidx))
 					}
 					want = objectRun(id, true)
 					if !slices.Equal(got, want) {
-						t.Errorf("%s: properties typed %s: %v, ObjectRun %v", label, m, got, want)
+						t.Errorf("%s cached=%t: properties typed %s: %v, ObjectRun %v", label, cached, m, got, want)
 					}
 					found += len(want)
 				}
 			}
 			if found == 0 {
 				t.Errorf("%s: no property carries a marker; the check checked nothing", label)
+			}
+			if _, ok := cold.CachedOS(); ok {
+				t.Errorf("%s: a marker lookup built an ⟨o,s⟩ list", label)
 			}
 		}
 	}

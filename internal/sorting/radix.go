@@ -136,65 +136,3 @@ func msdRadixPairs(pairs []uint64, lo, hi, level int) {
 		level++
 	}
 }
-
-// LSDRadixPairs sorts a flat pair list by the full 128-bit ⟨s,o⟩ key with
-// a least-significant-digit radix sort. Unlike MSDA it always examines
-// every varying byte of every key, making it insensitive to entropy —
-// it stands in for the "Radix128" generic baseline of Table 1 (the
-// paper's Radix128 is SIMD-accelerated; see DESIGN.md §3).
-func LSDRadixPairs(pairs []uint64) {
-	n := len(pairs)
-	if n <= 2 {
-		return
-	}
-	aux := make([]uint64, n)
-	src, dst := pairs, aux
-	swapped := false
-
-	var allS, anyS, allO, anyO uint64
-	allS, allO = ^uint64(0), ^uint64(0)
-	for i := 0; i < n; i += 2 {
-		allS &= src[i]
-		anyS |= src[i]
-		allO &= src[i+1]
-		anyO |= src[i+1]
-	}
-	varyS := allS ^ anyS
-	varyO := allO ^ anyO
-
-	// Object word first (least significant), then subject word; the sort
-	// is stable so earlier passes are preserved.
-	for pass := 0; pass < 16; pass++ {
-		word, shift := 1, uint(pass)*8
-		vary := varyO
-		if pass >= 8 {
-			word, shift = 0, uint(pass-8)*8
-			vary = varyS
-		}
-		if (vary>>shift)&0xFF == 0 {
-			continue
-		}
-		var counts [256]int
-		for i := 0; i < n; i += 2 {
-			counts[(src[i+word]>>shift)&0xFF]++
-		}
-		sum := 0
-		for b := 0; b < 256; b++ {
-			c := counts[b]
-			counts[b] = sum
-			sum += c
-		}
-		for i := 0; i < n; i += 2 {
-			b := (src[i+word] >> shift) & 0xFF
-			j := 2 * counts[b]
-			dst[j] = src[i]
-			dst[j+1] = src[i+1]
-			counts[b]++
-		}
-		src, dst = dst, src
-		swapped = !swapped
-	}
-	if swapped {
-		copy(pairs, src)
-	}
-}

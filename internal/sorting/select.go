@@ -19,66 +19,11 @@ func SortPairs(pairs []uint64, dedup bool) []uint64 {
 		return pairs
 	}
 	min, max := SubjectRange(pairs)
-	width := max - min + 1
-	if width <= uint64(n) && width <= maxCountingWidth {
+	// The width is span+1; comparing the span keeps a list whose
+	// subjects cover all of uint64 from wrapping the width to 0.
+	span := max - min
+	if span < uint64(n) && span < maxCountingWidth {
 		return countingSortPairsRange(pairs, min, max, dedup)
 	}
 	return RadixSortPairsMSDA(pairs, dedup)
-}
-
-// Algorithm identifies one of the pair-sorting algorithms benchmarked in
-// Table 1.
-type Algorithm int
-
-// The sorting algorithms of Table 1. Counting and MSDARadix are the
-// paper's contributions; the rest are the generic baselines.
-const (
-	Counting Algorithm = iota
-	MSDARadix
-	LSDRadix128
-	Merge128
-	Mergesort
-	Quicksort
-)
-
-// String returns the Table 1 row label for the algorithm.
-func (a Algorithm) String() string {
-	switch a {
-	case Counting:
-		return "Counting"
-	case MSDARadix:
-		return "MSDA Radix"
-	case LSDRadix128:
-		return "Radix128"
-	case Merge128:
-		return "Merge128"
-	case Mergesort:
-		return "Mergesort"
-	case Quicksort:
-		return "Quicksort"
-	}
-	return "unknown"
-}
-
-// SortPairsWith runs one specific algorithm (for benchmarks and tests).
-// Only Counting and MSDARadix support in-pass dedup; for the generic
-// baselines dedup is applied as a separate linear pass, mirroring how a
-// system built on a generic sort would have to do it.
-func SortPairsWith(a Algorithm, pairs []uint64, dedup bool) []uint64 {
-	switch a {
-	case Counting:
-		return CountingSortPairs(pairs, dedup)
-	case MSDARadix:
-		return RadixSortPairsMSDA(pairs, dedup)
-	case LSDRadix128:
-		LSDRadixPairs(pairs)
-	case Merge128, Mergesort:
-		MergesortPairs(pairs)
-	case Quicksort:
-		QuicksortPairs(pairs)
-	}
-	if dedup {
-		return DedupSortedPairs(pairs)
-	}
-	return pairs
 }

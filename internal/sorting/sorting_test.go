@@ -1,9 +1,10 @@
 package sorting
 
 import (
+	"cmp"
 	"math/rand"
 	"reflect"
-	"sort"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -12,8 +13,20 @@ import (
 // removes duplicates — the reference all custom sorts are checked
 // against.
 func sortOracle(pairs []uint64, dedup bool) []uint64 {
-	out := append([]uint64(nil), pairs...)
-	sort.Sort(pairSorter(out))
+	ps := make([][2]uint64, len(pairs)/2)
+	for i := range ps {
+		ps[i] = [2]uint64{pairs[2*i], pairs[2*i+1]}
+	}
+	slices.SortFunc(ps, func(a, b [2]uint64) int {
+		if c := cmp.Compare(a[0], b[0]); c != 0 {
+			return c
+		}
+		return cmp.Compare(a[1], b[1])
+	})
+	out := clonePairs(pairs)
+	for i, p := range ps {
+		out[2*i], out[2*i+1] = p[0], p[1]
+	}
 	if dedup {
 		out = DedupSortedPairs(out)
 	}
@@ -33,10 +46,20 @@ func genPairs(rng *rand.Rand, n int, base, rangeN uint64) []uint64 {
 	return pairs
 }
 
-func allAlgorithms() []Algorithm {
-	return []Algorithm{Counting, MSDARadix, LSDRadix128, Merge128, Mergesort, Quicksort}
+// namedSort is one of the package's sorts under test.
+type namedSort struct {
+	name string
+	sort func(pairs []uint64, dedup bool) []uint64
 }
 
+var (
+	counting = namedSort{"Counting", CountingSortPairs}
+	msda     = namedSort{"MSDA Radix", RadixSortPairsMSDA}
+	selector = namedSort{"selector", SortPairs}
+)
+
+// The generic sorts of Table 1 are checked over the same shapes, by the
+// same oracle, in cmd/benchtables/internal/standin.
 func TestSortPairsAllAlgorithmsAgainstOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	shapes := []struct {
@@ -57,39 +80,35 @@ func TestSortPairsAllAlgorithmsAgainstOracle(t *testing.T) {
 		pairs := genPairs(rng, sh.n, sh.base, sh.rangeN)
 		for _, dedup := range []bool{false, true} {
 			want := sortOracle(pairs, dedup)
-			for _, alg := range allAlgorithms() {
-				if alg == Counting && sh.rangeN > 1<<27 {
+			for _, alg := range []namedSort{counting, msda, selector} {
+				if alg.name == counting.name && sh.rangeN > 1<<27 {
 					continue // counting is not meant for huge ranges
 				}
-				got := SortPairsWith(alg, clonePairs(pairs), dedup)
+				got := alg.sort(clonePairs(pairs), dedup)
 				if !reflect.DeepEqual(got, want) {
-					t.Errorf("%s/%s dedup=%v: mismatch (n=%d)", sh.name, alg, dedup, sh.n)
+					t.Errorf("%s/%s dedup=%v: mismatch (n=%d)", sh.name, alg.name, dedup, sh.n)
 				}
-			}
-			got := SortPairs(clonePairs(pairs), dedup)
-			if !reflect.DeepEqual(got, want) {
-				t.Errorf("%s/selector dedup=%v: mismatch", sh.name, dedup)
 			}
 		}
 	}
 }
 
 // TestSortPairsQuick is the property-based check: arbitrary uint64 pairs
-// (any entropy), every algorithm must agree with the oracle.
+// (any entropy), MSDA and the selector must agree with the oracle.
+// TestCountingSortQuick bounds the subject range for the counting sort.
 func TestSortPairsQuick(t *testing.T) {
 	cfg := &quick.Config{MaxCount: 300}
-	for _, alg := range []Algorithm{MSDARadix, LSDRadix128, Mergesort, Quicksort} {
-		alg := alg
+	for _, alg := range []namedSort{msda, selector} {
 		f := func(raw []uint64, dedup bool) bool {
 			if len(raw)%2 == 1 {
 				raw = raw[:len(raw)-1]
 			}
 			want := sortOracle(raw, dedup)
-			got := SortPairsWith(alg, clonePairs(raw), dedup)
+			got := alg.sort(clonePairs(raw), dedup)
 			return reflect.DeepEqual(got, want)
 		}
 		if err := quick.Check(f, cfg); err != nil {
-			t.Errorf("%s: %v", alg, err)
+			t.Errorf("%s: %v", alg.name, err)
 		}
 	}
 }
@@ -225,16 +244,6 @@ func TestMSDARadixAdaptiveSkipCorrectness(t *testing.T) {
 	}
 }
 
-func TestPairLess(t *testing.T) {
-	p := []uint64{1, 2, 1, 3, 2, 0}
-	if !PairLess(p, 0, 1) || PairLess(p, 1, 0) {
-		t.Error("object tiebreak wrong")
-	}
-	if !PairLess(p, 1, 2) {
-		t.Error("subject order wrong")
-	}
-}
-
 func TestStability64BitBoundaries(t *testing.T) {
 	pairs := []uint64{
 		^uint64(0), 0,
@@ -243,11 +252,11 @@ func TestStability64BitBoundaries(t *testing.T) {
 		0, 0,
 		1 << 63, 1 << 31,
 	}
-	for _, alg := range []Algorithm{MSDARadix, LSDRadix128, Mergesort, Quicksort} {
-		got := SortPairsWith(alg, clonePairs(pairs), false)
+	for _, alg := range []namedSort{msda, selector} {
+		got := alg.sort(clonePairs(pairs), false)
 		want := sortOracle(pairs, false)
 		if !reflect.DeepEqual(got, want) {
-			t.Errorf("%s: extreme values mis-sorted", alg)
+			t.Errorf("%s: extreme values mis-sorted", alg.name)
 		}
 	}
 }

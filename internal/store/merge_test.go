@@ -185,43 +185,39 @@ func TestMergeRoundSplicePathNotAliased(t *testing.T) {
 	}
 }
 
-// TestDropOSCacheConcurrentWithReaders hammers DropOSCache against
-// concurrent OS()/ObjectRun readers; it fails under -race when the drop
-// writes the cache fields without taking osMu (the concurrent-server
-// race).
-func TestDropOSCacheConcurrentWithReaders(t *testing.T) {
-	tab := &Table{}
-	for i := uint64(0); i < 256; i++ {
-		tab.Append(i, 1000-i)
-	}
-	tab.Normalize()
-
-	const iters = 500
-	var wg sync.WaitGroup
-	for r := 0; r < 4; r++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < iters; i++ {
-				os := tab.OS()
-				if len(os) != 512 {
-					t.Errorf("OS length %d, want 512", len(os))
-					return
-				}
-				lo, hi := tab.ObjectRun(1000)
-				if hi-lo != 1 {
-					t.Errorf("ObjectRun(1000) = [%d,%d), want one pair", lo, hi)
-					return
-				}
-			}
-		}()
-	}
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for i := 0; i < iters; i++ {
-			tab.DropOSCache()
+// TestOSFirstBuildConcurrentWithReaders races OS()/ObjectRun readers
+// on the lazy first build of a fresh table's ⟨o,s⟩ cache, the one place
+// concurrent readers write the cache; it fails under -race if the build
+// writes the cache fields outside osMu, and otherwise if a reader sees a
+// partial list.
+func TestOSFirstBuildConcurrentWithReaders(t *testing.T) {
+	const iters, readers = 200, 4
+	for i := 0; i < iters; i++ {
+		tab := &Table{}
+		for s := uint64(0); s < 256; s++ {
+			tab.Append(s, 1000-s)
 		}
-	}()
-	wg.Wait()
+		tab.Normalize()
+		var wg sync.WaitGroup
+		for r := 0; r < readers; r++ {
+			wg.Add(1)
+			go func(byRun bool) {
+				defer wg.Done()
+				if byRun {
+					if lo, hi := tab.ObjectRun(1000); hi-lo != 1 {
+						t.Errorf("ObjectRun(1000) = [%d,%d), want one pair", lo, hi)
+					}
+					return
+				}
+				os := tab.OS()
+				if len(os) != 512 || os[0] != 745 || os[1] != 255 {
+					t.Errorf("OS = %d words starting %v, want 512 starting [745 255]", len(os), os[:min(2, len(os))])
+				}
+			}(r%2 == 1)
+		}
+		wg.Wait()
+		if t.Failed() {
+			return
+		}
+	}
 }

@@ -98,7 +98,7 @@ func runSpliceScript(t testing.TB, script []byte) {
 			sc.tab.OS()
 			sc.check(label, sc.tab.Version(), false, true)
 		case 6:
-			sc.tab.DropOSCache()
+			sc.tab.settleOS(nil)
 			sc.check(label, sc.tab.Version(), false, false)
 		case 7: // the boundaries: before index 0, after the last pair
 			edge := []uint64{0, 0, scriptSubjects + 1, uint64(step)}

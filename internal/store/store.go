@@ -365,13 +365,6 @@ func (t *Table) settleOS(patch func(os []uint64) []uint64) {
 	}
 }
 
-// DropOSCache releases the ⟨o,s⟩ cache (the paper clears it under memory
-// pressure; benchmarks use it for the cache ablation). It is safe to
-// call concurrently with OS()/ObjectRun readers.
-func (t *Table) DropOSCache() {
-	t.settleOS(nil)
-}
-
 // SubjectRun returns the half-open pair-index range [lo, hi) of pairs
 // whose subject equals s. The table must be normalized.
 func (t *Table) SubjectRun(s uint64) (lo, hi int) {

@@ -375,18 +375,6 @@ func TestRewriteTerms(t *testing.T) {
 	}
 }
 
-func TestDropOSCache(t *testing.T) {
-	var tab Table
-	tab.AppendPairs([]uint64{1, 2, 3, 4})
-	tab.Normalize()
-	_ = tab.OS()
-	tab.DropOSCache()
-	os := tab.OS() // must rebuild, not panic
-	if len(os) != 4 {
-		t.Fatal("OS rebuild after drop failed")
-	}
-}
-
 // Stats are exact on subjects, upgrade objects to exact once the OS
 // cache exists, and invalidate when the table changes.
 func TestTableStats(t *testing.T) {
