@@ -92,8 +92,9 @@ func TestGenTablePairsDenseWindow(t *testing.T) {
 }
 
 func TestThroughputSmoke(t *testing.T) {
-	if mps := throughput(func(p []uint64) { sorting.CountingSortPairs(p, false) }, 10_000, 1_000); mps <= 0 {
-		t.Fatalf("throughput %f", mps)
+	r := throughput(func(p []uint64) { sorting.CountingSortPairs(p, false) }, 10_000, 1_000)
+	if r.min <= 0 || r.min > r.median || r.median > r.max {
+		t.Fatalf("throughput %+v", r)
 	}
 }
 

@@ -3,6 +3,7 @@ package main
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"time"
 
 	"inferray/cmd/benchtables/internal/standin"
@@ -33,12 +34,13 @@ var (
 // table1 reproduces Table 1: sorting throughput (million pairs/second)
 // of the counting sort and MSDA radix across (range × size) cells, plus
 // the generic baselines. Values are generated around the dense-numbering
-// base (2³²) like real property tables.
+// base (2³²) like real property tables. Each cell prints the median of
+// tableRuns runs and, in parentheses, their min–max range.
 func table1(cfg scaleCfg) {
 	fmt.Println("== Table 1: pair-sorting throughput (million pairs/second) ==")
 	fmt.Printf("%-12s %-12s", "Range", "Algorithm")
 	for _, n := range cfg.sortSizes {
-		fmt.Printf(" %10s", kfmt(n))
+		fmt.Printf(" %18s", kfmt(n))
 	}
 	fmt.Println()
 
@@ -46,7 +48,7 @@ func table1(cfg scaleCfg) {
 		for _, row := range paperSorts {
 			fmt.Printf("%-12s %-12s", kfmt(rng), row.label)
 			for _, n := range cfg.sortSizes {
-				fmt.Printf(" %10.1f", throughput(row.sort, n, rng))
+				fmt.Printf(" %18s", throughput(row.sort, n, rng))
 			}
 			fmt.Println()
 		}
@@ -55,27 +57,37 @@ func table1(cfg scaleCfg) {
 	for _, row := range genericSorts {
 		fmt.Printf("%-12s %-12s", "-", row.label)
 		for _, n := range cfg.sortSizes {
-			fmt.Printf(" %10.1f", throughput(row.sort, n, 1<<40))
+			fmt.Printf(" %18s", throughput(row.sort, n, 1<<40))
 		}
 		fmt.Println()
 	}
 	fmt.Println()
 }
 
-// throughput sorts three freshly generated lists and returns Mpairs/s
-// of the fastest run (best of three).
-func throughput(sortFn func([]uint64), n, valueRange int) float64 {
-	var best time.Duration
-	for run := 0; run < 3; run++ {
+// tableRuns is how many freshly generated lists each Table 1 cell sorts:
+// odd, so the median is one of the runs.
+const tableRuns = 5
+
+// rate is one Table 1 cell: the median and the extremes of its runs'
+// throughputs, in million pairs/second.
+type rate struct{ median, min, max float64 }
+
+func (r rate) String() string {
+	return fmt.Sprintf("%.1f (%.1f–%.1f)", r.median, r.min, r.max)
+}
+
+// throughput sorts tableRuns freshly generated lists and returns the
+// spread of their Mpairs/s.
+func throughput(sortFn func([]uint64), n, valueRange int) rate {
+	mps := make([]float64, tableRuns)
+	for run := range mps {
 		pairs := genTablePairs(n, valueRange, int64(run))
 		start := time.Now()
 		sortFn(pairs)
-		d := time.Since(start)
-		if run == 0 || d < best {
-			best = d
-		}
+		mps[run] = float64(n) / time.Since(start).Seconds() / 1e6
 	}
-	return float64(n) / best.Seconds() / 1e6
+	slices.Sort(mps)
+	return rate{median: mps[tableRuns/2], min: mps[0], max: mps[tableRuns-1]}
 }
 
 // genTablePairs mimics a property table under dense numbering: values

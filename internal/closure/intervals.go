@@ -49,50 +49,6 @@ func (s *IntervalSet) Contains(x int32) bool {
 	return lo < len(s.iv)/2 && s.iv[2*lo] <= x
 }
 
-// Add inserts x, extending or merging neighbouring intervals as needed.
-func (s *IntervalSet) Add(x int32) {
-	n := len(s.iv) / 2
-	// Locate the first interval whose hi >= x-1: the only interval x can
-	// fall into or extend upward (every earlier interval ends below x-1,
-	// so it cannot even be adjacent).
-	lo, hi := 0, n
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if int(s.iv[2*mid+1]) < int(x)-1 {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	i := lo
-	if i < n {
-		l, h := s.iv[2*i], s.iv[2*i+1]
-		if l <= x && x <= h {
-			return // already present
-		}
-		if int(h) == int(x)-1 {
-			// Extend interval i upward; it may now touch interval i+1.
-			s.iv[2*i+1] = x
-			if i+1 < n && s.iv[2*(i+1)] == x+1 {
-				s.iv[2*i+1] = s.iv[2*(i+1)+1]
-				s.iv = append(s.iv[:2*i+2], s.iv[2*i+4:]...)
-			}
-			return
-		}
-		if l == x+1 {
-			// Extend interval i downward. The predecessor cannot be
-			// adjacent (its hi < x-1 by the search invariant).
-			s.iv[2*i] = x
-			return
-		}
-	}
-	// Insert a fresh [x,x] interval at position i.
-	s.iv = append(s.iv, 0, 0)
-	copy(s.iv[2*i+2:], s.iv[2*i:])
-	s.iv[2*i] = x
-	s.iv[2*i+1] = x
-}
-
 // AddRange inserts the inclusive range [lo, hi].
 func (s *IntervalSet) AddRange(lo, hi int32) {
 	if lo > hi {

@@ -28,13 +28,13 @@ func TestIntervalSetAddBasics(t *testing.T) {
 	if !s.Empty() || s.Cardinality() != 0 {
 		t.Fatal("zero value must be empty")
 	}
-	s.Add(5)
-	s.Add(7)
-	s.Add(6) // merges [5,5] and [7,7] into [5,7]
+	s.AddRange(5, 5)
+	s.AddRange(7, 7)
+	s.AddRange(6, 6) // merges [5,5] and [7,7] into [5,7]
 	if s.Intervals() != 1 || s.Cardinality() != 3 {
 		t.Fatalf("coalescing failed: %d intervals, card %d", s.Intervals(), s.Cardinality())
 	}
-	s.Add(5) // duplicate
+	s.AddRange(5, 5) // duplicate
 	if s.Cardinality() != 3 {
 		t.Fatal("duplicate add changed the set")
 	}
@@ -52,7 +52,7 @@ func TestIntervalSetAddQuick(t *testing.T) {
 			if x < 0 {
 				x = -x
 			}
-			s.Add(x)
+			s.AddRange(x, x)
 			oracle[x] = true
 		}
 		return oracle.equal(&s) && intervalsWellFormed(&s)
@@ -71,7 +71,7 @@ func TestIntervalSetUnionQuick(t *testing.T) {
 			if x < 0 {
 				x = -x
 			}
-			sa.Add(x)
+			sa.AddRange(x, x)
 			oracle[x] = true
 		}
 		for _, v := range b {
@@ -79,7 +79,7 @@ func TestIntervalSetUnionQuick(t *testing.T) {
 			if x < 0 {
 				x = -x
 			}
-			sb.Add(x)
+			sb.AddRange(x, x)
 			oracle[x] = true
 		}
 		sa.UnionWith(&sb)
@@ -116,7 +116,7 @@ func TestIntervalSetAddRange(t *testing.T) {
 	if s.Intervals() != 2 {
 		t.Fatalf("intervals %d, want 2", s.Intervals())
 	}
-	s.Add(26) // bridges the gap
+	s.AddRange(26, 26) // bridges the gap
 	if s.Intervals() != 1 || s.Cardinality() != 21 {
 		t.Fatalf("bridge failed: %d intervals, card %d", s.Intervals(), s.Cardinality())
 	}
@@ -130,7 +130,7 @@ func TestIntervalSetClone(t *testing.T) {
 	var s IntervalSet
 	s.AddRange(1, 5)
 	c := s.Clone()
-	c.Add(100)
+	c.AddRange(100, 100)
 	if s.Contains(100) {
 		t.Fatal("clone aliases original")
 	}

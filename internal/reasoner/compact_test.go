@@ -255,7 +255,7 @@ func yagoClosed(tb testing.TB) (*Engine, *store.Store) {
 func TestCompactTypeTableAllocations(t *testing.T) {
 	e, delta := yagoClosed(t)
 	version := e.Main.Table(e.V.Type).Version()
-	allocs := testing.AllocsPerRun(10, func() { e.compactTypeTable(delta) })
+	allocs := testing.AllocsPerRun(10, func() { e.compactTypeTable(delta, false) })
 	if allocs > 2 {
 		t.Errorf("a one-subject compaction allocates %.0f objects", allocs)
 	}
@@ -267,16 +267,14 @@ func TestCompactTypeTableAllocations(t *testing.T) {
 func BenchmarkCompactTypeTable(b *testing.B) {
 	e, delta := yagoClosed(b)
 	b.Run("full", func(b *testing.B) {
-		e.hierClassChanged = true // as in a round that moved the hierarchy
 		for i := 0; i < b.N; i++ {
-			e.compactTypeTable(store.New(0))
+			e.compactTypeTable(store.New(0), true) // as in a round that moved the hierarchy
 		}
-		e.hierClassChanged = false
 	})
 	b.Run("one-subject", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			e.compactTypeTable(delta)
+			e.compactTypeTable(delta, false)
 		}
 	})
 }

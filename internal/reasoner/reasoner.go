@@ -63,8 +63,11 @@ type Options struct {
 // time went: selecting and firing the rules, store.MergeRound, and
 // maintenance after the merge — re-closing the θ tables the round
 // touched, then keeping the hierarchy encoding current (index rebuild,
-// guards, type compaction). The first round of an incremental run also
-// carries the merge of the staged batch that seeded it.
+// guards, type compaction, a guard trip's expansion). The first round of
+// an incremental run also carries the merge and maintenance of the staged
+// batch that seeded it. The times are disjoint, an expansion nested in a
+// maintenance counted once, so their sum over Stats.Rounds is at most
+// Stats.LoopTime.
 type RoundStats struct {
 	RulesFired   int // rules whose read footprint met the round's delta
 	RulesSkipped int // rules the scheduler skipped
@@ -150,19 +153,12 @@ type Engine struct {
 
 	// hier is the hierarchy interval index when the encoding is active;
 	// nil when the option is off, before the first Materialize, or after
-	// a guard-forced bypass. hierBypassed is sticky: once the loaded data
-	// trips a meta-vocabulary guard the engine stays on full
-	// materialization. The two changed flags carry "the previous round's
-	// delta holds raw hierarchy edges" into the next rule pass.
-	hier             *hierarchy.Index
-	hierBypassed     bool
-	hierClassChanged bool
-	hierPropChanged  bool
-	typeRuns         hierarchy.RunScratch // compactTypeTable's working memory
-
-	// mergeTime / maintainTime accumulate inside mergeRound; fixpoint
-	// drains them into the round it is closing.
-	mergeTime, maintainTime time.Duration
+	// a guard-forced bypass. The bypass is sticky: maintainHier rebuilds
+	// only a standing index, and only the first Materialize and
+	// RestoreState build one from nothing, so once a guard trips or a
+	// schema edge is retracted the engine stays on full materialization.
+	hier     *hierarchy.Index
+	typeRuns hierarchy.RunScratch // compactTypeTable's working memory
 
 	// The per-rule instruments, aligned with rules by index; nil when
 	// Options.Metrics is nil. mFired / mSkipped count scheduling
@@ -205,7 +201,6 @@ func (e *Engine) Fragment() rules.Fragment { return e.opts.Fragment }
 func (e *Engine) Materialize() Stats {
 	start := time.Now()
 	st := Stats{Incremental: e.materialized}
-	e.mergeTime, e.maintainTime = 0, 0
 	prevTotal := 0
 	if e.materialized {
 		prevTotal = e.Size()
@@ -258,11 +253,10 @@ func (e *Engine) materializeFull(st *Stats) {
 	// forces a bypass. Nothing is compacted here: every pair of Main is
 	// input at this point, and an asserted pair stays.
 	closureStart := time.Now()
-	if e.opts.HierarchyEncoding && !e.hierBypassed {
+	if e.opts.HierarchyEncoding {
 		e.buildHier()
 		if !e.hierGuardsOK(e.Main) {
 			e.hier = nil
-			e.hierBypassed = true
 		}
 	}
 	e.closeTheta(e.Main)
@@ -285,10 +279,13 @@ func (e *Engine) materializeIncremental(st *Stats) {
 		return
 	}
 	loopStart := time.Now()
-	delta := e.mergeRound(true, staged)
+	delta, merge, maintain := e.mergeRound(true, staged)
 	st.InputTriples = delta.Size()
 	if st.InputTriples > 0 {
 		e.fixpoint(delta, st)
+		// The seeding merge is round 1's (RoundStats).
+		st.Rounds[0].MergeTime += merge
+		st.Rounds[0].MaintainTime += maintain
 	}
 	st.LoopTime = time.Since(loopStart)
 }
@@ -305,7 +302,8 @@ func (e *Engine) fixpoint(delta *store.Store, st *Stats) {
 		for _, out := range outs {
 			emitted += out.Size()
 		}
-		delta = e.mergeRound(false, outs...)
+		var merge, maintain time.Duration
+		delta, merge, maintain = e.mergeRound(false, outs...)
 		skipped := len(e.rules) - fired
 		st.Iterations++
 		st.RulesFired += fired
@@ -316,10 +314,9 @@ func (e *Engine) fixpoint(delta *store.Store, st *Stats) {
 			Emitted:      emitted,
 			NewTriples:   delta.Size(),
 			RulesTime:    rulesTime,
-			MergeTime:    e.mergeTime,
-			MaintainTime: e.maintainTime,
+			MergeTime:    merge,
+			MaintainTime: maintain,
 		})
-		e.mergeTime, e.maintainTime = 0, 0
 		if delta.Size() == 0 {
 			break
 		}
@@ -333,17 +330,17 @@ func (e *Engine) fixpoint(delta *store.Store, st *Stats) {
 // delta is the round: its non-empty tables are what changed, the θ
 // closures' fresh pairs included, and the next rule selection reads
 // nothing else. asserted is true for the one round whose outputs are
-// input: the staged batch.
-func (e *Engine) mergeRound(asserted bool, outs ...*store.Store) *store.Store {
+// input: the staged batch. It also returns how long the merge and the
+// maintenance after it took; an encoding expansion the maintenance runs
+// is a nested mergeRound whose times are inside maintain.
+func (e *Engine) mergeRound(asserted bool, outs ...*store.Store) (delta *store.Store, merge, maintain time.Duration) {
 	start := time.Now()
 	typeVersion := e.typeVersion()
-	delta := store.MergeRound(e.Main, e.opts.Parallel, asserted, outs...)
+	delta = store.MergeRound(e.Main, e.opts.Parallel, asserted, outs...)
 	merged := time.Now()
 	e.closeTheta(delta)
 	e.maintainHier(delta, typeVersion)
-	e.mergeTime += merged.Sub(start)
-	e.maintainTime += time.Since(merged)
-	return delta
+	return delta, merged.Sub(start), time.Since(merged)
 }
 
 // typeVersion returns the rdf:type table's version, the key of the
@@ -538,22 +535,21 @@ func (e *Engine) hierGuardsOK(st *store.Store) bool {
 // G3 walks every stored sameAs pair after one and only the delta's
 // otherwise (the invariant this relies on is at hierGuardsOK).
 func (e *Engine) maintainHier(delta *store.Store, typeVersion uint64) {
-	e.hierClassChanged, e.hierPropChanged = false, false
 	if e.hier == nil {
 		return
 	}
-	e.hierClassChanged = hasPairs(delta, e.V.SubClassOf)
-	e.hierPropChanged = hasPairs(delta, e.V.SubPropertyOf)
-	if e.hierClassChanged || e.hierPropChanged {
+	classChanged := hasPairs(delta, e.V.SubClassOf)
+	rebuilt := classChanged || hasPairs(delta, e.V.SubPropertyOf)
+	if rebuilt {
 		e.buildHier()
 	}
 	typeChanged := hasPairs(delta, e.V.Type)
-	recheck := e.hierClassChanged || e.hierPropChanged || typeChanged ||
+	recheck := rebuilt || typeChanged ||
 		hasPairs(delta, e.V.Domain) || hasPairs(delta, e.V.Range) ||
 		hasPairs(delta, e.V.SameAs) || hasPairs(delta, e.V.EquivProp) ||
 		hasPairs(delta, e.V.InverseOf)
 	sameAs := delta
-	if e.hierClassChanged || e.hierPropChanged {
+	if rebuilt {
 		sameAs = e.Main
 	}
 	if recheck && !e.hierGuardsOK(sameAs) {
@@ -568,8 +564,8 @@ func (e *Engine) maintainHier(delta *store.Store, typeVersion uint64) {
 		// A rebuilt index starts cold and ignores the call.
 		e.hier.CarryTypeStats(e.Main.Table(e.V.Type), typeVersion, delta.Table(e.V.Type).Pairs(), true)
 	}
-	if e.hierClassChanged || typeChanged {
-		e.compactTypeTable(delta)
+	if classChanged || typeChanged {
+		e.compactTypeTable(delta, classChanged)
 	}
 }
 
@@ -596,12 +592,12 @@ func (e *Engine) maintainHier(delta *store.Store, typeVersion uint64) {
 // The work is proportional to the round. No unmarked pair is shadowed
 // after a mergeRound, so while the class hierarchy stands still only a
 // subject the delta's type table names can have gained one: just those
-// runs are visited. The whole table is swept only for a round that
-// changed the class hierarchy, which can shadow pairs anywhere.
-func (e *Engine) compactTypeTable(delta *store.Store) {
+// runs are visited. The whole table is swept (full) only for a round
+// that changed the class hierarchy, which can shadow pairs anywhere.
+func (e *Engine) compactTypeTable(delta *store.Store, full bool) {
 	dt := delta.Table(e.V.Type)
 	touched := dt
-	if e.hierClassChanged {
+	if full {
 		touched = nil
 	}
 	unmarked, marked := e.shadowedTypePairs(touched)
@@ -727,8 +723,8 @@ func (e *Engine) expandEncoding() *store.Store {
 		})
 	}
 	e.hier = nil
-	e.hierBypassed = true
-	return e.mergeRound(false, exp)
+	delta, _, _ := e.mergeRound(false, exp)
+	return delta
 }
 
 // applyRules fires the scheduled rules of the fragment against (main,
@@ -796,11 +792,9 @@ func (e *Engine) runRules(runnable []int, delta *store.Store) []*store.Store {
 		outs[k] = store.New(slots)
 		e.rules[i].Apply(&rules.Context{
 			Main: e.Main, Delta: delta, Out: outs[k], V: e.V,
-			Hier:             e.hier,
-			HierClassChanged: e.hierClassChanged,
-			HierPropChanged:  e.hierPropChanged,
-			TermBase:         termBase,
-			Terms:            terms,
+			Hier:     e.hier,
+			TermBase: termBase,
+			Terms:    terms,
 		})
 		if e.mSeconds != nil {
 			e.mSeconds[i].Add(uint64(time.Since(start)))
@@ -845,9 +839,14 @@ func (e *Engine) RestoreState(d *dictionary.Dictionary, st *store.Store, encoded
 	}
 	e.materialized = true
 	e.staged = nil
+	// A fully materialized snapshot — its writer ran without the encoding,
+	// or had dropped it (a meta-vocabulary guard, a schema retraction) —
+	// leaves hier nil: the restored engine stays on full materialization
+	// too, the same sticky bypass, so it keeps the writer's stored tables.
+	// Indexing a closed store would leave subsumption-derived type triples
+	// stored where retraction expects them virtual, and would let the
+	// store generation drift from the writer's.
 	e.hier = nil
-	e.hierBypassed = false
-	e.hierClassChanged, e.hierPropChanged = false, false
 	if encoded {
 		e.buildHier()
 		if !e.opts.HierarchyEncoding || !e.hierGuardsOK(e.Main) {
@@ -855,15 +854,6 @@ func (e *Engine) RestoreState(d *dictionary.Dictionary, st *store.Store, encoded
 			// reduced closure into the store and drop the index.
 			e.expandEncoding()
 		}
-	} else {
-		// A fully materialized snapshot: its writer ran without the
-		// encoding, or had dropped it (a meta-vocabulary guard, a schema
-		// retraction). The restored engine stays on full materialization
-		// too — the same sticky bypass — so it keeps the writer's stored
-		// tables: indexing a closed store would leave subsumption-derived
-		// type triples stored where retraction expects them virtual, and
-		// would let the store generation drift from the writer's.
-		e.hierBypassed = true
 	}
 	return nil
 }

@@ -77,9 +77,8 @@ func (e *Engine) Retract(batch []rdf.Triple) (RetractStats, error) {
 	// An unmarked type pair the interval index still serves is compacted
 	// away like any shadowed derivation — out of the store and out of
 	// del: it stays visible, so nothing can depend on its removal.
-	e.hierClassChanged, e.hierPropChanged = false, false
 	if hasPairs(del, e.V.Type) {
-		e.compactTypeTable(del)
+		e.compactTypeTable(del, false)
 	}
 	if del.Size() == 0 {
 		st.TotalTriples = e.Size()
@@ -137,7 +136,8 @@ func (e *Engine) Retract(batch []rdf.Triple) (RetractStats, error) {
 	// and fold what it restores into the running delta.
 	writers := e.triggered(over, (*rules.Rule).Writes)
 	kept := e.possiblyNew(e.runRules(writers, e.Main), doomed, &st)
-	store.Union(delta, e.mergeRound(false, kept))
+	merged, _, _ := e.mergeRound(false, kept)
+	store.Union(delta, merged)
 
 	// Everything restored so far, θ tables closed again, flows through
 	// the ordinary incremental fixpoint.

@@ -24,7 +24,8 @@ func TestThetaClosesInRound(t *testing.T) {
 		e.LoadTriples(batch)
 		staged := e.staged
 		e.staged = nil
-		return e.mergeRound(true, staged)
+		delta, _, _ := e.mergeRound(true, staged)
+		return delta
 	}
 	expect := func(t *testing.T, e *Engine, delta *store.Store, want ...rdf.Triple) {
 		t.Helper()
@@ -76,7 +77,7 @@ func TestThetaClosesInRound(t *testing.T) {
 		// subjects pairwise along the object run, and the round's merge
 		// closes the links.
 		outs, _ := e.applyRules(stagedRound(e, tr("<mail>", typ, rdf.OWLInverseFunctionalProperty)))
-		delta := e.mergeRound(false, outs...)
+		delta, _, _ := e.mergeRound(false, outs...)
 		var want []rdf.Triple
 		for _, a := range []string{"<x1>", "<x2>", "<x3>"} {
 			for _, b := range []string{"<x1>", "<x2>", "<x3>"} {

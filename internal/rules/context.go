@@ -33,13 +33,6 @@ type Context struct {
 	// reasoner only sets it while its bypass guards hold, so every
 	// other rule may keep reading stored tables unchanged.
 	Hier *hierarchy.Index
-	// HierClassChanged / HierPropChanged report that the previous merge
-	// round changed the raw subClassOf / subPropertyOf edges — Hier was
-	// rebuilt, the virtual closure may have grown, and encoded rules
-	// must re-sweep their full main-store antecedents instead of only
-	// the delta.
-	HierClassChanged bool
-	HierPropChanged  bool
 
 	// Every ID in the stores lies in [TermBase, TermBase+Terms), the
 	// dictionary's IDRange, so a rule can keep per-term scratch as a
@@ -53,6 +46,14 @@ type Context struct {
 // main are the same store (Algorithm 1 line 3) and rules must join each
 // antecedent combination only once.
 func (c *Context) FirstPass() bool { return c.Delta == c.Main }
+
+// hierChanged reports whether an encoded rule must re-sweep all of Main,
+// not just the delta, against the hierarchy whose raw edges table edges
+// holds (subClassOf or subPropertyOf): on the first pass, and when the
+// delta holds such edges — the round that merged them rebuilt Hier.
+func (c *Context) hierChanged(edges int) bool {
+	return c.FirstPass() || c.deltaTable(edges) != nil
+}
 
 // mainTable returns the normalized main table at pidx, or nil when empty.
 func (c *Context) mainTable(pidx int) *store.Table {

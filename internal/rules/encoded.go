@@ -21,9 +21,9 @@ import (
 // every visible sub of p (down — the SCM-DOM2/SCM-RNG2 shape, expanding
 // along subPropertyOf). Semi-naive bookkeeping: normally only the delta
 // schema pairs are swept (the hierarchy is unchanged, so old pairs can
-// derive nothing new); when the hierarchy itself changed — or on the
-// first pass — the whole main schema table is re-swept against the
-// fresh intervals.
+// derive nothing new); when changed (Context.hierChanged: the first
+// pass, or a delta holding raw edges of rel's hierarchy) the whole main
+// schema table is re-swept against the fresh intervals.
 //
 // The up form skips a class c when another class m of p's run in the
 // main table lies strictly below it: c's supers are among m's, and m's
@@ -35,7 +35,7 @@ import (
 // doing").
 func encodedSchemaExpand(c *Context, schemaPidx int, rel *hierarchy.Relation, changed, up bool) {
 	var t *store.Table
-	if c.FirstPass() || changed {
+	if changed {
 		t = c.mainTable(schemaPidx)
 	} else {
 		t = c.deltaTable(schemaPidx)

@@ -61,7 +61,7 @@ func ruleCAXEQC2() Rule {
 func ruleSCMDOM1() Rule {
 	return Rule{Name: "SCM-DOM1", Apply: func(c *Context) {
 		if c.Hier != nil {
-			encodedSchemaExpand(c, c.V.Domain, c.Hier.Classes, c.HierClassChanged, true)
+			encodedSchemaExpand(c, c.V.Domain, c.Hier.Classes, c.hierChanged(c.V.SubClassOf), true)
 			return
 		}
 		out := c.Out.Ensure(c.V.Domain)
@@ -75,7 +75,7 @@ func ruleSCMDOM1() Rule {
 func ruleSCMDOM2() Rule {
 	return Rule{Name: "SCM-DOM2", Apply: func(c *Context) {
 		if c.Hier != nil {
-			encodedSchemaExpand(c, c.V.Domain, c.Hier.Props, c.HierPropChanged, false)
+			encodedSchemaExpand(c, c.V.Domain, c.Hier.Props, c.hierChanged(c.V.SubPropertyOf), false)
 			return
 		}
 		out := c.Out.Ensure(c.V.Domain)
@@ -89,7 +89,7 @@ func ruleSCMDOM2() Rule {
 func ruleSCMRNG1() Rule {
 	return Rule{Name: "SCM-RNG1", Apply: func(c *Context) {
 		if c.Hier != nil {
-			encodedSchemaExpand(c, c.V.Range, c.Hier.Classes, c.HierClassChanged, true)
+			encodedSchemaExpand(c, c.V.Range, c.Hier.Classes, c.hierChanged(c.V.SubClassOf), true)
 			return
 		}
 		out := c.Out.Ensure(c.V.Range)
@@ -103,7 +103,7 @@ func ruleSCMRNG1() Rule {
 func ruleSCMRNG2() Rule {
 	return Rule{Name: "SCM-RNG2", Apply: func(c *Context) {
 		if c.Hier != nil {
-			encodedSchemaExpand(c, c.V.Range, c.Hier.Props, c.HierPropChanged, false)
+			encodedSchemaExpand(c, c.V.Range, c.Hier.Props, c.hierChanged(c.V.SubPropertyOf), false)
 			return
 		}
 		out := c.Out.Ensure(c.V.Range)
@@ -126,11 +126,11 @@ func betaSymmetricPair(name string, prop func(*Vocab) int, head func(*Vocab) int
 			// cyclic strong component, so the head pairs are the ordered
 			// pairs (reflexive included — the body matches with both
 			// variables equal on a cyclic node) of each such component.
-			rel, changed := c.Hier.Classes, c.HierClassChanged
-			if prop(c.V) == c.V.SubPropertyOf {
-				rel, changed = c.Hier.Props, c.HierPropChanged
+			edges, rel := prop(c.V), c.Hier.Classes
+			if edges == c.V.SubPropertyOf {
+				rel = c.Hier.Props
 			}
-			if !c.FirstPass() && !changed {
+			if !c.hierChanged(edges) {
 				return
 			}
 			out := c.Out.Ensure(head(c.V))
@@ -259,7 +259,7 @@ func rulePRPSPO1() Rule {
 			// self-copy (a cyclic property's own block) is skipped like
 			// the stored form skips p1 == p2.
 			src := c.Delta
-			if c.FirstPass() || c.HierPropChanged {
+			if c.hierChanged(c.V.SubPropertyOf) {
 				src = c.Main
 			}
 			src.ForEachTable(func(pidx int, t *store.Table) bool {

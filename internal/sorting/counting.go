@@ -16,15 +16,20 @@ package sorting
 //  4. rebuild the pair list by walking the histogram copy, skipping
 //     duplicate objects if requested.
 //
-// Callers are expected to gate on the operating range (§5.4): the
-// histogram allocates max(subject)−min(subject)+1 slots. SortPairs does
-// this automatically.
+// The histogram has max(subject)−min(subject)+1 slots. A list whose
+// subjects span maxCountingWidth or more — the cap SortPairs applies —
+// goes to RadixSortPairsMSDA instead, so no caller can ask for an
+// unbounded histogram or wrap its width. SortPairs also applies the
+// operating range of §5.4 (size at least the span).
 func CountingSortPairs(pairs []uint64, dedup bool) []uint64 {
 	n := len(pairs)
 	if n <= 2 {
 		return pairs
 	}
 	min, max := SubjectRange(pairs)
+	if max-min >= maxCountingWidth {
+		return RadixSortPairsMSDA(pairs, dedup)
+	}
 	return countingSortPairsRange(pairs, min, max, dedup)
 }
 

@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"slices"
 	"testing"
 	"testing/quick"
@@ -81,9 +82,6 @@ func TestSortPairsAllAlgorithmsAgainstOracle(t *testing.T) {
 		for _, dedup := range []bool{false, true} {
 			want := sortOracle(pairs, dedup)
 			for _, alg := range []namedSort{counting, msda, selector} {
-				if alg.name == counting.name && sh.rangeN > 1<<27 {
-					continue // counting is not meant for huge ranges
-				}
 				got := alg.sort(clonePairs(pairs), dedup)
 				if !reflect.DeepEqual(got, want) {
 					t.Errorf("%s/%s dedup=%v: mismatch (n=%d)", sh.name, alg.name, dedup, sh.n)
@@ -257,6 +255,34 @@ func TestStability64BitBoundaries(t *testing.T) {
 		want := sortOracle(pairs, false)
 		if !reflect.DeepEqual(got, want) {
 			t.Errorf("%s: extreme values mis-sorted", alg.name)
+		}
+	}
+}
+
+// TestCountingSortGatesItsWidth: CountingSortPairs hands a list whose
+// subjects span maxCountingWidth or more to the MSDA radix instead of
+// allocating the histogram. A span of all of uint64 would wrap the width
+// to 0; a span of exactly the cap would allocate three arrays of 2^27
+// slots. Each must sort right without that allocation.
+func TestCountingSortGatesItsWidth(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		pairs []uint64
+	}{
+		{"full uint64 span", []uint64{^uint64(0), 3, 0, 1, 1 << 63, 2, ^uint64(0), 3, 0, 0}},
+		{"span at the cap", []uint64{7 + maxCountingWidth, 1, 7, 9, 7, 2, 7 + maxCountingWidth, 1}},
+	} {
+		for _, dedup := range []bool{false, true} {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			got := CountingSortPairs(clonePairs(tc.pairs), dedup)
+			runtime.ReadMemStats(&after)
+			if want := sortOracle(tc.pairs, dedup); !reflect.DeepEqual(got, want) {
+				t.Errorf("%s dedup=%v: got %v, want %v", tc.name, dedup, got, want)
+			}
+			if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= maxCountingWidth {
+				t.Errorf("%s dedup=%v: allocated %d bytes, a histogram's worth", tc.name, dedup, alloc)
+			}
 		}
 	}
 }

@@ -5,12 +5,11 @@ import (
 	"testing"
 )
 
-// FuzzParseSelect throws arbitrary byte streams at the query parser
-// (ParseSelect for the SELECT invariants, ParseQuery so ASK is covered
-// by the same corpus). The contract under fuzzing: never panic, never
-// hang, and on success uphold the structural invariants the evaluator
-// relies on — non-empty groups of 3-term patterns, positioned errors
-// on failure. The checked-in corpus seeds valid queries, every
+// FuzzParseSelect throws arbitrary byte streams at the query parser,
+// ParseQuery, SELECT and ASK alike. The contract under fuzzing: never
+// panic, never hang, and on success return a SELECT or an ASK that
+// upholds the structural invariants the evaluator relies on — non-empty
+// groups of 3-term patterns, positioned errors on failure. The checked-in corpus seeds valid queries, every
 // documented rejected construct, and pathological token streams.
 // FuzzParseUpdate throws arbitrary byte streams at the update parser.
 // The contract: never panic, never hang, positioned errors on failure,
@@ -159,67 +158,68 @@ func FuzzParseSelect(f *testing.F) {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, text string) {
-		for _, parse := range []func(string) (*Query, error){ParseSelect, ParseQuery} {
-			q, err := parse(text)
-			if err != nil {
-				if pe, ok := err.(*ParseError); ok {
-					if pe.Line < 1 || pe.Col < 1 {
-						t.Fatalf("non-positive error position %d:%d for %q", pe.Line, pe.Col, text)
-					}
-				}
-				continue
-			}
-			if len(q.Groups) == 0 {
-				t.Fatalf("accepted query with no groups: %q", text)
-			}
-			checkPatterns := func(pats [][3]string) {
-				for _, pat := range pats {
-					for _, term := range pat {
-						if term == "" {
-							t.Fatalf("empty term in %q", text)
-						}
-					}
+		q, err := ParseQuery(text)
+		if err != nil {
+			if pe, ok := err.(*ParseError); ok {
+				if pe.Line < 1 || pe.Col < 1 {
+					t.Fatalf("non-positive error position %d:%d for %q", pe.Line, pe.Col, text)
 				}
 			}
-			for _, g := range q.Groups {
-				if len(g.Patterns) == 0 && len(g.Optionals) == 0 &&
-					len(g.Binds) == 0 && len(g.Values) == 0 {
-					t.Fatalf("accepted empty basic graph pattern: %q", text)
-				}
-				checkPatterns(g.Patterns)
-				for _, o := range g.Optionals {
-					if len(o.Patterns) == 0 {
-						t.Fatalf("accepted empty OPTIONAL: %q", text)
-					}
-					checkPatterns(o.Patterns)
-				}
-				for _, b := range g.Binds {
-					if b.Var == "" || b.Expr == nil {
-						t.Fatalf("malformed BIND in %q", text)
-					}
-				}
-				for _, v := range g.Values {
-					if len(v.Vars) == 0 {
-						t.Fatalf("VALUES with no variables in %q", text)
-					}
-					for _, row := range v.Rows {
-						if len(row) != len(v.Vars) {
-							t.Fatalf("ragged VALUES row in %q", text)
-						}
+			return
+		}
+		if q.Form != FormSelect && q.Form != FormAsk {
+			t.Fatalf("accepted a query of form %d: %q", q.Form, text)
+		}
+		if len(q.Groups) == 0 {
+			t.Fatalf("accepted query with no groups: %q", text)
+		}
+		checkPatterns := func(pats [][3]string) {
+			for _, pat := range pats {
+				for _, term := range pat {
+					if term == "" {
+						t.Fatalf("empty term in %q", text)
 					}
 				}
 			}
-			for _, it := range q.Items {
-				if it.Name == "" {
-					t.Fatalf("projection item with no name in %q", text)
+		}
+		for _, g := range q.Groups {
+			if len(g.Patterns) == 0 && len(g.Optionals) == 0 &&
+				len(g.Binds) == 0 && len(g.Values) == 0 {
+				t.Fatalf("accepted empty basic graph pattern: %q", text)
+			}
+			checkPatterns(g.Patterns)
+			for _, o := range g.Optionals {
+				if len(o.Patterns) == 0 {
+					t.Fatalf("accepted empty OPTIONAL: %q", text)
 				}
-				if it.Agg != nil && it.Agg.Star && it.Agg.Func != AggCount {
-					t.Fatalf("star aggregate other than COUNT in %q", text)
+				checkPatterns(o.Patterns)
+			}
+			for _, b := range g.Binds {
+				if b.Var == "" || b.Expr == nil {
+					t.Fatalf("malformed BIND in %q", text)
 				}
 			}
-			if q.Limit < 0 || q.Offset < 0 {
-				t.Fatalf("negative limit/offset parsed from %q", text)
+			for _, v := range g.Values {
+				if len(v.Vars) == 0 {
+					t.Fatalf("VALUES with no variables in %q", text)
+				}
+				for _, row := range v.Rows {
+					if len(row) != len(v.Vars) {
+						t.Fatalf("ragged VALUES row in %q", text)
+					}
+				}
 			}
+		}
+		for _, it := range q.Items {
+			if it.Name == "" {
+				t.Fatalf("projection item with no name in %q", text)
+			}
+			if it.Agg != nil && it.Agg.Star && it.Agg.Func != AggCount {
+				t.Fatalf("star aggregate other than COUNT in %q", text)
+			}
+		}
+		if q.Limit < 0 || q.Offset < 0 {
+			t.Fatalf("negative limit/offset parsed from %q", text)
 		}
 	})
 }

@@ -319,19 +319,6 @@ func groupVars(g Group) map[string]bool {
 	return vars
 }
 
-// ParseSelect parses a SELECT query; an ASK query is an error (use
-// ParseQuery when both forms are acceptable).
-func ParseSelect(text string) (*Query, error) {
-	q, err := ParseQuery(text)
-	if err != nil {
-		return nil, err
-	}
-	if q.Form != FormSelect {
-		return nil, &ParseError{Msg: "expected a SELECT query (got ASK)", Line: 1, Col: 1, Token: "ASK"}
-	}
-	return q, nil
-}
-
 // aggNames maps the projection's aggregate keywords to their functions.
 var aggNames = map[string]AggFunc{
 	"COUNT": AggCount,

@@ -17,15 +17,15 @@ func mustParse(t *testing.T, text string) *Query {
 }
 
 func TestParseBasicSelect(t *testing.T) {
-	q, err := ParseSelect(`
+	q := mustParse(t, `
 PREFIX ex: <http://e/>
 SELECT ?who ?org WHERE {
   ?who ex:memberOf ?org .
   ?org a ex:Department .
 }
 LIMIT 10`)
-	if err != nil {
-		t.Fatal(err)
+	if q.Form != FormSelect {
+		t.Fatalf("form = %d, want SELECT", q.Form)
 	}
 	if !reflect.DeepEqual(q.Vars, []string{"who", "org"}) {
 		t.Fatalf("vars = %v", q.Vars)
@@ -43,9 +43,9 @@ LIMIT 10`)
 }
 
 func TestParseSelectStar(t *testing.T) {
-	q, err := ParseSelect(`SELECT * WHERE { ?s ?p ?o }`)
-	if err != nil {
-		t.Fatal(err)
+	q := mustParse(t, `SELECT * WHERE { ?s ?p ?o }`)
+	if q.Form != FormSelect {
+		t.Fatalf("form = %d, want SELECT", q.Form)
 	}
 	if len(q.Vars) != 0 {
 		t.Fatal("SELECT * must leave Vars empty")
@@ -77,10 +77,10 @@ SELECT ?x WHERE {
 }
 
 func TestParseCaseInsensitiveKeywords(t *testing.T) {
-	q, err := ParseSelect(`prefix ex: <http://e/>
+	q := mustParse(t, `prefix ex: <http://e/>
 select distinct ?x where { ?x a ex:T } order by desc(?x) limit 3 offset 2`)
-	if err != nil {
-		t.Fatal(err)
+	if q.Form != FormSelect {
+		t.Fatalf("form = %d, want SELECT", q.Form)
 	}
 	if q.Limit != 3 || q.Offset != 2 || !q.Distinct || len(q.Groups[0].Patterns) != 1 {
 		t.Fatalf("q = %+v", q)
@@ -109,9 +109,6 @@ func TestParseAsk(t *testing.T) {
 	q = mustParse(t, `ASK WHERE { <a> <p> ?x . FILTER(?x > 3) }`)
 	if q.Form != FormAsk || len(q.Groups[0].Filters) != 1 {
 		t.Fatalf("q = %+v", q)
-	}
-	if _, err := ParseSelect(`ASK { <a> <p> ?x }`); err == nil {
-		t.Fatal("ParseSelect accepted an ASK query")
 	}
 }
 

@@ -183,9 +183,12 @@ func refLookup(m map[string]string) func(string) (string, bool) {
 // refSelect evaluates a SELECT query naively over surface triples.
 func refSelect(t *testing.T, triples [][3]string, queryText string) []map[string]string {
 	t.Helper()
-	q, err := sparql.ParseSelect(queryText)
+	q, err := sparql.ParseQuery(queryText)
 	if err != nil {
 		t.Fatalf("ref parse %s: %v", queryText, err)
+	}
+	if q.Form != sparql.FormSelect {
+		t.Fatalf("ref parse %s: not a SELECT query", queryText)
 	}
 	var sols []map[string]string
 	for _, g := range q.Groups {
@@ -399,9 +402,12 @@ func refKey(vars []string, row map[string]string) string {
 // orderKeysOf re-parses the query for its ORDER BY keys.
 func orderKeysOf(t *testing.T, queryText string) []sparql.OrderKey {
 	t.Helper()
-	q, err := sparql.ParseSelect(queryText)
+	q, err := sparql.ParseQuery(queryText)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if q.Form != sparql.FormSelect {
+		t.Fatalf("%s: not a SELECT query", queryText)
 	}
 	return q.OrderBy
 }
