@@ -157,7 +157,7 @@ func run(ctx context.Context, args []string, stdin io.Reader, stdout, stderr io.
 		outFlag   = fs.String("out", "-", "output N-Triples file ('-' for stdout)")
 		format    = fs.String("format", "", "input format: nt | turtle (default: by file extension, nt otherwise)")
 		stats     = fs.Bool("stats", false, "print run statistics to stderr; per round, maintain= is θ closing plus hierarchy upkeep after the merge")
-		seq       = fs.Bool("sequential", false, "disable parallel rule execution")
+		seq       = fs.Bool("sequential", false, "fire rules, merge, normalize and intern on one goroutine (a long N-Triples input is still parsed on several)")
 		quiet     = fs.Bool("quiet", false, "suppress triple output (measure only)")
 		selectQ   = fs.String("select", "", "run a SPARQL SELECT or ASK query over the closure instead of dumping triples (dialect: docs/SPARQL.md)")
 		saveImage = fs.String("save-image", "", "write the materialized closure as a binary snapshot image")
@@ -330,7 +330,7 @@ func runServe(ctx context.Context, args []string, stdin io.Reader, stderr io.Wri
 		rulesFlag = fs.String("rules", "rdfs-default", "rule fragment: rhodf | rdfs-default | rdfs-full | rdfs-plus | rdfs-plus-full")
 		inFlag    = fs.String("in", "", "initial dataset to materialize before serving ('-' for stdin, empty to start with nothing)")
 		format    = fs.String("format", "", "input format: nt | turtle (default: by file extension, nt otherwise)")
-		seq       = fs.Bool("sequential", false, "disable parallel rule execution")
+		seq       = fs.Bool("sequential", false, "fire rules, merge, normalize and intern on one goroutine (a long N-Triples input is still parsed on several)")
 		loadImage = fs.String("load-image", "", "restore a snapshot image as the base closure (offline materialize, online serve)")
 
 		dataDir   = fs.String("data-dir", "", "enable durability: WAL + snapshot rotation + crash recovery under this directory")

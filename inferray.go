@@ -96,8 +96,10 @@ func WithFragment(f Fragment) Option {
 	return func(c *config) { c.engine.Fragment = f }
 }
 
-// WithParallelism enables or disables parallel rule execution and
-// merging (default enabled).
+// WithParallelism enables or disables parallel rule firing, merging,
+// normalizing and interning (default enabled). Parsing is not covered:
+// LoadNTriples parses a long document on up to GOMAXPROCS goroutines
+// either way.
 func WithParallelism(on bool) Option {
 	return func(c *config) { c.engine.Parallel = on }
 }
@@ -387,9 +389,10 @@ func (r *Reasoner) AddTriples(triples []Triple) error {
 }
 
 // LoadNTriples buffers every triple of an N-Triples document. The
-// document is parsed — in blocks, on several cores when it is long and
-// the reasoner runs parallel — and interned outside every lock; nothing
-// is staged unless the whole document parses.
+// document is parsed in blocks — on up to GOMAXPROCS cores when it is
+// long, whatever WithParallelism says — and interned outside every lock,
+// on several cores when the reasoner runs parallel; nothing is staged
+// unless the whole document parses.
 func (r *Reasoner) LoadNTriples(src io.Reader) error {
 	return r.load(func(emit func([]Triple) error) error {
 		return rdf.ReadNTriplesSlabs(src, emit)

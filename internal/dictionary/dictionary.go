@@ -377,13 +377,6 @@ func (d *Dictionary) PromoteToPropertyHashed(term string, h uint64) (id, oldID u
 	return idOf(d.index[i]), idOf(e), true
 }
 
-// ReserveTombstone appends an empty, non-decodable resource slot,
-// keeping the resource numbering dense — the slot PromoteToProperty
-// leaves behind, without a term to promote.
-func (d *Dictionary) ReserveTombstone() {
-	d.res = append(d.res, 0)
-}
-
 // Lookup returns the ID of a term if it has been registered.
 func (d *Dictionary) Lookup(term string) (uint64, bool) {
 	return d.LookupHashed(term, Hash(term))

@@ -147,7 +147,9 @@ func runDictScript(t *testing.T, script []byte) {
 			}
 			hold(id)
 		case 3:
-			d.ReserveTombstone()
+			// An empty, non-decodable resource slot: the one
+			// PromoteToProperty leaves behind, without a term to promote.
+			d.res = append(d.res, 0)
 			m.res = append(m.res, "")
 		case 4:
 			s := term()

@@ -216,13 +216,3 @@ func termValue(t Term, row []uint64) uint64 {
 	}
 	return t.ID
 }
-
-// Count returns the number of solutions of the pattern list.
-func (e *Engine) Count(patterns []Pattern, nVars int) (int, error) {
-	n := 0
-	err := e.Solve(patterns, nVars, func([]uint64) bool {
-		n++
-		return true
-	})
-	return n, err
-}

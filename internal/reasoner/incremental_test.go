@@ -234,6 +234,11 @@ func TestIncrementalStatsAccounting(t *testing.T) {
 		t.Fatalf("accounting broken: %d + %d + %d != %d",
 			first.TotalTriples, second.InputTriples, second.InferredTriples, second.TotalTriples)
 	}
+	// Input is the batch's own new links, not the θ closure pairs the
+	// seeding round folds in.
+	if second.InputTriples != 10 {
+		t.Errorf("10 new links counted as input=%d inferred=%d", second.InputTriples, second.InferredTriples)
+	}
 	if second.TotalTriples != datagen.ChainClosureSize(40)+40 {
 		t.Fatalf("incremental chain closure has %d triples, want %d",
 			second.TotalTriples, datagen.ChainClosureSize(40)+40)
@@ -246,4 +251,45 @@ func TestIncrementalStatsAccounting(t *testing.T) {
 	if third.TotalTriples != second.TotalTriples {
 		t.Fatal("no-op run changed the store")
 	}
+
+	// A guard trip: the round that merges ⟨X rdfs:subClassOf rdfs:Class⟩
+	// expands every formerly virtual triple into its delta, none of them
+	// input and none of them new to the visible closure.
+	t.Run("guard trip", func(t *testing.T) {
+		e := New(Options{Fragment: rules.RDFSPlus, Parallel: true, HierarchyEncoding: true})
+		e.LoadTriples(datagen.LUBM(20_000, 1))
+		before := e.Materialize().TotalTriples
+		e.LoadTriples([]rdf.Triple{{S: "<X>", P: rdf.RDFSSubClassOf, O: rdf.RDFSClass}})
+		st := e.Materialize()
+		if e.HierView() != nil {
+			t.Fatal("fixture: a subclass of rdfs:Class must trip guard G1")
+		}
+		if st.InputTriples != 1 || st.InferredTriples < 0 || before+st.InputTriples+st.InferredTriples != st.TotalTriples {
+			t.Errorf("one-triple batch: input=%d inferred=%d, total %d → %d", st.InputTriples, st.InferredTriples, before, st.TotalTriples)
+		}
+	})
+
+	// A type triple and a subClassOf triple the index already serves
+	// virtually are stored when asserted, yet were visible before the
+	// batch: no input, nothing new.
+	t.Run("virtually served", func(t *testing.T) {
+		e := New(Options{Fragment: rules.RDFSDefault, HierarchyEncoding: true})
+		e.LoadTriples([]rdf.Triple{
+			{S: "<C>", P: rdf.RDFSSubClassOf, O: "<D>"},
+			{S: "<D>", P: rdf.RDFSSubClassOf, O: "<E>"},
+			{S: "<x>", P: rdf.RDFType, O: "<C>"},
+		})
+		before := e.Materialize().TotalTriples
+		e.LoadTriples([]rdf.Triple{
+			{S: "<x>", P: rdf.RDFType, O: "<D>"},
+			{S: "<C>", P: rdf.RDFSSubClassOf, O: "<E>"},
+		})
+		st := e.Materialize()
+		if e.HierView() == nil {
+			t.Fatal("fixture: the encoding must stand")
+		}
+		if st.InputTriples != 0 || st.InferredTriples != 0 || st.TotalTriples != before {
+			t.Errorf("re-asserting virtual triples: input=%d inferred=%d, total %d → %d", st.InputTriples, st.InferredTriples, before, st.TotalTriples)
+		}
+	})
 }

@@ -6,7 +6,7 @@
 //
 // Two refinements extend the paper's loop. First, rule firing is
 // scheduled from the delta: every rule carries a property footprint
-// derived from its declarative spec (rules.AnnotateFootprints), and an
+// derived from its declarative spec (rules.Rules), and an
 // iteration only fires the rules whose read footprint meets a non-empty
 // table of the previous round's delta — the rest are skipped, which
 // Stats reports per iteration. Second, materialization is incremental:
@@ -34,7 +34,10 @@ import (
 type Options struct {
 	// Fragment selects the ruleset (default RDFSDefault).
 	Fragment rules.Fragment
-	// Parallel enables one goroutine per rule and parallel merging.
+	// Parallel enables one goroutine per rule and parallel merging,
+	// normalizing and interning. Parsing is the caller's:
+	// rdf.ReadNTriplesSlabs parses a long document on GOMAXPROCS
+	// goroutines either way.
 	Parallel bool
 	// MaxIterations stops the fixpoint after that many rounds; 0 means
 	// unlimited (the fixpoint terminates on its own: the term universe
@@ -80,9 +83,9 @@ type RoundStats struct {
 }
 
 // Stats reports what a materialization did. On an incremental run
-// (Incremental true), InputTriples counts the distinct triples newly
-// added since the previous materialization and InferredTriples the
-// further closure growth; the pre-existing closure is neither.
+// (Incremental true), InputTriples counts the distinct triples of the
+// batch that were not visible before it and InferredTriples the further
+// closure growth; the pre-existing closure is neither.
 // TotalTriples and InferredTriples count the *visible* closure, so they
 // are identical with and without the hierarchy encoding; the
 // materialized/virtual split is reported separately.
@@ -173,15 +176,8 @@ type Engine struct {
 // annotated with its property footprint.
 func New(opts Options) *Engine {
 	d := dictionary.NewWithVocabulary(rdf.VocabularyProperties, rdf.VocabularyResources)
-	e := &Engine{
-		Dict:  d,
-		V:     rules.ResolveVocab(d),
-		opts:  opts,
-		rules: rules.Rules(opts.Fragment),
-	}
-	if err := rules.AnnotateFootprints(e.rules, opts.Fragment, e.V); err != nil {
-		panic(err) // drift between table5.go and spec.go; caught by tests
-	}
+	v := rules.ResolveVocab(d)
+	e := &Engine{Dict: d, V: v, opts: opts, rules: rules.Rules(opts.Fragment, v)}
 	e.resolveRuleCounters()
 	e.Main = store.New(d.NumProperties())
 	if opts.Metrics != nil {
@@ -279,15 +275,44 @@ func (e *Engine) materializeIncremental(st *Stats) {
 		return
 	}
 	loopStart := time.Now()
-	delta, merge, maintain := e.mergeRound(true, staged)
-	st.InputTriples = delta.Size()
-	if st.InputTriples > 0 {
-		e.fixpoint(delta, st)
+	served := e.servedVirtually(staged)
+	r := e.mergeRound(true, staged)
+	// The batch's own triples that were not visible before it: neither
+	// stored nor served by the hierarchy. The θ closures and an encoding
+	// expansion the round folds into its delta are not input.
+	st.InputTriples = r.fresh - served
+	if r.delta.Size() > 0 {
+		e.fixpoint(r.delta, st)
 		// The seeding merge is round 1's (RoundStats).
-		st.Rounds[0].MergeTime += merge
-		st.Rounds[0].MaintainTime += maintain
+		st.Rounds[0].MergeTime += r.merge
+		st.Rounds[0].MaintainTime += r.maintain
 	}
 	st.LoopTime = time.Since(loopStart)
+}
+
+// servedVirtually counts the pairs of a staged batch that are not stored
+// but visible all the same, because the hierarchy encoding serves them:
+// the merge finds them fresh, yet they add nothing to the closure.
+func (e *Engine) servedVirtually(staged *store.Store) int {
+	hv := e.HierView()
+	if hv == nil {
+		return 0
+	}
+	n := 0
+	for _, pidx := range []int{e.V.SubClassOf, e.V.SubPropertyOf, e.V.Type} {
+		t := staged.Table(pidx)
+		if t == nil {
+			continue
+		}
+		t.Normalize() // as the merge would: each pair once
+		p := t.Pairs()
+		for i := 0; i < len(p); i += 2 {
+			if !e.Main.Contains(pidx, p[i], p[i+1]) && hv.Contains(pidx, p[i], p[i+1]) {
+				n++
+			}
+		}
+	}
+	return n
 }
 
 // fixpoint runs the semi-naive loop (Algorithm 1 lines 3–8), seeded with
@@ -302,8 +327,8 @@ func (e *Engine) fixpoint(delta *store.Store, st *Stats) {
 		for _, out := range outs {
 			emitted += out.Size()
 		}
-		var merge, maintain time.Duration
-		delta, merge, maintain = e.mergeRound(false, outs...)
+		r := e.mergeRound(false, outs...)
+		delta = r.delta
 		skipped := len(e.rules) - fired
 		st.Iterations++
 		st.RulesFired += fired
@@ -314,8 +339,8 @@ func (e *Engine) fixpoint(delta *store.Store, st *Stats) {
 			Emitted:      emitted,
 			NewTriples:   delta.Size(),
 			RulesTime:    rulesTime,
-			MergeTime:    merge,
-			MaintainTime: maintain,
+			MergeTime:    r.merge,
+			MaintainTime: r.maintain,
 		})
 		if delta.Size() == 0 {
 			break
@@ -323,24 +348,36 @@ func (e *Engine) fixpoint(delta *store.Store, st *Stats) {
 	}
 }
 
+// round is what mergeRound hands back.
+type round struct {
+	// delta is the round: its non-empty tables are what changed, the θ
+	// closures' fresh pairs included, and the next rule selection reads
+	// nothing else.
+	delta *store.Store
+	// fresh counts the pairs the merge itself found new, before the θ
+	// step and the maintenance folded theirs into delta.
+	fresh int
+	// merge and maintain are how long the merge and the maintenance
+	// after it took; an encoding expansion the maintenance runs is a
+	// nested mergeRound whose times are inside maintain.
+	merge, maintain time.Duration
+}
+
 // mergeRound is the one step that ends every round — staged input, rule
 // outputs, a reseed, an encoding expansion alike: merge the outputs into
 // main, close the θ tables the merge touched (closeTheta), then bring
-// the hierarchy encoding up to date with what arrived. The returned
-// delta is the round: its non-empty tables are what changed, the θ
-// closures' fresh pairs included, and the next rule selection reads
-// nothing else. asserted is true for the one round whose outputs are
-// input: the staged batch. It also returns how long the merge and the
-// maintenance after it took; an encoding expansion the maintenance runs
-// is a nested mergeRound whose times are inside maintain.
-func (e *Engine) mergeRound(asserted bool, outs ...*store.Store) (delta *store.Store, merge, maintain time.Duration) {
+// the hierarchy encoding up to date with what arrived. asserted is true
+// for the one round whose outputs are input: the staged batch.
+func (e *Engine) mergeRound(asserted bool, outs ...*store.Store) round {
 	start := time.Now()
 	typeVersion := e.typeVersion()
-	delta = store.MergeRound(e.Main, e.opts.Parallel, asserted, outs...)
+	delta := store.MergeRound(e.Main, e.opts.Parallel, asserted, outs...)
+	r := round{delta: delta, fresh: delta.Size()}
 	merged := time.Now()
 	e.closeTheta(delta)
 	e.maintainHier(delta, typeVersion)
-	return delta, merged.Sub(start), time.Since(merged)
+	r.merge, r.maintain = merged.Sub(start), time.Since(merged)
+	return r
 }
 
 // typeVersion returns the rdf:type table's version, the key of the
@@ -723,8 +760,7 @@ func (e *Engine) expandEncoding() *store.Store {
 		})
 	}
 	e.hier = nil
-	delta, _, _ := e.mergeRound(false, exp)
-	return delta
+	return e.mergeRound(false, exp).delta
 }
 
 // applyRules fires the scheduled rules of the fragment against (main,
@@ -908,19 +944,6 @@ func (e *Engine) MemoryStats(top int) MemoryStats {
 // Materialized reports whether Main is a closure: the first Materialize
 // ran, or an image was installed.
 func (e *Engine) Materialized() bool { return e.materialized }
-
-// Asserted calls fn for every asserted triple — the marked pairs of
-// Main — in table order, until fn returns false.
-func (e *Engine) Asserted(fn func(pidx int, s, o uint64) bool) {
-	e.Main.ForEachTable(func(pidx int, t *store.Table) bool {
-		for i, p := 0, t.Pairs(); i < len(p); i += 2 {
-			if t.Marked(i/2) && !fn(pidx, p[i], p[i+1]) {
-				return false
-			}
-		}
-		return true
-	})
-}
 
 // Size returns the current number of visible triples (staged triples
 // not yet materialized are excluded). With the hierarchy encoding

@@ -136,7 +136,7 @@ func (e *Engine) Retract(batch []rdf.Triple) (RetractStats, error) {
 	// and fold what it restores into the running delta.
 	writers := e.triggered(over, (*rules.Rule).Writes)
 	kept := e.possiblyNew(e.runRules(writers, e.Main), doomed, &st)
-	merged, _, _ := e.mergeRound(false, kept)
+	merged := e.mergeRound(false, kept).delta
 	store.Union(delta, merged)
 
 	// Everything restored so far, θ tables closed again, flows through

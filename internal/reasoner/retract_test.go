@@ -32,12 +32,16 @@ func visibleTriples(e *Engine) []string {
 // pairs of Main — back to surface form.
 func assertedTriples(e *Engine) []rdf.Triple {
 	var out []rdf.Triple
-	e.Asserted(func(pidx int, s, o uint64) bool {
-		out = append(out, rdf.Triple{
-			S: e.Dict.MustDecode(s),
-			P: e.Dict.MustDecode(dictionary.PropID(pidx)),
-			O: e.Dict.MustDecode(o),
-		})
+	e.Main.ForEachTable(func(pidx int, t *store.Table) bool {
+		for i, p := 0, t.Pairs(); i < len(p); i += 2 {
+			if t.Marked(i / 2) {
+				out = append(out, rdf.Triple{
+					S: e.Dict.MustDecode(p[i]),
+					P: e.Dict.MustDecode(dictionary.PropID(pidx)),
+					O: e.Dict.MustDecode(p[i+1]),
+				})
+			}
+		}
 		return true
 	})
 	return out

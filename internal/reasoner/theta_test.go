@@ -24,7 +24,7 @@ func TestThetaClosesInRound(t *testing.T) {
 		e.LoadTriples(batch)
 		staged := e.staged
 		e.staged = nil
-		delta, _, _ := e.mergeRound(true, staged)
+		delta := e.mergeRound(true, staged).delta
 		return delta
 	}
 	expect := func(t *testing.T, e *Engine, delta *store.Store, want ...rdf.Triple) {
@@ -77,7 +77,7 @@ func TestThetaClosesInRound(t *testing.T) {
 		// subjects pairwise along the object run, and the round's merge
 		// closes the links.
 		outs, _ := e.applyRules(stagedRound(e, tr("<mail>", typ, rdf.OWLInverseFunctionalProperty)))
-		delta, _, _ := e.mergeRound(false, outs...)
+		delta := e.mergeRound(false, outs...).delta
 		var want []rdf.Triple
 		for _, a := range []string{"<x1>", "<x2>", "<x3>"} {
 			for _, b := range []string{"<x1>", "<x2>", "<x3>"} {

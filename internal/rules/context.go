@@ -9,8 +9,8 @@ import (
 // Rule is one inference rule: a name for reporting and an Apply
 // function that derives triples into ctx.Out. table5.go groups the rules
 // by the paper's execution classes (§4.4). The read/write property
-// footprints (see footprint.go) are attached by AnnotateFootprints and
-// drive the reasoner's dependency scheduler.
+// footprints (see footprint.go) are attached by Rules and drive the
+// reasoner's dependency scheduler.
 type Rule struct {
 	Name  string
 	Apply func(ctx *Context)

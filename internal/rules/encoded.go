@@ -22,8 +22,8 @@ import (
 // along subPropertyOf). Semi-naive bookkeeping: normally only the delta
 // schema pairs are swept (the hierarchy is unchanged, so old pairs can
 // derive nothing new); when changed (Context.hierChanged: the first
-// pass, or a delta holding raw edges of rel's hierarchy) the whole main
-// schema table is re-swept against the fresh intervals.
+// pass, or a delta holding raw edges of the hierarchy expanded along)
+// the whole main schema table is re-swept against the fresh intervals.
 //
 // The up form skips a class c when another class m of p's run in the
 // main table lies strictly below it: c's supers are among m's, and m's
@@ -33,9 +33,13 @@ import (
 // when c and m are equivalent, and a retraction of ⟨p, c⟩ must then reach
 // ⟨p, m⟩ through c's expansion (DESIGN.md §10 "What the rules stop
 // doing").
-func encodedSchemaExpand(c *Context, schemaPidx int, rel *hierarchy.Relation, changed, up bool) {
+func encodedSchemaExpand(c *Context, schemaPidx int, up bool) {
+	rel, edges := c.Hier.Props, c.V.SubPropertyOf
+	if up {
+		rel, edges = c.Hier.Classes, c.V.SubClassOf
+	}
 	var t *store.Table
-	if changed {
+	if c.hierChanged(edges) {
 		t = c.mainTable(schemaPidx)
 	} else {
 		t = c.deltaTable(schemaPidx)

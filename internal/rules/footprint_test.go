@@ -1,6 +1,7 @@
 package rules
 
 import (
+	"slices"
 	"testing"
 
 	"inferray/internal/dictionary"
@@ -17,16 +18,12 @@ func allFragments() []Fragment {
 	return []Fragment{RhoDF, RDFSDefault, RDFSFull, RDFSPlus, RDFSPlusFull}
 }
 
-// TestEveryRuleHasFootprint is the drift guard: every optimized rule of
-// every fragment must resolve to at least one declarative spec and get a
-// non-empty read and write footprint.
+// TestEveryRuleHasFootprint: every rule of every fragment gets a
+// non-empty read and write footprint from the specs it covers.
 func TestEveryRuleHasFootprint(t *testing.T) {
 	v := testVocab()
 	for _, f := range allFragments() {
-		rs := Rules(f)
-		if err := AnnotateFootprints(rs, f, v); err != nil {
-			t.Fatalf("%s: %v", f, err)
-		}
+		rs := Rules(f, v)
 		for i := range rs {
 			if rs[i].Reads().Empty() {
 				t.Errorf("%s: rule %s has an empty read footprint", f, rs[i].Name)
@@ -41,10 +38,7 @@ func TestEveryRuleHasFootprint(t *testing.T) {
 // TestFootprintContents spot-checks derived footprints against Table 5.
 func TestFootprintContents(t *testing.T) {
 	v := testVocab()
-	rs := Rules(RDFSPlus)
-	if err := AnnotateFootprints(rs, RDFSPlus, v); err != nil {
-		t.Fatal(err)
-	}
+	rs := Rules(RDFSPlus, v)
 	byName := map[string]*Rule{}
 	for i := range rs {
 		byName[rs[i].Name] = &rs[i]
@@ -93,13 +87,68 @@ func TestFootprintContents(t *testing.T) {
 	}
 }
 
-// TestAnnotateFootprintsDriftGuard: an invented rule name must be
-// rejected.
-func TestAnnotateFootprintsDriftGuard(t *testing.T) {
+// TestRulesMembershipGolden pins, per fragment, the names of the rules
+// Rules returns (6 / 8 / 14 / 22 / 25): a change to Specs that adds or
+// drops a fragment's rule must change this list with it.
+func TestRulesMembershipGolden(t *testing.T) {
+	rdfsDefault := []string{"CAX-SCO", "PRP-DOM", "PRP-RNG", "PRP-SPO1", "SCM-DOM1", "SCM-DOM2", "SCM-RNG1", "SCM-RNG2"}
+	rdfsPlus := []string{
+		"CAX-EQC1", "CAX-EQC2", "CAX-SCO", "EQ-REP", "PRP-DOM", "PRP-EQP1", "PRP-EQP2", "PRP-FP",
+		"PRP-IFP", "PRP-INV1", "PRP-INV2", "PRP-RNG", "PRP-SPO1", "PRP-SYMP", "SCM-DOM1", "SCM-DOM2",
+		"SCM-EQC1", "SCM-EQC2", "SCM-EQP1", "SCM-EQP2", "SCM-RNG1", "SCM-RNG2",
+	}
+	golden := map[Fragment][]string{
+		RhoDF:        {"CAX-SCO", "PRP-DOM", "PRP-RNG", "PRP-SPO1", "SCM-DOM2", "SCM-RNG2"},
+		RDFSDefault:  rdfsDefault,
+		RDFSFull:     append(slices.Clone(rdfsDefault), "RDFS10", "RDFS12", "RDFS13", "RDFS4", "RDFS6", "RDFS8"),
+		RDFSPlus:     rdfsPlus,
+		RDFSPlusFull: append(slices.Clone(rdfsPlus), "SCM-CLS", "SCM-DP", "SCM-OP"),
+	}
 	v := testVocab()
-	rs := []Rule{{Name: "NOT-A-RULE", Apply: func(*Context) {}}}
-	if err := AnnotateFootprints(rs, RDFSPlus, v); err == nil {
-		t.Fatal("unknown rule name must fail footprint annotation")
+	for _, f := range allFragments() {
+		var got []string
+		for _, r := range Rules(f, v) {
+			got = append(got, r.Name)
+		}
+		slices.Sort(got)
+		want := slices.Clone(golden[f])
+		slices.Sort(want)
+		if !slices.Equal(got, want) {
+			t.Errorf("%s: rules %v, want %v", f, got, want)
+		}
+	}
+}
+
+// TestSpecImplementationDrift is the drift guard between spec.go and
+// table5.go, both ways: a spec that no row implements panics in Rules,
+// and every spec a row names belongs to some fragment.
+func TestSpecImplementationDrift(t *testing.T) {
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("a spec with no implementation must panic")
+			}
+		}()
+		build([]Spec{{Name: "NOT-A-RULE", Distinct: NoDistinct}})
+	}()
+
+	v := testVocab()
+	declared := map[string]bool{}
+	for _, f := range allFragments() {
+		for _, sp := range Specs(f, v) {
+			declared[sp.Name] = true
+		}
+	}
+	for name, r := range table5 {
+		covers := r.fuses
+		if covers == nil {
+			covers = []string{name}
+		}
+		for _, sp := range covers {
+			if !declared[sp] {
+				t.Errorf("table5 row %s names spec %s, which no fragment declares", name, sp)
+			}
+		}
 	}
 }
 

@@ -32,6 +32,9 @@ func (h *testHarness) add(pidx int, s, o uint64) {
 	h.main.Add(pidx, s, o)
 }
 
+// rule returns the implementation table5 holds under name.
+func rule(name string) Rule { return Rule{Name: name, Apply: table5[name].apply} }
+
 // run applies a single rule in first-pass mode (delta = main) and
 // returns the rule's raw output store.
 func (h *testHarness) run(r Rule) *store.Store {
@@ -67,7 +70,7 @@ func TestCAXSCOPaperExample(t *testing.T) {
 	h.add(h.v.Type, bart, human)
 	h.add(h.v.Type, lisa, human)
 
-	out := h.run(ruleCAXSCO())
+	out := h.run(rule("CAX-SCO"))
 	typeOut := out.Table(h.v.Type)
 	if typeOut == nil {
 		t.Fatal("no type inferences")
@@ -90,7 +93,7 @@ func TestAlphaJoinObjectObject(t *testing.T) {
 	c1, c2, x := h.res("<c1>"), h.res("<c2>"), h.res("<x>")
 	h.add(h.v.EquivClass, c1, c2)
 	h.add(h.v.Type, x, c2)
-	out := h.run(ruleCAXEQC1())
+	out := h.run(rule("CAX-EQC1"))
 	if !out.Table(h.v.Type).Contains(x, c1) {
 		t.Fatal("CAX-EQC1 failed to type x as c1")
 	}
@@ -101,7 +104,7 @@ func TestBetaEmitsBothOrientations(t *testing.T) {
 	a, b := h.res("<A>"), h.res("<B>")
 	h.add(h.v.SubClassOf, a, b)
 	h.add(h.v.SubClassOf, b, a)
-	out := h.run(ruleSCMEQC2())
+	out := h.run(rule("SCM-EQC2"))
 	eqc := out.Table(h.v.EquivClass)
 	if eqc == nil || !eqc.Contains(a, b) || !eqc.Contains(b, a) {
 		t.Fatal("SCM-EQC2 must derive equivalence in both orientations")
@@ -118,11 +121,11 @@ func TestGammaDomainRange(t *testing.T) {
 	h.add(h.v.Range, pid, org)
 	h.add(p, alice, acme)
 
-	out := h.run(rulePRPDOM())
+	out := h.run(rule("PRP-DOM"))
 	if !out.Table(h.v.Type).Contains(alice, person) {
 		t.Fatal("PRP-DOM failed")
 	}
-	out = h.run(rulePRPRNG())
+	out = h.run(rule("PRP-RNG"))
 	if !out.Table(h.v.Type).Contains(acme, org) {
 		t.Fatal("PRP-RNG failed")
 	}
@@ -134,7 +137,7 @@ func TestGammaSkipsNonPropertySubjects(t *testing.T) {
 	h := newHarness()
 	bogus := h.res("<notAProperty>")
 	h.add(h.v.Domain, bogus, h.res("<C>"))
-	out := h.run(rulePRPDOM())
+	out := h.run(rule("PRP-DOM"))
 	if out.Size() != 0 {
 		t.Fatal("derivation from a non-property subject")
 	}
@@ -147,7 +150,7 @@ func TestDeltaCopyAndReverse(t *testing.T) {
 	x, y := h.res("<x>"), h.res("<y>")
 	h.add(h.v.InverseOf, dictionary.PropID(p1), dictionary.PropID(p2))
 	h.add(p1, x, y)
-	out := h.run(rulePRPINV1())
+	out := h.run(rule("PRP-INV1"))
 	if !out.Table(p2).Contains(y, x) {
 		t.Fatal("PRP-INV1 must reverse-copy p1 into p2")
 	}
@@ -158,7 +161,7 @@ func TestDeltaCopyAndReverse(t *testing.T) {
 	a, b := h2.res("<a>"), h2.res("<b>")
 	h2.add(h2.v.EquivProp, dictionary.PropID(q1), dictionary.PropID(q2))
 	h2.add(q2, a, b)
-	out = h2.run(rulePRPEQP1())
+	out = h2.run(rule("PRP-EQP1"))
 	if !out.Table(q1).Contains(a, b) {
 		t.Fatal("PRP-EQP1 must copy q2 into q1")
 	}
@@ -171,7 +174,7 @@ func TestSameAsSingleLoop(t *testing.T) {
 	h.add(h.v.SameAs, a, b)
 	h.add(p, b, c) // b in subject position
 	h.add(p, c, b) // b in object position
-	out := h.run(ruleSameAs())
+	out := h.run(rule("EQ-REP"))
 
 	// EQ-SYM is the reasoner's θ step, not this rule's.
 	if same := out.Table(h.v.SameAs); same != nil && same.Contains(b, a) {
@@ -192,7 +195,7 @@ func TestSameAsPropertyReplication(t *testing.T) {
 	x, y := h.res("<x>"), h.res("<y>")
 	h.add(h.v.SameAs, dictionary.PropID(p1), dictionary.PropID(p2))
 	h.add(p2, x, y)
-	out := h.run(ruleSameAs())
+	out := h.run(rule("EQ-REP"))
 	if !out.Table(p1).Contains(x, y) {
 		t.Fatal("EQ-REP-P must replicate p2's table under p1")
 	}
@@ -207,7 +210,7 @@ func TestFunctionalPropertyChainLinks(t *testing.T) {
 	h.add(p, x, y1)
 	h.add(p, x, y2)
 	h.add(p, x, y3)
-	out := h.run(rulePRPFP())
+	out := h.run(rule("PRP-FP"))
 	same := out.Table(h.v.SameAs)
 	if same == nil || same.Size() < 2 {
 		t.Fatal("PRP-FP must link the object run")
@@ -227,7 +230,7 @@ func TestInverseFunctionalProperty(t *testing.T) {
 	h.add(h.v.Type, dictionary.PropID(p), h.v.InverseFunctionalProp)
 	h.add(p, x1, mail)
 	h.add(p, x2, mail)
-	out := h.run(rulePRPIFP())
+	out := h.run(rule("PRP-IFP"))
 	if !out.Table(h.v.SameAs).Contains(x1, x2) {
 		t.Fatal("PRP-IFP must identify subjects sharing an object")
 	}
@@ -239,7 +242,7 @@ func TestSymmetricProperty(t *testing.T) {
 	a, b := h.res("<a>"), h.res("<b>")
 	h.add(h.v.Type, dictionary.PropID(p), h.v.SymmetricProp)
 	h.add(p, a, b)
-	out := h.run(rulePRPSYMP())
+	out := h.run(rule("PRP-SYMP"))
 	if !out.Table(p).Contains(b, a) {
 		t.Fatal("PRP-SYMP failed")
 	}
@@ -249,11 +252,11 @@ func TestTrivialMarkerRules(t *testing.T) {
 	h := newHarness()
 	cls := h.res("<MyClass>")
 	h.add(h.v.Type, cls, h.v.Class)
-	out := h.run(ruleRDFS10())
+	out := h.run(rule("RDFS10"))
 	if !out.Table(h.v.SubClassOf).Contains(cls, cls) {
 		t.Fatal("RDFS10 failed")
 	}
-	out = h.run(ruleRDFS8())
+	out = h.run(rule("RDFS8"))
 	if !out.Table(h.v.Type).Contains(cls, h.v.Resource) {
 		t.Fatal("RDFS8 failed")
 	}
@@ -263,7 +266,7 @@ func TestRDFS12UsesMemberPropertyID(t *testing.T) {
 	h := newHarness()
 	p := h.prop("<containerish>")
 	h.add(h.v.Type, dictionary.PropID(p), h.v.ContainerMembership)
-	out := h.run(ruleRDFS12())
+	out := h.run(rule("RDFS12"))
 	if !out.Table(h.v.SubPropertyOf).Contains(dictionary.PropID(p), dictionary.PropID(h.v.Member)) {
 		t.Fatal("RDFS12 must emit subPropertyOf rdfs:member")
 	}
@@ -277,8 +280,9 @@ func TestRulesetsContainExpectedCounts(t *testing.T) {
 		RDFSPlus:     22,
 		RDFSPlusFull: 25,
 	}
+	v := testVocab()
 	for f, want := range counts {
-		if got := len(Rules(f)); got != want {
+		if got := len(Rules(f, v)); got != want {
 			t.Errorf("%s: %d rules, want %d", f, got, want)
 		}
 	}
@@ -314,8 +318,12 @@ func TestSpecsMatchRuleCount(t *testing.T) {
 		t.Errorf("rdfs-plus specs = %d, want 29", n)
 	}
 	for _, s := range Specs(RDFSPlusFull, v) {
-		if s.MaxVar() > 7 {
-			t.Errorf("%s uses variable slot %d beyond binding capacity", s.Name, s.MaxVar())
+		for _, pat := range append(append([]Pattern{}, s.Body...), s.Head...) {
+			for _, term := range []Term{pat.S, pat.P, pat.O} {
+				if term.IsVar && term.Var > 7 {
+					t.Errorf("%s uses variable slot %d beyond binding capacity", s.Name, term.Var)
+				}
+			}
 		}
 	}
 }

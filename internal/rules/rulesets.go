@@ -1,6 +1,9 @@
 package rules
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // Fragment identifies one of the rulesets of Table 5.
 type Fragment int
@@ -51,71 +54,51 @@ func ParseFragment(name string) (Fragment, error) {
 // machinery (equality closure, EQ-* rules).
 func (f Fragment) UsesSameAs() bool { return f == RDFSPlus || f == RDFSPlusFull }
 
-// Rules returns the rule list for a fragment. The θ-class rules
-// (SCM-SCO, SCM-SPO, EQ-SYM, EQ-TRANS, PRP-TRP) are not in it: the
-// reasoner's θ step closes those tables after every merge.
-func Rules(f Fragment) []Rule {
-	switch f {
-	case RhoDF:
-		return []Rule{
-			ruleCAXSCO(),
-			rulePRPDOM(),
-			rulePRPRNG(),
-			rulePRPSPO1(),
-			ruleSCMDOM2(),
-			ruleSCMRNG2(),
+// Rules returns the executable rules of a fragment: one per table5 row
+// that its Specs name, in Specs' order, each with the read and write
+// footprint of the specs the row covers. θ-class specs yield no rule:
+// the reasoner's θ step closes those tables after every merge. A spec
+// that no row implements panics: spec.go and table5.go have drifted.
+func Rules(f Fragment, v *Vocab) []Rule { return build(Specs(f, v)) }
+
+// specRows maps every spec name to the name of the table5 row that
+// implements it.
+var specRows = func() map[string]string {
+	m := make(map[string]string)
+	for name, r := range table5 {
+		if r.fuses == nil {
+			m[name] = name
 		}
-	case RDFSDefault:
-		return []Rule{
-			ruleCAXSCO(),
-			rulePRPDOM(),
-			rulePRPRNG(),
-			rulePRPSPO1(),
-			ruleSCMDOM1(),
-			ruleSCMDOM2(),
-			ruleSCMRNG1(),
-			ruleSCMRNG2(),
+		for _, s := range r.fuses {
+			m[s] = name
 		}
-	case RDFSFull:
-		return append(Rules(RDFSDefault),
-			ruleRDFS4(),
-			ruleRDFS6(),
-			ruleRDFS8(),
-			ruleRDFS10(),
-			ruleRDFS12(),
-			ruleRDFS13(),
-		)
-	case RDFSPlus:
-		return []Rule{
-			ruleCAXEQC1(),
-			ruleCAXEQC2(),
-			ruleCAXSCO(),
-			ruleSameAs(),
-			rulePRPDOM(),
-			rulePRPEQP1(),
-			rulePRPEQP2(),
-			rulePRPFP(),
-			rulePRPIFP(),
-			rulePRPINV1(),
-			rulePRPINV2(),
-			rulePRPRNG(),
-			rulePRPSPO1(),
-			rulePRPSYMP(),
-			ruleSCMDOM1(),
-			ruleSCMDOM2(),
-			ruleSCMEQC1(),
-			ruleSCMEQC2(),
-			ruleSCMEQP1(),
-			ruleSCMEQP2(),
-			ruleSCMRNG1(),
-			ruleSCMRNG2(),
-		}
-	case RDFSPlusFull:
-		return append(Rules(RDFSPlus),
-			ruleSCMCLS(),
-			ruleSCMDP(),
-			ruleSCMOP(),
-		)
 	}
-	return nil
+	return m
+}()
+
+// build is Rules over a given spec list.
+func build(specs []Spec) []Rule {
+	var rs []Rule
+	for _, sp := range specs {
+		name, ok := specRows[sp.Name]
+		if !ok {
+			panic(fmt.Sprintf("rules: spec %s has no implementation in table5", sp.Name))
+		}
+		apply := table5[name].apply
+		if apply == nil {
+			continue
+		}
+		k := slices.IndexFunc(rs, func(r Rule) bool { return r.Name == name })
+		if k < 0 {
+			k = len(rs)
+			rs = append(rs, Rule{Name: name, Apply: apply})
+		}
+		for _, pat := range sp.Body {
+			rs[k].reads.add(pat.P)
+		}
+		for _, pat := range sp.Head {
+			rs[k].writes.add(pat.P)
+		}
+	}
+	return rs
 }

@@ -129,7 +129,7 @@ func TestSameAsMatchesReference(t *testing.T) {
 				if !d.terms {
 					c.Terms = 0
 				}
-				ruleSameAs().Apply(c)
+				rule("EQ-REP").Apply(c)
 				got, want := emittedMultiset(out), sameAsReference(c)
 				if !maps.Equal(got, want) {
 					for f, n := range want {
@@ -162,7 +162,7 @@ func TestSameAsSortsNoTableByObject(t *testing.T) {
 	h.add(h.v.Type, b, c)
 	h.add(p, b, c)
 	h.add(q, c, b)
-	out := h.run(ruleSameAs())
+	out := h.run(rule("EQ-REP"))
 	if !out.Table(p).Contains(a, c) || !out.Table(q).Contains(c, a) || !out.Table(h.v.Type).Contains(a, c) {
 		t.Fatal("EQ-REP-S / EQ-REP-O missing")
 	}

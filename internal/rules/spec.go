@@ -3,11 +3,12 @@ package rules
 import "inferray/internal/dictionary"
 
 // This file gives a declarative, pattern-based description of every rule
-// of Table 5. The optimized Apply implementations in table5.go are what
-// Inferray executes; the specs are consumed by the generic baseline
-// engines (internal/baseline) — the "RDFox-like" hash-join engine and
-// the "Sesame-like" graph engine — and by the test oracles that check
-// the optimized rules against an independent evaluation.
+// of Table 5, and is the one place that says which rules a fragment has:
+// Rules builds the executable list from Specs through table5.go's
+// implementations, and attaches each rule's footprint from its specs'
+// patterns. The specs are also consumed by the hash-join test oracle
+// (internal/baseline), the benchmark stand-ins, and the test oracles
+// that check the optimized rules against an independent evaluation.
 
 // Term is a pattern position: either a variable slot or a constant ID.
 type Term struct {
@@ -38,9 +39,9 @@ type Spec struct {
 // NoDistinct marks a spec without a distinctness side condition.
 var NoDistinct = [2]int{-1, -1}
 
-// Specs returns the declarative rules of the fragment, matching the
-// optimized ruleset returned by Rules (transitivity expressed as
-// explicit two-hop rules, since generic engines have no closure stage).
+// Specs returns the declarative rules of the fragment (transitivity
+// expressed as explicit two-hop rules, since generic engines have no
+// closure stage; Rules runs those θ rows through the reasoner's θ step).
 func Specs(f Fragment, v *Vocab) []Spec {
 	p := func(pidx int) uint64 { return dictionary.PropID(pidx) }
 	typ, sco, spo := p(v.Type), p(v.SubClassOf), p(v.SubPropertyOf)
@@ -202,20 +203,4 @@ func Specs(f Fragment, v *Vocab) []Spec {
 		specs = append(append(append(append([]Spec{}, core...), rdfsExtra...), plusExtra...), plusFullExtra...)
 	}
 	return specs
-}
-
-// MaxVar returns the highest variable slot used by the spec.
-func (s *Spec) MaxVar() int {
-	max := -1
-	scan := func(t Term) {
-		if t.IsVar && t.Var > max {
-			max = t.Var
-		}
-	}
-	for _, pat := range append(append([]Pattern{}, s.Body...), s.Head...) {
-		scan(pat.S)
-		scan(pat.P)
-		scan(pat.O)
-	}
-	return max
 }

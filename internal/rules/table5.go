@@ -5,132 +5,137 @@ import (
 	"inferray/internal/store"
 )
 
-// This file implements the concrete rules of Table 5, grouped by class.
-// Rule numbering comments refer to the table's row numbers.
+// This file implements the rules of Table 5: one constructor per
+// execution class of §4.4, and table5, the one table saying which
+// implementation executes each declarative spec of spec.go. Row numbers
+// in comments refer to the table's rows.
+
+// row is one implementation in table5.
+type row struct {
+	// apply runs the rule. nil marks a θ-class row: the reasoner's θ step
+	// (closeTheta) keeps its table closed after every merge, so it
+	// yields no rule.
+	apply func(*Context)
+	// fuses lists the specs the row covers in one application; nil means
+	// the spec of the row's own name.
+	fuses []string
+}
+
+// table5 maps every rule name to its implementation. A fragment's Specs
+// decide which rows it runs (Rules).
+var table5 = map[string]row{
+	"CAX-SCO":  {apply: alpha(tSubClassOf, true, tType, false, tType, true, virtualHead)},       // #3
+	"CAX-EQC1": {apply: alpha(tEquivClass, false, tType, false, tType, true, virtualHead)},      // #1
+	"CAX-EQC2": {apply: alpha(tEquivClass, true, tType, false, tType, true, virtualHead)},       // #2
+	"SCM-DOM1": {apply: alpha(tDomain, false, tSubClassOf, true, tDomain, false, expandUp)},     // #20
+	"SCM-DOM2": {apply: alpha(tDomain, true, tSubPropertyOf, false, tDomain, true, expandDown)}, // #21
+	"SCM-RNG1": {apply: alpha(tRange, false, tSubClassOf, true, tRange, false, expandUp)},       // #26
+	"SCM-RNG2": {apply: alpha(tRange, true, tSubPropertyOf, false, tRange, true, expandDown)},   // #27
+	"SCM-EQC2": {apply: beta(tSubClassOf, tEquivClass)},                                         // #23
+	"SCM-EQP2": {apply: beta(tSubPropertyOf, tEquivProp)},                                       // #25
+	"PRP-DOM":  {apply: gamma(tDomain, true)},                                                   // #9
+	"PRP-RNG":  {apply: gamma(tRange, false)},                                                   // #16
+	"PRP-SPO1": {apply: prpSPO1(deltaCopy(tSubPropertyOf, true, false))},                        // #17
+	"PRP-SYMP": {apply: prpSYMP},                                                                // #18
+	"PRP-EQP1": {apply: deltaCopy(tEquivProp, false, false)},                                    // #10
+	"PRP-EQP2": {apply: deltaCopy(tEquivProp, true, false)},                                     // #11
+	"PRP-INV1": {apply: deltaCopy(tInverseOf, true, true)},                                      // #14
+	"PRP-INV2": {apply: deltaCopy(tInverseOf, false, true)},                                     // #15
+	"EQ-REP":   {apply: eqRep, fuses: []string{"EQ-REP-S", "EQ-REP-O", "EQ-REP-P"}},             // #4–#6
+	"PRP-FP":   {apply: funcProp(false)},                                                        // #12
+	"PRP-IFP":  {apply: funcProp(true)},                                                         // #13
+	"SCM-EQC1": {apply: mutual(tEquivClass, tSubClassOf)},                                       // #22
+	"SCM-EQP1": {apply: mutual(tEquivProp, tSubPropertyOf)},                                     // #24
+	"SCM-CLS":  {apply: marked(func(v *Vocab) uint64 { return v.OWLClass }, scmCLS)},            // #30
+	"SCM-DP":   {apply: marked(func(v *Vocab) uint64 { return v.DatatypeProp }, reflexiveProp)}, // #31
+	"SCM-OP":   {apply: marked(func(v *Vocab) uint64 { return v.ObjectProp }, reflexiveProp)},   // #32
+	"RDFS4":    {apply: rdfs4},                                                                  // #33
+	"RDFS6":    {apply: marked(func(v *Vocab) uint64 { return v.Property }, rdfs6)},             // #37
+	"RDFS8":    {apply: marked(func(v *Vocab) uint64 { return v.Class }, rdfs8)},                // #34
+	"RDFS10":   {apply: marked(func(v *Vocab) uint64 { return v.Class }, rdfs10)},               // #38
+	"RDFS12":   {apply: marked(func(v *Vocab) uint64 { return v.ContainerMembership }, rdfs12)}, // #35
+	"RDFS13":   {apply: marked(func(v *Vocab) uint64 { return v.Datatype }, rdfs13)},            // #36
+	"SCM-SCO":  {},                                                                              // #28, θ
+	"SCM-SPO":  {},                                                                              // #29, θ
+	"EQ-SYM":   {},                                                                              // #7, θ
+	"EQ-TRANS": {},                                                                              // #8, θ
+	"PRP-TRP":  {},                                                                              // #19, θ
+}
+
+// table selects one of the vocabulary's property tables from the Vocab
+// a rule runs with.
+type table func(*Vocab) int
+
+var (
+	tType          table = func(v *Vocab) int { return v.Type }
+	tSubClassOf    table = func(v *Vocab) int { return v.SubClassOf }
+	tSubPropertyOf table = func(v *Vocab) int { return v.SubPropertyOf }
+	tDomain        table = func(v *Vocab) int { return v.Domain }
+	tRange         table = func(v *Vocab) int { return v.Range }
+	tEquivClass    table = func(v *Vocab) int { return v.EquivClass }
+	tEquivProp     table = func(v *Vocab) int { return v.EquivProp }
+	tInverseOf     table = func(v *Vocab) int { return v.InverseOf }
+)
 
 // ---------------------------------------------------------------- α rules
 
-// ruleCAXSCO (#3): c1 subClassOf c2 ∧ x type c1 ⇒ x type c2.
-func ruleCAXSCO() Rule {
-	return Rule{Name: "CAX-SCO", Apply: func(c *Context) {
+// encodedForm is what an α rule does under the hierarchy encoding.
+type encodedForm int
+
+const (
+	// virtualHead: nothing. The CAX rules' type heads are virtual: the
+	// view expands ⟨x type c1⟩ to every visible super of c1, and SCM-EQC1
+	// stores every equivalentClass pair as mutual subClassOf edges, so
+	// equivalent classes share a cyclic strong component the expansion
+	// covers in both directions.
+	virtualHead encodedForm = iota
+	// expandUp and expandDown: encodedSchemaExpand along subClassOf (the
+	// SCM-DOM1/RNG1 shape) or subPropertyOf (SCM-DOM2/RNG2).
+	expandUp
+	expandDown
+)
+
+// alpha builds an α rule: a semi-naive sort-merge join of table a with
+// table b, each keyed on its subject or its object (aSubj, bSubj),
+// appending ⟨a's payload, b's payload⟩ — or the reverse when swap — to
+// table head. Under the hierarchy encoding it runs enc instead.
+func alpha(a table, aSubj bool, b table, bSubj bool, head table, swap bool, enc encodedForm) func(*Context) {
+	return func(c *Context) {
 		if c.Hier != nil {
-			// Subsumption-derived types are virtual under the hierarchy
-			// encoding: the view expands ⟨x type c1⟩ to every visible
-			// super of c1, so materializing ⟨x type c2⟩ is exactly the
-			// storage this rule exists to avoid.
+			if enc != virtualHead {
+				encodedSchemaExpand(c, head(c.V), enc == expandUp)
+			}
 			return
 		}
-		out := c.Out.Ensure(c.V.Type)
-		c.alphaJoin(c.V.SubClassOf, true, c.V.Type, false, func(c2, x uint64) {
-			out.Append(x, c2)
+		out := c.Out.Ensure(head(c.V))
+		c.alphaJoin(a(c.V), aSubj, b(c.V), bSubj, func(x, y uint64) {
+			if swap {
+				x, y = y, x
+			}
+			out.Append(x, y)
 		})
-	}}
-}
-
-// ruleCAXEQC1 (#1): c1 equivalentClass c2 ∧ x type c2 ⇒ x type c1.
-func ruleCAXEQC1() Rule {
-	return Rule{Name: "CAX-EQC1", Apply: func(c *Context) {
-		if c.Hier != nil {
-			// SCM-EQC1 materializes every equivalentClass pair as mutual
-			// subClassOf edges, so equivalent classes share a cyclic
-			// strong component and the type expansion covers both
-			// directions virtually.
-			return
-		}
-		out := c.Out.Ensure(c.V.Type)
-		c.alphaJoin(c.V.EquivClass, false, c.V.Type, false, func(c1, x uint64) {
-			out.Append(x, c1)
-		})
-	}}
-}
-
-// ruleCAXEQC2 (#2): c1 equivalentClass c2 ∧ x type c1 ⇒ x type c2.
-func ruleCAXEQC2() Rule {
-	return Rule{Name: "CAX-EQC2", Apply: func(c *Context) {
-		if c.Hier != nil {
-			return // see CAX-EQC1: covered by the cyclic-SCC expansion
-		}
-		out := c.Out.Ensure(c.V.Type)
-		c.alphaJoin(c.V.EquivClass, true, c.V.Type, false, func(c2, x uint64) {
-			out.Append(x, c2)
-		})
-	}}
-}
-
-// ruleSCMDOM1 (#20): p domain c1 ∧ c1 subClassOf c2 ⇒ p domain c2.
-func ruleSCMDOM1() Rule {
-	return Rule{Name: "SCM-DOM1", Apply: func(c *Context) {
-		if c.Hier != nil {
-			encodedSchemaExpand(c, c.V.Domain, c.Hier.Classes, c.hierChanged(c.V.SubClassOf), true)
-			return
-		}
-		out := c.Out.Ensure(c.V.Domain)
-		c.alphaJoin(c.V.Domain, false, c.V.SubClassOf, true, func(p, c2 uint64) {
-			out.Append(p, c2)
-		})
-	}}
-}
-
-// ruleSCMDOM2 (#21): p2 domain c ∧ p1 subPropertyOf p2 ⇒ p1 domain c.
-func ruleSCMDOM2() Rule {
-	return Rule{Name: "SCM-DOM2", Apply: func(c *Context) {
-		if c.Hier != nil {
-			encodedSchemaExpand(c, c.V.Domain, c.Hier.Props, c.hierChanged(c.V.SubPropertyOf), false)
-			return
-		}
-		out := c.Out.Ensure(c.V.Domain)
-		c.alphaJoin(c.V.Domain, true, c.V.SubPropertyOf, false, func(cc, p1 uint64) {
-			out.Append(p1, cc)
-		})
-	}}
-}
-
-// ruleSCMRNG1 (#26): p range c1 ∧ c1 subClassOf c2 ⇒ p range c2.
-func ruleSCMRNG1() Rule {
-	return Rule{Name: "SCM-RNG1", Apply: func(c *Context) {
-		if c.Hier != nil {
-			encodedSchemaExpand(c, c.V.Range, c.Hier.Classes, c.hierChanged(c.V.SubClassOf), true)
-			return
-		}
-		out := c.Out.Ensure(c.V.Range)
-		c.alphaJoin(c.V.Range, false, c.V.SubClassOf, true, func(p, c2 uint64) {
-			out.Append(p, c2)
-		})
-	}}
-}
-
-// ruleSCMRNG2 (#27): p2 range c ∧ p1 subPropertyOf p2 ⇒ p1 range c.
-func ruleSCMRNG2() Rule {
-	return Rule{Name: "SCM-RNG2", Apply: func(c *Context) {
-		if c.Hier != nil {
-			encodedSchemaExpand(c, c.V.Range, c.Hier.Props, c.hierChanged(c.V.SubPropertyOf), false)
-			return
-		}
-		out := c.Out.Ensure(c.V.Range)
-		c.alphaJoin(c.V.Range, true, c.V.SubPropertyOf, false, func(cc, p1 uint64) {
-			out.Append(p1, cc)
-		})
-	}}
+	}
 }
 
 // ---------------------------------------------------------------- β rules
 
-// betaSymmetricPair implements the β pattern shared by SCM-EQC2 and
-// SCM-EQP2: ⟨a P b⟩ ∧ ⟨b P a⟩ ⇒ ⟨a H b⟩. One sequential scan of the
-// delta table with a binary-search probe of the (already merged) main
-// table finds every pair with at least one new antecedent.
-func betaSymmetricPair(name string, prop func(*Vocab) int, head func(*Vocab) int) Rule {
-	return Rule{Name: name, Apply: func(c *Context) {
+// beta builds the β rule ⟨a P b⟩ ∧ ⟨b P a⟩ ⇒ ⟨a H b⟩ of SCM-EQC2 and
+// SCM-EQP2. One sequential scan of the delta table with a binary-search
+// probe of the (already merged) main table finds every pair with at
+// least one new antecedent.
+func beta(prop, head table) func(*Context) {
+	return func(c *Context) {
+		p := prop(c.V)
 		if c.Hier != nil {
 			// Mutual visible subsumption is exactly co-membership in a
 			// cyclic strong component, so the head pairs are the ordered
 			// pairs (reflexive included — the body matches with both
 			// variables equal on a cyclic node) of each such component.
-			edges, rel := prop(c.V), c.Hier.Classes
-			if edges == c.V.SubPropertyOf {
+			rel := c.Hier.Classes
+			if p == c.V.SubPropertyOf {
 				rel = c.Hier.Props
 			}
-			if !c.hierChanged(edges) {
+			if !c.hierChanged(p) {
 				return
 			}
 			out := c.Out.Ensure(head(c.V))
@@ -143,7 +148,6 @@ func betaSymmetricPair(name string, prop func(*Vocab) int, head func(*Vocab) int
 			})
 			return
 		}
-		p := prop(c.V)
 		dt := c.deltaTable(p)
 		mt := c.mainTable(p)
 		if dt == nil || mt == nil {
@@ -160,32 +164,17 @@ func betaSymmetricPair(name string, prop func(*Vocab) int, head func(*Vocab) int
 				out.Append(o, s)
 			}
 		}
-	}}
-}
-
-// ruleSCMEQC2 (#23): c1 subClassOf c2 ∧ c2 subClassOf c1 ⇒ c1 equivalentClass c2.
-func ruleSCMEQC2() Rule {
-	return betaSymmetricPair("SCM-EQC2",
-		func(v *Vocab) int { return v.SubClassOf },
-		func(v *Vocab) int { return v.EquivClass })
-}
-
-// ruleSCMEQP2 (#25): p1 subPropertyOf p2 ∧ p2 subPropertyOf p1 ⇒ p1 equivalentProperty p2.
-func ruleSCMEQP2() Rule {
-	return betaSymmetricPair("SCM-EQP2",
-		func(v *Vocab) int { return v.SubPropertyOf },
-		func(v *Vocab) int { return v.EquivProp })
+	}
 }
 
 // ---------------------------------------------------------------- γ rules
 
-// gammaSchemaTable implements the γ pattern of PRP-DOM and PRP-RNG: a
-// schema table holds ⟨p, c⟩ pairs where p names a property table; every
-// instance pair of that table yields a type triple. emitSubject selects
-// whether the subject (domain) or object (range) of the instance triple
-// is typed.
-func gammaSchemaTable(name string, schemaProp func(*Vocab) int, emitSubject bool) Rule {
-	return Rule{Name: name, Apply: func(c *Context) {
+// gamma builds the γ rule of PRP-DOM and PRP-RNG: a schema table holds
+// ⟨p, c⟩ pairs where p names a property table; every instance pair of
+// that table yields a type triple. emitSubject selects whether the
+// subject (domain) or object (range) of the instance triple is typed.
+func gamma(schemaProp table, emitSubject bool) func(*Context) {
+	return func(c *Context) {
 		// First list the ⟨class, instance table⟩ typings, then emit each
 		// pair they yield once (typings.go).
 		var work []typing
@@ -232,103 +221,68 @@ func gammaSchemaTable(name string, schemaProp func(*Vocab) int, emitSubject bool
 			side = 0
 		}
 		emitTypings(c, work, side, c.Out.Ensure(c.V.Type))
-	}}
+	}
 }
 
-// rulePRPDOM (#9): p domain c ∧ x p y ⇒ x type c.
-func rulePRPDOM() Rule {
-	return gammaSchemaTable("PRP-DOM", func(v *Vocab) int { return v.Domain }, true)
-}
-
-// rulePRPRNG (#16): p range c ∧ x p y ⇒ y type c.
-func rulePRPRNG() Rule {
-	return gammaSchemaTable("PRP-RNG", func(v *Vocab) int { return v.Range }, false)
-}
-
-// rulePRPSPO1 (#17): p1 subPropertyOf p2 ∧ x p1 y ⇒ x p2 y. The whole
-// p1 table is copied into the p2 output table (γ with a δ-style bulk
-// copy per schema pair).
-func rulePRPSPO1() Rule {
-	return Rule{Name: "PRP-SPO1", Apply: func(c *Context) {
-		if c.Hier != nil {
-			// Interval form: each data table is copied through its
-			// property's visible supers (the virtual subPropertyOf
-			// closure). Normally only the delta tables are swept; when
-			// the property hierarchy itself changed, the whole main
-			// store is re-swept against the fresh intervals. The
-			// self-copy (a cyclic property's own block) is skipped like
-			// the stored form skips p1 == p2.
-			src := c.Delta
-			if c.hierChanged(c.V.SubPropertyOf) {
-				src = c.Main
-			}
-			src.ForEachTable(func(pidx int, t *store.Table) bool {
-				p := dictionary.PropID(pidx)
-				c.Hier.Props.Supers(p, func(q uint64) bool {
-					if q == p {
-						return true
-					}
-					if qi, ok := propIndexOf(q); ok {
-						c.Out.Ensure(qi).AppendPairs(t.RawPairs())
-					}
-					return true
-				})
-				return true
-			})
+// prpSPO1 builds PRP-SPO1 (p1 subPropertyOf p2 ∧ x p1 y ⇒ x p2 y) from
+// its stored form, the δ copy of every p1 table into p2, and the
+// interval form below.
+func prpSPO1(stored func(*Context)) func(*Context) {
+	return func(c *Context) {
+		if c.Hier == nil {
+			stored(c)
 			return
 		}
-		for _, pass := range c.passes() {
-			schema := pass.a.Table(c.V.SubPropertyOf)
-			if schema == nil || schema.Empty() {
-				continue
-			}
-			sp := schema.Pairs()
-			for i := 0; i < len(sp); i += 2 {
-				p1, p2 := sp[i], sp[i+1]
-				if p1 == p2 {
-					continue
-				}
-				i1, ok1 := propIndexOf(p1)
-				i2, ok2 := propIndexOf(p2)
-				if !ok1 || !ok2 {
-					continue
-				}
-				src := pass.b.Table(i1)
-				if src == nil || src.Empty() {
-					continue
-				}
-				c.Out.Ensure(i2).AppendPairs(src.RawPairs())
-			}
+		// Interval form: each data table is copied through its property's
+		// visible supers (the virtual subPropertyOf closure). Normally
+		// only the delta tables are swept; when the property hierarchy
+		// itself changed, the whole main store is re-swept against the
+		// fresh intervals. The self-copy (a cyclic property's own block)
+		// is skipped like the stored form skips p1 == p2.
+		src := c.Delta
+		if c.hierChanged(c.V.SubPropertyOf) {
+			src = c.Main
 		}
-	}}
+		src.ForEachTable(func(pidx int, t *store.Table) bool {
+			p := dictionary.PropID(pidx)
+			c.Hier.Props.Supers(p, func(q uint64) bool {
+				if q == p {
+					return true
+				}
+				if qi, ok := propIndexOf(q); ok {
+					c.Out.Ensure(qi).AppendPairs(t.RawPairs())
+				}
+				return true
+			})
+			return true
+		})
+	}
 }
 
-// rulePRPSYMP (#18): p type SymmetricProperty ∧ x p y ⇒ y p x.
-func rulePRPSYMP() Rule {
-	return Rule{Name: "PRP-SYMP", Apply: func(c *Context) {
-		for _, pass := range c.passes() {
-			for _, pidx := range markedProperties(pass.a.Table(c.V.Type), c.V.SymmetricProp) {
-				src := pass.b.Table(pidx)
-				if src == nil || src.Empty() {
-					continue
-				}
-				out := c.Out.Ensure(pidx)
-				sp := src.RawPairs()
-				for j := 0; j < len(sp); j += 2 {
-					out.Append(sp[j+1], sp[j])
-				}
+// prpSYMP is PRP-SYMP: p type SymmetricProperty ∧ x p y ⇒ y p x.
+func prpSYMP(c *Context) {
+	for _, pass := range c.passes() {
+		for _, pidx := range markedProperties(pass.a.Table(c.V.Type), c.V.SymmetricProp) {
+			src := pass.b.Table(pidx)
+			if src == nil || src.Empty() {
+				continue
+			}
+			out := c.Out.Ensure(pidx)
+			sp := src.RawPairs()
+			for j := 0; j < len(sp); j += 2 {
+				out.Append(sp[j+1], sp[j])
 			}
 		}
-	}}
+	}
 }
 
 // ---------------------------------------------------------------- δ rules
 
-// deltaCopy implements the δ pattern: for every ⟨p1, p2⟩ in a schema
-// table, the property table selected by src is copied (optionally
-// reversed) into the table selected by dst.
-func deltaCopy(name string, schemaProp func(*Vocab) int, srcFirst, reverse bool) Rule {
-	return Rule{Name: name, Apply: func(c *Context) {
+// deltaCopy builds a δ rule: for every ⟨p1, p2⟩ in a schema table, the
+// property table of p1 (srcFirst) or p2 is copied, reversed when reverse,
+// into the table of the other.
+func deltaCopy(schemaProp table, srcFirst, reverse bool) func(*Context) {
+	return func(c *Context) {
 		for _, pass := range c.passes() {
 			schema := pass.a.Table(schemaProp(c.V))
 			if schema == nil || schema.Empty() {
@@ -364,32 +318,12 @@ func deltaCopy(name string, schemaProp func(*Vocab) int, srcFirst, reverse bool)
 				}
 			}
 		}
-	}}
-}
-
-// rulePRPEQP1 (#10): p1 equivalentProperty p2 ∧ x p2 y ⇒ x p1 y.
-func rulePRPEQP1() Rule {
-	return deltaCopy("PRP-EQP1", func(v *Vocab) int { return v.EquivProp }, false, false)
-}
-
-// rulePRPEQP2 (#11): p1 equivalentProperty p2 ∧ x p1 y ⇒ x p2 y.
-func rulePRPEQP2() Rule {
-	return deltaCopy("PRP-EQP2", func(v *Vocab) int { return v.EquivProp }, true, false)
-}
-
-// rulePRPINV1 (#14): p1 inverseOf p2 ∧ x p1 y ⇒ y p2 x.
-func rulePRPINV1() Rule {
-	return deltaCopy("PRP-INV1", func(v *Vocab) int { return v.InverseOf }, true, true)
-}
-
-// rulePRPINV2 (#15): p1 inverseOf p2 ∧ x p2 y ⇒ y p1 x.
-func rulePRPINV2() Rule {
-	return deltaCopy("PRP-INV2", func(v *Vocab) int { return v.InverseOf }, false, true)
+	}
 }
 
 // ----------------------------------------------------------- same-as rules
 
-// ruleSameAs implements the three replication rules (#4 EQ-REP-O, #5
+// eqRep implements the three replication rules (#4 EQ-REP-O, #5
 // EQ-REP-P, #6 EQ-REP-S) as sequential scans, like every other rule
 // class. Per pass, the objects b of the A side's ⟨a, b⟩ pairs with a ≠ b
 // are the members; when a and b are both properties, b's table is copied
@@ -401,42 +335,40 @@ func rulePRPINV2() Rule {
 // the table symmetric (#7 EQ-SYM), so b's facts reach a and a's reach b;
 // the rule itself emits the per-pair multiset whether the A side is
 // symmetric or not.
-func ruleSameAs() Rule {
-	return Rule{Name: "EQ-REP", Apply: func(c *Context) {
-		for _, pass := range c.passes() {
-			same := pass.a.Table(c.V.SameAs)
-			if same == nil || same.Empty() {
+func eqRep(c *Context) {
+	for _, pass := range c.passes() {
+		same := pass.a.Table(c.V.SameAs)
+		if same == nil || same.Empty() {
+			continue
+		}
+		// ⟨b, a⟩ sorted on b: a member's run lists its partners.
+		partners := same.OS()
+		members := false
+		for i := 0; i < len(partners); i += 2 {
+			b, a := partners[i], partners[i+1]
+			if a == b {
 				continue
 			}
-			// ⟨b, a⟩ sorted on b: a member's run lists its partners.
-			partners := same.OS()
-			members := false
-			for i := 0; i < len(partners); i += 2 {
-				b, a := partners[i], partners[i+1]
-				if a == b {
-					continue
-				}
-				members = true
-				// EQ-REP-P: replicate b's property table under a.
-				if ai, aok := propIndexOf(a); aok {
-					if bi, bok := propIndexOf(b); bok {
-						if src := pass.b.Table(bi); src != nil && !src.Empty() {
-							c.Out.Ensure(ai).AppendPairs(src.RawPairs())
-						}
+			members = true
+			// EQ-REP-P: replicate b's property table under a.
+			if ai, aok := propIndexOf(a); aok {
+				if bi, bok := propIndexOf(b); bok {
+					if src := pass.b.Table(bi); src != nil && !src.Empty() {
+						c.Out.Ensure(ai).AppendPairs(src.RawPairs())
 					}
 				}
 			}
-			if !members {
-				continue
-			}
-			// EQ-REP-S and EQ-REP-O: one scan of every B-side table.
-			bits := memberBits(partners, c.TermBase, c.Terms, pass.b.Size())
-			pass.b.ForEachTable(func(pidx int, t *store.Table) bool {
-				replicateMembers(c.Out, pidx, t.Pairs(), partners, bits, c.TermBase)
-				return true
-			})
 		}
-	}}
+		if !members {
+			continue
+		}
+		// EQ-REP-S and EQ-REP-O: one scan of every B-side table.
+		bits := memberBits(partners, c.TermBase, c.Terms, pass.b.Size())
+		pass.b.ForEachTable(func(pidx int, t *store.Table) bool {
+			replicateMembers(c.Out, pidx, t.Pairs(), partners, bits, c.TermBase)
+			return true
+		})
+	}
 }
 
 // memberShare sets when EQ-REP tests membership in a bitmap over the
@@ -520,20 +452,17 @@ func replicate(out *store.Store, pidx int, partners []uint64, x, y uint64, subje
 	}
 }
 
-// EQ-SYM and EQ-TRANS (rows #7 and #8) are θ-class: the reasoner's θ
-// step closes owl:sameAs as an undirected graph.
-
 // ----------------------------------------------------- functional property
 
-// funcPropRule implements PRP-FP (#12) and PRP-IFP (#13). For every
-// property marked functional (inverse functional), the sorted property
-// table is scanned once; within each subject (object) run, consecutive
-// distinct objects (subjects) yield owl:sameAs links. Emitting only the
-// consecutive pairs is sufficient because the sameAs θ-closure completes
-// the equivalence class — this keeps the self-join linear, matching the
-// paper's O(k·n) bound.
-func funcPropRule(name string, inverse bool) Rule {
-	return Rule{Name: name, Apply: func(c *Context) {
+// funcProp builds PRP-FP (#12) or, when inverse, PRP-IFP (#13). For
+// every property marked functional (inverse functional), the sorted
+// property table is scanned once; within each subject (object) run,
+// consecutive distinct objects (subjects) yield owl:sameAs links.
+// Emitting only the consecutive pairs is sufficient because the sameAs
+// θ-closure completes the equivalence class — this keeps the self-join
+// linear, matching the paper's O(k·n) bound.
+func funcProp(inverse bool) func(*Context) {
+	return func(c *Context) {
 		marker := c.V.FunctionalProp
 		if inverse {
 			marker = c.V.InverseFunctionalProp
@@ -584,130 +513,79 @@ func funcPropRule(name string, inverse bool) Rule {
 				process(t)
 			}
 		}
-	}}
+	}
 }
-
-func rulePRPFP() Rule  { return funcPropRule("PRP-FP", false) }
-func rulePRPIFP() Rule { return funcPropRule("PRP-IFP", true) }
 
 // ------------------------------------------------------------ trivial rules
 
-// ruleSCMEQC1 (#22): c1 equivalentClass c2 ⇒ c1 subClassOf c2 ∧ c2 subClassOf c1.
-func ruleSCMEQC1() Rule {
-	return Rule{Name: "SCM-EQC1", Apply: func(c *Context) {
-		dt := c.deltaTable(c.V.EquivClass)
+// mutual builds SCM-EQC1 and SCM-EQP1: a from b ⇒ a to b ∧ b to a.
+func mutual(from, to table) func(*Context) {
+	return func(c *Context) {
+		dt := c.deltaTable(from(c.V))
 		if dt == nil {
 			return
 		}
-		out := c.Out.Ensure(c.V.SubClassOf)
+		out := c.Out.Ensure(to(c.V))
 		p := dt.Pairs()
 		for i := 0; i < len(p); i += 2 {
 			out.Append(p[i], p[i+1])
 			out.Append(p[i+1], p[i])
 		}
-	}}
+	}
 }
 
-// ruleSCMEQP1 (#24): p1 equivalentProperty p2 ⇒ p1 subPropertyOf p2 ∧ p2 subPropertyOf p1.
-func ruleSCMEQP1() Rule {
-	return Rule{Name: "SCM-EQP1", Apply: func(c *Context) {
-		dt := c.deltaTable(c.V.EquivProp)
-		if dt == nil {
-			return
-		}
-		out := c.Out.Ensure(c.V.SubPropertyOf)
-		p := dt.Pairs()
-		for i := 0; i < len(p); i += 2 {
-			out.Append(p[i], p[i+1])
-			out.Append(p[i+1], p[i])
-		}
-	}}
-}
-
-// markerTrivial builds the ⟨x type M⟩ ⇒ emissions pattern shared by
-// SCM-CLS, SCM-DP/OP and RDFS 6/8/10/12/13.
-func markerTrivial(name string, marker func(*Vocab) uint64, emit func(c *Context, x uint64)) Rule {
-	return Rule{Name: name, Apply: func(c *Context) {
-		dt := c.deltaTable(c.V.Type)
-		for _, x := range markerSubjects(dt, marker(c.V)) {
+// marked builds the ⟨x type M⟩ ⇒ emissions pattern shared by SCM-CLS,
+// SCM-DP/OP and RDFS 6/8/10/12/13.
+func marked(marker func(*Vocab) uint64, emit func(c *Context, x uint64)) func(*Context) {
+	return func(c *Context) {
+		for _, x := range markerSubjects(c.deltaTable(c.V.Type), marker(c.V)) {
 			emit(c, x)
 		}
-	}}
+	}
 }
 
-// ruleSCMCLS (#30): c type owl:Class ⇒ c subClassOf c, c equivalentClass
-// c, c subClassOf owl:Thing, owl:Nothing subClassOf c.
-func ruleSCMCLS() Rule {
-	return markerTrivial("SCM-CLS", func(v *Vocab) uint64 { return v.OWLClass },
-		func(c *Context, x uint64) {
-			c.Out.Ensure(c.V.SubClassOf).Append(x, x)
-			c.Out.Ensure(c.V.EquivClass).Append(x, x)
-			c.Out.Ensure(c.V.SubClassOf).Append(x, c.V.Thing)
-			c.Out.Ensure(c.V.SubClassOf).Append(c.V.Nothing, x)
-		})
+// scmCLS: c type owl:Class ⇒ c subClassOf c, c equivalentClass c,
+// c subClassOf owl:Thing, owl:Nothing subClassOf c.
+func scmCLS(c *Context, x uint64) {
+	c.Out.Ensure(c.V.SubClassOf).Append(x, x)
+	c.Out.Ensure(c.V.EquivClass).Append(x, x)
+	c.Out.Ensure(c.V.SubClassOf).Append(x, c.V.Thing)
+	c.Out.Ensure(c.V.SubClassOf).Append(c.V.Nothing, x)
 }
 
-// ruleSCMDP (#31) and ruleSCMOP (#32): p type owl:{Datatype,Object}Property
-// ⇒ p subPropertyOf p ∧ p equivalentProperty p.
-func ruleSCMDP() Rule {
-	return markerTrivial("SCM-DP", func(v *Vocab) uint64 { return v.DatatypeProp },
-		func(c *Context, x uint64) {
-			c.Out.Ensure(c.V.SubPropertyOf).Append(x, x)
-			c.Out.Ensure(c.V.EquivProp).Append(x, x)
-		})
+// reflexiveProp is SCM-DP's and SCM-OP's head: p type
+// owl:{Datatype,Object}Property ⇒ p subPropertyOf p ∧ p equivalentProperty p.
+func reflexiveProp(c *Context, x uint64) {
+	c.Out.Ensure(c.V.SubPropertyOf).Append(x, x)
+	c.Out.Ensure(c.V.EquivProp).Append(x, x)
 }
 
-func ruleSCMOP() Rule {
-	return markerTrivial("SCM-OP", func(v *Vocab) uint64 { return v.ObjectProp },
-		func(c *Context, x uint64) {
-			c.Out.Ensure(c.V.SubPropertyOf).Append(x, x)
-			c.Out.Ensure(c.V.EquivProp).Append(x, x)
-		})
+// rdfs4: x p y ⇒ x type Resource ∧ y type Resource.
+func rdfs4(c *Context) {
+	out := c.Out.Ensure(c.V.Type)
+	c.Delta.ForEachTable(func(pidx int, t *store.Table) bool {
+		p := t.RawPairs()
+		for i := 0; i < len(p); i += 2 {
+			out.Append(p[i], c.V.Resource)
+			out.Append(p[i+1], c.V.Resource)
+		}
+		return true
+	})
 }
 
-// ruleRDFS4 (#33): x p y ⇒ x type Resource ∧ y type Resource.
-func ruleRDFS4() Rule {
-	return Rule{Name: "RDFS4", Apply: func(c *Context) {
-		out := c.Out.Ensure(c.V.Type)
-		c.Delta.ForEachTable(func(pidx int, t *store.Table) bool {
-			p := t.RawPairs()
-			for i := 0; i < len(p); i += 2 {
-				out.Append(p[i], c.V.Resource)
-				out.Append(p[i+1], c.V.Resource)
-			}
-			return true
-		})
-	}}
+// rdfs6: x type rdf:Property ⇒ x subPropertyOf x.
+func rdfs6(c *Context, x uint64) { c.Out.Ensure(c.V.SubPropertyOf).Append(x, x) }
+
+// rdfs8: x type rdfs:Class ⇒ x type rdfs:Resource.
+func rdfs8(c *Context, x uint64) { c.Out.Ensure(c.V.Type).Append(x, c.V.Resource) }
+
+// rdfs10: x type rdfs:Class ⇒ x subClassOf x.
+func rdfs10(c *Context, x uint64) { c.Out.Ensure(c.V.SubClassOf).Append(x, x) }
+
+// rdfs12: x type ContainerMembershipProperty ⇒ x subPropertyOf rdfs:member.
+func rdfs12(c *Context, x uint64) {
+	c.Out.Ensure(c.V.SubPropertyOf).Append(x, dictionary.PropID(c.V.Member))
 }
 
-// ruleRDFS6 (#37): x type rdf:Property ⇒ x subPropertyOf x.
-func ruleRDFS6() Rule {
-	return markerTrivial("RDFS6", func(v *Vocab) uint64 { return v.Property },
-		func(c *Context, x uint64) { c.Out.Ensure(c.V.SubPropertyOf).Append(x, x) })
-}
-
-// ruleRDFS8 (#34): x type rdfs:Class ⇒ x type rdfs:Resource.
-func ruleRDFS8() Rule {
-	return markerTrivial("RDFS8", func(v *Vocab) uint64 { return v.Class },
-		func(c *Context, x uint64) { c.Out.Ensure(c.V.Type).Append(x, c.V.Resource) })
-}
-
-// ruleRDFS10 (#38): x type rdfs:Class ⇒ x subClassOf x.
-func ruleRDFS10() Rule {
-	return markerTrivial("RDFS10", func(v *Vocab) uint64 { return v.Class },
-		func(c *Context, x uint64) { c.Out.Ensure(c.V.SubClassOf).Append(x, x) })
-}
-
-// ruleRDFS12 (#35): x type ContainerMembershipProperty ⇒ x subPropertyOf rdfs:member.
-func ruleRDFS12() Rule {
-	return markerTrivial("RDFS12", func(v *Vocab) uint64 { return v.ContainerMembership },
-		func(c *Context, x uint64) {
-			c.Out.Ensure(c.V.SubPropertyOf).Append(x, dictionary.PropID(c.V.Member))
-		})
-}
-
-// ruleRDFS13 (#36): x type rdfs:Datatype ⇒ x subClassOf rdfs:Literal.
-func ruleRDFS13() Rule {
-	return markerTrivial("RDFS13", func(v *Vocab) uint64 { return v.Datatype },
-		func(c *Context, x uint64) { c.Out.Ensure(c.V.SubClassOf).Append(x, c.V.Literal) })
-}
+// rdfs13: x type rdfs:Datatype ⇒ x subClassOf rdfs:Literal.
+func rdfs13(c *Context, x uint64) { c.Out.Ensure(c.V.SubClassOf).Append(x, c.V.Literal) }

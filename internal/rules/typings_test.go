@@ -101,8 +101,8 @@ func TestTypingsEmittedOnce(t *testing.T) {
 				schema   int
 				subjects bool
 			}{
-				{rulePRPDOM(), h.v.Domain, true},
-				{rulePRPRNG(), h.v.Range, false},
+				{rule("PRP-DOM"), h.v.Domain, true},
+				{rule("PRP-RNG"), h.v.Range, false},
 			} {
 				label := fmt.Sprintf("%s pad=%d firstPass=%t", tc.rule.Name, pad, firstPass)
 				out := store.New(h.main.NumSlots())
@@ -140,7 +140,7 @@ func TestSmallDeltaAllocatesNoStamps(t *testing.T) {
 	delta := store.New(h.main.NumSlots())
 	delta.Add(props[2], h.res("<c>"), h.res("<x>"))
 	delta.Normalize()
-	rng := rulePRPRNG()
+	rng := rule("PRP-RNG")
 	const runs = 20
 	var before, after runtime.MemStats
 	runtime.GC()
@@ -176,7 +176,7 @@ func TestUpExpansionFromMinimalClassesOnly(t *testing.T) {
 		out := store.New(h.main.NumSlots())
 		c := h.context(delta, out)
 		c.Hier = idx
-		ruleSCMDOM1().Apply(c)
+		rule("SCM-DOM1").Apply(c)
 		if t := out.Table(h.v.Domain); t != nil {
 			return t.RawPairs()
 		}

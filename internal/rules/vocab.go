@@ -1,8 +1,8 @@
 // Package rules implements Inferray's rule machinery: the rule classes of
 // §4.4 (α, β, γ, δ, same-as, θ, the three-antecedent functional-property
 // rules, and the trivial single-antecedent rules), the concrete rules of
-// Table 5, and the ruleset (fragment) definitions ρdf, RDFS-default,
-// RDFS-full, and RDFS-Plus.
+// Table 5 (table5.go), and the fragments ρdf, RDFS-default, RDFS-full,
+// RDFS-Plus and RDFS-Plus-full, declared once as Specs (spec.go).
 //
 // Every rule reads the main store and the delta ("new") store of the
 // current iteration and appends derivations to a private output store;

@@ -768,7 +768,7 @@ func termBinding(term string) binding {
 // deltaResponse reports what one posted delta did.
 type deltaResponse struct {
 	Staged      int    `json:"staged"`      // triples parsed from the body
-	NewInput    int    `json:"new_input"`   // distinct triples not already stored
+	NewInput    int    `json:"new_input"`   // distinct triples not visible before
 	Inferred    int    `json:"inferred"`    // further closure growth
 	Total       int    `json:"total"`       // store size after materialization
 	Iterations  int    `json:"iterations"`  // fixpoint rounds
