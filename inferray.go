@@ -452,11 +452,11 @@ func (r *Reasoner) load(read func(emit func([]Triple) error) error) error {
 }
 
 // Materialize computes the closure of everything added so far under the
-// configured fragment. The first call runs the full Algorithm 1 of the
-// paper; subsequent calls seed the fixpoint with only the triples added
-// since (Stats.Incremental is set), guaranteed equivalent to a full
-// rematerialization over the union. Calling it with nothing new staged
-// is a cheap no-op.
+// configured fragment: Algorithm 1 of the paper over the triples added
+// since the last call, seeding the fixpoint with only those, guaranteed
+// equivalent to a full rematerialization over the union. Only the first
+// batch of a new reasoner leaves Stats.Incremental unset. Calling it
+// with nothing new staged is a cheap no-op.
 //
 // On a durable reasoner the drained batch is appended to the write-
 // ahead log before it is applied (honoring the configured sync policy),
@@ -570,9 +570,7 @@ type mutation struct {
 //
 // Only a durable reasoner logs, and replayed or replicated records
 // never reach one: Open replays before it attaches the manager, and
-// ApplyReplicated refuses durable reasoners. A retraction needs a
-// materialized engine, so a never-materialized reasoner materializes
-// (its empty store) first, whatever the mutation's kind.
+// ApplyReplicated refuses durable reasoners.
 func (r *Reasoner) apply(m mutation) (Stats, reasoner.RetractStats, error) {
 	// An add's WAL record is collected from its ranges before the lock.
 	record := m.batch
@@ -611,11 +609,10 @@ func (r *Reasoner) apply(m mutation) (Stats, reasoner.RetractStats, error) {
 	var st Stats
 	var rs reasoner.RetractStats
 	var err error
-	if m.kind == wal.OpAdd || !r.engine.Materialized() {
+	if m.kind == wal.OpAdd {
 		r.engine.LoadRanges(m.ranges)
 		st = r.engine.Materialize()
-	}
-	if m.kind == wal.OpDelete {
+	} else {
 		rs, err = r.engine.Retract(record)
 	}
 	r.bumpGenerationLocked()

@@ -257,9 +257,8 @@ func (e *Engine) LoadTriples(triples []rdf.Triple) {
 // merged in order, the numbering is exactly what registering the batch
 // term by term would produce, however the batch was cut.
 //
-// Before the first Materialize, triples accumulate in the main store;
-// afterwards they are staged as a delta for the next (incremental)
-// materialization.
+// The batch is staged for the next Materialize, in Engine.staged: a new
+// engine's is Main itself, any later one a store of its own.
 func (e *Engine) LoadRanges(ranges []*Range) {
 	start := time.Now()
 	triples, terms, most, sameAs := 0, 0, 0, 0
@@ -326,7 +325,7 @@ func (e *Engine) LoadRanges(ranges []*Range) {
 	}
 	if len(renames) > 0 {
 		e.Main.RewriteTerms(renames)
-		if e.staged != nil {
+		if e.staged != nil && e.staged != e.Main {
 			e.staged.RewriteTerms(renames)
 		}
 		// A promotion may have moved a vocabulary resource (markers like
@@ -347,14 +346,10 @@ func (e *Engine) LoadRanges(ranges []*Range) {
 		}
 	}
 
-	target := e.Main
-	if e.materialized {
-		if e.staged == nil {
-			e.staged = store.New(d.NumProperties())
-		}
-		target = e.staged
+	if e.staged == nil {
+		e.staged = store.New(d.NumProperties())
 	}
-	target.Grow(d.NumProperties())
+	e.staged.Grow(d.NumProperties())
 	e.Main.Grow(d.NumProperties())
 
 	// Count the pairs each property receives, size its tables once, fill.
@@ -367,7 +362,7 @@ func (e *Engine) LoadRanges(ranges []*Range) {
 	into := make([]*store.Table, len(counts))
 	for pidx, n := range counts {
 		if n > 0 {
-			into[pidx] = target.Ensure(pidx)
+			into[pidx] = e.staged.Ensure(pidx)
 			into[pidx].Reserve(n)
 		}
 	}

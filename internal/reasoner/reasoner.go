@@ -9,11 +9,11 @@
 // derived from its declarative spec (rules.Rules), and an
 // iteration only fires the rules whose read footprint meets a non-empty
 // table of the previous round's delta — the rest are skipped, which
-// Stats reports per iteration. Second, materialization is incremental:
-// triples loaded after a materialization are staged as a delta, and the
-// next Materialize seeds the fixpoint with only the new triples instead
-// of recomputing the closure from scratch; the result is equivalent to
-// a full rematerialization over the union.
+// Stats reports per iteration. Second, every batch is a delta: the
+// triples loaded since the last Materialize are absorbed by one path,
+// and the fixpoint is seeded with only what they add instead of
+// recomputing the closure from scratch; the result is equivalent to a
+// full rematerialization over the union.
 package reasoner
 
 import (
@@ -44,7 +44,7 @@ type Options struct {
 	// is finite). A test instrument only — load_test.go and
 	// TestMaxIterationsBounds use it to observe a half-run closure; the
 	// public API has no way to set it, because tripping it leaves an
-	// incomplete closure flagged materialized.
+	// incomplete closure that later batches extend as if it were whole.
 	MaxIterations int
 	// HierarchyEncoding keeps the transitive subClassOf/subPropertyOf
 	// closure — and the rdf:type triples it entails — virtual: a
@@ -66,11 +66,11 @@ type Options struct {
 // time went: selecting and firing the rules, store.MergeRound, and
 // maintenance after the merge — re-closing the θ tables the round
 // touched, then keeping the hierarchy encoding current (index rebuild,
-// guards, type compaction, a guard trip's expansion). The first round of
-// an incremental run also carries the merge and maintenance of the staged
-// batch that seeded it. The times are disjoint, an expansion nested in a
-// maintenance counted once, so their sum over Stats.Rounds is at most
-// Stats.LoopTime.
+// guards, type compaction, a guard trip's expansion). The batch that
+// seeded the loop is not a round: its merge and maintenance are
+// Stats.NormalizeTime and Stats.ClosureTime. The times are disjoint, an
+// expansion nested in a maintenance counted once, so their sum over
+// Stats.Rounds is at most Stats.LoopTime.
 type RoundStats struct {
 	RulesFired   int // rules whose read footprint met the round's delta
 	RulesSkipped int // rules the scheduler skipped
@@ -82,10 +82,11 @@ type RoundStats struct {
 	MaintainTime time.Duration
 }
 
-// Stats reports what a materialization did. On an incremental run
-// (Incremental true), InputTriples counts the distinct triples of the
-// batch that were not visible before it and InferredTriples the further
-// closure growth; the pre-existing closure is neither.
+// Stats reports what a materialization did. InputTriples counts the
+// distinct triples of the batch that were not visible before it and
+// InferredTriples the further closure growth; the pre-existing closure
+// is neither. Incremental is false only for a new engine's batch, which
+// Main adopts in place.
 // TotalTriples and InferredTriples count the *visible* closure, so they
 // are identical with and without the hierarchy encoding; the
 // materialized/virtual split is reported separately.
@@ -98,8 +99,8 @@ type Stats struct {
 	RulesSkipped    int          // total across iterations
 	Rounds          []RoundStats // per-iteration breakdown
 	Incremental     bool
-	ClosureTime     time.Duration
-	LoopTime        time.Duration
+	ClosureTime     time.Duration // the seeding round's θ step and hierarchy maintenance
+	LoopTime        time.Duration // the fixpoint alone: Rounds and their bookkeeping
 	CountTime       time.Duration // sizing the visible closure before and after (Size)
 	TotalTime       time.Duration // the Materialize call: normalize + closure + loop + count
 
@@ -109,9 +110,9 @@ type Stats struct {
 	// with the range-local interning that overlaps it on other cores.
 	// EncodeTime is the rest of dictionary encoding — interning not yet
 	// done, the ordered merge into the dictionary, and the table fill.
-	// NormalizeTime is the sort + dedup of the loaded tables, the first
-	// part of TotalTime. ParseTime + EncodeTime + TotalTime spans bytes-in
-	// to closure.
+	// NormalizeTime is the seeding round's sort, dedup and merge of the
+	// loaded tables, the first part of TotalTime. ParseTime + EncodeTime +
+	// TotalTime spans bytes-in to closure.
 	ParseTime     time.Duration
 	EncodeTime    time.Duration
 	NormalizeTime time.Duration
@@ -134,9 +135,8 @@ type Stats struct {
 }
 
 // Engine is a forward-chaining reasoner: load triples, call Materialize,
-// read the closure back out. Loading more triples after a
-// materialization stages them as a delta; the next Materialize extends
-// the closure incrementally.
+// read the closure back out. Every load stages a batch; the next
+// Materialize extends the closure by it.
 //
 // Main is the only store. Which of its pairs were explicitly loaded
 // (asserted) rather than only derived is a mark on the pair itself
@@ -150,14 +150,17 @@ type Engine struct {
 	opts  Options
 	rules []rules.Rule
 
-	materialized bool
-	staged       *store.Store  // triples loaded since the last Materialize
-	encodeTime   time.Duration // spent loading since the last Materialize
+	// staged holds the triples loaded since the last Materialize, which
+	// absorbs it; nil when nothing is staged. A new engine's batch is
+	// Main itself, which the first Materialize adopts in place; every
+	// later batch is a store of its own, merged into Main.
+	staged     *store.Store
+	encodeTime time.Duration // spent loading since the last Materialize
 
 	// hier is the hierarchy interval index when the encoding is active;
 	// nil when the option is off, before the first Materialize, or after
 	// a guard-forced bypass. The bypass is sticky: maintainHier rebuilds
-	// only a standing index, and only the first Materialize and
+	// only a standing index, and only adopting a new engine's batch and
 	// RestoreState build one from nothing, so once a guard trips or a
 	// schema edge is retracted the engine stays on full materialization.
 	hier     *hierarchy.Index
@@ -180,6 +183,7 @@ func New(opts Options) *Engine {
 	e := &Engine{Dict: d, V: v, opts: opts, rules: rules.Rules(opts.Fragment, v)}
 	e.resolveRuleCounters()
 	e.Main = store.New(d.NumProperties())
+	e.staged = e.Main
 	if opts.Metrics != nil {
 		e.Main.SetMetrics(opts.Metrics.Store)
 	}
@@ -189,22 +193,37 @@ func New(opts Options) *Engine {
 // Fragment returns the ruleset the engine materializes under.
 func (e *Engine) Fragment() rules.Fragment { return e.opts.Fragment }
 
-// Materialize computes the closure of the loaded triples under the
-// engine's fragment and returns run statistics. The first call
-// implements Algorithm 1 in full; subsequent calls extend the existing
-// closure incrementally from the staged delta, producing the same store
-// a full rematerialization over the union would.
+// Materialize absorbs the staged batch — Algorithm 1 over whatever was
+// loaded since the last call — and returns run statistics. The batch
+// seeds one round (mergeRound): merged into Main or, on a new engine,
+// adopted as Main, then the θ step and the hierarchy maintenance. The
+// fixpoint runs from that round's delta, producing the store a full
+// materialization over the union would.
 func (e *Engine) Materialize() Stats {
 	start := time.Now()
-	st := Stats{Incremental: e.materialized}
+	staged := e.staged
+	e.staged = nil
+	st := Stats{Incremental: staged != e.Main}
 	prevTotal := 0
-	if e.materialized {
+	if st.Incremental {
 		prevTotal = e.Size()
 		st.CountTime = time.Since(start)
-		e.materializeIncremental(&st)
-	} else {
-		e.materializeFull(&st)
-		e.materialized = true
+	}
+	if staged != nil {
+		seedStart := time.Now()
+		served := e.servedVirtually(staged)
+		r := e.mergeRound(true, staged)
+		// The batch's own triples that were not visible before it: neither
+		// stored nor served by the hierarchy. The θ closures and an encoding
+		// expansion the round folds into its delta are not input.
+		st.InputTriples = r.fresh - served
+		st.NormalizeTime = time.Since(seedStart) - r.maintain
+		st.ClosureTime = r.maintain
+		if r.delta.Size() > 0 {
+			loopStart := time.Now()
+			e.fixpoint(r.delta, &st)
+			st.LoopTime = time.Since(loopStart)
+		}
 	}
 	countStart := time.Now()
 	st.TotalTriples = e.Size()
@@ -225,69 +244,27 @@ func (e *Engine) Materialize() Stats {
 	return st
 }
 
-// materializeFull is Algorithm 1 over the loaded store.
-func (e *Engine) materializeFull(st *Stats) {
-	start := time.Now()
+// adopt takes a new engine's batch, loaded straight into Main, as its
+// first round without a copy: the tables are sorted and deduplicated and
+// every pair is marked asserted — from here on pairs enter Main only
+// through merges, which carry the marks. With the encoding requested the
+// index starts empty, so subClassOf and subPropertyOf are no θ tables;
+// the maintenance after the θ step builds it from the batch's edges. The
+// round's delta is Main itself: every rule fires on the first pass.
+func (e *Engine) adopt() *store.Store {
 	if e.opts.Parallel {
 		e.Main.NormalizeParallel()
 	} else {
 		e.Main.Normalize()
 	}
-	// Everything loaded so far is input: mark it, clean or not (a caller
-	// may have normalized Main itself). From here on pairs enter Main only
-	// through merges, which carry the marks.
 	e.Main.ForEachTable(func(_ int, t *store.Table) bool {
 		t.MarkAll()
 		return true
 	})
-	st.NormalizeTime = time.Since(start)
-	st.InputTriples = e.Main.Size() // after load-time dedup
-
-	// Line 2: the θ stage (§4.1). With the hierarchy encoding requested,
-	// subClassOf/subPropertyOf are not θ tables: the interval index is
-	// built from the raw edges instead, unless a meta-vocabulary guard
-	// forces a bypass. Nothing is compacted here: every pair of Main is
-	// input at this point, and an asserted pair stays.
-	closureStart := time.Now()
 	if e.opts.HierarchyEncoding {
-		e.buildHier()
-		if !e.hierGuardsOK(e.Main) {
-			e.hier = nil
-		}
+		e.hier = hierarchy.Build(nil, nil, e.V.Type, e.V.SubClassOf, e.V.SubPropertyOf)
 	}
-	e.closeTheta(e.Main)
-	st.ClosureTime = time.Since(closureStart)
-
-	// Lines 3–8: fixed point. On the first pass delta aliases main and
-	// every rule fires.
-	loopStart := time.Now()
-	e.fixpoint(e.Main, st)
-	st.LoopTime = time.Since(loopStart)
-}
-
-// materializeIncremental merges the staged delta into main and runs the
-// fixpoint seeded with only the genuinely new triples. The merge round
-// closes every θ table the batch touches, so no separate θ stage runs.
-func (e *Engine) materializeIncremental(st *Stats) {
-	staged := e.staged
-	e.staged = nil
-	if staged == nil || staged.Size() == 0 {
-		return
-	}
-	loopStart := time.Now()
-	served := e.servedVirtually(staged)
-	r := e.mergeRound(true, staged)
-	// The batch's own triples that were not visible before it: neither
-	// stored nor served by the hierarchy. The θ closures and an encoding
-	// expansion the round folds into its delta are not input.
-	st.InputTriples = r.fresh - served
-	if r.delta.Size() > 0 {
-		e.fixpoint(r.delta, st)
-		// The seeding merge is round 1's (RoundStats).
-		st.Rounds[0].MergeTime += r.merge
-		st.Rounds[0].MaintainTime += r.maintain
-	}
-	st.LoopTime = time.Since(loopStart)
+	return e.Main
 }
 
 // servedVirtually counts the pairs of a staged batch that are not stored
@@ -317,7 +294,7 @@ func (e *Engine) servedVirtually(staged *store.Store) int {
 
 // fixpoint runs the semi-naive loop (Algorithm 1 lines 3–8), seeded with
 // delta, until a round's delta comes back empty. A delta that aliases
-// main is the first pass of a full materialization.
+// main is the first pass over an adopted batch.
 func (e *Engine) fixpoint(delta *store.Store, st *Stats) {
 	for e.opts.MaxIterations == 0 || st.Iterations < e.opts.MaxIterations {
 		start := time.Now()
@@ -367,11 +344,17 @@ type round struct {
 // outputs, a reseed, an encoding expansion alike: merge the outputs into
 // main, close the θ tables the merge touched (closeTheta), then bring
 // the hierarchy encoding up to date with what arrived. asserted is true
-// for the one round whose outputs are input: the staged batch.
+// for the one round whose outputs are input: the staged batch. A batch
+// that is Main itself — a new engine's — is adopted instead of merged.
 func (e *Engine) mergeRound(asserted bool, outs ...*store.Store) round {
 	start := time.Now()
 	typeVersion := e.typeVersion()
-	delta := store.MergeRound(e.Main, e.opts.Parallel, asserted, outs...)
+	var delta *store.Store
+	if asserted && outs[0] == e.Main {
+		delta = e.adopt()
+	} else {
+		delta = store.MergeRound(e.Main, e.opts.Parallel, asserted, outs...)
+	}
 	r := round{delta: delta, fresh: delta.Size()}
 	merged := time.Now()
 	e.closeTheta(delta)
@@ -426,11 +409,12 @@ func (e *Engine) thetaTables(st *store.Store) []int {
 
 // closeTheta is the θ step: it re-closes every θ table delta touches,
 // merges the pairs the closures add into Main and folds them into delta.
-// It runs in every mergeRound, on Retract's survivors, and once before
-// the loop with delta == Main. owl:sameAs is closed as an undirected graph, its pairs with
-// their reverses, which is EQ-SYM and EQ-TRANS in one call. Only a
-// closed rdf:type table (rdf:type itself declared transitive) can
-// declare further θ tables, so only then does the step go again.
+// It runs in every mergeRound — an adopted batch's with delta == Main —
+// and on Retract's survivors. owl:sameAs is closed as an undirected
+// graph, its pairs with their reverses, which is EQ-SYM and EQ-TRANS in
+// one call. Only a closed rdf:type table (rdf:type itself declared
+// transitive) can declare further θ tables, so only then does the step
+// go again.
 func (e *Engine) closeTheta(delta *store.Store) {
 	for touched := delta; ; {
 		tables := e.thetaTables(touched)
@@ -485,13 +469,11 @@ func (e *Engine) buildHier() {
 // sound under one invariant: every stored sameAs endpoint has been
 // checked against the current index, either by the walk over Main when
 // the index was last built, or in the merge round whose delta brought
-// it. Two paths store sameAs pairs outside a merge round, and both add no
-// endpoint: materializeFull's closeTheta(e.Main) right after the check
-// closes the pairs just walked, and a symmetric-transitive closure
-// names only the terms it starts from; Retract's closeTheta on its
-// reseed restores a subset of the closure that stood before the delete.
-// A new path that stores sameAs pairs outside mergeRound must pass them
-// through this check itself.
+// it — an adopted batch's round walks Main after its θ step. One path
+// stores sameAs pairs outside a merge round and adds no endpoint:
+// Retract's closeTheta on its reseed restores a subset of the closure
+// that stood before the delete. A new path that stores sameAs pairs
+// outside mergeRound must pass them through this check itself.
 func (e *Engine) hierGuardsOK(st *store.Store) bool {
 	h, v := e.hier, e.V
 	// G1: no rule-marker class may acquire subclasses. Several rules
@@ -570,7 +552,9 @@ func (e *Engine) hierGuardsOK(st *store.Store) bool {
 // the merge — over the runs the delta's type pairs touched, and those
 // runs are compacted. The hierarchy nodes change only with a rebuild, so
 // G3 walks every stored sameAs pair after one and only the delta's
-// otherwise (the invariant this relies on is at hierGuardsOK).
+// otherwise (the invariant this relies on is at hierGuardsOK). An
+// adopted batch (delta == Main) is all input, and an asserted pair
+// stays: nothing is compacted, and an expansion is already in Main.
 func (e *Engine) maintainHier(delta *store.Store, typeVersion uint64) {
 	if e.hier == nil {
 		return
@@ -592,7 +576,13 @@ func (e *Engine) maintainHier(delta *store.Store, typeVersion uint64) {
 	if recheck && !e.hierGuardsOK(sameAs) {
 		// The expansion's genuinely-new triples join the running delta so
 		// the fixpoint processes them like any other derivation.
-		store.Union(delta, e.expandEncoding())
+		exp := e.expandEncoding()
+		if delta != e.Main {
+			store.Union(delta, exp)
+		}
+		return
+	}
+	if delta == e.Main {
 		return
 	}
 	if typeChanged {
@@ -768,8 +758,8 @@ func (e *Engine) expandEncoding() *store.Store {
 // is scheduled only when its read footprint meets a non-empty delta
 // table — a rule whose antecedent tables received nothing new cannot
 // derive anything new (semi-naive evaluation) and is skipped — except on
-// the first pass of a full materialization, where delta aliases main
-// and every rule fires.
+// the first pass over an adopted batch, where delta aliases main and
+// every rule fires.
 func (e *Engine) applyRules(delta *store.Store) ([]*store.Store, int) {
 	var runnable []int
 	if delta == e.Main {
@@ -846,9 +836,9 @@ func (e *Engine) runRules(runnable []int, delta *store.Store) []*store.Store {
 // standard vocabulary at its head (snapshots written by this package
 // always do: the vocabulary is registered at engine construction, before
 // any data term). The vocabulary indexes are re-resolved and verified.
-// An image is written from a closure, so the engine is materialized
-// afterwards: re-deriving the (empty) fixpoint would only waste the cold
-// start, and the next Materialize extends the closure from staged deltas.
+// An image is written from a closure, so nothing is left staged:
+// re-deriving the (empty) fixpoint would only waste the cold start, and
+// the next Materialize merges its batch into the restored closure.
 //
 // encoded declares that the snapshot was written by an engine with the
 // hierarchy encoding active, i.e. the stored closure is reduced (the
@@ -873,7 +863,6 @@ func (e *Engine) RestoreState(d *dictionary.Dictionary, st *store.Store, encoded
 	if e.opts.Metrics != nil {
 		st.SetMetrics(e.opts.Metrics.Store)
 	}
-	e.materialized = true
 	e.staged = nil
 	// A fully materialized snapshot — its writer ran without the encoding,
 	// or had dropped it (a meta-vocabulary guard, a schema retraction) —
@@ -940,10 +929,6 @@ func (e *Engine) MemoryStats(top int) MemoryStats {
 	ms.Top = all[:min(max(top, 0), len(all))]
 	return ms
 }
-
-// Materialized reports whether Main is a closure: the first Materialize
-// ran, or an image was installed.
-func (e *Engine) Materialized() bool { return e.materialized }
 
 // Size returns the current number of visible triples (staged triples
 // not yet materialized are excluded). With the hierarchy encoding

@@ -50,13 +50,10 @@ type RetractStats struct {
 // are ignored (SPARQL DELETE DATA semantics: deleting an absent triple
 // is not an error).
 //
-// The engine must be materialized, with no staged delta pending.
+// No loaded batch may be pending: Materialize it first.
 func (e *Engine) Retract(batch []rdf.Triple) (RetractStats, error) {
 	start := time.Now()
 	st := RetractStats{Requested: len(batch)}
-	if !e.materialized {
-		return st, fmt.Errorf("reasoner: Retract before Materialize")
-	}
 	if e.staged != nil && e.staged.Size() > 0 {
 		return st, fmt.Errorf("reasoner: staged triples pending; Materialize before Retract")
 	}

@@ -18,8 +18,8 @@ import (
 // with delta == Main, so the first pass finds nothing left to close.
 func TestThetaClosesInRound(t *testing.T) {
 	tr := func(s, p, o string) rdf.Triple { return rdf.Triple{S: s, P: p, O: o} }
-	// stagedRound merges a batch the way materializeIncremental's first
-	// step does and returns that round's delta.
+	// stagedRound merges a batch the way Materialize seeds a later batch
+	// and returns that round's delta.
 	stagedRound := func(e *Engine, batch ...rdf.Triple) *store.Store {
 		e.LoadTriples(batch)
 		staged := e.staged

@@ -190,7 +190,7 @@ func (t *Table) Marked(i int) bool { return t.marks != nil && getBit(t.marks, i)
 // ⌈Size/64⌉ words with no bit set past the last pair. Read-only.
 func (t *Table) Marks() []uint64 { return t.marks }
 
-// MarkAll marks every pair asserted: a first materialization's input.
+// MarkAll marks every pair asserted: an adopted batch's input.
 func (t *Table) MarkAll() {
 	t.marks = make([]uint64, (t.Size()+63)/64)
 	for i := range t.Size() {

@@ -370,6 +370,47 @@ func TestDeleteOnSettledReasonerCountsNoMaterialization(t *testing.T) {
 	}
 }
 
+// TestDeleteBeforeAnyLoadCountsNoMaterialization: a DELETE on a fresh
+// reasoner is a retraction of nothing, not a materialization of an
+// empty store. The first batch after it is still the engine's first:
+// adopted, not merged, and materialized exactly as on a reasoner that
+// never saw the delete.
+func TestDeleteBeforeAnyLoadCountsNoMaterialization(t *testing.T) {
+	type counts struct {
+		incremental                  bool
+		input, inferred, total, iter int
+		fired, skipped               int
+	}
+	firstBatch := func(deleteFirst bool) (counts, inferray.MetricsSnapshot) {
+		r := inferray.New(inferray.WithFragment(inferray.RDFSDefault))
+		if deleteFirst {
+			if _, err := r.Update(`DELETE DATA { <a> <p> <b> }`); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := r.Add("<a>", inferray.SubClassOf, "<b>"); err != nil {
+			t.Fatal(err)
+		}
+		st, err := r.Materialize()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return counts{st.Incremental, st.InputTriples, st.InferredTriples, st.TotalTriples,
+			st.Iterations, st.RulesFired, st.RulesSkipped}, r.Metrics()
+	}
+	got, m := firstBatch(true)
+	want, _ := firstBatch(false)
+	if m.Materializations != 1 {
+		t.Errorf("delete then one batch counted %d materializations, want 1", m.Materializations)
+	}
+	if got != want {
+		t.Errorf("first batch after a delete: %+v, want %+v as without it", got, want)
+	}
+	if want.incremental || want.fired != 8 || want.skipped != 0 {
+		t.Errorf("a fresh reasoner's first batch: %+v, want every RDFS-default rule fired", want)
+	}
+}
+
 // TestDroppedEncodingSurvivesImage: an image written after a schema
 // retraction dropped the hierarchy encoding is fully materialized, and
 // restoring it must not switch the encoding back on — retraction over a

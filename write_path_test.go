@@ -98,6 +98,7 @@ func FuzzOpStream(f *testing.F) {
 		{inferray.RDFSPlusFull, false, 5, "aqiqqdqwq"}, // cached = cold
 		{inferray.RhoDF, true, 6, "aaxaxcaxd"},         // recovered = uninterrupted
 		{inferray.RDFSPlus, false, 7, "a"},             // one shot = hash-join evaluator
+		{inferray.RDFSPlus, true, 8, "dxaxd"},          // a delete before any load = none, across recovery
 	} {
 		f.Add(uint8(s.frag), s.encoding, s.seed, s.ops)
 	}
