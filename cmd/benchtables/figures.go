@@ -1,112 +1,72 @@
 package main
 
-import (
-	"fmt"
+import "fmt"
 
-	"inferray/cmd/benchtables/internal/memsim"
-	"inferray/cmd/benchtables/internal/standin"
-	"inferray/internal/datagen"
-	"inferray/internal/reasoner"
-	"inferray/internal/rules"
-)
+// figureRowFmt lays out Figures 7 and 8: one row per engine that ran in
+// a cell.
+const figureRowFmt = "%-14s %-10s %8s %12s %14s %14s\n"
 
-// figure7 reproduces Figure 7: simulated cache misses, dTLB misses and
-// page faults per inferred triple for the transitive-closure benchmark.
-// Volumes (input / inferred / duplicate-generated) come from real runs;
-// the address streams are replayed through the cache model (the
-// substitution for perf counters, DESIGN.md §3).
-func figure7(cfg scaleCfg) {
-	fmt.Println("== Figure 7: memory behaviour per inferred triple (closure bench, simulated) ==")
-	fmt.Printf("%-8s %-12s %12s %12s %12s %10s\n",
-		"Chain", "System", "LLC/triple", "dTLB/triple", "PF/triple", "L1 rate")
-	lens := []int{}
-	for _, n := range cfg.chainLens {
-		if n >= 500 && n <= 2500 {
-			lens = append(lens, n)
-		}
-	}
-	if len(lens) == 0 {
-		lens = []int{500, 1000, 2500}
-	}
-	for _, n := range lens {
-		input := n
-		inferred := datagen.ChainClosureSize(n)
-		// Duplicate generation of the naive strategy, measured for real.
-		_, generated := naiveChainGenerated(n)
+// figure7 reproduces Figure 7 from Table 4's runs: memory behaviour per
+// inferred triple on the transitive-closure benchmark.
+func figure7(cells []cell) {
+	printFigure("== Figure 7: page faults and allocated bytes per inferred triple (Table 4's runs) ==", "Chain", cells)
+}
 
-		rows := []struct {
-			system string
-			pt     memsim.PerTriple
+// figure8 reproduces Figure 8 from Table 3's runs: the same view of the
+// RDFS-Plus benchmark.
+func figure8(cells []cell) {
+	printFigure("== Figure 8: page faults and allocated bytes per inferred triple (Table 3's runs) ==", "Dataset", cells)
+}
+
+// printFigure prints a second view of a Table's cells. The paper reads
+// cache misses, dTLB misses and page faults from hardware counters;
+// the one counter a process without a PMU can read is its own minor
+// page faults, so each engine reports those and the bytes it allocated,
+// both divided by the cell's inferred triples. An engine the Table
+// skipped (its "-") has no row.
+func printFigure(title, label string, cells []cell) {
+	fmt.Println(title)
+	fmt.Printf(figureRowFmt, label, "System", "ms", "faults", "faults/triple", "bytes/triple")
+	for _, c := range cells {
+		inferred := float64(max(c.paper.stats.InferredTriples, 1))
+		for _, e := range []struct {
+			name string
+			r    run
 		}{
-			{"inferray", memsim.Normalize(memsim.InferrayProfile(input, inferred), inferred)},
-			{"rdfox-like", memsim.Normalize(memsim.HashJoinProfile(input, inferred), inferred)},
-			{"owlim-like", memsim.Normalize(memsim.GraphProfile(input, inferred, generated), inferred)},
-		}
-		for _, r := range rows {
-			fmt.Printf("%-8d %-12s %12.3f %12.3f %12.4f %9.1f%%\n",
-				n, r.system, r.pt.CacheMisses, r.pt.TLBMisses, r.pt.PageFaults, 100*r.pt.L1MissRate)
+			{"paper", c.paper.run},
+			{"shipped", c.shipped.run},
+			{"hash-join", c.hash},
+			{"graph", c.graph},
+			{"webpie", c.webpie},
+		} {
+			if !e.r.ran {
+				continue
+			}
+			fmt.Printf(figureRowFmt, c.name, e.name, ms(e.r.time, false), fmt.Sprint(e.r.faults),
+				fmt.Sprintf("%.4f", float64(e.r.faults)/inferred),
+				fmt.Sprintf("%.1f", float64(e.r.bytes)/inferred))
 		}
 	}
 	fmt.Println()
 }
 
-// naiveChainGenerated measures the naive strategy's candidate volume on
-// a chain. The count grows cubically, so beyond 500 nodes it is
-// extrapolated from a measured run instead of paid for.
-func naiveChainGenerated(n int) (closedPairs, generated int) {
-	measured := n
-	if measured > 500 {
-		measured = 500
-	}
-	pairs := make([]uint64, 0, 2*measured)
-	for i := 0; i < measured; i++ {
-		pairs = append(pairs, uint64(i+1), uint64(i+2))
-	}
-	closed, gen := standin.NaiveTransitiveClosure(pairs)
-	if measured < n {
-		scale := float64(n) / float64(measured)
-		return datagen.ChainClosureSize(n) + n, int(float64(gen) * scale * scale * scale)
-	}
-	return len(closed) / 2, gen
-}
-
-// figure8 reproduces Figure 8: the same counters for the RDFS-Plus
-// benchmark datasets. The naive graph engine's candidate volume is
-// modelled as inferred × iterations (each naive round re-derives every
-// derivable fact).
-func figure8(cfg scaleCfg) {
-	fmt.Println("== Figure 8: memory behaviour per inferred triple (RDFS-Plus bench, simulated) ==")
-	fmt.Printf("%-14s %-12s %12s %12s %12s %10s\n",
-		"Dataset", "System", "LLC/triple", "dTLB/triple", "PF/triple", "L1 rate")
-
-	datasets := []namedDataset{}
-	for _, n := range cfg.lubmSizes {
-		datasets = append(datasets, namedDataset{"LUBM " + kfmt(n), datagen.LUBM(n, 13)})
-	}
-	datasets = append(datasets, taxonomyDatasets(cfg)...)
-
-	for _, ds := range datasets {
-		e := reasoner.New(reasoner.Options{Fragment: rules.RDFSPlus, Parallel: true})
-		e.LoadTriples(ds.triples)
-		stats := e.Materialize()
-		input, inferred := stats.InputTriples, stats.InferredTriples
-		if inferred == 0 {
-			inferred = 1
+// chainShape checks the shape Table 4 and Figure 7 claim: in every
+// chain cell where the hash-join engine ran, Inferray's paper column is
+// no slower and takes no more page faults per inferred triple (one
+// denominator, so the raw counts compare). It returns one line per
+// violation.
+func chainShape(cells []cell) []string {
+	var bad []string
+	for _, c := range cells {
+		if !c.hash.ran {
+			continue
 		}
-		generated := inferred * stats.Iterations
-
-		rows := []struct {
-			system string
-			pt     memsim.PerTriple
-		}{
-			{"inferray", memsim.Normalize(memsim.InferrayProfile(input, inferred), inferred)},
-			{"rdfox-like", memsim.Normalize(memsim.HashJoinProfile(input, inferred), inferred)},
-			{"owlim-like", memsim.Normalize(memsim.GraphProfile(input, inferred, generated), inferred)},
+		if c.paper.time > c.hash.time {
+			bad = append(bad, fmt.Sprintf("chain %s: paper %v slower than hash-join %v", c.name, c.paper.time, c.hash.time))
 		}
-		for _, r := range rows {
-			fmt.Printf("%-14s %-12s %12.3f %12.3f %12.4f %9.1f%%\n",
-				ds.name, r.system, r.pt.CacheMisses, r.pt.TLBMisses, r.pt.PageFaults, 100*r.pt.L1MissRate)
+		if c.paper.faults > c.hash.faults {
+			bad = append(bad, fmt.Sprintf("chain %s: paper %d page faults, more than hash-join's %d", c.name, c.paper.faults, c.hash.faults))
 		}
 	}
-	fmt.Println()
+	return bad
 }

@@ -8,9 +8,6 @@
 //     Sesame/OWLIM linked-statement design;
 //   - WebPIEEngine — MapReduce forward chaining over an in-memory
 //     MapReduce framework (RunJob), standing in for WebPIE;
-//   - NaiveTransitiveClosure — fixed-point pair joining with per-round
-//     duplicate elimination, the strategy whose duplicate explosion
-//     motivates Inferray's dedicated closure stage (§4.1);
 //   - LSDRadixPairs, MergesortPairs and QuicksortPairs — the generic
 //     pair sorts Table 1 sets against internal/sorting's (§5.4).
 //

@@ -6,7 +6,6 @@ import (
 	"testing/quick"
 
 	"inferray/internal/baseline"
-	"inferray/internal/closure"
 	"inferray/internal/datagen"
 	"inferray/internal/dictionary"
 	"inferray/internal/rdf"
@@ -55,59 +54,6 @@ func TestGraphEngineMatchesHashJoin(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Error(err)
-	}
-}
-
-// TestNaiveTransitiveClosureMatchesNuutila compares the baseline closure
-// with the optimized one on random graphs and verifies the duplicate
-// explosion is observable.
-func TestNaiveTransitiveClosureMatchesNuutila(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		n := 2 + rng.Intn(20)
-		var pairs []uint64
-		for i := 0; i < rng.Intn(60); i++ {
-			pairs = append(pairs, uint64(rng.Intn(n))+1, uint64(rng.Intn(n))+1)
-		}
-		naive, _ := NaiveTransitiveClosure(pairs)
-		fast := closure.Close(pairs)
-		toSet := func(ps []uint64) map[[2]uint64]bool {
-			m := make(map[[2]uint64]bool, len(ps)/2)
-			for i := 0; i < len(ps); i += 2 {
-				m[[2]uint64{ps[i], ps[i+1]}] = true
-			}
-			return m
-		}
-		a, b := toSet(naive), toSet(fast)
-		if len(a) != len(b) {
-			return false
-		}
-		for k := range a {
-			if !b[k] {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 120}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestNaiveClosureGeneratesDuplicates(t *testing.T) {
-	// On a chain, the naive strategy generates more candidates than the
-	// closure contains — the waste Table 4 quantifies.
-	pairs := make([]uint64, 0, 200)
-	for i := 0; i < 100; i++ {
-		pairs = append(pairs, uint64(i+1), uint64(i+2))
-	}
-	closed, generated := NaiveTransitiveClosure(pairs)
-	inferred := len(closed)/2 - 100
-	if inferred != datagen.ChainClosureSize(100) {
-		t.Fatalf("inferred %d, want %d", inferred, datagen.ChainClosureSize(100))
-	}
-	if generated <= inferred {
-		t.Fatalf("expected duplicate generation beyond %d, got %d", inferred, generated)
 	}
 }
 

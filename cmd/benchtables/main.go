@@ -1,9 +1,14 @@
 // Command benchtables regenerates every table and figure of the paper's
 // evaluation (§5.4 Table 1, §6.2 Table 2, §6.3 Table 3, §6.1 Table 4,
 // §6.4 Figures 7 and 8) using the Go reimplementations of Inferray and
-// its competitor architectures. Absolute numbers differ from the paper
-// (different language, hardware, and competitor stand-ins — see
-// DESIGN.md §3); the shapes are what the reproduction checks.
+// its competitor architectures. Every engine's Materialize is measured
+// once per cell: its time for the Tables, and for the Figures the minor
+// page faults it takes and the bytes it allocates, per inferred triple.
+// Absolute numbers differ from the paper (different language, hardware,
+// and competitor stand-ins — see DESIGN.md §3); the shapes are what the
+// reproduction checks. It exits 1 when Table 4's shape breaks: in a
+// chain cell where both ran, Inferray's paper column is slower than the
+// hash-join engine or takes more page faults.
 //
 // Usage:
 //
@@ -11,8 +16,8 @@
 //	benchtables -table 2            # RDFS flavors on BSBM + taxonomies
 //	benchtables -table 3            # RDFS-Plus on LUBM + taxonomies
 //	benchtables -table 4            # transitive closure on chains
-//	benchtables -figure 7           # memory counters, closure bench
-//	benchtables -figure 8           # memory counters, RDFS-Plus bench
+//	benchtables -figure 7           # Table 4's runs: page faults, bytes
+//	benchtables -figure 8           # Table 3's runs: page faults, bytes
 //	benchtables -all -scale medium  # everything at a larger scale
 package main
 
@@ -96,33 +101,43 @@ func main() {
 		os.Exit(2)
 	}
 
-	ran := false
-	if *all || *table == 1 {
-		table1(cfg)
-		ran = true
-	}
-	if *all || *table == 2 {
-		table2(cfg)
-		ran = true
-	}
-	if *all || *table == 3 {
-		table3(cfg)
-		ran = true
-	}
-	if *all || *table == 4 {
-		table4(cfg)
-		ran = true
-	}
-	if *all || *figure == 7 {
-		figure7(cfg)
-		ran = true
-	}
-	if *all || *figure == 8 {
-		figure8(cfg)
-		ran = true
-	}
-	if !ran {
+	tab := func(n int) bool { return *all || *table == n }
+	fig := func(n int) bool { return *all || *figure == n }
+	if !tab(1) && !tab(2) && !tab(3) && !tab(4) && !fig(7) && !fig(8) {
 		flag.Usage()
 		os.Exit(2)
+	}
+	// A Table and its Figure are two views of the same runs: each cell
+	// is measured once, whichever of the two is asked for.
+	var plus, chains []cell
+	if tab(1) {
+		table1(cfg)
+	}
+	if tab(2) {
+		table2(cfg)
+	}
+	if tab(3) || fig(8) {
+		plus = rdfsPlusCells(cfg)
+	}
+	if tab(3) {
+		table3(plus)
+	}
+	if tab(4) || fig(7) {
+		chains = chainCells(cfg)
+	}
+	if tab(4) {
+		table4(chains)
+	}
+	if fig(7) {
+		figure7(chains)
+	}
+	if fig(8) {
+		figure8(plus)
+	}
+	if bad := chainShape(chains); len(bad) > 0 {
+		for _, b := range bad {
+			fmt.Fprintln(os.Stderr, "benchtables: "+b)
+		}
+		os.Exit(1)
 	}
 }

@@ -3,6 +3,9 @@ package main
 import (
 	"fmt"
 	"os"
+	"runtime"
+	"runtime/debug"
+	"syscall"
 	"time"
 
 	"inferray/cmd/benchtables/internal/standin"
@@ -28,6 +31,40 @@ func encodeFacts(triples []rdf.Triple, fragment rules.Fragment) ([]baseline.Fact
 	return facts, e.V
 }
 
+// run is one engine's Materialize as measured: its wall time, the minor
+// page faults the process took meanwhile (getrusage), and the bytes the
+// Go heap allocated (MemStats.TotalAlloc). The zero run is an engine a
+// Table's cap skipped.
+type run struct {
+	ran    bool
+	time   time.Duration
+	faults int64
+	bytes  uint64
+}
+
+// measure runs materialize from returned memory: debug.FreeOSMemory
+// runs a full runtime.GC and hands the free pages back to the OS first,
+// so no engine inherits pages another one faulted in. getrusage of the
+// calling process fails only on a bad pointer, so its error is dropped.
+func measure(materialize func()) run {
+	debug.FreeOSMemory()
+	var mem0, mem1 runtime.MemStats
+	var ru0, ru1 syscall.Rusage
+	runtime.ReadMemStats(&mem0)
+	syscall.Getrusage(syscall.RUSAGE_SELF, &ru0)
+	start := time.Now()
+	materialize()
+	elapsed := time.Since(start)
+	syscall.Getrusage(syscall.RUSAGE_SELF, &ru1)
+	runtime.ReadMemStats(&mem1)
+	return run{
+		ran:    true,
+		time:   elapsed,
+		faults: int64(ru1.Minflt - ru0.Minflt),
+		bytes:  mem1.TotalAlloc - mem0.TotalAlloc,
+	}
+}
+
 // runInferray measures one full Inferray materialization (load excluded,
 // matching the paper's methodology of reporting inference time) with
 // parallel rules. encoding picks the configuration: off is Algorithm 1
@@ -35,17 +72,17 @@ func encodeFacts(triples []rdf.Triple, fragment rules.Fragment) ([]baseline.Fact
 // closure pair (the "paper" column); on is what the library ships, the
 // hierarchy interval encoding answering those pairs and the rdf:type
 // triples they entail without storing them (the "shipped" column).
-func runInferray(triples []rdf.Triple, fragment rules.Fragment, encoding bool) (time.Duration, reasoner.Stats) {
+func runInferray(triples []rdf.Triple, fragment rules.Fragment, encoding bool) (run, reasoner.Stats) {
 	e := reasoner.New(reasoner.Options{Fragment: fragment, Parallel: true, HierarchyEncoding: encoding})
 	e.LoadTriples(triples)
-	start := time.Now()
-	stats := e.Materialize()
-	return time.Since(start), stats
+	var stats reasoner.Stats
+	r := measure(func() { stats = e.Materialize() })
+	return r, stats
 }
 
 // inferrayRun is one configuration's measurement.
 type inferrayRun struct {
-	time  time.Duration
+	run
 	stats reasoner.Stats
 }
 
@@ -53,8 +90,8 @@ type inferrayRun struct {
 // one dataset. Both must infer the same closure; the program stops if
 // they do not, since a table of unequal closures compares nothing.
 func runBothInferray(triples []rdf.Triple, fragment rules.Fragment) (paper, shipped inferrayRun) {
-	paper.time, paper.stats = runInferray(triples, fragment, false)
-	shipped.time, shipped.stats = runInferray(triples, fragment, true)
+	paper.run, paper.stats = runInferray(triples, fragment, false)
+	shipped.run, shipped.stats = runInferray(triples, fragment, true)
 	if p, s := paper.stats.InferredTriples, shipped.stats.InferredTriples; p != s {
 		fmt.Fprintf(os.Stderr, "benchtables: %s: paper inferred %d, shipped %d\n", fragment, p, s)
 		os.Exit(1)
@@ -68,25 +105,37 @@ func matVirt(st reasoner.Stats) string {
 }
 
 // runHashJoin measures the RDFox-like baseline on pre-encoded facts.
-func runHashJoin(facts []baseline.Fact, specs []rules.Spec) (time.Duration, int) {
+func runHashJoin(facts []baseline.Fact, specs []rules.Spec) (run, int) {
 	e := baseline.NewHashJoinEngine(specs)
 	for _, f := range facts {
 		e.Add(f)
 	}
-	start := time.Now()
-	derived, _ := e.Materialize()
-	return time.Since(start), derived
+	var derived int
+	r := measure(func() { derived, _ = e.Materialize() })
+	return r, derived
 }
 
 // runGraph measures the Sesame/OWLIM-like baseline on pre-encoded facts.
-func runGraph(facts []baseline.Fact, specs []rules.Spec) (time.Duration, int) {
+func runGraph(facts []baseline.Fact, specs []rules.Spec) (run, int) {
 	e := standin.NewGraphEngine(specs)
 	for _, f := range facts {
 		e.Add(f)
 	}
-	start := time.Now()
-	derived, _ := e.Materialize()
-	return time.Since(start), derived
+	var derived int
+	r := measure(func() { derived, _ = e.Materialize() })
+	return r, derived
+}
+
+// runWebPIE measures the MapReduce baseline on pre-encoded facts; full
+// selects RDFS-full over RDFS-default.
+func runWebPIE(facts []baseline.Fact, v *rules.Vocab, full bool) (run, int) {
+	e := standin.NewWebPIEEngine(v, full, standin.JobConfig{})
+	for _, f := range facts {
+		e.Add(f)
+	}
+	var derived int
+	r := measure(func() { derived, _ = e.Materialize() })
+	return r, derived
 }
 
 // ms renders a duration as integer milliseconds, right-aligned, or "-"

@@ -54,11 +54,11 @@ func TestEncodeFactsMatchesInput(t *testing.T) {
 // virtual, and both infer the same number of triples.
 func TestRunInferraySmoke(t *testing.T) {
 	for _, encoding := range []bool{false, true} {
-		d, stats := runInferray(datagen.Chain(20), rules.RDFSDefault, encoding)
+		r, stats := runInferray(datagen.Chain(20), rules.RDFSDefault, encoding)
 		if stats.InferredTriples != datagen.ChainClosureSize(20) {
 			t.Fatalf("encoding=%t: inferred %d, want %d", encoding, stats.InferredTriples, datagen.ChainClosureSize(20))
 		}
-		if d <= 0 {
+		if r.time <= 0 {
 			t.Fatalf("encoding=%t: non-positive duration", encoding)
 		}
 		if virtual := stats.VirtualTriples; encoding != (virtual > 0) {
@@ -75,6 +75,55 @@ func TestRunBaselinesSmoke(t *testing.T) {
 	}
 	if _, derived := runGraph(facts, specs); derived != datagen.ChainClosureSize(15) {
 		t.Fatalf("graph derived %d", derived)
+	}
+}
+
+// TestRunHelpersMeasure: on a 100-node chain every engine's run helper
+// derives the closure and reports a run that ran, a fault count ≥ 0
+// and non-zero allocated bytes, so Figures 7–8 cannot silently read 0.
+func TestRunHelpersMeasure(t *testing.T) {
+	const n = 100
+	want := datagen.ChainClosureSize(n)
+	triples := datagen.Chain(n)
+	facts, v := encodeFacts(triples, rules.RhoDF)
+	specs := rules.Specs(rules.RhoDF, v)
+	inferray := func(encoding bool) func() (run, int) {
+		return func() (run, int) {
+			r, st := runInferray(triples, rules.RDFSDefault, encoding)
+			return r, st.InferredTriples
+		}
+	}
+	for name, helper := range map[string]func() (run, int){
+		"paper":     inferray(false),
+		"shipped":   inferray(true),
+		"hash-join": func() (run, int) { return runHashJoin(facts, specs) },
+		"graph":     func() (run, int) { return runGraph(facts, specs) },
+		"webpie":    func() (run, int) { return runWebPIE(facts, v, false) },
+	} {
+		r, derived := helper()
+		if derived != want {
+			t.Errorf("%s: derived %d, want %d", name, derived, want)
+		}
+		if !r.ran || r.faults < 0 || r.bytes == 0 {
+			t.Errorf("%s: measured %+v", name, r)
+		}
+	}
+}
+
+// TestChainShape: the check fails a cell where the paper column is
+// slower or faults more than the hash-join engine, and ignores cells
+// the hash-join engine skipped.
+func TestChainShape(t *testing.T) {
+	fast := run{ran: true, time: time.Millisecond, faults: 10}
+	slow := run{ran: true, time: time.Second, faults: 1000}
+	good := cell{name: "1", paper: inferrayRun{run: fast}, hash: slow}
+	swapped := cell{name: "2", paper: inferrayRun{run: slow}, hash: fast}
+	skipped := cell{name: "3", paper: inferrayRun{run: slow}}
+	if bad := chainShape([]cell{good, skipped}); len(bad) != 0 {
+		t.Fatalf("good cells flagged: %v", bad)
+	}
+	if bad := chainShape([]cell{swapped}); len(bad) != 2 {
+		t.Fatalf("swapped cell: %v, want a time and a fault violation", bad)
 	}
 }
 

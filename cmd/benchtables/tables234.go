@@ -2,9 +2,8 @@ package main
 
 import (
 	"fmt"
-	"time"
 
-	"inferray/cmd/benchtables/internal/standin"
+	"inferray/internal/baseline"
 	"inferray/internal/datagen"
 	"inferray/internal/rdf"
 	"inferray/internal/rules"
@@ -41,44 +40,51 @@ const (
 	chainRowFmt = "%-8s %8s %8s %10s %8s %10s %10s   %9s   %15s %16s\n"
 )
 
-// benchRow measures the engines on one dataset × fragment and prints a
-// table row. The graph engine is skipped beyond its cap (shown as "-",
-// the paper's timeout marker), likewise for hash-join. webpie enables
-// the MapReduce column (Table 2 only, RDFS fragments — matching the
-// paper, where WebPIE supports neither ρdf nor RDFS-Plus and is marked
-// N/A).
-func benchRow(cfg scaleCfg, name string, triples []rdf.Triple, fragment rules.Fragment, webpie bool) {
-	paper, shipped := runBothInferray(triples, fragment)
+// cell is one row of Tables 2–4: every engine measured once on one
+// dataset. Figures 7 and 8 print a second view of Table 4's and Table
+// 3's cells, so each figure row is a run its Table timed.
+type cell struct {
+	name                string
+	fragment            rules.Fragment
+	paper, shipped      inferrayRun
+	hash, graph, webpie run // zero where the Table's cap skips the engine
+}
 
+// measureBaselines runs the hash-join and graph engines on a cell's
+// facts, each only while the input is within its cap (shown as "-",
+// the paper's timeout marker, when it is not).
+func (c *cell) measureBaselines(facts []baseline.Fact, specs []rules.Spec, hashCap, graphCap int) {
+	if len(facts) <= hashCap {
+		c.hash, _ = runHashJoin(facts, specs)
+	}
+	if len(facts) <= graphCap {
+		c.graph, _ = runGraph(facts, specs)
+	}
+}
+
+// benchCell measures the engines on one dataset × fragment of Tables
+// 2–3. webpie enables the MapReduce column (Table 2 only, RDFS
+// fragments — matching the paper, where WebPIE supports neither ρdf
+// nor RDFS-Plus and is marked N/A); it shares the hash-join cap.
+func benchCell(cfg scaleCfg, name string, triples []rdf.Triple, fragment rules.Fragment, webpie bool) cell {
+	c := cell{name: name, fragment: fragment}
+	c.paper, c.shipped = runBothInferray(triples, fragment)
 	facts, v := encodeFacts(triples, fragment)
-	specs := rules.Specs(fragment, v)
+	c.measureBaselines(facts, rules.Specs(fragment, v), cfg.hashCap, cfg.graphCap)
+	if webpie && fragment != rules.RhoDF && len(facts) <= cfg.hashCap {
+		c.webpie, _ = runWebPIE(facts, v, fragment == rules.RDFSFull)
+	}
+	return c
+}
 
-	var hashTime, graphTime, webpieTime time.Duration
-	hashSkip := len(facts) > cfg.hashCap
-	if !hashSkip {
-		hashTime, _ = runHashJoin(facts, specs)
-	}
-	graphSkip := len(facts) > cfg.graphCap
-	if !graphSkip {
-		graphTime, _ = runGraph(facts, specs)
-	}
-	webpieSkip := !webpie || fragment == rules.RhoDF || len(facts) > cfg.hashCap
-	if !webpieSkip {
-		wp := standin.NewWebPIEEngine(v, fragment == rules.RDFSFull, standin.JobConfig{})
-		for _, f := range facts {
-			wp.Add(f)
-		}
-		start := time.Now()
-		wp.Materialize()
-		webpieTime = time.Since(start)
-	}
-
+// printBenchRow prints a cell as a row of Tables 2–3.
+func printBenchRow(c cell) {
 	fmt.Printf(benchRowFmt,
-		name, fragment,
-		ms(paper.time, false), ms(shipped.time, false),
-		ms(hashTime, hashSkip), ms(graphTime, graphSkip), ms(webpieTime, webpieSkip),
-		kfmt(paper.stats.InputTriples), kfmt(paper.stats.InferredTriples),
-		matVirt(paper.stats), matVirt(shipped.stats))
+		c.name, c.fragment,
+		ms(c.paper.time, false), ms(c.shipped.time, false),
+		ms(c.hash.time, !c.hash.ran), ms(c.graph.time, !c.graph.ran), ms(c.webpie.time, !c.webpie.ran),
+		kfmt(c.paper.stats.InputTriples), kfmt(c.paper.stats.InferredTriples),
+		matVirt(c.paper.stats), matVirt(c.shipped.stats))
 }
 
 // benchHeader prints the column heads of Tables 2 and 3. Inferray gets
@@ -101,62 +107,72 @@ func table2(cfg scaleCfg) {
 	fragments := []rules.Fragment{rules.RhoDF, rules.RDFSDefault, rules.RDFSFull}
 	for _, ds := range bsbmDatasets(cfg) {
 		for _, f := range fragments {
-			benchRow(cfg, ds.name, ds.triples, f, true)
+			printBenchRow(benchCell(cfg, ds.name, ds.triples, f, true))
 		}
 	}
 	for _, ds := range taxonomyDatasets(cfg) {
 		for _, f := range fragments {
-			benchRow(cfg, ds.name, ds.triples, f, true)
+			printBenchRow(benchCell(cfg, ds.name, ds.triples, f, true))
 		}
 	}
 	fmt.Println()
 }
 
-// table3 reproduces Table 3: RDFS-Plus over LUBM and the taxonomies.
-func table3(cfg scaleCfg) {
-	benchHeader("== Table 3: RDFS-Plus, execution time (ms) ==")
+// rdfsPlusCells measures Table 3's cells: RDFS-Plus over LUBM and the
+// taxonomies.
+func rdfsPlusCells(cfg scaleCfg) []cell {
+	var cells []cell
 	for _, n := range cfg.lubmSizes {
-		benchRow(cfg, "LUBM "+kfmt(n), datagen.LUBM(n, 13), rules.RDFSPlus, false)
+		cells = append(cells, benchCell(cfg, "LUBM "+kfmt(n), datagen.LUBM(n, 13), rules.RDFSPlus, false))
 	}
 	for _, ds := range taxonomyDatasets(cfg) {
-		benchRow(cfg, ds.name, ds.triples, rules.RDFSPlus, false)
+		cells = append(cells, benchCell(cfg, ds.name, ds.triples, rules.RDFSPlus, false))
+	}
+	return cells
+}
+
+// table3 prints Table 3: RDFS-Plus over LUBM and the taxonomies.
+func table3(cells []cell) {
+	benchHeader("== Table 3: RDFS-Plus, execution time (ms) ==")
+	for _, c := range cells {
+		printBenchRow(c)
 	}
 	fmt.Println()
 }
 
-// table4 reproduces Table 4: transitive closure over subClassOf chains.
-// The paper column runs Inferray's dedicated Nuutila stage (θ) and is
-// the one the paper's linearity claim is judged on; closure and
-// normalize split its time like inferray -stats does: the θ stage, and
-// the sort + dedup of the loaded tables before it. The
-// shipped column keeps the chain's closure virtual. The hash-join
-// engine runs semi-naive SCM-SCO; the graph engine runs the naive
-// fixpoint whose duplicate explosion motivates §4.1.
-func table4(cfg scaleCfg) {
+// chainCells measures Table 4's cells: transitive closure over
+// subClassOf chains. Inferray runs RDFS-default; the hash-join engine
+// runs semi-naive SCM-SCO and the graph engine the naive fixpoint whose
+// duplicate explosion motivates §4.1, both under ρdf.
+func chainCells(cfg scaleCfg) []cell {
+	var cells []cell
+	for _, n := range cfg.chainLens {
+		triples := datagen.Chain(n)
+		c := cell{name: fmt.Sprint(n)}
+		c.paper, c.shipped = runBothInferray(triples, rules.RDFSDefault)
+		facts, v := encodeFacts(triples, rules.RhoDF)
+		c.measureBaselines(facts, rules.Specs(rules.RhoDF, v), cfg.chainHashCap, cfg.chainGraphCap)
+		cells = append(cells, c)
+	}
+	return cells
+}
+
+// table4 prints Table 4. The paper column runs Inferray's dedicated
+// Nuutila stage (θ) and is the one the paper's linearity claim is
+// judged on; closure and normalize split its time like inferray -stats
+// does: the θ stage, and the sort + dedup of the loaded tables before
+// it. The shipped column keeps the chain's closure virtual.
+func table4(cells []cell) {
 	fmt.Println("== Table 4: transitive closure of subClassOf chains, time (ms) ==")
 	fmt.Printf(chainRowFmt,
 		"Chain", "paper", "closure", "normalize", "shipped", "HashJoin", "Graph", "inferred",
 		"paper mat/virt", "shipped mat/virt")
-	for _, n := range cfg.chainLens {
-		triples := datagen.Chain(n)
-		paper, shipped := runBothInferray(triples, rules.RDFSDefault)
-
-		facts, v := encodeFacts(triples, rules.RhoDF)
-		specs := rules.Specs(rules.RhoDF, v)
-		var hashTime, graphTime time.Duration
-		hashSkip := n > cfg.chainHashCap
-		if !hashSkip {
-			hashTime, _ = runHashJoin(facts, specs)
-		}
-		graphSkip := n > cfg.chainGraphCap
-		if !graphSkip {
-			graphTime, _ = runGraph(facts, specs)
-		}
+	for _, c := range cells {
 		fmt.Printf(chainRowFmt,
-			fmt.Sprint(n), ms(paper.time, false),
-			ms(paper.stats.ClosureTime, false), ms(paper.stats.NormalizeTime, false),
-			ms(shipped.time, false), ms(hashTime, hashSkip), ms(graphTime, graphSkip),
-			kfmt(paper.stats.InferredTriples), matVirt(paper.stats), matVirt(shipped.stats))
+			c.name, ms(c.paper.time, false),
+			ms(c.paper.stats.ClosureTime, false), ms(c.paper.stats.NormalizeTime, false),
+			ms(c.shipped.time, false), ms(c.hash.time, !c.hash.ran), ms(c.graph.time, !c.graph.ran),
+			kfmt(c.paper.stats.InferredTriples), matVirt(c.paper.stats), matVirt(c.shipped.stats))
 	}
 	fmt.Println()
 }

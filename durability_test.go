@@ -133,6 +133,101 @@ func TestDurableAutoCheckpoint(t *testing.T) {
 	}
 }
 
+// A failed automatic checkpoint does not fail the write that crossed
+// the threshold: the batch is applied, DurabilityStats names the
+// failure, and the next threshold checkpoint clears it. A directory at
+// the next image path makes the image's rename fail, even for root.
+func TestDurableAutoCheckpointFailure(t *testing.T) {
+	dir := t.TempDir()
+	r, err := inferray.Open(inferray.WithDurability(dir, inferray.DurabilityOptions{
+		Sync:              "always",
+		CheckpointRecords: 2,
+		CheckpointBytes:   -1,
+	}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	write := func(i int) {
+		t.Helper()
+		mustAdd(t, r, fmt.Sprintf("<s%d>", i), inferray.Type, "<c>")
+		if _, err := r.Materialize(); err != nil {
+			t.Fatalf("write %d: %v", i, err)
+		}
+	}
+	mustAdd(t, r, "<c>", inferray.SubClassOf, "<d>")
+	blocker := filepath.Join(dir, fmt.Sprintf("snap-%016d.img", 1))
+	if err := os.Mkdir(blocker, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	write(0)
+	write(1) // the second record crosses the threshold
+	ds, _ := r.DurabilityStats()
+	if ds.Generation != 0 || !strings.Contains(ds.CheckpointError, filepath.Base(blocker)) {
+		t.Fatalf("failed checkpoint not surfaced: %+v", ds)
+	}
+	if !r.Holds("<s1>", inferray.Type, "<d>") {
+		t.Fatal("the write behind a failed checkpoint was not applied")
+	}
+
+	if err := os.Remove(blocker); err != nil {
+		t.Fatal(err)
+	}
+	write(2)
+	if ds, _ := r.DurabilityStats(); ds.Generation != 1 || ds.CheckpointError != "" {
+		t.Fatalf("next threshold checkpoint did not clear the failure: %+v", ds)
+	}
+	write(3)
+	if err := r.Close(); err != nil {
+		t.Fatal(err)
+	}
+	r2 := openDurable(t, dir)
+	defer r2.Close()
+	sameClosure(t, r2, r)
+}
+
+// The write-ahead-log refusal contract Materialize and Insert document:
+// a batch the log refuses moves neither the closure nor the generation;
+// Insert drops it with the error, Materialize keeps it staged. A closed
+// log refuses every append.
+func TestWALRefusalLeavesClosure(t *testing.T) {
+	r := openDurable(t, t.TempDir())
+	mustAdd(t, r, "<a>", inferray.SubClassOf, "<b>")
+	if _, err := r.Materialize(); err != nil {
+		t.Fatal(err)
+	}
+	size, gen := r.Size(), r.Generation()
+	if err := r.Close(); err != nil {
+		t.Fatal(err)
+	}
+	unmoved := func(call string) {
+		t.Helper()
+		if r.Size() != size || r.Generation() != gen || r.Holds("<x>", inferray.Type, "<b>") {
+			t.Fatalf("%s: refused batch moved the closure: size %d→%d, generation %d→%d",
+				call, size, r.Size(), gen, r.Generation())
+		}
+	}
+	batch := []inferray.Triple{{S: "<x>", P: inferray.Type, O: "<a>"}}
+
+	if _, err := r.Insert(batch); err == nil {
+		t.Fatal("Insert on a closed log succeeded")
+	}
+	if n := r.Pending(); n != 0 {
+		t.Fatalf("Insert staged its refused batch: %d pending", n)
+	}
+	unmoved("Insert")
+
+	if err := r.AddTriples(batch); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.Materialize(); err == nil {
+		t.Fatal("Materialize on a closed log succeeded")
+	}
+	if n := r.Pending(); n != len(batch) {
+		t.Fatalf("Materialize dropped its refused batch: %d pending, want %d", n, len(batch))
+	}
+	unmoved("Materialize")
+}
+
 // A corrupted WAL tail record fails its CRC on recovery and is
 // truncated: the survivors are replayed, the garbage never applied.
 func TestDurableCorruptTailTruncated(t *testing.T) {

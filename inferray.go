@@ -624,9 +624,9 @@ func (r *Reasoner) apply(m mutation) (Stats, reasoner.RetractStats, error) {
 	r.obs.rm.ObservePhase("encode", m.internTime)
 
 	if !m.noCheckpoint && r.dur != nil && r.dur.ShouldRotate() {
-		if _, err := r.doCheckpoint(); err != nil {
-			r.dur.SetCheckpointErr(err)
-		}
+		// A failure does not fail the write: the manager keeps it for
+		// DurabilityStats until the next checkpoint succeeds.
+		_, _ = r.doCheckpoint()
 	}
 	return st, rs, err
 }

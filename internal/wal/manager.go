@@ -374,14 +374,6 @@ func (m *Manager) Stats() Stats {
 	return s
 }
 
-// SetCheckpointErr records a failed automatic checkpoint so /stats can
-// surface it; a later successful checkpoint clears it.
-func (m *Manager) SetCheckpointErr(err error) {
-	m.mu.Lock()
-	m.checkpointErr = err
-	m.mu.Unlock()
-}
-
 // Close flushes and closes the current log. The directory stays fully
 // recoverable: Close is a convenience for tidy shutdown, not a
 // durability requirement.
