@@ -13,21 +13,23 @@ import (
 
 // TestSingleTripleWriteBudget is the deterministic gate beside the
 // SingleTriple benchmarks (the benchmarks are readings; this fails).
-// A single-triple insert must cost bytes in proportion to the change,
-// not the table: measured over the closures of LUBM-20k and LUBM-80k —
-// four times the pairs in every table the insert touches — the bytes
-// allocated per insert stay within a factor of two of each other and
-// under an absolute cap. (Before the in-place merge they were 0.29 MB and
-// 0.99 MB: main + delta reallocated per touched table.) And a
-// single-triple delete merges back no more rederived pairs than it
-// overdeleted: the rederivation pass's output is filtered to what can be
-// new before it is sorted and merged.
+// A single-triple write must cost bytes in proportion to the change,
+// not the store: measured over the closures of LUBM-20k and LUBM-80k —
+// four times the pairs in every table the write touches — the bytes
+// allocated per insert, and per delete, stay within a factor of two of
+// each other and under an absolute cap. (Before the in-place merge an
+// insert took 0.29 MB and 0.99 MB: main + delta reallocated per touched
+// table. Before the rederivation pass was seeded with the doomed set's
+// neighbourhood a delete took 8.15 MB on LUBM-250k: the pass emitted a
+// table's worth of pairs.) And a single-triple delete merges back no
+// more rederived pairs than it overdeleted: the rederivation pass's
+// output is filtered to what can be new before it is sorted and merged.
 func TestSingleTripleWriteBudget(t *testing.T) {
 	const (
 		inserts     = 64
-		capPerWrite = 64 << 10 // bytes; measured 15–18 KB at both sizes
+		capPerWrite = 64 << 10 // bytes; measured 14–16 KB per insert, 28 KB per delete at both sizes
 	)
-	perInsert := map[int]uint64{}
+	perInsert, perDelete := map[int]uint64{}, map[int]uint64{}
 	for _, size := range []int{20_000, 80_000} {
 		triples := datagen.LUBM(size, 1)
 		e := New(Options{Fragment: rules.RDFSPlus, Parallel: false, HierarchyEncoding: true})
@@ -67,6 +69,8 @@ func TestSingleTripleWriteBudget(t *testing.T) {
 			t.Errorf("LUBM-%d: %d bytes allocated per single-triple insert, cap %d", size, perInsert[size], capPerWrite)
 		}
 
+		runtime.GC()
+		runtime.ReadMemStats(&before)
 		for i, v := range victims {
 			st, err := e.Retract([]rdf.Triple{v})
 			if err != nil || st.Retracted != 1 {
@@ -77,13 +81,23 @@ func TestSingleTripleWriteBudget(t *testing.T) {
 					size, i, st.RederiveKept, st.Overdeleted, st.RederiveEmitted)
 			}
 		}
+		runtime.ReadMemStats(&after)
+		perDelete[size] = (after.TotalAlloc - before.TotalAlloc) / uint64(len(victims))
+		if perDelete[size] > capPerWrite {
+			t.Errorf("LUBM-%d: %d bytes allocated per single-triple delete, cap %d", size, perDelete[size], capPerWrite)
+		}
 		if err := e.CheckCarried(); err != nil {
 			t.Errorf("LUBM-%d: %v", size, err)
 		}
 	}
-	small, large := perInsert[20_000], perInsert[80_000]
-	t.Logf("bytes per single-triple insert: LUBM-20k %d, LUBM-80k %d", small, large)
-	if large >= 2*small {
-		t.Errorf("bytes per insert grew with the tables: %d on LUBM-20k, %d on LUBM-80k", small, large)
+	for _, w := range []struct {
+		op  string
+		per map[int]uint64
+	}{{"insert", perInsert}, {"delete", perDelete}} {
+		small, large := w.per[20_000], w.per[80_000]
+		t.Logf("bytes per single-triple %s: LUBM-20k %d, LUBM-80k %d", w.op, small, large)
+		if large >= 2*small {
+			t.Errorf("bytes per %s grew with the tables: %d on LUBM-20k, %d on LUBM-80k", w.op, small, large)
+		}
 	}
 }

@@ -52,9 +52,10 @@ type Metrics struct {
 	RetractSeconds     *metrics.Histogram
 	OverdeletedTriples *metrics.Counter
 	RederivedTriples   *metrics.Counter
-	// RederivePairs sizes retraction's rederivation pass: emitted = the
-	// pairs its rules produced, kept = the distinct ones that could be new
-	// to the store and went into the merge.
+	// RederivePairs sizes retraction's rederivation pass: seeds = the
+	// stored pairs it ran from as its delta, emitted = the pairs its rules
+	// produced, kept = the distinct ones that could be new to the store
+	// and went into the merge.
 	RederivePairs *metrics.CounterVec
 	// Store is the main store's own instrument set (merge paths, ⟨o,s⟩
 	// cache events); the engine attaches it to every store it makes Main.
@@ -104,7 +105,7 @@ func NewMetrics(reg *metrics.Registry) *Metrics {
 		RederivedTriples: reg.Counter("inferray_reasoner_rederived_triples_total",
 			"Overdeletion casualties restored by the rederivation fixpoint."),
 		RederivePairs: reg.CounterVec("inferray_reasoner_rederive_pairs_total",
-			"Retraction's rederivation pass: pairs its rules emitted, and the distinct pairs kept for the merge because they could be new to the store.",
+			"Retraction's rederivation pass: the stored pairs it started from (seeds), pairs its rules emitted, and the distinct pairs kept for the merge because they could be new to the store.",
 			"kind"),
 		Store: store.NewMetrics(reg),
 	}
@@ -175,6 +176,7 @@ func (e *Engine) recordRetract(st *RetractStats) {
 	m.RetractSeconds.ObserveDuration(st.TotalTime)
 	m.OverdeletedTriples.Add(uint64(st.Overdeleted))
 	m.RederivedTriples.Add(uint64(st.Rederived))
+	m.RederivePairs.With("seeds").Add(uint64(st.RederiveSeeds))
 	m.RederivePairs.With("emitted").Add(uint64(st.RederiveEmitted))
 	m.RederivePairs.With("kept").Add(uint64(st.RederiveKept))
 }

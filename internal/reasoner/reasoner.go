@@ -165,6 +165,7 @@ type Engine struct {
 	// schema edge is retracted the engine stays on full materialization.
 	hier     *hierarchy.Index
 	typeRuns hierarchy.RunScratch // compactTypeTable's working memory
+	seedBits []uint64             // rederiveSeed's term bitmap, all zero between retractions
 
 	// The per-rule instruments, aligned with rules by index; nil when
 	// Options.Metrics is nil. mFired / mSkipped count scheduling
@@ -789,7 +790,7 @@ func (e *Engine) applyRules(delta *store.Store) ([]*store.Store, int) {
 // Writes, as side picks — meets a non-empty table of st. It is the whole
 // scheduler: the fixpoint and overdeletion select by what a rule reads
 // from the delta or frontier, rederivation by what it writes into the
-// tables a deletion emptied.
+// tables a deletion emptied and reads from its seed.
 func (e *Engine) triggered(st *store.Store, side func(*rules.Rule) rules.Footprint) []int {
 	runnable := make([]int, 0, len(e.rules))
 	for i := range e.rules {

@@ -2,6 +2,7 @@ package reasoner
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"inferray/internal/rdf"
@@ -23,8 +24,10 @@ type RetractStats struct {
 	Overdeleted int // stored triples in the overdeletion set
 	Rederived   int // of those, the ones still stored afterwards: asserted in their own right, or rederived on other support
 
-	// The rederivation pass: the pairs its rules emitted, and the distinct
+	// The rederivation pass: the stored pairs it started from (the
+	// seed, rederiveSeed), the pairs its rules emitted, and the distinct
 	// ones of them that could be new to the store and were merged.
+	RederiveSeeds   int
 	RederiveEmitted int
 	RederiveKept    int
 
@@ -128,11 +131,22 @@ func (e *Engine) Retract(batch []rdf.Triple) (RetractStats, error) {
 
 	// A surviving derivation whose antecedents were never deleted is
 	// invisible to semi-naive evaluation (its antecedents are in no
-	// delta), so run one full pass — delta aliasing main, first-pass
-	// semantics — of exactly the rules that write into a deleted table,
-	// and fold what it restores into the running delta.
-	writers := e.triggered(over, (*rules.Rule).Writes)
-	kept := e.possiblyNew(e.runRules(writers, e.Main), doomed, &st)
+	// delta). Every derivation of a doomed pair has a premise in the
+	// doomed set's neighbourhood (rederiveSeed), so run the rules that
+	// write into a deleted table and read the seed — the Δ⋈Main and
+	// Main⋈Δ passes of an insert, the seed as Δ — and fold what they
+	// restore into the running delta.
+	seed := e.rederiveSeed(doomed)
+	st.RederiveSeeds = seed.Size()
+	readers := e.triggered(seed, (*rules.Rule).Reads)
+	writers := slices.DeleteFunc(e.triggered(over, (*rules.Rule).Writes), func(i int) bool {
+		_, reads := slices.BinarySearch(readers, i)
+		return !reads
+	})
+	kept := e.possiblyNew(e.runRules(writers, seed), doomed, &st)
+	if testHookRederive != nil {
+		testHookRederive(e, over, doomed, kept)
+	}
 	merged := e.mergeRound(false, kept).delta
 	store.Union(delta, merged)
 
@@ -150,6 +164,89 @@ func (e *Engine) Retract(batch []rdf.Triple) (RetractStats, error) {
 	st.TotalTime = time.Since(start)
 	e.recordRetract(&st)
 	return st, nil
+}
+
+// testHookRederive, when set, is shown each retraction's overdeletion
+// set, doomed pairs and the rederivation pass's kept pairs, on the
+// engine in the state the pass ran against.
+var testHookRederive func(e *Engine, over, doomed, kept *store.Store)
+
+// rederiveSeed returns the doomed set's neighbourhood in Main: every
+// stored pair whose subject or object is a term of doomed — a doomed
+// pair's subject, or its object outside rdf:type. Main no longer holds
+// doomed. A pass of the rules with this seed as the delta finds every
+// derivation the whole store holds of a pair that can be new: in every
+// Table 5 spec one endpoint of each head — its subject, or outside
+// rdf:type its object — is the subject or object of a body pattern
+// (rules' TestHeadEndpointInBody), so a derivation of a doomed pair, or
+// of a type pair ⟨x, D⟩ a doomed ⟨x, C⟩ shadowed, has a premise that
+// holds a term of doomed as its subject or object. Type objects are left
+// out because a class is the object of its whole extent, and no head
+// that needs one is a type pair.
+//
+// Per table, the subject side is a galloping search per term. The object
+// side is a search per term in a cached ⟨o,s⟩ list, or else one read of
+// the objects against the terms flagged in the engine's bitmap over the
+// dictionary's IDs; only the flagged bits are cleared again, and no
+// ⟨o,s⟩ list is built.
+func (e *Engine) rederiveSeed(doomed *store.Store) *store.Store {
+	base, n := e.Dict.IDRange()
+	if words := (n + 63) / 64; len(e.seedBits) < words {
+		e.seedBits = append(e.seedBits, make([]uint64, words-len(e.seedBits))...)
+	}
+	bits := e.seedBits
+	var terms []uint64 // offsets from base, flagged in bits
+	flag := func(x uint64) {
+		if x -= base; bits[x>>6]>>(x&63)&1 == 0 {
+			bits[x>>6] |= 1 << (x & 63)
+			terms = append(terms, x)
+		}
+	}
+	doomed.ForEachTable(func(pidx int, t *store.Table) bool {
+		for p, i := t.Pairs(), 0; i < len(p); i += 2 {
+			flag(p[i])
+			if pidx != e.V.Type {
+				flag(p[i+1])
+			}
+		}
+		return true
+	})
+	slices.Sort(terms)
+
+	seed := store.New(e.Main.NumSlots())
+	var hits []uint64
+	e.Main.ForEachTable(func(pidx int, t *store.Table) bool {
+		p := t.Pairs()
+		hits = hits[:0]
+		at := 0
+		for _, x := range terms {
+			lo, hi := t.SubjectRunFrom(base+x, at)
+			hits, at = append(hits, p[2*lo:2*hi]...), hi
+		}
+		if os, ok := t.CachedOS(); ok {
+			for _, x := range terms {
+				lo, hi := store.KeyRun(os, base+x)
+				for i := lo; i < hi; i++ {
+					hits = append(hits, os[2*i+1], os[2*i])
+				}
+			}
+		} else {
+			for i := 1; i < len(p); i += 2 {
+				if x := p[i] - base; bits[x>>6]>>(x&63)&1 != 0 {
+					hits = append(hits, p[i-1], p[i])
+				}
+			}
+		}
+		if len(hits) > 0 {
+			seed.Ensure(pidx).AppendPairs(hits)
+		}
+		return true
+	})
+	for _, x := range terms {
+		bits[x>>6] &^= 1 << (x & 63)
+	}
+	seed.Normalize()
+	return seed
 }
 
 // possiblyNew keeps, of what the rederivation pass emitted, only the
@@ -176,8 +273,8 @@ func (e *Engine) possiblyNew(outs []*store.Store, doomed *store.Store, st *Retra
 			if dt == nil || dt.Empty() {
 				return true
 			}
-			// doomed is tens of pairs and the pass emits a table's worth:
-			// reject on the subject range before searching.
+			// doomed and what the pass emits are both small, except after
+			// a θ wipe: reject on the subject range before searching.
 			dp := dt.Pairs()
 			first, last := dp[0], dp[len(dp)-2]
 			bySubject := pidx == e.V.Type && e.hier != nil

@@ -15,11 +15,13 @@ import (
 // closure of datagen.LUBM(250_000, 1), rdfs-plus, encoding on. They use
 // only LoadTriples / Materialize / Retract, so the same file runs
 // unchanged on an older commit for a before/after pair. CI runs each
-// once as a reading; the gate is TestSingleTripleWriteBudget. Since
-// PR 23 an insert splices its delta into the tables in place (0.19 ms,
-// 24 KB here, from 2.8 ms and 3.1 MB); what a delete still pays is the
-// rederivation pass firing its rules over the whole store (ROADMAP
-// item 2).
+// once as a reading; the gate is TestSingleTripleWriteBudget. An insert
+// splices its delta into the tables in place (0.07–0.12 ms, 15 KB on a
+// 2-vCPU Xeon). A delete runs its rederivation pass from the stored
+// pairs that share a term with the doomed set instead of over the whole
+// store (0.6–0.8 ms and 29 KB there, from 3.8–4.3 ms and 8.15 MB); what is
+// still O(store) in it is the seed's read of the tables' objects and
+// the in-place removal of the doomed pairs (ROADMAP items 7(c), 9(a)).
 
 func lubm250k(b *testing.B) (*Engine, []rdf.Triple) {
 	b.Helper()

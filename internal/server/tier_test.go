@@ -793,6 +793,7 @@ func TestConcurrentObjectQueriesWhileSplicing(t *testing.T) {
 	for _, want := range []string{
 		`inferray_store_os_cache_total{event="patched"}`,
 		`inferray_store_merges_total{path="splice"}`,
+		`inferray_reasoner_rederive_pairs_total{kind="seeds"}`,
 		`inferray_reasoner_rederive_pairs_total{kind="kept"}`,
 		`inferray_write_lock_hold_seconds_count`,
 		`inferray_read_lock_wait_seconds_count`,

@@ -171,9 +171,10 @@ type MetricsSnapshot struct {
 	Retractions        uint64
 	OverdeletedTriples uint64
 	RederivedTriples   uint64
-	// The rederivation pass of those retractions: pairs its rules
-	// emitted, and the distinct ones kept for the merge because they could
-	// be new to the store.
+	// The rederivation pass of those retractions: the stored pairs it
+	// started from, pairs its rules emitted, and the distinct ones kept
+	// for the merge because they could be new to the store.
+	RederiveSeeds   uint64
 	RederiveEmitted uint64
 	RederiveKept    uint64
 	// How the store kept its tables sorted: merges that spliced a small
@@ -215,6 +216,7 @@ func (r *Reasoner) Metrics() MetricsSnapshot {
 		Retractions:        o.rm.Retractions.Value(),
 		OverdeletedTriples: o.rm.OverdeletedTriples.Value(),
 		RederivedTriples:   o.rm.RederivedTriples.Value(),
+		RederiveSeeds:      o.rm.RederivePairs.With("seeds").Value(),
 		RederiveEmitted:    o.rm.RederivePairs.With("emitted").Value(),
 		RederiveKept:       o.rm.RederivePairs.With("kept").Value(),
 		MergesSplice:       o.rm.Store.Merges.With("splice").Value(),
