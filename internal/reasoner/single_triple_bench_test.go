@@ -10,7 +10,7 @@ import (
 	"inferray/internal/rules"
 )
 
-// The two benchmarks reproduce EXPERIMENTS.md "A single-triple write":
+// The benchmarks reproduce EXPERIMENTS.md "A single-triple write":
 // the per-operation cost of the write path on a bare engine holding the
 // closure of datagen.LUBM(250_000, 1), rdfs-plus, encoding on. They use
 // only LoadTriples / Materialize / Retract, so the same file runs
@@ -22,6 +22,12 @@ import (
 // store (0.6–0.8 ms and 29 KB there, from 3.8–4.3 ms and 8.15 MB); what is
 // still O(store) in it is the seed's read of the tables' objects and
 // the in-place removal of the doomed pairs (ROADMAP items 7(c), 9(a)).
+// An emailAddress delete is read apart: PRP-IFP reads only the run of
+// the deleted address, so an address no other subject holds costs a
+// delete like any other (0.66–0.70 ms, 11 KB; 43–45 ms and 22 MB while
+// the rule rescanned the whole table), and a shared one still empties
+// the sameAs table through the θ step and rederives it (35–36 ms,
+// ROADMAP item 5).
 
 func lubm250k(b *testing.B) (*Engine, []rdf.Triple) {
 	b.Helper()
@@ -71,18 +77,60 @@ func BenchmarkSingleTripleDelete(b *testing.B) {
 			victims = append(victims, t)
 		}
 	}
+	retractEach(b, e, victims)
+}
+
+// BenchmarkSingleTripleEmailDelete: Retract of one asserted emailAddress
+// triple whose address no other subject holds ("unshared"), or of the
+// first holder's triple of an address a duplicate record shares
+// ("shared"), re-asserted off the clock.
+func BenchmarkSingleTripleEmailDelete(b *testing.B) {
+	e, triples := lubm250k(b)
+	holders := map[string]int{}
+	for _, t := range triples {
+		if strings.HasSuffix(t.P, "lubm/emailAddress>") {
+			holders[t.O]++
+		}
+	}
+	victims := map[bool][]rdf.Triple{}
+	seen := map[string]bool{}
+	for _, t := range triples {
+		if strings.HasSuffix(t.P, "lubm/emailAddress>") && !seen[t.O] {
+			seen[t.O] = true
+			victims[holders[t.O] > 1] = append(victims[holders[t.O] > 1], t)
+		}
+	}
+	for _, shared := range []bool{false, true} {
+		name := "unshared"
+		if shared {
+			name = "shared"
+		}
+		b.Run(name, func(b *testing.B) { retractEach(b, e, victims[shared]) })
+	}
+}
+
+// retractEach retracts victims one per iteration, in order. It
+// re-asserts them off the clock once all are gone and, at the end, the
+// ones it left retracted, so that a b.Run body called again finds the
+// engine as it was.
+func retractEach(b *testing.B, e *Engine, victims []rdf.Triple) {
+	reassert := func(ts []rdf.Triple) {
+		b.StopTimer()
+		e.LoadTriples(ts)
+		e.Materialize()
+		b.StartTimer()
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if i > 0 && i%len(victims) == 0 {
-			b.StopTimer()
-			e.LoadTriples(victims)
-			e.Materialize()
-			b.StartTimer()
+		k := i % len(victims)
+		if i > 0 && k == 0 {
+			reassert(victims)
 		}
-		st, err := e.Retract(victims[i%len(victims) : i%len(victims)+1])
+		st, err := e.Retract(victims[k : k+1])
 		if err != nil || st.Retracted != 1 {
 			b.Fatalf("delete %d: %+v, %v", i, st, err)
 		}
 	}
+	reassert(victims[:(b.N-1)%len(victims)+1])
 }

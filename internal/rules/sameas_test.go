@@ -74,55 +74,36 @@ func sameAsReference(c *Context) map[sameAsFact]int {
 func TestSameAsMatchesReference(t *testing.T) {
 	for seed := int64(1); seed <= 40; seed++ {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			rng := rand.New(rand.NewSource(seed))
-			h := newHarness()
-			var terms, props []uint64
-			for i := 0; i < 5; i++ {
-				id := h.d.EncodeProperty(fmt.Sprintf("<p%d>", i))
-				props = append(props, id)
-				terms = append(terms, id)
-			}
-			for i := 0; i < 12; i++ {
-				terms = append(terms, h.res(fmt.Sprintf("<r%d>", i)))
-			}
-			pick := func(ids []uint64) uint64 { return ids[rng.Intn(len(ids))] }
+			f := newRandomStores(seed)
+			h, rng := f.testHarness, f.rng
 			tables := []int{h.v.SameAs, h.v.Type}
-			for _, p := range props {
+			for _, p := range f.props {
 				tables = append(tables, dictionary.PropIndex(p))
 			}
-			delta := store.New(h.d.NumProperties())
-			add := func(pidx int, s, o uint64) {
-				h.add(pidx, s, o)
-				if rng.Intn(3) == 0 {
-					delta.Add(pidx, s, o)
-				}
-			}
 			for i := 0; i < 2+rng.Intn(8); i++ {
-				ids := terms
+				ids := f.terms
 				if rng.Intn(3) == 0 {
-					ids = props
+					ids = f.props
 				}
-				a := pick(ids)
+				a := f.pick(ids)
 				b := a // a self-pair, one time in five
 				if rng.Intn(5) > 0 {
-					b = pick(ids)
+					b = f.pick(ids)
 				}
-				add(h.v.SameAs, a, b)
+				f.add(h.v.SameAs, a, b)
 			}
 			for i := 0; i < 60; i++ {
-				add(tables[1+rng.Intn(len(tables)-1)], pick(terms), pick(terms))
+				f.add(tables[1+rng.Intn(len(tables)-1)], f.pick(f.terms), f.pick(f.terms))
 			}
-			h.main.Grow(h.d.NumProperties())
-			h.main.Normalize()
-			delta.Normalize()
+			f.normalize()
 
 			for _, d := range []struct {
 				name  string
 				delta *store.Store
 				terms bool
 			}{
-				{"first pass, bitmap", h.main, true}, {"semi-naive, bitmap", delta, true},
-				{"first pass, search", h.main, false}, {"semi-naive, search", delta, false},
+				{"first pass, bitmap", h.main, true}, {"semi-naive, bitmap", f.delta, true},
+				{"first pass, search", h.main, false}, {"semi-naive, search", f.delta, false},
 			} {
 				out := store.New(h.main.NumSlots())
 				c := h.context(d.delta, out)
@@ -145,6 +126,198 @@ func TestSameAsMatchesReference(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// randomStores is the seeded random-store harness of the reference
+// tests: five properties and twelve resources, all of them terms, and a
+// delta that receives each added pair one time in three, so that it is
+// a subset of main as a round's delta is.
+type randomStores struct {
+	*testHarness
+	rng          *rand.Rand
+	terms, props []uint64
+	delta        *store.Store
+}
+
+func newRandomStores(seed int64) *randomStores {
+	f := &randomStores{testHarness: newHarness(), rng: rand.New(rand.NewSource(seed))}
+	for i := 0; i < 5; i++ {
+		id := f.d.EncodeProperty(fmt.Sprintf("<p%d>", i))
+		f.props = append(f.props, id)
+		f.terms = append(f.terms, id)
+	}
+	for i := 0; i < 12; i++ {
+		f.terms = append(f.terms, f.res(fmt.Sprintf("<r%d>", i)))
+	}
+	f.delta = store.New(f.d.NumProperties())
+	return f
+}
+
+func (f *randomStores) pick(ids []uint64) uint64 { return ids[f.rng.Intn(len(ids))] }
+
+// add adds ⟨s, o⟩ to table pidx of main and, one time in three, of the
+// delta.
+func (f *randomStores) add(pidx int, s, o uint64) {
+	f.testHarness.add(pidx, s, o)
+	if f.rng.Intn(3) == 0 {
+		f.delta.Add(pidx, s, o)
+	}
+}
+
+func (f *randomStores) normalize() {
+	f.main.Grow(f.d.NumProperties())
+	f.main.Normalize()
+	f.delta.Normalize()
+}
+
+// TestFuncPropMatchesReference: on seeded random stores, PRP-FP and
+// PRP-IFP emit what the per-run definition allows, on a first pass, on
+// the two semi-naive passes of a random delta, and on a delta that holds
+// only markers. A run is the members y of one marked property p and one
+// key x over Main: ⟨x p y⟩ for PRP-FP, ⟨y p x⟩ for PRP-IFP. Three checks:
+// every emitted link joins two distinct members of one run (a body
+// match); every pair of distinct members of a run with a premise in the
+// delta is connected by the emitted links, which is all the sameAs θ
+// closure needs; and every link lies in a run the delta touches, by the
+// marker or by a pair with the run's key, so the rule reads no run the
+// delta leaves alone.
+func TestFuncPropMatchesReference(t *testing.T) {
+	for _, name := range []string{"PRP-FP", "PRP-IFP"} {
+		for seed := int64(1); seed <= 40; seed++ {
+			t.Run(fmt.Sprintf("%s/seed=%d", name, seed), func(t *testing.T) {
+				f := newRandomStores(seed)
+				h, rng := f.testHarness, f.rng
+				inverse := name == "PRP-IFP"
+				marker := h.v.FunctionalProp
+				if inverse {
+					marker = h.v.InverseFunctionalProp
+				}
+				markers := store.New(h.d.NumProperties())
+				for _, p := range f.props {
+					if rng.Intn(3) > 0 {
+						f.add(h.v.Type, p, marker)
+						if rng.Intn(2) == 0 {
+							markers.Add(h.v.Type, p, marker)
+						}
+					}
+				}
+				f.add(h.v.Type, f.res("<r0>"), marker) // not a property: no run
+				for i := 0; i < 60; i++ {
+					f.add(dictionary.PropIndex(f.pick(f.props)), f.pick(f.terms), f.pick(f.terms))
+				}
+				f.normalize()
+				markers.Normalize()
+
+				for _, d := range []struct {
+					name  string
+					delta *store.Store
+				}{{"first pass", h.main}, {"semi-naive", f.delta}, {"markers only", markers}} {
+					out := store.New(h.main.NumSlots())
+					c := h.context(d.delta, out)
+					rule(name).Apply(c)
+					out.ForEachTable(func(pidx int, tb *store.Table) bool {
+						if pidx != h.v.SameAs && !tb.Empty() {
+							t.Errorf("%s: %d pairs emitted to table %d", d.name, tb.Size(), pidx)
+						}
+						return true
+					})
+					checkFuncProp(t, d.name, c, marker, inverse, out.Table(h.v.SameAs))
+				}
+			})
+		}
+	}
+}
+
+// funcPropRun is one run of TestFuncPropMatchesReference: its members,
+// and whether the delta touches it.
+type funcPropRun struct {
+	members map[uint64]bool
+	touched bool
+}
+
+// checkFuncProp makes TestFuncPropMatchesReference's three checks of
+// the links in same against runs built by nested loops over c's stores.
+func checkFuncProp(t *testing.T, name string, c *Context, marker uint64, inverse bool, same *store.Table) {
+	t.Helper()
+	type runKey struct {
+		pidx int
+		key  uint64
+	}
+	runs := map[runKey]*funcPropRun{}
+	var heads [][2]uint64 // pairs of distinct members with a delta premise
+	c.Main.ForEach(func(pidx int, p, m uint64) bool {
+		if pidx != c.V.Type || m != marker || !dictionary.IsProperty(p) {
+			return true
+		}
+		table := dictionary.PropIndex(p)
+		markerNew := c.Delta.Contains(c.V.Type, p, marker)
+		c.Main.ForEach(func(qidx int, s, o uint64) bool {
+			if qidx != table {
+				return true
+			}
+			k, y := s, o
+			if inverse {
+				k, y = o, s
+			}
+			r := runs[runKey{table, k}]
+			if r == nil {
+				r = &funcPropRun{members: map[uint64]bool{}}
+				runs[runKey{table, k}] = r
+			}
+			r.members[y] = true
+			r.touched = r.touched || markerNew || c.Delta.Contains(table, s, o)
+			return true
+		})
+		return true
+	})
+	for k, r := range runs {
+		for y1 := range r.members {
+			for y2 := range r.members {
+				s1, o1, s2, o2 := k.key, y1, k.key, y2
+				if inverse {
+					s1, o1, s2, o2 = y1, k.key, y2, k.key
+				}
+				if y1 != y2 && (c.Delta.Contains(c.V.Type, dictionary.PropID(k.pidx), marker) ||
+					c.Delta.Contains(k.pidx, s1, o1) || c.Delta.Contains(k.pidx, s2, o2)) {
+					heads = append(heads, [2]uint64{y1, y2})
+				}
+			}
+		}
+	}
+
+	parent := map[uint64]uint64{}
+	var find func(x uint64) uint64
+	find = func(x uint64) uint64 {
+		if p, ok := parent[x]; ok && p != x {
+			parent[x] = find(p)
+			return parent[x]
+		}
+		return x
+	}
+	var links []uint64
+	if same != nil {
+		links = same.RawPairs()
+	}
+	for i := 0; i < len(links); i += 2 {
+		a, b := links[i], links[i+1]
+		match, inTouched := false, false
+		for _, r := range runs {
+			if a != b && r.members[a] && r.members[b] {
+				match, inTouched = true, inTouched || r.touched
+			}
+		}
+		if !match {
+			t.Errorf("%s: emitted ⟨%d sameAs %d⟩ matches no body over Main", name, a, b)
+		} else if !inTouched {
+			t.Errorf("%s: emitted ⟨%d sameAs %d⟩ from a run the delta does not touch", name, a, b)
+		}
+		parent[find(a)] = find(b)
+	}
+	for _, hd := range heads {
+		if find(hd[0]) != find(hd[1]) {
+			t.Errorf("%s: head ⟨%d sameAs %d⟩ has a delta premise but its ends are not linked", name, hd[0], hd[1])
+		}
 	}
 }
 

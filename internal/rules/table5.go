@@ -454,63 +454,40 @@ func replicate(out *store.Store, pidx int, partners []uint64, x, y uint64, subje
 
 // ----------------------------------------------------- functional property
 
-// funcProp builds PRP-FP (#12) or, when inverse, PRP-IFP (#13). For
-// every property marked functional (inverse functional), the sorted
-// property table is scanned once; within each subject (object) run,
-// consecutive distinct objects (subjects) yield owl:sameAs links.
-// Emitting only the consecutive pairs is sufficient because the sameAs
-// θ-closure completes the equivalence class — this keeps the self-join
-// linear, matching the paper's O(k·n) bound.
+// funcProp builds PRP-FP (#12) or, when inverse, PRP-IFP (#13). Per
+// pass, for every property the A side marks functional (inverse
+// functional), each distinct subject (object) of the B side's table keys
+// a run of Main's table, found by galloping on from the previous run;
+// consecutive members of that run yield owl:sameAs links. A first pass
+// and a newly marked property so read every run once, a delta pair of
+// an already marked property only its own. Emitting only the
+// consecutive pairs is sufficient because the sameAs θ-closure completes
+// the equivalence class — this keeps the self-join linear, matching the
+// paper's O(k·n) bound.
 func funcProp(inverse bool) func(*Context) {
 	return func(c *Context) {
 		marker := c.V.FunctionalProp
 		if inverse {
 			marker = c.V.InverseFunctionalProp
 		}
-		out := c.Out.Ensure(c.V.SameAs)
-
-		process := func(t *store.Table) {
-			var flat []uint64
-			if inverse {
-				flat = t.OS()
-			} else {
-				flat = t.Pairs()
-			}
-			for i := 2; i < len(flat); i += 2 {
-				if flat[i] == flat[i-2] && flat[i+1] != flat[i-1] {
-					out.Append(flat[i-1], flat[i+1])
+		for _, pass := range c.passes() {
+			for _, pidx := range markedProperties(pass.a.Table(c.V.Type), marker) {
+				keys, main := pass.b.Table(pidx), c.mainTable(pidx)
+				if keys == nil || keys.Empty() || main == nil {
+					continue
 				}
-			}
-		}
-
-		if c.FirstPass() {
-			for _, pidx := range markedProperties(c.mainTable(c.V.Type), marker) {
-				if t := c.mainTable(pidx); t != nil {
-					process(t)
+				k, runs := view(keys, !inverse), view(main, !inverse)
+				n, at := len(runs)/2, 0
+				out := c.Out.Ensure(c.V.SameAs)
+				for i := 0; i < len(k); i += 2 {
+					if i > 0 && k[i] == k[i-2] {
+						continue
+					}
+					// A normalized run holds distinct members.
+					for at = store.GallopLowerBound(runs, n, at, k[i]); at+1 < n && runs[2*at+2] == k[i]; at++ {
+						out.Append(runs[2*at+1], runs[2*at+3])
+					}
 				}
-			}
-			return
-		}
-		// Newly marked properties: full main table scan.
-		seen := map[int]bool{}
-		for _, pidx := range markedProperties(c.deltaTable(c.V.Type), marker) {
-			seen[pidx] = true
-			if t := c.mainTable(pidx); t != nil {
-				process(t)
-			}
-		}
-		// Already-marked properties whose table changed: rescan. The run
-		// containing a new pair may straddle old pairs, so the whole main
-		// table is scanned (it is sorted; duplicates wash out in merge).
-		for _, pidx := range markedProperties(c.mainTable(c.V.Type), marker) {
-			if seen[pidx] {
-				continue
-			}
-			if dt := c.deltaTable(pidx); dt == nil {
-				continue
-			}
-			if t := c.mainTable(pidx); t != nil {
-				process(t)
 			}
 		}
 	}
