@@ -358,7 +358,9 @@ func (e *Engine) mergeRound(asserted bool, outs ...*store.Store) round {
 	}
 	r := round{delta: delta, fresh: delta.Size()}
 	merged := time.Now()
-	e.closeTheta(delta)
+	if fresh := e.closeTheta(delta); fresh != nil && delta != e.Main {
+		store.Union(delta, fresh)
+	}
 	e.maintainHier(delta, typeVersion)
 	r.merge, r.maintain = merged.Sub(start), time.Since(merged)
 	return r
@@ -380,69 +382,110 @@ func hasPairs(st *store.Store, pidx int) bool {
 	return t != nil && !t.Empty()
 }
 
-// thetaTables lists, ascending, the θ tables st touches. The θ tables
-// are the ones kept transitively closed (§4.1): subClassOf and
-// subPropertyOf (unless the hierarchy encoding serves them virtually)
-// and, for RDFS-Plus, owl:sameAs plus every property Main declares
-// owl:TransitiveProperty. st touches one by holding its pairs or by
-// declaring it transitive. The θ step closes these after a merge, and
-// overdeletion wipes them rather than trace them.
-func (e *Engine) thetaTables(st *store.Store) []int {
-	var theta []int
-	if e.hier == nil {
-		theta = append(theta, e.V.SubClassOf, e.V.SubPropertyOf)
-	}
+// thetaPairs returns, per θ table change touches, the pairs of Main the
+// change can affect, or nil when it touches none. The θ tables are the
+// ones kept transitively closed (§4.1): subClassOf and subPropertyOf
+// unless the hierarchy encoding serves them, and under RDFS-Plus
+// owl:sameAs and every owl:TransitiveProperty of Main. A change that
+// declares a table transitive, or is Main itself, affects all of it; one
+// that holds its pairs affects, the table being closed before the change,
+// only the pairs among their endpoints and one-step neighbours (DESIGN.md
+// §11). closeTheta closes these pairs, overdelete dooms them.
+func (e *Engine) thetaPairs(change *store.Store) (aff *store.Store) {
 	var declared []int
 	if e.opts.Fragment.UsesSameAs() {
-		theta = append(theta, e.V.SameAs)
-		theta = append(theta, rules.TransitiveProps(e.Main, e.V)...)
-		declared = rules.TransitiveProps(st, e.V)
+		declared = rules.TransitiveProps(change, e.V)
 	}
-	touched := theta[:0]
-	for _, pidx := range theta {
-		if hasPairs(e.Main, pidx) && (hasPairs(st, pidx) || slices.Contains(declared, pidx)) {
-			touched = append(touched, pidx)
+	affect := func(pidx int) {
+		t, whole := e.Main.Table(pidx), change == e.Main || slices.Contains(declared, pidx)
+		if t == nil || t.Empty() || !whole && !hasPairs(change, pidx) || aff != nil && aff.Table(pidx) != nil {
+			return
+		}
+		p := t.Pairs()
+		if !whole {
+			p = neighbourhood(t, change.Table(pidx).Pairs())
+		}
+		if aff == nil {
+			aff = store.New(e.Main.NumSlots())
+		}
+		aff.Ensure(pidx).AppendPairs(p)
+	}
+	if e.hier == nil {
+		affect(e.V.SubClassOf)
+		affect(e.V.SubPropertyOf)
+	}
+	if e.opts.Fragment.UsesSameAs() {
+		affect(e.V.SameAs)
+		for _, pidx := range rules.TransitiveProps(e.Main, e.V) {
+			affect(pidx)
 		}
 	}
-	slices.Sort(touched)
-	return slices.Compact(touched)
+	return aff
 }
 
-// closeTheta is the θ step: it re-closes every θ table delta touches,
-// merges the pairs the closures add into Main and folds them into delta.
-// It runs in every mergeRound — an adopted batch's with delta == Main —
-// and on Retract's survivors. owl:sameAs is closed as an undirected
-// graph, its pairs with their reverses, which is EQ-SYM and EQ-TRANS in
-// one call. Only a closed rdf:type table (rdf:type itself declared
-// transitive) can declare further θ tables, so only then does the step
-// go again.
-func (e *Engine) closeTheta(delta *store.Store) {
-	for touched := delta; ; {
-		tables := e.thetaTables(touched)
-		if len(tables) == 0 {
-			return
+// neighbourhood returns, ⟨s,o⟩-sorted, the pairs of t among the distinct
+// endpoints of the change pairs and the terms one pair of t away from
+// them, by subject run and ⟨o,s⟩ run. Each endpoint is expanded once: the
+// work is at most twice the table however many change pairs share one.
+func neighbourhood(t *store.Table, change []uint64) []uint64 {
+	ends := slices.Clone(change)
+	slices.Sort(ends)
+	ends = slices.Compact(ends)
+	near, p, os := slices.Clone(ends), t.Pairs(), t.OS()
+	for _, x := range ends {
+		for _, side := range [2][]uint64{p, os} {
+			lo, hi := store.KeyRun(side, x)
+			for i := lo; i < hi; i++ {
+				near = append(near, side[2*i+1])
+			}
 		}
+	}
+	slices.Sort(near)
+	near = slices.Compact(near)
+	var among []uint64
+	for _, x := range near {
+		lo, hi := store.KeyRun(p, x)
+		for i := lo; i < hi; i++ {
+			if _, ok := slices.BinarySearch(near, p[2*i+1]); ok {
+				among = append(among, x, p[2*i+1])
+			}
+		}
+	}
+	return among
+}
+
+// closeTheta is the θ step: it closes the pairs thetaPairs says change
+// can affect, merges what the closures add into Main and returns those
+// fresh pairs, nil when no θ table was touched. It runs in every
+// mergeRound and on Retract's doomed pairs once they have left Main.
+// owl:sameAs is closed as an undirected graph, its pairs with their
+// reverses, which is EQ-SYM and EQ-TRANS in one call. Only a closed
+// rdf:type table (rdf:type itself declared transitive) can declare
+// further θ tables, so only then does the step go again.
+func (e *Engine) closeTheta(change *store.Store) (fresh *store.Store) {
+	for aff := e.thetaPairs(change); aff != nil; aff = e.thetaPairs(change) {
 		out := store.New(e.Main.NumSlots())
-		for _, pidx := range tables {
-			p := e.Main.Table(pidx).Pairs()
+		aff.ForEachTable(func(pidx int, t *store.Table) bool {
+			p := t.RawPairs()
 			if pidx == e.V.SameAs {
-				sym := make([]uint64, 0, 2*len(p))
-				for i := 0; i < len(p); i += 2 {
-					sym = append(sym, p[i], p[i+1], p[i+1], p[i])
+				for i := len(p) - 2; i >= 0; i -= 2 {
+					p = append(p, p[i+1], p[i])
 				}
-				p = sym
 			}
 			out.Ensure(pidx).AppendPairs(closure.Close(p))
+			return true
+		})
+		change = store.MergeRound(e.Main, e.opts.Parallel, false, out)
+		if fresh == nil {
+			fresh = change
+		} else {
+			store.Union(fresh, change)
 		}
-		fresh := store.MergeRound(e.Main, e.opts.Parallel, false, out)
-		if delta != e.Main {
-			store.Union(delta, fresh)
+		if !hasPairs(change, e.V.Type) {
+			break
 		}
-		if !hasPairs(fresh, e.V.Type) {
-			return
-		}
-		touched = fresh
 	}
+	return fresh
 }
 
 // buildHier (re)builds the hierarchy interval index from the raw
@@ -472,9 +515,9 @@ func (e *Engine) buildHier() {
 // the index was last built, or in the merge round whose delta brought
 // it — an adopted batch's round walks Main after its θ step. One path
 // stores sameAs pairs outside a merge round and adds no endpoint:
-// Retract's closeTheta on its reseed restores a subset of the closure
-// that stood before the delete. A new path that stores sameAs pairs
-// outside mergeRound must pass them through this check itself.
+// Retract's closeTheta on its doomed pairs restores doomed pairs the
+// survivors still entail. A new path that stores sameAs pairs outside
+// mergeRound must pass them through this check itself.
 func (e *Engine) hierGuardsOK(st *store.Store) bool {
 	h, v := e.hier, e.V
 	// G1: no rule-marker class may acquire subclasses. Several rules

@@ -30,7 +30,7 @@ func keptTriples(e *Engine, st *store.Store) []string {
 // suites: TestRetractEquivalenceInterleaved (random ontologies over the
 // five fragments with the encoding on and off, and a LUBM-2500 base),
 // TestRederiveKeepsWhatCanBeNew's fixtures (an unshadowed type pair, a
-// second support, sameAs and transitive θ wipes, a schema edge) and
+// second support, a sameAs and a transitive θ edge, a schema edge) and
 // TestRederiveObjectOnlyHead.
 func TestSeededRederivationMatchesWholeStore(t *testing.T) {
 	var cur *testing.T
@@ -66,16 +66,17 @@ func TestSeededRederivationMatchesWholeStore(t *testing.T) {
 
 // TestRederiveObjectOnlyHead retracts under the one head whose subject
 // no body pattern names: SCM-CLS's ⟨owl:Nothing subClassOf x⟩, derived
-// from ⟨x type owl:Class⟩. Deleting an unrelated subClassOf edge wipes
-// the subClassOf table, a θ table, which dooms ⟨owl:Nothing subClassOf
-// X⟩ while every other pair with X as its subject is asserted and
-// survives: X is only ever a doomed object. The rederivation seed must
+// from ⟨x type owl:Class⟩. Deleting a subClassOf edge into X dooms the
+// θ pairs among its endpoints and their neighbours in the subClassOf
+// table (a θ table), ⟨owl:Nothing subClassOf X⟩ among them, while every
+// other pair with X as its subject is asserted and survives: X is only
+// ever a doomed object. The rederivation seed must
 // hold the pairs whose subject is a doomed object for the pass to
 // re-derive it from ⟨X type owl:Class⟩.
 func TestRederiveObjectOnlyHead(t *testing.T) {
 	const x = "<http://example.org/X>"
 	nothingX := rdf.Triple{S: rdf.OWLNothing, P: rdf.RDFSSubClassOf, O: x}
-	edge := rdf.Triple{S: "<http://example.org/A>", P: rdf.RDFSSubClassOf, O: "<http://example.org/B>"}
+	edge := rdf.Triple{S: "<http://example.org/A>", P: rdf.RDFSSubClassOf, O: x}
 	for _, encoded := range []bool{false, true} {
 		opts := Options{Fragment: rules.RDFSPlusFull, Parallel: true, HierarchyEncoding: encoded}
 		e := New(opts)

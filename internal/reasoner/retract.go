@@ -125,9 +125,11 @@ func (e *Engine) Retract(batch []rdf.Triple) (RetractStats, error) {
 		e.hier.CarryTypeStats(e.Main.Table(e.V.Type), typeVersion, doomed.Table(e.V.Type).Pairs(), false)
 	}
 
-	// The survivors never pass through a merge round: close the θ tables
-	// they touch here, folding the restored closure pairs into delta.
-	e.closeTheta(delta)
+	// Close again what the doomed pairs' removal can have opened in the θ
+	// tables, folding the pairs the survivors still entail into delta.
+	if fresh := e.closeTheta(doomed); fresh != nil {
+		store.Union(delta, fresh)
+	}
 
 	// A surviving derivation whose antecedents were never deleted is
 	// invisible to semi-naive evaluation (its antecedents are in no
@@ -273,28 +275,10 @@ func (e *Engine) possiblyNew(outs []*store.Store, doomed *store.Store, st *Retra
 			if dt == nil || dt.Empty() {
 				return true
 			}
-			// doomed and what the pass emits are both small, except after
-			// a θ wipe: reject on the subject range before searching.
-			dp := dt.Pairs()
-			first, last := dp[0], dp[len(dp)-2]
 			bySubject := pidx == e.V.Type && e.hier != nil
-			var kt *store.Table
 			for p, i := t.RawPairs(), 0; i < len(p); i += 2 {
-				if p[i] < first || p[i] > last {
-					continue
-				}
-				var keep bool
-				if bySubject {
-					lo, hi := dt.SubjectRun(p[i])
-					keep = lo < hi
-				} else {
-					keep = dt.Contains(p[i], p[i+1])
-				}
-				if keep {
-					if kt == nil {
-						kt = kept.Ensure(pidx)
-					}
-					kt.Append(p[i], p[i+1])
+				if lo, hi := dt.SubjectRun(p[i]); lo < hi && (bySubject || dt.Contains(p[i], p[i+1])) {
+					kept.Add(pidx, p[i], p[i+1])
 				}
 			}
 			return true
@@ -323,8 +307,6 @@ func (e *Engine) overdelete(del *store.Store, st *RetractStats) (*store.Store, b
 	store.Union(over, del) // every pair of del was marked a moment ago, so it is stored
 	store.Union(frontier, del)
 
-	wiped := make(map[int]bool)
-
 	for frontier.Size() > 0 {
 		st.Iterations++
 		if e.hier != nil &&
@@ -333,42 +315,17 @@ func (e *Engine) overdelete(del *store.Store, st *RetractStats) (*store.Store, b
 			st.EncodingDropped = true
 			return nil, true
 		}
-		// No rule traces the transitive consequences of a deleted edge:
-		// the θ step closes tables outside the rules. When the frontier
-		// reaches a θ table — its pairs, or its owl:TransitiveProperty
-		// marker — conservatively overdelete the whole table (once);
-		// rederivation restores the surviving asserted edges and the θ
-		// step re-closes them. A wiped rdf:type table (rdf:type declared
-		// transitive) brings markers of its own, so wipe until none is new.
-		for again := true; again; {
-			again = false
-			for _, pidx := range e.thetaTables(frontier) {
-				if wiped[pidx] {
-					continue
-				}
-				wiped[pidx], again = true, true
-				pr := e.Main.Table(pidx).Pairs()
-				var adds []uint64
-				for i := 0; i < len(pr); i += 2 {
-					if !over.Contains(pidx, pr[i], pr[i+1]) {
-						adds = append(adds, pr[i], pr[i+1])
-					}
-				}
-				if len(adds) > 0 {
-					over.Ensure(pidx).AppendPairs(adds)
-					frontier.Ensure(pidx).AppendPairs(adds)
-				}
-			}
-			over.Normalize()
-			frontier.Normalize()
-		}
-
 		// Fire the rules whose read footprint meets the frontier, with
 		// the frontier as the delta and the intact closure as main — the
 		// standard semi-naive passes, repurposed: anything they infer
-		// that is physically stored may depend on the deleted set.
+		// that is physically stored may depend on the deleted set. No rule
+		// closes a θ table: the pairs the frontier can affect in one join.
+		outs := e.runRules(e.triggered(frontier, (*rules.Rule).Reads), frontier)
+		if aff := e.thetaPairs(frontier); aff != nil {
+			outs = append(outs, aff)
+		}
 		next := store.New(slots)
-		for _, out := range e.runRules(e.triggered(frontier, (*rules.Rule).Reads), frontier) {
+		for _, out := range outs {
 			out.ForEach(func(pidx int, s, o uint64) bool {
 				if e.Main.Contains(pidx, s, o) && !over.Contains(pidx, s, o) {
 					next.Add(pidx, s, o)

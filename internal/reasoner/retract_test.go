@@ -511,8 +511,9 @@ func TestRederiveKeepsWhatCanBeNew(t *testing.T) {
 			stay: []rdf.Triple{{S: ns + "x>", P: rdf.RDFType, O: ns + "Student>"}},
 		},
 		{
-			// θ wipe: one owl:sameAs edge of a chain. The whole sameAs table
-			// is overdeleted; the pass restores what a ~ b's absence leaves.
+			// θ step: one owl:sameAs edge of a chain. Its clique, here the
+			// whole sameAs table, is overdeleted; the pass restores what
+			// a ~ b's absence leaves.
 			name: "sameAs edge",
 			data: []rdf.Triple{
 				{S: ns + "a>", P: rdf.OWLSameAs, O: ns + "b>"},
@@ -524,7 +525,8 @@ func TestRederiveKeepsWhatCanBeNew(t *testing.T) {
 			stay: []rdf.Triple{{S: ns + "c>", P: rdf.OWLSameAs, O: ns + "b>"}},
 		},
 		{
-			// θ wipe of a declared-transitive property's table.
+			// θ step: an edge of a declared-transitive property's chain,
+			// whose neighbourhood here is the whole table.
 			name: "transitive edge",
 			data: []rdf.Triple{
 				{S: ns + "u>", P: ns + "partOf>", O: ns + "v>"},

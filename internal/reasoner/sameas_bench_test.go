@@ -14,9 +14,13 @@ import (
 // the fixpoint's delta, then Materialize, on the closures of LUBM-250k
 // and LUBM-1M. "sameAs" asserts ⟨new owl:sameAs student⟩; "emailAddress"
 // gives a new subject a student's address, and the inverse-functional
-// emailAddress derives the same pair a round later (PRP-IFP). The round
-// that holds the pair replicates the student's facts under the new
-// subject (EQ-REP) with one read of the whole store. It uses only
+// emailAddress derives the same pair a round later (PRP-IFP). The θ
+// step closes only the pairs among the link's endpoints and their
+// sameAs neighbours, the student's clique, not the whole sameAs table
+// (LUBM-1M: 4.3–5.7 ms and 67–71 KB per op; 8.9–10.4 ms and 3.2–3.4 MB
+// while it re-closed the table). The round that holds the pair
+// replicates the student's facts under the new subject (EQ-REP) with
+// one read of the whole store, most of what is left. It uses only
 // LoadTriples / Materialize, so it runs unchanged on an older commit:
 //
 //	go test ./internal/reasoner -run '^$' -bench SameAsInsert -benchtime 200x

@@ -25,9 +25,12 @@ import (
 // An emailAddress delete is read apart: PRP-IFP reads only the run of
 // the deleted address, so an address no other subject holds costs a
 // delete like any other (0.66–0.70 ms, 11 KB; 43–45 ms and 22 MB while
-// the rule rescanned the whole table), and a shared one still empties
-// the sameAs table through the θ step and rederives it (35–36 ms,
-// ROADMAP item 5).
+// the rule rescanned the whole table). A shared one dooms a sameAs
+// link, and the θ step overdeletes and re-closes only the pairs that
+// link can reach — its clique, and EQ-REP's copies for the clique's
+// terms, 18 pairs (3.2 ms, 93 KB; 33–36 ms and 18.8 MB while
+// overdeletion wiped the sameAs table). What is left of it is EQ-REP's
+// read of Main for the doomed link (ROADMAP item 8(b)).
 
 func lubm250k(b *testing.B) (*Engine, []rdf.Triple) {
 	b.Helper()

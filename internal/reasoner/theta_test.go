@@ -2,8 +2,13 @@ package reasoner
 
 import (
 	"fmt"
+	"math/rand"
+	"runtime"
+	"slices"
 	"testing"
 
+	"inferray/internal/closure"
+	"inferray/internal/dictionary"
 	"inferray/internal/rdf"
 	"inferray/internal/rules"
 	"inferray/internal/store"
@@ -90,8 +95,8 @@ func TestThetaClosesInRound(t *testing.T) {
 
 // TestThetaTransitiveRDFType: with rdf:type itself declared transitive,
 // closing the type table declares <q> transitive through <M>. The θ step
-// must then close <q> too, and overdeletion must wipe <q> once the wiped
-// type table takes its marker away. Every cut of the input into a first
+// must then close <q> too, and overdeletion must doom the whole of <q>
+// once the overdeleted type pairs take its marker away. Every cut of the input into a first
 // and a second batch, then every single retraction, is judged by the
 // oracle.
 func TestThetaTransitiveRDFType(t *testing.T) {
@@ -120,5 +125,216 @@ func TestThetaTransitiveRDFType(t *testing.T) {
 				checkAgainstOracle(t, e, opts, fmt.Sprintf("%s, retracted %d", label, i))
 			}
 		}
+	}
+}
+
+// TestThetaLocalMatchesWhole: a write closes and overdeletes only the θ
+// pairs its change can reach (thetaPairs), and that is enough. Over
+// random θ tables — an owl:TransitiveProperty table, subClassOf with the
+// encoding off, and owl:sameAs — with cycles, self-pairs and one node
+// that gains many links, a random insert closed by its merge round must
+// leave closure.Close of the union, and a random delete, overdeleted,
+// split and re-closed as Retract does (thetaDelete), must leave what
+// wiping the whole table and closing its surviving asserted pairs leaves.
+// Both hold when the insert declares the owl:TransitiveProperty marker
+// and when the delete retracts it.
+func TestThetaLocalMatchesWhole(t *testing.T) {
+	tr := func(s, p, o string) rdf.Triple { return rdf.Triple{S: s, P: p, O: o} }
+	node := func(i int) string { return fmt.Sprintf("<n%d>", i) }
+	marker := tr("<p>", rdf.RDFType, rdf.OWLTransitiveProperty)
+	for seed := range 150 {
+		rng := rand.New(rand.NewSource(int64(seed)))
+		prop := []string{"<p>", rdf.RDFSSubClassOf, rdf.OWLSameAs}[seed%3]
+		// Marker cases, on <p> only: 1 declares it with the insert, 2
+		// retracts it with the delete.
+		markerCase := 0
+		if prop == "<p>" {
+			markerCase = seed / 3 % 3
+		}
+		n := 4 + rng.Intn(13)
+		link := func() rdf.Triple {
+			a := rng.Intn(n)
+			if rng.Intn(5) == 0 {
+				return tr(node(a), prop, node(a))
+			}
+			return tr(node(a), prop, node(rng.Intn(n)))
+		}
+		var base, ins []rdf.Triple
+		for range 1 + rng.Intn(2*n) {
+			base = append(base, link())
+		}
+		for range 1 + rng.Intn(4) {
+			ins = append(ins, link())
+		}
+		if rng.Intn(2) == 0 { // a hub gains links both ways
+			hub := node(rng.Intn(n))
+			for range n/2 + rng.Intn(n) {
+				if other := node(rng.Intn(n)); rng.Intn(2) == 0 {
+					ins = append(ins, tr(hub, prop, other))
+				} else {
+					ins = append(ins, tr(other, prop, hub))
+				}
+			}
+		}
+		label := fmt.Sprintf("seed %d %s marker case %d", seed, prop, markerCase)
+		e := New(Options{Fragment: rules.RDFSPlus})
+		if prop == "<p>" && markerCase != 1 {
+			base = append(base, marker)
+		}
+		e.LoadTriples(base)
+		e.Materialize()
+		id, ok := e.Dict.Lookup(prop)
+		if !ok {
+			t.Fatalf("%s: %s is not in the dictionary", label, prop)
+		}
+		pidx := dictionary.PropIndex(id)
+		if markerCase == 1 {
+			ins = append(ins, marker)
+		}
+		e.LoadTriples(ins)
+		staged := e.staged
+		e.staged = nil
+		e.mergeRound(true, staged)
+		asserted := slices.Concat(base, ins)
+		checkThetaTable(t, e, pidx, asserted, true, label+", after the insert")
+
+		var del []rdf.Triple
+		for _, i := range rng.Perm(len(asserted))[:1+rng.Intn(3)] {
+			if asserted[i] != marker && !slices.Contains(del, asserted[i]) {
+				del = append(del, asserted[i])
+			}
+		}
+		if markerCase == 2 {
+			del = append(del, marker)
+		}
+		thetaDelete(t, e, del)
+		kept := slices.DeleteFunc(asserted, func(a rdf.Triple) bool { return slices.Contains(del, a) })
+		checkThetaTable(t, e, pidx, kept, markerCase != 2, label+", after the delete")
+		if err := e.CheckCarried(); err != nil {
+			t.Errorf("%s: %v", label, err)
+		}
+	}
+}
+
+// thetaDelete runs the θ half of Retract: unmark the batch, overdelete,
+// delete the overdeleted pairs that carry no mark, and close what their
+// removal opened. It stops before the rederivation pass, whose rules
+// (EQ-REP on sameAs links) could restore what the θ step missed.
+func thetaDelete(t *testing.T, e *Engine, batch []rdf.Triple) {
+	t.Helper()
+	del, doomed := store.New(e.Main.NumSlots()), store.New(e.Main.NumSlots())
+	for _, b := range batch {
+		pidx, s, o, ok := e.resolve(b)
+		if !ok || !e.Main.Table(pidx).Unmark(s, o) {
+			t.Fatalf("%s %s %s is not asserted", b.S, b.P, b.O)
+		}
+		del.Add(pidx, s, o)
+	}
+	del.Normalize()
+	var st RetractStats
+	over, _ := e.overdelete(del, &st)
+	over.ForEachTable(func(pidx int, ot *store.Table) bool {
+		mt, op := e.Main.Table(pidx), ot.Pairs()
+		mt.Locate(op, func(i, at int) {
+			if !mt.Marked(at) {
+				doomed.Add(pidx, op[2*i], op[2*i+1])
+			}
+		})
+		return true
+	})
+	doomed.Normalize()
+	e.Main.Delete(doomed)
+	e.closeTheta(doomed)
+}
+
+// checkThetaTable compares Main's table pidx with the asserted triples of
+// that property, closed (closure.Close, owl:sameAs as an undirected graph)
+// when closed is true.
+func checkThetaTable(t *testing.T, e *Engine, pidx int, asserted []rdf.Triple, closed bool, label string) {
+	t.Helper()
+	var pairs []uint64
+	for _, a := range asserted {
+		if p, s, o, ok := e.resolve(a); ok && p == pidx {
+			pairs = append(pairs, s, o)
+			if pidx == e.V.SameAs {
+				pairs = append(pairs, o, s)
+			}
+		}
+	}
+	if closed {
+		pairs = closure.Close(pairs)
+	}
+	var want store.Table
+	want.AppendPairs(pairs)
+	want.Normalize()
+	var got []uint64
+	if mt := e.Main.Table(pidx); mt != nil {
+		got = mt.Pairs()
+	}
+	if !slices.Equal(got, want.Pairs()) {
+		t.Errorf("%s: the table holds %d pairs, want %d\n got %v\nwant %v", label, len(got)/2, want.Size(), got, want.Pairs())
+	}
+}
+
+// TestThetaNeighbourhoodExpandsEachEndpointOnce: a change whose pairs
+// share one endpoint expands it once. One subject of an
+// owl:TransitiveProperty table gains as many links as it had; expanding
+// it once per link would read its run, the whole table, once per link.
+// The bytes thetaPairs allocates stay within a few times the table's.
+func TestThetaNeighbourhoodExpandsEachEndpointOnce(t *testing.T) {
+	const links = 512
+	batch := func(prefix string) []rdf.Triple {
+		var b []rdf.Triple
+		for i := range links {
+			b = append(b, rdf.Triple{S: "<hub>", P: "<p>", O: fmt.Sprintf("<%s%d>", prefix, i)})
+		}
+		return b
+	}
+	e := New(Options{Fragment: rules.RDFSPlus})
+	e.LoadTriples(append(batch("a"), rdf.Triple{S: "<p>", P: rdf.RDFType, O: rdf.OWLTransitiveProperty}))
+	e.Materialize()
+	e.LoadTriples(batch("b"))
+	staged := e.staged
+	e.staged = nil
+	delta := store.MergeRound(e.Main, false, true, staged) // merged, not yet closed
+	pidx, _, _, _ := e.resolve(rdf.Triple{S: "<hub>", P: "<p>", O: "<b0>"})
+	tableBytes := 16 * e.Main.Table(pidx).Size()
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	aff := e.thetaPairs(delta)
+	runtime.ReadMemStats(&after)
+	if got := aff.Table(pidx).Size(); got != 2*links {
+		t.Fatalf("thetaPairs returned %d pairs of the hub's table, want %d", got, 2*links)
+	}
+	if bytes := int(after.TotalAlloc - before.TotalAlloc); bytes > 16*tableBytes {
+		t.Errorf("thetaPairs allocated %d bytes for a %d-byte table: an endpoint was expanded more than once", bytes, tableBytes)
+	}
+}
+
+// TestOverdeleteExpandsThetaPairsItDooms: overdeletion takes the θ pairs
+// its frontier can reach on every round, those of θ pairs it doomed the
+// round before included. Deleting ⟨g p d⟩ dooms ⟨U p W⟩, a pair among the
+// terms one step from g and d; the delete also takes away ⟨U p W⟩'s only
+// support, which the rules reach a round later through ⟨U q W⟩. The
+// sibling ⟨d2 p W⟩ holds only through ⟨U p W⟩, and only the
+// neighbourhood of ⟨U p W⟩ itself names d2.
+func TestOverdeleteExpandsThetaPairsItDooms(t *testing.T) {
+	tr := func(s, p, o string) rdf.Triple { return rdf.Triple{S: s, P: p, O: o} }
+	in := []rdf.Triple{
+		tr("<p>", rdf.RDFType, rdf.OWLTransitiveProperty),
+		tr("<r>", rdf.OWLInverseOf, "<q>"), tr("<q>", rdf.RDFSSubPropertyOf, "<p>"),
+		tr("<g>", "<p>", "<d>"), tr("<d>", "<p>", "<U>"), tr("<d2>", "<p>", "<U>"),
+		tr("<W>", "<r>", "<U>"),
+	}
+	for _, encoding := range []bool{false, true} {
+		opts := Options{Fragment: rules.RDFSPlus, HierarchyEncoding: encoding}
+		e := New(opts)
+		e.LoadTriples(in)
+		e.Materialize()
+		if _, err := e.Retract([]rdf.Triple{in[3], in[6]}); err != nil {
+			t.Fatal(err)
+		}
+		checkAgainstOracle(t, e, opts, fmt.Sprintf("encoding=%t", encoding))
 	}
 }
