@@ -62,3 +62,21 @@ func TestChainBuildsNoOSCache(t *testing.T) {
 		t.Errorf("chain closure built %d ⟨o,s⟩ caches, want 0", n)
 	}
 }
+
+// TestFirstMaterializationDropsNoOSList: a lookup of a few terms by
+// object builds no ⟨o,s⟩ list, so none is built only to be dropped. A
+// first materialization of LUBM under RDFS-Plus with the encoding on
+// builds two, for the probes that repeat — PRP-IFP's join on
+// emailAddress and EQ-REP's partners on owl:sameAs — and drops none:
+// neither the θ step's neighbourhood of the new sameAs links nor guard
+// G2's look at the inverseOf and sameAs objects builds one.
+func TestFirstMaterializationDropsNoOSList(t *testing.T) {
+	m := NewMetrics(metrics.NewRegistry())
+	e := New(Options{Fragment: rules.RDFSPlus, Parallel: true, HierarchyEncoding: true, Metrics: m})
+	e.LoadTriples(datagen.LUBM(50_000, 1))
+	e.Materialize()
+	built, dropped := m.Store.OSCache.With("built").Value(), m.Store.OSCache.With("dropped").Value()
+	if built != 2 || dropped != 0 {
+		t.Errorf("first materialization: %d ⟨o,s⟩ lists built and %d dropped, want 2 and 0", built, dropped)
+	}
+}

@@ -165,7 +165,11 @@ type Engine struct {
 	// schema edge is retracted the engine stays on full materialization.
 	hier     *hierarchy.Index
 	typeRuns hierarchy.RunScratch // compactTypeTable's working memory
-	seedBits []uint64             // rederiveSeed's term bitmap, all zero between retractions
+	terms    store.TermSet        // the engine's own term set, handed out by termSet
+
+	// ruleTerms holds a term set per rule, aligned with rules by index:
+	// a rule runs on one goroutine, so its set is never shared.
+	ruleTerms []store.TermSet
 
 	// The per-rule instruments, aligned with rules by index; nil when
 	// Options.Metrics is nil. mFired / mSkipped count scheduling
@@ -182,6 +186,7 @@ func New(opts Options) *Engine {
 	d := dictionary.NewWithVocabulary(rdf.VocabularyProperties, rdf.VocabularyResources)
 	v := rules.ResolveVocab(d)
 	e := &Engine{Dict: d, V: v, opts: opts, rules: rules.Rules(opts.Fragment, v)}
+	e.ruleTerms = make([]store.TermSet, len(e.rules))
 	e.resolveRuleCounters()
 	e.Main = store.New(d.NumProperties())
 	e.staged = e.Main
@@ -403,7 +408,7 @@ func (e *Engine) thetaPairs(change *store.Store) (aff *store.Store) {
 		}
 		p := t.Pairs()
 		if !whole {
-			p = neighbourhood(t, change.Table(pidx).Pairs())
+			p = neighbourhood(e.termSet(), t, change.Table(pidx).Pairs())
 		}
 		if aff == nil {
 			aff = store.New(e.Main.NumSlots())
@@ -425,33 +430,51 @@ func (e *Engine) thetaPairs(change *store.Store) (aff *store.Store) {
 
 // neighbourhood returns, ⟨s,o⟩-sorted, the pairs of t among the distinct
 // endpoints of the change pairs and the terms one pair of t away from
-// them, by subject run and ⟨o,s⟩ run. Each endpoint is expanded once: the
-// work is at most twice the table however many change pairs share one.
-func neighbourhood(t *store.Table, change []uint64) []uint64 {
-	ends := slices.Clone(change)
-	slices.Sort(ends)
-	ends = slices.Compact(ends)
-	near, p, os := slices.Clone(ends), t.Pairs(), t.OS()
-	for _, x := range ends {
-		for _, side := range [2][]uint64{p, os} {
-			lo, hi := store.KeyRun(side, x)
-			for i := lo; i < hi; i++ {
-				near = append(near, side[2*i+1])
-			}
+// them, by subject run and by a lookup of the endpoints among t's
+// objects, which builds no ⟨o,s⟩ list. Each endpoint is expanded once:
+// the work is at most twice the table however many change pairs share
+// one. set is empty on entry and left empty.
+func neighbourhood(set *store.TermSet, t *store.Table, change []uint64) []uint64 {
+	var near []uint64
+	add := func(x uint64) {
+		if set.Add(x) {
+			near = append(near, x)
+		}
+	}
+	for _, x := range change {
+		add(x)
+	}
+	p, ends := t.Pairs(), len(near)
+	hits := t.PairsWithObjectIn(set, nil)
+	for i := 0; i < len(hits); i += 2 {
+		add(hits[i])
+	}
+	for _, x := range near[:ends] {
+		lo, hi := store.KeyRun(p, x)
+		for i := lo; i < hi; i++ {
+			add(p[2*i+1])
 		}
 	}
 	slices.Sort(near)
-	near = slices.Compact(near)
 	var among []uint64
 	for _, x := range near {
 		lo, hi := store.KeyRun(p, x)
 		for i := lo; i < hi; i++ {
-			if _, ok := slices.BinarySearch(near, p[2*i+1]); ok {
+			if set.Has(p[2*i+1]) {
 				among = append(among, x, p[2*i+1])
 			}
 		}
 	}
+	set.Clear()
 	return among
+}
+
+// termSet hands out the engine's own term set, empty and ranged over
+// the dictionary's IDs. Its users — rederiveSeed, neighbourhood, guard
+// G2 — run one at a time, each leaving it empty.
+func (e *Engine) termSet() *store.TermSet {
+	e.terms.Reset(e.Dict.IDRange())
+	return &e.terms
 }
 
 // closeTheta is the θ step: it closes the pairs thetaPairs says change
@@ -533,44 +556,34 @@ func (e *Engine) hierGuardsOK(st *store.Store) bool {
 			return false
 		}
 	}
-	subjOf := func(pidx int, id uint64) bool {
-		t := e.Main.Table(pidx)
-		if t == nil || t.Empty() {
-			return false
-		}
-		lo, hi := t.SubjectRun(id)
-		return lo != hi
-	}
-	objOf := func(pidx int, id uint64) bool {
-		t := e.Main.Table(pidx)
-		if t == nil || t.Empty() {
-			return false
-		}
-		lo, hi := t.ObjectRun(id)
-		return lo != hi
-	}
 	// G2: the three encoded predicates must not themselves be described
 	// by schema triples — a subPropertyOf/domain/range/equivalence/
 	// inverse/sameAs/type statement about rdf:type, rdfs:subClassOf or
 	// rdfs:subPropertyOf would make rules join against their (virtually
-	// incomplete) stored tables.
-	for _, m := range []uint64{
-		dictionary.PropID(e.V.Type),
-		dictionary.PropID(e.V.SubClassOf),
-		dictionary.PropID(e.V.SubPropertyOf),
-	} {
-		if subjOf(v.SubPropertyOf, m) || subjOf(v.Domain, m) ||
-			subjOf(v.Range, m) || subjOf(v.Type, m) {
+	// incomplete) stored tables. By object, that is one lookup of the
+	// three per table, which builds no ⟨o,s⟩ list.
+	encoded := e.termSet()
+	defer encoded.Clear()
+	for _, pidx := range []int{v.Type, v.SubClassOf, v.SubPropertyOf} {
+		encoded.Add(dictionary.PropID(pidx))
+	}
+	describes := func(pidx int, byObject bool) bool {
+		t := e.Main.Table(pidx)
+		if t == nil || t.Empty() {
 			return false
 		}
-		if subjOf(v.EquivProp, m) || objOf(v.EquivProp, m) ||
-			subjOf(v.InverseOf, m) || objOf(v.InverseOf, m) {
-			return false
-		}
-		if e.opts.Fragment.UsesSameAs() &&
-			(subjOf(v.SameAs, m) || objOf(v.SameAs, m)) {
-			return false
-		}
+		found := false
+		encoded.Each(func(m uint64) {
+			lo, hi := t.SubjectRun(m)
+			found = found || lo < hi
+		})
+		return found || byObject && len(t.PairsWithObjectIn(encoded, nil)) > 0
+	}
+	if describes(v.SubPropertyOf, false) || describes(v.Domain, false) ||
+		describes(v.Range, false) || describes(v.Type, false) ||
+		describes(v.EquivProp, true) || describes(v.InverseOf, true) ||
+		e.opts.Fragment.UsesSameAs() && describes(v.SameAs, true) {
+		return false
 	}
 	// G3 (RDFS-Plus only): owl:sameAs endpoints must stay clear of both
 	// hierarchies — sameAs-driven replication of a hierarchy node would
@@ -852,7 +865,7 @@ func (e *Engine) triggered(st *store.Store, side func(*rules.Rule) rules.Footpri
 func (e *Engine) runRules(runnable []int, delta *store.Store) []*store.Store {
 	slots := e.Main.NumSlots()
 	outs := make([]*store.Store, len(runnable))
-	termBase, terms := e.Dict.IDRange()
+	lo, n := e.Dict.IDRange()
 	store.RunPool(e.opts.Parallel, len(runnable), func(k int) {
 		i := runnable[k]
 		var start time.Time
@@ -860,11 +873,13 @@ func (e *Engine) runRules(runnable []int, delta *store.Store) []*store.Store {
 			start = time.Now()
 		}
 		outs[k] = store.New(slots)
+		terms := func() *store.TermSet {
+			e.ruleTerms[i].Reset(lo, n)
+			return &e.ruleTerms[i]
+		}
 		e.rules[i].Apply(&rules.Context{
 			Main: e.Main, Delta: delta, Out: outs[k], V: e.V,
-			Hier:     e.hier,
-			TermBase: termBase,
-			Terms:    terms,
+			Hier: e.hier, Terms: terms,
 		})
 		if e.mSeconds != nil {
 			e.mSeconds[i].Add(uint64(time.Since(start)))

@@ -186,21 +186,14 @@ var testHookRederive func(e *Engine, over, doomed, kept *store.Store)
 // out because a class is the object of its whole extent, and no head
 // that needs one is a type pair.
 //
-// Per table, the subject side is a galloping search per term. The object
-// side is a search per term in a cached ⟨o,s⟩ list, or else one read of
-// the objects against the terms flagged in the engine's bitmap over the
-// dictionary's IDs; only the flagged bits are cleared again, and no
-// ⟨o,s⟩ list is built.
+// Per table, the subject side is a galloping search per term and the
+// object side one lookup of the terms, flagged in the engine's term set,
+// which builds no ⟨o,s⟩ list.
 func (e *Engine) rederiveSeed(doomed *store.Store) *store.Store {
-	base, n := e.Dict.IDRange()
-	if words := (n + 63) / 64; len(e.seedBits) < words {
-		e.seedBits = append(e.seedBits, make([]uint64, words-len(e.seedBits))...)
-	}
-	bits := e.seedBits
-	var terms []uint64 // offsets from base, flagged in bits
+	set := e.termSet()
+	var terms []uint64
 	flag := func(x uint64) {
-		if x -= base; bits[x>>6]>>(x&63)&1 == 0 {
-			bits[x>>6] |= 1 << (x & 63)
+		if set.Add(x) {
 			terms = append(terms, x)
 		}
 	}
@@ -222,31 +215,15 @@ func (e *Engine) rederiveSeed(doomed *store.Store) *store.Store {
 		hits = hits[:0]
 		at := 0
 		for _, x := range terms {
-			lo, hi := t.SubjectRunFrom(base+x, at)
+			lo, hi := t.SubjectRunFrom(x, at)
 			hits, at = append(hits, p[2*lo:2*hi]...), hi
 		}
-		if os, ok := t.CachedOS(); ok {
-			for _, x := range terms {
-				lo, hi := store.KeyRun(os, base+x)
-				for i := lo; i < hi; i++ {
-					hits = append(hits, os[2*i+1], os[2*i])
-				}
-			}
-		} else {
-			for i := 1; i < len(p); i += 2 {
-				if x := p[i] - base; bits[x>>6]>>(x&63)&1 != 0 {
-					hits = append(hits, p[i-1], p[i])
-				}
-			}
-		}
-		if len(hits) > 0 {
+		if hits = t.PairsWithObjectIn(set, hits); len(hits) > 0 {
 			seed.Ensure(pidx).AppendPairs(hits)
 		}
 		return true
 	})
-	for _, x := range terms {
-		bits[x>>6] &^= 1 << (x & 63)
-	}
+	set.Clear()
 	seed.Normalize()
 	return seed
 }

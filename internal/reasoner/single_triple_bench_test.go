@@ -112,6 +112,22 @@ func BenchmarkSingleTripleEmailDelete(b *testing.B) {
 	}
 }
 
+// BenchmarkSingleTripleSubOrganizationDelete: Retract of one asserted
+// subOrganizationOf triple (an owl:TransitiveProperty, so a θ table),
+// re-asserted off the clock. The θ step overdeletes and re-closes the
+// pairs its neighbourhood reaches, looking the endpoints up among the
+// table's objects without building its ⟨o,s⟩ list.
+func BenchmarkSingleTripleSubOrganizationDelete(b *testing.B) {
+	e, triples := lubm250k(b)
+	var victims []rdf.Triple
+	for _, t := range triples {
+		if strings.HasSuffix(t.P, "lubm/subOrganizationOf>") {
+			victims = append(victims, t)
+		}
+	}
+	retractEach(b, e, victims)
+}
+
 // retractEach retracts victims one per iteration, in order. It
 // re-asserts them off the clock once all are gone and, at the end, the
 // ones it left retracted, so that a b.Run body called again finds the

@@ -34,12 +34,11 @@ type Context struct {
 	// other rule may keep reading stored tables unchanged.
 	Hier *hierarchy.Index
 
-	// Every ID in the stores lies in [TermBase, TermBase+Terms), the
-	// dictionary's IDRange, so a rule can keep per-term scratch as a
-	// dense array indexed by id-TermBase. Terms 0 means unknown, and the
-	// rules fall back to scratch in proportion to their input.
-	TermBase uint64
-	Terms    int
+	// Terms hands out the rule's own term set, empty and sized to the
+	// dictionary's IDs, among which every ID in the stores lies: the γ
+	// typings deduplicate instances in it and EQ-REP tests members. A
+	// rule that never asks for it costs the set nothing.
+	Terms func() *store.TermSet
 }
 
 // FirstPass reports whether this is the first iteration, where delta and

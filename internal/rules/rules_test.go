@@ -13,6 +13,7 @@ type testHarness struct {
 	d    *dictionary.Dictionary
 	v    *Vocab
 	main *store.Store
+	set  store.TermSet // the rules' term set, as the engine keeps one per rule
 }
 
 func newHarness() *testHarness {
@@ -47,10 +48,14 @@ func (h *testHarness) run(r Rule) *store.Store {
 }
 
 // context is the rule context over the harness's main store, with delta
-// as the previous round's delta (main itself for a first pass).
+// as the previous round's delta (main itself for a first pass), handing
+// out the harness's term set as the engine hands out a rule's.
 func (h *testHarness) context(delta, out *store.Store) *Context {
-	base, terms := h.d.IDRange()
-	return &Context{Main: h.main, Delta: delta, Out: out, V: h.v, TermBase: base, Terms: terms}
+	terms := func() *store.TermSet {
+		h.set.Reset(h.d.IDRange())
+		return &h.set
+	}
+	return &Context{Main: h.main, Delta: delta, Out: out, V: h.v, Terms: terms}
 }
 
 // TestCAXSCOPaperExample replays Figure 4: explicit triples

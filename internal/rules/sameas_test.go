@@ -69,9 +69,12 @@ func sameAsReference(c *Context) map[sameAsFact]int {
 // semi-naive passes of a delta. The sameAs tables are deliberately not
 // symmetric, hold self-pairs, and link properties as well as resources,
 // which also appear as subjects and objects of the data tables. Both
-// member tests run: the harness's dictionary is small enough that every
-// pass takes the bitmap, and Terms 0 (unknown) forces the binary search.
+// member tests run: a pass over a random delta or all of main fills the
+// term set, and the Main⋈Delta pass of a one-pair delta searches once
+// main's sameAs table holds seven pairs (memberSet); the test fails
+// unless each ran.
 func TestSameAsMatchesReference(t *testing.T) {
+	ran := map[bool]int{} // passes by memberSet's answer
 	for seed := int64(1); seed <= 40; seed++ {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			f := newRandomStores(seed)
@@ -92,23 +95,29 @@ func TestSameAsMatchesReference(t *testing.T) {
 				}
 				f.add(h.v.SameAs, a, b)
 			}
+			one := store.New(f.d.NumProperties())
 			for i := 0; i < 60; i++ {
-				f.add(tables[1+rng.Intn(len(tables)-1)], f.pick(f.terms), f.pick(f.terms))
+				pidx, s, o := tables[1+rng.Intn(len(tables)-1)], f.pick(f.terms), f.pick(f.terms)
+				f.add(pidx, s, o)
+				if i == 0 {
+					one.Add(pidx, s, o)
+				}
 			}
 			f.normalize()
+			one.Normalize()
 
 			for _, d := range []struct {
 				name  string
 				delta *store.Store
-				terms bool
 			}{
-				{"first pass, bitmap", h.main, true}, {"semi-naive, bitmap", f.delta, true},
-				{"first pass, search", h.main, false}, {"semi-naive, search", f.delta, false},
+				{"first pass", h.main}, {"semi-naive", f.delta}, {"one-pair delta", one},
 			} {
 				out := store.New(h.main.NumSlots())
 				c := h.context(d.delta, out)
-				if !d.terms {
-					c.Terms = 0
+				for _, pass := range c.passes() {
+					if same := pass.a.Table(h.v.SameAs); same != nil && !same.Empty() {
+						ran[memberSet(pass.b.Size(), same.Size())]++
+					}
 				}
 				rule("EQ-REP").Apply(c)
 				got, want := emittedMultiset(out), sameAsReference(c)
@@ -126,6 +135,9 @@ func TestSameAsMatchesReference(t *testing.T) {
 				}
 			}
 		})
+	}
+	if ran[true] == 0 || ran[false] == 0 {
+		t.Errorf("passes by member test: %d set, %d search; want both", ran[true], ran[false])
 	}
 }
 
@@ -347,18 +359,21 @@ func TestSameAsSortsNoTableByObject(t *testing.T) {
 	})
 }
 
-// BenchmarkSameAsMembership times the two member tests of EQ-REP's scan
-// — the bitmap over the dictionary's IDs against a binary search in the
-// sameAs table's ⟨o,s⟩ list — on the same input, to place memberBits'
-// threshold. The dictionary holds 300 k terms (LUBM-1M's order), the
-// sameAs table `pairs` pairs over uniformly drawn terms, and the scanned
-// table Terms/share pairs. Each iteration is one pass: the bitmap, when
-// used, allocated anew.
+// BenchmarkSameAsMembership times the two sides of memberSet's switch —
+// EQ-REP's scan testing members in the rule's term set against a binary
+// search in the sameAs table's ⟨o,s⟩ list — on the same input. The
+// dictionary holds 300 k terms (LUBM-1M's order), the sameAs table
+// `pairs` pairs over uniformly drawn terms, and the scanned table
+// Terms/share pairs. Each iteration is one pass: the set, allocated once
+// as the engine's are, filled with the members and cleared again. The
+// side memberSet picks reports picked=1.
 //
 //	go test ./internal/rules -run '^$' -bench SameAsMembership -benchtime 200x
 func BenchmarkSameAsMembership(b *testing.B) {
 	const terms = 300_000
 	base := dictionary.PropBase - 999
+	var set store.TermSet
+	set.Reset(base, terms)
 	for _, pairs := range []int{4, 10_000} {
 		rng := rand.New(rand.NewSource(int64(pairs)))
 		same := &store.Table{}
@@ -374,18 +389,27 @@ func BenchmarkSameAsMembership(b *testing.B) {
 			}
 			t.Normalize()
 			p := t.Pairs()
-			for _, path := range []string{"search", "bitmap"} {
+			for _, path := range []string{"search", "set"} {
 				b.Run(fmt.Sprintf("sameAs=%d/share=1/%d/%s", pairs, share, path), func(b *testing.B) {
 					b.ReportAllocs()
 					for i := 0; i < b.N; i++ {
-						var bits []uint64
-						if path == "bitmap" {
-							bits = memberBits(partners, base, terms, terms)
+						var in *store.TermSet
+						if path == "set" {
+							in = &set
+							for j := 0; j < len(partners); j += 2 {
+								if partners[j] != partners[j+1] {
+									in.Add(partners[j])
+								}
+							}
 						}
 						out := store.New(1)
-						replicateMembers(out, 0, p, partners, bits, base)
+						replicateMembers(out, 0, p, partners, in)
+						set.Clear()
 					}
 					b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(p)/2), "ns/pair")
+					if memberSet(len(p)/2, same.Size()) == (path == "set") {
+						b.ReportMetric(1, "picked")
+					}
 				})
 			}
 		}

@@ -1,6 +1,8 @@
 package rules
 
 import (
+	"math/bits"
+
 	"inferray/internal/dictionary"
 	"inferray/internal/store"
 )
@@ -343,6 +345,10 @@ func eqRep(c *Context) {
 		}
 		// ⟨b, a⟩ sorted on b: a member's run lists its partners.
 		partners := same.OS()
+		var in *store.TermSet
+		if memberSet(pass.b.Size(), same.Size()) {
+			in = c.Terms()
+		}
 		members := false
 		for i := 0; i < len(partners); i += 2 {
 			b, a := partners[i], partners[i+1]
@@ -350,6 +356,9 @@ func eqRep(c *Context) {
 				continue
 			}
 			members = true
+			if in != nil {
+				in.Add(b)
+			}
 			// EQ-REP-P: replicate b's property table under a.
 			if ai, aok := propIndexOf(a); aok {
 				if bi, bok := propIndexOf(b); bok {
@@ -359,63 +368,35 @@ func eqRep(c *Context) {
 				}
 			}
 		}
-		if !members {
-			continue
+		if members {
+			// EQ-REP-S and EQ-REP-O: one scan of every B-side table.
+			pass.b.ForEachTable(func(pidx int, t *store.Table) bool {
+				replicateMembers(c.Out, pidx, t.Pairs(), partners, in)
+				return true
+			})
 		}
-		// EQ-REP-S and EQ-REP-O: one scan of every B-side table.
-		bits := memberBits(partners, c.TermBase, c.Terms, pass.b.Size())
-		pass.b.ForEachTable(func(pidx int, t *store.Table) bool {
-			replicateMembers(c.Out, pidx, t.Pairs(), partners, bits, c.TermBase)
-			return true
-		})
 	}
 }
 
-// memberShare sets when EQ-REP tests membership in a bitmap over the
-// dictionary's IDs rather than by binary search in the sameAs table's
-// ⟨o,s⟩ list: once the pairs a pass scans reach 1/memberShare of the
-// dictionary's terms. The bitmap costs a bit per term, allocated and
-// cleared per pass, so at most 32 bytes per scanned pair; a search costs
-// O(log k) in a k-pair sameAs table per test, two tests per pair. Over
-// 300 k terms BenchmarkSameAsMembership has the bitmap faster from 1/256
-// on with a 4-pair and a 10 k-pair sameAs table alike, and the search
-// as fast or faster at 1/1024 with both (EXPERIMENTS.md "EQ-REP as one
-// scan").
-const memberShare = 256
-
-// memberBits marks the members of partners (an ⟨o,s⟩-sorted sameAs
-// list) in a bitmap over the dictionary's IDs, bit b-base for member b,
-// when the n pairs to be tested reach 1/memberShare of its terms. Below
-// that, or when terms is 0 (unknown), it returns nil and each test is a
-// binary search in partners: an insert round tests a handful of pairs
-// against the whole sameAs table, and a bitmap would cost it bytes in
-// proportion to the dictionary.
-func memberBits(partners []uint64, base uint64, terms, n int) []uint64 {
-	if terms == 0 || n*memberShare < terms {
-		return nil
-	}
-	bits := make([]uint64, (terms+63)/64)
-	for i := 0; i < len(partners); i += 2 {
-		if b := partners[i]; b != partners[i+1] {
-			x := b - base
-			bits[x>>6] |= 1 << (x & 63)
-		}
-	}
-	return bits
-}
+// memberSet reports whether a pass that scans n pairs against an m-pair
+// sameAs table tests membership in the rule's term set rather than by
+// binary search in the table's ⟨o,s⟩ list: filling and clearing the set
+// costs O(m), the searches two of ⌈log₂ m⌉ steps per pair. An insert
+// round tests a handful of pairs against the whole sameAs table, and
+// searches; a first pass scans the store, and fills the set
+// (EXPERIMENTS.md "One term set").
+func memberSet(n, m int) bool { return 2*n*bits.Len(uint(m-1)) >= m }
 
 // replicateMembers appends to table pidx of out the EQ-REP-S and EQ-REP-O
 // pairs of one table's ⟨s,o⟩ list p: ⟨a, o⟩ for a member subject and
 // ⟨s, a⟩ for a member object, for every partner a of the member. The
-// members are the bits set in bits or, when it is nil, the keys of
-// partners.
-func replicateMembers(out *store.Store, pidx int, p, partners, bits []uint64, base uint64) {
+// members are those of in or, when it is nil, the keys of partners.
+func replicateMembers(out *store.Store, pidx int, p, partners []uint64, in *store.TermSet) {
 	for j := 0; j < len(p); j += 2 {
 		s, o := p[j], p[j+1]
 		var sHit, oHit bool
-		if bits != nil {
-			x, y := s-base, o-base
-			sHit, oHit = bits[x>>6]>>(x&63)&1 != 0, bits[y>>6]>>(y&63)&1 != 0
+		if in != nil {
+			sHit, oHit = in.Has(s), in.Has(o)
 		} else {
 			lo, hi := store.KeyRun(partners, s)
 			sHit = lo < hi

@@ -23,17 +23,6 @@ type typing struct {
 	pairs []uint64 // the table's ⟨s,o⟩-sorted pairs
 }
 
-// denseShare sets when a γ application deduplicates through per-term
-// stamps rather than by sorting each class's instances: once the pairs
-// that need it reach 1/denseShare of the dictionary's terms. Stamps cost
-// a 4-byte word per term, allocated and cleared per application; sorting
-// costs O(k log k) for k instances and allocates in proportion to them.
-// Over 300 k terms BenchmarkTypingsDedup has sorting faster on both
-// sides at 1/128 and the stamps faster on both at 1/32; at 1/64 sorting
-// wins a domain by 1.7× and the stamps a range by 2× (EXPERIMENTS.md
-// "Emitting once").
-const denseShare = 64
-
 // emitTypings appends ⟨x, c⟩ to out for every instance x of every typing,
 // each pair once, into a list reserved for exactly that many. side
 // selects the instance column: 0 for subjects, 1 for objects. Every
@@ -43,8 +32,6 @@ func emitTypings(c *Context, work []typing, side int, out *store.Table) {
 		return cmp.Or(cmp.Compare(a.cls, b.cls), cmp.Compare(a.pidx, b.pidx))
 	})
 	var groups [][]typing
-	set := instanceSet{side: side, base: c.TermBase}
-	scratch := 0 // pairs of the groups that need scratch to deduplicate
 	for lo := 0; lo < len(work); {
 		// A class's group, compacted in place: every write lands on an
 		// entry already read.
@@ -62,98 +49,38 @@ func emitTypings(c *Context, work []typing, side int, out *store.Table) {
 			g = append(g, work[hi])
 		}
 		groups = append(groups, g)
-		if set.needsScratch(g) {
-			for _, w := range g {
-				scratch += len(w.pairs) / 2
-			}
-		}
 		lo = hi
 	}
-	if scratch*denseShare >= c.Terms {
-		set.terms = c.Terms
-	}
-	n := 0
+	set, n := c.Terms(), 0
 	for _, g := range groups {
-		n += set.distinct(g, nil)
+		n += distinct(set, g, side, nil)
 	}
 	out.Reserve(n)
 	for _, g := range groups {
-		set.distinct(g, out)
+		distinct(set, g, side, out)
 	}
 }
 
-// instanceSet finds the distinct instances of one class group at a time.
-type instanceSet struct {
-	side int
-	base uint64 // the lowest ID in use, Context.TermBase
-
-	// terms > 0 selects the stamps: at[x-base] == epoch marks x as seen
-	// in the current group, so a new group is one increment. The array
-	// is allocated by the first group that needs it and dies with the
-	// rule application.
-	terms int
-	at    []uint32
-	epoch uint32
-
-	sorted []uint64 // otherwise, the sort's working list
-}
-
-// needsScratch reports whether group g can repeat an instance without
-// its repeats being adjacent: only one table's sorted subject column
-// cannot.
-func (s *instanceSet) needsScratch(g []typing) bool {
-	return len(g) > 1 || s.side != 0
-}
-
-// distinct returns how many distinct instances group g types and, when
-// out is not nil, appends ⟨x, class⟩ for each of them.
-func (s *instanceSet) distinct(g []typing, out *store.Table) int {
+// distinct returns how many distinct instances class group g types, in
+// column side of its tables, and, when out is not nil, appends ⟨x,
+// class⟩ for each of them. One table's sorted subject column repeats an
+// instance only adjacently; any other group is deduplicated in set,
+// which is empty on entry and left empty.
+func distinct(set *store.TermSet, g []typing, side int, out *store.Table) int {
 	cls, n := g[0].cls, 0
-	switch {
-	case !s.needsScratch(g):
-		p := g[0].pairs
-		for j := 0; j < len(p); j += 2 {
-			if j == 0 || p[j] != p[j-2] {
-				n++
-				if out != nil {
-					out.Append(p[j], cls)
-				}
+	adjacent := len(g) == 1 && side == 0
+	for _, w := range g {
+		for j := side; j < len(w.pairs); j += 2 {
+			x := w.pairs[j]
+			if adjacent && j > 0 && x == w.pairs[j-2] || !adjacent && !set.Add(x) {
+				continue
+			}
+			n++
+			if out != nil {
+				out.Append(x, cls)
 			}
 		}
-	case s.terms > 0:
-		if s.at == nil || s.epoch == ^uint32(0) {
-			s.at, s.epoch = make([]uint32, s.terms), 0
-		}
-		s.epoch++
-		for _, w := range g {
-			for j := s.side; j < len(w.pairs); j += 2 {
-				x := w.pairs[j]
-				if at := &s.at[x-s.base]; *at != s.epoch {
-					*at = s.epoch
-					n++
-					if out != nil {
-						out.Append(x, cls)
-					}
-				}
-			}
-		}
-	default:
-		xs := s.sorted[:0]
-		for _, w := range g {
-			for j := s.side; j < len(w.pairs); j += 2 {
-				xs = append(xs, w.pairs[j])
-			}
-		}
-		slices.Sort(xs)
-		for i, x := range xs {
-			if i == 0 || x != xs[i-1] {
-				n++
-				if out != nil {
-					out.Append(x, cls)
-				}
-			}
-		}
-		s.sorted = xs
 	}
+	set.Clear()
 	return n
 }

@@ -17,7 +17,7 @@ import (
 // and a range class R over overlapping subjects and objects; p1 alone
 // also has domain D1 and range R1, one table's worth of each. pad extra
 // resources are registered first, so a caller can make the dictionary
-// large against the fixture (which moves the dedup from stamps to sorting).
+// large against the fixture.
 func typingFixture(pad int) (h *testHarness, props []int) {
 	h = newHarness()
 	for i := 0; i < pad; i++ {
@@ -78,8 +78,8 @@ func naiveTypings(c *Context, schema int, subjects bool) map[[2]uint64]bool {
 
 // TestTypingsEmittedOnce: PRP-DOM's and PRP-RNG's raw output holds each
 // ⟨x, c⟩ once, and as a set equals the emission before deduplication —
-// on a first pass and on a semi-naive one, with the stamps and with the
-// sort.
+// on a first pass and on a semi-naive one, over a small dictionary and
+// one padded with 5000 further terms.
 func TestTypingsEmittedOnce(t *testing.T) {
 	for _, pad := range []int{0, 5000} {
 		for _, firstPass := range []bool{true, false} {
@@ -132,8 +132,9 @@ func TestTypingsEmittedOnce(t *testing.T) {
 }
 
 // TestSmallDeltaAllocatesNoStamps: a one-pair delta against a large
-// dictionary deduplicates its few typings without the per-term stamp
-// array, which would cost 4 bytes for every term.
+// dictionary deduplicates its few typings without allocating in
+// proportion to the dictionary: the rule's term set is the harness's,
+// kept from one application to the next as the engine keeps it.
 func TestSmallDeltaAllocatesNoStamps(t *testing.T) {
 	const pad = 100_000
 	h, props := typingFixture(pad)
@@ -214,20 +215,22 @@ func TestUpExpansionFromMinimalClassesOnly(t *testing.T) {
 	}
 }
 
-// BenchmarkTypingsDedup times the two deduplicating paths of a γ
-// application — per-term stamps against sorting each class's instances —
-// on the same input, to place denseShare. The dictionary holds 300 k
-// terms (LUBM-1M's order); the typings to deduplicate come to 1/share of
-// them, spread over 32 classes reached through 3 instance tables each,
-// with instances drawn uniformly from the dictionary. side=0 is a domain
-// (each table's subjects sorted), side=1 a range (objects in any order).
-// Each iteration is one application: both passes of emitTypings, the
-// stamp array allocated anew.
+// BenchmarkTypingsDedup times the deduplication of a γ application —
+// each class's instances through the rule's term set — over a grid of
+// input sizes. The dictionary holds 300 k terms (LUBM-1M's order); the
+// typings to deduplicate come to 1/share of them, spread over 32 classes
+// reached through 3 instance tables each, with instances drawn
+// uniformly from the dictionary. side=0 is a domain (each table's
+// subjects sorted), side=1 a range (objects in any order). Each
+// iteration is one application: both passes of emitTypings, the set
+// allocated once as the engine's are.
 //
 //	go test ./internal/rules -run '^$' -bench TypingsDedup -benchtime 200x
 func BenchmarkTypingsDedup(b *testing.B) {
 	const terms, classes, tables = 300_000, 32, 3
 	base := dictionary.PropBase - 999
+	var set store.TermSet
+	set.Reset(base, terms)
 	for _, share := range []int{1024, 256, 128, 64, 32, 16, 4} {
 		rng := rand.New(rand.NewSource(int64(share)))
 		per := max(1, terms/share/(classes*tables))
@@ -249,27 +252,21 @@ func BenchmarkTypingsDedup(b *testing.B) {
 			groups = append(groups, g)
 		}
 		for side := 0; side < 2; side++ {
-			for _, path := range []string{"sort", "stamps"} {
-				b.Run(fmt.Sprintf("share=1/%d/side=%d/%s", share, side, path), func(b *testing.B) {
-					b.ReportAllocs()
-					for i := 0; i < b.N; i++ {
-						set := instanceSet{side: side, base: base}
-						if path == "stamps" {
-							set.terms = terms
-						}
-						n := 0
-						for _, g := range groups {
-							n += set.distinct(g, nil)
-						}
-						out := &store.Table{}
-						out.Reserve(n)
-						for _, g := range groups {
-							set.distinct(g, out)
-						}
+			b.Run(fmt.Sprintf("share=1/%d/side=%d", share, side), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					n := 0
+					for _, g := range groups {
+						n += distinct(&set, g, side, nil)
 					}
-					b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(classes*tables*per), "ns/typing")
-				})
-			}
+					out := &store.Table{}
+					out.Reserve(n)
+					for _, g := range groups {
+						distinct(&set, g, side, out)
+					}
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(classes*tables*per), "ns/typing")
+			})
 		}
 	}
 }

@@ -292,6 +292,31 @@ func (t *Table) CachedOS() (os []uint64, ok bool) {
 	return t.os, t.osOK
 }
 
+// PairsWithObjectIn appends to dst, as ⟨s,o⟩ pairs in no particular
+// order, every pair of the table whose object is in set. It reads a run
+// per member of the cached ⟨o,s⟩ list when one exists and scans the
+// objects against the set otherwise: it never builds the list, which
+// would sort a copy of the table to look up a few terms. A probe that
+// repeats — a rule's join, EQ-REP's partners, a query — takes OS().
+func (t *Table) PairsWithObjectIn(set *TermSet, dst []uint64) []uint64 {
+	if os, ok := t.CachedOS(); ok {
+		set.Each(func(x uint64) {
+			lo, hi := KeyRun(os, x)
+			for i := lo; i < hi; i++ {
+				dst = append(dst, os[2*i+1], os[2*i])
+			}
+		})
+		return dst
+	}
+	p := t.Pairs()
+	for i := 1; i < len(p); i += 2 {
+		if set.Has(p[i]) {
+			dst = append(dst, p[i-1], p[i])
+		}
+	}
+	return dst
+}
+
 // TableStats summarizes a table for the query planner's selectivity
 // estimates (§5.1 of the paper: dense numbering keeps these cheap).
 // Pairs is the triple count; Subjects is the exact number of distinct
