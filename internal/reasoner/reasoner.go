@@ -167,9 +167,10 @@ type Engine struct {
 	typeRuns hierarchy.RunScratch // compactTypeTable's working memory
 	terms    store.TermSet        // the engine's own term set, handed out by termSet
 
-	// ruleTerms holds a term set per rule, aligned with rules by index:
-	// a rule runs on one goroutine, so its set is never shared.
-	ruleTerms []store.TermSet
+	// ruleTerms hands out a term set per rule, aligned with rules by
+	// index (rules.Context.Terms): a rule runs on one goroutine, so its
+	// set is never shared. Made once, so an application allocates none.
+	ruleTerms []func() *store.TermSet
 
 	// The per-rule instruments, aligned with rules by index; nil when
 	// Options.Metrics is nil. mFired / mSkipped count scheduling
@@ -186,7 +187,10 @@ func New(opts Options) *Engine {
 	d := dictionary.NewWithVocabulary(rdf.VocabularyProperties, rdf.VocabularyResources)
 	v := rules.ResolveVocab(d)
 	e := &Engine{Dict: d, V: v, opts: opts, rules: rules.Rules(opts.Fragment, v)}
-	e.ruleTerms = make([]store.TermSet, len(e.rules))
+	for range e.rules {
+		set := new(store.TermSet)
+		e.ruleTerms = append(e.ruleTerms, func() *store.TermSet { set.Reset(e.Dict.IDRange()); return set })
+	}
 	e.resolveRuleCounters()
 	e.Main = store.New(d.NumProperties())
 	e.staged = e.Main
@@ -865,7 +869,6 @@ func (e *Engine) triggered(st *store.Store, side func(*rules.Rule) rules.Footpri
 func (e *Engine) runRules(runnable []int, delta *store.Store) []*store.Store {
 	slots := e.Main.NumSlots()
 	outs := make([]*store.Store, len(runnable))
-	lo, n := e.Dict.IDRange()
 	store.RunPool(e.opts.Parallel, len(runnable), func(k int) {
 		i := runnable[k]
 		var start time.Time
@@ -873,13 +876,9 @@ func (e *Engine) runRules(runnable []int, delta *store.Store) []*store.Store {
 			start = time.Now()
 		}
 		outs[k] = store.New(slots)
-		terms := func() *store.TermSet {
-			e.ruleTerms[i].Reset(lo, n)
-			return &e.ruleTerms[i]
-		}
 		e.rules[i].Apply(&rules.Context{
 			Main: e.Main, Delta: delta, Out: outs[k], V: e.V,
-			Hier: e.hier, Terms: terms,
+			Hier: e.hier, Terms: e.ruleTerms[i],
 		})
 		if e.mSeconds != nil {
 			e.mSeconds[i].Add(uint64(time.Since(start)))
