@@ -191,21 +191,15 @@ var testHookRederive func(e *Engine, over, doomed, kept *store.Store)
 // which builds no ⟨o,s⟩ list.
 func (e *Engine) rederiveSeed(doomed *store.Store) *store.Store {
 	set := e.termSet()
-	var terms []uint64
-	flag := func(x uint64) {
-		if set.Add(x) {
-			terms = append(terms, x)
-		}
-	}
 	doomed.ForEachTable(func(pidx int, t *store.Table) bool {
-		for p, i := t.Pairs(), 0; i < len(p); i += 2 {
-			flag(p[i])
-			if pidx != e.V.Type {
-				flag(p[i+1])
-			}
+		set.AddKeys(t.Pairs())
+		if pidx != e.V.Type {
+			set.AddKeys(t.Pairs()[1:])
 		}
 		return true
 	})
+	var terms []uint64
+	set.Each(func(x uint64) { terms = append(terms, x) })
 	slices.Sort(terms)
 
 	seed := store.New(e.Main.NumSlots())

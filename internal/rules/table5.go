@@ -345,10 +345,6 @@ func eqRep(c *Context) {
 		}
 		// ⟨b, a⟩ sorted on b: a member's run lists its partners.
 		partners := same.OS()
-		var in *store.TermSet
-		if memberSet(pass.b.Size(), same.Size()) {
-			in = c.Terms()
-		}
 		members := false
 		for i := 0; i < len(partners); i += 2 {
 			b, a := partners[i], partners[i+1]
@@ -356,9 +352,6 @@ func eqRep(c *Context) {
 				continue
 			}
 			members = true
-			if in != nil {
-				in.Add(b)
-			}
 			// EQ-REP-P: replicate b's property table under a.
 			if ai, aok := propIndexOf(a); aok {
 				if bi, bok := propIndexOf(b); bok {
@@ -370,6 +363,11 @@ func eqRep(c *Context) {
 		}
 		if members {
 			// EQ-REP-S and EQ-REP-O: one scan of every B-side table.
+			var in *store.TermSet
+			if memberSet(pass.b.Size(), same.Size()) {
+				in = c.Terms()
+				in.AddKeys(partners)
+			}
 			pass.b.ForEachTable(func(pidx int, t *store.Table) bool {
 				replicateMembers(c.Out, pidx, t.Pairs(), partners, in)
 				return true
@@ -381,32 +379,23 @@ func eqRep(c *Context) {
 // memberSet reports whether a pass that scans n pairs against an m-pair
 // sameAs table tests membership in the rule's term set rather than by
 // binary search in the table's ⟨o,s⟩ list: filling and clearing the set
-// costs O(m), the searches two of ⌈log₂ m⌉ steps per pair. An insert
-// round tests a handful of pairs against the whole sameAs table, and
-// searches; a first pass scans the store, and fills the set
-// (EXPERIMENTS.md "One term set").
-func memberSet(n, m int) bool { return 2*n*bits.Len(uint(m-1)) >= m }
+// costs O(m), the searches two of ⌈log₂(m+1)⌉ steps per pair, one even
+// for m = 1 (EXPERIMENTS.md "One term set").
+func memberSet(n, m int) bool { return 2*n*bits.Len(uint(m)) >= m }
 
 // replicateMembers appends to table pidx of out the EQ-REP-S and EQ-REP-O
 // pairs of one table's ⟨s,o⟩ list p: ⟨a, o⟩ for a member subject and
-// ⟨s, a⟩ for a member object, for every partner a of the member. The
-// members are those of in or, when it is nil, the keys of partners.
+// ⟨s, a⟩ for a member object, for every partner a of the member.
+// replicate finds a term's partners by binary search in partners; a key
+// whose only partner is itself emits nothing. When in is not nil it holds
+// partners' keys, so a term that is none is passed over without a search.
 func replicateMembers(out *store.Store, pidx int, p, partners []uint64, in *store.TermSet) {
 	for j := 0; j < len(p); j += 2 {
 		s, o := p[j], p[j+1]
-		var sHit, oHit bool
-		if in != nil {
-			sHit, oHit = in.Has(s), in.Has(o)
-		} else {
-			lo, hi := store.KeyRun(partners, s)
-			sHit = lo < hi
-			lo, hi = store.KeyRun(partners, o)
-			oHit = lo < hi
-		}
-		if sHit {
+		if in == nil || in.Has(s) {
 			replicate(out, pidx, partners, s, o, true)
 		}
-		if oHit {
+		if in == nil || in.Has(o) {
 			replicate(out, pidx, partners, o, s, false)
 		}
 	}

@@ -133,8 +133,11 @@ func TestTypingsEmittedOnce(t *testing.T) {
 
 // TestSmallDeltaAllocatesNoStamps: a one-pair delta against a large
 // dictionary deduplicates its few typings without allocating in
-// proportion to the dictionary: the rule's term set is the harness's,
-// kept from one application to the next as the engine keeps it.
+// proportion to the dictionary, and the rule's term set — the harness's,
+// as the engine keeps one per rule — is kept from one application to the
+// next: once the first application has sized it, an application
+// allocates less than a set over the dictionary's terms would take (a
+// bit per term).
 func TestSmallDeltaAllocatesNoStamps(t *testing.T) {
 	const pad = 100_000
 	h, props := typingFixture(pad)
@@ -142,6 +145,7 @@ func TestSmallDeltaAllocatesNoStamps(t *testing.T) {
 	delta.Add(props[2], h.res("<c>"), h.res("<x>"))
 	delta.Normalize()
 	rng := rule("PRP-RNG")
+	rng.Apply(h.context(delta, store.New(h.main.NumSlots())))
 	const runs = 20
 	var before, after runtime.MemStats
 	runtime.GC()
@@ -150,8 +154,12 @@ func TestSmallDeltaAllocatesNoStamps(t *testing.T) {
 		rng.Apply(h.context(delta, store.New(h.main.NumSlots())))
 	}
 	runtime.ReadMemStats(&after)
-	if per := (after.TotalAlloc - before.TotalAlloc) / runs; per >= pad {
+	per := (after.TotalAlloc - before.TotalAlloc) / runs
+	if per >= pad {
 		t.Errorf("a one-pair delta allocated %d bytes per PRP-RNG application against %d terms", per, pad)
+	}
+	if per >= pad/8 {
+		t.Errorf("a one-pair delta allocated %d bytes per PRP-RNG application, a term set's worth (%d bytes for %d terms): the rule's set is not kept", per, pad/8, pad)
 	}
 }
 

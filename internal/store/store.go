@@ -308,9 +308,9 @@ func (t *Table) PairsWithObjectIn(set *TermSet, dst []uint64) []uint64 {
 		})
 		return dst
 	}
-	p := t.Pairs()
+	p, lo, words := t.Pairs(), set.lo, set.words
 	for i := 1; i < len(p); i += 2 {
-		if set.Has(p[i]) {
+		if has(words, p[i]-lo) {
 			dst = append(dst, p[i-1], p[i])
 		}
 	}

@@ -58,10 +58,29 @@ func (s *TermSet) Add(x uint64) bool {
 	return old>>(i&63)&1 == 0
 }
 
+// AddKeys adds p[0], p[2], …, the keys of a flat pair list (given p[1:],
+// its payloads): Add over a list, with the touched count held in a local
+// instead of stored through s per term, which chains each add to the last.
+func (s *TermSet) AddKeys(p []uint64) {
+	lo, words, touched, n := s.lo, s.words, s.touched, s.n
+	for i := 0; i < len(p); i += 2 {
+		x := p[i] - lo
+		old := words[x>>6]
+		words[x>>6] = old | 1<<(x&63)
+		touched[n] = uint32(x >> 6)
+		if old == 0 {
+			n++
+		}
+	}
+	s.n = n
+}
+
 // Has reports whether x is in the set.
-func (s *TermSet) Has(x uint64) bool {
-	i := x - s.lo
-	return i>>6 < uint64(len(s.words)) && s.words[i>>6]>>(i&63)&1 != 0
+func (s *TermSet) Has(x uint64) bool { return has(s.words, x-s.lo) }
+
+// has reports whether bit i of words is set, false past them.
+func has(words []uint64, i uint64) bool {
+	return i>>6 < uint64(len(words)) && words[i>>6]>>(i&63)&1 != 0
 }
 
 // Each calls fn for every member, in no particular order.

@@ -6,11 +6,12 @@ import (
 	"testing"
 )
 
-// TestTermSetMatchesMap: over seeded random adds, clears and resets,
-// the set answers Add, Has and Each exactly as a map does. The ID
-// range grows both ways between uses, as the dictionary's does — new
-// properties move its low end down, new resources its high end up — and
-// after every clear or reset no bit of the set is left standing.
+// TestTermSetMatchesMap: over seeded random adds, bulk adds of a pair
+// list's keys, clears and resets, the set answers Add, Has and Each
+// exactly as a map does. The ID range grows both ways between uses, as
+// the dictionary's does — new properties move its low end down, new
+// resources its high end up — and after every clear or reset no bit of
+// the set is left standing.
 func TestTermSetMatchesMap(t *testing.T) {
 	for seed := int64(1); seed <= 20; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -28,6 +29,15 @@ func TestTermSetMatchesMap(t *testing.T) {
 			case r < 4:
 				s.Clear()
 				clear(want)
+			case r < 8: // a pair list's keys; its payloads lie out of range
+				var p []uint64
+				for range rng.Intn(6) {
+					p = append(p, lo+uint64(rng.Intn(n)), 0)
+				}
+				s.AddKeys(p)
+				for i := 0; i < len(p); i += 2 {
+					want[p[i]] = true
+				}
 			default:
 				x := lo + uint64(rng.Intn(n))
 				if got := s.Add(x); got == want[x] {
