@@ -147,7 +147,7 @@ func (v *View) typeSubjects(t *store.Table, o uint64) []uint64 {
 	var buf []uint64
 	os := t.OS()
 	for _, c := range classes {
-		lo, hi := t.ObjectRun(c)
+		lo, hi := store.KeyRun(os, c)
 		for i := lo; i < hi; i++ {
 			buf = append(buf, os[2*i+1])
 		}

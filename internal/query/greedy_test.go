@@ -128,7 +128,7 @@ func (e *Engine) enumerate(p Pattern, row []uint64, bound uint64, fn func(uint64
 			return true
 		case oB:
 			os := t.OS()
-			lo, hi := t.ObjectRun(ov)
+			lo, hi := store.KeyRun(os, ov)
 			for i := lo; i < hi; i++ {
 				if !tryTriple(pidx, os[2*i+1], ov) {
 					return false

@@ -392,7 +392,7 @@ func (x *exec) enumTable(steps []planStep, i int, bound uint64, done func(uint64
 		if cursored {
 			lo, hi = runFrom(os, ov, &step.osCur)
 		} else {
-			lo, hi = t.ObjectRun(ov)
+			lo, hi = store.KeyRun(os, ov)
 		}
 		for j := lo; j < hi; j++ {
 			if !x.tryTriple(steps, i, bound, done, pidx, os[2*j+1], ov) {

@@ -159,13 +159,18 @@ type Engine struct {
 
 	// hier is the hierarchy interval index when the encoding is active;
 	// nil when the option is off, before the first Materialize, or after
-	// a guard-forced bypass. The bypass is sticky: maintainHier rebuilds
-	// only a standing index, and only adopting a new engine's batch and
-	// RestoreState build one from nothing, so once a guard trips or a
-	// schema edge is retracted the engine stays on full materialization.
+	// a bypass — sticky: only adopting a new engine's batch and
+	// RestoreState build an index from nothing (DESIGN.md §10).
 	hier     *hierarchy.Index
 	typeRuns hierarchy.RunScratch // compactTypeTable's working memory
 	terms    store.TermSet        // the engine's own term set, handed out by termSet
+
+	// guards is the vocabulary of the bypass guards (rules.Guards);
+	// guardIdx the index they last passed on and guardVer, per table they
+	// read — G2's sides, then G3's sameAs table — its version then.
+	guards   rules.Guarded
+	guardIdx *hierarchy.Index
+	guardVer []uint64
 
 	// ruleTerms hands out a term set per rule, aligned with rules by
 	// index (rules.Context.Terms): a rule runs on one goroutine, so its
@@ -186,7 +191,7 @@ type Engine struct {
 func New(opts Options) *Engine {
 	d := dictionary.NewWithVocabulary(rdf.VocabularyProperties, rdf.VocabularyResources)
 	v := rules.ResolveVocab(d)
-	e := &Engine{Dict: d, V: v, opts: opts, rules: rules.Rules(opts.Fragment, v)}
+	e := &Engine{Dict: d, V: v, opts: opts, rules: rules.Rules(opts.Fragment, v), guards: rules.Guards(v)}
 	for range e.rules {
 		set := new(store.TermSet)
 		e.ruleTerms = append(e.ruleTerms, func() *store.TermSet { set.Reset(e.Dict.IDRange()); return set })
@@ -530,111 +535,81 @@ func (e *Engine) buildHier() {
 }
 
 // hierGuardsOK checks the bypass guards of the hierarchy encoding
-// (DESIGN.md §10): the interval-driven rule forms are equivalent to full
-// materialization only while the loaded data does not re-describe the
-// RDFS/OWL meta-vocabulary itself. The guards are deliberately
-// conservative — tripping one costs only the encoding, never soundness.
-//
-// G3 reads only the sameAs pairs of st: Main right after the index is
-// built, a round's delta while it stands (see maintainHier). That is
-// sound under one invariant: every stored sameAs endpoint has been
-// checked against the current index, either by the walk over Main when
-// the index was last built, or in the merge round whose delta brought
-// it — an adopted batch's round walks Main after its θ step. One path
-// stores sameAs pairs outside a merge round and adds no endpoint:
-// Retract's closeTheta on its doomed pairs restores doomed pairs the
-// survivors still entail. A new path that stores sameAs pairs outside
-// mergeRound must pass them through this check itself.
-func (e *Engine) hierGuardsOK(st *store.Store) bool {
-	h, v := e.hier, e.V
-	// G1: no rule-marker class may acquire subclasses. Several rules
-	// select subjects by ⟨x rdf:type marker⟩ runs over the stored type
-	// table; with a class strictly below a marker, a virtual type pair
-	// could carry the marker as object and the stored run would miss it.
-	for _, m := range []uint64{
-		v.Class, v.Property, v.Datatype, v.ContainerMembership,
-		v.FunctionalProp, v.InverseFunctionalProp, v.SymmetricProp,
-		v.TransitiveProp, v.DatatypeProp, v.ObjectProp, v.OWLClass,
-	} {
-		if h.Classes.HasSubs(m) {
-			return false
-		}
+// (DESIGN.md §10) on Main and the index: the interval-driven rule forms
+// match full materialization only while the data does not re-describe
+// the vocabulary they rely on, which rules.Guards derives from Table 5.
+// Tripping one costs only the encoding, never soundness. Each re-runs
+// only when the index is not the one the guards last passed on, or a
+// table it reads has a new version since then.
+func (e *Engine) hierGuardsOK() bool {
+	h, v, built := e.hier, e.V, e.guardIdx != e.hier
+	if built {
+		e.guardIdx, e.guardVer = h, make([]uint64, len(e.guards.Sides)+1)
 	}
-	// G2: the three encoded predicates must not themselves be described
-	// by schema triples — a subPropertyOf/domain/range/equivalence/
-	// inverse/sameAs/type statement about rdf:type, rdfs:subClassOf or
-	// rdfs:subPropertyOf would make rules join against their (virtually
-	// incomplete) stored tables. By object, that is one lookup of the
-	// three per table, which builds no ⟨o,s⟩ list.
-	encoded := e.termSet()
-	defer encoded.Clear()
-	for _, pidx := range []int{v.Type, v.SubClassOf, v.SubPropertyOf} {
-		encoded.Add(dictionary.PropID(pidx))
-	}
-	describes := func(pidx int, byObject bool) bool {
+	// stale returns table pidx, the i-th a guard reads, when it holds pairs
+	// and must be read again, recording its version.
+	stale := func(i, pidx int) *store.Table {
 		t := e.Main.Table(pidx)
-		if t == nil || t.Empty() {
-			return false
+		if t == nil || !built && t.Version() == e.guardVer[i] || t.Empty() {
+			return nil
 		}
-		found := false
-		encoded.Each(func(m uint64) {
-			lo, hi := t.SubjectRun(m)
-			found = found || lo < hi
-		})
-		return found || byObject && len(t.PairsWithObjectIn(encoded, nil)) > 0
+		e.guardVer[i] = t.Version()
+		return t
 	}
-	if describes(v.SubPropertyOf, false) || describes(v.Domain, false) ||
-		describes(v.Range, false) || describes(v.Type, false) ||
-		describes(v.EquivProp, true) || describes(v.InverseOf, true) ||
-		e.opts.Fragment.UsesSameAs() && describes(v.SameAs, true) {
+	// G1 (the index): no marker class may have subclasses. Rules select
+	// subjects by marker runs of the stored type table, which would miss a
+	// virtual pair carrying the marker.
+	if built && slices.ContainsFunc(e.guards.Markers, h.Classes.HasSubs) {
 		return false
 	}
-	// G3 (RDFS-Plus only): owl:sameAs endpoints must stay clear of both
-	// hierarchies — sameAs-driven replication of a hierarchy node would
-	// have to flow through the virtual closure.
-	if e.opts.Fragment.UsesSameAs() {
-		if t := st.Table(v.SameAs); t != nil && !t.Empty() {
-			for _, id := range t.Pairs() {
-				if h.Classes.Has(id) || h.Props.Has(id) {
+	// G2 (the guarded tables): no side a rule takes a predicate from may
+	// hold an encoded one, or the rule would join against its virtually
+	// incomplete stored table. By object that is one lookup of the three,
+	// which builds no ⟨o,s⟩ list.
+	encoded, pidxs := e.termSet(), []int{v.Type, v.SubClassOf, v.SubPropertyOf}
+	defer encoded.Clear()
+	for _, pidx := range pidxs {
+		encoded.Add(dictionary.PropID(pidx))
+	}
+	for i, side := range e.guards.Sides {
+		switch t := stale(i, side.Pidx); {
+		case t == nil:
+		case side.Object:
+			if len(t.PairsWithObjectIn(encoded, nil)) > 0 {
+				return false
+			}
+		default:
+			for _, pidx := range pidxs {
+				if lo, hi := t.SubjectRun(dictionary.PropID(pidx)); lo < hi {
 					return false
 				}
 			}
 		}
 	}
-	return true
+	// G3 (the sameAs table, RDFS-Plus only): no owl:sameAs endpoint may be
+	// a hierarchy node, whose replication would have to flow through the
+	// virtual closure.
+	node := func(id uint64) bool { return h.Classes.Has(id) || h.Props.Has(id) }
+	t := stale(len(e.guards.Sides), v.SameAs)
+	return t == nil || !e.opts.Fragment.UsesSameAs() || !slices.ContainsFunc(t.Pairs(), node)
 }
 
 // maintainHier runs after every merge round, on the round's delta: it
-// rebuilds the interval index when raw hierarchy edges arrived,
-// re-checks the bypass guards when any guard-relevant table received
-// pairs, and — if a guard tripped — expands the virtual closure into the
-// store, folding what that added into the delta. Otherwise the visible
-// count is carried from typeVersion — the type table's version before
-// the merge — over the runs the delta's type pairs touched, and those
-// runs are compacted. The hierarchy nodes change only with a rebuild, so
-// G3 walks every stored sameAs pair after one and only the delta's
-// otherwise (the invariant this relies on is at hierGuardsOK). An
-// adopted batch (delta == Main) is all input, and an asserted pair
-// stays: nothing is compacted, and an expansion is already in Main.
+// rebuilds the interval index when raw hierarchy edges arrived, runs the
+// bypass guards, and — if one tripped — expands the virtual closure,
+// folding what that added into the delta. Otherwise the visible count is
+// carried from typeVersion, the type table's version before the merge,
+// over the runs the delta's type pairs touched, which are compacted. An
+// adopted batch (delta == Main) is all input: nothing is compacted.
 func (e *Engine) maintainHier(delta *store.Store, typeVersion uint64) {
 	if e.hier == nil {
 		return
 	}
 	classChanged := hasPairs(delta, e.V.SubClassOf)
-	rebuilt := classChanged || hasPairs(delta, e.V.SubPropertyOf)
-	if rebuilt {
+	if classChanged || hasPairs(delta, e.V.SubPropertyOf) {
 		e.buildHier()
 	}
-	typeChanged := hasPairs(delta, e.V.Type)
-	recheck := rebuilt || typeChanged ||
-		hasPairs(delta, e.V.Domain) || hasPairs(delta, e.V.Range) ||
-		hasPairs(delta, e.V.SameAs) || hasPairs(delta, e.V.EquivProp) ||
-		hasPairs(delta, e.V.InverseOf)
-	sameAs := delta
-	if rebuilt {
-		sameAs = e.Main
-	}
-	if recheck && !e.hierGuardsOK(sameAs) {
+	if !e.hierGuardsOK() {
 		// The expansion's genuinely-new triples join the running delta so
 		// the fixpoint processes them like any other derivation.
 		exp := e.expandEncoding()
@@ -646,6 +621,7 @@ func (e *Engine) maintainHier(delta *store.Store, typeVersion uint64) {
 	if delta == e.Main {
 		return
 	}
+	typeChanged := hasPairs(delta, e.V.Type)
 	if typeChanged {
 		// Before compaction: a fresh pair may be compacted out of the delta a
 		// moment later, but the runs it joined are counted with it in place.
@@ -659,29 +635,20 @@ func (e *Engine) maintainHier(delta *store.Store, typeVersion uint64) {
 
 // compactTypeTable drops stored rdf:type pairs the interval index
 // already serves: ⟨x, D⟩ is redundant when another stored pair ⟨x, C⟩
-// of the same subject has C strictly below D (inside a subsumption
-// cycle the smallest class id is kept, so mutually-subsuming classes
-// never shadow each other away). A redundant pair is visible through
-// the intervals either way, so dropping it from the main store AND
-// from the running delta reproduces exactly what the materialized
-// engine's merge does with a derivation that is already present:
-// no rule ever fires on it again. Rules that read the stored type
-// table directly select marker classes, which guard G1 keeps
-// subclass-free — a marker pair can therefore never be redundant.
-// A delta type table that compacts to nothing triggers no rule.
+// has C strictly below D (in a subsumption cycle the smallest class id
+// is kept). Dropping it from Main and from the running delta is what the
+// materialized engine's merge does with a derivation already present:
+// no rule fires on it again. Rules that read the stored type table
+// select marker classes, which guard G1 keeps subclass-free, so a marker
+// pair is never redundant. An asserted (marked) pair leaves the delta
+// but stays stored, retractable; the view dedups, so it changes no
+// visible result. Retract passes its unmarked batch as the delta, so a
+// shadowed retracted pair leaves both and seeds nothing.
 //
-// An asserted (marked) pair is the one exception: it leaves the delta
-// like any other but stays stored, so it remains retractable with no
-// side record of what was compacted. The view dedups (typeObjects,
-// typeStats), so a stored shadowed pair changes no visible result.
-// Retract passes its unmarked batch as the delta: a retracted pair that
-// is shadowed leaves the store and the batch here, and seeds nothing.
-//
-// The work is proportional to the round. No unmarked pair is shadowed
-// after a mergeRound, so while the class hierarchy stands still only a
-// subject the delta's type table names can have gained one: just those
-// runs are visited. The whole table is swept (full) only for a round
-// that changed the class hierarchy, which can shadow pairs anywhere.
+// No unmarked pair is shadowed after a mergeRound, so while the class
+// hierarchy stands still only the subjects the delta's type table names
+// are visited; a round that changed the class hierarchy sweeps the
+// whole table (full).
 func (e *Engine) compactTypeTable(delta *store.Store, full bool) {
 	dt := delta.Table(e.V.Type)
 	touched := dt
@@ -810,7 +777,7 @@ func (e *Engine) expandEncoding() *store.Store {
 			return true
 		})
 	}
-	e.hier = nil
+	e.hier, e.guardIdx = nil, nil
 	return e.mergeRound(false, exp).delta
 }
 
@@ -916,23 +883,21 @@ func (e *Engine) RestoreState(d *dictionary.Dictionary, st *store.Store, encoded
 	}
 	e.Dict = d
 	e.V = rules.ResolveVocab(d)
+	e.guards = rules.Guards(e.V)
 	st.Grow(d.NumProperties())
 	e.Main = st
 	if e.opts.Metrics != nil {
 		st.SetMetrics(e.opts.Metrics.Store)
 	}
 	e.staged = nil
-	// A fully materialized snapshot — its writer ran without the encoding,
-	// or had dropped it (a meta-vocabulary guard, a schema retraction) —
-	// leaves hier nil: the restored engine stays on full materialization
-	// too, the same sticky bypass, so it keeps the writer's stored tables.
-	// Indexing a closed store would leave subsumption-derived type triples
-	// stored where retraction expects them virtual, and would let the
-	// store generation drift from the writer's.
-	e.hier = nil
+	// A fully materialized snapshot leaves hier nil, the sticky bypass:
+	// indexing a closed store would leave subsumption-derived type triples
+	// stored where retraction expects them virtual, and let the store
+	// generation drift from the writer's.
+	e.hier, e.guardIdx = nil, nil
 	if encoded {
 		e.buildHier()
-		if !e.opts.HierarchyEncoding || !e.hierGuardsOK(e.Main) {
+		if !e.opts.HierarchyEncoding || !e.hierGuardsOK() {
 			// This engine will not serve virtual triples: expand the
 			// reduced closure into the store and drop the index.
 			e.expandEncoding()

@@ -154,31 +154,6 @@ func (c *Context) alphaJoin(aProp int, aOnSubj bool, bProp int, bOnSubj bool, em
 	}
 }
 
-// markerSubjects returns, ascending, the subjects s with ⟨s, rdf:type,
-// marker⟩ in the given type table (nil-safe). It reads the table's ⟨o,s⟩
-// list when one is cached and scans the pairs otherwise: building the
-// list would sort a copy of the whole table to find one run.
-func markerSubjects(typeTable *store.Table, marker uint64) []uint64 {
-	if typeTable == nil || typeTable.Empty() {
-		return nil
-	}
-	var subs []uint64
-	if os, ok := typeTable.CachedOS(); ok {
-		lo, hi := store.KeyRun(os, marker)
-		for i := lo; i < hi; i++ {
-			subs = append(subs, os[2*i+1])
-		}
-		return subs
-	}
-	pairs := typeTable.Pairs()
-	for i := 1; i < len(pairs); i += 2 {
-		if pairs[i] == marker {
-			subs = append(subs, pairs[i-1])
-		}
-	}
-	return subs
-}
-
 // markedProperties returns, ascending, the table indexes of the
 // properties p with ⟨p, rdf:type, marker⟩ in the given type table
 // (nil-safe). Property IDs sort before every resource ID, so those pairs

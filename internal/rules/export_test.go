@@ -1,8 +1,5 @@
 package rules
 
-// The marker lookups, for the external tests that check them against
-// closures the reasoner built.
-var (
-	MarkerSubjects   = markerSubjects
-	MarkedProperties = markedProperties
-)
+// The marker lookup of the property side, for the external test that
+// checks it against closures the reasoner built.
+var MarkedProperties = markedProperties

@@ -1,9 +1,7 @@
 package rules
 
 import (
-	"fmt"
 	"slices"
-	"strings"
 
 	"inferray/internal/dictionary"
 	"inferray/internal/store"
@@ -16,7 +14,9 @@ import (
 // footprint meets a non-empty table of the previous round's delta.
 // Rules attaches each rule's footprint from the declarative Specs it
 // builds the rule from, never from a hand-written list, so the patterns
-// in spec.go and the rules table5.go executes cannot drift apart.
+// in spec.go and the rules table5.go executes cannot drift apart. The
+// vocabulary of the hierarchy encoding's bypass guards is derived from
+// the same patterns (Guards).
 
 // Footprint is the set of property tables a rule reads or writes.
 // Wildcard marks rules that can touch arbitrary data property tables
@@ -50,18 +50,6 @@ func (fp Footprint) Triggered(st *store.Store) bool {
 	return false
 }
 
-// String renders the footprint for diagnostics.
-func (fp Footprint) String() string {
-	parts := make([]string, 0, len(fp.Props)+1)
-	for _, p := range fp.Props {
-		parts = append(parts, fmt.Sprintf("%d", p))
-	}
-	if fp.Wildcard {
-		parts = append(parts, "*")
-	}
-	return "{" + strings.Join(parts, ",") + "}"
-}
-
 // Reads returns the rule's antecedent footprint: the property tables a
 // delta must touch for the rule to possibly derive something new.
 func (r *Rule) Reads() Footprint { return r.reads }
@@ -84,4 +72,75 @@ func (fp *Footprint) add(t Term) {
 	if i, found := slices.BinarySearch(fp.Props, p); !found {
 		fp.Props = slices.Insert(fp.Props, i, p)
 	}
+}
+
+// Guarded is the vocabulary of the hierarchy encoding's bypass guards
+// (DESIGN.md §10), derived from the specs by Guards: the marker classes,
+// ascending, that G1 keeps free of subclasses, and the table sides G2
+// keeps the encoded predicates out of.
+type Guarded struct {
+	Markers []uint64
+	Sides   []Side
+}
+
+// Side is a property table's subjects or, with Object, its objects.
+type Side struct {
+	Pidx   int
+	Object bool
+}
+
+// Guards walks the specs of all five fragments, so its sets are one for
+// every fragment. A marker is the constant object of a ⟨?x rdf:type C⟩
+// body pattern. A variable is read when it is the predicate of a body
+// pattern (PRP-DOM reads rdfs:domain's subjects so) or sits at a guarded
+// side of a head pattern (EQ-SYM maps owl:sameAs's subjects onto the
+// objects EQ-REP-P reads); to a fixpoint, the body sides that bind a read
+// variable are guarded unless one of them already is.
+func Guards(v *Vocab) (g Guarded) {
+	var specs []Spec
+	for f := RhoDF; f <= RDFSPlusFull; f++ {
+		specs = append(specs, Specs(f, v)...)
+	}
+	guarded := func(sd Side) bool { return slices.Contains(g.Sides, sd) }
+	for grew := true; grew; {
+		grew = false
+		for _, s := range specs {
+			for _, p := range s.Body {
+				if p.P == C(dictionary.PropID(v.Type)) && p.S.IsVar && !p.O.IsVar {
+					g.Markers = append(g.Markers, p.O.Const)
+				}
+				for _, x := range [3]Term{p.S, p.P, p.O} {
+					read, binds := false, []Side(nil)
+					for _, q := range s.Body {
+						read = read || x.IsVar && q.P == x
+						binds = append(binds, sidesOf(q, x)...)
+					}
+					for _, h := range s.Head {
+						read = read || slices.ContainsFunc(sidesOf(h, x), guarded)
+					}
+					if read && !slices.ContainsFunc(binds, guarded) {
+						for _, sd := range binds {
+							if !guarded(sd) {
+								g.Sides, grew = append(g.Sides, sd), true
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+	slices.Sort(g.Markers)
+	g.Markers = slices.Compact(g.Markers)
+	return g
+}
+
+// sidesOf lists the sides at which p binds the variable x; none for a
+// constant x or a variable predicate.
+func sidesOf(p Pattern, x Term) (out []Side) {
+	for i, end := range [2]Term{p.S, p.O} {
+		if !p.P.IsVar && x.IsVar && end == x {
+			out = append(out, Side{dictionary.PropIndex(p.P.Const), i == 1})
+		}
+	}
+	return out
 }

@@ -14,11 +14,13 @@ import (
 )
 
 // TestMarkerLookupsMatchObjectRun: the marker lookups, which never build
-// an ⟨o,s⟩ list, return exactly what ObjectRun over a freshly built one
-// returns — all subjects for the class markers, the property subjects for
-// the four property markers — on the LUBM and YagoLike closures with
-// markers sprinkled over properties, classes and plain resources, and for
-// a term promoted from resource to property after its typing was stored.
+// an ⟨o,s⟩ list, return exactly the object run of a freshly built one —
+// all subjects for the class markers (PairsWithObjectIn on a term set
+// holding the marker, as the marked rules look up theirs), the property
+// subjects for the four property markers — on the LUBM and YagoLike
+// closures with markers sprinkled over properties, classes and plain
+// resources, and for a term promoted from resource to property after its
+// typing was stored.
 func TestMarkerLookupsMatchObjectRun(t *testing.T) {
 	propMarkers := []string{rdf.OWLFunctionalProperty, rdf.OWLInverseFunctionalProperty,
 		rdf.OWLSymmetricProperty, rdf.OWLTransitiveProperty}
@@ -83,13 +85,23 @@ func TestMarkerLookupsMatchObjectRun(t *testing.T) {
 			os := fresh.OS()
 			objectRun := func(marker uint64, propsOnly bool) []uint64 {
 				var out []uint64
-				lo, hi := fresh.ObjectRun(marker)
+				lo, hi := store.KeyRun(os, marker)
 				for i := lo; i < hi; i++ {
 					if s := os[2*i+1]; !propsOnly || dictionary.IsProperty(s) {
 						out = append(out, s)
 					}
 				}
 				return out
+			}
+			var set store.TermSet
+			markerSubjects := func(tab *store.Table, marker uint64) []uint64 {
+				set.Reset(e.Dict.IDRange())
+				set.Add(marker)
+				var subs []uint64
+				for p, i := tab.PairsWithObjectIn(&set, nil), 0; i < len(p); i += 2 {
+					subs = append(subs, p[i])
+				}
+				return subs
 			}
 			found := 0
 			for _, tab := range []*store.Table{cold, tt} {
@@ -100,7 +112,7 @@ func TestMarkerLookupsMatchObjectRun(t *testing.T) {
 						t.Fatalf("%s: marker %s not in the dictionary", label, m)
 					}
 					want := objectRun(id, false)
-					if got := rules.MarkerSubjects(tab, id); !slices.Equal(got, want) {
+					if got := markerSubjects(tab, id); !slices.Equal(got, want) {
 						t.Errorf("%s cached=%t: subjects typed %s: %v, ObjectRun %v", label, cached, m, got, want)
 					}
 					var got []uint64
@@ -122,7 +134,22 @@ func TestMarkerLookupsMatchObjectRun(t *testing.T) {
 			}
 		}
 	}
-	if rules.MarkerSubjects(nil, 1) != nil || rules.MarkedProperties(nil, 1) != nil {
-		t.Error("the lookups must accept a missing type table")
+	if rules.MarkedProperties(nil, 1) != nil {
+		t.Error("the property lookup must accept a missing type table")
+	}
+	// The marked rules, which look their marker up in the delta's type
+	// table, must accept a delta without one.
+	d := dictionary.NewWithVocabulary(rdf.VocabularyProperties, rdf.VocabularyResources)
+	v := rules.ResolveVocab(d)
+	empty, out := store.New(d.NumProperties()), store.New(d.NumProperties())
+	var terms store.TermSet
+	for _, f := range []rules.Fragment{rules.RDFSFull, rules.RDFSPlusFull} {
+		for _, r := range rules.Rules(f, v) {
+			r.Apply(&rules.Context{Main: empty, Delta: empty, Out: out, V: v,
+				Terms: func() *store.TermSet { terms.Reset(d.IDRange()); return &terms }})
+		}
+	}
+	if out.Size() != 0 {
+		t.Errorf("the rules emitted %d pairs from an empty store", out.Size())
 	}
 }

@@ -482,11 +482,17 @@ func mutual(from, to table) func(*Context) {
 }
 
 // marked builds the ⟨x type M⟩ ⇒ emissions pattern shared by SCM-CLS,
-// SCM-DP/OP and RDFS 6/8/10/12/13.
+// SCM-DP/OP and RDFS 6/8/10/12/13. The marker is looked up in the rule's
+// term set, which builds no ⟨o,s⟩ list of the delta's type table.
 func marked(marker func(*Vocab) uint64, emit func(c *Context, x uint64)) func(*Context) {
 	return func(c *Context) {
-		for _, x := range markerSubjects(c.deltaTable(c.V.Type), marker(c.V)) {
-			emit(c, x)
+		if dt := c.deltaTable(c.V.Type); dt != nil {
+			set := c.Terms()
+			set.Add(marker(c.V))
+			defer set.Clear()
+			for p, i := dt.PairsWithObjectIn(set, nil), 0; i < len(p); i += 2 {
+				emit(c, p[i])
+			}
 		}
 	}
 }

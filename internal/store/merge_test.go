@@ -185,7 +185,8 @@ func TestMergeRoundSplicePathNotAliased(t *testing.T) {
 	}
 }
 
-// TestOSFirstBuildConcurrentWithReaders races OS()/ObjectRun readers
+// TestOSFirstBuildConcurrentWithReaders races OS() readers, half of them
+// looking one object run up,
 // on the lazy first build of a fresh table's ⟨o,s⟩ cache, the one place
 // concurrent readers write the cache; it fails under -race if the build
 // writes the cache fields outside osMu, and otherwise if a reader sees a
@@ -204,8 +205,8 @@ func TestOSFirstBuildConcurrentWithReaders(t *testing.T) {
 			go func(byRun bool) {
 				defer wg.Done()
 				if byRun {
-					if lo, hi := tab.ObjectRun(1000); hi-lo != 1 {
-						t.Errorf("ObjectRun(1000) = [%d,%d), want one pair", lo, hi)
+					if lo, hi := KeyRun(tab.OS(), 1000); hi-lo != 1 {
+						t.Errorf("KeyRun(OS(), 1000) = [%d,%d), want one pair", lo, hi)
 					}
 					return
 				}

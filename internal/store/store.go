@@ -411,13 +411,6 @@ func (t *Table) SubjectRunFrom(s uint64, from int) (lo, hi int) {
 	return lo, hi
 }
 
-// ObjectRun returns the half-open pair-index range [lo, hi) in the OS
-// view of pairs whose object equals o. A caller probing many objects
-// takes OS() once and calls KeyRun on it: each ObjectRun locks osMu.
-func (t *Table) ObjectRun(o uint64) (lo, hi int) {
-	return KeyRun(t.OS(), o)
-}
-
 // Contains reports whether the pair (s, o) is present.
 func (t *Table) Contains(s, o uint64) bool {
 	p := t.Pairs()

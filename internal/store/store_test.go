@@ -70,9 +70,9 @@ func TestTableRuns(t *testing.T) {
 	if lo != hi {
 		t.Fatal("absent subject must give empty run")
 	}
-	lo, hi = tab.ObjectRun(4)
+	lo, hi = KeyRun(tab.OS(), 4)
 	if hi-lo != 1 {
-		t.Fatalf("ObjectRun(4) width %d, want 1", hi-lo)
+		t.Fatalf("KeyRun(OS(), 4) width %d, want 1", hi-lo)
 	}
 	if !tab.Contains(2, 4) || tab.Contains(2, 5) || tab.Contains(9, 9) {
 		t.Fatal("Contains wrong")
