@@ -7,7 +7,6 @@ import (
 
 	"inferray/internal/dictionary"
 	"inferray/internal/rdf"
-	"inferray/internal/rules"
 	"inferray/internal/store"
 )
 
@@ -284,15 +283,7 @@ func (e *Engine) LoadRanges(ranges []*Range) {
 	// in a later batch) is promoted; the stored occurrences of its old ID
 	// are collected and rewritten in one batched pass below.
 	var renames map[uint64]uint64
-	asProperty := func(rg *Range, i uint32) {
-		newID, oldID, moved := d.PromoteToPropertyHashed(rg.terms[i], rg.hashes[i])
-		if moved {
-			if renames == nil {
-				renames = make(map[uint64]uint64)
-			}
-			renames[oldID] = newID
-		}
-	}
+	asProperty := func(rg *Range, i uint32) { renames = e.promote(renames, rg.terms[i], rg.hashes[i]) }
 	for _, rg := range ranges {
 		for _, i := range rg.roles {
 			asProperty(rg, i)
@@ -324,13 +315,7 @@ func (e *Engine) LoadRanges(ranges []*Range) {
 		}
 	}
 	if len(renames) > 0 {
-		e.Main.RewriteTerms(renames)
-		if e.staged != nil && e.staged != e.Main {
-			e.staged.RewriteTerms(renames)
-		}
-		// A promotion may have moved a vocabulary resource (markers like
-		// owl:TransitiveProperty are resources); refresh the cached IDs.
-		e.V = rules.ResolveVocab(d)
+		e.rename(renames, e.staged)
 	}
 
 	// Register the remaining terms as resources, range by range: one

@@ -375,9 +375,58 @@ func (e *Engine) mergeRound(asserted bool, outs ...*store.Store) round {
 	if fresh := e.closeTheta(delta); fresh != nil && delta != e.Main {
 		store.Union(delta, fresh)
 	}
+	if renames := e.promoteSameAs(delta); renames != nil {
+		e.rename(renames, delta)
+	}
 	e.maintainHier(delta, typeVersion)
 	r.merge, r.maintain = merged.Sub(start), time.Since(merged)
 	return r
+}
+
+// promoteSameAs gives a property ID to every resource that a pair of
+// st's closed owl:sameAs table links with a property, and returns the
+// renames. EQ-REP-P replicates a table under every term of a sameAs
+// clique, and only a property has one: the loader promotes the terms of
+// an asserted link (LoadRanges), this those of a derived one.
+func (e *Engine) promoteSameAs(st *store.Store) (renames map[uint64]uint64) {
+	if t := st.Table(e.V.SameAs); t != nil {
+		for p, i := t.Pairs(), 0; i < len(p); i += 2 {
+			if _, done := renames[p[i]]; !done && !dictionary.IsProperty(p[i]) && dictionary.IsProperty(p[i+1]) {
+				term := e.Dict.MustDecode(p[i])
+				renames = e.promote(renames, term, dictionary.Hash(term))
+			}
+		}
+	}
+	return renames
+}
+
+// promote moves term to the property side, recording in renames, made
+// when nil, the resource ID it leaves.
+func (e *Engine) promote(renames map[uint64]uint64, term string, h uint64) map[uint64]uint64 {
+	if id, old, moved := e.Dict.PromoteToPropertyHashed(term, h); moved {
+		if renames == nil {
+			renames = make(map[uint64]uint64)
+		}
+		renames[old] = id
+	}
+	return renames
+}
+
+// rename rewrites promoted terms in Main and also (store.RewriteTerms)
+// and refreshes what was derived from their old IDs: the vocabulary (a
+// marker is a resource until promoted), the guards' and the index.
+func (e *Engine) rename(renames map[uint64]uint64, also *store.Store) {
+	e.Main.RewriteTerms(renames)
+	if also != nil && also != e.Main {
+		also.RewriteTerms(renames)
+		also.Grow(e.Dict.NumProperties())
+	}
+	e.Main.Grow(e.Dict.NumProperties())
+	e.V = rules.ResolveVocab(e.Dict)
+	e.guards = rules.Guards(e.V)
+	if e.hier != nil {
+		e.buildHier()
+	}
 }
 
 // typeVersion returns the rdf:type table's version, the key of the

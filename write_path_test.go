@@ -77,6 +77,22 @@ func TestWritePathConformance(t *testing.T) {
 			})
 		}
 	}
+	// Guard trips in scripts of their own, so the random scripts above keep
+	// the encoding for their whole length. The first trip comes before any
+	// delete, which could drop the encoding first by retracting a schema
+	// edge.
+	for _, frag := range conformanceFragments {
+		for _, encoding := range []bool{true, false} {
+			seed++
+			cfg := scriptConfig{frag: frag, encoding: encoding, parallel: seed%2 == 0}
+			rng := rand.New(rand.NewSource(seed))
+			ops := "aaig" + randomOps(rng, 16) + "g" + randomOps(rng, 16) + "g"
+			t.Run(fmt.Sprintf("guards/%s/encoding=%v", frag, encoding), func(t *testing.T) {
+				t.Parallel()
+				runScript(t, cfg, rng, ops)
+			})
+		}
+	}
 }
 
 // FuzzOpStream decodes its input into one op script for one
@@ -99,6 +115,7 @@ func FuzzOpStream(f *testing.F) {
 		{inferray.RhoDF, true, 6, "aaxaxcaxd"},         // recovered = uninterrupted
 		{inferray.RDFSPlus, false, 7, "a"},             // one shot = hash-join evaluator
 		{inferray.RDFSPlus, true, 8, "dxaxd"},          // a delete before any load = none, across recovery
+		{inferray.RDFSPlusFull, true, 9, "aigdxgq"},    // a guard trip = the encoding never on
 	} {
 		f.Add(uint8(s.frag), s.encoding, s.seed, s.ops)
 	}
@@ -137,6 +154,7 @@ var opNames = map[byte]string{
 	'c': "Checkpoint",
 	'x': "Crash",
 	'q': "Query",
+	'g': "Guard trip", // not in opLetters: only scripts that name it run it
 }
 
 // randomOps draws n op letters; opMix gives their relative frequencies.
@@ -155,17 +173,24 @@ func conformanceIRI(kind string, i int) string {
 	return fmt.Sprintf("<%s%s%d>", conformanceNS, kind, i)
 }
 
-// conformanceTriple draws one triple from a small universe — six
-// classes, four properties, sixteen individuals — so that inserts,
-// duplicates, deletes of asserted triples and deletes of merely derived
-// ones all occur, and schema edges come and go under the instance data.
+// The small universe the scripts draw from: six classes, four
+// properties, sixteen individuals.
+func conformanceClass(rng *rand.Rand) string { return conformanceIRI("C", rng.Intn(6)) }
+func conformanceProp(rng *rand.Rand) string  { return conformanceIRI("p", rng.Intn(4)) }
+func conformanceInd(rng *rand.Rand) string   { return conformanceIRI("i", rng.Intn(16)) }
+
+// conformanceTriple draws one triple from the small universe, so that
+// inserts, duplicates, deletes of asserted triples and deletes of merely
+// derived ones all occur, and schema edges come and go under the
+// instance data. The RDFS-Plus universe adds sameAs, the property
+// markers and the owl: equivalences and inverses.
 func conformanceTriple(rng *rand.Rand, plus bool) inferray.Triple {
-	class := func() string { return conformanceIRI("C", rng.Intn(6)) }
-	prop := func() string { return conformanceIRI("p", rng.Intn(4)) }
-	ind := func() string { return conformanceIRI("i", rng.Intn(16)) }
+	class := func() string { return conformanceClass(rng) }
+	prop := func() string { return conformanceProp(rng) }
+	ind := func() string { return conformanceInd(rng) }
 	n := 10
 	if plus {
-		n = 14
+		n = 18
 	}
 	switch k := rng.Intn(n); {
 	case k < 2:
@@ -186,8 +211,41 @@ func conformanceTriple(rng *rand.Rand, plus bool) inferray.Triple {
 		return inferray.Triple{S: prop(), P: inferray.InverseOf, O: prop()}
 	case k < 13:
 		return inferray.Triple{S: prop(), P: inferray.Type, O: inferray.TransitiveProperty}
-	default:
+	case k < 14:
 		return inferray.Triple{S: class(), P: inferray.EquivalentClass, O: class()}
+	case k < 15:
+		return inferray.Triple{S: prop(), P: inferray.Type, O: inferray.FunctionalProperty}
+	case k < 16:
+		return inferray.Triple{S: prop(), P: inferray.Type, O: inferray.InverseFunctionalProperty}
+	case k < 17:
+		return inferray.Triple{S: prop(), P: inferray.Type, O: inferray.SymmetricProperty}
+	default:
+		return inferray.Triple{S: prop(), P: inferray.EquivalentProperty, O: prop()}
+	}
+}
+
+// guardTriple draws one triple that re-describes the vocabulary the
+// hierarchy encoding relies on, of one of the three guards' kinds
+// (rules.Guards): a class below a rule marker (G1), rdf:type,
+// rdfs:subClassOf or rdfs:subPropertyOf at a schema side a rule reads a
+// predicate from (G2), or a sameAs pair between an individual and a class
+// (G3). The first two trip in every fragment; G3 only in the sameAs
+// fragments and once the class is a hierarchy node.
+func (w *conformance) guardTriple(rng *rand.Rand) (tr inferray.Triple, trips bool) {
+	switch rng.Intn(3) {
+	case 0:
+		m := w.guards.Markers[rng.Intn(len(w.guards.Markers))]
+		return inferray.Triple{S: conformanceClass(rng), P: inferray.SubClassOf, O: w.dict.MustDecode(m)}, true
+	case 1:
+		side := w.guards.Sides[rng.Intn(len(w.guards.Sides))]
+		p := w.dict.MustDecode(dictionary.PropID(side.Pidx))
+		encoded := []string{inferray.Type, inferray.SubClassOf, inferray.SubPropertyOf}[rng.Intn(3)]
+		if side.Object {
+			return inferray.Triple{S: conformanceProp(rng), P: p, O: encoded}, true
+		}
+		return inferray.Triple{S: encoded, P: p, O: conformanceProp(rng)}, true
+	default:
+		return inferray.Triple{S: conformanceInd(rng), P: inferray.SameAs, O: conformanceClass(rng)}, false
 	}
 }
 
@@ -263,6 +321,7 @@ type conformance struct {
 	asserted map[inferray.Triple]bool
 	dict     *dictionary.Dictionary
 	specs    []rules.Spec
+	guards   rules.Guarded
 	closure  [][3]string
 	dump     string
 	changed  bool
@@ -291,7 +350,8 @@ func newConformance(t *testing.T, cfg scriptConfig) *conformance {
 		counts:   map[string]int{},
 	}
 	d := dictionary.NewWithVocabulary(rdf.VocabularyProperties, rdf.VocabularyResources)
-	w.dict, w.specs = d, rules.Specs(cfg.frag, rules.ResolveVocab(d))
+	v := rules.ResolveVocab(d)
+	w.dict, w.specs, w.guards = d, rules.Specs(cfg.frag, v), rules.Guards(v)
 	w.leader = w.open(filepath.Join(t.TempDir(), "leader"))
 	if err := w.leader.ApplyReplicated(inferray.WALAdd, nil); err == nil {
 		t.Fatal("ApplyReplicated accepted on a durable reasoner")
@@ -393,6 +453,12 @@ func (w *conformance) runOps(rng *rand.Rand, ops string, draw func() inferray.Tr
 				w.crash()
 			case 'q':
 				w.query()
+			case 'g':
+				tr, trips := w.guardTriple(rng)
+				w.insert([]inferray.Triple{tr})
+				if trips && w.leader.HierarchyEncoded() {
+					w.fatalf("%s %s %s kept the encoding", tr.S, tr.P, tr.O)
+				}
 			}
 		})
 		if w.op%25 == 0 || i == len(ops)-1 {
@@ -835,5 +901,32 @@ func runLUBMScript(t *testing.T, cfg scriptConfig, seed int64) {
 	if w.splices+m.MergesSplice == 0 || w.patched+m.OSCachePatched == 0 {
 		t.Errorf("%d spliced merges, %d patched caches: the LUBM churn never took the in-place path",
 			w.splices+m.MergesSplice, w.patched+m.OSCachePatched)
+	}
+}
+
+// TestOpScriptAG is the guard script that found derived owl:sameAs links
+// between a property and a resource, reduced to its two ops: 'a' declares
+// a property inverse-functional, symmetric and transitive, and 'g' makes
+// it equivalent to rdf:type. PRP-EQP copies its typings under its own
+// name, PRP-SYMP and PRP-IFP then link it by sameAs with the marker
+// classes, and EQ-REP-P must replicate its table under each of them —
+// which only a term promoted to the property side has.
+func TestOpScriptAG(t *testing.T) {
+	p := conformanceIRI("p", 0)
+	for _, frag := range []inferray.Fragment{inferray.RDFSPlus, inferray.RDFSPlusFull} {
+		for _, encoding := range []bool{true, false} {
+			t.Run(fmt.Sprintf("%s/encoding=%v", frag, encoding), func(t *testing.T) {
+				w := newConformance(t, scriptConfig{frag: frag, encoding: encoding})
+				w.run('a', func() {
+					w.add([]inferray.Triple{
+						{S: p, P: inferray.Type, O: inferray.InverseFunctionalProperty},
+						{S: p, P: inferray.Type, O: inferray.SymmetricProperty},
+						{S: p, P: inferray.Type, O: inferray.TransitiveProperty},
+					})
+				})
+				w.run('g', func() { w.insert([]inferray.Triple{{S: p, P: inferray.EquivalentProperty, O: inferray.Type}}) })
+				w.reopen()
+			})
+		}
 	}
 }
