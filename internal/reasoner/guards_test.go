@@ -92,13 +92,14 @@ func TestGuardTrips(t *testing.T) {
 	}
 	always := func(rules.Fragment) bool { return true }
 	var fixtures []fixture
-	e := New(Options{})
-	name := func(id uint64) string { return e.Dict.MustDecode(id) }
-	g := rules.Guards(e.V)
+	fresh := New(Options{})
+	name := func(id uint64) string { return fresh.Dict.MustDecode(id) }
+	v := fresh.V
+	g := rules.Guards(v)
 	for _, side := range g.Sides {
 		p := name(dictionary.PropID(side.Pidx))
 		other := "<knows>"
-		if side.Pidx == e.V.Domain || side.Pidx == e.V.Range || side.Pidx == e.V.Type {
+		if side.Pidx == v.Domain || side.Pidx == v.Range || side.Pidx == v.Type {
 			other = "<Dog>"
 		}
 		for _, term := range []string{rdf.RDFType, rdf.RDFSSubClassOf, rdf.RDFSSubPropertyOf} {

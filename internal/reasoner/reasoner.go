@@ -159,8 +159,10 @@ type Engine struct {
 
 	// hier is the hierarchy interval index when the encoding is active;
 	// nil when the option is off, before the first Materialize, or after
-	// a bypass — sticky: only adopting a new engine's batch and
-	// RestoreState build an index from nothing (DESIGN.md §10).
+	// a guard-forced bypass. The bypass is sticky: maintainHier rebuilds
+	// only a standing index, and only adopting a new engine's batch and
+	// RestoreState build one from nothing, so once a guard trips or a
+	// schema edge is retracted the engine stays on full materialization.
 	hier     *hierarchy.Index
 	typeRuns hierarchy.RunScratch // compactTypeTable's working memory
 	terms    store.TermSet        // the engine's own term set, handed out by termSet
@@ -645,11 +647,13 @@ func (e *Engine) hierGuardsOK() bool {
 
 // maintainHier runs after every merge round, on the round's delta: it
 // rebuilds the interval index when raw hierarchy edges arrived, runs the
-// bypass guards, and — if one tripped — expands the virtual closure,
-// folding what that added into the delta. Otherwise the visible count is
-// carried from typeVersion, the type table's version before the merge,
-// over the runs the delta's type pairs touched, which are compacted. An
-// adopted batch (delta == Main) is all input: nothing is compacted.
+// bypass guards, and — if one tripped — expands the virtual closure into
+// the store, folding what that added into the delta. Otherwise the
+// visible count is carried from typeVersion — the type table's version
+// before the merge — over the runs the delta's type pairs touched, and
+// those runs are compacted. An adopted batch (delta == Main) is all
+// input, and an asserted pair stays: nothing is compacted, and an
+// expansion is already in Main.
 func (e *Engine) maintainHier(delta *store.Store, typeVersion uint64) {
 	if e.hier == nil {
 		return
@@ -684,20 +688,29 @@ func (e *Engine) maintainHier(delta *store.Store, typeVersion uint64) {
 
 // compactTypeTable drops stored rdf:type pairs the interval index
 // already serves: ⟨x, D⟩ is redundant when another stored pair ⟨x, C⟩
-// has C strictly below D (in a subsumption cycle the smallest class id
-// is kept). Dropping it from Main and from the running delta is what the
-// materialized engine's merge does with a derivation already present:
-// no rule fires on it again. Rules that read the stored type table
-// select marker classes, which guard G1 keeps subclass-free, so a marker
-// pair is never redundant. An asserted (marked) pair leaves the delta
-// but stays stored, retractable; the view dedups, so it changes no
-// visible result. Retract passes its unmarked batch as the delta, so a
-// shadowed retracted pair leaves both and seeds nothing.
+// of the same subject has C strictly below D (inside a subsumption
+// cycle the smallest class id is kept, so mutually-subsuming classes
+// never shadow each other away). A redundant pair is visible through
+// the intervals either way, so dropping it from the main store AND
+// from the running delta reproduces exactly what the materialized
+// engine's merge does with a derivation that is already present:
+// no rule ever fires on it again. Rules that read the stored type
+// table directly select marker classes, which guard G1 keeps
+// subclass-free — a marker pair can therefore never be redundant.
+// A delta type table that compacts to nothing triggers no rule.
 //
-// No unmarked pair is shadowed after a mergeRound, so while the class
-// hierarchy stands still only the subjects the delta's type table names
-// are visited; a round that changed the class hierarchy sweeps the
-// whole table (full).
+// An asserted (marked) pair is the one exception: it leaves the delta
+// like any other but stays stored, so it remains retractable with no
+// side record of what was compacted. The view dedups (typeObjects,
+// typeStats), so a stored shadowed pair changes no visible result.
+// Retract passes its unmarked batch as the delta: a retracted pair that
+// is shadowed leaves the store and the batch here, and seeds nothing.
+//
+// The work is proportional to the round. No unmarked pair is shadowed
+// after a mergeRound, so while the class hierarchy stands still only a
+// subject the delta's type table names can have gained one: just those
+// runs are visited. The whole table is swept (full) only for a round
+// that changed the class hierarchy, which can shadow pairs anywhere.
 func (e *Engine) compactTypeTable(delta *store.Store, full bool) {
 	dt := delta.Table(e.V.Type)
 	touched := dt
@@ -939,10 +952,13 @@ func (e *Engine) RestoreState(d *dictionary.Dictionary, st *store.Store, encoded
 		st.SetMetrics(e.opts.Metrics.Store)
 	}
 	e.staged = nil
-	// A fully materialized snapshot leaves hier nil, the sticky bypass:
-	// indexing a closed store would leave subsumption-derived type triples
-	// stored where retraction expects them virtual, and let the store
-	// generation drift from the writer's.
+	// A fully materialized snapshot — its writer ran without the encoding,
+	// or had dropped it (a meta-vocabulary guard, a schema retraction) —
+	// leaves hier nil: the restored engine stays on full materialization
+	// too, the same sticky bypass, so it keeps the writer's stored tables.
+	// Indexing a closed store would leave subsumption-derived type triples
+	// stored where retraction expects them virtual, and would let the
+	// store generation drift from the writer's.
 	e.hier, e.guardIdx = nil, nil
 	if encoded {
 		e.buildHier()

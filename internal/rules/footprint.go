@@ -1,7 +1,9 @@
 package rules
 
 import (
+	"fmt"
 	"slices"
+	"strings"
 
 	"inferray/internal/dictionary"
 	"inferray/internal/store"
@@ -48,6 +50,18 @@ func (fp Footprint) Triggered(st *store.Store) bool {
 		}
 	}
 	return false
+}
+
+// String renders the footprint for diagnostics.
+func (fp Footprint) String() string {
+	parts := make([]string, 0, len(fp.Props)+1)
+	for _, p := range fp.Props {
+		parts = append(parts, fmt.Sprintf("%d", p))
+	}
+	if fp.Wildcard {
+		parts = append(parts, "*")
+	}
+	return "{" + strings.Join(parts, ",") + "}"
 }
 
 // Reads returns the rule's antecedent footprint: the property tables a
