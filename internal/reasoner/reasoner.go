@@ -639,10 +639,24 @@ func (e *Engine) hierGuardsOK() bool {
 	}
 	// G3 (the sameAs table, RDFS-Plus only): no owl:sameAs endpoint may be
 	// a hierarchy node, whose replication would have to flow through the
-	// virtual closure.
-	node := func(id uint64) bool { return h.Classes.Has(id) || h.Props.Has(id) }
+	// virtual closure. The nodes go into the term set G2 is done with, so
+	// the walk tests a bit per endpoint.
 	t := stale(len(e.guards.Sides), v.SameAs)
-	return t == nil || !e.opts.Fragment.UsesSameAs() || !slices.ContainsFunc(t.Pairs(), node)
+	if t == nil || !e.opts.Fragment.UsesSameAs() {
+		return true
+	}
+	nodes := e.termSet()
+	for _, r := range []*hierarchy.Relation{h.Classes, h.Props} {
+		for _, id := range r.IDs {
+			nodes.Add(id)
+		}
+	}
+	for _, id := range t.Pairs() {
+		if nodes.Has(id) {
+			return false
+		}
+	}
+	return true
 }
 
 // maintainHier runs after every merge round, on the round's delta: it
