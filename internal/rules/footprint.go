@@ -116,6 +116,7 @@ func Guards(v *Vocab) (g Guarded) {
 		specs = append(specs, Specs(f, v)...)
 	}
 	guarded := func(sd Side) bool { return slices.Contains(g.Sides, sd) }
+	var binds, heads []Side
 	for grew := true; grew; {
 		grew = false
 		for _, s := range specs {
@@ -124,13 +125,15 @@ func Guards(v *Vocab) (g Guarded) {
 					g.Markers = append(g.Markers, p.O.Const)
 				}
 				for _, x := range [3]Term{p.S, p.P, p.O} {
-					read, binds := false, []Side(nil)
+					read := false
+					binds = binds[:0]
 					for _, q := range s.Body {
 						read = read || x.IsVar && q.P == x
-						binds = append(binds, sidesOf(q, x)...)
+						binds = sidesOf(q, x, binds)
 					}
 					for _, h := range s.Head {
-						read = read || slices.ContainsFunc(sidesOf(h, x), guarded)
+						heads = sidesOf(h, x, heads[:0])
+						read = read || slices.ContainsFunc(heads, guarded)
 					}
 					if read && !slices.ContainsFunc(binds, guarded) {
 						for _, sd := range binds {
@@ -148,9 +151,9 @@ func Guards(v *Vocab) (g Guarded) {
 	return g
 }
 
-// sidesOf lists the sides at which p binds the variable x; none for a
-// constant x or a variable predicate.
-func sidesOf(p Pattern, x Term) (out []Side) {
+// sidesOf appends to out the sides at which p binds the variable x;
+// none for a constant x or a variable predicate.
+func sidesOf(p Pattern, x Term, out []Side) []Side {
 	for i, end := range [2]Term{p.S, p.O} {
 		if !p.P.IsVar && x.IsVar && end == x {
 			out = append(out, Side{dictionary.PropIndex(p.P.Const), i == 1})
